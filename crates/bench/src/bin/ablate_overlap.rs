@@ -175,7 +175,7 @@ fn main() {
     // Fig. 6 revisited with probe rings: the same five configurations on
     // the pipelined fabric with K ∈ {1, 2, 4} steal probes in flight,
     // the ring's verbs doorbell-chained at 0.25× injection. K = 1 is the
-    // serial idle loop; K ≥ 2 probes that many victims at once, commits
+    // one-victim ring; K ≥ 2 probes that many victims at once, commits
     // the first in ring order that has work (its won lock freezes the
     // bounds, so the take skips one small-get round trip) and cancels the
     // rest — ready-but-unused victims are counted as `abandoned`, never as

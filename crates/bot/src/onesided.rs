@@ -494,46 +494,34 @@ impl BotWorker {
         };
         // Steal the *oldest* half: they root the largest subtrees.
         let stolen: Vec<Task> = w.bags[victim].drain(..k).collect();
-        if w.m.fabric() == FabricMode::Pipelined {
-            // Post the size word and the task-block payload together: the
-            // payload read races nothing (the batch slots are ours the
-            // moment the size shrinks, and the lock is still held when both
-            // verbs are posted), so the copy hides behind the size update's
-            // round trip instead of following it.
-            let at = now + cost;
-            let h_size =
-                w.m.post_put_u64(me, word(victim, W_SIZE), (size as usize - k) as u64, at);
-            let h_copy = w.m.post_get_bulk(me, victim, k * TASK_BYTES, at);
-            if self.armed {
-                // Steal lineage (see the Blocking arm below): the journal
-                // descriptor rides the posted size put.
-                w.recovery.record_batch(victim, me, &stolen);
-                let _ = w.m.post_put_u64_unsignaled(me, word(victim, W_JRNL), me as u64);
-                w.counters[victim].consumed += k as u64;
-                w.counters[me].created += k as u64;
-            }
-            cost += w.m.post_put_u64_unsignaled(me, word(victim, W_LOCK), 0);
-            let (_, f1) = w.m.wait(me, h_size);
-            let (_, f2) = w.m.wait(me, h_copy);
-            cost = cost.max(f1.max(f2).saturating_sub(now));
-        } else {
-            cost += w.m.put_u64(me, word(victim, W_SIZE), (size as usize - k) as u64);
-            if self.armed {
-                // Steal lineage: the descriptor shares the victim's 64-byte
-                // control line with W_SIZE, so it rides the size put charged
-                // above — same single-packet idiom as the token's trailing
-                // words in `put_token` — and the payload is not re-written
-                // (the batch bytes are already resident in the victim's bag
-                // region; see the module doc). The transfer is counted on
-                // both sides so per-worker balance mirrors bag contents.
-                w.recovery.record_batch(victim, me, &stolen);
-                let _ = w.m.post_put_u64_unsignaled(me, word(victim, W_JRNL), me as u64);
-                w.counters[victim].consumed += k as u64;
-                w.counters[me].created += k as u64;
-            }
-            cost += w.m.post_put_u64_unsignaled(me, word(victim, W_LOCK), 0);
-            cost += w.m.get_bulk(me, victim, k * TASK_BYTES);
+        // The size update, the lock release and the task-block read are one
+        // window: the payload read races nothing (the batch slots are ours
+        // the moment the size shrinks, and the lock is still held when the
+        // size put is posted), so an overlapping machine hides the copy
+        // behind the size update's round trip instead of following it. The
+        // release is unsignaled — its injection goes through the window,
+        // which sums it at depth 1 instead of losing it behind the fence.
+        let mut win = w.m.window(me, now + cost);
+        let new_size = (size as usize - k) as u64;
+        let h_size = win.posted(w.m.post_put_u64(me, word(victim, W_SIZE), new_size, win.at()));
+        if self.armed {
+            // Steal lineage: the descriptor shares the victim's 64-byte
+            // control line with W_SIZE, so it rides the size put charged
+            // above — same single-packet idiom as the token's trailing
+            // words in `put_token` — and the payload is not re-written
+            // (the batch bytes are already resident in the victim's bag
+            // region; see the module doc). The transfer is counted on
+            // both sides so per-worker balance mirrors bag contents.
+            w.recovery.record_batch(victim, me, &stolen);
+            let _ = w.m.post_put_u64_unsignaled(me, word(victim, W_JRNL), me as u64);
+            w.counters[victim].consumed += k as u64;
+            w.counters[me].created += k as u64;
         }
+        win.unsignaled(w.m.post_put_u64_unsignaled(me, word(victim, W_LOCK), 0));
+        let h_copy = win.posted(w.m.post_get_bulk(me, victim, k * TASK_BYTES, win.at()));
+        w.m.wait(me, h_size);
+        w.m.wait(me, h_copy);
+        cost = w.m.finish(&win).saturating_sub(now);
         w.bags[me].extend(stolen);
         w.m.post_put_u64_unsignaled(me, word(me, W_SIZE), w.bags[me].len() as u64);
         self.steals_ok += 1;

@@ -230,14 +230,15 @@ pub struct RunConfig {
     pub strict: bool,
     /// Engine runaway guard.
     pub max_steps: u64,
-    /// How protocol hot paths drive the fabric: [`FabricMode::Blocking`]
-    /// (default; one verb at a time, the pre-posted-API semantics every
-    /// golden is pinned to) or [`FabricMode::Pipelined`] (independent verbs
-    /// in a protocol step are posted concurrently and fenced).
+    /// The machine's issue depth, forwarded to
+    /// [`dcs_sim::MachineConfig::fabric`]: [`FabricMode::Blocking`]
+    /// (default; depth 1, the semantics every golden is pinned to) or
+    /// [`FabricMode::Pipelined`] (the verbs of a protocol step overlap).
+    /// The runtime issues the same verb sequence either way.
     pub fabric: FabricMode,
     /// Number of victims an idle worker probes *concurrently* per steal
-    /// round. `1` (the default every golden is pinned to) keeps the classic
-    /// serial probe; `K ≥ 2` posts the protocol's opening verbs to K
+    /// round. `1` (the default every golden is pinned to) is the
+    /// one-victim ring; `K ≥ 2` posts the protocol's opening verbs to K
     /// distinct victims at once, commits the first attempt that lands with
     /// work and abandons the rest (docs/PROTOCOLS.md, "Multi-steal &
     /// abandonment").

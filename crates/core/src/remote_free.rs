@@ -21,7 +21,7 @@
 //! serializes through virtual time itself. (The deque lock, by contrast, is
 //! deliberately held across steps; see `deque.rs`.)
 
-use dcs_sim::{FabricMode, GlobalAddr, Machine, VTime, WorkerId, WORD};
+use dcs_sim::{GlobalAddr, Machine, VTime, VerbHandle, WorkerId, WORD};
 
 use crate::layout::{SegLayout, FQ_COUNT, FQ_LOCK};
 use crate::policy::FreeStrategy;
@@ -212,26 +212,20 @@ fn free_via_lock_queue(
     );
     // 3. Insert the object location + size (one put; two words adjacent).
     // 4. Release the lock.
+    // The insert and the unlock both target the owner's rank, so in-order
+    // retirement on that queue pair makes the slot visible before the next
+    // lock holder can acquire: the pair is one window — two round trips at
+    // depth 1, one when overlapped (the baseline's four become three). The
+    // unsignaled second slot word is injected before the unlock is posted
+    // and charged on top of the pair at either depth.
     let slot = GlobalAddr::new(owner, lay.fq_slot(idx));
-    if m.fabric() == FabricMode::Pipelined {
-        // The insert and the unlock both target the owner's rank, so the
-        // same-QP in-order clamp guarantees the slot is visible before the
-        // next lock holder can acquire: post the whole tail and retire it
-        // under one wait — the baseline's four round trips become three.
-        // Posting at ZERO is sound because the tail is reaped before
-        // returning; only the relative finish times matter.
-        let h3 = m.post_put_u64(me, slot, addr.to_u64(), VTime::ZERO);
-        let c3b = m.post_put_u64_unsignaled(me, slot.field(1), bytes as u64);
-        let h4 = m.post_put_u64(me, lock, 0, VTime::ZERO);
-        let (_, f3) = m.wait(me, h3);
-        let (_, f4) = m.wait(me, h4);
-        c1 + c2 + c3b + f3.max(f4)
-    } else {
-        let c3a = m.put_u64(me, slot, addr.to_u64());
-        let c3b = m.post_put_u64_unsignaled(me, slot.field(1), bytes as u64);
-        let c4 = m.put_u64(me, lock, 0);
-        c1 + c2 + c3a + c3b + c4
-    }
+    let mut w = m.window(me, VTime::ZERO);
+    let h3 = w.posted(m.post_put_u64(me, slot, addr.to_u64(), w.at()));
+    let c3b = m.post_put_u64_unsignaled(me, slot.field(1), bytes as u64);
+    let h4 = w.posted(m.post_put_u64(me, lock, 0, w.at()));
+    m.wait(me, h3);
+    m.wait(me, h4);
+    c1 + c2 + c3b + m.finish(&w)
 }
 
 /// Owner-side drain of the lock-queue buffer (runs at allocation time; all
@@ -269,55 +263,29 @@ fn maybe_sweep(m: &mut Machine, ws: &mut WorkerShared, me: WorkerId) -> VTime {
     }
     let mut cost = VTime::ZERO;
     let mut reclaimed_bytes = 0u64;
-    if m.fabric() == FabricMode::Pipelined {
-        // Batch the whole free-bit scan: post every bit read up front and
-        // reap them together — a software-pipelined sweep instead of one
-        // dependent read per registry slot. Values are reaped per handle
-        // (not fenced) because the reclaim decision needs each bit.
-        let snapshot: Vec<(u32, u32)> = ws.robj.list.clone();
-        let mut handles = Vec::with_capacity(snapshot.len());
-        // The whole scan rides one doorbell chain: the first bit read pays
-        // full injection, the rest the chained fraction.
-        m.chain_begin(me);
-        for &(off, bytes) in &snapshot {
-            ws.robj.swept_items += 1;
-            cost += m.local_op(me);
-            let bit_addr = GlobalAddr::new(me, off + free_bit_off(bytes));
-            handles.push(m.post_get_u64(me, bit_addr, VTime::ZERO));
-        }
-        m.chain_end(me);
-        let mut tail = VTime::ZERO;
-        for (&(off, bytes), h) in snapshot.iter().zip(handles) {
-            let (bit, fin) = m.wait(me, h);
-            tail = tail.max(fin);
-            if bit != 0 {
-                ws.robj.unregister(off);
-                m.free(GlobalAddr::new(me, off), bytes + FREE_BIT_BYTES);
-                ws.robj.reclaimed += 1;
-                reclaimed_bytes += bytes as u64;
-            }
-        }
-        cost += tail;
-    } else {
-        let mut i = 0;
-        while i < ws.robj.list.len() {
-            let (off, bytes) = ws.robj.list[i];
-            ws.robj.swept_items += 1;
-            cost += m.local_op(me);
-            let bit_addr = GlobalAddr::new(me, off + free_bit_off(bytes));
-            let (bit, c) = m.get_u64(me, bit_addr);
-            cost += c;
-            if bit != 0 {
-                ws.robj.unregister(off);
-                m.free(GlobalAddr::new(me, off), bytes + FREE_BIT_BYTES);
-                ws.robj.reclaimed += 1;
-                reclaimed_bytes += bytes as u64;
-                // swap_remove: recheck index i.
-            } else {
-                i += 1;
-            }
+    // Post every free-bit read of the registry up front, inside one
+    // doorbell chain, and reap them together: dependent reads at depth 1,
+    // a software-pipelined scan when overlapped. Values are reaped per
+    // handle because the reclaim decision needs each bit.
+    let mut w = m.window(me, VTime::ZERO);
+    m.chain_begin(me);
+    let mut scan: Vec<(u32, u32, VerbHandle)> = Vec::with_capacity(ws.robj.list.len());
+    for &(off, bytes) in &ws.robj.list {
+        cost += m.local_op(me);
+        let bit_addr = GlobalAddr::new(me, off + free_bit_off(bytes));
+        scan.push((off, bytes, w.posted(m.post_get_u64(me, bit_addr, w.at()))));
+    }
+    m.chain_end(me);
+    ws.robj.swept_items += scan.len() as u64;
+    for (off, bytes, h) in scan {
+        if m.wait(me, h).0 != 0 {
+            ws.robj.unregister(off);
+            m.free(GlobalAddr::new(me, off), bytes + FREE_BIT_BYTES);
+            ws.robj.reclaimed += 1;
+            reclaimed_bytes += bytes as u64;
         }
     }
+    cost += m.finish(&w);
     ws.robj.sweeps += 1;
     if reclaimed_bytes * 2 >= ws.robj.limit {
         ws.robj.soft_limit = ws.robj.limit;

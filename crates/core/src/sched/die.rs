@@ -230,9 +230,9 @@ impl Worker {
         let waiters = (old & (DONE_BIT - 1)) as u32;
         debug_assert!(waiters <= e.consumers);
         let mut resumed: Vec<VThread> = Vec::with_capacity(waiters as usize);
-        // Pipelined: the per-waiter stack copies are independent payloads
-        // from distinct saved contexts — collect them and post the whole
-        // sweep under one fence instead of paying each round trip serially.
+        // The per-waiter stack copies are independent payloads from
+        // distinct saved contexts: collect them and post the whole sweep as
+        // one window once the per-waiter bookkeeping is done.
         let mut sweep: Vec<(usize, usize)> = Vec::new();
         if waiters > 0 {
             // One bulk get covers the ctxloc slot array.
@@ -254,11 +254,7 @@ impl Worker {
                 if self.scheme == AddressScheme::Uni && th.home.is_some() {
                     world.rt.per[saved.owner].evac.restore(saved.stack_bytes as u64);
                 }
-                if self.fabric == FabricMode::Pipelined {
-                    sweep.push((saved.owner, saved.stack_bytes));
-                } else {
-                    cost += world.m.get_bulk(self.me, saved.owner, saved.stack_bytes);
-                }
+                sweep.push((saved.owner, saved.stack_bytes));
                 cost += free_robj(
                     &mut world.m,
                     &mut world.rt.per[saved.owner],
@@ -299,19 +295,25 @@ impl Worker {
                 cost += self.free_entry_here(world, e);
             }
             if !sweep.is_empty() {
-                // Post the batched stack copies only after all blocking
-                // traffic to the saved owners (free_robj above) is done, so
-                // the in-order clamp never penalises a blocking wrapper.
+                // Post the stack copies only after every blocking verb to
+                // the saved owners (free_robj above) has retired: a blocking
+                // verb must never queue behind an outstanding post. The
+                // sweep rides one doorbell: the first copy pays the full
+                // injection, the rest the chained fraction.
                 let post_at = at + cost;
-                // The whole sweep rides one doorbell: the first copy pays
-                // the full injection, the rest the chained fraction.
+                let mut w = world.m.window(self.me, post_at);
                 world.m.chain_begin(self.me);
-                for &(owner, bytes) in &sweep {
-                    world.m.post_get_bulk(self.me, owner, bytes, post_at);
-                }
+                let copies: Vec<VerbHandle> = sweep
+                    .iter()
+                    .map(|&(owner, bytes)| {
+                        w.posted(world.m.post_get_bulk(self.me, owner, bytes, w.at()))
+                    })
+                    .collect();
                 world.m.chain_end(self.me);
-                let fin = world.m.fence(self.me, post_at);
-                cost += fin.saturating_sub(post_at);
+                for h in copies {
+                    world.m.wait(self.me, h);
+                }
+                cost += world.m.finish(&w).saturating_sub(post_at);
             }
         }
         // Resume one immediately (greedy), enqueue the rest as stealable

@@ -3,6 +3,17 @@
 
 use super::*;
 
+/// What a steal commit issues to let go of the victim's deque.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Release {
+    /// CAS-lock: a signaled put clearing the lock word.
+    Lock,
+    /// Fence-free: the unsignaled claim-write of the `top` hint.
+    Hint(u64),
+    /// Lock-free: nothing — the claim CAS already committed.
+    Claimed,
+}
+
 impl Worker {
     // ------------------------------------------------------------------
     // victim blacklisting (fault-injection resilience)
@@ -325,20 +336,18 @@ impl Worker {
         }
     }
 
-    /// Blocking-fabric checkpoint put of a stolen continuation's header to
-    /// the thief's buddy (the pipelined take posts the same put alongside
-    /// the steal's other verbs instead). The put is fire-and-forget: the
+    /// Checkpoint put of a stolen continuation's header to the thief's
+    /// buddy, inside the steal's window. The put is fire-and-forget: the
     /// mirror only has to land before a lease expiry — microseconds after
     /// the split — so the thief pays the injection, never a round trip.
-    pub(crate) fn mirror_split(&mut self, world: &mut World, now: VTime) -> VTime {
-        match self.buddy(&world.m, now) {
-            Some(b) => {
-                world.rt.stats.ckpt_puts += 1;
+    fn mirror_split(&mut self, world: &mut World, now: VTime, w: &mut Window) {
+        if let Some(b) = self.buddy(&world.m, now) {
+            world.rt.stats.ckpt_puts += 1;
+            w.unsignaled(
                 world
                     .m
-                    .post_put_bulk_unsignaled(self.me, b, Self::CKPT_HDR_BYTES)
-            }
-            None => VTime::ZERO,
+                    .post_put_bulk_unsignaled(self.me, b, Self::CKPT_HDR_BYTES),
+            );
         }
     }
 
@@ -382,229 +391,152 @@ impl Worker {
                 let c2 = self.adopt_item(now, world, item, None);
                 Step::Yield(cost + c2)
             }
-            Ok((None, cost)) => {
-                // 2. Steal (if anybody to steal from).
-                if self.n >= 2 {
-                    if self.multi_steal >= 2 {
-                        return self.step_idle_multi(now, world, cost);
-                    }
-                    let victim = self.select_victim(now, world);
-                    if self.kills {
-                        if let Some(c_dead) = world.m.dead_guard(self.me, victim, now) {
-                            // Fail-fast verb against a dead victim: one RTT,
-                            // a failed steal, and a blacklist bump so the
-                            // selector stops drawing it even before the
-                            // lease confirms the death.
-                            self.note_victim_faults(victim, 1, now);
-                            world.rt.stats.steal_failed();
-                            self.fail_streak += 1;
-                            let c_wait = self.poll_blocked(now, world);
-                            return Step::Yield(cost + c_dead + c_wait);
-                        }
-                    }
-                    // Drop fault counts accrued before this attempt so the
-                    // post-attempt drain attributes only this victim's
-                    // faults.
-                    let _ = world.m.take_faults(self.me);
-                    let vepoch = world.m.epoch_of(victim);
-                    if self.protocol == Protocol::CasLock {
-                        // Step 1 of the CAS-lock steal: take the lock. The
-                        // lock word encodes our rank *and* epoch, so the
-                        // victim can break it if we are evicted mid-steal.
-                        let (locked, c_lock) =
-                            thief_lock_epoch(&mut world.m, &self.lay, self.me, victim, self.my_epoch);
-                        let faults = world.m.take_faults(self.me);
-                        self.note_victim_faults(victim, faults, now);
-                        if locked {
-                            self.state = WState::StealTake {
-                                victim,
-                                t0: now,
-                                bounds: None,
-                                vepoch,
-                            };
-                            return Step::Yield(cost + c_lock);
-                        }
-                        world.rt.stats.steal_failed();
-                        self.fail_streak += 1;
-                        let c_wait = self.poll_blocked(now, world);
-                        return Step::Yield(cost + c_lock + c_wait);
-                    }
-                    // Lock-free / fence-free step 1: a plain bounds read
-                    // (one span get, no lock, no atomic). The claim runs
-                    // next step, leaving the real protocols' race window
-                    // open between the two.
-                    let ((top, bottom), c_bounds) =
-                        thief_read_bounds(&mut world.m, &self.lay, self.me, victim);
-                    let faults = world.m.take_faults(self.me);
-                    self.note_victim_faults(victim, faults, now);
-                    // Fence-free `top` is a hint that can momentarily
-                    // exceed `bottom`; both families treat that as empty.
-                    if top < bottom {
-                        self.state = WState::StealClaim {
-                            victim,
-                            top,
-                            t0: now,
-                            vepoch,
-                        };
-                        return Step::Yield(cost + c_bounds);
-                    }
-                    world.rt.stats.steal_failed();
-                    self.fail_streak += 1;
-                    let c_wait = self.poll_blocked(now, world);
-                    return Step::Yield(cost + c_bounds + c_wait);
-                }
-                // Single worker: only blocked local work can make progress.
-                let c_wait = self.poll_blocked(now, world);
-                Step::Yield(cost + c_wait)
+            // 2. Steal (if anybody to steal from).
+            Ok((None, cost)) if self.n >= 2 => {
+                let mut ring = std::mem::take(&mut world.rt.probe_ring);
+                let step = self.step_probe(now, world, cost, &mut ring);
+                world.rt.probe_ring = ring;
+                step
             }
+            // Single worker: only blocked local work can make progress.
+            Ok((None, cost)) => self.yield_after_poll(now, world, cost),
         }
     }
 
-    /// Multi-steal probe ring (`--multi-steal K`, K ≥ 2): instead of paying
-    /// a full round trip per victim per miss, keep steal probes on up to K
-    /// distinct victims in flight at once and commit the first (in ring
-    /// order) that lands with work.
+    /// A failed steal attempt: count it, re-poll blocked work, yield.
+    fn steal_miss(&mut self, now: VTime, world: &mut World, cost: VTime) -> Step {
+        world.rt.stats.steal_failed();
+        self.fail_streak += 1;
+        self.yield_after_poll(now, world, cost)
+    }
+
+    fn yield_after_poll(&mut self, now: VTime, world: &mut World, cost: VTime) -> Step {
+        let c_wait = self.poll_blocked(now, world);
+        Step::Yield(cost + c_wait)
+    }
+
+    /// Attribute the fabric faults accrued since the last drain to `victim`.
+    fn drain_faults(&mut self, now: VTime, world: &mut World, victim: WorkerId) {
+        let faults = world.m.take_faults(self.me);
+        self.note_victim_faults(victim, faults, now);
+    }
+
+    /// Step 1 of every steal — the probe ring (`--multi-steal K`): keep
+    /// steal probes on up to K distinct victims in one window and commit
+    /// the first (in ring order) that lands with work. K = 1 is the plain
+    /// single-victim probe.
     ///
     /// Per `--protocol` family the probe is:
     ///
-    /// * **CAS-lock** — a doorbell-chained pair per victim: the lock CAS
-    ///   and the `[top, bottom]` span get, posted back to back on the
+    /// * **CAS-lock** — the lock CAS (the lock word encodes our rank *and*
+    ///   epoch, so the victim can break it if we are evicted mid-steal).
+    ///   Rings of K ≥ 2 chain the `[top, bottom]` span get behind it on the
     ///   victim's QP. Issuing the bounds read before the CAS outcome is
-    ///   known is sound — gets have no memory effects, and same-QP
-    ///   in-order retirement lands the bounds after the CAS; a *won* CAS
-    ///   freezes the bounds until release, so the winner's take step
-    ///   reuses them (one small-get round trip saved). A won-but-unused
-    ///   lock (ring order lost, or empty deque) is always released
-    ///   immediately with an unsignaled put.
-    /// * **lock-free / fence-free** — one chained bounds span get per
-    ///   victim; losers' reads are simply dropped (nothing to cancel).
-    ///   The winner proceeds through the ordinary [`WState::StealClaim`]
-    ///   step, so a fence-free ticket is claimed for the ring's single
-    ///   winner at most — and the shared ClaimSet arbitrates races with
-    ///   rival thieves exactly as at K = 1.
+    ///   known is sound — gets have no memory effects, and same-QP in-order
+    ///   retirement lands the bounds after the CAS; a *won* CAS freezes the
+    ///   bounds until release, so the winner's take step reuses them (one
+    ///   small-get round trip saved). A won-but-unused lock (ring order
+    ///   lost, or empty deque) is always released immediately with an
+    ///   unsignaled put.
+    /// * **lock-free / fence-free** — one bounds span get per victim (no
+    ///   lock, no atomic); losers' reads are simply dropped. The winner
+    ///   proceeds through [`WState::StealClaim`] next step, leaving the
+    ///   real protocols' race window open between the two — so a fence-free
+    ///   ticket is claimed for the ring's single winner at most, and the
+    ///   shared ClaimSet arbitrates races with rival thieves.
     ///
-    /// Blocking and pipelined fabrics issue the identical verb sequence in
-    /// the identical order (memory effects are eager at post), so both
-    /// modes reach the same answers; only the charged time differs —
-    /// blocking sums the round trips, pipelined fences the overlapped
-    /// chain.
-    fn step_idle_multi(&mut self, now: VTime, world: &mut World, mut cost: VTime) -> Step {
-        let k = self.multi_steal.min(self.n - 1);
-        let mut victims: Vec<WorkerId> = Vec::with_capacity(k);
-        for _ in 0..k {
-            let v = self.select_victim(now, world);
-            if !victims.contains(&v) {
-                victims.push(v);
+    /// The whole ring rides one doorbell chain and one window: probes to
+    /// distinct victims cost one round trip when the machine overlaps them
+    /// and K when it does not.
+    fn step_probe(
+        &mut self,
+        now: VTime,
+        world: &mut World,
+        mut cost: VTime,
+        ring: &mut Vec<Probe>,
+    ) -> Step {
+        ring.clear();
+        for _ in 0..self.multi_steal.min(self.n - 1) {
+            let victim = self.select_victim(now, world);
+            if !ring.iter().any(|p| p.victim == victim) {
+                ring.push(Probe { victim, h_lock: None, bounds: None, won: true });
             }
         }
-        // Dead victims fail fast (one guard RTT each, counted as failed
-        // steals) and leave the ring before any probe verb is issued.
-        let mut ring: Vec<WorkerId> = Vec::with_capacity(victims.len());
-        for &v in &victims {
-            if self.kills {
-                if let Some(c_dead) = world.m.dead_guard(self.me, v, now) {
-                    self.note_victim_faults(v, 1, now);
+        if self.kills {
+            // Fail-fast verb against a dead victim: one RTT, a failed
+            // steal, and a blacklist bump so the selector stops drawing it
+            // even before the lease confirms the death. Dead victims leave
+            // the ring before any probe verb is issued.
+            ring.retain(|p| match world.m.dead_guard(self.me, p.victim, now) {
+                Some(c_dead) => {
+                    self.note_victim_faults(p.victim, 1, now);
                     world.rt.stats.steal_failed();
                     self.fail_streak += 1;
                     cost += c_dead;
-                    continue;
+                    false
                 }
+                None => true,
+            });
+            if ring.is_empty() {
+                return self.yield_after_poll(now, world, cost);
             }
-            ring.push(v);
-        }
-        if ring.is_empty() {
-            let c_wait = self.poll_blocked(now, world);
-            return Step::Yield(cost + c_wait);
         }
         // Drop fault counts accrued before the probes so the per-victim
         // drains below attribute only each victim's own faults.
         let _ = world.m.take_faults(self.me);
-        // Probe every ring victim inside one doorbell chain.
-        let mut probes: Vec<(WorkerId, bool, u64, u64)> = Vec::with_capacity(ring.len());
+        let cas_lock = self.protocol == Protocol::CasLock;
+        let mut w = world.m.window(self.me, now + cost);
         world.m.chain_begin(self.me);
-        if self.fabric == FabricMode::Pipelined {
-            let posted_at = now + cost;
-            let mut posted: Vec<(WorkerId, Option<VerbHandle>, [u64; 2], VerbHandle)> =
-                Vec::with_capacity(ring.len());
-            for &v in &ring {
-                let h_cas = (self.protocol == Protocol::CasLock).then(|| {
-                    let lock = GlobalAddr::new(v, self.lay.dq_word(DQ_LOCK));
-                    world.m.post_cas_u64(
-                        self.me,
-                        lock,
-                        0,
-                        lock_word(self.my_epoch, self.me),
-                        posted_at,
-                    )
-                });
-                let (vals, h_bounds) = world.m.post_get_u64_span::<2>(
-                    self.me,
-                    GlobalAddr::new(v, self.lay.dq_word(DQ_TOP)),
-                    posted_at,
-                );
-                let faults = world.m.take_faults(self.me);
-                self.note_victim_faults(v, faults, now);
-                posted.push((v, h_cas, vals, h_bounds));
+        for p in ring.iter_mut() {
+            if cas_lock {
+                let lock = GlobalAddr::new(p.victim, self.lay.dq_word(DQ_LOCK));
+                let word = lock_word(self.my_epoch, self.me);
+                p.h_lock = Some(w.posted(world.m.post_cas_u64(self.me, lock, 0, word, w.at())));
             }
-            world.m.chain_end(self.me);
-            // Reap at the fence: probes to distinct victims overlap, so
-            // the step costs one (chained) probe, not K of them.
-            let mut fin_max = posted_at;
-            for (v, h_cas, vals, h_bounds) in posted {
-                let won = match h_cas {
-                    Some(h) => {
-                        let (old, fin) = world.m.wait(self.me, h);
-                        fin_max = fin_max.max(fin);
-                        old == 0
-                    }
-                    None => true,
-                };
-                let (_, fin) = world.m.wait(self.me, h_bounds);
-                fin_max = fin_max.max(fin);
-                probes.push((v, won, vals[0], vals[1]));
+            if !cas_lock || self.multi_steal >= 2 {
+                let top = GlobalAddr::new(p.victim, self.lay.dq_word(DQ_TOP));
+                let ([top, bottom], h) = world.m.post_get_u64_span::<2>(self.me, top, w.at());
+                p.bounds = Some((w.posted(h), top, bottom));
             }
-            cost = fin_max.saturating_sub(now);
-        } else {
-            for &v in &ring {
-                let mut won = true;
-                if self.protocol == Protocol::CasLock {
-                    let (locked, c_lock) =
-                        thief_lock_epoch(&mut world.m, &self.lay, self.me, v, self.my_epoch);
-                    cost += c_lock;
-                    won = locked;
-                }
-                let ((top, bottom), c_bounds) =
-                    thief_read_bounds(&mut world.m, &self.lay, self.me, v);
-                cost += c_bounds;
-                let faults = world.m.take_faults(self.me);
-                self.note_victim_faults(v, faults, now);
-                probes.push((v, won, top, bottom));
-            }
-            world.m.chain_end(self.me);
+            self.drain_faults(now, world, p.victim);
         }
+        world.m.chain_end(self.me);
+        for p in ring.iter_mut() {
+            if let Some(h) = p.h_lock {
+                p.won = world.m.wait(self.me, h).0 == 0;
+            }
+            if let Some((h, ..)) = p.bounds {
+                world.m.wait(self.me, h);
+            }
+        }
+        cost = world.m.finish(&w).saturating_sub(now);
         // Commit the first probe in ring order that landed with work;
         // cancel the rest. The abandon releases ride their own doorbell
         // chain (they are issued back to back once the probe results are
         // in).
-        let mut won: Option<(WorkerId, u64, u64)> = None;
+        let mut won: Option<(WorkerId, Option<(u64, u64)>)> = None;
         world.m.chain_begin(self.me);
-        for (v, locked, top, bottom) in probes {
-            if !locked {
+        for p in ring.iter() {
+            if !p.won {
                 // CAS lost: an ordinary failed attempt.
                 world.rt.stats.steal_failed();
                 self.fail_streak += 1;
                 continue;
             }
-            let has_work = top < bottom;
+            // Fence-free `top` is a hint that can momentarily exceed
+            // `bottom`; every family treats that as empty. A bare lock CAS
+            // learns the bounds only in its take step.
+            let bounds = p.bounds.map(|(_, top, bottom)| (top, bottom));
+            let has_work = bounds.is_none_or(|(top, bottom)| top < bottom);
             if won.is_none() && has_work {
-                won = Some((v, top, bottom));
+                won = Some((p.victim, bounds));
                 continue;
             }
-            if self.protocol == Protocol::CasLock {
+            if cas_lock {
                 // A won-but-unused lock is always released, whether the
                 // deque was empty or the ring already committed elsewhere
                 // (unsignaled put: injection only, no round trip).
-                let lock = GlobalAddr::new(v, self.lay.dq_word(DQ_LOCK));
+                let lock = GlobalAddr::new(p.victim, self.lay.dq_word(DQ_LOCK));
                 cost += world.m.post_put_u64_unsignaled(self.me, lock, 0);
             }
             if has_work {
@@ -617,33 +549,18 @@ impl Worker {
             }
         }
         world.m.chain_end(self.me);
-        match won {
-            Some((victim, top, bottom)) => {
-                // Probes and the commit run inside this one step, so the
-                // victim's epoch now is the epoch every probe saw.
-                let vepoch = world.m.epoch_of(victim);
-                self.state = if self.protocol == Protocol::CasLock {
-                    WState::StealTake {
-                        victim,
-                        t0: now,
-                        bounds: Some((top, bottom)),
-                        vepoch,
-                    }
-                } else {
-                    WState::StealClaim {
-                        victim,
-                        top,
-                        t0: now,
-                        vepoch,
-                    }
-                };
-                Step::Yield(cost)
-            }
-            None => {
-                let c_wait = self.poll_blocked(now, world);
-                Step::Yield(cost + c_wait)
-            }
-        }
+        let Some((victim, bounds)) = won else {
+            return self.yield_after_poll(now, world, cost);
+        };
+        // Probes and the commit run inside this one step, so the victim's
+        // epoch now is the epoch every probe saw.
+        let vepoch = world.m.epoch_of(victim);
+        self.state = match bounds {
+            _ if cas_lock => WState::StealTake { victim, t0: now, bounds, vepoch },
+            Some((top, _)) => WState::StealClaim { victim, top, t0: now, vepoch },
+            None => unreachable!("lock-free / fence-free probes always read bounds"),
+        };
+        Step::Yield(cost)
     }
 
     /// Re-poll blocked work after a failed steal attempt: stalling policies
@@ -720,37 +637,20 @@ impl Worker {
         cost
     }
 
-    /// Begin running a deque item (locally popped or freshly stolen).
-    /// `steal` carries `(victim, t0, protocol_cost_so_far, size)` for stolen
-    /// items so the payload transfer and statistics are charged here.
+    /// Begin running a deque item, locally popped or (`from` = the victim)
+    /// freshly stolen. Returns the context-switch cost; a stolen item's
+    /// payload transfer and statistics belong to [`Self::finish_steal`].
     pub(crate) fn adopt_item(
         &mut self,
         now: VTime,
         world: &mut World,
         item: QueueItem,
-        steal: Option<(WorkerId, VTime, VTime, usize)>,
+        from: Option<WorkerId>,
     ) -> VTime {
-        let copy = steal.map(|(victim, _, _, size)| world.m.get_bulk(self.me, victim, size));
-        self.adopt_inner(now, world, item, steal, copy, true)
-    }
-
-    /// [`Self::adopt_item`] body, shared with the pipelined reap path where
-    /// the payload `get_bulk` was already posted (so `copy_cost` is known
-    /// and must not be charged again).
-    fn adopt_inner(
-        &mut self,
-        now: VTime,
-        world: &mut World,
-        item: QueueItem,
-        steal: Option<(WorkerId, VTime, VTime, usize)>,
-        copy: Option<VTime>,
-        charge_copy: bool,
-    ) -> VTime {
-        let copy_cost = copy.unwrap_or(VTime::ZERO);
-        let mut cost = if charge_copy { copy_cost } else { VTime::ZERO };
+        let cost;
         match item {
             QueueItem::Cont { mut th, .. } => {
-                if let Some((victim, _, _, _)) = steal {
+                if let Some(victim) = from {
                     // Uni-address: the stack leaves the victim's region and
                     // lands at the same virtual address here. Iso-address:
                     // the globally unique range simply travels along.
@@ -761,7 +661,7 @@ impl Worker {
                         self.claim_home(world, &mut th);
                     }
                 }
-                cost += world.m.ctx_restore(self.me);
+                cost = world.m.ctx_restore(self.me);
                 self.start_thread(world, now, th);
             }
             QueueItem::Child { f, arg, handle } => {
@@ -770,30 +670,51 @@ impl Worker {
                 if self.policy == Policy::ChildFull {
                     // Full threads start on a fresh private stack.
                     world.rt.per[self.me].note_full_stack_alloc();
-                    cost += world.m.ctx_switch(self.me);
+                    cost = world.m.ctx_switch(self.me);
                 } else if self.policy.is_cont() {
                     // Continuation runs never create child descriptors.
                     unreachable!("child descriptor under continuation stealing");
                 } else {
                     // RtC threads run as a plain call on the worker stack.
-                    cost += world.m.ctx_restore(self.me);
+                    cost = world.m.ctx_restore(self.me);
                 }
                 self.start_thread(world, now, th);
             }
         }
-        if let Some((victim, t0, pre_cost, size)) = steal {
-            let latency = now.saturating_sub(t0) + pre_cost + copy_cost;
-            world.rt.stats.steal_ok(latency, copy_cost, size);
-            world.rt.stats.note_steal_event(self.me, victim, t0, t0 + latency);
-            world.rt.watch_progress(now);
-        }
         cost
     }
 
-    /// Complete a steal whose lock we won last step. `bounds` carries the
-    /// `[top, bottom]` words when a multi-steal probe already read them in
-    /// the lock's doorbell chain (the won lock froze them), skipping the
-    /// bounds re-read.
+    /// Shared prelude of the take and claim steps: the victim may have died
+    /// (its segment is gone — abandon the steal; a held lock word dies with
+    /// it) or been evicted and rejoined (the rejoin purged the deque, so the
+    /// lock word or bounds we hold belong to a dead incarnation and touching
+    /// the fresh one would tear it — the epoch fence voids the steal) since
+    /// the probe. The fence is unreachable under the oracle detector: an
+    /// eviction there implies a confirmed death, which the dead guard
+    /// catches first.
+    fn steal_voided(
+        &mut self,
+        now: VTime,
+        world: &mut World,
+        victim: WorkerId,
+        vepoch: u64,
+    ) -> Option<Step> {
+        if !self.kills {
+            return None;
+        }
+        if let Some(c_dead) = world.m.dead_guard(self.me, victim, now) {
+            self.note_victim_faults(victim, 1, now);
+            return Some(self.steal_miss(now, world, c_dead));
+        }
+        world
+            .m
+            .fence_verb(self.me, vepoch, victim)
+            .then(|| self.steal_miss(now, world, VTime::ZERO))
+    }
+
+    /// Complete a CAS-lock steal whose lock we won last step: read the
+    /// bounds (unless the probe already did), take the oldest item and
+    /// commit. An empty deque or a dead slot releases the lock and misses.
     pub(crate) fn step_steal_take(
         &mut self,
         now: VTime,
@@ -803,255 +724,43 @@ impl Worker {
         bounds: Option<(u64, u64)>,
         vepoch: u64,
     ) -> Step {
-        if self.kills {
-            if let Some(c_dead) = world.m.dead_guard(self.me, victim, now) {
-                // The victim died between our lock and this take: its
-                // segment is gone, so abandon the steal (the lock word dies
-                // with the victim).
-                self.state = WState::Idle;
-                self.note_victim_faults(victim, 1, now);
-                world.rt.stats.steal_failed();
-                self.fail_streak += 1;
-                let c_wait = self.poll_blocked(now, world);
-                return Step::Yield(c_dead + c_wait);
-            }
-            if world.m.fence_verb(self.me, vepoch, victim) {
-                // The victim was evicted and rejoined between our lock and
-                // this take: the rejoin purged the deque — our lock word
-                // with it — so touching the fresh incarnation's deque would
-                // tear it. The fence voids the steal. (Unreachable under
-                // the oracle detector: an eviction there implies a
-                // confirmed death, which the dead guard above catches.)
-                self.state = WState::Idle;
-                world.rt.stats.steal_failed();
-                self.fail_streak += 1;
-                let c_wait = self.poll_blocked(now, world);
-                return Step::Yield(c_wait);
-            }
-        }
-        if self.fabric == FabricMode::Pipelined {
-            return self.step_steal_take_pipelined(now, world, victim, t0, bounds);
-        }
-        let took = {
-            let (_me_ws, victim_ws) = world.rt.two(self.me, victim);
-            match bounds {
-                Some((top, bottom)) => thief_take_at(
-                    &mut world.m,
-                    &mut victim_ws.items,
-                    &self.lay,
-                    self.me,
-                    victim,
-                    top,
-                    bottom,
-                ),
-                None => thief_take(&mut world.m, &mut victim_ws.items, &self.lay, self.me, victim),
-            }
-        };
-        let (got, cost) = match took {
-            Ok(x) => x,
-            Err(d) => {
-                // The victim's deque (not ours) held the corpse.
-                self.deque_violation(world, victim, &d);
-                (None, d.cost)
-            }
-        };
-        let faults = world.m.take_faults(self.me);
-        self.note_victim_faults(victim, faults, now);
         self.state = WState::Idle;
-        match got {
-            None => {
-                world.rt.stats.steal_failed();
-                self.fail_streak += 1;
-                let c_wait = self.poll_blocked(now, world);
-                Step::Yield(cost + c_wait)
-            }
-            Some((item, size)) => self.commit_steal(now, world, victim, t0, item, size, cost),
+        if let Some(step) = self.steal_voided(now, world, victim, vepoch) {
+            return step;
         }
-    }
-
-    /// Blocking-path steal commit, shared by the CAS-lock take and the
-    /// lock-free / fence-free claims: record the steal lineage, charge the
-    /// payload transfer and adopt the item.
-    ///
-    /// The lineage is recorded before the payload crosses the wire, keyed
-    /// by us (the executor): if we die before the entry flag is set, our
-    /// death's confirmer re-adopts the work from this record. Child
-    /// descriptors get a fresh record; a stolen continuation migrates an
-    /// existing one (re-keyed here), and its header is mirrored to our
-    /// buddy so either side of the split survives one death.
-    #[allow(clippy::too_many_arguments)]
-    fn commit_steal(
-        &mut self,
-        now: VTime,
-        world: &mut World,
-        victim: WorkerId,
-        t0: VTime,
-        mut item: QueueItem,
-        size: usize,
-        mut cost: VTime,
-    ) -> Step {
-        self.fail_streak = 0;
-        let rec = match &mut item {
-            QueueItem::Child { f, arg, handle }
-                if self.kills && self.policy == Policy::ChildRtc =>
-            {
-                Some(self.record_lineage(world, 0, *f, arg.clone(), *handle))
-            }
-            QueueItem::Cont { th, .. } if self.kills => {
-                if !self.rekey_lineage(world, th) {
-                    // The victim died and a confirmer already claimed
-                    // this continuation's record for replay; our take
-                    // (virtually earlier, later in execution order) holds
-                    // a stale duplicate. Running it would execute the
-                    // thread twice.
-                    world.rt.stats.steal_failed();
-                    self.fail_streak += 1;
-                    let c_wait = self.poll_blocked(now, world);
-                    return Step::Yield(cost + c_wait);
-                }
-                cost += self.mirror_split(world, now);
-                None
-            }
-            _ => None,
-        };
-        let c2 = self.adopt_item(now, world, item, Some((victim, t0, cost, size)));
-        if let Some((w, i)) = rec {
-            if let Some(th) = self.cur.as_mut() {
-                // The stolen child materialized as a thread only now: bind
-                // its id to the record made above.
-                world.rt.lineage.rec_mut(w, i).tid = th.tid;
-                th.replay_rec = rec;
-            }
-        }
-        Step::Yield(cost + c2)
-    }
-
-    /// Pipelined fabric: steps 2–3 of the steal, with the deque-top update,
-    /// the lock release and the payload transfer *posted* concurrently
-    /// instead of serialized. The item is removed from the victim's slab
-    /// here (the take linearizes now); the completions are reaped next step
-    /// in [`Self::step_steal_reap`]. Failure paths (empty deque, dead slot)
-    /// have nothing to overlap and charge exactly what blocking mode does.
-    fn step_steal_take_pipelined(
-        &mut self,
-        now: VTime,
-        world: &mut World,
-        victim: WorkerId,
-        t0: VTime,
-        bounds: Option<(u64, u64)>,
-    ) -> Step {
         let took = {
             let (_me_ws, victim_ws) = world.rt.two(self.me, victim);
+            let items = &mut victim_ws.items;
             match bounds {
                 Some((top, bottom)) => thief_take_no_release_at(
-                    &mut world.m,
-                    &mut victim_ws.items,
-                    &self.lay,
-                    self.me,
-                    victim,
-                    top,
-                    bottom,
+                    &mut world.m, items, &self.lay, self.me, victim, top, bottom,
                 ),
-                None => thief_take_no_release(
-                    &mut world.m,
-                    &mut victim_ws.items,
-                    &self.lay,
-                    self.me,
-                    victim,
-                ),
+                None => thief_take_no_release(&mut world.m, items, &self.lay, self.me, victim),
             }
         };
-        let lock = GlobalAddr::new(victim, self.lay.dq_word(DQ_LOCK));
         match took {
             Err(mut d) => {
+                // The victim's deque (not ours) held the corpse. Release so
+                // the victim can still make progress, but leave the bounds
+                // pointing at it for the oracle to see.
                 d.cost += thief_release_lock(&mut world.m, &self.lay, self.me, victim);
-                let faults = world.m.take_faults(self.me);
-                self.note_victim_faults(victim, faults, now);
-                self.state = WState::Idle;
+                self.drain_faults(now, world, victim);
                 self.deque_violation(world, victim, &d);
-                world.rt.stats.steal_failed();
-                self.fail_streak += 1;
-                let c_wait = self.poll_blocked(now, world);
-                Step::Yield(d.cost + c_wait)
+                self.steal_miss(now, world, d.cost)
             }
             Ok((None, mut cost)) => {
+                // Empty: a non-blocking put suffices to release.
+                let lock = GlobalAddr::new(victim, self.lay.dq_word(DQ_LOCK));
                 cost += world.m.post_put_u64_unsignaled(self.me, lock, 0);
-                let faults = world.m.take_faults(self.me);
-                self.note_victim_faults(victim, faults, now);
-                self.state = WState::Idle;
-                world.rt.stats.steal_failed();
-                self.fail_streak += 1;
-                let c_wait = self.poll_blocked(now, world);
-                Step::Yield(cost + c_wait)
+                self.drain_faults(now, world, victim);
+                self.steal_miss(now, world, cost)
             }
-            Ok((Some((mut item, size, top)), cost)) => {
-                // The advance rides the release's packet window (adjacent
-                // words), exactly as in blocking mode; release put and
-                // payload get are posted back to back and overlap. Same-QP
-                // in-order retirement guarantees any later thief that wins
-                // the freed lock also observes the advanced bounds.
+            Ok((Some((item, size, top)), cost)) => {
+                // The advance is issued *before* the lock release and rides
+                // its message window ([top, lock] are adjacent words), so no
+                // later lock acquirer can observe stale bounds.
                 thief_advance_top(&mut world.m, &self.lay, self.me, victim, top + 1);
-                let posted_at = now + cost;
-                let h_release = world.m.post_put_u64(self.me, lock, 0, posted_at);
-                let h_copy = world.m.post_get_bulk(self.me, victim, size, posted_at);
-                let faults = world.m.take_faults(self.me);
-                self.note_victim_faults(victim, faults, now);
-                // Lineage must be recorded before the window opens: if we
-                // die between post and reap, the confirmer replays from it.
-                // A stolen continuation also piggybacks its checkpoint put
-                // (header to our buddy) on the already-open posting window.
-                let mut h_ckpt = None;
-                let mut stale = false;
-                let rec = match &mut item {
-                    QueueItem::Child { f, arg, handle }
-                        if self.kills && self.policy == Policy::ChildRtc =>
-                    {
-                        Some(self.record_lineage(world, 0, *f, arg.clone(), *handle))
-                    }
-                    QueueItem::Cont { th, .. } if self.kills => {
-                        stale = !self.rekey_lineage(world, th);
-                        if !stale {
-                            if let Some(b) = self.buddy(&world.m, now) {
-                                world.rt.stats.ckpt_puts += 1;
-                                h_ckpt = Some(world.m.post_put_bulk(
-                                    self.me,
-                                    b,
-                                    Self::CKPT_HDR_BYTES,
-                                    posted_at,
-                                ));
-                            }
-                        }
-                        None
-                    }
-                    _ => None,
-                };
-                if stale {
-                    // A confirmer already claimed this continuation's
-                    // record for replay (the victim is dead; our take was
-                    // virtually earlier but executed later). The take
-                    // still commits protocol-wise — top advanced, release
-                    // posted — but the stale duplicate must not run.
-                    let (_, rel_fin) = world.m.wait(self.me, h_release);
-                    let (_, copy_fin) = world.m.wait(self.me, h_copy);
-                    let fin = rel_fin.max(copy_fin);
-                    self.state = WState::Idle;
-                    world.rt.stats.steal_failed();
-                    self.fail_streak += 1;
-                    let c_wait = self.poll_blocked(now, world);
-                    return Step::Yield(fin.saturating_sub(now).max(cost) + c_wait);
-                }
-                self.pending_steal = Some(PendingSteal {
-                    item,
-                    size,
-                    t0,
-                    h_release: Some(h_release),
-                    h_copy,
-                    h_ckpt,
-                    posted_at,
-                    rec,
-                });
-                self.state = WState::StealReap { victim };
-                Step::Yield(cost)
+                self.commit_steal(now, world, victim, t0, item, size, cost, Release::Lock)
             }
         }
     }
@@ -1069,28 +778,9 @@ impl Worker {
         t0: VTime,
         vepoch: u64,
     ) -> Step {
-        if self.kills {
-            if let Some(c_dead) = world.m.dead_guard(self.me, victim, now) {
-                // The victim died between our bounds read and this claim:
-                // its segment is gone, abandon the steal.
-                self.state = WState::Idle;
-                self.note_victim_faults(victim, 1, now);
-                world.rt.stats.steal_failed();
-                self.fail_streak += 1;
-                let c_wait = self.poll_blocked(now, world);
-                return Step::Yield(c_dead + c_wait);
-            }
-            if world.m.fence_verb(self.me, vepoch, victim) {
-                // The victim was evicted and rejoined since our bounds
-                // read: the bounds (and the slot behind them) belong to a
-                // purged incarnation — claiming against the fresh deque
-                // would take an item we never raced for. Void the steal.
-                self.state = WState::Idle;
-                world.rt.stats.steal_failed();
-                self.fail_streak += 1;
-                let c_wait = self.poll_blocked(now, world);
-                return Step::Yield(c_wait);
-            }
+        self.state = WState::Idle;
+        if let Some(step) = self.steal_voided(now, world, victim, vepoch) {
+            return step;
         }
         match self.protocol {
             Protocol::LockFree => self.step_steal_claim_lf(now, world, victim, top, t0),
@@ -1100,9 +790,7 @@ impl Worker {
     }
 
     /// Lock-free claim: entry read + one CAS on the victim's `top`. A lost
-    /// CAS is a benign failed steal; a won CAS commits the take. The CAS is
-    /// an atomic round trip in both fabric modes (there is nothing to
-    /// overlap it with — the payload get depends on its outcome).
+    /// CAS is a benign failed steal; a won CAS commits the take.
     fn step_steal_claim_lf(
         &mut self,
         now: VTime,
@@ -1123,17 +811,12 @@ impl Worker {
                 (None, d.cost)
             }
         };
-        let faults = world.m.take_faults(self.me);
-        self.note_victim_faults(victim, faults, now);
-        self.state = WState::Idle;
+        self.drain_faults(now, world, victim);
         match got {
-            None => {
-                world.rt.stats.steal_failed();
-                self.fail_streak += 1;
-                let c_wait = self.poll_blocked(now, world);
-                Step::Yield(cost + c_wait)
+            None => self.steal_miss(now, world, cost),
+            Some((item, size)) => {
+                self.commit_steal(now, world, victim, t0, item, size, cost, Release::Claimed)
             }
-            Some((item, size)) => self.commit_steal(now, world, victim, t0, item, size, cost),
         }
     }
 
@@ -1155,161 +838,162 @@ impl Worker {
             let rt = &mut world.rt;
             ff_decide(&mut rt.per[victim], &mut rt.ff_claims, vals)
         };
-        let faults = world.m.take_faults(self.me);
-        self.note_victim_faults(victim, faults, now);
-        let top_word = GlobalAddr::new(victim, self.lay.dq_word(DQ_TOP));
+        self.drain_faults(now, world, victim);
         match outcome {
             FfSteal::Lost => {
-                self.state = WState::Idle;
                 world.rt.stats.ff_lost_races += 1;
-                world.rt.stats.steal_failed();
-                self.fail_streak += 1;
-                let c_wait = self.poll_blocked(now, world);
-                Step::Yield(cost + c_wait)
+                self.steal_miss(now, world, cost)
             }
             FfSteal::Dup => {
                 // The loser copied the payload before discovering the claim
                 // (the fence-free algorithm's cost of multiplicity), and
                 // still writes the hint so later thieves skip the slot.
+                let top_word = GlobalAddr::new(victim, self.lay.dq_word(DQ_TOP));
                 cost += world.m.post_put_u64_unsignaled(self.me, top_word, top + 1);
                 cost += world.m.get_bulk(self.me, victim, vals[1] as usize);
-                self.state = WState::Idle;
                 world.rt.stats.ff_dups += 1;
-                world.rt.stats.steal_failed();
-                self.fail_streak += 1;
-                let c_wait = self.poll_blocked(now, world);
-                Step::Yield(cost + c_wait)
+                self.steal_miss(now, world, cost)
             }
             FfSteal::Taken(item, size) => {
-                let item = *item;
-                if self.fabric == FabricMode::Pipelined {
-                    return self.commit_steal_ff_pipelined(
-                        now, world, victim, top, t0, item, size, cost,
-                    );
-                }
-                cost += world.m.post_put_u64_unsignaled(self.me, top_word, top + 1);
-                self.commit_steal(now, world, victim, t0, item, size, cost)
+                self.commit_steal(now, world, victim, t0, *item, size, cost, Release::Hint(top + 1))
             }
         }
     }
 
-    /// Fence-free winner under the pipelined fabric: the payload get is
-    /// posted first and the unsignaled claim-write is injected while it is
-    /// in flight (both plain verbs — the steal stays AMO-free), then the
-    /// completion is reaped next step like a pipelined CAS-lock steal.
+    /// Record the steal lineage of `item`, keyed by us (the executor): if we
+    /// die before the entry flag is set, our death's confirmer re-adopts the
+    /// work from this record. Child descriptors get a fresh record (bound to
+    /// the thread id once the child materializes); a stolen continuation
+    /// migrates an existing one (re-keyed here), and its header is mirrored
+    /// to our buddy — inside `w` — so either side of the split survives one
+    /// death. `Err` means the continuation is a stale duplicate: the victim
+    /// died and a confirmer already claimed its record for replay (our take
+    /// was virtually earlier but executed later), so it must not run.
+    fn steal_lineage(
+        &mut self,
+        now: VTime,
+        world: &mut World,
+        item: &mut QueueItem,
+        w: &mut Window,
+    ) -> Result<Option<(WorkerId, usize)>, ()> {
+        if !self.kills {
+            return Ok(None);
+        }
+        match item {
+            QueueItem::Child { f, arg, handle } if self.policy == Policy::ChildRtc => {
+                Ok(Some(self.record_lineage(world, 0, *f, arg.clone(), *handle)))
+            }
+            QueueItem::Cont { th, .. } => {
+                if !self.rekey_lineage(world, th) {
+                    return Err(());
+                }
+                self.mirror_split(world, now, w);
+                Ok(None)
+            }
+            QueueItem::Child { .. } => Ok(None),
+        }
+    }
+
+    /// The one steal commit, shared by the CAS-lock take and the lock-free
+    /// / fence-free claims: open a window after the `cost` spent so far,
+    /// issue the protocol's release, record the lineage (before the payload
+    /// crosses the wire), post the checkpoint and the payload get, and
+    /// charge the window. When the protocol has a release in flight and the
+    /// machine left completions outstanding, the handles are parked for
+    /// [`Self::step_steal_reap`]; otherwise (depth 1, or nothing to overlap
+    /// the payload with) the steal finishes in this step.
     #[allow(clippy::too_many_arguments)]
-    fn commit_steal_ff_pipelined(
+    fn commit_steal(
         &mut self,
         now: VTime,
         world: &mut World,
         victim: WorkerId,
-        top: u64,
         t0: VTime,
         mut item: QueueItem,
         size: usize,
-        mut cost: VTime,
+        cost: VTime,
+        release: Release,
     ) -> Step {
-        let posted_at = now + cost;
-        let h_copy = world.m.post_get_bulk(self.me, victim, size, posted_at);
-        let top_word = GlobalAddr::new(victim, self.lay.dq_word(DQ_TOP));
-        cost += world.m.post_put_u64_unsignaled(self.me, top_word, top + 1);
-        // Lineage must be recorded before the window opens (see the
-        // pipelined CAS-lock take); a stolen continuation piggybacks its
-        // checkpoint put on the already-open posting window.
-        let mut h_ckpt = None;
-        let mut stale = false;
-        let rec = match &mut item {
-            QueueItem::Child { f, arg, handle }
-                if self.kills && self.policy == Policy::ChildRtc =>
-            {
-                Some(self.record_lineage(world, 0, *f, arg.clone(), *handle))
+        self.fail_streak = 0;
+        let mut w = world.m.window(self.me, now + cost);
+        let h_release = match release {
+            Release::Lock => {
+                let lock = GlobalAddr::new(victim, self.lay.dq_word(DQ_LOCK));
+                let h = w.posted(world.m.post_put_u64(self.me, lock, 0, w.at()));
+                // The take's faults, the release's included, are the
+                // victim's; the claim steps drained theirs already.
+                self.drain_faults(now, world, victim);
+                Some(h)
             }
-            QueueItem::Cont { th, .. } if self.kills => {
-                stale = !self.rekey_lineage(world, th);
-                if !stale {
-                    if let Some(b) = self.buddy(&world.m, now) {
-                        world.rt.stats.ckpt_puts += 1;
-                        h_ckpt = Some(world.m.post_put_bulk(
-                            self.me,
-                            b,
-                            Self::CKPT_HDR_BYTES,
-                            posted_at,
-                        ));
-                    }
-                }
+            Release::Hint(top) => {
+                let top_word = GlobalAddr::new(victim, self.lay.dq_word(DQ_TOP));
+                w.unsignaled(world.m.post_put_u64_unsignaled(self.me, top_word, top));
                 None
             }
-            _ => None,
+            Release::Claimed => None,
         };
-        if stale {
-            // A confirmer already claimed this continuation's record for
-            // replay. The claim still committed (ticket taken, hint
-            // written) but the stale duplicate must not run.
-            let (_, copy_fin) = world.m.wait(self.me, h_copy);
-            self.state = WState::Idle;
-            world.rt.stats.steal_failed();
-            self.fail_streak += 1;
-            let c_wait = self.poll_blocked(now, world);
-            return Step::Yield(copy_fin.saturating_sub(now).max(cost) + c_wait);
+        let Ok(rec) = self.steal_lineage(now, world, &mut item, &mut w) else {
+            // The take still committed protocol-wise — top advanced,
+            // release posted — but the stale duplicate must not run.
+            if let Some(h) = h_release {
+                world.m.wait(self.me, h);
+            }
+            let cost = world.m.finish(&w).saturating_sub(now);
+            return self.steal_miss(now, world, cost);
+        };
+        let (issued, copy_at) = (w.now(), w.at());
+        let h_copy = w.posted(world.m.post_get_bulk(self.me, victim, size, copy_at));
+        let fin = world.m.finish(&w);
+        let ps = PendingSteal { item, size, t0, h_release, h_copy, copy_at, issued, fin, rec };
+        if release != Release::Claimed && world.m.outstanding(self.me, w.now()) {
+            self.pending_steal = Some(ps);
+            self.state = WState::StealReap { victim };
+            Step::Yield(w.now().saturating_sub(now))
+        } else {
+            self.finish_steal(now, world, victim, ps)
         }
-        self.pending_steal = Some(PendingSteal {
-            item,
-            size,
-            t0,
-            h_release: None,
-            h_copy,
-            h_ckpt,
-            posted_at,
-            rec,
-        });
-        self.state = WState::StealReap { victim };
-        Step::Yield(cost)
     }
 
-    /// Pipelined fabric: reap the posted release + payload completions and
-    /// adopt the stolen item. Runs one engine step after the take, so the
-    /// schedule explorer can interleave other workers between the post
-    /// instant and the completion instant.
+    /// Reap a steal parked by [`Self::commit_steal`]. Runs one engine step
+    /// after the commit, so the schedule explorer can interleave other
+    /// workers between the post instant and the completion instant. Even if
+    /// the victim has died meanwhile the steal commits: the item left its
+    /// slab at take time and every verb was already posted (and charged)
+    /// before the death could be observed.
     pub(crate) fn step_steal_reap(&mut self, now: VTime, world: &mut World, victim: WorkerId) -> Step {
         let ps = self.pending_steal.take().expect("reap without a pending steal");
-        // Even if the victim has died meanwhile the steal commits: the item
-        // left its slab at take time and every verb was already posted (and
-        // charged) before the death could be observed.
-        let rel_fin = ps
-            .h_release
-            .map(|h| world.m.wait(self.me, h).1)
-            .unwrap_or(VTime::ZERO);
-        let (_, copy_fin) = world.m.wait(self.me, ps.h_copy);
-        let ckpt_fin = ps
-            .h_ckpt
-            .map(|h| world.m.wait(self.me, h).1)
-            .unwrap_or(VTime::ZERO);
-        let fin = rel_fin.max(copy_fin).max(ckpt_fin);
-        let cost = fin.saturating_sub(now);
-        let copy_cost = copy_fin.saturating_sub(ps.posted_at);
         self.state = WState::Idle;
-        self.fail_streak = 0;
-        // `pre_cost = 0`: everything before this step was charged by the
-        // take step (`now` already includes it), so the recorded latency is
-        // `(now - t0) + copy_cost = fence_instant - t0` — the overlapped
-        // analogue of the blocking path's serial sum.
-        let c2 = self.adopt_inner(
-            now,
-            world,
-            ps.item,
-            Some((victim, ps.t0, VTime::ZERO, ps.size)),
-            Some(copy_cost),
-            false,
-        );
-        if let Some((w, i)) = ps.rec {
-            if let Some(th) = self.cur.as_mut() {
-                // The stolen child materialized as a thread only now: bind
-                // its id to the record made at take time.
-                world.rt.lineage.rec_mut(w, i).tid = th.tid;
-                th.replay_rec = ps.rec;
-            }
+        self.finish_steal(now, world, victim, ps)
+    }
+
+    /// Reap a committed steal's completions and adopt the item. The step
+    /// pays whatever of the window is still ahead of `now`; the recorded
+    /// latency runs from the probe to the payload's arrival as seen from
+    /// the thief's clock at issue.
+    fn finish_steal(
+        &mut self,
+        now: VTime,
+        world: &mut World,
+        victim: WorkerId,
+        ps: PendingSteal,
+    ) -> Step {
+        if let Some(h) = ps.h_release {
+            world.m.wait(self.me, h);
         }
-        Step::Yield(cost + c2)
+        world.m.wait(self.me, ps.h_copy);
+        let copy_cost = ps.h_copy.finish().saturating_sub(ps.copy_at);
+        let latency = ps.issued.saturating_sub(ps.t0) + copy_cost;
+        let c2 = self.adopt_item(now, world, ps.item, Some(victim));
+        world.rt.stats.steal_ok(latency, copy_cost, ps.size);
+        world.rt.stats.note_steal_event(self.me, victim, ps.t0, ps.t0 + latency);
+        world.rt.watch_progress(now);
+        if let (Some((w, i)), Some(th)) = (ps.rec, self.cur.as_mut()) {
+            // The stolen child materialized as a thread only now: bind its
+            // id to the record made at commit time.
+            world.rt.lineage.rec_mut(w, i).tid = th.tid;
+            th.replay_rec = ps.rec;
+        }
+        Step::Yield(ps.fin.saturating_sub(now) + c2)
     }
 
     /// End-of-run consistency checks.

@@ -87,27 +87,19 @@ impl Worker {
         cost += world.m.ctx_switch(self.me);
 
         if h.consumers == 1 {
-            // put E.ctxloc ← C, then race (Fig. 4 l. 45–46). Both verbs hit
-            // the entry's rank, so Pipelined may post them together: the
-            // same-QP clamp keeps the ctxloc visible before the AMO lands,
+            // put E.ctxloc ← C, then race (Fig. 4 l. 45–46), as one window.
+            // Both verbs hit the entry's rank: the same-QP clamp keeps the
+            // ctxloc visible before the AMO lands even when they overlap,
             // which is all the producer's loser path needs.
-            let (old, c1) = if self.fabric == FabricMode::Pipelined {
-                let at = now + cost;
-                let h_ctx =
-                    world
-                        .m
-                        .post_put_u64(self.me, h.entry.field(E_CTXLOC), c_addr.to_u64(), at);
-                let h_faa = world.m.post_fetch_add_u64(self.me, h.entry.field(E_FLAG), 1, at);
-                let (_, f1) = world.m.wait(self.me, h_ctx);
-                let (old, f2) = world.m.wait(self.me, h_faa);
-                (old, f1.max(f2).saturating_sub(at))
-            } else {
-                let c0 = world
-                    .m
-                    .put_u64(self.me, h.entry.field(E_CTXLOC), c_addr.to_u64());
-                let (old, c1) = world.m.fetch_add_u64(self.me, h.entry.field(E_FLAG), 1);
-                (old, c0 + c1)
-            };
+            let at = now + cost;
+            let mut w = world.m.window(self.me, at);
+            let ctxloc = h.entry.field(E_CTXLOC);
+            let h_ctx = w.posted(world.m.post_put_u64(self.me, ctxloc, c_addr.to_u64(), w.at()));
+            let flag = h.entry.field(E_FLAG);
+            let h_faa = w.posted(world.m.post_fetch_add_u64(self.me, flag, 1, w.at()));
+            world.m.wait(self.me, h_ctx);
+            let (old, _) = world.m.wait(self.me, h_faa);
+            let c1 = world.m.finish(&w).saturating_sub(at);
             cost += c1;
             if old == 0 {
                 // Won: stay suspended; the producer will resume us.

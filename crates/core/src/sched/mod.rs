@@ -10,9 +10,12 @@
 //!   local work, otherwise pick a uniformly random victim and start a steal.
 //!   After every *failed* steal attempt, stalling policies round-robin the
 //!   local wait queue (Fig. 3).
-//! * `WState::StealTake` — the thief holds the victim's deque lock from the
-//!   previous step and now reads bounds, takes the oldest task and transfers
-//!   its payload.
+//! * `WState::StealTake` / `WState::StealClaim` — the probe won last step
+//!   (the thief holds the victim's deque lock, or read non-empty bounds);
+//!   take or claim the oldest task and commit the steal: record lineage,
+//!   post release, checkpoint and payload in one window.
+//! * `WState::StealReap` — the commit's completions were still outstanding
+//!   when its step ended; reap them and adopt the item.
 //!
 //! DIE and JOIN follow the paper's pseudocode per policy:
 //!
@@ -38,14 +41,15 @@
 
 use std::collections::VecDeque;
 
-use dcs_sim::{Actor, FabricMode, GlobalAddr, Machine, SimRng, Step, VTime, VerbHandle, WorkerId};
+use dcs_sim::{
+    Actor, GlobalAddr, Machine, SimRng, Step, VTime, VerbHandle, Window, WorkerId,
+};
 
 use crate::dedup::DoneFlag;
 use crate::deque::{
     ff_decide, ff_owner_pop, ff_owner_pop_parent, ff_owner_push, ff_owner_reclaim, lf_owner_pop,
     lf_owner_pop_parent, lf_owner_push, lf_thief_claim, lock_holder, lock_word, owner_pop,
-    owner_pop_parent, owner_push, thief_advance_top, thief_lock_epoch, thief_read_bounds,
-    thief_release_lock, thief_take, thief_take_at, thief_take_no_release,
+    owner_pop_parent, owner_push, thief_advance_top, thief_release_lock, thief_take_no_release,
     thief_take_no_release_at, Busy, DeadSlot, DequeError, FfSteal,
 };
 use crate::entry::{
@@ -77,9 +81,9 @@ pub(crate) enum WState {
     Idle,
     /// Holding `victim`'s deque lock; complete the steal this step.
     /// `bounds` carries the `[top, bottom]` words when the lock-winning
-    /// probe already read them in its doorbell chain (multi-steal): a won
-    /// lock freezes the bounds, so the take skips the re-read. The
-    /// single-victim path passes `None` and re-reads, exactly as before.
+    /// probe chained their read behind its CAS (rings of K ≥ 2): a won lock
+    /// freezes the bounds, so the take skips the re-read. A K = 1 probe is
+    /// the bare CAS and passes `None`.
     /// `vepoch` is the victim's incarnation epoch observed when the probe
     /// was issued: if the victim is evicted and rejoins before the next
     /// step, the epoch fence voids the stale take instead of letting a
@@ -102,36 +106,46 @@ pub(crate) enum WState {
         t0: VTime,
         vepoch: u64,
     },
-    /// Pipelined fabric only: the take succeeded last step and the
-    /// deque-top update, lock release and payload transfer are posted but
-    /// not yet fenced. Reap the completions and adopt the item this step.
-    /// The extra engine step is the checker-visible window between *post*
-    /// and *completion*: the victim can already observe its lock released
-    /// while the thief has not yet adopted the stolen item.
+    /// The take or claim succeeded last step and its release and payload
+    /// transfer were still in flight when that step's window closed (the
+    /// machine overlaps them). Reap the completions and adopt the item
+    /// this step. The extra engine step is the checker-visible window
+    /// between *post* and *completion*: the victim can already observe its
+    /// lock released while the thief has not yet adopted the stolen item.
     StealReap { victim: WorkerId },
 }
 
-/// A steal mid-flight under [`FabricMode::Pipelined`]: the item has left the
-/// victim's slab; the overlapped verbs are posted, completions pending.
+/// A committed steal: the item has left the victim's slab, every verb is
+/// posted and its window charged; the completions are reaped either in the
+/// committing step or — when the machine left them outstanding — one step
+/// later from [`WState::StealReap`].
 pub(crate) struct PendingSteal {
     item: QueueItem,
     size: usize,
-    /// When the steal began (lock-CAS step start), for latency accounting.
+    /// When the steal began (probe step start), for latency accounting.
     t0: VTime,
-    /// Lock-release put (CAS-lock) or claim-write put of the `top` hint
-    /// (fence-free), posted concurrently with the payload transfer. The
-    /// lock-free protocol has neither — its CAS already committed.
+    /// Lock-release put (CAS-lock only; the fence-free claim-write is
+    /// unsignaled and the lock-free CAS already committed).
     h_release: Option<VerbHandle>,
-    /// Stack / descriptor `get_bulk`, posted at the same instant.
+    /// Stack / descriptor `get_bulk`, posted at `copy_at`.
     h_copy: VerbHandle,
-    /// Checkpoint put of a stolen continuation's header to the thief's
-    /// buddy, piggybacked on the same posting window (armed fault plans,
-    /// continuation items only).
-    h_ckpt: Option<VerbHandle>,
-    /// Absolute post instant of the overlapped pair.
-    posted_at: VTime,
-    /// Steal-lineage record created at take time (kill plans only).
+    copy_at: VTime,
+    /// The thief's clock when it issued the payload get.
+    issued: VTime,
+    /// The instant the whole window has retired.
+    fin: VTime,
+    /// Steal-lineage record created at commit time (kill plans only).
     rec: Option<(WorkerId, usize)>,
+}
+
+/// One victim of the idle loop's probe ring.
+pub(crate) struct Probe {
+    victim: WorkerId,
+    /// Lock CAS (CAS-lock only).
+    h_lock: Option<VerbHandle>,
+    /// `[top, bottom]` span get, with the words it read.
+    bounds: Option<(VerbHandle, u64, u64)>,
+    won: bool,
 }
 
 /// A thread suspended in the local wait queue (stalling strategies).
@@ -190,8 +204,7 @@ pub struct Worker {
     strategy: FreeStrategy,
     scheme: AddressScheme,
     victim_policy: VictimPolicy,
-    /// Steal attempts kept in flight at once (`--multi-steal K`); 1 keeps
-    /// the serial single-victim path byte-identical to older runs.
+    /// Steal attempts kept in flight at once (`--multi-steal K`).
     multi_steal: usize,
     /// Consecutive failed steal attempts (drives hierarchical escalation).
     fail_streak: u32,
@@ -205,8 +218,6 @@ pub struct Worker {
     /// Per-victim misbehaviour scores (allocated lazily on the first
     /// observed fabric fault, so healthy runs never touch it).
     blacklist: Option<Box<Blacklist>>,
-    /// How this run drives the fabric (from [`crate::policy::RunConfig`]).
-    fabric: FabricMode,
     state: WState,
     cur: Option<VThread>,
     /// Steal awaiting its completions (`WState::StealReap` only).
@@ -323,7 +334,6 @@ impl Worker {
             victim_policy,
             multi_steal: (world.rt.cfg.multi_steal as usize).max(1),
             fail_streak: 0,
-            fabric: world.rt.cfg.fabric,
             state: if busy { WState::Run } else { WState::Idle },
             cur,
             pending_steal: None,
@@ -363,39 +373,36 @@ impl Worker {
     // small protocol helpers
     // ------------------------------------------------------------------
 
-    /// Park a return value in entry `e` (pinned put + side table).
-    pub(crate) fn put_retval(&mut self, world: &mut World, e: ThreadHandle, v: Value) -> VTime {
-        let size = v.wire_size();
-        world
-            .rt
-            .retvals
-            .insert(e.entry.to_u64(), StoredVal { v, size: size as u32 });
-        world.m.put_bulk(self.me, e.entry.rank as usize, size)
-    }
-
-    /// Posted-verb analogue of [`Self::put_retval`]: park the value and post
-    /// the wire put at `at`, returning the handle instead of blocking.
-    pub(crate) fn post_retval(
+    /// Publish a completion record as one window: park the retval (side
+    /// table) and post its wire put, then post the join-flag verb
+    /// `post_flag` builds. Both verbs target the entry's rank, so same-QP
+    /// in-order retirement keeps the value visible before the flag — the
+    /// publication order Fig. 3/4 rely on — even when the two overlap.
+    /// `at` is the issuer's absolute virtual instant; returns the flag
+    /// verb's value and the added cost.
+    fn publish(
         &mut self,
         world: &mut World,
         e: ThreadHandle,
         v: Value,
         at: VTime,
-    ) -> VerbHandle {
+        post_flag: impl FnOnce(&mut Machine, GlobalAddr, VTime) -> VerbHandle,
+    ) -> (u64, VTime) {
         let size = v.wire_size();
         world
             .rt
             .retvals
             .insert(e.entry.to_u64(), StoredVal { v, size: size as u32 });
-        world.m.post_put_bulk(self.me, e.entry.rank as usize, size, at)
+        let mut w = world.m.window(self.me, at);
+        let h_rv = w.posted(world.m.post_put_bulk(self.me, e.entry.rank as usize, size, w.at()));
+        let h_flag = w.posted(post_flag(&mut world.m, e.entry.field(E_FLAG), w.at()));
+        world.m.wait(self.me, h_rv);
+        let (old, _) = world.m.wait(self.me, h_flag);
+        (old, world.m.finish(&w).saturating_sub(at))
     }
 
-    /// Publish a completion record: park + put the retval, then write the
-    /// join flag. Blocking charges the two verbs serially; Pipelined posts
-    /// them back-to-back and retires both under one wait. Both verbs target
-    /// the entry's rank, so same-QP in-order retirement keeps the value
-    /// visible before the flag — the publication order Fig. 3/4 rely on.
-    /// `at` is the issuer's absolute virtual instant; returns the added cost.
+    /// Fig. 3 DIE, lines 1–2: retval put, then a plain write of the join
+    /// flag. Returns the added cost.
     pub(crate) fn publish_retval_and_flag(
         &mut self,
         world: &mut World,
@@ -404,26 +411,15 @@ impl Worker {
         flag_val: u64,
         at: VTime,
     ) -> VTime {
-        if self.fabric == FabricMode::Pipelined {
-            let h_rv = self.post_retval(world, e, v, at);
-            let h_flag = world
-                .m
-                .post_put_u64(self.me, e.entry.field(E_FLAG), flag_val, at);
-            let (_, f1) = world.m.wait(self.me, h_rv);
-            let (_, f2) = world.m.wait(self.me, h_flag);
-            f1.max(f2).saturating_sub(at)
-        } else {
-            let mut c = self.put_retval(world, e, v);
-            c += world.m.put_u64(self.me, e.entry.field(E_FLAG), flag_val);
-            c
-        }
+        let me = self.me;
+        self.publish(world, e, v, at, |m, flag, t| m.post_put_u64(me, flag, flag_val, t)).1
     }
 
     /// As [`Self::publish_retval_and_flag`], but the flag op is the greedy
     /// race's fetch-add (Fig. 4 l. 33): returns `(old flag, added cost)`.
-    /// Legal to overlap for the same reason — the AMO cannot retire before
-    /// the retval put on the same QP, so a racing joiner that observes the
-    /// incremented flag is guaranteed to find the value.
+    /// The AMO cannot retire before the retval put on the same QP, so a
+    /// racing joiner that observes the incremented flag is guaranteed to
+    /// find the value.
     pub(crate) fn publish_retval_and_faa(
         &mut self,
         world: &mut World,
@@ -432,20 +428,8 @@ impl Worker {
         add: u64,
         at: VTime,
     ) -> (u64, VTime) {
-        if self.fabric == FabricMode::Pipelined {
-            let h_rv = self.post_retval(world, e, v, at);
-            let h_faa = world
-                .m
-                .post_fetch_add_u64(self.me, e.entry.field(E_FLAG), add, at);
-            let (_, f1) = world.m.wait(self.me, h_rv);
-            let (old, f2) = world.m.wait(self.me, h_faa);
-            (old, f1.max(f2).saturating_sub(at))
-        } else {
-            let mut c = self.put_retval(world, e, v);
-            let (old, c1) = world.m.fetch_add_u64(self.me, e.entry.field(E_FLAG), add);
-            c += c1;
-            (old, c)
-        }
+        let me = self.me;
+        self.publish(world, e, v, at, |m, flag, t| m.post_fetch_add_u64(me, flag, add, t))
     }
 
     /// Fetch a return value from entry `e`. Single-consumer entries hand the
@@ -615,8 +599,8 @@ impl Worker {
         tids.extend(self.wait_q.iter().map(|w| w.th.tid));
         tids.extend(self.nest.iter().map(|x| x.th.tid));
         if let Some(ps) = &self.pending_steal {
-            // A pipelined steal caught mid-flight dies with us; child
-            // descriptors were lineage-recorded at take time and replay.
+            // A steal caught between commit and reap dies with us; child
+            // descriptors were lineage-recorded at commit time and replay.
             if let QueueItem::Cont { th, .. } = &ps.item {
                 tids.push(th.tid);
             }
@@ -707,9 +691,6 @@ impl Worker {
                 let _ = world.m.wait(self.me, h);
             }
             let _ = world.m.wait(self.me, ps.h_copy);
-            if let Some(h) = ps.h_ckpt {
-                let _ = world.m.wait(self.me, h);
-            }
             if let QueueItem::Cont { mut th, .. } = ps.item {
                 if let (WState::StealReap { victim }, Some(home)) = (&self.state, th.home.take())
                 {

@@ -304,6 +304,9 @@ pub struct RtShared {
     /// forced off under schedule exploration, whose reordered steps break
     /// the wake-instant computation (see `Machine::park_on_own_word`).
     pub allow_park: bool,
+    /// Host-side scratch of the idle loop's probe ring, shared by every
+    /// worker (steps run one at a time) so the K = 1 path never allocates.
+    pub(crate) probe_ring: Vec<crate::sched::Probe>,
 }
 
 impl RtShared {
@@ -329,6 +332,7 @@ impl RtShared {
             unrecoverable: None,
             ff_claims: ClaimSet::new(),
             allow_park: true,
+            probe_ring: Vec::new(),
         }
     }
 

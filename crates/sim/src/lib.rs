@@ -42,7 +42,9 @@ pub mod topology;
 pub use engine::{Actor, Engine, EventQueue, ScheduleHook, Step};
 pub use fault::{CrashWindow, DegradeWindow, Detector, FaultPlan, KillEvent, MsgFate};
 pub use latency::{profiles, LatencyModel, MachineProfile};
-pub use machine::{Completion, FabricMode, FabricStats, Machine, MachineConfig, VerbHandle};
+pub use machine::{
+    Completion, FabricMode, FabricStats, Machine, MachineConfig, VerbHandle, Window,
+};
 pub use mailbox::Mailbox;
 pub use mem::{GlobalAddr, SegAlloc, Segment, PAGE_BYTES, WORD};
 pub use rng::SimRng;

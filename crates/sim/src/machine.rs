@@ -10,9 +10,14 @@
 //! (harvest everything already finished) or [`Machine::fence`] (wait-all,
 //! the MPI `flush` analogue).
 //!
+//! *When* a posted verb starts is the machine's issue depth
+//! ([`FabricMode`]): after the issuer's previous verb has retired (depth 1,
+//! the default) or at its post instant (overlapped). Protocol code posts
+//! one verb sequence per step into a [`Window`] and never reads the mode.
+//!
 //! The classic blocking verbs (`get_u64`, `put_u64`, …) are thin
-//! `post + wait` wrappers and charge exactly what they always did; code that
-//! never posts more than one verb at a time cannot tell the difference.
+//! `post + wait` wrappers and charge exactly what they always did; they
+//! must not be issued while the issuer has posts outstanding.
 //! Local accesses (to the issuer's own segment) are charged `local_op`
 //! instead of a network round trip, mirroring how the runtime in the paper
 //! distinguishes local deque operations from remote steals.
@@ -24,20 +29,21 @@ use crate::time::VTime;
 use crate::topology::Topology;
 use crate::WorkerId;
 
-/// How protocol code drives the fabric.
+/// The fabric's issue depth.
 ///
-/// The posted-verb API is always available; the mode is a *protocol-level*
-/// switch the runtimes consult to decide whether independent verbs in a
-/// protocol step may be posted concurrently before fencing.
+/// Protocol code issues one verb sequence per protocol step and never looks
+/// at the mode: the [`Machine`] alone decides when each posted verb starts,
+/// and a [`Window`] charges the group accordingly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FabricMode {
-    /// Every verb completes before the next is issued (the pre-refactor
-    /// semantics; all goldens and check oracles are pinned to this).
+    /// Issue depth 1: a posted verb starts when the issuer's previous verb
+    /// has retired, so a group of posts costs the sum of its verbs (the
+    /// semantics all goldens and check oracles are pinned to).
     #[default]
     Blocking,
-    /// Independent verbs within a protocol step are posted back-to-back and
-    /// reaped with one fence, so their latencies overlap (MassiveThreads/DM
-    /// style latency hiding).
+    /// A posted verb starts at its post instant, so the independent verbs
+    /// of a protocol step overlap and the group costs its slowest
+    /// completion (MassiveThreads/DM style latency hiding).
     Pipelined,
 }
 
@@ -65,7 +71,7 @@ pub struct MachineConfig {
     /// Fault-injection plan; [`FaultPlan::none()`] disables the layer
     /// entirely (no RNG draws, no cost changes).
     pub faults: FaultPlan,
-    /// Whether protocol hot paths may overlap independent verbs.
+    /// The issue depth: when a posted verb starts (see [`FabricMode`]).
     pub fabric: FabricMode,
     /// Doorbell-batching discount: fraction of `injection` charged to the
     /// second and later verbs of a [`Machine::chain_begin`] chain (real NICs
@@ -137,17 +143,19 @@ pub struct FabricStats {
     pub timeouts: u64,
     /// Remote verb attempts that failed fast against a fail-stopped peer.
     pub dead_fails: u64,
-    /// High-water mark of verbs outstanding on this worker's completion
-    /// queue (the posted verb itself included). Blocking-mode runs never
-    /// exceed 1; pipelined hot paths push it higher.
+    /// High-water mark of verbs in flight from this worker at once (the
+    /// posted verb itself included, and every verb of a [`Window`] once it
+    /// is charged). Exactly 1 under [`FabricMode::Blocking`], whose issue
+    /// depth is 1 by definition; overlapped hot paths push it higher.
     pub max_inflight: u64,
     /// Completion-queue reap calls ([`Machine::poll_cq`] + [`Machine::fence`]).
-    /// `wait` on a single handle is not counted: a blocking wrapper is not a
-    /// poll, so pure-Blocking runs report 0 here.
+    /// `wait` on a single handle is not counted: blocking on one verb is not
+    /// a poll, so the runtimes (which only ever `wait`) report 0 here.
     pub cq_polls: u64,
-    /// Verbs that rode an already-rung doorbell: the second and later posts
-    /// of each [`Machine::chain_begin`] chain, charged the configured
-    /// fraction of `injection` instead of the full CPU post cost.
+    /// Verbs issued inside a doorbell chain, in either fabric mode: the
+    /// second and later posts of each [`Machine::chain_begin`] chain,
+    /// charged the configured fraction of `injection` instead of the full
+    /// CPU post cost.
     pub doorbell_chained: u64,
     /// Recovery-relevant verbs rejected by the epoch fence: the issuer's
     /// view of the target's incarnation (or of its own) was stale, so the
@@ -221,6 +229,7 @@ impl FabricStats {
 pub struct VerbHandle {
     worker: WorkerId,
     id: u64,
+    finish: VTime,
 }
 
 impl VerbHandle {
@@ -228,6 +237,83 @@ impl VerbHandle {
     #[inline]
     pub fn id(&self) -> u64 {
         self.id
+    }
+
+    /// The instant the verb retires (fixed at post; [`Machine::wait`]
+    /// reports the same value).
+    #[inline]
+    pub fn finish(&self) -> VTime {
+        self.finish
+    }
+}
+
+/// The issuer's clock through one group of verbs issued back to back — the
+/// one way protocol code charges a group of posts, so that the same verb
+/// sequence is summed at issue depth 1 and overlapped otherwise.
+///
+/// Open with [`Machine::window`], post every signaled verb at
+/// [`Window::at`] and pass its handle through [`Window::posted`], report
+/// every *charged* unsignaled injection through [`Window::unsignaled`], and
+/// close with [`Machine::finish`]:
+///
+/// * depth 1 ([`FabricMode::Blocking`]): each verb is issued when the
+///   previous one has retired, so `at()` follows the completions and the
+///   group finishes at the sum of every cost, unsignaled injections
+///   included;
+/// * overlapped ([`FabricMode::Pipelined`]): every signaled verb is posted
+///   at the window's opening instant, the injections advance only the
+///   issuer's own clock, and the group finishes at the slowest completion
+///   (or at the issuer's clock, if the injections outlast it).
+///
+/// Folding an unsignaled injection in by hand (`cost.max(fence - now)`) is
+/// right only for the overlapped depth: the one-sided BoT steal did that
+/// with its lock release and lost the injection whenever the same code ran
+/// at depth 1.
+#[derive(Debug)]
+pub struct Window {
+    me: WorkerId,
+    serial: bool,
+    start: VTime,
+    clock: VTime,
+    fin: VTime,
+    verbs: u64,
+}
+
+impl Window {
+    /// The instant to post the group's next signaled verb at.
+    #[inline]
+    pub fn at(&self) -> VTime {
+        if self.serial {
+            self.clock
+        } else {
+            self.start
+        }
+    }
+
+    /// The issuer's own clock: the opening instant plus every injection so
+    /// far (plus, at depth 1, every completion it has blocked on).
+    #[inline]
+    pub fn now(&self) -> VTime {
+        self.clock
+    }
+
+    /// Account a signaled verb posted at [`Window::at`].
+    #[inline]
+    pub fn posted(&mut self, h: VerbHandle) -> VerbHandle {
+        debug_assert_eq!(h.worker, self.me, "windows are per issuer");
+        self.verbs += 1;
+        self.fin = self.fin.max(h.finish);
+        if self.serial {
+            self.clock = h.finish;
+        }
+        h
+    }
+
+    /// Account an unsignaled verb whose injection `inj` the issuer pays.
+    #[inline]
+    pub fn unsignaled(&mut self, inj: VTime) {
+        self.verbs += 1;
+        self.clock += inj;
     }
 }
 
@@ -343,12 +429,6 @@ impl Machine {
             step_cur: 0,
             step_now: VTime::ZERO,
         }
-    }
-
-    /// The configured fabric driving mode.
-    #[inline]
-    pub fn fabric(&self) -> FabricMode {
-        self.cfg.fabric
     }
 
     #[inline]
@@ -673,10 +753,13 @@ impl Machine {
     // cost runs through the fault layer *at post* — so retries, backoff,
     // timeouts and degraded-NIC scaling draw exactly the RNG sequence the
     // blocking verbs drew — and the completion lands on the issuer's queue
-    // at `at + cost`.
+    // one `cost` after the verb starts: at `at`, or at issue depth 1 once
+    // every verb already on the queue has retired (see `post_core`).
 
-    /// Enqueue one completion. Verbs to the same peer ride the same queue
-    /// pair, so they retire in post order: a completion is clamped to no
+    /// Enqueue one completion. At issue depth 1 the verb starts when every
+    /// verb the issuer still has on its queue has retired; otherwise it
+    /// starts at `at`, and since verbs to the same peer ride the same queue
+    /// pair they retire in post order: the completion is clamped to no
     /// earlier than any still-inflight verb to the same target.
     fn post_core(
         &mut self,
@@ -686,31 +769,72 @@ impl Machine {
         cost: VTime,
         at: VTime,
     ) -> VerbHandle {
+        let serial = self.cfg.fabric == FabricMode::Blocking;
         let cq = &mut self.cqs[me];
-        let mut finish = at + cost;
+        let (mut start, mut floor) = (at, VTime::ZERO);
         for e in &cq.inflight {
-            if e.target == target && e.finish > finish {
-                finish = e.finish;
+            if serial {
+                start = start.max(e.finish);
+            } else if e.target == target {
+                floor = floor.max(e.finish);
             }
         }
+        let finish = (start + cost).max(floor);
         let id = cq.next_id;
         cq.next_id += 1;
         cq.inflight.push(CqEntry { id, target, value, finish });
-        let depth = cq.inflight.len() as u64;
+        let depth = if serial { 1 } else { cq.inflight.len() as u64 };
+        self.note_depth(me, depth);
+        VerbHandle { worker: me, id, finish }
+    }
+
+    #[inline]
+    fn note_depth(&mut self, me: WorkerId, depth: u64) {
         if depth > self.stats[me].max_inflight {
             self.stats[me].max_inflight = depth;
         }
-        VerbHandle { worker: me, id }
     }
 
     /// Track the instantaneous queue depth for an unsignaled post, which
     /// never materializes a reapable entry.
     #[inline]
     fn note_unsignaled_depth(&mut self, me: WorkerId) {
-        let depth = self.cqs[me].inflight.len() as u64 + 1;
-        if depth > self.stats[me].max_inflight {
-            self.stats[me].max_inflight = depth;
+        let depth = match self.cfg.fabric {
+            FabricMode::Blocking => 1,
+            FabricMode::Pipelined => self.cqs[me].inflight.len() as u64 + 1,
+        };
+        self.note_depth(me, depth);
+    }
+
+    /// Open a [`Window`] for a group of verbs `me` issues from instant `at`.
+    #[inline]
+    pub fn window(&self, me: WorkerId, at: VTime) -> Window {
+        Window {
+            me,
+            serial: self.cfg.fabric == FabricMode::Blocking,
+            start: at,
+            clock: at,
+            fin: at,
+            verbs: 0,
         }
+    }
+
+    /// Charge a [`Window`]: the instant its whole group has retired. Reaps
+    /// nothing — `wait` the handles (now, or a step later: the value is
+    /// final once the last verb is accounted). When the group overlapped,
+    /// all of its verbs were in flight together.
+    pub fn finish(&mut self, w: &Window) -> VTime {
+        if !w.serial {
+            self.note_depth(w.me, w.verbs);
+        }
+        w.clock.max(w.fin)
+    }
+
+    /// Does `me` have a posted verb that has not retired by `at`? Never at
+    /// depth 1 when `at` is the issuing window's clock: the issuer blocked
+    /// on each verb in turn.
+    pub fn outstanding(&self, me: WorkerId, at: VTime) -> bool {
+        self.cqs[me].inflight.iter().any(|e| e.finish > at)
     }
 
     /// Post `get v ← L` of the paper's pseudocode: one-sided small read.
@@ -1216,6 +1340,15 @@ mod tests {
         Machine::new(MachineConfig::new(n, profiles::itoa()).with_seg_bytes(1 << 16))
     }
 
+    /// A machine that overlaps posted verbs (the default is issue depth 1).
+    fn pipelined(n: usize) -> Machine {
+        Machine::new(
+            MachineConfig::new(n, profiles::itoa())
+                .with_seg_bytes(1 << 16)
+                .with_fabric(FabricMode::Pipelined),
+        )
+    }
+
     #[test]
     fn fabric_stats_merge_sums_every_field() {
         // Exhaustive literals: adding a FabricStats field breaks this test
@@ -1410,7 +1543,7 @@ mod tests {
 
     #[test]
     fn posted_verbs_overlap_and_fence_at_the_slowest() {
-        let mut m = machine(3);
+        let mut m = pipelined(3);
         let a1 = m.alloc(1, 8);
         let at = VTime::us(2);
         // A put and a bulk get to the same peer, posted back to back.
@@ -1437,7 +1570,7 @@ mod tests {
     fn same_target_completions_retire_in_post_order() {
         // Verbs to one peer share a queue pair: a cheap put posted after an
         // expensive get cannot retire first.
-        let mut m = machine(2);
+        let mut m = pipelined(2);
         let a1 = m.alloc(1, 16);
         let h_get = m.post_get_bulk(0, 1, 64 << 10, VTime::ZERO);
         let h_put = m.post_put_u64(0, a1, 1, VTime::ZERO);
@@ -1445,7 +1578,7 @@ mod tests {
         let (_, put_fin) = m.wait(0, h_put);
         assert_eq!(put_fin, get_fin, "clamped to the in-order retirement");
         // Different peers ride different queue pairs: no clamping.
-        let mut m = machine(3);
+        let mut m = pipelined(3);
         let a2 = m.alloc(2, 8);
         let h_get = m.post_get_bulk(0, 1, 64 << 10, VTime::ZERO);
         let h_put = m.post_put_u64(0, a2, 1, VTime::ZERO);
@@ -1520,6 +1653,7 @@ mod tests {
         let mut m = Machine::new(
             MachineConfig::new(3, profiles::itoa())
                 .with_seg_bytes(1 << 16)
+                .with_fabric(FabricMode::Pipelined)
                 .with_doorbell(0.5),
         );
         let a1 = m.alloc(1, 32);
@@ -1613,6 +1747,124 @@ mod tests {
         // The lazily materialized segment behaves like an eager one.
         let (v, _) = m.get_u64(3, a1);
         assert_eq!(v, 8);
+    }
+
+    /// One verb of the depth-1 proptest, issued either through its blocking
+    /// wrapper (`at = None`) or posted at `at`. Returns the value, the
+    /// handle of a signaled post, and the cost of a wrapper or unsignaled
+    /// post.
+    fn issue(
+        m: &mut Machine,
+        kind: u8,
+        me: WorkerId,
+        addr: GlobalAddr,
+        val: u64,
+        at: Option<VTime>,
+    ) -> (u64, Option<VerbHandle>, VTime) {
+        let (tgt, len) = (addr.rank as usize, (val % 4096) as usize + 8);
+        let post_at = at.unwrap_or(VTime::ZERO);
+        let (v, h) = match kind {
+            0 => (0, m.post_get_u64(me, addr, post_at)),
+            1 => (0, m.post_put_u64(me, addr, val, post_at)),
+            2 => (0, m.post_fetch_add_u64(me, addr, val, post_at)),
+            3 => (0, m.post_cas_u64(me, addr, val % 7, val, post_at)),
+            4 => (0, m.post_get_bulk(me, tgt, len, post_at)),
+            5 => (0, m.post_put_bulk(me, tgt, len, post_at)),
+            6 => {
+                let (vals, h) = m.post_get_u64_span::<3>(me, addr, post_at);
+                (vals[1] ^ vals[2], h)
+            }
+            7 => return (0, None, m.post_put_u64_unsignaled(me, addr, val)),
+            _ => return (0, None, m.post_put_bulk_unsignaled(me, tgt, len)),
+        };
+        if at.is_some() {
+            return (v, Some(h), VTime::ZERO);
+        }
+        let (value, cost) = m.wait(me, h);
+        (v ^ value, None, cost)
+    }
+
+    mod depth1 {
+        use super::*;
+        use crate::fault::FaultPlan;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Issue depth 1: a group of posts — signaled, unsignaled, span
+            /// and bulk, through a window or hand-posted at one instant —
+            /// retires at the running sum of the blocking wrappers' costs,
+            /// with the same values and the same `FabricStats`.
+            #[test]
+            fn depth1_posts_serialize(
+                workers in 2usize..5,
+                fault_permille in 0u64..80,
+                fault_seed in 0u64..500,
+                groups in proptest::collection::vec(
+                    (
+                        proptest::bool::ANY,
+                        proptest::collection::vec((0u8..9, 0usize..4, 0u32..64, 1u64..1_000_000), 1..6),
+                    ),
+                    1..12,
+                ),
+            ) {
+                let mk = || {
+                    let mut cfg = MachineConfig::new(workers, profiles::itoa()).with_seg_bytes(1 << 20);
+                    if fault_permille > 0 {
+                        cfg = cfg.with_faults(FaultPlan::transient(fault_permille as f64 / 1000.0, fault_seed));
+                    }
+                    Machine::new(cfg)
+                };
+                let (mut serial, mut posted) = (mk(), mk());
+                prop_assert_eq!(posted.cfg.fabric, FabricMode::Blocking);
+                let mut now = VTime::us(3);
+                for (windowed, ops) in &groups {
+                    let me = ops[0].1 % workers;
+                    let mut w = posted.window(me, now);
+                    let (mut sum, mut fin) = (VTime::ZERO, now);
+                    let mut pending = Vec::new();
+                    for &(kind, tgt, woff, val) in ops {
+                        // Hand-posted groups hold signaled verbs only: an
+                        // unsignaled injection can only be summed by a window.
+                        let kind = if *windowed { kind } else { kind % 7 };
+                        let addr = GlobalAddr::new(tgt % workers, 8 + woff * 8);
+                        let (v_s, _, cost) = issue(&mut serial, kind, me, addr, val, None);
+                        sum += cost;
+                        let at = if *windowed { w.at() } else { now };
+                        let (v_p, h, inj) = issue(&mut posted, kind, me, addr, val, Some(at));
+                        match h {
+                            Some(h) => {
+                                w.posted(h);
+                                fin = fin.max(h.finish());
+                                pending.push((h, v_s ^ v_p));
+                            }
+                            None => {
+                                prop_assert_eq!(inj, cost);
+                                w.unsignaled(inj);
+                            }
+                        }
+                        // Every verb retires exactly one blocking cost after
+                        // its predecessor.
+                        prop_assert_eq!(w.now(), now + sum);
+                    }
+                    prop_assert!(!posted.outstanding(me, w.now()));
+                    for (h, v_xor) in pending {
+                        let (value, finish) = posted.wait(me, h);
+                        prop_assert_eq!(finish, h.finish());
+                        prop_assert_eq!(v_xor ^ value, 0, "values diverged");
+                    }
+                    prop_assert_eq!(posted.finish(&w), now + sum);
+                    if !*windowed {
+                        prop_assert_eq!(fin, now + sum, "hand-posted group");
+                    }
+                    now += sum;
+                }
+                for w in 0..workers {
+                    prop_assert_eq!(serial.stats(w), posted.stats(w));
+                    prop_assert!(posted.stats(w).max_inflight <= 1);
+                    prop_assert_eq!(posted.stats(w).cq_polls, 0);
+                }
+            }
+        }
     }
 
     #[test]

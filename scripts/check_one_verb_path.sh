@@ -1,0 +1,20 @@
+#!/usr/bin/env bash
+# Gate: the scheduler, the remote-free protocols and the BoT runtimes issue
+# one verb sequence per protocol step and leave the issue depth to
+# dcs-sim's Machine. Outside test modules and comments they may name
+# `FabricMode` only to pass it through (`use` lists, `fabric: FabricMode,`
+# parameters, the `FabricMode::Blocking)` default of the run_* wrappers) —
+# never to branch on it. Exits non-zero listing every other mention.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+hits=$(for f in crates/core/src/sched/*.rs crates/core/src/remote_free.rs crates/bot/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$f"
+done | grep -E 'FabricMode|\.fabric\(\)' | grep -vE 'FabricMode,|FabricMode::Blocking\)' || true)
+
+if [ -n "$hits" ]; then
+    echo "one-verb-path gate: the fabric mode is consulted outside dcs-sim:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+echo "one-verb-path gate: ok"

@@ -228,23 +228,25 @@ proptest! {
     /// (mixed kinds, issuers, targets, faults), the blocking wrappers are
     /// bit-identical — in observed value, charged time, and FabricStats —
     /// to (a) manual post-at-ZERO + wait and (b) posting at a running
-    /// absolute clock and charging `finish − now`. This is the contract
-    /// that lets FabricMode::Blocking keep every golden valid.
+    /// absolute clock and charging `finish − now` — and (c) a depth-1
+    /// machine charges a whole `Window` (two signaled verbs around an
+    /// unsignaled one) the sum of the three blocking costs. This is the
+    /// contract that lets FabricMode::Blocking keep every golden valid.
     #[test]
     fn blocking_equals_posted(
         workers in 2usize..5,
         fault_permille in 0u64..80,
         fault_seed in 0u64..500,
         ops in proptest::collection::vec(
-            (0u8..8, 0usize..4, 0u32..64, 1u64..1_000_000),
+            (0u8..9, 0usize..4, 0u32..64, 1u64..1_000_000),
             1..40,
         ),
     ) {
         use dcs::sim::{FabricMode, GlobalAddr, Machine, MachineConfig};
-        let mk = || {
+        let mk = |mode| {
             let mut cfg = MachineConfig::new(workers, profiles::itoa())
                 .with_seg_bytes(1 << 20)
-                .with_fabric(FabricMode::Pipelined);
+                .with_fabric(mode);
             if fault_permille > 0 {
                 cfg = cfg.with_faults(FaultPlan::transient(
                     fault_permille as f64 / 1000.0,
@@ -253,13 +255,52 @@ proptest! {
             }
             Machine::new(cfg)
         };
-        let (mut blk, mut posted, mut clocked) = (mk(), mk(), mk());
+        let (mut blk, mut posted, mut clocked) = (
+            mk(FabricMode::Pipelined),
+            mk(FabricMode::Pipelined),
+            mk(FabricMode::Pipelined),
+        );
+        // Depth-1 machine: wrappers everywhere except the grouped kind.
+        let mut grouped = mk(FabricMode::Blocking);
         let mut now = VTime::ZERO;
         for &(kind, tgt, woff, val) in &ops {
             let tgt = tgt % workers;
             let me = (tgt + val as usize) % workers; // sometimes local, sometimes remote
             let addr = GlobalAddr::new(tgt, 8 + woff * 8);
             let len = (val % 4096) as usize + 8;
+
+            if kind == 8 {
+                // A steal-commit-shaped group: signaled put, unsignaled
+                // put, bulk get. Serial on the three reference machines;
+                // one window at depth 1.
+                let mut sum = VTime::ZERO;
+                for m in [&mut blk, &mut posted, &mut clocked] {
+                    sum = m.put_u64(me, addr, val)
+                        + m.post_put_u64_unsignaled(me, addr.field(1), val)
+                        + m.get_bulk(me, tgt, len);
+                }
+                let mut w = grouped.window(me, now);
+                let h_put = w.posted(grouped.post_put_u64(me, addr, val, w.at()));
+                w.unsignaled(grouped.post_put_u64_unsignaled(me, addr.field(1), val));
+                let h_get = w.posted(grouped.post_get_bulk(me, tgt, len, w.at()));
+                prop_assert!(!grouped.outstanding(me, w.now()), "depth 1 leaves nothing outstanding");
+                grouped.wait(me, h_put);
+                grouped.wait(me, h_get);
+                prop_assert_eq!(grouped.finish(&w).saturating_sub(now), sum, "window != sum");
+                now += sum;
+                continue;
+            }
+            // The depth-1 machine sees the same traffic through wrappers.
+            match kind {
+                0 => drop(grouped.get_u64(me, addr)),
+                1 => drop(grouped.put_u64(me, addr, val)),
+                2 => drop(grouped.fetch_add_u64(me, addr, val)),
+                3 => drop(grouped.cas_u64(me, addr, val % 7, val)),
+                4 => drop(grouped.get_bulk(me, tgt, len)),
+                5 => drop(grouped.put_bulk(me, tgt, len)),
+                6 => drop(grouped.get_u64_span::<3>(me, addr)),
+                _ => drop(grouped.post_put_u64_unsignaled(me, addr, val)),
+            }
 
             if kind == 6 {
                 // Fence-free bounds/entry read: the 3-word span get must be
@@ -336,6 +377,7 @@ proptest! {
         for w in 0..workers {
             prop_assert_eq!(blk.stats(w), posted.stats(w));
             prop_assert_eq!(blk.stats(w), clocked.stats(w));
+            prop_assert_eq!(blk.stats(w), grouped.stats(w));
             prop_assert!(blk.stats(w).max_inflight <= 1);
             prop_assert_eq!(blk.stats(w).cq_polls, 0);
         }
