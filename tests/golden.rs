@@ -204,3 +204,64 @@ fn golden_uts16_itoa_ff_child_rtc() {
     assert_eq!(r.stats.ff_lost_races, 6);
     assert_eq!(r.steps, 13_654);
 }
+
+/// The bag-of-tasks comparators (Fig. 8) at 16 workers, ITO-A, UTS tiny,
+/// seed 1 — one pin per runtime. These are the only tier-1 pins of
+/// `dcs-bot`: steal protocol, mailbox traffic and the termination ring all
+/// land in these nine numbers.
+fn assert_bot(r: &dcs::bot::BotReport, want: [u64; 9]) {
+    let got = [
+        r.elapsed.as_ns(),
+        r.nodes,
+        r.steals_ok,
+        r.steals_failed,
+        r.messages,
+        r.token_rounds,
+        r.steps,
+        r.fabric.remote_puts,
+        r.fabric.bytes_put,
+    ];
+    assert_eq!(
+        got, want,
+        "[elapsed, nodes, steals_ok, steals_failed, messages, token_rounds, steps, remote_puts, bytes_put]"
+    );
+}
+
+fn bot_onesided(amount: dcs::bot::onesided::StealAmount, plan: FaultPlan) -> dcs::bot::BotReport {
+    dcs::bot::onesided::run_uts_faulty(&uts::presets::tiny(), 16, profiles::itoa(), 1, amount, plan)
+}
+
+fn bot_twosided(variant: dcs::bot::twosided::Variant) -> dcs::bot::BotReport {
+    dcs::bot::twosided::run_uts(&uts::presets::tiny(), 16, profiles::itoa(), variant, 1)
+}
+
+#[test]
+fn golden_bot_onesided_half() {
+    let r = bot_onesided(dcs::bot::onesided::StealAmount::Half, FaultPlan::none());
+    assert_bot(&r, [500_430, 3028, 65, 473, 0, 3, 31_985, 569, 4552]);
+}
+
+#[test]
+fn golden_bot_onesided_one() {
+    let r = bot_onesided(dcs::bot::onesided::StealAmount::One, FaultPlan::none());
+    assert_bot(&r, [472_752, 3028, 37, 488, 0, 3, 33_420, 528, 4224]);
+}
+
+#[test]
+fn golden_bot_onesided_half_verb_faults() {
+    let plan = FaultPlan::parse("verb=0.02").expect("plan parses").with_seed(1);
+    let r = bot_onesided(dcs::bot::onesided::StealAmount::Half, plan);
+    assert_bot(&r, [911_855, 3028, 74, 946, 0, 4, 32_198, 933, 7464]);
+}
+
+#[test]
+fn golden_bot_twosided_random() {
+    let r = bot_twosided(dcs::bot::twosided::Variant::Random);
+    assert_bot(&r, [769_446, 3028, 31, 660, 1470, 5, 698_965, 0, 0]);
+}
+
+#[test]
+fn golden_bot_twosided_lifeline() {
+    let r = bot_twosided(dcs::bot::twosided::Variant::Lifeline);
+    assert_bot(&r, [677_828, 3028, 423, 36, 1046, 4, 657_827, 0, 0]);
+}
