@@ -1,7 +1,8 @@
 //! # dcs-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation section (see
-//! DESIGN.md §5 for the experiment index):
+//! One binary per table/figure of the paper's evaluation section, plus the
+//! ablations and the host self-benchmark (see DESIGN.md §5 for the
+//! experiment index):
 //!
 //! | binary          | reproduces |
 //! |-----------------|------------|
@@ -16,6 +17,13 @@
 //! | `ablate_free`   | §III-B ablation — lock-queue vs. local collection |
 //! | `ablate_join`   | Fig. 4 ablation — work-first fast-path hit rates |
 //! | `ablate_uniaddr`| §II-D ablation — uni- vs. iso-address pinned memory |
+//! | `ablate_topology`| §VI future work — topology-aware victim selection on a hierarchical machine |
+//! | `ablate_stealhalf`| one-sided BoT — steal-half vs. steal-one (Dinan et al. / SAWS design point) |
+//! | `ablate_faults` | resilience of the four runtimes under transient fault injection |
+//! | `ablate_recovery`| what fail-stop recovery costs, armed and firing (fork-join + one-sided BoT) |
+//! | `ablate_suspicion`| what imperfect failure detection costs when nothing dies (`detector=message`) |
+//! | `ablate_overlap`| posted verbs vs. blocking, and K-way probe rings (`FabricMode`, `--multi-steal`) |
+//! | `selfbench`     | simulator host throughput (steps/s, peak bytes) → `BENCH_simperf.json`; not a paper figure |
 //!
 //! Every binary prints a human-readable table *and* writes a CSV under
 //! `results/`. `DCS_QUICK=1` shrinks problem sizes for smoke runs;

@@ -17,8 +17,9 @@
 //!   the victim must poll for and handle (the overhead the paper blames for
 //!   their poorer scaling).
 //! * [`termination`] — Mattern four-counter (double-round) token
-//!   termination detection, in both a one-sided (token words written into
-//!   the successor's segment) and a message-ring flavour.
+//!   termination detection: one crash-tolerant ring that both runtimes
+//!   own, carried one-sidedly (token words written into the successor's
+//!   segment) or as ring messages.
 //!
 //! ## Fail-stop recovery
 //!
@@ -43,7 +44,8 @@ use std::collections::HashSet;
 
 use dcs_apps::pfor::PforParams;
 use dcs_apps::uts::UtsSpec;
-use dcs_sim::{FabricStats, VTime, WorkerId};
+use dcs_sim::engine::EngineReport;
+use dcs_sim::{FabricStats, Machine, VTime, WorkerId};
 
 /// A not-yet-expanded UTS node in a bag (legacy alias; bags hold [`Task`]).
 pub type NodeTask = (dcs_apps::sha1::Digest, u32);
@@ -160,9 +162,9 @@ impl Workload {
 pub struct Counters {
     pub created: u64,
     pub consumed: u64,
-    /// Tasks granted/pushed to peers (two-sided recovery mode).
+    /// Tasks granted/pushed to peers (counted by armed two-sided runs).
     pub sent: u64,
-    /// Tasks accepted from peers (two-sided recovery mode).
+    /// Tasks accepted from peers (counted by armed two-sided runs).
     pub recv: u64,
     /// Nodes counted by this worker (the UTS result contribution).
     pub nodes: u64,
@@ -278,16 +280,149 @@ impl Recovery {
     }
 }
 
+/// Shared state of a bag run: the machine, every worker's bag and Mattern
+/// counters, the recovery ledger, and the transport's shared medium `net` —
+/// nothing for one-sided verbs (bag and token words live in the machine's
+/// segments), the mailbox for two-sided messages.
+pub struct BotWorld<N = ()> {
+    pub m: Machine,
+    pub bags: Vec<Vec<Task>>,
+    pub counters: Vec<Counters>,
+    pub recovery: Recovery,
+    pub token_rounds: u64,
+    pub net: N,
+}
+
+impl<N> BotWorld<N> {
+    /// A world whose only task is the root, in worker 0's bag.
+    pub(crate) fn new(m: Machine, root: Task, net: N) -> BotWorld<N> {
+        let workers = m.workers();
+        let mut world = BotWorld {
+            m,
+            bags: (0..workers).map(|_| Vec::new()).collect(),
+            counters: vec![Counters::default(); workers],
+            recovery: Recovery::new(workers, root),
+            token_rounds: 0,
+            net,
+        };
+        world.bags[0].push(root);
+        world.counters[0].created = 1;
+        world
+    }
+
+    /// A worker's detector judged a round: publish the count.
+    pub(crate) fn note_rounds(&mut self, rounds: u64) {
+        self.token_rounds = self.token_rounds.max(rounds);
+    }
+
+    /// What the finished run left behind, summed over the workers still
+    /// alive at its end. No asserts: the checker reports mismatches.
+    pub(crate) fn outcome(&self, run: &EngineReport) -> BotCheckOutcome {
+        let live = |p: &WorkerId| !self.m.is_dead(*p, run.end_time);
+        let workers = 0..self.bags.len();
+        let nodes = self.counters.iter().map(|c| c.nodes).sum();
+        BotCheckOutcome {
+            nodes,
+            unique: if self.m.recovery_armed() {
+                self.recovery.collector.unique
+            } else {
+                nodes
+            },
+            checksum: self.recovery.collector.checksum,
+            created: workers
+                .clone()
+                .filter(live)
+                .map(|p| self.counters[p].created)
+                .sum(),
+            consumed: workers
+                .clone()
+                .filter(live)
+                .map(|p| self.counters[p].consumed)
+                .sum(),
+            bags_nonempty: workers
+                .clone()
+                .filter(|p| live(p) && !self.bags[*p].is_empty())
+                .collect(),
+            dead_workers: workers.filter(|p| !live(p)).collect(),
+            token_rounds: self.token_rounds,
+            steps: run.steps,
+        }
+    }
+
+    /// The asserted report of a plain run; the steal counts come from the
+    /// actors.
+    pub(crate) fn report(
+        &self,
+        run: &EngineReport,
+        steals_ok: u64,
+        steals_failed: u64,
+    ) -> BotReport {
+        let out = self.outcome(run);
+        assert_eq!(
+            out.created, out.consumed,
+            "termination fired with outstanding work"
+        );
+        assert!(
+            out.bags_nonempty.is_empty(),
+            "live workers {:?} terminated with work",
+            out.bags_nonempty
+        );
+        let fabric = self.m.stats_total();
+        BotReport {
+            elapsed: run.end_time,
+            nodes: out.unique,
+            checksum: out.checksum,
+            steals_ok,
+            steals_failed,
+            messages: fabric.messages_handled,
+            token_rounds: out.token_rounds,
+            dead_workers: out.dead_workers.len() as u64,
+            lost_tasks: self.recovery.lost_tasks,
+            reexec_tasks: self.recovery.reexec_tasks,
+            dup_results: self.recovery.collector.dups,
+            fabric,
+            steps: out.steps,
+        }
+    }
+}
+
+/// What a BoT run actually did — raw observations for `dcs-check`'s
+/// termination oracle, with no asserts of its own (the checker turns
+/// mismatches into reported violations instead of panics).
+#[derive(Clone, Debug)]
+pub struct BotCheckOutcome {
+    /// UTS nodes expanded across all workers (raw, duplicates included).
+    pub nodes: u64,
+    /// Head-node deduplicated result (equals `nodes` when fault-free).
+    pub unique: u64,
+    /// Order-independent checksum of first-seen task ids.
+    pub checksum: u64,
+    /// Global created / consumed task counts over workers still alive when
+    /// the run ended — termination *safety* is `created == consumed`.
+    pub created: u64,
+    pub consumed: u64,
+    /// Live workers whose bag still held tasks when the run ended (must be
+    /// empty: terminating with resident work loses it).
+    pub bags_nonempty: Vec<WorkerId>,
+    /// Workers killed by the fault plan before the run ended.
+    pub dead_workers: Vec<WorkerId>,
+    /// Token rounds the detector ran.
+    pub token_rounds: u64,
+    /// Engine steps taken — bounded, so an exploration that livelocks is
+    /// caught by the engine's step ceiling rather than hanging the checker.
+    pub steps: u64,
+}
+
 /// Result of a bag-of-tasks run.
 #[derive(Debug, Clone)]
 pub struct BotReport {
     /// Virtual makespan, including termination detection and the final
     /// count reduction.
     pub elapsed: VTime,
-    /// Total nodes counted (must equal the tree size). In recovery mode
+    /// Total nodes counted (must equal the tree size). In armed runs
     /// this is the head node's deduplicated count.
     pub nodes: u64,
-    /// Order-independent checksum of observed task ids (recovery mode).
+    /// Order-independent checksum of observed task ids (armed runs).
     pub checksum: u64,
     pub steals_ok: u64,
     pub steals_failed: u64,

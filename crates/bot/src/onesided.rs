@@ -13,13 +13,18 @@
 //! The victim is never interrupted — the property the paper credits for
 //! SAWS's scalability. Termination uses the one-sided Mattern token: the
 //! holder writes the token record into its successor's segment; idle
-//! workers poll their own slot at local cost.
+//! workers poll their own slot at local cost. The ring itself — who
+//! initiates, who the successor is, when a round counts — is
+//! [`crate::termination::Ring`], shared with the two-sided runtime; this
+//! file only carries its token in segment words.
 //!
-//! ## Fail-stop recovery (recovery-armed fault plans)
+//! ## Fail-stop recovery
 //!
-//! With `kill=W@T` entries (or `recover=on`) in the fault plan, the runtime
-//! switches to the crash-tolerant protocol documented in
-//! `docs/PROTOCOLS.md`:
+//! The protocol is crash-tolerant as written (`docs/PROTOCOLS.md`): every
+//! liveness check below is vacuous while nobody has been killed, so a
+//! fault-free run executes the same steps as a run that survives kills. A
+//! recovery-armed fault plan (`kill=W@T` entries or `recover=on`) adds only
+//! the bookkeeping that costs bytes or host time:
 //!
 //! * **Transfer-counted steals.** The take step bumps `victim.consumed`
 //!   and `thief.created` by the batch size (one extra one-sided AMO folded
@@ -39,13 +44,15 @@
 //!   observations by task id. Together with the lease mirror being a
 //!   local read, arming therefore charges **zero extra virtual time**
 //!   until a death is actually confirmed.
-//! * **Termination with holes.** Token rounds are tagged by their
-//!   initiator (lowest non-confirmed-dead worker) and stamped with their
-//!   start time; forwarders skip confirmed-dead successors and stall on
-//!   unconfirmed ones, and the initiator only fires a balanced double
-//!   round whose start postdates every death confirmation it knows of —
-//!   so a round can never complete "around" a death before every giver
-//!   has replayed its lineage to the dead worker.
+//! * **The round start stamp.** Token rounds are always tagged by their
+//!   initiator (lowest non-confirmed-dead worker); forwarders skip
+//!   confirmed-dead successors and stall on unconfirmed ones. Armed runs
+//!   also write the round's start time next to the token, and the
+//!   initiator only fires a balanced double round whose start postdates
+//!   every death confirmation it knows of — so a round can never complete
+//!   "around" a death before every giver has replayed its lineage to the
+//!   dead worker. (Without kills that rule is vacuous, so unarmed runs
+//!   save the word.)
 
 use dcs_apps::uts::UtsSpec;
 use dcs_sim::{
@@ -53,10 +60,8 @@ use dcs_sim::{
     ScheduleHook, SimRng, Step, VTime, WorkerId,
 };
 
-use crate::termination::{
-    accumulate, round_from_old_incarnation, round_initiator, tag_round_epoch, Detector, Token,
-};
-use crate::{BotReport, Counters, PforBag, Recovery, Task, Workload, TASK_BYTES};
+use crate::termination::{Ring, Token};
+use crate::{BotCheckOutcome, BotReport, BotWorld, PforBag, Task, Workload, TASK_BYTES};
 
 /// How much of a victim's bag a successful steal takes.
 ///
@@ -77,8 +82,9 @@ const W_SIZE: u32 = 1;
 const W_TOK_ROUND: u32 = 2;
 const W_TOK_CREATED: u32 = 3;
 const W_TOK_CONSUMED: u32 = 4;
-/// Round start stamp — written and read only by recovery-armed runs, so
-/// unarmed runs stay bit-identical to the pre-recovery protocol.
+/// Round start stamp — written and read only by recovery-armed runs: the
+/// stability rule it feeds is vacuous without kills, and the unarmed
+/// goldens pin the token put at 24 bytes.
 const W_TOK_START: u32 = 5;
 /// Lineage journal tail — written and read only by recovery-armed runs.
 /// The descriptor ({thief, batch size, region offset} packed into the
@@ -86,15 +92,6 @@ const W_TOK_START: u32 = 5;
 /// re-written (see the module doc).
 const W_JRNL: u32 = 6;
 const RESERVED: u32 = 7 * 8;
-
-/// Shared state of a one-sided BoT run.
-pub struct BotWorld {
-    pub m: Machine,
-    pub bags: Vec<Vec<Task>>,
-    pub counters: Vec<Counters>,
-    pub recovery: Recovery,
-    pub token_rounds: u64,
-}
 
 enum BState {
     Work,
@@ -112,18 +109,7 @@ struct BotWorker {
     scale: f64,
     rng: SimRng,
     state: BState,
-    /// Detector state; used while this worker believes it is the initiator.
-    detector: Detector,
-    token_outstanding: bool,
-    /// Last token round this worker forwarded (non-initiators).
-    forwarded_round: u64,
-    /// Peers this worker has confirmed dead via the lease registry.
-    /// Sparse: only confirmed workers appear, so scans over it cost
-    /// O(confirmed), not O(W).
-    dead: std::collections::BTreeSet<WorkerId>,
-    /// Position in the machine's death-candidate feed
-    /// ([`Machine::death_candidates`]); replaces an O(W) sweep per scan.
-    death_cursor: usize,
+    ring: Ring,
     steals_ok: u64,
     steals_failed: u64,
     halted: bool,
@@ -156,7 +142,7 @@ impl BotWorker {
     }
 
     /// Write the token into `to`'s slot: a 24-byte one-sided put (32 bytes
-    /// with the recovery-mode start stamp).
+    /// with the start stamp armed runs add).
     fn put_token(m: &mut Machine, me: WorkerId, to: WorkerId, tok: Token, armed: bool) -> VTime {
         let cost = m.put_u64(me, word(to, W_TOK_ROUND), tok.round);
         m.post_put_u64_unsignaled(me, word(to, W_TOK_CREATED), tok.created);
@@ -167,48 +153,17 @@ impl BotWorker {
         cost
     }
 
-    /// The lowest worker this one has not confirmed dead — every live
-    /// worker converges on the same answer because confirmation is sound.
-    /// The dead set is sorted, so this walks its prefix: O(confirmed).
-    fn initiator(&self) -> WorkerId {
-        let mut c = 0;
-        for &d in &self.dead {
-            if d == c {
-                c += 1;
-            } else {
-                break;
-            }
-        }
-        debug_assert!(c < self.n, "self is never confirmed dead");
-        c
-    }
-
-    /// Next ring successor not confirmed dead; `None` when every other
-    /// worker is. Skips only confirmed-dead peers, so the walk costs
-    /// O(confirmed), not O(W).
-    fn succ_live(&self) -> Option<WorkerId> {
-        (1..self.n)
-            .map(|d| (self.me + d) % self.n)
-            .find(|p| !self.dead.contains(p))
-    }
-
     /// Mark `d` confirmed dead: replay my lineage batches to it and adopt
     /// the root if I am now responsible for it.
     fn confirm(&mut self, d: WorkerId, w: &mut BotWorld) -> VTime {
-        if d == self.me || self.dead.contains(&d) {
+        if !self.ring.confirm(d) {
             return VTime::ZERO;
-        }
-        self.dead.insert(d);
-        if self.token_outstanding {
-            // The outstanding round's token may have died in the dead
-            // worker's slot. Abandon the round — burning its sequence
-            // number, since forwarders already recorded it — and re-seed.
-            self.detector.rounds += 1;
-            self.token_outstanding = false;
         }
         let me = self.me;
         let mut k = w.recovery.replay_batches(me, d, &mut w.bags[me]);
-        if w.recovery.maybe_adopt_root(me, &self.dead, &mut w.bags[me]) {
+        if w.recovery
+            .maybe_adopt_root(me, self.ring.dead(), &mut w.bags[me])
+        {
             k += 1;
         }
         if k > 0 {
@@ -219,166 +174,67 @@ impl BotWorker {
         w.m.local_op(me)
     }
 
-    /// Read the locally mirrored heartbeat/lease registry and confirm every
-    /// peer whose lease has expired. The scan itself is step bookkeeping
-    /// over a local mirror (like the `self.dead` checks) and charges
-    /// nothing; only an actual confirmation costs time.
-    ///
-    /// Driven by the machine's death-candidate feed: only workers whose
-    /// suspicion status could have changed since the last scan are
-    /// re-checked, so total scan cost over a run is O(status changes)
-    /// instead of O(W) per step. Candidates are processed in increasing id
-    /// order, matching the old `0..n` sweep's confirmation order.
-    fn scan_confirm(&mut self, now: VTime, w: &mut BotWorld) -> VTime {
-        let mut cands: Vec<WorkerId> = Vec::new();
-        w.m.death_candidates(&mut self.death_cursor, now, &mut cands);
-        if cands.is_empty() {
-            return VTime::ZERO;
-        }
-        cands.sort_unstable();
-        cands.dedup();
-        let mut cost = VTime::ZERO;
-        for p in cands {
-            if p != self.me && !self.dead.contains(&p) && w.m.confirmed_dead(p, now) {
-                cost += self.confirm(p, w);
-            }
-        }
-        cost
-    }
-
-    /// Termination check + token duties performed while idle (fault-free
-    /// protocol). Returns the cost, and sets the machine's done flag when
-    /// detection fires.
+    /// Termination check + token duties performed while idle. Returns the
+    /// cost, and sets the machine's done flag when detection fires. The
+    /// ring skips confirmed-dead workers and the initiator role falls to
+    /// the lowest live worker; with nobody dead that is worker 0 seeding a
+    /// plain `me + 1` ring.
     fn token_duty(&mut self, now: VTime, w: &mut BotWorld) -> VTime {
-        let _ = now;
         let me = self.me;
-        let cnt = w.counters[me];
-        if self.n == 1 {
-            // Degenerate ring: run the detector directly.
-            let done = self.detector.round_done(cnt.created, cnt.consumed);
-            w.token_rounds = self.detector.rounds;
-            if done {
-                w.m.set_done();
-            }
-            return w.m.local_op(me);
+        // Confirm every expired lease first. The scan reads a local mirror
+        // (step bookkeeping, like the `ring.is_dead` checks) and charges
+        // nothing; only an actual confirmation costs time.
+        let mut cost = VTime::ZERO;
+        for p in self.ring.confirmable(&mut w.m, now) {
+            cost += self.confirm(p, w);
         }
-        if self.me == 0 {
-            let (tok, cost) = Self::read_token(&mut w.m, me, false);
-            if self.token_outstanding && tok.round == self.detector.rounds + 1 {
-                // Round completed.
-                self.token_outstanding = false;
-                let done = self.detector.round_done(tok.created, tok.consumed);
-                w.token_rounds = self.detector.rounds;
-                if done {
-                    // Final collective reduction of the per-worker counts
-                    // (log₂ P message steps), then raise the flag.
-                    let hops = (self.n as f64).log2().ceil() as u64;
-                    let reduce =
-                        VTime::ns(hops * (w.m.lat().message + w.m.lat().msg_handler));
-                    w.m.set_done();
-                    return cost + reduce;
-                }
-            }
-            if !self.token_outstanding {
-                let tok = self.detector.new_round(cnt.created, cnt.consumed);
-                self.token_outstanding = true;
-                return cost + Self::put_token(&mut w.m, me, 1, tok, false);
-            }
-            cost
-        } else {
-            let (tok, cost) = Self::read_token(&mut w.m, me, false);
-            if tok.round > self.forwarded_round {
-                self.forwarded_round = tok.round;
-                let next = (me + 1) % self.n;
-                let out = accumulate(tok, cnt.created, cnt.consumed);
-                return cost + Self::put_token(&mut w.m, me, next, out, false);
-            }
-            cost
-        }
-    }
-
-    /// Crash-tolerant token duty: the ring skips confirmed-dead workers,
-    /// the initiator role falls to the lowest live worker, and a round may
-    /// only fire if it started after every known death confirmation.
-    fn token_duty_armed(&mut self, now: VTime, w: &mut BotWorld) -> VTime {
-        let me = self.me;
-        let mut cost = self.scan_confirm(now, w);
         if !w.bags[me].is_empty() {
             // A confirmation just replayed work into my bag: go run it
             // before doing token duty (the caller re-checks state).
             return cost;
         }
         let cnt = w.counters[me];
-        let Some(succ) = self.succ_live() else {
-            // Every other worker is confirmed dead. Transfer-counted steals
-            // make my own balance equivalent to my bag being empty.
-            let done = self.detector.round_done(cnt.created, cnt.consumed);
-            w.token_rounds = w.token_rounds.max(self.detector.rounds);
-            if done {
-                w.m.set_done();
-            }
+        let Some(succ) = self.ring.succ_live() else {
+            // Alone (or every other worker is confirmed dead; transfer-
+            // counted steals make my own balance equivalent to my bag
+            // being empty).
+            self.ring.solo_round(&mut w.m, cnt);
+            w.note_rounds(self.ring.rounds());
             return cost + w.m.local_op(me);
         };
-        let (tok, c) = Self::read_token(&mut w.m, me, true);
+        let (tok, c) = Self::read_token(&mut w.m, me, self.armed);
         cost += c;
-        if me == self.initiator() {
-            let my_tag = tag_round_epoch(me, w.m.epoch_of(me), self.detector.rounds + 1);
-            if self.token_outstanding && tok.round == my_tag {
-                self.token_outstanding = false;
-                // Stability: fire only if every death I know of was already
-                // confirmable when this round started — otherwise some
-                // worker folded its counters before replaying its lineage
-                // to the newly dead peer.
-                let start = VTime::ns(tok.start_ns);
-                let stable = self.dead.iter().all(|&d| w.m.confirmed_dead(d, start));
-                let done = self.detector.round_done(tok.created, tok.consumed) && stable;
-                w.token_rounds = w.token_rounds.max(self.detector.rounds);
-                if done {
-                    let hops = (self.n as f64).log2().ceil() as u64;
-                    let reduce =
-                        VTime::ns(hops * (w.m.lat().message + w.m.lat().msg_handler));
-                    w.m.set_done();
+        let initiator = me == self.ring.initiator();
+        if initiator {
+            if let Some(reduce) = self.ring.complete(&tok, &mut w.m) {
+                w.note_rounds(self.ring.rounds());
+                if w.m.is_done() {
                     return cost + reduce;
                 }
             }
-            if !self.token_outstanding {
-                if let Some(fail) = w.m.dead_guard(me, succ, now) {
-                    // Successor died inside its lease window: the put fails
-                    // fast; retry once the lease confirms the hole.
-                    return cost + fail;
-                }
-                let tok = self.detector.new_round_tagged(
-                    me,
-                    w.m.epoch_of(me),
-                    now.as_ns(),
-                    cnt.created,
-                    cnt.consumed,
-                    0,
-                    0,
-                );
-                self.token_outstanding = true;
-                return cost + Self::put_token(&mut w.m, me, succ, tok, true);
-            }
-            cost
-        } else {
-            // Forward fresh rounds, ignoring any seeded by an initiator I
-            // already know to be dead (its tag can never grow again) or by
-            // a zombie incarnation the fabric has since evicted (its sums
-            // predate the eviction's lineage replay).
-            let seeder = round_initiator(tok.round);
-            if tok.round > self.forwarded_round
-                && !self.dead.contains(&seeder)
-                && !round_from_old_incarnation(tok.round, w.m.epoch_of(seeder))
-            {
-                if let Some(fail) = w.m.dead_guard(me, succ, now) {
-                    return cost + fail; // hole not confirmed yet: hold the token
-                }
-                let out = accumulate(tok, cnt.created, cnt.consumed);
-                self.forwarded_round = tok.round;
-                return cost + Self::put_token(&mut w.m, me, succ, out, true);
-            }
-            cost
         }
+        // Anything to put into the successor's slot? The initiator seeds a
+        // round when it has none outstanding; a forwarder passes on a round
+        // it has not served yet, unless its seeder can no longer fire it.
+        let put = if initiator {
+            !self.ring.outstanding()
+        } else {
+            tok.round > self.ring.forwarded_round() && self.ring.live_seeder(tok.round, &w.m)
+        };
+        if !put {
+            return cost;
+        }
+        if let Some(fail) = w.m.dead_guard(me, succ, now) {
+            // Successor died inside its lease window: the put fails fast;
+            // hold the token and retry once the lease confirms the hole.
+            return cost + fail;
+        }
+        let out = if initiator {
+            self.ring.seed(&w.m, now, cnt)
+        } else {
+            self.ring.fold(tok, cnt)
+        };
+        cost + Self::put_token(&mut w.m, me, succ, out, self.armed)
     }
 
     fn step_work(&mut self, now: VTime, w: &mut BotWorld) -> Step {
@@ -386,15 +242,13 @@ impl BotWorker {
         // Respect a thief holding our bag lock.
         let (lock, _) = w.m.get_u64(me, word(me, W_LOCK));
         if lock != 0 {
-            if self.armed {
-                let holder = (lock - 1) as usize;
-                if self.dead.contains(&holder) || w.m.confirmed_dead(holder, now) {
-                    // The take is a single atomic step, so a thief that died
-                    // holding our lock transferred nothing: break the lock.
-                    let mut cost = self.confirm(holder, w);
-                    cost += w.m.put_u64(me, word(me, W_LOCK), 0);
-                    return Step::Yield(cost);
-                }
+            let holder = (lock - 1) as usize;
+            if self.ring.is_dead(holder) || w.m.confirmed_dead(holder, now) {
+                // The take is a single atomic step, so a thief that died
+                // holding our lock transferred nothing: break the lock.
+                let mut cost = self.confirm(holder, w);
+                cost += w.m.put_u64(me, word(me, W_LOCK), 0);
+                return Step::Yield(cost);
             }
             return Step::Yield(w.m.local_op(me));
         }
@@ -432,11 +286,7 @@ impl BotWorker {
             self.state = BState::Work;
             return Step::Yield(w.m.local_op(me));
         }
-        let mut cost = if self.armed {
-            self.token_duty_armed(now, w)
-        } else {
-            self.token_duty(now, w)
-        };
+        let mut cost = self.token_duty(now, w);
         if !w.bags[me].is_empty() {
             // Lineage replay refilled the bag mid-duty.
             self.state = BState::Work;
@@ -444,18 +294,12 @@ impl BotWorker {
         }
         if self.n >= 2 {
             let victim = self.rng.victim(self.n, me);
-            let mut attempt = true;
-            if self.armed {
-                if self.dead.contains(&victim) {
-                    self.steals_failed += 1;
-                    attempt = false;
-                } else if let Some(fail) = w.m.dead_guard(me, victim, now) {
-                    cost += fail;
-                    self.steals_failed += 1;
-                    attempt = false;
-                }
-            }
-            if attempt {
+            if self.ring.is_dead(victim) {
+                self.steals_failed += 1;
+            } else if let Some(fail) = w.m.dead_guard(me, victim, now) {
+                cost += fail;
+                self.steals_failed += 1;
+            } else {
                 let (old, c) = w.m.cas_u64(me, word(victim, W_LOCK), 0, me as u64 + 1);
                 cost += c;
                 if old == 0 {
@@ -471,12 +315,10 @@ impl BotWorker {
     fn step_steal(&mut self, now: VTime, w: &mut BotWorld, victim: WorkerId) -> Step {
         let me = self.me;
         self.state = BState::Idle;
-        if self.armed {
-            if let Some(fail) = w.m.dead_guard(me, victim, now) {
-                // Victim died between lock and take; its lock dies with it.
-                self.steals_failed += 1;
-                return Step::Yield(fail);
-            }
+        if let Some(fail) = w.m.dead_guard(me, victim, now) {
+            // Victim died between lock and take; its lock dies with it.
+            self.steals_failed += 1;
+            return Step::Yield(fail);
         }
         let (size, mut cost) = w.m.get_u64(me, word(victim, W_SIZE));
         if size < 2 {
@@ -537,7 +379,7 @@ impl Actor<BotWorld> for BotWorker {
             return Step::Halt;
         }
         w.m.begin_step(me, now);
-        if self.armed && w.m.is_dead(me, now) {
+        if w.m.is_dead(me, now) {
             // Fail-stop: this worker is gone. Its resident tasks are lost
             // with it (survivors re-inject them from lineage records), and
             // any lock it holds is broken by the owner after the lease.
@@ -580,7 +422,7 @@ pub fn run_uts_with(
 /// [`run_uts_with`] under a fault plan. One-sided verbs already retry
 /// inside the fabric (time is charged, semantics preserved); crash-stop
 /// freezes need no protocol support, and `kill` entries arm the fail-stop
-/// recovery protocol.
+/// recovery bookkeeping.
 pub fn run_uts_faulty(
     spec: &UtsSpec,
     workers: usize,
@@ -589,7 +431,8 @@ pub fn run_uts_faulty(
     amount: StealAmount,
     plan: FaultPlan,
 ) -> BotReport {
-    run_workload_faulty(&Workload::Uts(spec.clone()), workers, profile, seed, amount, plan)
+    let work = Workload::Uts(spec.clone());
+    run_workload_fabric(&work, workers, profile, seed, amount, plan, FabricMode::Blocking)
 }
 
 /// Run PFor as a bag of ranges under the one-sided runtime.
@@ -600,14 +443,9 @@ pub fn run_pfor_faulty(
     seed: u64,
     plan: FaultPlan,
 ) -> BotReport {
-    run_workload_faulty(
-        &Workload::Pfor(p),
-        workers,
-        profile,
-        seed,
-        StealAmount::Half,
-        plan,
-    )
+    let work = Workload::Pfor(p);
+    let amount = StealAmount::Half;
+    run_workload_fabric(&work, workers, profile, seed, amount, plan, FabricMode::Blocking)
 }
 
 /// [`run_uts`] with an explicit fabric mode (posted-verb ablation entry
@@ -630,19 +468,7 @@ pub fn run_uts_fabric(
     )
 }
 
-/// Run any bag workload under a fault plan.
-pub fn run_workload_faulty(
-    work: &Workload,
-    workers: usize,
-    profile: MachineProfile,
-    seed: u64,
-    amount: StealAmount,
-    plan: FaultPlan,
-) -> BotReport {
-    run_workload_fabric(work, workers, profile, seed, amount, plan, FabricMode::Blocking)
-}
-
-/// [`run_workload_faulty`] with an explicit fabric mode.
+/// Run any bag workload under a fault plan and an explicit fabric mode.
 pub fn run_workload_fabric(
     work: &Workload,
     workers: usize,
@@ -652,99 +478,19 @@ pub fn run_workload_fabric(
     plan: FaultPlan,
     fabric: FabricMode,
 ) -> BotReport {
-    let armed = plan.recovery_armed();
     let mut engine = build(work, workers, profile, seed, amount, plan, fabric);
-    let report = engine.run();
+    let run = engine.run();
     let (world, actors) = engine.into_parts();
-    let end = report.end_time;
-
-    let live = |p: &usize| !world.m.is_dead(*p, end);
-    let created: u64 = (0..workers).filter(live).map(|p| world.counters[p].created).sum();
-    let consumed: u64 = (0..workers).filter(live).map(|p| world.counters[p].consumed).sum();
-    assert_eq!(created, consumed, "termination fired with outstanding work");
-    if armed {
-        for p in (0..workers).filter(live) {
-            assert!(world.bags[p].is_empty(), "live worker {p} terminated with work");
-        }
-    }
-
-    let dead_workers = (0..workers).filter(|p| !live(p)).count() as u64;
-    BotReport {
-        elapsed: end,
-        nodes: if armed {
-            world.recovery.collector.unique
-        } else {
-            world.counters.iter().map(|c| c.nodes).sum()
-        },
-        checksum: world.recovery.collector.checksum,
-        steals_ok: actors.iter().map(|a| a.steals_ok).sum(),
-        steals_failed: actors.iter().map(|a| a.steals_failed).sum(),
-        messages: 0,
-        token_rounds: world.token_rounds,
-        dead_workers,
-        lost_tasks: world.recovery.lost_tasks,
-        reexec_tasks: world.recovery.reexec_tasks,
-        dup_results: world.recovery.collector.dups,
-        fabric: world.m.stats_total(),
-        steps: report.steps,
-    }
+    let steals_ok = actors.iter().map(|a| a.steals_ok).sum();
+    let steals_failed = actors.iter().map(|a| a.steals_failed).sum();
+    world.report(&run, steals_ok, steals_failed)
 }
 
-/// What a schedule-explored BoT run actually did — raw observations for
-/// `dcs-check`'s termination oracle, with no asserts of its own (the checker
-/// turns mismatches into reported violations instead of panics).
-#[derive(Clone, Debug)]
-pub struct BotCheckOutcome {
-    /// UTS nodes expanded across all workers (raw, duplicates included).
-    pub nodes: u64,
-    /// Head-node deduplicated result (equals `nodes` when fault-free).
-    pub unique: u64,
-    /// Order-independent checksum of first-seen task ids.
-    pub checksum: u64,
-    /// Global created / consumed task counts over workers still alive when
-    /// the run ended — termination *safety* is `created == consumed`.
-    pub created: u64,
-    pub consumed: u64,
-    /// Live workers whose bag still held tasks when the run ended (must be
-    /// empty: terminating with resident work loses it).
-    pub bags_nonempty: Vec<WorkerId>,
-    /// Workers killed by the fault plan before the run ended.
-    pub dead_workers: Vec<WorkerId>,
-    /// Token rounds the detector ran.
-    pub token_rounds: u64,
-    /// Engine steps taken — bounded, so an exploration that livelocks is
-    /// caught by the engine's step ceiling rather than hanging the checker.
-    pub steps: u64,
-}
-
-/// Run UTS with the engine's step order chosen by `hook` (fault-free), and
-/// return raw observations instead of an asserted [`BotReport`].
-pub fn run_uts_hooked<H: ScheduleHook + ?Sized>(
-    spec: &UtsSpec,
-    workers: usize,
-    profile: MachineProfile,
-    seed: u64,
-    hook: &mut H,
-) -> BotCheckOutcome {
-    run_uts_hooked_faulty(spec, workers, profile, seed, hook, FaultPlan::none())
-}
-
-/// [`run_uts_hooked`] under a fault plan — the entry point of the
-/// crash-schedule oracle, which explores kill interleavings.
-pub fn run_uts_hooked_faulty<H: ScheduleHook + ?Sized>(
-    spec: &UtsSpec,
-    workers: usize,
-    profile: MachineProfile,
-    seed: u64,
-    hook: &mut H,
-    plan: FaultPlan,
-) -> BotCheckOutcome {
-    run_uts_hooked_fabric(spec, workers, profile, seed, hook, plan, FabricMode::Blocking)
-}
-
-/// [`run_uts_hooked_faulty`] with an explicit fabric mode — lets the
-/// checker explore interleavings at the posted-verb protocol's extra
-/// yield points (between a steal's post and its completion).
+/// Run UTS with the engine's step order chosen by `hook`, and return raw
+/// observations instead of an asserted [`BotReport`] — the entry point of
+/// `dcs-check`'s termination and crash-schedule oracles. The fabric mode
+/// lets the checker explore interleavings at the posted-verb protocol's
+/// extra yield points (between a steal's post and its completion).
 pub fn run_uts_hooked_fabric<H: ScheduleHook + ?Sized>(
     spec: &UtsSpec,
     workers: usize,
@@ -754,7 +500,6 @@ pub fn run_uts_hooked_fabric<H: ScheduleHook + ?Sized>(
     plan: FaultPlan,
     fabric: FabricMode,
 ) -> BotCheckOutcome {
-    let armed = plan.recovery_armed();
     let mut engine = build(
         &Workload::Uts(spec.clone()),
         workers,
@@ -764,32 +509,8 @@ pub fn run_uts_hooked_fabric<H: ScheduleHook + ?Sized>(
         plan,
         fabric,
     );
-    let report = engine.run_with_hook(hook);
-    let (world, _actors) = engine.into_parts();
-    let end = report.end_time;
-    let live = |p: &usize| !world.m.is_dead(*p, end);
-    let raw_nodes: u64 = world.counters.iter().map(|c| c.nodes).sum();
-    BotCheckOutcome {
-        nodes: raw_nodes,
-        unique: if armed {
-            world.recovery.collector.unique
-        } else {
-            raw_nodes
-        },
-        checksum: world.recovery.collector.checksum,
-        created: (0..workers).filter(live).map(|p| world.counters[p].created).sum(),
-        consumed: (0..workers).filter(live).map(|p| world.counters[p].consumed).sum(),
-        bags_nonempty: world
-            .bags
-            .iter()
-            .enumerate()
-            .filter(|(p, b)| !b.is_empty() && live(p))
-            .map(|(p, _)| p)
-            .collect(),
-        dead_workers: (0..workers).filter(|p| !live(p)).collect(),
-        token_rounds: world.token_rounds,
-        steps: report.steps,
-    }
+    let run = engine.run_with_hook(hook);
+    engine.world.outcome(&run)
 }
 
 /// Assemble the machine, seeded world and worker actors of a bag run.
@@ -811,16 +532,7 @@ fn build(
             .with_faults(plan)
             .with_fabric(fabric),
     );
-    let root = work.root_task();
-    let mut world = BotWorld {
-        m,
-        bags: (0..workers).map(|_| Vec::new()).collect(),
-        counters: vec![Counters::default(); workers],
-        recovery: Recovery::new(workers, root),
-        token_rounds: 0,
-    };
-    world.bags[0].push(root);
-    world.counters[0].created = 1;
+    let mut world = BotWorld::new(m, work.root_task(), ());
     world.m.put_u64(0, word(0, W_SIZE), 1);
 
     let actors: Vec<BotWorker> = (0..workers)
@@ -833,11 +545,7 @@ fn build(
             scale,
             rng: SimRng::for_worker(seed, me),
             state: if me == 0 { BState::Work } else { BState::Idle },
-            detector: Detector::default(),
-            token_outstanding: false,
-            forwarded_round: 0,
-            dead: std::collections::BTreeSet::new(),
-            death_cursor: 0,
+            ring: Ring::new(me, workers),
             steals_ok: 0,
             steals_failed: 0,
             halted: false,

@@ -12,7 +12,11 @@
 //!   goes quiescent; victims push half their surplus to an armed lifeline
 //!   as they generate work (Saraswat et al.).
 //!
-//! Termination is the Mattern token circulating as a ring message.
+//! Termination is the Mattern token circulating as a ring message. The ring
+//! itself — who initiates, who the successor is, when a round counts — is
+//! [`crate::termination::Ring`], shared with the one-sided runtime; this
+//! file only carries its token in `Msg::Token` and keeps the transport's
+//! own state (`held_token`, `sent_cache`, the RTO re-seed).
 //!
 //! ## Fault tolerance
 //!
@@ -32,19 +36,24 @@
 //!   or retransmitted token triggers a verbatim re-send, so the wave always
 //!   reaches the break and never double-counts.
 //!
-//! ## Fail-stop recovery (recovery-armed fault plans)
+//! ## Fail-stop recovery
 //!
-//! `kill=W@T` entries arm the crash-tolerant protocol (see
-//! `docs/PROTOCOLS.md`). On top of the lineage/replay machinery shared with
-//! the one-sided runtime, two-sided stealing adds **in-flight tasks**: a
-//! granted batch lives in the channel, in neither bag. The termination fold
-//! therefore carries four counters (`created`, `consumed`, `sent`, `recv`)
-//! and fires only when the live sums balance *and* `sent == recv`. When a
-//! worker confirms a peer dead it (a) replays every batch it granted or
-//! pushed to it, (b) relabels tasks it had received from it as locally
-//! created, and (c) excludes its channel with the dead peer from the
-//! `sent`/`recv` folds — messages from a confirmed-dead sender are fenced
-//! off (rejected) so those adjustments stay final.
+//! The protocol is crash-tolerant as written (see `docs/PROTOCOLS.md`):
+//! its liveness checks are vacuous while nobody has been killed, so a
+//! fault-free run executes the same token state machine as a run that
+//! survives kills. A recovery-armed plan (`kill=W@T` entries or
+//! `recover=on`) adds the bookkeeping that costs host time: lineage
+//! records, the head-node collector and the `sent`/`recv` transfer counts.
+//! On top of the lineage/replay machinery shared with the one-sided
+//! runtime, two-sided stealing has **in-flight tasks**: a granted batch
+//! lives in the channel, in neither bag. The termination fold therefore
+//! carries four counters (`created`, `consumed`, `sent`, `recv` — the last
+//! two stay zero unarmed) and fires only when the live sums balance *and*
+//! `sent == recv`. When a worker confirms a peer dead it (a) replays every
+//! batch it granted or pushed to it, (b) relabels tasks it had received
+//! from it as locally created, and (c) excludes its channel with the dead
+//! peer from the `sent`/`recv` folds — messages from a confirmed-dead
+//! sender are fenced off (rejected) so those adjustments stay final.
 
 use std::collections::VecDeque;
 
@@ -54,11 +63,8 @@ use dcs_sim::{
     VTime, WorkerId,
 };
 
-use crate::termination::{
-    accumulate, accumulate4, round_from_old_incarnation, round_initiator, tag_round_epoch,
-    Detector, Token,
-};
-use crate::{BotReport, Counters, PforBag, Recovery, Task, Workload, TASK_BYTES};
+use crate::termination::{Ring, Token};
+use crate::{BotReport, BotWorld, Counters, PforBag, Task, Workload, TASK_BYTES};
 
 /// Which two-sided strategy to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,15 +89,8 @@ pub enum Msg {
     Token(Token),
 }
 
-/// Shared state of a two-sided BoT run.
-pub struct TwoWorld {
-    pub m: Machine,
-    pub bags: Vec<Vec<Task>>,
-    pub counters: Vec<Counters>,
-    pub mailbox: Mailbox<Msg>,
-    pub recovery: Recovery,
-    pub token_rounds: u64,
-}
+/// Shared state of a two-sided BoT run: the bag world plus the mailbox.
+pub type TwoWorld = BotWorld<Mailbox<Msg>>;
 
 /// Random-attempt budget before falling back to lifelines.
 const RANDOM_ATTEMPTS: u32 = 2;
@@ -116,14 +115,11 @@ struct TwoWorker {
     my_armed: Vec<WorkerId>,
     /// When the lifelines were (last) armed, for fault re-arming.
     armed_at: VTime,
+    ring: Ring,
     /// Token held while busy.
     held_token: Option<Token>,
-    detector: Detector,
-    token_outstanding: bool,
     /// Initiator: when the current round's token was (re)sent.
     round_sent: VTime,
-    /// Highest token round this worker forwarded (non-initiators).
-    forwarded_round: u64,
     /// The exact token sent for the current round (seed for the initiator,
     /// accumulated token otherwise): re-sent verbatim on duplicates and
     /// retransmissions so the wave is idempotent.
@@ -134,13 +130,6 @@ struct TwoWorker {
     /// Sparse: only senders this worker has actually heard from appear;
     /// an absent entry means sequence 0.
     seen_seq: std::collections::BTreeMap<WorkerId, u64>,
-    /// Peers this worker has confirmed dead via the lease registry.
-    /// Sparse: only confirmed workers appear, so scans over it cost
-    /// O(confirmed), not O(W).
-    dead: std::collections::BTreeSet<WorkerId>,
-    /// Position in the machine's death-candidate feed
-    /// ([`Machine::death_candidates`]); replaces an O(W) sweep per scan.
-    death_cursor: usize,
     /// Tasks sent to / received from each peer (recovery bookkeeping).
     /// Sparse: only channels that actually carried tasks appear.
     sent_to: std::collections::BTreeMap<WorkerId, u64>,
@@ -170,44 +159,29 @@ impl TwoWorker {
         out
     }
 
-    /// The lowest worker this one has not confirmed dead. The dead set is
-    /// sorted, so this walks its prefix: O(confirmed).
-    fn initiator(&self) -> WorkerId {
-        let mut c = 0;
-        for &d in &self.dead {
-            if d == c {
-                c += 1;
-            } else {
-                break;
-            }
-        }
-        debug_assert!(c < self.n, "self is never confirmed dead");
-        c
-    }
-
-    /// Next ring successor not confirmed dead. Skips only confirmed-dead
-    /// peers, so the walk costs O(confirmed), not O(W).
-    fn succ_live(&self) -> Option<WorkerId> {
-        (1..self.n)
-            .map(|d| (self.me + d) % self.n)
-            .find(|p| !self.dead.contains(p))
-    }
-
-    /// `sent`/`recv` fold values excluding channels with confirmed-dead
-    /// peers.
-    fn sent_recv_live(&self, w: &TwoWorld) -> (u64, u64) {
+    /// This worker's counters as the token fold sees them: `sent`/`recv`
+    /// exclude channels with confirmed-dead peers.
+    fn live_counters(&self, w: &TwoWorld) -> Counters {
         let c = w.counters[self.me];
-        (c.sent - self.sent_dead, c.recv - self.recv_dead)
+        Counters {
+            sent: c.sent - self.sent_dead,
+            recv: c.recv - self.recv_dead,
+            ..c
+        }
     }
 
     /// Mark `d` confirmed dead: replay granted batches, re-label tasks
     /// received from it, fence its channel out of the folds, and drop any
     /// protocol state pointing at it.
     fn confirm(&mut self, d: WorkerId, w: &mut TwoWorld) {
-        if d == self.me || self.dead.contains(&d) {
+        let seeded = self.ring.outstanding();
+        if !self.ring.confirm(d) {
             return;
         }
-        self.dead.insert(d);
+        if seeded {
+            // The ring abandoned my outstanding round: nothing to re-send.
+            self.sent_cache = None;
+        }
         let me = self.me;
         // Re-inject the batches granted to the dead peer. No `created`
         // adjustment: excluding the channel via `sent_dead` below already
@@ -215,7 +189,9 @@ impl TwoWorker {
         // is the physical side of that same correction.
         w.recovery.replay_batches(me, d, &mut w.bags[me]);
         let mut add = 0;
-        if w.recovery.maybe_adopt_root(me, &self.dead, &mut w.bags[me]) {
+        if w.recovery
+            .maybe_adopt_root(me, self.ring.dead(), &mut w.bags[me])
+        {
             add += 1;
         }
         // Tasks received from the dead peer are re-labelled as locally
@@ -234,33 +210,13 @@ impl TwoWorker {
         }
         self.armed_on_me.retain(|&p| p != d);
         self.my_armed.retain(|&p| p != d);
-        if self.token_outstanding {
-            // An outstanding round may have died with the peer: abandon it
-            // (burning its sequence number) and re-seed.
-            self.detector.rounds += 1;
-            self.token_outstanding = false;
-            self.sent_cache = None;
-        }
     }
 
-    /// Confirm every peer whose lease has expired. Driven by the machine's
-    /// death-candidate feed: only workers whose suspicion status could have
-    /// changed since the last scan are re-checked, so total scan cost over
-    /// a run is O(status changes) instead of O(W) per step. Candidates are
-    /// processed in increasing id order, matching the old `0..n` sweep's
-    /// confirmation order.
+    /// Confirm every peer whose lease has expired (a free read of the
+    /// local lease mirror; see [`Ring::confirmable`]).
     fn scan_confirm(&mut self, now: VTime, w: &mut TwoWorld) {
-        let mut cands: Vec<WorkerId> = Vec::new();
-        w.m.death_candidates(&mut self.death_cursor, now, &mut cands);
-        if cands.is_empty() {
-            return;
-        }
-        cands.sort_unstable();
-        cands.dedup();
-        for p in cands {
-            if p != self.me && !self.dead.contains(&p) && w.m.confirmed_dead(p, now) {
-                self.confirm(p, w);
-            }
+        for p in self.ring.confirmable(&mut w.m, now) {
+            self.confirm(p, w);
         }
     }
 
@@ -272,7 +228,7 @@ impl TwoWorker {
         let deliver = now + cost + VTime::ns(w.m.lat().message);
         let redeliver = deliver + VTime::ns(w.m.lat().message);
         let fate = w.m.msg_fate(self.me, droppable);
-        w.mailbox.send_with_fate(self.me, to, deliver, redeliver, fate, msg);
+        w.net.send_with_fate(self.me, to, deliver, redeliver, fate, msg);
         cost
     }
 
@@ -281,7 +237,7 @@ impl TwoWorker {
         let deliver = now + cost + VTime::ns(w.m.lat().message);
         let redeliver = deliver + VTime::ns(w.m.lat().message);
         let fate = w.m.msg_fate(self.me, false);
-        w.mailbox.send_with_fate(self.me, to, deliver, redeliver, fate, msg);
+        w.net.send_with_fate(self.me, to, deliver, redeliver, fate, msg);
         cost
     }
 
@@ -318,26 +274,25 @@ impl TwoWorker {
     /// Forward (or hold) a token per Mattern's ring, dropping stale rounds
     /// and answering duplicates with the cached out-token.
     fn on_token(&mut self, w: &mut TwoWorld, now: VTime, tok: Token) -> VTime {
-        if self.armed {
-            return self.on_token_armed(w, now, tok);
+        if !self.ring.live_seeder(tok.round, &w.m) {
+            return VTime::ZERO; // a dead or evicted initiator's round can never fire
         }
-        if self.me != 0 {
-            if tok.round <= self.forwarded_round {
-                // Duplicate (or initiator retransmission) of a round this
-                // worker already served: re-send the cached out-token
-                // verbatim so the wave survives a downstream drop.
-                if let Some(out) = self.sent_cache {
-                    return self.send(w, now, (self.me + 1) % self.n, Msg::Token(out), true);
-                }
+        if self.me == self.ring.initiator() {
+            if !self.ring.awaits(&tok, &w.m) {
+                // Only the return of the outstanding round counts; stale
+                // rounds and duplicates are dropped.
                 return VTime::ZERO;
             }
-            if self.held_token.is_some_and(|h| h.round >= tok.round) {
-                return VTime::ZERO; // duplicate of the token being held
+        } else if tok.round <= self.ring.forwarded_round() {
+            // Duplicate (or initiator retransmission) of a round this
+            // worker already served: re-send the cached out-token verbatim
+            // so the wave survives a downstream drop.
+            if let (Some(out), Some(succ)) = (self.sent_cache, self.ring.succ_live()) {
+                return self.send(w, now, succ, Msg::Token(out), true);
             }
-        } else if !self.token_outstanding || tok.round != self.detector.rounds + 1 {
-            // Initiator: only the return of the outstanding round counts;
-            // stale rounds and duplicates are dropped.
             return VTime::ZERO;
+        } else if self.held_token.is_some_and(|h| h.round >= tok.round) {
+            return VTime::ZERO; // duplicate of the token being held
         }
         if !w.bags[self.me].is_empty() {
             self.held_token = Some(tok);
@@ -346,104 +301,33 @@ impl TwoWorker {
         self.forward_token(w, now, tok)
     }
 
-    fn on_token_armed(&mut self, w: &mut TwoWorld, now: VTime, tok: Token) -> VTime {
-        // Rounds seeded by an initiator known to be dead can never fire,
-        // and neither can one seeded by an evicted zombie incarnation.
-        let seeder = round_initiator(tok.round);
-        if self.dead.contains(&seeder) || round_from_old_incarnation(tok.round, w.m.epoch_of(seeder)) {
-            return VTime::ZERO;
-        }
-        if self.me == self.initiator() {
-            if !self.token_outstanding
-                || tok.round
-                    != tag_round_epoch(self.me, w.m.epoch_of(self.me), self.detector.rounds + 1)
-            {
-                return VTime::ZERO;
-            }
-        } else {
-            if tok.round <= self.forwarded_round {
-                if let (Some(out), Some(succ)) = (self.sent_cache, self.succ_live()) {
-                    return self.send(w, now, succ, Msg::Token(out), true);
-                }
-                return VTime::ZERO;
-            }
-            if self.held_token.is_some_and(|h| h.round >= tok.round) {
-                return VTime::ZERO;
-            }
-        }
-        if !w.bags[self.me].is_empty() {
-            self.held_token = Some(tok);
-            return VTime::ZERO;
-        }
-        self.forward_token(w, now, tok)
-    }
-
+    /// Serve a token with an empty bag: the initiator judges the round, a
+    /// forwarder folds its counters in and passes it on.
     fn forward_token(&mut self, w: &mut TwoWorld, now: VTime, tok: Token) -> VTime {
-        if self.armed {
-            // Confirm every expired lease before folding, so lineage
-            // replays land in the counters this fold reports.
-            self.scan_confirm(now, w);
-            if !w.bags[self.me].is_empty() {
-                // A replay refilled the bag: hold the token until done.
-                self.held_token = Some(tok);
+        // Confirm every expired lease before folding, so lineage replays
+        // land in the counters this fold reports.
+        self.scan_confirm(now, w);
+        if !w.bags[self.me].is_empty() {
+            // A replay refilled the bag: hold the token until done.
+            self.held_token = Some(tok);
+            return VTime::ZERO;
+        }
+        if self.me == self.ring.initiator() {
+            // `None`: a held duplicate of a round already judged, or one a
+            // confirmation abandoned since it was accepted. Feeding it to
+            // the detector again would let a single balanced round satisfy
+            // the two-round rule.
+            let Some(reduce) = self.ring.complete(&tok, &mut w.m) else {
                 return VTime::ZERO;
-            }
-            return self.forward_token_armed(w, now, tok);
-        }
-        let cnt = w.counters[self.me];
-        if self.me == 0 {
-            // Round completed.
-            self.token_outstanding = false;
+            };
             self.sent_cache = None;
-            let done = self.detector.round_done(tok.created, tok.consumed);
-            w.token_rounds = self.detector.rounds;
-            if done {
-                let hops = (self.n as f64).log2().ceil() as u64;
-                let reduce = VTime::ns(hops * (w.m.lat().message + w.m.lat().msg_handler));
-                w.m.set_done();
-                return reduce;
-            }
-            VTime::ZERO
+            w.note_rounds(self.ring.rounds());
+            reduce
         } else {
-            let out = accumulate(tok, cnt.created, cnt.consumed);
-            self.forwarded_round = tok.round;
-            self.sent_cache = Some(out);
-            self.send(w, now, (self.me + 1) % self.n, Msg::Token(out), true)
-        }
-    }
-
-    fn forward_token_armed(&mut self, w: &mut TwoWorld, now: VTime, tok: Token) -> VTime {
-        let me = self.me;
-        let cnt = w.counters[me];
-        let (s_live, r_live) = self.sent_recv_live(w);
-        if me == self.initiator() {
-            if tok.round != tag_round_epoch(me, w.m.epoch_of(me), self.detector.rounds + 1) {
-                return VTime::ZERO; // confirmed a death since accepting
-            }
-            self.token_outstanding = false;
-            self.sent_cache = None;
-            // Stability: fire only if every known death was confirmable
-            // before the round started (see onesided.rs for the argument).
-            let start = VTime::ns(tok.start_ns);
-            let stable = self.dead.iter().all(|&d| w.m.confirmed_dead(d, start));
-            let done = self
-                .detector
-                .round_done4(tok.created, tok.consumed, tok.sent, tok.recv)
-                && stable;
-            w.token_rounds = w.token_rounds.max(self.detector.rounds);
-            if done {
-                let hops = (self.n as f64).log2().ceil() as u64;
-                let reduce = VTime::ns(hops * (w.m.lat().message + w.m.lat().msg_handler));
-                w.m.set_done();
-                return reduce;
-            }
-            VTime::ZERO
-        } else {
-            let Some(succ) = self.succ_live() else {
+            let Some(succ) = self.ring.succ_live() else {
                 return VTime::ZERO; // everyone else died: initiator duty next idle step
             };
-            let out = accumulate4(tok, cnt.created, cnt.consumed, s_live, r_live);
-            self.forwarded_round = tok.round;
+            let out = self.ring.fold(tok, self.live_counters(w));
             self.sent_cache = Some(out);
             self.send(w, now, succ, Msg::Token(out), true)
         }
@@ -455,7 +339,7 @@ impl TwoWorker {
         let me = self.me;
         let mut cost = w.m.message_handled(me);
         let mut got_work = false;
-        if self.armed && self.dead.contains(&from) && !matches!(msg, Msg::Token(_)) {
+        if self.ring.is_dead(from) && !matches!(msg, Msg::Token(_)) {
             // Epoch fencing: traffic from a confirmed-dead sender is
             // rejected — its batches were already replayed and its channel
             // excluded from the folds, so accepting now would double-count.
@@ -520,7 +404,7 @@ impl TwoWorker {
     fn poll_one(&mut self, w: &mut TwoWorld, now: VTime) -> (VTime, bool) {
         let mut cost = w.m.local_op(self.me);
         let mut got = false;
-        if let Some((from, msg)) = w.mailbox.recv(self.me, now) {
+        if let Some((from, msg)) = w.net.recv(self.me, now) {
             let (c, g) = self.handle(w, now, from, msg);
             cost += c;
             got = g;
@@ -568,9 +452,7 @@ impl TwoWorker {
             return Step::Halt;
         }
         let (mut cost, _) = self.poll_one(w, now);
-        if self.armed {
-            self.scan_confirm(now, w);
-        }
+        self.scan_confirm(now, w);
         if !w.bags[me].is_empty() {
             return Step::Yield(cost);
         }
@@ -579,46 +461,16 @@ impl TwoWorker {
             cost += self.forward_token(w, now, tok);
         }
         // Initiator token duty.
-        let init = if self.armed { self.initiator() } else { 0 };
-        if me == init {
-            if !self.token_outstanding {
-                let cnt = w.counters[me];
-                let succ = if self.armed {
-                    self.succ_live()
-                } else if self.n > 1 {
-                    Some((me + 1) % self.n)
-                } else {
-                    None
-                };
-                let Some(succ) = succ else {
+        if me == self.ring.initiator() {
+            if !self.ring.outstanding() {
+                let cnt = self.live_counters(w);
+                let Some(succ) = self.ring.succ_live() else {
                     // Degenerate ring (single worker, or every peer dead).
-                    let done = if self.armed {
-                        let (s, r) = self.sent_recv_live(w);
-                        self.detector.round_done4(cnt.created, cnt.consumed, s, r)
-                    } else {
-                        self.detector.round_done(cnt.created, cnt.consumed)
-                    };
-                    w.token_rounds = w.token_rounds.max(self.detector.rounds);
-                    if done {
-                        w.m.set_done();
-                    }
+                    self.ring.solo_round(&mut w.m, cnt);
+                    w.note_rounds(self.ring.rounds());
                     return Step::Yield(cost + w.m.local_op(me));
                 };
-                let tok = if self.armed {
-                    let (s, r) = self.sent_recv_live(w);
-                    self.detector.new_round_tagged(
-                        me,
-                        w.m.epoch_of(me),
-                        now.as_ns(),
-                        cnt.created,
-                        cnt.consumed,
-                        s,
-                        r,
-                    )
-                } else {
-                    self.detector.new_round(cnt.created, cnt.consumed)
-                };
-                self.token_outstanding = true;
+                let tok = self.ring.seed(&w.m, now, cnt);
                 self.round_sent = now;
                 self.sent_cache = Some(tok);
                 cost += self.send(w, now, succ, Msg::Token(tok), true);
@@ -627,16 +479,9 @@ impl TwoWorker {
                 // probably dropped or died with a worker. Re-seed the round
                 // verbatim — every hop is idempotent, so a late original
                 // cannot double-count.
-                if let Some(tok) = self.sent_cache {
-                    let succ = if self.armed {
-                        self.succ_live()
-                    } else {
-                        Some((me + 1) % self.n)
-                    };
-                    if let Some(succ) = succ {
-                        self.round_sent = now;
-                        cost += self.send(w, now, succ, Msg::Token(tok), true);
-                    }
+                if let (Some(tok), Some(succ)) = (self.sent_cache, self.ring.succ_live()) {
+                    self.round_sent = now;
+                    cost += self.send(w, now, succ, Msg::Token(tok), true);
                 }
             }
         }
@@ -658,7 +503,7 @@ impl TwoWorker {
         match self.variant {
             Variant::Random => {
                 let victim = self.rng.victim(self.n, me);
-                if self.armed && self.dead.contains(&victim) {
+                if self.ring.is_dead(victim) {
                     self.steals_failed += 1;
                 } else {
                     cost += self.send(w, now, victim, Msg::Request, true);
@@ -668,7 +513,7 @@ impl TwoWorker {
             Variant::Lifeline => {
                 if self.fails < RANDOM_ATTEMPTS {
                     let victim = self.rng.victim(self.n, me);
-                    if self.armed && self.dead.contains(&victim) {
+                    if self.ring.is_dead(victim) {
                         self.steals_failed += 1;
                     } else {
                         cost += self.send(w, now, victim, Msg::Request, true);
@@ -687,10 +532,7 @@ impl TwoWorker {
                     // Arm any un-armed lifelines, then wait passively.
                     let mut armed_any = false;
                     for nb in self.lifeline_neighbours() {
-                        if self.armed && self.dead.contains(&nb) {
-                            continue;
-                        }
-                        if !self.my_armed.contains(&nb) {
+                        if !self.ring.is_dead(nb) && !self.my_armed.contains(&nb) {
                             self.my_armed.push(nb);
                             cost += self.send(w, now, nb, Msg::Lifeline, true);
                             armed_any = true;
@@ -713,7 +555,7 @@ impl Actor<TwoWorld> for TwoWorker {
             return Step::Halt;
         }
         w.m.begin_step(me, now);
-        if self.armed && w.m.is_dead(me, now) {
+        if w.m.is_dead(me, now) {
             // Fail-stop: resident tasks are lost with the worker; givers
             // replay them from lineage once the lease expires. Queued mail
             // is never polled again.
@@ -791,17 +633,7 @@ pub fn run_workload_faulty(
     // Reply/retransmit timeout: generously above a round trip, so healthy
     // exchanges never trip it even under degraded-NIC scaling.
     let rto = VTime::ns((m.lat().message + m.lat().msg_handler) * 64);
-    let root = work.root_task();
-    let mut world = TwoWorld {
-        m,
-        bags: (0..workers).map(|_| Vec::new()).collect(),
-        counters: vec![Counters::default(); workers],
-        mailbox: Mailbox::new(workers),
-        recovery: Recovery::new(workers, root),
-        token_rounds: 0,
-    };
-    world.bags[0].push(root);
-    world.counters[0].created = 1;
+    let world = BotWorld::new(m, work.root_task(), Mailbox::new(workers));
 
     let actors: Vec<TwoWorker> = (0..workers)
         .map(|me| TwoWorker {
@@ -817,16 +649,12 @@ pub fn run_workload_faulty(
             armed_on_me: VecDeque::new(),
             my_armed: Vec::new(),
             armed_at: VTime::ZERO,
+            ring: Ring::new(me, workers),
             held_token: None,
-            detector: Detector::default(),
-            token_outstanding: false,
             round_sent: VTime::ZERO,
-            forwarded_round: 0,
             sent_cache: None,
             send_seq: 0,
             seen_seq: std::collections::BTreeMap::new(),
-            dead: std::collections::BTreeSet::new(),
-            death_cursor: 0,
             sent_to: std::collections::BTreeMap::new(),
             recv_from: std::collections::BTreeMap::new(),
             sent_dead: 0,
@@ -839,40 +667,11 @@ pub fn run_workload_faulty(
         .collect();
 
     let mut engine = Engine::new(world, actors);
-    let report = engine.run();
+    let run = engine.run();
     let (world, actors) = engine.into_parts();
-    let end = report.end_time;
-
-    let live = |p: &usize| !world.m.is_dead(*p, end);
-    let created: u64 = (0..workers).filter(live).map(|p| world.counters[p].created).sum();
-    let consumed: u64 = (0..workers).filter(live).map(|p| world.counters[p].consumed).sum();
-    assert_eq!(created, consumed, "termination fired with outstanding work");
-    if armed {
-        for p in (0..workers).filter(live) {
-            assert!(world.bags[p].is_empty(), "live worker {p} terminated with work");
-        }
-    }
-
-    let dead_workers = (0..workers).filter(|p| !live(p)).count() as u64;
-    BotReport {
-        elapsed: end,
-        nodes: if armed {
-            world.recovery.collector.unique
-        } else {
-            world.counters.iter().map(|c| c.nodes).sum()
-        },
-        checksum: world.recovery.collector.checksum,
-        steals_ok: actors.iter().map(|a| a.steals_ok).sum(),
-        steals_failed: actors.iter().map(|a| a.steals_failed).sum(),
-        messages: world.m.stats_total().messages_handled,
-        token_rounds: world.token_rounds,
-        dead_workers,
-        lost_tasks: world.recovery.lost_tasks,
-        reexec_tasks: world.recovery.reexec_tasks,
-        dup_results: world.recovery.collector.dups,
-        fabric: world.m.stats_total(),
-        steps: report.steps,
-    }
+    let steals_ok = actors.iter().map(|a| a.steals_ok).sum();
+    let steals_failed = actors.iter().map(|a| a.steals_failed).sum();
+    world.report(&run, steals_ok, steals_failed)
 }
 
 #[cfg(test)]
@@ -943,6 +742,31 @@ mod tests {
                 assert_eq!(r.nodes, expected, "{variant:?} P={workers}");
             }
         }
+    }
+
+    /// Regression: the initiator used to feed a stale duplicate of an
+    /// already-judged round — a retransmission it had parked in
+    /// `held_token` while busy — to the detector a second time. That
+    /// over-counted `token_rounds` (6 here) and let one real balanced round
+    /// satisfy the two-round rule. The virtual timeline is unchanged: the
+    /// extra "round" cost nothing, it only corrupted the detector.
+    #[test]
+    fn held_duplicate_of_a_judged_round_is_not_counted_again() {
+        let plan = FaultPlan::parse("verb=0.02")
+            .expect("plan parses")
+            .with_seed(1);
+        let r = run_uts_faulty(
+            &presets::tiny(),
+            8,
+            profiles::test_profile(),
+            Variant::Lifeline,
+            1,
+            plan,
+        );
+        assert_eq!(r.nodes, 3028);
+        assert_eq!(r.token_rounds, 5);
+        assert_eq!(r.elapsed, VTime::ns(72_136));
+        assert_eq!(r.steps, 29_643);
     }
 
     #[test]

@@ -210,6 +210,9 @@ impl EventQueue {
     }
 }
 
+/// World-side waker: appends every pending `(wake instant, worker)` pair.
+pub type Waker<W> = fn(&mut W, &mut Vec<(VTime, WorkerId)>);
+
 /// The event loop: an indexed 4-ary heap of `(clock, worker)` keys over the
 /// actors (see [`EventQueue`]).
 pub struct Engine<W, A> {
@@ -222,7 +225,7 @@ pub struct Engine<W, A> {
     /// every actor step; required before any actor may return
     /// [`Step::Park`]. A plain `fn` so `Engine` stays free of extra type
     /// parameters.
-    waker: Option<fn(&mut W, &mut Vec<(VTime, WorkerId)>)>,
+    waker: Option<Waker<W>>,
     wake_buf: Vec<(VTime, WorkerId)>,
     parked: usize,
 }
@@ -252,7 +255,7 @@ impl<W, A: Actor<W>> Engine<W, A> {
 
     /// Install the world-side waker that feeds parked actors back into the
     /// event queue (see [`Step::Park`]).
-    pub fn with_waker(mut self, waker: fn(&mut W, &mut Vec<(VTime, WorkerId)>)) -> Self {
+    pub fn with_waker(mut self, waker: Waker<W>) -> Self {
         self.waker = Some(waker);
         self
     }

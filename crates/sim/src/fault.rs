@@ -1354,7 +1354,7 @@ mod tests {
             .with_detector(Detector::Message)
             .with_suspect(VTime::us(30));
         let fs = FaultState::new(plan, 2);
-        for t in (0..2_000).map(|k| VTime::us(k)) {
+        for t in (0..2_000).map(VTime::us) {
             assert!(!fs.suspected(0, t), "falsely suspected at {t}");
             assert!(!fs.confirmed_dead(0, t));
         }
@@ -1396,7 +1396,7 @@ mod tests {
         // ...but unsuspected once the delayed beats land (50us, 75us, ...).
         assert!(!fs.suspected(1, VTime::us(55)));
         // The undegraded worker 0 is never suspected.
-        for t in (0..600).map(|k| VTime::us(k)) {
+        for t in (0..600).map(VTime::us) {
             assert!(!fs.suspected(0, t));
         }
         // Under the oracle the same plan confirms nobody (ground truth).
@@ -1417,7 +1417,7 @@ mod tests {
         let b = FaultState::new(plan, 4);
         let mut suspected_somewhere = false;
         for w in 0..4 {
-            for t in (0..4_000).map(|k| VTime::us(k)) {
+            for t in (0..4_000).map(VTime::us) {
                 assert_eq!(a.suspected(w, t), b.suspected(w, t));
                 suspected_somewhere |= a.suspected(w, t);
             }
@@ -1534,14 +1534,14 @@ mod tests {
         for t in (0..horizon_us).map(VTime::us) {
             out.clear();
             fs.death_candidates(&mut cursor, t, &mut out);
-            for w in 0..workers {
+            for (w, latch) in latched.iter_mut().enumerate() {
                 let now_dead = fs.confirmed_dead(w, t);
-                if now_dead != latched[w] {
+                if now_dead != *latch {
                     assert!(
                         out.contains(&w),
                         "feed missed worker {w}'s transition to {now_dead} at {t}"
                     );
-                    latched[w] = now_dead;
+                    *latch = now_dead;
                 }
             }
         }

@@ -647,6 +647,7 @@ impl Machine {
     /// only the returned workers instead of scanning the whole registry —
     /// O(status changes) per run, not O(workers) per poll. No-op (and
     /// `out` stays empty) without a fault plan.
+    #[inline]
     pub fn death_candidates(&mut self, cursor: &mut usize, now: VTime, out: &mut Vec<WorkerId>) {
         if let Some(fs) = &mut self.faults {
             fs.death_candidates(cursor, now, out);
@@ -672,6 +673,7 @@ impl Machine {
     /// protocol step; a peer whose kill instant falls inside the step is
     /// treated as dying just after it (operations already in flight
     /// linearize before the death).
+    #[inline]
     pub fn dead_guard(&mut self, me: WorkerId, peer: WorkerId, now: VTime) -> Option<VTime> {
         if me != peer && self.is_dead(peer, now) {
             self.stats[me].dead_fails += 1;

@@ -5,6 +5,7 @@
 # `FabricMode` only to pass it through (`use` lists, `fabric: FabricMode,`
 # parameters, the `FabricMode::Blocking)` default of the run_* wrappers) —
 # never to branch on it. Exits non-zero listing every other mention.
+# A second pattern (below) keeps the BoT termination ring single too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,6 +16,17 @@ done | grep -E 'FabricMode|\.fabric\(\)' | grep -vE 'FabricMode,|FabricMode::Blo
 if [ -n "$hits" ]; then
     echo "one-verb-path gate: the fabric mode is consulted outside dcs-sim:" >&2
     echo "$hits" >&2
+    exit 1
+fi
+
+# Second pattern, same idea one layer up: the BoT runtimes have one
+# termination ring (termination.rs's `Ring`, crash-tolerant; fault-free is
+# the empty dead set). Fails if an armed/unarmed token twin or the
+# two-counter detector entry point reappears anywhere under crates/bot/src.
+twins=$(grep -rnE 'token_duty_armed|on_token_armed|forward_token_armed|fn round_done\b' crates/bot/src || true)
+if [ -n "$twins" ]; then
+    echo "one-verb-path gate: a termination-ring twin is back in dcs-bot:" >&2
+    echo "$twins" >&2
     exit 1
 fi
 echo "one-verb-path gate: ok"
