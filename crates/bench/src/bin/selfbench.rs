@@ -3,16 +3,20 @@
 //! Measures, on a fixed workload set:
 //!
 //! * **actor steps/sec** — how fast the discrete-event engine grinds through
-//!   scheduler steps on this host (exercises the event-queue fast path and
-//!   the segment pool), and
+//!   scheduler steps on this host (the winner-tree event queue and the
+//!   paged segments), at 1k/10k/100k workers and on three fixed workloads,
+//! * **null-actor ns/step** — the engine alone, at W = 64 and 16 384, and
 //! * **runs/sec, sequential vs `--jobs N`** — the wall-clock effect of the
 //!   host-parallel sweep harness, together with a check that both passes
 //!   produced identical simulation results.
 //!
-//! Results land in `BENCH_simperf.json` (hand-rolled JSON; the workspace is
-//! dependency-free) so CI can archive host-throughput history. All numbers
-//! are *host* measurements — virtual-time results are asserted equal across
-//! passes, never affected.
+//! Every run *appends* one record to the `trajectory` array of
+//! `BENCH_simperf.json` (hand-rolled JSON, one record per line; the
+//! workspace is dependency-free): pass `--label NAME` to name it. The
+//! committed file holds one full-mode record per performance PR, and
+//! `scripts/check_simperf.sh` gates a fresh record against the last
+//! committed one. All numbers are *host* measurements — virtual-time
+//! results are asserted equal across passes, never affected.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -22,6 +26,10 @@ use dcs_apps::pfor::{recpfor_program, PforParams};
 use dcs_apps::uts::{self, presets};
 use dcs_bench::{quick, sweep};
 use dcs_core::prelude::*;
+use dcs_sim::{Actor, Engine, Step, WorkerId};
+
+/// Where the trajectory lives, relative to the working directory.
+const TRAJECTORY: &str = "BENCH_simperf.json";
 
 /// The fixed workload set: name + config + program constructor by index.
 const WORKLOADS: [&str; 3] = ["uts", "recpfor", "lcs"];
@@ -59,6 +67,25 @@ struct ScaleCell {
     steps_per_sec: f64,
     vtime_us: f64,
     peak_resident_bytes: u64,
+    host_rss_mb: f64,
+}
+
+/// This process's peak resident set in MB (`VmHWM`); 0 where `/proc` is
+/// not available.
+fn peak_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kb = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok());
+    kb.unwrap_or(0.0) / 1024.0
+}
+
+/// Restart the `VmHWM` high-water mark at the current resident set, so the
+/// next cell reports its own peak. Best effort: where the kernel refuses,
+/// cells report the running maximum (they run in ascending size).
+fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
 /// Constant-size workloads on cubish 3-D meshes at growing worker counts.
@@ -100,28 +127,31 @@ fn scaling_sweep() -> Vec<ScaleCell> {
     };
     println!("=== worker scaling: cubish_mesh(W, node = 48) ===");
     println!(
-        "{:<10} {:>8} {:>12} {:>10} {:>14} {:>12} {:>14}",
-        "workload", "workers", "steps", "host ms", "steps/s", "vtime", "peak bytes"
+        "{:<10} {:>8} {:>12} {:>10} {:>14} {:>12} {:>14} {:>10}",
+        "workload", "workers", "steps", "host ms", "steps/s", "vtime", "peak bytes", "host RSS"
     );
     let mut out = Vec::new();
     for &w in scales {
         for name in ["uts", "recpfor"] {
             let (cfg, program) = scaling_build(name, w);
+            reset_peak_rss();
             let t0 = Instant::now();
             let r = run(cfg, program);
             let host = t0.elapsed();
+            let host_rss_mb = peak_rss_mb();
             let host_ms = host.as_secs_f64() * 1e3;
             let sps = r.steps as f64 / host.as_secs_f64().max(1e-9);
             let peak = r.fabric.peak_resident_bytes;
             println!(
-                "{:<10} {:>8} {:>12} {:>10.1} {:>14.0} {:>12} {:>14}",
+                "{:<10} {:>8} {:>12} {:>10.1} {:>14.0} {:>12} {:>14} {:>7.1} MB",
                 name,
                 w,
                 r.steps,
                 host_ms,
                 sps,
                 r.elapsed.to_string(),
-                peak
+                peak,
+                host_rss_mb
             );
             out.push(ScaleCell {
                 workload: name,
@@ -131,6 +161,7 @@ fn scaling_sweep() -> Vec<ScaleCell> {
                 steps_per_sec: sps,
                 vtime_us: r.elapsed.as_secs_f64() * 1e6,
                 peak_resident_bytes: peak,
+                host_rss_mb,
             });
         }
     }
@@ -138,8 +169,86 @@ fn scaling_sweep() -> Vec<ScaleCell> {
     out
 }
 
+/// An actor that only yields (an LCG varies the durations): what the
+/// engine costs per step when the world does nothing.
+struct NullActor {
+    left: u32,
+    x: u64,
+}
+
+impl Actor<()> for NullActor {
+    fn step(&mut self, _me: WorkerId, _now: VTime, _world: &mut ()) -> Step {
+        if self.left == 0 {
+            return Step::Halt;
+        }
+        self.left -= 1;
+        self.x = self
+            .x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        Step::Yield(VTime::ns(10 + ((self.x >> 33) & 1023)))
+    }
+}
+
+/// Median host ns per engine step over five null-actor runs of ~2 M steps.
+fn null_step_ns(workers: usize) -> f64 {
+    let per_actor = (2_000_000 / workers) as u32;
+    let mut samples: Vec<f64> = (0..5)
+        .map(|_| {
+            let actors = (0..workers)
+                .map(|w| NullActor {
+                    left: per_actor,
+                    x: w as u64,
+                })
+                .collect();
+            let mut engine = Engine::new((), actors);
+            let t0 = Instant::now();
+            let r = engine.run();
+            t0.elapsed().as_nanos() as f64 / r.steps as f64
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// Split `--label NAME` off the arguments; the rest go to the `--jobs`
+/// parser every bench bin shares.
+fn label_and_jobs() -> Result<(String, usize), String> {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let mut label = "unlabelled".to_string();
+    if let Some(i) = args.iter().position(|a| a == "--label") {
+        if i + 1 >= args.len() {
+            return Err("--label needs a value".to_string());
+        }
+        label = args.remove(i + 1);
+        args.remove(i);
+        if label.contains(['"', '\\', '\n']) {
+            return Err("--label must be free of quotes, backslashes and newlines".to_string());
+        }
+    }
+    let env = std::env::var("DCS_JOBS").ok();
+    Ok((label, sweep::jobs_from(&args, env.as_deref())?))
+}
+
+/// Append `record` (one line of JSON) to the trajectory file, creating the
+/// file — or replacing one that is not a trajectory — when need be.
+fn append_record(record: &str) {
+    const TAIL: &str = "\n  ]\n}\n";
+    let old = std::fs::read_to_string(TRAJECTORY).unwrap_or_default();
+    let doc = match old.strip_suffix(TAIL) {
+        Some(head) if head.starts_with("{\n  \"trajectory\": [\n") => {
+            format!("{head},\n    {record}{TAIL}")
+        }
+        _ => format!("{{\n  \"trajectory\": [\n    {record}{TAIL}"),
+    };
+    std::fs::write(TRAJECTORY, doc).expect("write BENCH_simperf.json");
+}
+
 fn main() {
-    let jobs = sweep::jobs_or_exit();
+    let (label, jobs) = label_and_jobs().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     let host_cores = sweep::available_jobs();
     let reps = if quick() { 2 } else { 4 };
 
@@ -148,6 +257,13 @@ fn main() {
 
     // Phase 0 (headline): worker-scaling sweep on cubish meshes.
     let scaling = scaling_sweep();
+
+    // Phase 0b: the engine alone.
+    let null_ns = [64, 16_384].map(null_step_ns);
+    println!(
+        "null-actor engine step: {:.1} ns at W = 64, {:.1} ns at W = 16384\n",
+        null_ns[0], null_ns[1]
+    );
 
     // Phase 1: single-run engine throughput (actor steps per host second).
     println!(
@@ -216,18 +332,23 @@ fn main() {
         println!("  (both passes sequential — pass --jobs N or set DCS_JOBS to fan out)");
     }
 
-    // Hand-rolled JSON report.
+    // Hand-rolled JSON record, one line.
     let mut j = String::new();
-    j.push_str("{\n");
-    let _ = writeln!(j, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(j, "  \"jobs\": {jobs},");
-    let _ = writeln!(j, "  \"quick\": {},", quick());
-    j.push_str("  \"worker_scaling\": [\n");
+    let _ = write!(
+        j,
+        "{{\"label\": \"{label}\", \"quick\": {}, \"host_cores\": {host_cores}, \"jobs\": {jobs}, \
+         \"null_step_ns\": {{\"w64\": {:.1}, \"w16384\": {:.1}}}, \"worker_scaling\": [",
+        quick(),
+        null_ns[0],
+        null_ns[1]
+    );
     for (i, c) in scaling.iter().enumerate() {
-        let _ = writeln!(
+        let _ = write!(
             j,
-            "    {{\"workload\": \"{}\", \"workers\": {}, \"steps\": {}, \"host_ms\": {:.3}, \
-             \"steps_per_sec\": {:.0}, \"vtime_us\": {:.3}, \"peak_resident_bytes\": {}}}{}",
+            "{}{{\"workload\": \"{}\", \"workers\": {}, \"steps\": {}, \"host_ms\": {:.3}, \
+             \"steps_per_sec\": {:.0}, \"vtime_us\": {:.3}, \"peak_resident_bytes\": {}, \
+             \"host_rss_mb\": {:.1}}}",
+            if i > 0 { ", " } else { "" },
             json_escape_free(c.workload),
             c.workers,
             c.steps,
@@ -235,31 +356,26 @@ fn main() {
             c.steps_per_sec,
             c.vtime_us,
             c.peak_resident_bytes,
-            if i + 1 < scaling.len() { "," } else { "" }
+            c.host_rss_mb
         );
     }
-    j.push_str("  ],\n");
-    j.push_str("  \"single_runs\": [\n");
+    j.push_str("], \"single_runs\": [");
     for (i, (name, steps, host_ms, sps)) in singles.iter().enumerate() {
-        let _ = writeln!(
+        let _ = write!(
             j,
-            "    {{\"workload\": \"{}\", \"steps\": {}, \"host_ms\": {:.3}, \"steps_per_sec\": {:.0}}}{}",
+            "{}{{\"workload\": \"{}\", \"steps\": {}, \"host_ms\": {:.3}, \"steps_per_sec\": {:.0}}}",
+            if i > 0 { ", " } else { "" },
             json_escape_free(name),
             steps,
             host_ms,
-            sps,
-            if i + 1 < singles.len() { "," } else { "" }
+            sps
         );
     }
-    j.push_str("  ],\n");
-    j.push_str("  \"sweep\": {\n");
-    let _ = writeln!(j, "    \"runs\": {runs},");
-    let _ = writeln!(j, "    \"seq_s\": {seq_s:.3},");
-    let _ = writeln!(j, "    \"par_s\": {par_s:.3},");
-    let _ = writeln!(j, "    \"speedup\": {speedup:.3},");
-    let _ = writeln!(j, "    \"identical_output\": {identical}");
-    j.push_str("  }\n");
-    j.push_str("}\n");
-    std::fs::write("BENCH_simperf.json", &j).expect("write BENCH_simperf.json");
-    println!("\nJSON written to BENCH_simperf.json");
+    let _ = write!(
+        j,
+        "], \"sweep\": {{\"runs\": {runs}, \"seq_s\": {seq_s:.3}, \"par_s\": {par_s:.3}, \
+         \"speedup\": {speedup:.3}, \"identical_output\": {identical}}}}}"
+    );
+    append_record(&j);
+    println!("\nrecord \"{label}\" appended to {TRAJECTORY}");
 }

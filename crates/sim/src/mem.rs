@@ -12,7 +12,7 @@
 //! payloads (migrated call stacks, task arguments) are accounted by byte size
 //! on the fabric but their Rust-side representation travels through typed
 //! side tables owned by the runtime, so the segment itself never needs raw
-//! byte storage.
+//! byte storage. On the host a segment is paged: it costs its touched pages.
 //!
 //! The embedded allocator ([`SegAlloc`]) is a bump allocator with per-size
 //! free lists — the workload is a high rate of small fixed-size records
@@ -178,20 +178,21 @@ fn round_up(bytes: u32) -> u32 {
 }
 
 /// Bytes per backing page of a segment. Segments are *page-granular* on the
-/// host: the configured capacity is only an address-space bound, and a page
-/// of backing memory is allocated the first time a non-zero word is written
-/// into it. A 64 MiB segment whose run only ever touches its deque control
-/// words and a handful of thread entries costs a few KiB of host memory —
-/// the whole-machine footprint is O(touched pages), not
-/// O(workers × seg_bytes).
+/// host: the configured capacity is only an address-space bound, and the
+/// whole-machine footprint is O(touched pages), not O(workers × seg_bytes)
+/// (see [`Segment`]).
 pub const PAGE_BYTES: u32 = 4096;
 
 /// Words per backing page.
 const PAGE_WORDS: usize = (PAGE_BYTES / WORD) as usize;
 
-fn zero_page() -> Box<[u64]> {
+/// One page-table slot; `None` until the page's first non-zero write.
+type PageSlot = Option<Box<[u64; PAGE_WORDS]>>;
+
+fn zero_page() -> Box<[u64; PAGE_WORDS]> {
     // `vec![0; _]` lowers to a zeroed allocation; no 4 KiB stack round-trip.
-    vec![0u64; PAGE_WORDS].into_boxed_slice()
+    let page = vec![0u64; PAGE_WORDS].into_boxed_slice();
+    page.try_into().expect("a page is PAGE_WORDS long")
 }
 
 /// One worker's pinned memory window.
@@ -203,11 +204,13 @@ fn zero_page() -> Box<[u64]> {
 /// pages (see [`PAGE_BYTES`]): an absent page reads as zero, and writing a
 /// zero to an absent page is a no-op — so a fresh segment, a fresh page and
 /// a never-written word are all indistinguishable, and laziness cannot
-/// change any simulation result.
+/// change any simulation result. The table is lazy too: it reaches only to
+/// the highest page ever written non-zero, and a page past its end is an
+/// absent page. [`SegAlloc`] bumps upward from `reserved`, so the touched
+/// pages are a prefix and a segment that holds little has a short table.
 pub struct Segment {
-    /// `cap / PAGE_BYTES` slots (rounded up); `None` until the page's first
-    /// non-zero write.
-    pages: Vec<Option<Box<[u64]>>>,
+    /// Slots for pages `0..=highest page ever written non-zero`.
+    pages: Vec<PageSlot>,
     alloc: SegAlloc,
     /// Materialized page count. Monotone: pages are never released while
     /// the segment lives (a freed record's page stays resident, matching a
@@ -220,50 +223,62 @@ impl Segment {
         assert_eq!(cap_bytes % WORD, 0);
         let reserved = round_up(reserved_bytes);
         assert!(reserved <= cap_bytes);
-        let n_pages = (cap_bytes as usize).div_ceil(PAGE_BYTES as usize);
         Segment {
-            pages: (0..n_pages).map(|_| None).collect(),
+            pages: Vec::new(),
             alloc: SegAlloc::new(cap_bytes, reserved),
             resident_pages: 0,
         }
     }
 
-    /// Host bytes actually backing this segment (materialized pages only;
-    /// the page table itself is one word per page of *capacity*).
+    /// Host bytes of materialized pages backing this segment (the page
+    /// table is counted by [`Segment::table_bytes`]).
     #[inline]
     pub fn resident_bytes(&self) -> u64 {
         self.resident_pages as u64 * PAGE_BYTES as u64
     }
 
+    /// Host bytes of the page table: one slot per page up to the highest
+    /// one ever written non-zero.
+    pub fn table_bytes(&self) -> u64 {
+        (self.pages.len() * std::mem::size_of::<PageSlot>()) as u64
+    }
+
+    /// Word index of `off`, bounds-checked in release builds too: past the
+    /// table a stray offset would otherwise pass for an absent page.
+    #[inline]
+    fn word(&self, off: u32) -> usize {
+        debug_assert_eq!(off % WORD, 0);
+        assert!(
+            off < self.alloc.cap,
+            "offset {off:#x} past segment capacity"
+        );
+        (off / WORD) as usize
+    }
+
     #[inline]
     pub fn read(&self, off: u32) -> u64 {
-        debug_assert_eq!(off % WORD, 0);
-        let idx = (off / WORD) as usize;
-        match &self.pages[idx / PAGE_WORDS] {
-            Some(p) => p[idx % PAGE_WORDS],
-            None => 0,
+        let idx = self.word(off);
+        match self.pages.get(idx / PAGE_WORDS) {
+            Some(Some(p)) => p[idx % PAGE_WORDS],
+            _ => 0,
         }
     }
 
     #[inline]
     pub fn write(&mut self, off: u32, v: u64) {
-        debug_assert_eq!(off % WORD, 0);
-        debug_assert!(off < self.alloc.cap, "write past segment capacity");
-        let idx = (off / WORD) as usize;
-        let slot = &mut self.pages[idx / PAGE_WORDS];
-        match slot {
-            Some(p) => p[idx % PAGE_WORDS] = v,
-            None => {
-                // An absent page already reads as zero: only a non-zero
-                // write needs backing. This keeps record-zeroing on alloc
-                // (and protocol writes of 0 / NULL) free of host memory.
-                if v != 0 {
-                    let mut p = zero_page();
-                    p[idx % PAGE_WORDS] = v;
-                    *slot = Some(p);
-                    self.resident_pages += 1;
-                }
+        let idx = self.word(off);
+        let (page, word) = (idx / PAGE_WORDS, idx % PAGE_WORDS);
+        if let Some(Some(p)) = self.pages.get_mut(page) {
+            p[word] = v;
+        } else if v != 0 {
+            // An absent page already reads as zero: only a non-zero write
+            // needs backing. This keeps record-zeroing on alloc (and
+            // protocol writes of 0 / NULL) free of host memory.
+            if page >= self.pages.len() {
+                self.pages.resize_with(page + 1, || None);
             }
+            self.pages[page].insert(zero_page())[word] = v;
+            self.resident_pages += 1;
         }
     }
 
@@ -416,6 +431,74 @@ mod tests {
         for i in 0..3 {
             assert_eq!(s.read(b + i * WORD), 0, "stale word at field {i}");
         }
+    }
+
+    /// The page table reaches only as far as the highest page ever written
+    /// non-zero: a big segment that holds its deque control words costs one
+    /// slot, not `cap / PAGE_BYTES` of them.
+    #[test]
+    fn table_grows_with_the_touched_prefix() {
+        let cap: u32 = 64 << 20;
+        let slot = std::mem::size_of::<PageSlot>() as u64;
+        let mut s = Segment::new(cap, 128);
+        assert_eq!(s.table_bytes(), 0, "a fresh segment has no table");
+        s.write(0, 1);
+        s.write(64, 2);
+        assert_eq!(s.table_bytes(), slot, "control words live in page 0");
+        // Reads and zero writes past the table neither grow it nor fault.
+        assert_eq!(s.read(cap - WORD), 0);
+        s.write(cap - WORD, 0);
+        assert_eq!(s.table_bytes(), slot);
+        assert_eq!(s.resident_bytes(), PAGE_BYTES as u64);
+        // The last page grows the table to capacity and no further.
+        s.write(cap - WORD, 9);
+        assert_eq!(s.table_bytes(), (cap / PAGE_BYTES) as u64 * slot);
+        assert_eq!(s.resident_bytes(), 2 * PAGE_BYTES as u64);
+        s.write(cap - PAGE_BYTES, 3);
+        assert_eq!(s.table_bytes(), (cap / PAGE_BYTES) as u64 * slot);
+        assert_eq!(s.read(cap - WORD), 9);
+        assert_eq!(s.read(cap / 2), 0, "a hole inside the table reads as zero");
+    }
+
+    /// Capacity that is not a page multiple: the last word sits in a
+    /// partial page and is addressable through every accessor.
+    const ODD_CAP: u32 = 3 * PAGE_BYTES + 64;
+
+    #[test]
+    fn last_word_of_capacity_is_addressable() {
+        let mut s = Segment::new(ODD_CAP, 0);
+        let last = ODD_CAP - WORD;
+        assert_eq!(s.read(last), 0);
+        s.write(last, 5);
+        assert_eq!(s.fetch_add(last, 2), 5);
+        assert_eq!(s.cas(last, 7, 11), 7);
+        assert_eq!(s.read(last), 11);
+    }
+
+    #[test]
+    #[should_panic(expected = "past segment capacity")]
+    fn read_past_capacity_panics() {
+        Segment::new(ODD_CAP, 0).read(ODD_CAP);
+    }
+
+    /// Even a zero write — a no-op on any absent page inside the segment —
+    /// must not pass silently outside it.
+    #[test]
+    #[should_panic(expected = "past segment capacity")]
+    fn zero_write_past_capacity_panics() {
+        Segment::new(ODD_CAP, 0).write(ODD_CAP, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "past segment capacity")]
+    fn cas_past_capacity_panics() {
+        Segment::new(ODD_CAP, 0).cas(ODD_CAP, 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "past segment capacity")]
+    fn fetch_add_past_capacity_panics() {
+        Segment::new(ODD_CAP, 0).fetch_add(ODD_CAP, 0);
     }
 
     #[test]

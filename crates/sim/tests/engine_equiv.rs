@@ -1,119 +1,458 @@
-//! Property test: the engine's peek-compare fast path is unobservable.
+//! Property tests: the engine's winner-tree event queue is unobservable.
 //!
-//! The production [`Engine`] skips the heap push/pop when the stepping actor
-//! remains the global minimum after a `Yield`. This test drives the same
-//! randomized actor schedules through the production engine *and* through a
-//! plain reference loop that always goes through the `BinaryHeap`, and
-//! requires identical `(time, worker)` step sequences, end times, step
-//! counts and final clocks — including the tricky schedules: zero-duration
-//! yields (bumped to 1 ns), duplicate durations producing simultaneous
-//! halts, actors with no yields at all, and a single actor running alone
-//! (the all-fast-path extreme).
+//! The production [`Engine`] keeps the runnable set in a winner tree and
+//! re-keys the stepping actor in place (`peek` → step → `rekey`/`remove` →
+//! drain wake-ups). These tests drive the same randomized actor scripts
+//! through the production engine *and* through a plain reference loop over
+//! a `BinaryHeap` that pops and re-pushes on every step, and require
+//! identical `(time, worker)` step sequences, end times, step counts and
+//! final clocks. The scripts yield (zero durations are bumped to 1 ns,
+//! duplicate durations make simultaneous events), park, halt, and wake
+//! parked workers at instants before, equal to (tie broken by worker id
+//! either way) and after the waking actor's own next key — from yielding,
+//! parking and halting steps alike. Fleets of 1, 2, 3, 64 and 1000 actors
+//! cover the one-leaf tree, padded (non-power-of-two) trees and deep ones.
+//! Scripts that never park must also run identically under
+//! `run_with_hook(&mut ())`.
+//!
+//! The raw [`EventQueue`] is checked separately against a `BTreeSet` model
+//! over mixed `push/pop/rekey/remove/drain_sorted` sequences, and the
+//! second half of the file proves that *parking* a polling actor (instead
+//! of letting it re-poll) changes no virtual result.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 
-use dcs_sim::{Actor, Engine, Step, VTime, WorkerId};
+use dcs_sim::{Actor, Engine, EventQueue, SimRng, Step, VTime, WorkerId};
 use proptest::prelude::*;
 
 /// Trace of every step the engine performed, in execution order.
 type Trace = Vec<(VTime, WorkerId)>;
 
-/// An actor that follows a fixed yield script, then halts.
+/// Fleet sizes: a single leaf, the smallest trees, a padded pair of leaves,
+/// a full power of two and a padded deep tree.
+const FLEETS: [usize; 5] = [1, 2, 3, 64, 1000];
+
+/// What a scripted actor does after recording its step.
+#[derive(Clone, Copy, Debug)]
+enum Then {
+    Yield(u64),
+    Park,
+}
+
+/// One scripted step: optionally wake a parked worker, then yield or park.
+#[derive(Clone, Copy, Debug)]
+struct Act {
+    /// `(selector, offset)`: wake the `selector % parked`-th parked worker
+    /// at `now + offset` ns, if anyone is parked.
+    wake: Option<(usize, u64)>,
+    then: Then,
+}
+
+/// World of the scripted runs: the trace, the park registry and the wake
+/// pipe both loops drain after every step.
+#[derive(Default)]
+struct SWorld {
+    trace: Trace,
+    parked: Vec<WorkerId>,
+    wakeups: Vec<(VTime, WorkerId)>,
+    /// Actors neither parked nor halted.
+    running: usize,
+}
+
+impl SWorld {
+    fn new(actors: usize) -> SWorld {
+        SWorld {
+            running: actors,
+            ..SWorld::default()
+        }
+    }
+
+    /// Unpark `target` at `now + offset`, or at the first instant whose key
+    /// lies after the waking step's own key `(now, me)` — the one promise
+    /// the machine's wake rule makes to the engine.
+    fn wake(&mut self, slot: usize, now: VTime, me: WorkerId, offset: u64) {
+        let target = self.parked.swap_remove(slot);
+        let offset = offset.max(u64::from(target < me));
+        self.wakeups.push((now + VTime::ns(offset), target));
+        self.running += 1;
+    }
+}
+
+/// An actor that follows a fixed script, then halts. Its halting step
+/// wakes everyone still parked, so no script can lose a wake-up.
 #[derive(Clone)]
 struct Scripted {
-    yields: Vec<u64>,
+    script: Vec<Act>,
     next: usize,
 }
 
 impl Scripted {
-    fn new(yields: Vec<u64>) -> Scripted {
-        Scripted { yields, next: 0 }
+    fn new(script: Vec<Act>) -> Scripted {
+        Scripted { script, next: 0 }
+    }
+
+    fn yields(durations: &[u64]) -> Scripted {
+        Scripted::new(
+            durations
+                .iter()
+                .map(|&d| Act {
+                    wake: None,
+                    then: Then::Yield(d),
+                })
+                .collect(),
+        )
     }
 }
 
-impl Actor<Trace> for Scripted {
-    fn step(&mut self, me: WorkerId, now: VTime, world: &mut Trace) -> Step {
-        world.push((now, me));
-        match self.yields.get(self.next) {
-            Some(&d) => {
-                self.next += 1;
-                Step::Yield(VTime::ns(d))
+impl Actor<SWorld> for Scripted {
+    fn step(&mut self, me: WorkerId, now: VTime, world: &mut SWorld) -> Step {
+        world.trace.push((now, me));
+        let Some(&act) = self.script.get(self.next) else {
+            world.running -= 1;
+            while !world.parked.is_empty() {
+                let offset = (world.parked.len() % 3) as u64;
+                world.wake(0, now, me, offset);
             }
-            None => Step::Halt,
+            return Step::Halt;
+        };
+        self.next += 1;
+        if let Some((selector, offset)) = act.wake {
+            if !world.parked.is_empty() {
+                world.wake(selector % world.parked.len(), now, me, offset);
+            }
+        }
+        match act.then {
+            Then::Yield(d) => Step::Yield(VTime::ns(d)),
+            // The last running actor keeps polling: somebody has to halt
+            // and wake the rest.
+            Then::Park if world.running == 1 => Step::Yield(VTime::ns(1)),
+            Then::Park => {
+                world.running -= 1;
+                world.parked.push(me);
+                Step::Park
+            }
         }
     }
 }
 
-/// The pre-fast-path event loop: unconditional pop/push on every step. This
-/// is the semantics the production engine must reproduce exactly.
-fn reference_run(mut actors: Vec<Scripted>) -> (Trace, VTime, u64, Vec<VTime>) {
+/// Everything a run can be observed by.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    trace: Trace,
+    end: VTime,
+    steps: u64,
+    clocks: Vec<VTime>,
+}
+
+/// The reference event loop: a `BinaryHeap`, one pop and (on `Yield`) one
+/// push per step, wake-ups pushed after every step. This is the semantics
+/// the production engine must reproduce exactly.
+fn reference_run(mut actors: Vec<Scripted>) -> Outcome {
     let n = actors.len();
-    let mut heap: BinaryHeap<Reverse<(VTime, WorkerId)>> = BinaryHeap::new();
-    for w in 0..n {
-        heap.push(Reverse((VTime::ZERO, w)));
-    }
-    let mut trace = Trace::new();
+    let mut heap: BinaryHeap<Reverse<(VTime, WorkerId)>> =
+        (0..n).map(|w| Reverse((VTime::ZERO, w))).collect();
+    let mut world = SWorld::new(n);
     let mut clocks = vec![VTime::ZERO; n];
     let mut steps = 0u64;
     let mut end = VTime::ZERO;
     while let Some(Reverse((t, w))) = heap.pop() {
         steps += 1;
-        match actors[w].step(w, t, &mut trace) {
+        match actors[w].step(w, t, &mut world) {
             Step::Yield(d) => {
                 let nt = t + d.max(VTime::ns(1));
                 clocks[w] = nt;
                 heap.push(Reverse((nt, w)));
             }
-            Step::Park => unreachable!("scripted actors never park"),
+            Step::Park => clocks[w] = t,
             Step::Halt => {
                 clocks[w] = t;
                 end = end.max(t);
             }
         }
+        for (t, w) in world.wakeups.drain(..) {
+            clocks[w] = t;
+            heap.push(Reverse((t, w)));
+        }
     }
-    (trace, end, steps, clocks)
+    assert!(world.parked.is_empty(), "script lost a wake-up");
+    Outcome {
+        trace: world.trace,
+        end,
+        steps,
+        clocks,
+    }
 }
 
-fn fast_run(actors: Vec<Scripted>) -> (Trace, VTime, u64, Vec<VTime>) {
+fn engine_run(actors: Vec<Scripted>, hooked: bool) -> Outcome {
     let n = actors.len();
-    let mut e = Engine::new(Trace::new(), actors);
-    let r = e.run();
+    let mut e = Engine::new(SWorld::new(n), actors)
+        .with_waker(|w: &mut SWorld, out| out.append(&mut w.wakeups));
+    let r = if hooked {
+        e.run_with_hook(&mut ())
+    } else {
+        e.run()
+    };
     let clocks = (0..n).map(|w| e.clock(w)).collect();
-    let (trace, _) = e.into_parts();
-    (trace, r.end_time, r.steps, clocks)
+    let (world, _) = e.into_parts();
+    Outcome {
+        trace: world.trace,
+        end: r.end_time,
+        steps: r.steps,
+        clocks,
+    }
 }
 
-fn assert_equivalent(scripts: Vec<Vec<u64>>) {
-    let actors: Vec<Scripted> = scripts.iter().cloned().map(Scripted::new).collect();
-    let (rt, rend, rsteps, rclocks) = reference_run(actors.clone());
-    let (ft, fend, fsteps, fclocks) = fast_run(actors);
-    assert_eq!(rt, ft, "step sequences diverged for scripts {scripts:?}");
-    assert_eq!(rend, fend, "end_time diverged for scripts {scripts:?}");
-    assert_eq!(rsteps, fsteps, "step counts diverged for scripts {scripts:?}");
-    assert_eq!(rclocks, fclocks, "final clocks diverged for scripts {scripts:?}");
+/// Engine == reference; and for scripts that never park, hooked == plain.
+fn assert_equivalent(actors: Vec<Scripted>) {
+    let parks = actors
+        .iter()
+        .any(|a| a.script.iter().any(|act| matches!(act.then, Then::Park)));
+    let reference = reference_run(actors.clone());
+    assert_eq!(
+        reference,
+        engine_run(actors.clone(), false),
+        "run() diverged"
+    );
+    if !parks {
+        assert_eq!(
+            reference,
+            engine_run(actors, true),
+            "run_with_hook(&mut ()) diverged"
+        );
+    }
+}
+
+/// Scripts of 0–8 acts with durations and wake offsets from one small
+/// range, so equal wakeup times (and wake instants on either side of the
+/// waker's next key) are frequent. The fleets are too large to draw actor
+/// by actor through the strategy combinators, so one drawn seed expands
+/// into the scripts.
+fn fleet(workers: usize, seed: u64, parks: bool) -> Vec<Scripted> {
+    let mut rng = SimRng::new(seed);
+    (0..workers)
+        .map(|_| {
+            let script = (0..rng.below(9))
+                .map(|_| Act {
+                    wake: (parks && rng.below(2) == 0)
+                        .then(|| (rng.next_u64() as usize, rng.below(6))),
+                    then: if parks && rng.below(4) == 0 {
+                        Then::Park
+                    } else {
+                        Then::Yield(rng.below(6))
+                    },
+                })
+                .collect();
+            Scripted::new(script)
+        })
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
-    /// Random fleets of 1–6 actors, each with 0–12 yields drawn from a
-    /// small range so that collisions (equal wakeup times) are frequent.
+    /// Yield/Halt-only fleets: also pins `run_with_hook(&mut ())`.
     #[test]
-    fn fast_path_is_unobservable(
-        scripts in proptest::collection::vec(
-            proptest::collection::vec(0u64..6, 0..12),
-            1..6,
-        )
-    ) {
-        assert_equivalent(scripts);
+    fn yielding_fleets_match_reference(size in 0usize..FLEETS.len(), seed in 0u64..u64::MAX) {
+        assert_equivalent(fleet(FLEETS[size], seed, false));
     }
 
-    /// Long single-actor runs: the fast path never touches the heap after
-    /// the first pop, the purest exercise of the peek-skip.
+    /// Fleets that park and wake each other.
     #[test]
-    fn single_actor_all_fast_path(script in proptest::collection::vec(0u64..50, 0..64)) {
-        assert_equivalent(vec![script]);
+    fn parking_fleets_match_reference(size in 0usize..FLEETS.len(), seed in 0u64..u64::MAX) {
+        assert_equivalent(fleet(FLEETS[size], seed, true));
+    }
+
+    /// Long single-actor runs: the tree is one leaf, every step re-keys the
+    /// root itself.
+    #[test]
+    fn single_actor_matches_reference(script in proptest::collection::vec(0u64..50, 0..64)) {
+        assert_equivalent(vec![Scripted::yields(&script)]);
+    }
+}
+
+/// A waker yielding 3 ns wakes a parked worker 2, 3 and 4 ns ahead — before,
+/// at and after its own next key — with the parked worker's id on either
+/// side of its own, and once more from its halting step.
+#[test]
+fn wake_instants_around_the_wakers_next_key() {
+    for offset in [2, 3, 4] {
+        for waker_first in [true, false] {
+            let parker = Scripted::new(vec![
+                Act {
+                    wake: None,
+                    then: Then::Park,
+                },
+                Act {
+                    wake: None,
+                    then: Then::Yield(1),
+                },
+                Act {
+                    wake: None,
+                    then: Then::Park,
+                },
+            ]);
+            let waker = Scripted::new(vec![
+                Act {
+                    wake: None,
+                    then: Then::Yield(5),
+                },
+                Act {
+                    wake: Some((0, offset)),
+                    then: Then::Yield(3),
+                },
+                Act {
+                    wake: None,
+                    then: Then::Yield(5),
+                },
+            ]);
+            let fleet = if waker_first {
+                vec![waker, parker]
+            } else {
+                vec![parker, waker]
+            };
+            let (w, p) = if waker_first { (0, 1) } else { (1, 0) };
+            let out = reference_run(fleet.clone());
+            let woken = VTime::ns(5 + offset);
+            assert!(
+                out.trace.contains(&(woken, p)),
+                "parker not woken at {woken}"
+            );
+            // The tie at offset 3 goes to the lower worker id.
+            let (iw, ip) = (
+                out.trace
+                    .iter()
+                    .position(|&k| k == (VTime::ns(8), w))
+                    .expect("waker's next step"),
+                out.trace
+                    .iter()
+                    .position(|&k| k == (woken, p))
+                    .expect("parker's wake step"),
+            );
+            assert_eq!(ip < iw, (woken, p) < (VTime::ns(8), w));
+            // The parker parks again; the waker's Halt at 13 ns releases it
+            // one nanosecond later.
+            assert_eq!(out.trace.last(), Some(&(VTime::ns(14), p)));
+            assert_equivalent(fleet);
+        }
+    }
+}
+
+#[test]
+fn zero_yield_actors_halt_in_id_order() {
+    // Three actors that never yield: three Halt steps at t=0, ids 0,1,2.
+    let actors = vec![Scripted::new(vec![]); 3];
+    assert_equivalent(actors.clone());
+    let out = engine_run(actors, false);
+    assert_eq!(
+        out.trace,
+        vec![(VTime::ZERO, 0), (VTime::ZERO, 1), (VTime::ZERO, 2)]
+    );
+    assert_eq!(out.end, VTime::ZERO);
+    assert_eq!(out.steps, 3);
+}
+
+#[test]
+fn simultaneous_halts_match_reference() {
+    // Identical scripts → every wakeup and the final halts are ties; order
+    // must be by worker id at each instant, same as the reference.
+    assert_equivalent(vec![Scripted::yields(&[5, 5, 5]); 4]);
+    // Mixed: one straggler outlives simultaneous early halts.
+    assert_equivalent(vec![
+        Scripted::yields(&[]),
+        Scripted::yields(&[2, 2]),
+        Scripted::yields(&[1, 1, 1, 1, 1, 1, 1]),
+    ]);
+}
+
+// ---------------------------------------------------------------------
+// The raw queue against a BTreeSet
+// ---------------------------------------------------------------------
+
+#[derive(Clone, Copy, Debug)]
+enum QueueOp {
+    /// Push the worker if idle, re-key it if queued.
+    Set(usize, u64),
+    /// Remove the worker if queued.
+    Remove(usize),
+    Pop,
+    Drain,
+}
+
+fn queue_op() -> impl Strategy<Value = QueueOp> {
+    prop_oneof![
+        6 => (0usize..1000, 0u64..12).prop_map(|(w, t)| QueueOp::Set(w, t)),
+        2 => (0usize..1000).prop_map(QueueOp::Remove),
+        3 => Just(QueueOp::Pop),
+        1 => Just(QueueOp::Drain),
+    ]
+}
+
+fn check_queue(workers: usize, start_full: bool, ops: &[QueueOp]) {
+    let mut q = if start_full {
+        EventQueue::new(workers)
+    } else {
+        EventQueue::empty(workers)
+    };
+    let mut model: BTreeSet<(VTime, WorkerId)> = BTreeSet::new();
+    let mut key: Vec<Option<VTime>> = vec![None; workers];
+    if start_full {
+        for (w, k) in key.iter_mut().enumerate() {
+            model.insert((VTime::ZERO, w));
+            *k = Some(VTime::ZERO);
+        }
+    }
+    for &op in ops {
+        match op {
+            QueueOp::Set(w, t) => {
+                let (w, t) = (w % workers, VTime::ns(t));
+                match key[w].replace(t) {
+                    Some(old) => {
+                        q.rekey(w, t);
+                        model.remove(&(old, w));
+                    }
+                    None => q.push(t, w),
+                }
+                model.insert((t, w));
+            }
+            QueueOp::Remove(w) => {
+                let w = w % workers;
+                if let Some(old) = key[w].take() {
+                    q.remove(w);
+                    model.remove(&(old, w));
+                }
+            }
+            QueueOp::Pop => {
+                let min = model.pop_first();
+                assert_eq!(q.pop(), min, "after {op:?}");
+                if let Some((_, w)) = min {
+                    key[w] = None;
+                }
+            }
+            QueueOp::Drain => {
+                let all: Vec<_> = std::mem::take(&mut model).into_iter().collect();
+                assert_eq!(q.drain_sorted(), all);
+                key.fill(None);
+            }
+        }
+        assert_eq!(q.peek(), model.first().copied(), "after {op:?}");
+        assert_eq!(q.len(), model.len());
+        assert_eq!(q.is_empty(), model.is_empty());
+    }
+    let rest: Vec<_> = model.into_iter().collect();
+    assert_eq!(std::iter::from_fn(|| q.pop()).collect::<Vec<_>>(), rest);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    #[test]
+    fn queue_matches_btreeset(
+        size in 0usize..FLEETS.len(),
+        start_full in proptest::bool::ANY,
+        ops in proptest::collection::vec(queue_op(), 0..200),
+    ) {
+        check_queue(FLEETS[size], start_full, &ops);
     }
 }
 
@@ -300,24 +639,4 @@ fn park_without_waker_panics() {
     };
     let mut e = Engine::new(world, vec![Role::Parker]);
     e.run();
-}
-
-#[test]
-fn zero_yield_actors_halt_in_id_order() {
-    // Three actors that never yield: three Halt steps at t=0, ids 0,1,2.
-    assert_equivalent(vec![vec![], vec![], vec![]]);
-    let actors = vec![Scripted::new(vec![]); 3];
-    let (trace, end, steps, _) = fast_run(actors);
-    assert_eq!(trace, vec![(VTime::ZERO, 0), (VTime::ZERO, 1), (VTime::ZERO, 2)]);
-    assert_eq!(end, VTime::ZERO);
-    assert_eq!(steps, 3);
-}
-
-#[test]
-fn simultaneous_halts_match_reference() {
-    // Identical scripts → every wakeup and the final halts are ties; order
-    // must be by worker id at each instant, same as the reference.
-    assert_equivalent(vec![vec![5, 5, 5]; 4]);
-    // Mixed: one straggler outlives simultaneous early halts.
-    assert_equivalent(vec![vec![], vec![2, 2], vec![1, 1, 1, 1, 1, 1, 1]]);
 }

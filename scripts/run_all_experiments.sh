@@ -38,8 +38,9 @@ for bin in fig6 fig6_protocols table2 fig7 fig8 fig9 table3 fig12 ablate_free ab
 done
 
 # Host-side self-benchmark: worker-scaling sweep (1k/10k/100k, the engine
-# O(active) headline) + engine throughput + sweep-harness speedup. Writes
-# BENCH_simperf.json at the repo root (committed trajectory).
+# O(active) headline) + engine throughput + sweep-harness speedup. Appends
+# one record to the BENCH_simperf.json trajectory at the repo root; pass it
+# a --label when the record is one to commit.
 echo "=== running selfbench ==="
 start=$(date +%s)
 ./target/release/selfbench "${JOBS_ARGS[@]}" 2>&1 | tee "results/selfbench.txt"

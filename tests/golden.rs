@@ -54,7 +54,7 @@ fn golden_uts_child_rtc() {
 
 /// 16-worker UTS on the ITO-A latency profile — one golden per policy.
 /// Wider than the 4-worker pins above, so steal traffic (and therefore the
-/// victim-RNG stream and the engine's fast-path/heap interleaving) is
+/// victim-RNG stream and the engine's event-queue interleaving) is
 /// exercised much harder; these pin the exact event order at a scale where
 /// a subtle ordering bug would actually show.
 fn uts16_itoa(policy: Policy) -> RunReport {
