@@ -3,21 +3,27 @@
 //! Each [`Scenario`] is a deterministic function from a [`dcs_sim::ScheduleHook`]
 //! to a list of oracle violations (empty = clean). Three families:
 //!
-//! * **Raw deque protocols** (`deque-steal`, `broken-release`): an owner and
-//!   thieves drive [`dcs_core::deque`] verbs directly against a simulated
-//!   machine, with a shadow deque as the linearizability oracle — every
-//!   pushed item is popped (LIFO, by the owner) or stolen (FIFO-from-top, by
-//!   a thief) *exactly once*, and nobody observes a dead ring slot.
-//!   `broken-release` recomposes the steal with the lock released *before*
-//!   the top advance — the historical ordering this PR fixed — and exists to
-//!   prove the checker catches that bug (`expect_violation`).
-//! * **Full runtime** (`single-steal:*`, `fork-join`): real programs through
-//!   [`dcs_core::run_hooked`] under every Policy × FreeStrategy, with the
-//!   result value and the invariant watchdog (protocol + leak oracles) as
-//!   the spec.
+//! * **Raw deque protocols** — owners and thieves drive [`dcs_core::deque`]
+//!   verbs directly against a simulated machine. All of them are built from
+//!   one kit: a [`RawWorld`] (machine, one deque per victim, one claim
+//!   arbiter, one ledger), one [`owner_step`], one thief state machine whose
+//!   states are the primitive steal steps ([`ThiefState`]) and whose
+//!   variations are flags on a [`Script`], and a list of end-of-run
+//!   [`Oracle`]s. The ledger is the spec: *order* (every pushed item is
+//!   popped LIFO by its owner or stolen FIFO-from-top, exactly once) for the
+//!   CAS-lock family, *multiplicity* (a task may be taken more than once but
+//!   executes exactly once) for the fence-free family. Each `broken-*`
+//!   scenario is its shipped twin with one planted-bug flag set, and exists
+//!   to prove the checker catches that bug (`expect_violation`).
+//! * **Full runtime** (`single-steal:*`, `fork-join`, the crash and
+//!   suspicion runs): real programs through [`dcs_core::run_hooked`] with
+//!   the invariant watchdog on; a per-scenario judge reads the report.
 //! * **Termination** (`bot-term`): the BoT one-sided runtime on a micro UTS
 //!   tree; oracles are termination safety (created == consumed, no resident
 //!   work lost) and the serial node count.
+//!
+//! `docs/PROTOCOLS.md` ("Schedule exploration") tabulates the worlds,
+//! scripts and oracles and walks through writing a scenario.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -25,18 +31,21 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use dcs_core::dedup::ClaimSet;
 use dcs_core::deque::{
     ff_owner_pop, ff_owner_push, ff_thief_claim, lock_word, owner_pop, owner_push,
-    thief_advance_top, thief_lock, thief_lock_epoch, thief_read_bounds, thief_release_lock,
-    thief_take, thief_take_at, thief_take_no_release, DequeError, FfSteal,
+    thief_advance_top, thief_lock_epoch, thief_read_bounds, thief_release_lock,
+    thief_take_no_release, thief_take_no_release_at, DequeError, FfSteal,
 };
 use dcs_core::frame::{frame, Effect, TaskCtx};
 use dcs_core::layout::{SegLayout, DQ_LOCK, DQ_TOP};
-use dcs_core::util::Slab;
 use dcs_core::value::{ThreadHandle, Value};
+use dcs_core::watchdog::Violation;
 use dcs_core::world::{QueueItem, WorkerShared};
-use dcs_core::{run_hooked, FreeStrategy, Policy, Program, Protocol, RunConfig};
+use dcs_core::{
+    run_hooked, FreeStrategy, Policy, Program, Protocol, RunConfig, RunOutcome, RunReport, TaskFn,
+    UnrecoverableReason,
+};
 use dcs_sim::{
-    profiles, Actor, Engine, FabricMode, GlobalAddr, Machine, MachineConfig, ScheduleHook, Step,
-    VTime, VerbHandle, WorkerId,
+    profiles, Actor, DegradeWindow, Detector, Engine, FabricMode, FaultPlan, GlobalAddr, Machine,
+    MachineConfig, ScheduleHook, Step, VTime, VerbHandle, WorkerId,
 };
 
 use crate::explore::RunRecord;
@@ -63,19 +72,30 @@ impl Scenario {
         (self.runner)(hook)
     }
 
-    /// Replay a choice vector (missing entries = native order). Panics in
-    /// the scenario are caught and reported as a violation, so a protocol
-    /// assert firing under a hostile schedule is a finding, not a crash.
+    /// Run under `hook` with panics caught and reported as a violation, so
+    /// a protocol assert firing under a hostile schedule is a finding, not
+    /// a crash.
+    fn run_caught(&self, hook: &mut dyn ScheduleHook) -> Vec<String> {
+        match catch_unwind(AssertUnwindSafe(|| (self.runner)(hook))) {
+            Ok(v) => v,
+            Err(p) => {
+                let msg = p
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| p.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                vec![format!("panic: {msg}")]
+            }
+        }
+    }
+
+    /// Replay a choice vector (missing entries = native order).
     pub fn run_choices(&self, choices: &[u32]) -> RunRecord {
         let mut hook = ControllerHook::new(choices);
-        let caught = catch_unwind(AssertUnwindSafe(|| (self.runner)(&mut hook)));
-        let violations = match caught {
-            Ok(v) => v,
-            Err(p) => vec![format!("panic: {}", panic_message(p.as_ref()))],
-        };
+        let violations = self.run_caught(&mut hook);
         RunRecord {
-            eligible: std::mem::take(&mut hook.eligible),
-            taken: std::mem::take(&mut hook.taken),
+            eligible: hook.eligible,
+            taken: hook.taken,
             violations,
         }
     }
@@ -84,59 +104,138 @@ impl Scenario {
     /// `taken` vector replays the run exactly through [`Self::run_choices`].
     pub fn run_pct(&self, seed: u64, depth: usize, horizon: u64) -> RunRecord {
         let mut hook = PctHook::new(self.workers, seed, depth, horizon);
-        let caught = catch_unwind(AssertUnwindSafe(|| (self.runner)(&mut hook)));
-        let violations = match caught {
-            Ok(v) => v,
-            Err(p) => vec![format!("panic: {}", panic_message(p.as_ref()))],
-        };
+        let violations = self.run_caught(&mut hook);
         RunRecord {
             eligible: Vec::new(),
-            taken: std::mem::take(&mut hook.taken),
+            taken: hook.taken,
             violations,
         }
     }
 }
 
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Raw deque scenarios
+// The raw-deque kit: world and ledger
 // ---------------------------------------------------------------------------
 
-/// Which steal composition the thief runs.
+/// Which steal-protocol family a raw world's owners and thieves speak.
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum ReleaseOrder {
-    /// The shipped protocol: top advances no later than the lock release.
-    Fixed,
-    /// The historical bug, recomposed from the seam functions: entry taken,
-    /// lock released, and only then — one engine step later — the top
-    /// advanced. Between those steps the owner can observe the dead slot.
-    Broken,
-    /// The posted-verb composition the Pipelined fabric runs: take without
-    /// release, advance the top, then post the lock-release put and the
-    /// payload get together and reap them one engine step later. The window
-    /// between post and completion is a real interleaving point — the
-    /// overlap-race oracle checks the owner can race into it freely and
-    /// that no completion is left unreaped at the end.
-    Pipelined,
+enum Family {
+    /// Lock word serializes thieves and gates the owner; order ledger.
+    CasLock,
+    /// Plain reads/writes with claim arbitration; multiplicity ledger.
+    FenceFree,
 }
 
-struct DqWorld {
+/// The run's specification, updated in the same engine step as the deque
+/// operation it records.
+enum Ledger {
+    /// Per victim, the tags in deque order (front = top = oldest): thieves
+    /// must take from the front, the owner pops from the back.
+    Order(Vec<VecDeque<u64>>),
+    /// Per `(victim, tag)`: (executions, take attempts). Fence-free takers
+    /// validate instead of serializing, so delivery order is not part of
+    /// the contract; every task executes exactly once and is taken at most
+    /// `cap` times (its owner plus every thief).
+    Multiplicity {
+        counts: HashMap<(usize, u64), (u32, u32)>,
+        cap: u32,
+    },
+}
+
+/// Workers `0..ws.len()` own a deque each; everyone else steals.
+struct RawWorld {
     m: Machine,
-    items: Slab<QueueItem>,
     lay: SegLayout,
-    /// Linearizability oracle: tags in deque order (front = top = oldest).
-    /// Thieves must take from the front, the owner pops from the back.
-    shadow: VecDeque<u64>,
+    fam: Family,
+    /// Item slab and live-ticket map of each victim.
+    ws: Vec<WorkerShared>,
+    /// The run-wide claim arbiter (tickets carry their owner's rank).
+    claims: ClaimSet,
+    ledger: Ledger,
     violations: Vec<String>,
+}
+
+impl RawWorld {
+    /// Names the victim in a message — unless there is only one.
+    fn at(&self, v: usize) -> String {
+        if self.ws.len() == 1 {
+            String::new()
+        } else {
+            format!(" on victim {v}")
+        }
+    }
+
+    fn pushed(&mut self, v: usize, tag: u64) {
+        match &mut self.ledger {
+            Ledger::Order(shadow) => shadow[v].push_back(tag),
+            Ledger::Multiplicity { counts, .. } => {
+                counts.insert((v, tag), (0, 0));
+            }
+        }
+    }
+
+    /// `who` got `tag`'s payload from `v`'s deque and will run it. `None`
+    /// is the owner's pop, `Some(thief)` a steal.
+    fn taken(&mut self, v: usize, tag: u64, thief: Option<WorkerId>) {
+        let at = self.at(v);
+        match &mut self.ledger {
+            Ledger::Order(shadow) => {
+                let (expect, what, end) = match thief {
+                    None => (shadow[v].pop_back(), "owner_pop LIFO violated", "back"),
+                    Some(_) => (shadow[v].pop_front(), "steal FIFO violated", "front"),
+                };
+                if expect != Some(tag) {
+                    let at = if thief.is_some() { at } else { String::new() };
+                    self.violations.push(format!(
+                        "{what}{at}: got tag {tag}, shadow {end} was {expect:?}"
+                    ));
+                }
+            }
+            Ledger::Multiplicity { counts, .. } => {
+                let e = counts.entry((v, tag)).or_insert((0, 0));
+                e.0 += 1;
+                if e.0 > 1 {
+                    let who = thief.map_or("owner_pop".to_string(), |t| format!("thief {t}"));
+                    self.violations.push(format!(
+                        "multiplicity: task {tag}{at} executed {} times ({who} took it again)",
+                        e.0
+                    ));
+                }
+                self.transferred(v, tag);
+            }
+        }
+    }
+
+    /// A taker paid for `tag`'s payload (and, if it lost the claim race,
+    /// discarded it): the take count is bounded even when execution is not
+    /// at stake.
+    fn transferred(&mut self, v: usize, tag: u64) {
+        let at = self.at(v);
+        if let Ledger::Multiplicity { counts, cap } = &mut self.ledger {
+            let e = counts.entry((v, tag)).or_insert((0, 0));
+            e.1 += 1;
+            if e.1 > *cap {
+                self.violations.push(format!(
+                    "multiplicity: task {tag}{at} taken {} times, bound is {cap}",
+                    e.1
+                ));
+            }
+        }
+    }
+
+    /// Everything `v` pushed has been consumed. Ledger updates are atomic
+    /// with the take, so an owner seeing an empty deque before this holds
+    /// keeps polling: a thief is mid-steal, or an item was lost (which the
+    /// end-of-run oracles tell apart).
+    fn drained(&self, v: usize) -> bool {
+        match &self.ledger {
+            Ledger::Order(shadow) => shadow[v].is_empty(),
+            Ledger::Multiplicity { counts, .. } => counts
+                .iter()
+                .filter(|((o, _), _)| *o == v)
+                .all(|(_, &(exec, _))| exec >= 1),
+        }
+    }
 }
 
 fn dq_body(_: Value, _: &mut TaskCtx) -> Effect {
@@ -158,17 +257,108 @@ fn dq_tag(item: &QueueItem) -> u64 {
     }
 }
 
-enum DqActor {
-    Owner { to_push: u64, pushed: u64 },
-    Thief { state: ThiefState, order: ReleaseOrder },
+// ---------------------------------------------------------------------------
+// The raw-deque kit: actors
+// ---------------------------------------------------------------------------
+
+/// How a thief that took an entry under the lock leaves the victim.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Release {
+    /// The shipped protocol: top advances no later than the lock release.
+    Shipped,
+    /// PLANTED BUG (`broken-release`), the historical ordering: lock
+    /// released in the take step, top advanced one engine step later.
+    /// Between those steps the owner can observe the dead slot.
+    BeforeAdvance,
+    /// The posted-verb composition the Pipelined fabric runs: advance the
+    /// top, post the lock-release put and the payload get together, reap
+    /// them one engine step later. The window between post and completion
+    /// is a real interleaving point the owner can race into.
+    Posted,
 }
 
+/// What varies between thieves. A thief is a start state plus these flags;
+/// every planted bug is one of them.
+#[derive(Clone, Copy)]
+struct Script {
+    /// The victims probed, in ring order.
+    ring: &'static [usize],
+    /// `Probe` posts the whole ring behind one doorbell and reaps it
+    /// together (the shipped pipelined ring) instead of verb by verb.
+    chained: bool,
+    /// One idle beat between `Lock` and `Take`: the window a degraded NIC
+    /// opens in the real runtime, and the one a false eviction lands in.
+    pause: bool,
+    release: Release,
+    /// PLANTED BUG (`broken-fence`, `broken-ring-fence`): the epoch
+    /// self-check is dropped from the take step, so an evicted incarnation
+    /// completes its steal.
+    unfenced: bool,
+    /// PLANTED BUG (`broken-claim`): the claim-write reaches nobody — the
+    /// thief arbitrates against a private claim set, so a take it wins is
+    /// invisible to the owner and the task runs twice.
+    private_claims: bool,
+}
+
+impl Script {
+    const fn on(ring: &'static [usize]) -> Script {
+        Script {
+            ring,
+            chained: false,
+            pause: false,
+            release: Release::Shipped,
+            unfenced: false,
+            private_claims: false,
+        }
+    }
+}
+
+/// The primitive steal steps. Each variant is one engine step: whatever
+/// happens between two of them is an interleaving point.
+#[derive(Clone, Copy)]
 enum ThiefState {
-    Locking { attempts: u32 },
-    Take,
-    /// Broken order only: lock already released, top advance still pending.
-    Advance { new_top: u64 },
-    /// Pipelined order only: release put + payload get posted, not reaped.
+    /// Suspector: poll the ring's lock words until `suspect` is seen
+    /// holding one, then falsely evict it and break its lock.
+    Watch {
+        suspect: WorkerId,
+        attempts: u32,
+    },
+    /// CAS-lock, one victim: CAS the epoch-stamped lock word.
+    Lock {
+        victim: usize,
+        attempts: u32,
+    },
+    Pause {
+        victim: usize,
+    },
+    /// CAS-lock ring: lock CAS + bounds read on every ring victim; commit
+    /// the first with the lock and work, release every other won lock.
+    Probe {
+        attempts: u32,
+    },
+    /// Fence-free ring: bounds read on every ring victim; commit the first
+    /// with work (an abandoned victim needs no cancel: no ticket claimed).
+    Bounds {
+        attempts: u32,
+    },
+    /// Lock held: take the oldest entry — at the bounds the probe froze, or
+    /// after reading them — then advance and release per [`Release`].
+    Take {
+        victim: usize,
+        bounds: Option<(u64, u64)>,
+    },
+    /// Fence-free: validate and claim the entry at `top`.
+    Claim {
+        victim: usize,
+        top: u64,
+        attempts: u32,
+    },
+    /// [`Release::BeforeAdvance`] only: the late top advance.
+    Advance {
+        victim: usize,
+        new_top: u64,
+    },
+    /// [`Release::Posted`] only: release put + payload get not yet reaped.
     Reap {
         h_release: VerbHandle,
         h_copy: VerbHandle,
@@ -176,715 +366,479 @@ enum ThiefState {
     Done,
 }
 
-impl Actor<DqWorld> for DqActor {
-    fn step(&mut self, me: WorkerId, now: VTime, w: &mut DqWorld) -> Step {
+#[derive(Clone, Copy)]
+enum RawActor {
+    Owner { to_push: u64, pushed: u64 },
+    Thief { script: Script, state: ThiefState },
+}
+
+/// Failed steal attempts after which a thief gives up and halts.
+const MAX_ATTEMPTS: u32 = 16;
+/// Lock-word polls after which the suspector concludes nothing will stall.
+const MAX_WATCH: u32 = 40;
+
+impl Actor<RawWorld> for RawActor {
+    fn step(&mut self, me: WorkerId, now: VTime, w: &mut RawWorld) -> Step {
         match self {
-            DqActor::Owner { to_push, pushed } => {
-                if *pushed < *to_push {
-                    let tag = *pushed;
-                    return match owner_push(&mut w.m, &mut w.items, &w.lay, me, dq_item(tag)) {
-                        Ok(cost) => {
-                            *pushed += 1;
-                            w.shadow.push_back(tag);
-                            Step::Yield(cost)
-                        }
-                        Err(DequeError::Busy) => Step::Yield(w.m.local_op(me)),
-                        Err(DequeError::Dead(d)) => {
-                            w.violations
-                                .push(format!("owner_push observed dead slot: {d:?}"));
-                            Step::Halt
-                        }
+            RawActor::Owner { to_push, pushed } => owner_step(me, w, *to_push, pushed),
+            RawActor::Thief { script, state } => thief_step(me, now, w, script, state),
+        }
+    }
+}
+
+/// Push `to_push` items, then pop until the ledger says everything this
+/// owner pushed has been consumed.
+fn owner_step(me: WorkerId, w: &mut RawWorld, to_push: u64, pushed: &mut u64) -> Step {
+    let pushing = *pushed < to_push;
+    let res = match (w.fam, pushing) {
+        (Family::CasLock, true) => {
+            owner_push(&mut w.m, &mut w.ws[me].items, &w.lay, me, dq_item(*pushed))
+                .map(|cost| (None, cost))
+        }
+        (Family::FenceFree, true) => {
+            let cost = ff_owner_push(&mut w.m, &mut w.ws[me], &w.lay, me, dq_item(*pushed));
+            Ok((None, cost))
+        }
+        (Family::CasLock, false) => owner_pop(&mut w.m, &mut w.ws[me].items, &w.lay, me),
+        (Family::FenceFree, false) => {
+            ff_owner_pop(&mut w.m, &mut w.ws[me], &mut w.claims, &w.lay, me)
+        }
+    };
+    match res {
+        Ok((_, cost)) if pushing => {
+            w.pushed(me, *pushed);
+            *pushed += 1;
+            Step::Yield(cost)
+        }
+        Ok((Some(item), cost)) => {
+            w.taken(me, dq_tag(&item), None);
+            Step::Yield(cost)
+        }
+        Ok((None, _)) if w.drained(me) => Step::Halt,
+        Ok((None, cost)) => Step::Yield(cost),
+        // A thief holds the lock (CAS-lock only; fence-free owners are
+        // never blocked): the brief victim stall a real lock-based RDMA
+        // deque causes.
+        Err(DequeError::Busy) => Step::Yield(w.m.local_op(me)),
+        Err(DequeError::Dead(d)) => {
+            w.violations.push(format!(
+                "deque-protocol: {} observed a dead ring slot at index {} \
+                 (steal advanced the lock before the top)",
+                d.op, d.index
+            ));
+            Step::Halt
+        }
+    }
+}
+
+fn thief_step(
+    me: WorkerId,
+    now: VTime,
+    w: &mut RawWorld,
+    script: &Script,
+    state: &mut ThiefState,
+) -> Step {
+    let lock_of = |w: &RawWorld, v: usize| GlobalAddr::new(v, w.lay.dq_word(DQ_LOCK));
+    // A failed attempt: retry from `again` after `cost`, or give up.
+    let retry = |state: &mut ThiefState, attempts: u32, again: ThiefState, cost: VTime| {
+        if attempts + 1 >= MAX_ATTEMPTS {
+            return Step::Halt;
+        }
+        *state = again;
+        Step::Yield(cost)
+    };
+    match *state {
+        ThiefState::Watch { suspect, attempts } => {
+            let mut cost = VTime::ZERO;
+            for &v in script.ring {
+                let (word, c) = w.m.get_u64(me, lock_of(w, v));
+                cost += c;
+                if word == lock_word(0, suspect) {
+                    // False suspicion: the holder is alive, but its
+                    // heartbeats look stale from here. Evict it and break
+                    // the stale-epoch lock (the owner-side `break_dead_lock`
+                    // clause, run by a survivor), then steal in its place.
+                    w.m.evict(suspect);
+                    cost += w.m.put_u64(me, lock_of(w, v), 0);
+                    *state = ThiefState::Lock {
+                        victim: v,
+                        attempts: 0,
                     };
-                }
-                // Drain phase: pop until the shadow confirms nothing is left.
-                match owner_pop(&mut w.m, &mut w.items, &w.lay, me) {
-                    Ok((Some(item), cost)) => {
-                        let tag = dq_tag(&item);
-                        match w.shadow.pop_back() {
-                            Some(expect) if expect == tag => {}
-                            other => w.violations.push(format!(
-                                "owner_pop LIFO violated: got tag {tag}, shadow back was {other:?}"
-                            )),
-                        }
-                        Step::Yield(cost)
-                    }
-                    Ok((None, cost)) => {
-                        if w.shadow.is_empty() {
-                            Step::Halt
-                        } else {
-                            // Items outstanding but the deque reads empty:
-                            // either a thief is mid-steal (keep waiting) or
-                            // an item was lost. The end-of-run leak oracle
-                            // distinguishes the two.
-                            Step::Yield(cost)
-                        }
-                    }
-                    Err(DequeError::Busy) => Step::Yield(w.m.local_op(me)),
-                    Err(DequeError::Dead(d)) => {
-                        w.violations.push(format!(
-                            "deque-protocol: owner_pop observed a dead ring slot at index {} (steal advanced the lock before the top)",
-                            d.index
-                        ));
-                        Step::Halt
-                    }
-                }
-            }
-            DqActor::Thief { state, order } => match state {
-                ThiefState::Locking { attempts } => {
-                    let (locked, cost) = thief_lock(&mut w.m, &w.lay, me, 0);
-                    if locked {
-                        *state = ThiefState::Take;
-                    } else {
-                        *attempts += 1;
-                        if *attempts >= 16 {
-                            return Step::Halt; // give up: a failed steal
-                        }
-                    }
-                    Step::Yield(cost)
-                }
-                ThiefState::Take => match order {
-                    ReleaseOrder::Fixed => {
-                        match thief_take(&mut w.m, &mut w.items, &w.lay, me, 0) {
-                            Ok((Some((item, _size)), cost)) => {
-                                check_fifo(w, &item);
-                                *state = ThiefState::Done;
-                                Step::Yield(cost)
-                            }
-                            Ok((None, cost)) => {
-                                if !w.shadow.is_empty() {
-                                    w.violations.push(format!(
-                                        "steal missed items: deque read empty with {} outstanding",
-                                        w.shadow.len()
-                                    ));
-                                }
-                                *state = ThiefState::Done;
-                                Step::Yield(cost)
-                            }
-                            Err(d) => {
-                                w.violations
-                                    .push(format!("thief_take observed dead slot: {d:?}"));
-                                Step::Halt
-                            }
-                        }
-                    }
-                    ReleaseOrder::Broken => {
-                        match thief_take_no_release(&mut w.m, &mut w.items, &w.lay, me, 0) {
-                            Ok((Some((item, _size, top)), cost)) => {
-                                check_fifo(w, &item);
-                                // BUG (deliberate): release the lock now,
-                                // advance the top only next step.
-                                let cost = cost + thief_release_lock(&mut w.m, &w.lay, me, 0);
-                                *state = ThiefState::Advance { new_top: top + 1 };
-                                Step::Yield(cost)
-                            }
-                            Ok((None, cost)) => {
-                                let cost = cost + thief_release_lock(&mut w.m, &w.lay, me, 0);
-                                *state = ThiefState::Done;
-                                Step::Yield(cost)
-                            }
-                            Err(d) => {
-                                w.violations
-                                    .push(format!("thief_take observed dead slot: {d:?}"));
-                                Step::Halt
-                            }
-                        }
-                    }
-                    ReleaseOrder::Pipelined => {
-                        match thief_take_no_release(&mut w.m, &mut w.items, &w.lay, me, 0) {
-                            Ok((Some((item, size, top)), cost)) => {
-                                check_fifo(w, &item);
-                                // The shipped pipelined composition: top is
-                                // advanced before the release is posted, so
-                                // the deque is consistent the instant the
-                                // release's (eager) effect lands.
-                                thief_advance_top(&mut w.m, &w.lay, me, 0, top + 1);
-                                let at = now + cost;
-                                let lock = GlobalAddr::new(0, w.lay.dq_word(DQ_LOCK));
-                                let h_release = w.m.post_put_u64(me, lock, 0, at);
-                                let h_copy = w.m.post_get_bulk(me, 0, size, at);
-                                *state = ThiefState::Reap { h_release, h_copy };
-                                Step::Yield(cost)
-                            }
-                            Ok((None, cost)) => {
-                                let cost = cost + thief_release_lock(&mut w.m, &w.lay, me, 0);
-                                *state = ThiefState::Done;
-                                Step::Yield(cost)
-                            }
-                            Err(d) => {
-                                w.violations
-                                    .push(format!("thief_take observed dead slot: {d:?}"));
-                                Step::Halt
-                            }
-                        }
-                    }
-                },
-                ThiefState::Advance { new_top } => {
-                    thief_advance_top(&mut w.m, &w.lay, me, 0, *new_top);
-                    *state = ThiefState::Done;
-                    Step::Yield(w.m.local_op(me))
-                }
-                ThiefState::Reap { h_release, h_copy } => {
-                    let (_, f1) = w.m.wait(me, *h_release);
-                    let (_, f2) = w.m.wait(me, *h_copy);
-                    *state = ThiefState::Done;
-                    Step::Yield(f1.max(f2).saturating_sub(now))
-                }
-                ThiefState::Done => Step::Halt,
-            },
-        }
-    }
-}
-
-fn check_fifo(w: &mut DqWorld, item: &QueueItem) {
-    let tag = dq_tag(item);
-    match w.shadow.pop_front() {
-        Some(expect) if expect == tag => {}
-        other => w.violations.push(format!(
-            "steal FIFO violated: got tag {tag}, shadow front was {other:?}"
-        )),
-    }
-}
-
-/// Build a raw-deque scenario: worker 0 owns the deque and pushes `n_items`;
-/// workers `1..workers` each attempt one steal with the given composition.
-fn deque_scenario(name: &str, workers: usize, n_items: u64, order: ReleaseOrder) -> Scenario {
-    assert!(workers >= 2);
-    let expect_violation = order == ReleaseOrder::Broken;
-    let fabric = if order == ReleaseOrder::Pipelined {
-        FabricMode::Pipelined
-    } else {
-        FabricMode::Blocking
-    };
-    let name_owned = name.to_string();
-    let runner = move |hook: &mut dyn ScheduleHook| -> Vec<String> {
-        let cfg = RunConfig::new(workers, Policy::ContGreedy);
-        let lay = SegLayout::new(&cfg);
-        let m = Machine::new(
-            MachineConfig::new(workers, profiles::test_profile())
-                .with_seg_bytes(cfg.seg_bytes)
-                .with_reserved(lay.reserved)
-                .with_fabric(fabric),
-        );
-        let world = DqWorld {
-            m,
-            items: Slab::new(),
-            lay,
-            shadow: VecDeque::new(),
-            violations: Vec::new(),
-        };
-        let mut actors = vec![DqActor::Owner {
-            to_push: n_items,
-            pushed: 0,
-        }];
-        for _ in 1..workers {
-            actors.push(DqActor::Thief {
-                state: ThiefState::Locking { attempts: 0 },
-                order,
-            });
-        }
-        let mut engine = Engine::new(world, actors).with_max_steps(100_000);
-        engine.run_with_hook(hook);
-        let w = &mut engine.world;
-        if !w.shadow.is_empty() {
-            w.violations
-                .push(format!("leak: {} pushed items never consumed", w.shadow.len()));
-        }
-        if !w.items.is_empty() {
-            w.violations
-                .push("leak: queue-item slab not empty at end of run".to_string());
-        }
-        for p in 0..workers {
-            let depth = w.m.cq_depth(p);
-            if depth > 0 {
-                w.violations.push(format!(
-                    "overlap-race: worker {p} ended with {depth} posted verbs never reaped"
-                ));
-            }
-        }
-        std::mem::take(&mut w.violations)
-    };
-    Scenario {
-        name: name_owned,
-        workers,
-        expect_violation,
-        runner: Box::new(runner),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fence-free deque scenarios (the multiplicity oracle)
-// ---------------------------------------------------------------------------
-
-/// World for the fence-free steal scenarios. Unlike the CAS-lock shadow
-/// deque, the oracle here is a *multiplicity* ledger: fence-free steals are
-/// read/write-only, so an occupancy may be **taken** (payload transferred)
-/// by more than one party, but the claim arbitration must ensure every
-/// pushed task is **executed** exactly once, with the total take count per
-/// task bounded by the number of potential takers (owner + thieves = the
-/// worker count). Delivery order is deliberately not part of the contract —
-/// fence-free takers validate instead of serializing.
-struct FfWorld {
-    m: Machine,
-    /// Worker 0's shared state: the item slab and the live-ticket map.
-    ws: WorkerShared,
-    /// The claim arbiter honest takers share (models the claim-write).
-    claims: ClaimSet,
-    lay: SegLayout,
-    /// Per-tag (executions, take attempts); filled at push time.
-    counts: HashMap<u64, (u32, u32)>,
-    pushed: u64,
-    /// The multiplicity bound k: owner + thieves.
-    cap: u32,
-    violations: Vec<String>,
-}
-
-impl FfWorld {
-    /// A party got the payload and will run the task.
-    fn note_exec(&mut self, tag: u64, who: &str) {
-        let e = self.counts.entry(tag).or_insert((0, 0));
-        e.0 += 1;
-        e.1 += 1;
-        if e.0 > 1 {
-            self.violations.push(format!(
-                "multiplicity: task {tag} executed {} times ({who} took it again)",
-                e.0
-            ));
-        }
-        if e.1 > self.cap {
-            self.violations.push(format!(
-                "multiplicity: task {tag} taken {} times, bound is {}",
-                e.1, self.cap
-            ));
-        }
-    }
-
-    /// A party paid the payload transfer but lost the claim race.
-    fn note_dup(&mut self, tag: u64) {
-        let e = self.counts.entry(tag).or_insert((0, 0));
-        e.1 += 1;
-        if e.1 > self.cap {
-            self.violations.push(format!(
-                "multiplicity: task {tag} taken {} times, bound is {}",
-                e.1, self.cap
-            ));
-        }
-    }
-
-    fn all_executed(&self) -> bool {
-        self.counts.values().all(|&(e, _)| e >= 1)
-    }
-}
-
-enum FfActor {
-    Owner {
-        to_push: u64,
-    },
-    Thief {
-        state: FfThiefState,
-        /// `Some` recomposes the deliberate bug: this thief arbitrates
-        /// against its own private claim set — a claim-write that reaches
-        /// nobody — so a take it wins is invisible to the owner and the
-        /// task runs twice. The self-test (`broken-claim`) proves the
-        /// multiplicity oracle catches exactly that.
-        private_claims: Option<ClaimSet>,
-    },
-}
-
-enum FfThiefState {
-    Bounds { attempts: u32 },
-    Claim { top: u64, attempts: u32 },
-    Done,
-}
-
-impl Actor<FfWorld> for FfActor {
-    fn step(&mut self, me: WorkerId, _now: VTime, w: &mut FfWorld) -> Step {
-        match self {
-            FfActor::Owner { to_push } => {
-                if w.pushed < *to_push {
-                    let tag = w.pushed;
-                    let cost = ff_owner_push(&mut w.m, &mut w.ws, &w.lay, me, dq_item(tag));
-                    w.pushed += 1;
-                    w.counts.insert(tag, (0, 0));
                     return Step::Yield(cost);
                 }
-                match ff_owner_pop(&mut w.m, &mut w.ws, &mut w.claims, &w.lay, me) {
-                    Ok((Some(item), cost)) => {
-                        let tag = dq_tag(&item);
-                        w.note_exec(tag, "owner_pop");
-                        Step::Yield(cost)
-                    }
-                    Ok((None, cost)) => {
-                        // Claim + execution bookkeeping are atomic within a
-                        // taker's step, so an empty deque with every task
-                        // executed means the run is over; otherwise a thief
-                        // is still between bounds read and claim.
-                        if w.pushed == *to_push && w.all_executed() {
-                            Step::Halt
-                        } else {
-                            Step::Yield(cost)
-                        }
-                    }
-                    Err(DequeError::Busy) => {
-                        unreachable!("fence-free owners are never blocked")
-                    }
-                    Err(DequeError::Dead(d)) => {
-                        w.violations
-                            .push(format!("ff_owner_pop observed a corrupt slot: {d:?}"));
-                        Step::Halt
+            }
+            if attempts + 1 >= MAX_WATCH {
+                return Step::Halt; // the suspect finished first: no eviction
+            }
+            *state = ThiefState::Watch {
+                suspect,
+                attempts: attempts + 1,
+            };
+            Step::Yield(cost)
+        }
+        ThiefState::Lock { victim, attempts } => {
+            let epoch = w.m.epoch_of(me);
+            let (locked, cost) = thief_lock_epoch(&mut w.m, &w.lay, me, victim, epoch);
+            if !locked {
+                let again = ThiefState::Lock {
+                    victim,
+                    attempts: attempts + 1,
+                };
+                return retry(state, attempts, again, cost);
+            }
+            *state = if script.pause {
+                ThiefState::Pause { victim }
+            } else {
+                ThiefState::Take {
+                    victim,
+                    bounds: None,
+                }
+            };
+            Step::Yield(cost)
+        }
+        ThiefState::Pause { victim } => {
+            *state = ThiefState::Take {
+                victim,
+                bounds: None,
+            };
+            Step::Yield(w.m.local_op(me))
+        }
+        ThiefState::Probe { attempts } => {
+            let epoch = w.m.epoch_of(me);
+            let mut cost = VTime::ZERO;
+            // (victim, lock won, top, bottom) per ring slot.
+            let mut probes: Vec<(usize, bool, u64, u64)> = Vec::new();
+            if script.chained {
+                // Every probe's CAS and bounds read posted behind one
+                // doorbell, reaped together; decisions use the eager values.
+                w.m.chain_begin(me);
+                let mut handles = Vec::new();
+                for &v in script.ring {
+                    let h_cas =
+                        w.m.post_cas_u64(me, lock_of(w, v), 0, lock_word(epoch, me), now);
+                    let top_addr = GlobalAddr::new(v, w.lay.dq_word(DQ_TOP));
+                    let (vals, h_b) = w.m.post_get_u64_span::<2>(me, top_addr, now);
+                    handles.push((v, h_cas, h_b, vals));
+                }
+                w.m.chain_end(me);
+                let mut fin_max = now;
+                for (v, h_cas, h_b, vals) in handles {
+                    let (observed, f1) = w.m.wait(me, h_cas);
+                    let (_, f2) = w.m.wait(me, h_b);
+                    fin_max = fin_max.max(f1).max(f2);
+                    probes.push((v, observed == 0, vals[0], vals[1]));
+                }
+                cost = fin_max.saturating_sub(now);
+            } else {
+                for &v in script.ring {
+                    let (locked, c1) = thief_lock_epoch(&mut w.m, &w.lay, me, v, epoch);
+                    cost += c1;
+                    if locked {
+                        let ((top, bottom), c2) = thief_read_bounds(&mut w.m, &w.lay, me, v);
+                        cost += c2;
+                        probes.push((v, true, top, bottom));
+                    } else {
+                        probes.push((v, false, 0, 0));
                     }
                 }
             }
-            FfActor::Thief {
-                state,
-                private_claims,
-            } => match state {
-                FfThiefState::Bounds { attempts } => {
-                    let ((top, bottom), cost) = thief_read_bounds(&mut w.m, &w.lay, me, 0);
-                    if top >= bottom {
-                        *attempts += 1;
-                        if *attempts >= 16 {
-                            return Step::Halt; // give up: a failed steal
-                        }
-                        return Step::Yield(cost);
-                    }
-                    *state = FfThiefState::Claim {
-                        top,
-                        attempts: *attempts,
+            // A lock leaked here is what the `locks_free` oracle catches.
+            let mut won = None;
+            for (v, locked, top, bottom) in probes {
+                if locked && won.is_none() && top < bottom {
+                    won = Some((v, top, bottom));
+                } else if locked {
+                    cost += thief_release_lock(&mut w.m, &w.lay, me, v);
+                }
+            }
+            match won {
+                Some((victim, top, bottom)) => {
+                    // The lock is held and the bounds are frozen across this
+                    // engine-step boundary — the window the owners and the
+                    // other thieves interleave into.
+                    *state = ThiefState::Take {
+                        victim,
+                        bounds: Some((top, bottom)),
                     };
                     Step::Yield(cost)
                 }
-                FfThiefState::Claim { top, attempts } => {
-                    // Oracle-side peek at the slot the claim will target, so
-                    // a Dup can be charged to the right task.
-                    let keyp1 = w.m.read_own(0, GlobalAddr::new(0, w.lay.dq_slot(*top)));
-                    let (outcome, mut cost) = match private_claims {
-                        Some(p) => ff_thief_claim(&mut w.m, &mut w.ws, p, &w.lay, me, 0, *top),
-                        None => ff_thief_claim(
-                            &mut w.m,
-                            &mut w.ws,
-                            &mut w.claims,
-                            &w.lay,
-                            me,
-                            0,
-                            *top,
-                        ),
+                None => {
+                    let again = ThiefState::Probe {
+                        attempts: attempts + 1,
                     };
-                    match outcome {
-                        FfSteal::Taken(item, size) => {
-                            cost += w.m.get_bulk(me, 0, size);
-                            let tag = dq_tag(&item);
-                            w.note_exec(tag, &format!("thief {me}"));
-                            *state = FfThiefState::Done; // one steal per thief
-                            Step::Yield(cost)
-                        }
-                        FfSteal::Dup => {
-                            let tag = keyp1
-                                .checked_sub(1)
-                                .and_then(|k| w.ws.items.get(k as u32))
-                                .map(dq_tag);
-                            if let Some(tag) = tag {
-                                w.note_dup(tag);
-                            }
-                            *state = FfThiefState::Bounds {
-                                attempts: *attempts + 1,
-                            };
-                            Step::Yield(cost)
-                        }
-                        FfSteal::Lost => {
-                            *state = FfThiefState::Bounds {
-                                attempts: *attempts + 1,
-                            };
-                            Step::Yield(cost)
-                        }
-                    }
+                    retry(state, attempts, again, cost.max(w.m.local_op(me)))
                 }
-                FfThiefState::Done => Step::Halt,
-            },
-        }
-    }
-}
-
-/// Build a fence-free steal scenario: worker 0 owns the ring and pushes
-/// `n_items` `Child` descriptors; workers `1..workers` each run the
-/// bounds-read → claim pipeline. With `broken_claim`, every thief arbitrates
-/// against a private claim set (the no-op claim-write bug) and the
-/// multiplicity oracle must catch a double execution.
-fn ff_deque_scenario(name: &str, workers: usize, n_items: u64, broken_claim: bool) -> Scenario {
-    assert!(workers >= 2);
-    let name_owned = name.to_string();
-    let runner = move |hook: &mut dyn ScheduleHook| -> Vec<String> {
-        let cfg = RunConfig::new(workers, Policy::ContGreedy);
-        let lay = SegLayout::new(&cfg);
-        let m = Machine::new(
-            MachineConfig::new(workers, profiles::test_profile())
-                .with_seg_bytes(cfg.seg_bytes)
-                .with_reserved(lay.reserved),
-        );
-        let world = FfWorld {
-            m,
-            ws: WorkerShared::new(&cfg),
-            claims: ClaimSet::default(),
-            lay,
-            counts: HashMap::new(),
-            pushed: 0,
-            cap: workers as u32,
-            violations: Vec::new(),
-        };
-        let mut actors = vec![FfActor::Owner { to_push: n_items }];
-        for _ in 1..workers {
-            actors.push(FfActor::Thief {
-                state: FfThiefState::Bounds { attempts: 0 },
-                private_claims: broken_claim.then(ClaimSet::default),
-            });
-        }
-        let mut engine = Engine::new(world, actors).with_max_steps(100_000);
-        engine.run_with_hook(hook);
-        let w = &mut engine.world;
-        let mut tags: Vec<u64> = w.counts.keys().copied().collect();
-        tags.sort_unstable();
-        for tag in tags {
-            let (exec, takes) = w.counts[&tag];
-            if exec != 1 {
-                w.violations.push(format!(
-                    "multiplicity: task {tag} executed {exec} times, want exactly 1"
-                ));
-            }
-            if takes > w.cap {
-                w.violations.push(format!(
-                    "multiplicity: task {tag} taken {takes} times, bound is {}",
-                    w.cap
-                ));
             }
         }
-        if !w.ws.items.is_empty() {
-            w.violations
-                .push("leak: queue-item slab not empty at end of run".to_string());
-        }
-        if !w.ws.ff_tickets.is_empty() {
-            w.violations
-                .push("leak: live tickets left at end of run".to_string());
-        }
-        w.violations.sort_unstable();
-        w.violations.dedup();
-        std::mem::take(&mut w.violations)
-    };
-    Scenario {
-        name: name_owned,
-        workers,
-        expect_violation: broken_claim,
-        runner: Box::new(runner),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Multi-steal probe-ring scenarios
-// ---------------------------------------------------------------------------
-
-/// World for the multi-steal probe rings: TWO owners (workers 0 and 1) each
-/// drive their own deque; each thief keeps a probe on both victims in flight
-/// at once — the `--multi-steal` composition — and commits the first in ring
-/// order that holds work, abandoning the other. Oracles: per-deque
-/// exactly-once FIFO/LIFO (shadow deques), every victim's lock word reads 0
-/// at the end of the run (an abandoned steal must release a won-but-unused
-/// lock), and no posted verb is left unreaped.
-struct MsWorld {
-    m: Machine,
-    items: Vec<Slab<QueueItem>>,
-    lay: SegLayout,
-    shadow: Vec<VecDeque<u64>>,
-    violations: Vec<String>,
-}
-
-enum MsActor {
-    Owner { to_push: u64, pushed: u64 },
-    Thief { state: MsThiefState, pipelined: bool },
-}
-
-enum MsThiefState {
-    /// Probe both victims in one step (the ring is posted as a unit).
-    Probe { attempts: u32 },
-    /// Ring winner committed: the lock is held and the bounds are frozen
-    /// across this engine-step boundary — the window the owners and the
-    /// other thieves interleave into.
-    Take { victim: WorkerId, top: u64, bottom: u64 },
-    Done,
-}
-
-impl Actor<MsWorld> for MsActor {
-    fn step(&mut self, me: WorkerId, now: VTime, w: &mut MsWorld) -> Step {
-        match self {
-            MsActor::Owner { to_push, pushed } => {
-                if *pushed < *to_push {
-                    let tag = me as u64 * 100 + *pushed;
-                    return match owner_push(&mut w.m, &mut w.items[me], &w.lay, me, dq_item(tag))
-                    {
-                        Ok(cost) => {
-                            *pushed += 1;
-                            w.shadow[me].push_back(tag);
-                            Step::Yield(cost)
-                        }
-                        Err(DequeError::Busy) => Step::Yield(w.m.local_op(me)),
-                        Err(DequeError::Dead(d)) => {
-                            w.violations
-                                .push(format!("owner_push observed dead slot: {d:?}"));
-                            Step::Halt
-                        }
+        ThiefState::Bounds { attempts } => {
+            let mut cost = VTime::ZERO;
+            let mut won = None;
+            for &v in script.ring {
+                let ((top, bottom), c) = thief_read_bounds(&mut w.m, &w.lay, me, v);
+                cost += c;
+                if won.is_none() && top < bottom {
+                    won = Some((v, top));
+                }
+            }
+            match won {
+                Some((victim, top)) => {
+                    *state = ThiefState::Claim {
+                        victim,
+                        top,
+                        attempts,
                     };
+                    Step::Yield(cost)
                 }
-                match owner_pop(&mut w.m, &mut w.items[me], &w.lay, me) {
-                    Ok((Some(item), cost)) => {
-                        let tag = dq_tag(&item);
-                        match w.shadow[me].pop_back() {
-                            Some(expect) if expect == tag => {}
-                            other => w.violations.push(format!(
-                                "owner_pop LIFO violated: got tag {tag}, shadow back was {other:?}"
-                            )),
-                        }
-                        Step::Yield(cost)
-                    }
-                    Ok((None, cost)) => {
-                        if w.shadow[me].is_empty() {
-                            Step::Halt
-                        } else {
-                            Step::Yield(cost)
-                        }
-                    }
-                    Err(DequeError::Busy) => Step::Yield(w.m.local_op(me)),
-                    Err(DequeError::Dead(d)) => {
-                        w.violations.push(format!(
-                            "multi-steal: owner_pop observed a dead ring slot at index {}",
-                            d.index
-                        ));
-                        Step::Halt
-                    }
+                None => {
+                    let again = ThiefState::Bounds {
+                        attempts: attempts + 1,
+                    };
+                    retry(state, attempts, again, cost)
                 }
             }
-            MsActor::Thief { state, pipelined } => match state {
-                MsThiefState::Probe { attempts } => {
-                    const RING: [usize; 2] = [0, 1];
-                    let mut cost = VTime::ZERO;
-                    // (victim, lock won, top, bottom) per ring slot.
-                    let mut probes: Vec<(usize, bool, u64, u64)> = Vec::new();
-                    if *pipelined {
-                        // The shipped pipelined ring: every probe's CAS and
-                        // bounds read posted behind one doorbell, reaped
-                        // together; decisions use the eager values.
-                        w.m.chain_begin(me);
-                        let mut handles = Vec::new();
-                        for &v in &RING {
-                            let lock = GlobalAddr::new(v, w.lay.dq_word(DQ_LOCK));
-                            let h_cas = w.m.post_cas_u64(me, lock, 0, me as u64 + 1, now);
-                            let top_addr = GlobalAddr::new(v, w.lay.dq_word(DQ_TOP));
-                            let (vals, h_b) = w.m.post_get_u64_span::<2>(me, top_addr, now);
-                            handles.push((v, h_cas, h_b, vals));
-                        }
-                        w.m.chain_end(me);
-                        let mut fin_max = now;
-                        for (v, h_cas, h_b, vals) in handles {
-                            let (observed, f1) = w.m.wait(me, h_cas);
-                            let (_, f2) = w.m.wait(me, h_b);
-                            fin_max = fin_max.max(f1).max(f2);
-                            probes.push((v, observed == 0, vals[0], vals[1]));
-                        }
-                        cost = fin_max.saturating_sub(now);
-                    } else {
-                        for &v in &RING {
-                            let (locked, c1) = thief_lock(&mut w.m, &w.lay, me, v);
-                            cost += c1;
-                            if locked {
-                                let ((top, bottom), c2) =
-                                    thief_read_bounds(&mut w.m, &w.lay, me, v);
-                                cost += c2;
-                                probes.push((v, true, top, bottom));
-                            } else {
-                                probes.push((v, false, 0, 0));
-                            }
-                        }
+        }
+        ThiefState::Take { victim: v, bounds } => {
+            *state = ThiefState::Done;
+            if !script.unfenced && w.m.epoch_of(me) > 0 {
+                // The runtime's self-fence: a worker observing its own
+                // eviction quiesces before issuing another verb. The lock is
+                // already someone else's problem (the suspector broke it as
+                // stale).
+                return Step::Yield(w.m.local_op(me));
+            }
+            let items = &mut w.ws[v].items;
+            let took = match bounds {
+                Some((top, bottom)) => {
+                    thief_take_no_release_at(&mut w.m, items, &w.lay, me, v, top, bottom)
+                }
+                None => thief_take_no_release(&mut w.m, items, &w.lay, me, v),
+            };
+            match took {
+                Ok((Some((item, size, top)), mut cost)) => {
+                    if w.m.epoch_of(me) > 0 {
+                        w.violations.push(
+                            "zombie-steal: task taken by an evicted incarnation \
+                             (epoch fence missing on the take verb)"
+                                .to_string(),
+                        );
                     }
-                    // First in ring order with the lock AND work wins; every
-                    // other won lock is released before this step ends — a
-                    // leak here is exactly what the end-of-run lock oracle
-                    // catches.
-                    let mut won: Option<(usize, u64, u64)> = None;
-                    for &(v, locked, top, bottom) in &probes {
-                        if !locked {
-                            continue;
-                        }
-                        if won.is_none() && top < bottom {
-                            won = Some((v, top, bottom));
-                        } else {
+                    w.taken(v, dq_tag(&item), Some(me));
+                    match script.release {
+                        Release::Shipped => {
+                            thief_advance_top(&mut w.m, &w.lay, me, v, top + 1);
                             cost += thief_release_lock(&mut w.m, &w.lay, me, v);
                         }
-                    }
-                    match won {
-                        Some((v, top, bottom)) => {
-                            *state = MsThiefState::Take { victim: v, top, bottom };
-                            Step::Yield(cost)
+                        Release::BeforeAdvance => {
+                            cost += thief_release_lock(&mut w.m, &w.lay, me, v);
+                            *state = ThiefState::Advance {
+                                victim: v,
+                                new_top: top + 1,
+                            };
                         }
-                        None => {
-                            *attempts += 1;
-                            if *attempts >= 16 {
-                                return Step::Halt; // give up: failed steals
-                            }
-                            Step::Yield(cost.max(w.m.local_op(me)))
+                        Release::Posted => {
+                            // Top is advanced before the release is posted,
+                            // so the deque is consistent the instant the
+                            // release's (eager) effect lands.
+                            thief_advance_top(&mut w.m, &w.lay, me, v, top + 1);
+                            let at = now + cost;
+                            let h_release = w.m.post_put_u64(me, lock_of(w, v), 0, at);
+                            let h_copy = w.m.post_get_bulk(me, v, size, at);
+                            *state = ThiefState::Reap { h_release, h_copy };
                         }
                     }
+                    Step::Yield(cost)
                 }
-                MsThiefState::Take { victim, top, bottom } => {
-                    let v = *victim;
-                    match thief_take_at(
-                        &mut w.m,
-                        &mut w.items[v],
-                        &w.lay,
-                        me,
-                        v,
-                        *top,
-                        *bottom,
-                    ) {
-                        Ok((Some((item, _size)), cost)) => {
-                            let tag = dq_tag(&item);
-                            match w.shadow[v].pop_front() {
-                                Some(expect) if expect == tag => {}
-                                other => w.violations.push(format!(
-                                    "steal FIFO violated on victim {v}: got tag {tag}, shadow front was {other:?}"
-                                )),
-                            }
-                            *state = MsThiefState::Done;
-                            Step::Yield(cost)
-                        }
-                        Ok((None, cost)) => {
-                            // The bounds were read under the held lock, so
-                            // the owner cannot have drained the slot since.
+                Ok((None, cost)) => {
+                    if let Ledger::Order(shadow) = &w.ledger {
+                        if !shadow[v].is_empty() {
                             w.violations.push(format!(
-                                "multi-steal: probe promised work on victim {v} but the known-bounds take found none"
+                                "steal missed items{}: deque read empty with {} outstanding",
+                                w.at(v),
+                                shadow[v].len()
                             ));
-                            *state = MsThiefState::Done;
-                            Step::Yield(cost)
-                        }
-                        Err(d) => {
-                            w.violations
-                                .push(format!("thief_take_at observed dead slot: {d:?}"));
-                            Step::Halt
                         }
                     }
+                    // Empty: the shipped take releases with a non-blocking
+                    // put, the recomposed orders with the blocking one.
+                    let release = match script.release {
+                        Release::Shipped => w.m.post_put_u64_unsignaled(me, lock_of(w, v), 0),
+                        _ => thief_release_lock(&mut w.m, &w.lay, me, v),
+                    };
+                    Step::Yield(cost + release)
                 }
-                MsThiefState::Done => Step::Halt,
-            },
+                Err(d) => {
+                    thief_release_lock(&mut w.m, &w.lay, me, v);
+                    w.violations
+                        .push(format!("thief_take observed dead slot: {d:?}"));
+                    Step::Halt
+                }
+            }
+        }
+        ThiefState::Claim {
+            victim: v,
+            top,
+            attempts,
+        } => {
+            // Oracle-side peek at the slot the claim will target, so a Dup
+            // can be charged to the right task.
+            let keyp1 = w.m.read_own(v, GlobalAddr::new(v, w.lay.dq_slot(top)));
+            let mut private = ClaimSet::default();
+            let claims = if script.private_claims {
+                &mut private
+            } else {
+                &mut w.claims
+            };
+            let (outcome, mut cost) =
+                ff_thief_claim(&mut w.m, &mut w.ws[v], claims, &w.lay, me, v, top);
+            *state = ThiefState::Bounds {
+                attempts: attempts + 1,
+            };
+            match outcome {
+                FfSteal::Taken(item, size) => {
+                    cost += w.m.get_bulk(me, v, size);
+                    w.taken(v, dq_tag(&item), Some(me));
+                    *state = ThiefState::Done; // one steal per thief
+                }
+                FfSteal::Dup => {
+                    let key = keyp1.checked_sub(1);
+                    if let Some(tag) = key.and_then(|k| w.ws[v].items.get(k as u32)).map(dq_tag) {
+                        w.transferred(v, tag);
+                    }
+                }
+                FfSteal::Lost => {}
+            }
+            Step::Yield(cost)
+        }
+        ThiefState::Advance { victim, new_top } => {
+            thief_advance_top(&mut w.m, &w.lay, me, victim, new_top);
+            *state = ThiefState::Done;
+            Step::Yield(w.m.local_op(me))
+        }
+        ThiefState::Reap { h_release, h_copy } => {
+            let (_, f1) = w.m.wait(me, h_release);
+            let (_, f2) = w.m.wait(me, h_copy);
+            *state = ThiefState::Done;
+            Step::Yield(f1.max(f2).saturating_sub(now))
+        }
+        ThiefState::Done => Step::Halt,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The raw-deque kit: end-of-run oracles and the scenario constructor
+// ---------------------------------------------------------------------------
+
+/// An end-of-run check: appends what it finds to `w.violations`.
+type Oracle = fn(&mut RawWorld);
+
+/// Order ledger: every pushed item was popped or stolen.
+fn leaked_items(w: &mut RawWorld) {
+    let Ledger::Order(shadow) = &w.ledger else {
+        return;
+    };
+    for (v, left) in shadow.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
+        let msg = format!(
+            "leak: {} pushed items never consumed{}",
+            left.len(),
+            w.at(v)
+        );
+        w.violations.push(msg);
+    }
+}
+
+/// No payload object outlives its ring entry.
+fn slab_empty(w: &mut RawWorld) {
+    for v in (0..w.ws.len()).filter(|&v| !w.ws[v].items.is_empty()) {
+        let msg = format!("leak: queue-item slab not empty at end of run{}", w.at(v));
+        w.violations.push(msg);
+    }
+}
+
+/// Every victim's lock word reads 0: an abandoned steal released its
+/// won-but-unused lock, and nobody died holding one.
+fn locks_free(w: &mut RawWorld) {
+    for v in 0..w.ws.len() {
+        let lock = w.m.read_own(v, GlobalAddr::new(v, w.lay.dq_word(DQ_LOCK)));
+        if lock != 0 {
+            w.violations.push(format!(
+                "abandoned lock: victim {v}'s deque lock still held by {lock} at end of run"
+            ));
         }
     }
 }
 
-/// Build a multi-steal probe-ring scenario: workers 0 and 1 own deques and
-/// push `n_items` each; workers `2..workers` run the two-victim probe ring
-/// (posted as one doorbell chain when `pipelined`).
-fn multi_steal_scenario(name: &str, workers: usize, n_items: u64, pipelined: bool) -> Scenario {
-    let workers = workers.max(3);
-    let fabric = if pipelined {
-        FabricMode::Pipelined
-    } else {
-        FabricMode::Blocking
+/// No posted verb is left unreaped (the overlap-race oracle).
+fn cq_drained(w: &mut RawWorld) {
+    for p in 0..w.m.workers() {
+        let depth = w.m.cq_depth(p);
+        if depth > 0 {
+            w.violations.push(format!(
+                "overlap-race: worker {p} ended with {depth} posted verbs never reaped"
+            ));
+        }
+    }
+}
+
+/// Fence-free: every minted ticket was retired (a double claim strands one).
+fn tickets_retired(w: &mut RawWorld) {
+    for v in (0..w.ws.len()).filter(|&v| !w.ws[v].ff_tickets.is_empty()) {
+        let msg = format!("leak: live tickets left at end of run{}", w.at(v));
+        w.violations.push(msg);
+    }
+}
+
+/// Multiplicity ledger: every task executed exactly once and was taken at
+/// most `cap` times. Listed last: the per-take checks may already have
+/// reported the same fact, so it also canonicalises the violation list.
+fn multiplicity_exact(w: &mut RawWorld) {
+    let Ledger::Multiplicity { counts, cap } = &w.ledger else {
+        return;
     };
-    let name_owned = name.to_string();
+    for (&(v, tag), &(exec, takes)) in counts {
+        let at = w.at(v);
+        if exec != 1 {
+            w.violations.push(format!(
+                "multiplicity: task {tag}{at} executed {exec} times, want exactly 1"
+            ));
+        }
+        if takes > *cap {
+            w.violations.push(format!(
+                "multiplicity: task {tag}{at} taken {takes} times, bound is {cap}"
+            ));
+        }
+    }
+    w.violations.sort_unstable();
+    w.violations.dedup();
+}
+
+/// A raw scenario as data: the world's shape, who steals and how, and what
+/// must hold at the end.
+struct RawSpec {
+    fam: Family,
+    /// Workers `0..victims` own a deque and push `items` tasks each.
+    victims: usize,
+    items: u64,
+    fabric: FabricMode,
+    /// The thieves, from worker `victims` up; the last entry repeats for
+    /// every further worker.
+    thieves: Vec<(Script, ThiefState)>,
+    oracles: &'static [Oracle],
+    /// A `Script` in `thieves` carries a planted bug the explorer must find.
+    planted: bool,
+}
+
+const LOCK: ThiefState = ThiefState::Lock {
+    victim: 0,
+    attempts: 0,
+};
+const PROBE: ThiefState = ThiefState::Probe { attempts: 0 };
+const BOUNDS: ThiefState = ThiefState::Bounds { attempts: 0 };
+const ORDER_ORACLES: &[Oracle] = &[leaked_items, slab_empty, locks_free, cq_drained];
+const MULTIPLICITY_ORACLES: &[Oracle] = &[slab_empty, tickets_retired, multiplicity_exact];
+
+fn raw_scenario(name: &str, workers: usize, spec: RawSpec) -> Scenario {
+    let workers = workers.max(spec.victims + spec.thieves.len());
+    let expect_violation = spec.planted;
     let runner = move |hook: &mut dyn ScheduleHook| -> Vec<String> {
         let cfg = RunConfig::new(workers, Policy::ContGreedy);
         let lay = SegLayout::new(&cfg);
@@ -892,313 +846,47 @@ fn multi_steal_scenario(name: &str, workers: usize, n_items: u64, pipelined: boo
             MachineConfig::new(workers, profiles::test_profile())
                 .with_seg_bytes(cfg.seg_bytes)
                 .with_reserved(lay.reserved)
-                .with_fabric(fabric),
+                .with_fabric(spec.fabric),
         );
-        let world = MsWorld {
-            m,
-            items: (0..workers).map(|_| Slab::new()).collect(),
-            lay,
-            shadow: vec![VecDeque::new(); workers],
-            violations: Vec::new(),
-        };
-        let mut actors = vec![
-            MsActor::Owner { to_push: n_items, pushed: 0 },
-            MsActor::Owner { to_push: n_items, pushed: 0 },
-        ];
-        for _ in 2..workers {
-            actors.push(MsActor::Thief {
-                state: MsThiefState::Probe { attempts: 0 },
-                pipelined,
-            });
-        }
-        let mut engine = Engine::new(world, actors).with_max_steps(100_000);
-        engine.run_with_hook(hook);
-        let w = &mut engine.world;
-        for v in 0..2usize {
-            if !w.shadow[v].is_empty() {
-                w.violations.push(format!(
-                    "leak: {} items of victim {v} never consumed",
-                    w.shadow[v].len()
-                ));
-            }
-            if !w.items[v].is_empty() {
-                w.violations
-                    .push(format!("leak: victim {v}'s queue-item slab not empty"));
-            }
-            let lock = w.m.read_own(v, GlobalAddr::new(v, w.lay.dq_word(DQ_LOCK)));
-            if lock != 0 {
-                w.violations.push(format!(
-                    "abandoned lock: victim {v}'s deque lock still held by {lock} at end of run"
-                ));
-            }
-        }
-        for p in 0..workers {
-            let depth = w.m.cq_depth(p);
-            if depth > 0 {
-                w.violations.push(format!(
-                    "overlap-race: worker {p} ended with {depth} posted verbs never reaped"
-                ));
-            }
-        }
-        std::mem::take(&mut w.violations)
-    };
-    Scenario {
-        name: name_owned,
-        workers,
-        expect_violation: false,
-        runner: Box::new(runner),
-    }
-}
-
-/// World for the fence-free multi-steal variant: two owners with their own
-/// rings, ticket maps and claim arbiters; thieves probe both victims'
-/// bounds, then run the claim pipeline against the ring winner ONLY. The
-/// multiplicity ledger is the double-claim oracle: a thief that claimed the
-/// victim it abandoned would execute a task twice (or leak a ticket, caught
-/// at end of run).
-struct MsFfWorld {
-    m: Machine,
-    ws: Vec<WorkerShared>,
-    claims: Vec<ClaimSet>,
-    lay: SegLayout,
-    /// Per (victim, tag): (executions, take attempts).
-    counts: HashMap<(usize, u64), (u32, u32)>,
-    /// Takers per deque: its owner + every thief.
-    cap: u32,
-    violations: Vec<String>,
-}
-
-impl MsFfWorld {
-    fn note_exec(&mut self, victim: usize, tag: u64, who: &str) {
-        let e = self.counts.entry((victim, tag)).or_insert((0, 0));
-        e.0 += 1;
-        e.1 += 1;
-        if e.0 > 1 {
-            self.violations.push(format!(
-                "multiplicity: victim {victim} task {tag} executed {} times ({who} took it again)",
-                e.0
-            ));
-        }
-        if e.1 > self.cap {
-            self.violations.push(format!(
-                "multiplicity: victim {victim} task {tag} taken {} times, bound is {}",
-                e.1, self.cap
-            ));
-        }
-    }
-
-    fn note_dup(&mut self, victim: usize, tag: u64) {
-        let e = self.counts.entry((victim, tag)).or_insert((0, 0));
-        e.1 += 1;
-        if e.1 > self.cap {
-            self.violations.push(format!(
-                "multiplicity: victim {victim} task {tag} taken {} times, bound is {}",
-                e.1, self.cap
-            ));
-        }
-    }
-
-    fn owner_done(&self, me: usize) -> bool {
-        self.counts
-            .iter()
-            .filter(|((v, _), _)| *v == me)
-            .all(|(_, &(e, _))| e >= 1)
-    }
-}
-
-enum MsFfActor {
-    Owner { to_push: u64, pushed: u64 },
-    Thief { state: MsFfState },
-}
-
-enum MsFfState {
-    /// Read both victims' bounds in one step (the posted ring).
-    Probe { attempts: u32 },
-    /// Claim against the ring winner only — never the abandoned victim.
-    Claim { victim: usize, top: u64, attempts: u32 },
-    Done,
-}
-
-impl Actor<MsFfWorld> for MsFfActor {
-    fn step(&mut self, me: WorkerId, _now: VTime, w: &mut MsFfWorld) -> Step {
-        match self {
-            MsFfActor::Owner { to_push, pushed } => {
-                if *pushed < *to_push {
-                    let tag = *pushed;
-                    let cost =
-                        ff_owner_push(&mut w.m, &mut w.ws[me], &w.lay, me, dq_item(tag));
-                    *pushed += 1;
-                    w.counts.insert((me, tag), (0, 0));
-                    return Step::Yield(cost);
-                }
-                match ff_owner_pop(&mut w.m, &mut w.ws[me], &mut w.claims[me], &w.lay, me) {
-                    Ok((Some(item), cost)) => {
-                        let tag = dq_tag(&item);
-                        w.note_exec(me, tag, "owner_pop");
-                        Step::Yield(cost)
-                    }
-                    Ok((None, cost)) => {
-                        if *pushed == *to_push && w.owner_done(me) {
-                            Step::Halt
-                        } else {
-                            Step::Yield(cost)
-                        }
-                    }
-                    Err(DequeError::Busy) => {
-                        unreachable!("fence-free owners are never blocked")
-                    }
-                    Err(DequeError::Dead(d)) => {
-                        w.violations
-                            .push(format!("ff_owner_pop observed a corrupt slot: {d:?}"));
-                        Step::Halt
-                    }
-                }
-            }
-            MsFfActor::Thief { state } => match state {
-                MsFfState::Probe { attempts } => {
-                    const RING: [usize; 2] = [0, 1];
-                    let mut cost = VTime::ZERO;
-                    let mut won: Option<(usize, u64)> = None;
-                    for &v in &RING {
-                        let ((top, bottom), c) = thief_read_bounds(&mut w.m, &w.lay, me, v);
-                        cost += c;
-                        if won.is_none() && top < bottom {
-                            won = Some((v, top));
-                        }
-                        // An abandoned ready victim needs no cancel under
-                        // fence-free: the probe was a plain read, no ticket
-                        // was claimed.
-                    }
-                    match won {
-                        Some((v, top)) => {
-                            *state = MsFfState::Claim { victim: v, top, attempts: *attempts };
-                            Step::Yield(cost)
-                        }
-                        None => {
-                            *attempts += 1;
-                            if *attempts >= 16 {
-                                return Step::Halt; // give up: failed steals
-                            }
-                            Step::Yield(cost)
-                        }
-                    }
-                }
-                MsFfState::Claim { victim, top, attempts } => {
-                    let v = *victim;
-                    // Oracle-side peek at the claim target so a Dup can be
-                    // charged to the right task.
-                    let keyp1 = w.m.read_own(v, GlobalAddr::new(v, w.lay.dq_slot(*top)));
-                    let (outcome, mut cost) = ff_thief_claim(
-                        &mut w.m,
-                        &mut w.ws[v],
-                        &mut w.claims[v],
-                        &w.lay,
-                        me,
-                        v,
-                        *top,
-                    );
-                    match outcome {
-                        FfSteal::Taken(item, size) => {
-                            cost += w.m.get_bulk(me, v, size);
-                            let tag = dq_tag(&item);
-                            w.note_exec(v, tag, &format!("thief {me}"));
-                            *state = MsFfState::Done; // one steal per thief
-                            Step::Yield(cost)
-                        }
-                        FfSteal::Dup => {
-                            let tag = keyp1
-                                .checked_sub(1)
-                                .and_then(|k| w.ws[v].items.get(k as u32))
-                                .map(dq_tag);
-                            if let Some(tag) = tag {
-                                w.note_dup(v, tag);
-                            }
-                            *state = MsFfState::Probe { attempts: *attempts + 1 };
-                            Step::Yield(cost)
-                        }
-                        FfSteal::Lost => {
-                            *state = MsFfState::Probe { attempts: *attempts + 1 };
-                            Step::Yield(cost)
-                        }
-                    }
-                }
-                MsFfState::Done => Step::Halt,
+        let ledger = match spec.fam {
+            Family::CasLock => Ledger::Order(vec![VecDeque::new(); spec.victims]),
+            Family::FenceFree => Ledger::Multiplicity {
+                counts: HashMap::new(),
+                cap: (1 + workers - spec.victims) as u32,
             },
-        }
-    }
-}
-
-/// Build the fence-free multi-steal scenario: workers 0 and 1 own rings and
-/// push `n_items` each; workers `2..workers` probe both and claim from the
-/// ring winner only.
-fn ms_ff_scenario(name: &str, workers: usize, n_items: u64) -> Scenario {
-    let workers = workers.max(3);
-    let name_owned = name.to_string();
-    let runner = move |hook: &mut dyn ScheduleHook| -> Vec<String> {
-        let cfg = RunConfig::new(workers, Policy::ContGreedy);
-        let lay = SegLayout::new(&cfg);
-        let m = Machine::new(
-            MachineConfig::new(workers, profiles::test_profile())
-                .with_seg_bytes(cfg.seg_bytes)
-                .with_reserved(lay.reserved),
-        );
-        let world = MsFfWorld {
+        };
+        let world = RawWorld {
             m,
-            ws: (0..workers).map(|_| WorkerShared::new(&cfg)).collect(),
-            claims: (0..workers).map(|_| ClaimSet::default()).collect(),
             lay,
-            counts: HashMap::new(),
-            cap: (workers - 1) as u32,
+            fam: spec.fam,
+            ws: (0..spec.victims).map(|_| WorkerShared::new(&cfg)).collect(),
+            claims: ClaimSet::default(),
+            ledger,
             violations: Vec::new(),
         };
-        let mut actors = vec![
-            MsFfActor::Owner { to_push: n_items, pushed: 0 },
-            MsFfActor::Owner { to_push: n_items, pushed: 0 },
-        ];
-        for _ in 2..workers {
-            actors.push(MsFfActor::Thief {
-                state: MsFfState::Probe { attempts: 0 },
-            });
-        }
+        let actors = (0..workers)
+            .map(|p| match p.checked_sub(spec.victims) {
+                None => RawActor::Owner {
+                    to_push: spec.items,
+                    pushed: 0,
+                },
+                Some(t) => {
+                    let (script, state) = spec.thieves[t.min(spec.thieves.len() - 1)];
+                    RawActor::Thief { script, state }
+                }
+            })
+            .collect();
         let mut engine = Engine::new(world, actors).with_max_steps(100_000);
         engine.run_with_hook(hook);
-        let w = &mut engine.world;
-        let mut keys: Vec<(usize, u64)> = w.counts.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
-            let (exec, takes) = w.counts[&key];
-            if exec != 1 {
-                w.violations.push(format!(
-                    "multiplicity: victim {} task {} executed {exec} times, want exactly 1",
-                    key.0, key.1
-                ));
-            }
-            if takes > w.cap {
-                w.violations.push(format!(
-                    "multiplicity: victim {} task {} taken {takes} times, bound is {}",
-                    key.0, key.1, w.cap
-                ));
-            }
+        for oracle in spec.oracles {
+            oracle(&mut engine.world);
         }
-        for v in 0..2usize {
-            if !w.ws[v].items.is_empty() {
-                w.violations
-                    .push(format!("leak: victim {v}'s queue-item slab not empty"));
-            }
-            if !w.ws[v].ff_tickets.is_empty() {
-                w.violations.push(format!(
-                    "leak: victim {v} has live tickets left at end of run (double claim?)"
-                ));
-            }
-        }
-        w.violations.sort_unstable();
-        w.violations.dedup();
-        std::mem::take(&mut w.violations)
+        engine.world.violations
     };
     Scenario {
-        name: name_owned,
+        name: name.to_string(),
         workers,
-        expect_violation: false,
+        expect_violation,
         runner: Box::new(runner),
     }
 }
@@ -1263,126 +951,106 @@ fn strategy_slug(s: FreeStrategy) -> &'static str {
     }
 }
 
-/// What a full-runtime scenario executes and expects back.
-#[derive(Clone, Copy)]
-struct ProgSpec {
-    root: dcs_core::TaskFn,
-    arg: u64,
-    expected: u64,
-}
+/// Reads a finished run's report and returns what is wrong with it.
+type Judge = Box<dyn Fn(&RunReport) -> Vec<String> + Send + Sync>;
 
-/// A full-runtime scenario: run the program under the policy/strategy pair
-/// with the watchdog on (non-strict, so leaks and protocol violations are
-/// reported instead of panicking) and check the result value.
-#[allow(clippy::too_many_arguments)]
-fn runtime_scenario(
-    name: String,
-    workers: usize,
-    seed: u64,
+/// A full-runtime scenario as data: every axis of the configuration lattice
+/// a catalog row can set, the program, and the judge of its report.
+struct RtSpec {
     policy: Policy,
     strategy: FreeStrategy,
     fabric: FabricMode,
     protocol: Protocol,
     multi_steal: u32,
-    spec: ProgSpec,
-) -> Scenario {
+    plan: FaultPlan,
+    root: TaskFn,
+    arg: u64,
+    judge: Judge,
+}
+
+impl RtSpec {
+    /// The defaults every golden is pinned to, fault-free.
+    fn new(policy: Policy, root: TaskFn, arg: u64, judge: Judge) -> RtSpec {
+        RtSpec {
+            policy,
+            strategy: FreeStrategy::LocalCollection,
+            fabric: FabricMode::Blocking,
+            protocol: Protocol::CasLock,
+            multi_steal: 1,
+            plan: FaultPlan::none(),
+            root,
+            arg,
+            judge,
+        }
+    }
+}
+
+/// Run the program with the watchdog on (non-strict, so leaks and protocol
+/// violations are reported instead of panicking) and judge the report.
+fn runtime_scenario(name: impl Into<String>, workers: usize, seed: u64, spec: RtSpec) -> Scenario {
     let runner = move |hook: &mut dyn ScheduleHook| -> Vec<String> {
-        let cfg = RunConfig::new(workers, policy)
+        let cfg = RunConfig::new(workers, spec.policy)
             .with_profile(profiles::test_profile())
-            .with_free_strategy(strategy)
+            .with_free_strategy(spec.strategy)
             .with_watchdog(true)
             .with_strict(false)
             .with_seed(seed)
-            .with_fabric(fabric)
-            .with_protocol(protocol)
-            .with_multi_steal(multi_steal);
-        let report = run_hooked(cfg, Program::new(spec.root, spec.arg), hook);
-        let mut violations = Vec::new();
-        if report.result.as_u64() != spec.expected {
-            violations.push(format!(
-                "wrong result: got {}, expected {}",
-                report.result.as_u64(),
-                spec.expected
-            ));
-        }
-        match &report.watchdog {
-            Some(wd) => violations.extend(wd.violations.iter().map(|v| v.to_string())),
-            None => violations.push("watchdog missing from report".to_string()),
-        }
-        violations
+            .with_fabric(spec.fabric)
+            .with_protocol(spec.protocol)
+            .with_multi_steal(spec.multi_steal)
+            .with_fault_plan(spec.plan.clone());
+        (spec.judge)(&run_hooked(cfg, Program::new(spec.root, spec.arg), hook))
     };
     Scenario {
-        name,
+        name: name.into(),
         workers,
         expect_violation: false,
         runner: Box::new(runner),
     }
 }
 
-// ---------------------------------------------------------------------------
-// Fail-stop crash scenarios
-// ---------------------------------------------------------------------------
+/// What the watchdog found. `lossy` runs — a worker killed or evicted —
+/// drop `Leak`: entries on a dead segment can never be freed, and orphaned
+/// duplicate subtrees are tolerated-but-leaky.
+fn watchdog_findings(report: &RunReport, lossy: bool) -> Vec<String> {
+    match &report.watchdog {
+        None => vec!["watchdog missing from report".to_string()],
+        Some(wd) => wd
+            .violations
+            .iter()
+            .filter(|v| !(lossy && matches!(v, Violation::Leak { .. })))
+            .map(|v| v.to_string())
+            .collect(),
+    }
+}
 
-/// Crash-recovery oracle: a run that loses a worker mid-run must still
-/// produce the exact fault-free answer under EVERY schedule —
-/// continuation-lineage replay plus done-flag dedup means at-least-once
-/// execution with exactly-once effects. Covers every recoverable policy:
-/// ChildRtc replays stolen child descriptors; the continuation policies
-/// replay forked continuation frames and repair the ContGreedy FAA race /
-/// ContStalling wait queues through the buddy mirror; killing worker 0
-/// additionally exercises root re-election. Leak violations are expected
-/// (entries on the dead segment can never be freed, and orphaned duplicate
-/// subtrees are tolerated-but-leaky) and filtered; anything else the
-/// watchdog reports is a finding.
-fn crash_recovery_scenario(
-    name: &str,
-    workers: usize,
-    seed: u64,
-    policy: Policy,
-    victim: usize,
-) -> Scenario {
-    use dcs_core::RunOutcome;
-    let name_owned = name.to_string();
-    let runner = move |hook: &mut dyn ScheduleHook| -> Vec<String> {
-        let mut plan = dcs_sim::FaultPlan::none().with_kill(victim, VTime::ns(100));
-        plan.lease = VTime::us(5); // keep death confirmation inside the run
-        let cfg = RunConfig::new(workers, policy)
-            .with_profile(profiles::test_profile())
-            .with_watchdog(true)
-            .with_strict(false)
-            .with_seed(seed)
-            .with_fault_plan(plan);
-        let report = run_hooked(cfg, Program::new(fib, 9u64), hook);
+/// The run completes with the exact fault-free answer under EVERY schedule
+/// and the watchdog is quiet. `lossy` says the plan may lose or evict
+/// workers (lineage replay plus done-flag dedup: at-least-once execution
+/// with exactly-once effects); `kills` says it may lose them for real —
+/// a suspicion-only plan must count nobody as genuinely lost.
+fn completes(expected: u64, lossy: bool, kills: bool) -> Judge {
+    Box::new(move |report| {
+        let (got, s) = (report.result.as_u64(), &report.stats);
         let mut violations = Vec::new();
         if !matches!(report.outcome, RunOutcome::Complete) {
+            violations.push(format!("run aborted: {:?}", report.outcome));
+        } else if got != expected {
             violations.push(format!(
-                "recoverable kill aborted the run: {:?}",
-                report.outcome
-            ));
-        } else if report.result.as_u64() != 34 {
-            violations.push(format!(
-                "wrong result after recovery: got {}, expected 34 (workers_lost={}, replayed={})",
-                report.result.as_u64(),
-                report.stats.workers_lost,
-                report.stats.tasks_replayed
+                "wrong result: got {got}, expected {expected} (workers_lost={}, \
+                 false_suspects={}, rejoins={}, replayed={})",
+                s.workers_lost, s.false_suspects, s.rejoins, s.tasks_replayed
             ));
         }
-        if let Some(wd) = &report.watchdog {
-            violations.extend(
-                wd.violations
-                    .iter()
-                    .filter(|v| !matches!(v, dcs_core::watchdog::Violation::Leak { .. }))
-                    .map(|v| v.to_string()),
-            );
+        if !kills && s.workers_lost != 0 {
+            violations.push(format!(
+                "a kill=none run counted {} workers as genuinely lost",
+                s.workers_lost
+            ));
         }
+        violations.extend(watchdog_findings(report, lossy));
         violations
-    };
-    Scenario {
-        name: name_owned,
-        workers,
-        expect_violation: false,
-        runner: Box::new(runner),
-    }
+    })
 }
 
 /// Crash-abort oracle: ChildFull is the one policy whose lost state (full
@@ -1391,28 +1059,16 @@ fn crash_recovery_scenario(
 /// `Unrecoverable` outcome naming the lost worker with the `FullStacks`
 /// reason — never a silent wrong answer or a wedged run (a wedge surfaces
 /// as a missing root result, which panics and is caught).
-fn crash_abort_scenario(workers: usize, seed: u64) -> Scenario {
-    use dcs_core::{RunOutcome, UnrecoverableReason};
-    let runner = move |hook: &mut dyn ScheduleHook| -> Vec<String> {
-        let mut plan = dcs_sim::FaultPlan::none().with_kill(workers - 1, VTime::ns(100));
-        plan.lease = VTime::us(5);
-        let cfg = RunConfig::new(workers, Policy::ChildFull)
-            .with_profile(profiles::test_profile())
-            .with_watchdog(true)
-            .with_strict(false)
-            .with_seed(seed)
-            .with_fault_plan(plan);
-        let report = run_hooked(cfg, Program::new(fib, 9u64), hook);
+fn aborts_typed(killed: WorkerId, expected: u64) -> Judge {
+    Box::new(move |report| {
         let mut violations = Vec::new();
         match (&report.outcome, report.stats.workers_lost) {
             // The schedule let the run finish before the kill landed: the
             // answer must simply be right.
             (RunOutcome::Complete, 0) => {
-                if report.result.as_u64() != 34 {
-                    violations.push(format!(
-                        "wrong result: got {}, expected 34",
-                        report.result.as_u64()
-                    ));
+                let got = report.result.as_u64();
+                if got != expected {
+                    violations.push(format!("wrong result: got {got}, expected {expected}"));
                 }
             }
             (RunOutcome::Complete, _) => violations.push(
@@ -1420,390 +1076,52 @@ fn crash_abort_scenario(workers: usize, seed: u64) -> Scenario {
                     .to_string(),
             ),
             (RunOutcome::Unrecoverable { worker, reason, .. }, _) => {
-                if *worker != workers - 1 {
-                    violations.push(format!(
-                        "abort blamed worker {worker}, killed {}",
-                        workers - 1
-                    ));
+                if *worker != killed {
+                    violations.push(format!("abort blamed worker {worker}, killed {killed}"));
                 }
                 if *reason != UnrecoverableReason::FullStacks {
-                    violations.push(format!(
-                        "abort carried the wrong typed reason: {reason:?}"
-                    ));
+                    violations.push(format!("abort carried the wrong typed reason: {reason:?}"));
                 }
                 let named = report.watchdog.as_ref().is_some_and(|wd| {
-                    wd.violations.iter().any(|v| {
-                        matches!(v, dcs_core::watchdog::Violation::WorkerLost { .. })
-                    })
+                    wd.violations
+                        .iter()
+                        .any(|v| matches!(v, Violation::WorkerLost { .. }))
                 });
                 if !named {
-                    violations
-                        .push("abort did not record a worker-lost diagnostic".to_string());
+                    violations.push("abort did not record a worker-lost diagnostic".to_string());
                 }
             }
         }
         violations
-    };
-    Scenario {
-        name: "crash-abort".to_string(),
-        workers,
-        expect_violation: false,
-        runner: Box::new(runner),
-    }
+    })
 }
 
-// ---------------------------------------------------------------------------
-// Zombie-steal scenarios (imperfect failure detection)
-// ---------------------------------------------------------------------------
-
-/// The zombie seam, recomposed from the raw deque verbs. Worker 0 owns the
-/// deque; worker 1 (the *zombie*) locks it with an epoch-stamped lock word
-/// and then pauses mid-steal; worker 2 (the *suspector*) plays a message
-/// detector with a false positive — it observes the held lock, evicts the
-/// live holder (epoch bump), breaks the now-stale lock exactly as the
-/// owner's `break_dead_lock` would, and steals in the zombie's place.
-///
-/// Shipped composition: the zombie re-checks its own incarnation epoch
-/// before every deque mutation (the runtime's self-fence) and abandons the
-/// steal the moment it observes its own eviction — so no schedule can make
-/// an evicted incarnation touch the deque. With `broken`, the epoch check
-/// is removed from the take-verb class: the zombie completes the take with
-/// its pre-eviction view, executing a task in a dead incarnation — the
-/// two-epochs oracle (and, on nastier schedules, the shadow FIFO and slab
-/// tears) must catch it.
-enum ZombieActor {
-    Owner {
-        to_push: u64,
-        pushed: u64,
-    },
-    Zombie {
-        state: ZombieState,
-        broken: bool,
-    },
-    Suspector {
-        state: SuspectorState,
-    },
+/// Fail-stop loss of `victim` early in the run, with the lease short
+/// enough that death confirmation lands inside it.
+fn kill_plan(victim: WorkerId) -> FaultPlan {
+    let mut plan = FaultPlan::none().with_kill(victim, VTime::ns(100));
+    plan.lease = VTime::us(5);
+    plan
 }
 
-enum ZombieState {
-    Locking { attempts: u32 },
-    /// Lock held, take pending: the eviction window the explorer aims at.
-    Pause,
-    Take,
-    Done,
-}
-
-enum SuspectorState {
-    /// Poll the victim's lock word until the zombie is seen holding it.
-    Watch { attempts: u32 },
-    Locking { attempts: u32 },
-    Take,
-    Done,
-}
-
-impl Actor<DqWorld> for ZombieActor {
-    fn step(&mut self, me: WorkerId, _now: VTime, w: &mut DqWorld) -> Step {
-        match self {
-            ZombieActor::Owner { to_push, pushed } => {
-                owner_step(me, w, to_push, pushed)
-            }
-            ZombieActor::Zombie { state, broken } => {
-                // The runtime's self-fence: a worker observing its own
-                // eviction quiesces before issuing another verb. The broken
-                // variant drops the check from the take class only, so the
-                // lock acquisition stays faithful either way.
-                match state {
-                    ZombieState::Locking { attempts } => {
-                        let (locked, cost) = thief_lock_epoch(&mut w.m, &w.lay, me, 0, 0);
-                        if locked {
-                            *state = ZombieState::Pause;
-                        } else {
-                            *attempts += 1;
-                            if *attempts >= 16 {
-                                return Step::Halt;
-                            }
-                        }
-                        Step::Yield(cost)
-                    }
-                    ZombieState::Pause => {
-                        // One idle beat between lock and take: the window a
-                        // degraded NIC opens in the real runtime, and the
-                        // window the suspector's eviction lands in.
-                        *state = ZombieState::Take;
-                        Step::Yield(w.m.local_op(me))
-                    }
-                    ZombieState::Take => {
-                        if !*broken && w.m.epoch_of(me) > 0 {
-                            // Shipped: observed own eviction — abandon. The
-                            // lock is already someone else's problem (the
-                            // suspector broke it as stale).
-                            *state = ZombieState::Done;
-                            return Step::Yield(w.m.local_op(me));
-                        }
-                        match thief_take(&mut w.m, &mut w.items, &w.lay, me, 0) {
-                            Ok((Some((item, _size)), cost)) => {
-                                if w.m.epoch_of(me) > 0 {
-                                    w.violations.push(
-                                        "zombie-steal: task taken by an evicted \
-                                         incarnation (epoch fence missing on the \
-                                         take verb)"
-                                            .to_string(),
-                                    );
-                                }
-                                check_fifo(w, &item);
-                                *state = ZombieState::Done;
-                                Step::Yield(cost)
-                            }
-                            Ok((None, cost)) => {
-                                *state = ZombieState::Done;
-                                Step::Yield(cost)
-                            }
-                            Err(d) => {
-                                w.violations
-                                    .push(format!("zombie thief_take observed dead slot: {d:?}"));
-                                Step::Halt
-                            }
-                        }
-                    }
-                    ZombieState::Done => Step::Halt,
-                }
-            }
-            ZombieActor::Suspector { state } => match state {
-                SuspectorState::Watch { attempts } => {
-                    let lock = GlobalAddr::new(0, w.lay.dq_word(DQ_LOCK));
-                    let (word, cost) = w.m.get_u64(me, lock);
-                    if word == lock_word(0, 1) {
-                        // False suspicion: the holder is alive, but its
-                        // heartbeats look stale from here. Evict it and
-                        // break the stale-epoch lock (the owner-side
-                        // `break_dead_lock` clause, run by a survivor).
-                        w.m.evict(1);
-                        let cost = cost + w.m.put_u64(me, lock, 0);
-                        *state = SuspectorState::Locking { attempts: 0 };
-                        return Step::Yield(cost);
-                    }
-                    *attempts += 1;
-                    if *attempts >= 40 {
-                        return Step::Halt; // the zombie finished first: no eviction
-                    }
-                    Step::Yield(cost)
-                }
-                SuspectorState::Locking { attempts } => {
-                    let (locked, cost) = thief_lock_epoch(&mut w.m, &w.lay, me, 0, 0);
-                    if locked {
-                        *state = SuspectorState::Take;
-                    } else {
-                        *attempts += 1;
-                        if *attempts >= 16 {
-                            return Step::Halt;
-                        }
-                    }
-                    Step::Yield(cost)
-                }
-                SuspectorState::Take => {
-                    match thief_take(&mut w.m, &mut w.items, &w.lay, me, 0) {
-                        Ok((Some((item, _size)), cost)) => {
-                            check_fifo(w, &item);
-                            *state = SuspectorState::Done;
-                            Step::Yield(cost)
-                        }
-                        Ok((None, cost)) => {
-                            *state = SuspectorState::Done;
-                            Step::Yield(cost)
-                        }
-                        Err(d) => {
-                            w.violations
-                                .push(format!("suspector thief_take observed dead slot: {d:?}"));
-                            Step::Halt
-                        }
-                    }
-                }
-                SuspectorState::Done => Step::Halt,
-            },
-        }
-    }
-}
-
-/// Owner push/drain shared by the zombie scenario (the plain deque
-/// scenario's owner, factored so both actor enums can use it).
-fn owner_step(me: WorkerId, w: &mut DqWorld, to_push: &mut u64, pushed: &mut u64) -> Step {
-    if *pushed < *to_push {
-        let tag = *pushed;
-        return match owner_push(&mut w.m, &mut w.items, &w.lay, me, dq_item(tag)) {
-            Ok(cost) => {
-                *pushed += 1;
-                w.shadow.push_back(tag);
-                Step::Yield(cost)
-            }
-            Err(DequeError::Busy) => Step::Yield(w.m.local_op(me)),
-            Err(DequeError::Dead(d)) => {
-                w.violations
-                    .push(format!("owner_push observed dead slot: {d:?}"));
-                Step::Halt
-            }
-        };
-    }
-    match owner_pop(&mut w.m, &mut w.items, &w.lay, me) {
-        Ok((Some(item), cost)) => {
-            let tag = dq_tag(&item);
-            match w.shadow.pop_back() {
-                Some(expect) if expect == tag => {}
-                other => w.violations.push(format!(
-                    "owner_pop LIFO violated: got tag {tag}, shadow back was {other:?}"
-                )),
-            }
-            Step::Yield(cost)
-        }
-        Ok((None, cost)) => {
-            if w.shadow.is_empty() {
-                Step::Halt
-            } else {
-                Step::Yield(cost)
-            }
-        }
-        Err(DequeError::Busy) => Step::Yield(w.m.local_op(me)),
-        Err(DequeError::Dead(d)) => {
-            w.violations.push(format!(
-                "deque-protocol: owner_pop observed a dead ring slot at index {}",
-                d.index
-            ));
-            Step::Halt
-        }
-    }
-}
-
-/// Build the zombie-steal scenario (3 workers: owner, zombie, suspector).
-/// `broken` removes the epoch self-fence from the zombie's take.
-fn zombie_steal_scenario(name: &str, n_items: u64, broken: bool) -> Scenario {
-    let workers = 3;
-    let name_owned = name.to_string();
-    let runner = move |hook: &mut dyn ScheduleHook| -> Vec<String> {
-        let cfg = RunConfig::new(workers, Policy::ContGreedy);
-        let lay = SegLayout::new(&cfg);
-        let m = Machine::new(
-            MachineConfig::new(workers, profiles::test_profile())
-                .with_seg_bytes(cfg.seg_bytes)
-                .with_reserved(lay.reserved),
-        );
-        let world = DqWorld {
-            m,
-            items: Slab::new(),
-            lay,
-            shadow: VecDeque::new(),
-            violations: Vec::new(),
-        };
-        let actors = vec![
-            ZombieActor::Owner {
-                to_push: n_items,
-                pushed: 0,
-            },
-            ZombieActor::Zombie {
-                state: ZombieState::Locking { attempts: 0 },
-                broken,
-            },
-            ZombieActor::Suspector {
-                state: SuspectorState::Watch { attempts: 0 },
-            },
-        ];
-        let mut engine = Engine::new(world, actors).with_max_steps(100_000);
-        engine.run_with_hook(hook);
-        let w = &mut engine.world;
-        // A broken-variant zombie may have consumed an item it had no right
-        // to; the explicit two-epochs oracle has already fired then, so the
-        // leak oracles only apply to the shipped composition.
-        if !broken {
-            if !w.shadow.is_empty() {
-                w.violations
-                    .push(format!("leak: {} pushed items never consumed", w.shadow.len()));
-            }
-            if !w.items.is_empty() {
-                w.violations
-                    .push("leak: queue-item slab not empty at end of run".to_string());
-            }
-        }
-        std::mem::take(&mut w.violations)
-    };
-    Scenario {
-        name: name_owned,
-        workers,
-        expect_violation: broken,
-        runner: Box::new(runner),
-    }
-}
-
-/// Full-runtime suspicion scenarios: a message detector with an aggressive
-/// lease and a degraded-NIC window on worker 1, **zero kills**. Every
-/// explored schedule must complete with the exact fault-free answer —
-/// false suspicion may evict live workers mid-steal, tear into their
-/// in-flight joins and replay their lineage, but can never lose or
-/// duplicate work. `until` bounds the degraded window: a finite window
-/// lets the evictee's beats recover, un-suspects it, clears its blacklist
-/// entry and (rejoin on) puts the fresh incarnation back to work.
-fn suspicion_scenario(
-    name: &str,
-    workers: usize,
-    seed: u64,
-    policy: Policy,
-    until: VTime,
-) -> Scenario {
-    use dcs_core::RunOutcome;
-    let name_owned = name.to_string();
-    let runner = move |hook: &mut dyn ScheduleHook| -> Vec<String> {
-        let mut plan = dcs_sim::FaultPlan::none()
-            .with_detector(dcs_sim::Detector::Message)
-            .with_suspect(VTime::us(3))
-            .with_degrade(dcs_sim::DegradeWindow {
-                worker: 1,
-                from: VTime::ZERO,
-                until,
-                factor: 20.0,
-            });
-        plan.hb_period = VTime::us(1);
-        let cfg = RunConfig::new(workers, policy)
-            .with_profile(profiles::test_profile())
-            .with_watchdog(true)
-            .with_strict(false)
-            .with_seed(seed)
-            .with_fault_plan(plan);
-        let report = run_hooked(cfg, Program::new(fib, 10u64), hook);
-        let mut violations = Vec::new();
-        if !matches!(report.outcome, RunOutcome::Complete) {
-            violations.push(format!(
-                "suspicion-only run aborted: {:?} (false_suspects={})",
-                report.outcome, report.stats.false_suspects
-            ));
-        } else if report.result.as_u64() != 55 {
-            violations.push(format!(
-                "result diverged from fault-free: got {}, expected 55 \
-                 (false_suspects={}, rejoins={}, replayed={})",
-                report.result.as_u64(),
-                report.stats.false_suspects,
-                report.stats.rejoins,
-                report.stats.tasks_replayed
-            ));
-        }
-        if report.stats.workers_lost != 0 {
-            violations.push(format!(
-                "a kill=none run counted {} workers as genuinely lost",
-                report.stats.workers_lost
-            ));
-        }
-        if let Some(wd) = &report.watchdog {
-            violations.extend(
-                wd.violations
-                    .iter()
-                    .filter(|v| !matches!(v, dcs_core::watchdog::Violation::Leak { .. }))
-                    .map(|v| v.to_string()),
-            );
-        }
-        violations
-    };
-    Scenario {
-        name: name_owned,
-        workers,
-        expect_violation: false,
-        runner: Box::new(runner),
-    }
+/// A message detector with an aggressive lease and a degraded-NIC window on
+/// worker 1, **zero kills**: false suspicion may evict live workers
+/// mid-steal, tear into their in-flight joins and replay their lineage. A
+/// finite `until` lets the evictee's beats recover, un-suspects it, clears
+/// its blacklist entry and (rejoin on) puts the fresh incarnation back to
+/// work.
+fn suspicion_plan(until: VTime) -> FaultPlan {
+    let mut plan = FaultPlan::none()
+        .with_detector(Detector::Message)
+        .with_suspect(VTime::us(3))
+        .with_degrade(DegradeWindow {
+            worker: 1,
+            from: VTime::ZERO,
+            until,
+            factor: 20.0,
+        });
+    plan.hb_period = VTime::us(1);
+    plan
 }
 
 // ---------------------------------------------------------------------------
@@ -1815,7 +1133,6 @@ fn suspicion_scenario(
 /// re-activations are still in flight.
 fn bot_term_scenario(name: &str, workers: usize, seed: u64, fabric: FabricMode) -> Scenario {
     use dcs_apps::uts::{serial_count, Shape, UtsSpec};
-    let name_owned = name.to_string();
     let runner = move |hook: &mut dyn ScheduleHook| -> Vec<String> {
         let spec = UtsSpec::new(2.0, 3, Shape::Fixed, 5);
         let truth = serial_count(&spec).nodes;
@@ -1825,7 +1142,7 @@ fn bot_term_scenario(name: &str, workers: usize, seed: u64, fabric: FabricMode) 
             profiles::test_profile(),
             seed,
             hook,
-            dcs_sim::FaultPlan::none(),
+            FaultPlan::none(),
             fabric,
         );
         let mut violations = Vec::new();
@@ -1850,7 +1167,7 @@ fn bot_term_scenario(name: &str, workers: usize, seed: u64, fabric: FabricMode) 
         violations
     };
     Scenario {
-        name: name_owned,
+        name: name.to_string(),
         workers,
         expect_violation: false,
         runner: Box::new(runner),
@@ -1862,238 +1179,272 @@ fn bot_term_scenario(name: &str, workers: usize, seed: u64, fabric: FabricMode) 
 // ---------------------------------------------------------------------------
 
 /// All checkable scenarios at the given scale. `single-steal:*` covers every
-/// Policy × FreeStrategy pair; `broken-release` is the self-test that must
-/// fail under exploration.
+/// Policy × FreeStrategy pair; the `broken-*` rows are the self-tests that
+/// must fail under exploration.
 pub fn catalog(workers: usize, seed: u64) -> Vec<Scenario> {
+    use FabricMode::{Blocking, Pipelined};
+    use Family::{CasLock, FenceFree};
     let workers = workers.max(2);
+    const ONE: &[usize] = &[0];
+    const TWO: &[usize] = &[0, 1];
+    let raw = |fam, victims, items, fabric, thieves: &[(Script, ThiefState)], planted| RawSpec {
+        fam,
+        victims,
+        items,
+        fabric,
+        thieves: thieves.to_vec(),
+        oracles: match fam {
+            CasLock => ORDER_ORACLES,
+            FenceFree => MULTIPLICITY_ORACLES,
+        },
+        planted,
+    };
+    // The zombie seam: worker 1 locks with an epoch-stamped word and pauses
+    // mid-steal; worker 2 plays a message detector with a false positive.
+    // The shipped zombie re-checks its own epoch before the take, so no
+    // schedule can make an evicted incarnation touch the deque.
+    let zombie = Script {
+        pause: true,
+        ..Script::on(ONE)
+    };
+    let suspector = |ring, suspect| {
+        (
+            Script::on(ring),
+            ThiefState::Watch {
+                suspect,
+                attempts: 0,
+            },
+        )
+    };
+    let unfenced = |s: Script| Script {
+        unfenced: true,
+        ..s
+    };
+    let posted = Script {
+        release: Release::Posted,
+        ..Script::on(ONE)
+    };
+    let late_advance = Script {
+        release: Release::BeforeAdvance,
+        ..Script::on(ONE)
+    };
+    let no_claim_write = Script {
+        private_claims: true,
+        ..Script::on(ONE)
+    };
+    let chained = Script {
+        chained: true,
+        ..Script::on(TWO)
+    };
     let mut v = vec![
-        deque_scenario("deque-steal", workers, 2, ReleaseOrder::Fixed),
-        deque_scenario("broken-release", 2, 1, ReleaseOrder::Broken),
-        deque_scenario("deque-steal-pipelined", workers, 2, ReleaseOrder::Pipelined),
+        raw_scenario(
+            "deque-steal",
+            workers,
+            raw(CasLock, 1, 2, Blocking, &[(Script::on(ONE), LOCK)], false),
+        ),
+        raw_scenario(
+            "broken-release",
+            2,
+            raw(CasLock, 1, 1, Blocking, &[(late_advance, LOCK)], true),
+        ),
+        raw_scenario(
+            "deque-steal-pipelined",
+            workers,
+            raw(CasLock, 1, 2, Pipelined, &[(posted, LOCK)], false),
+        ),
         // The fence-free family: read/write-only steals with bounded
-        // multiplicity, and the no-op-claim-write self-test the
-        // multiplicity oracle must catch.
-        ff_deque_scenario("fence-free-steal", workers, 2, false),
-        ff_deque_scenario("broken-claim", 2, 1, true),
+        // multiplicity.
+        raw_scenario(
+            "fence-free-steal",
+            workers,
+            raw(
+                FenceFree,
+                1,
+                2,
+                Blocking,
+                &[(Script::on(ONE), BOUNDS)],
+                false,
+            ),
+        ),
+        raw_scenario(
+            "broken-claim",
+            2,
+            raw(FenceFree, 1, 1, Blocking, &[(no_claim_write, BOUNDS)], true),
+        ),
         // The multi-steal probe rings (`--multi-steal`): two victims, each
         // thief's probes in flight at once, first hit in ring order wins and
-        // the rest are abandoned — the abandoned-lock and double-claim
-        // oracles close the new cancel paths.
-        multi_steal_scenario("multi-steal-probe", workers, 2, false),
-        multi_steal_scenario("multi-steal-probe-pipelined", workers, 2, true),
-        ms_ff_scenario("multi-steal-ff", workers, 2),
+        // the rest are abandoned — `locks_free` and `tickets_retired` close
+        // the cancel paths.
+        raw_scenario(
+            "multi-steal-probe",
+            workers,
+            raw(CasLock, 2, 2, Blocking, &[(Script::on(TWO), PROBE)], false),
+        ),
+        raw_scenario(
+            "multi-steal-probe-pipelined",
+            workers,
+            raw(CasLock, 2, 2, Pipelined, &[(chained, PROBE)], false),
+        ),
+        raw_scenario(
+            "multi-steal-ff",
+            workers,
+            raw(
+                FenceFree,
+                2,
+                2,
+                Blocking,
+                &[(Script::on(TWO), BOUNDS)],
+                false,
+            ),
+        ),
     ];
+
+    let rt = |name: String, spec| runtime_scenario(name, workers, seed, spec);
+    let one_item = |policy| RtSpec::new(policy, single_steal_root, 0, completes(15, false, false));
+    let fib8 = || RtSpec::new(Policy::ContGreedy, fib, 8, completes(21, false, false));
     for policy in Policy::ALL {
+        let slug = policy_slug(policy);
         for strategy in [FreeStrategy::LockQueue, FreeStrategy::LocalCollection] {
-            v.push(runtime_scenario(
-                format!("single-steal:{}:{}", policy_slug(policy), strategy_slug(strategy)),
-                workers,
-                seed,
-                policy,
-                strategy,
-                FabricMode::Blocking,
-                Protocol::CasLock,
-                1,
-                ProgSpec {
-                    root: single_steal_root,
-                    arg: 0,
-                    expected: 15,
+            let name = format!("single-steal:{slug}:{}", strategy_slug(strategy));
+            v.push(rt(
+                name,
+                RtSpec {
+                    strategy,
+                    ..one_item(policy)
                 },
             ));
         }
         // The same join race with the posted-verb fabric: steals and retval
         // publications now have a window between post and completion that
         // the explorer can interleave into.
-        v.push(runtime_scenario(
-            format!("single-steal-pipelined:{}", policy_slug(policy)),
-            workers,
-            seed,
-            policy,
-            FreeStrategy::LocalCollection,
-            FabricMode::Pipelined,
-            Protocol::CasLock,
-            1,
-            ProgSpec {
-                root: single_steal_root,
-                arg: 0,
-                expected: 15,
+        let name = format!("single-steal-pipelined:{slug}");
+        v.push(rt(
+            name,
+            RtSpec {
+                fabric: Pipelined,
+                ..one_item(policy)
             },
         ));
-        // The Fig. 4 one-item race again, but stealing fence-free: the
-        // thief's claim races the owner's ff_owner_pop_parent fast path and
-        // the dedup arbitration (not a lock) must keep the join exact.
-        v.push(runtime_scenario(
-            format!("single-steal-ff:{}", policy_slug(policy)),
-            workers,
-            seed,
-            policy,
-            FreeStrategy::LocalCollection,
-            FabricMode::Blocking,
-            Protocol::FenceFree,
-            1,
-            ProgSpec {
-                root: single_steal_root,
-                arg: 0,
-                expected: 15,
+        // And stealing fence-free: the thief's claim races the owner's
+        // pop-parent fast path and the dedup arbitration (not a lock) must
+        // keep the join exact.
+        let name = format!("single-steal-ff:{slug}");
+        v.push(rt(
+            name,
+            RtSpec {
+                protocol: Protocol::FenceFree,
+                ..one_item(policy)
             },
         ));
     }
-    v.push(runtime_scenario(
-        "fork-join".to_string(),
-        workers,
-        seed,
-        Policy::ContGreedy,
-        FreeStrategy::LocalCollection,
-        FabricMode::Blocking,
-        Protocol::CasLock,
-        1,
-        ProgSpec {
-            root: fib,
-            arg: 8,
-            expected: 21,
-        },
-    ));
-    v.push(runtime_scenario(
-        "fork-join-pipelined".to_string(),
-        workers,
-        seed,
-        Policy::ContGreedy,
-        FreeStrategy::LocalCollection,
-        FabricMode::Pipelined,
-        Protocol::CasLock,
-        1,
-        ProgSpec {
-            root: fib,
-            arg: 8,
-            expected: 21,
-        },
-    ));
-    // Fence-free termination: a full fork-join tree must drain, terminate
-    // and pass the end-of-run leak oracles (finalize reclaims thief-claimed
-    // slots) under every explored schedule — in both fabric modes, and
-    // under the lock-free family for contrast.
-    v.push(runtime_scenario(
-        "fence-free-term".to_string(),
-        workers,
-        seed,
-        Policy::ContGreedy,
-        FreeStrategy::LocalCollection,
-        FabricMode::Blocking,
-        Protocol::FenceFree,
-        1,
-        ProgSpec {
-            root: fib,
-            arg: 8,
-            expected: 21,
-        },
-    ));
-    v.push(runtime_scenario(
-        "fence-free-term-pipelined".to_string(),
-        workers,
-        seed,
-        Policy::ContGreedy,
-        FreeStrategy::LocalCollection,
-        FabricMode::Pipelined,
-        Protocol::FenceFree,
-        1,
-        ProgSpec {
-            root: fib,
-            arg: 8,
-            expected: 21,
-        },
-    ));
-    v.push(runtime_scenario(
-        "lock-free-term".to_string(),
-        workers,
-        seed,
-        Policy::ContGreedy,
-        FreeStrategy::LocalCollection,
-        FabricMode::Blocking,
-        Protocol::LockFree,
-        1,
-        ProgSpec {
-            root: fib,
-            arg: 8,
-            expected: 21,
-        },
-    ));
-    // The full runtime with K=2 probe rings under every protocol family —
-    // the pipelined fabric keeps both probes genuinely in flight, so the
-    // explorer can interleave owners into the probe/commit window.
+    // A full fork-join tree must drain, terminate and pass the end-of-run
+    // leak oracles (fence-free: finalize reclaims thief-claimed slots) under
+    // every explored schedule.
+    for (name, fabric, protocol) in [
+        ("fork-join", Blocking, Protocol::CasLock),
+        ("fork-join-pipelined", Pipelined, Protocol::CasLock),
+        ("fence-free-term", Blocking, Protocol::FenceFree),
+        ("fence-free-term-pipelined", Pipelined, Protocol::FenceFree),
+        ("lock-free-term", Blocking, Protocol::LockFree),
+    ] {
+        v.push(rt(
+            name.to_string(),
+            RtSpec {
+                fabric,
+                protocol,
+                ..fib8()
+            },
+        ));
+    }
+    // K=2 probe rings under every protocol family — the pipelined fabric
+    // keeps both probes genuinely in flight, so the explorer can interleave
+    // owners into the probe/commit window.
     for protocol in Protocol::ALL {
-        v.push(runtime_scenario(
-            format!("multi-steal:{}", protocol.label()),
-            workers,
-            seed,
-            Policy::ContGreedy,
-            FreeStrategy::LocalCollection,
-            FabricMode::Pipelined,
-            protocol,
-            2,
-            ProgSpec {
-                root: fib,
-                arg: 8,
-                expected: 21,
+        let name = format!("multi-steal:{}", protocol.label());
+        v.push(rt(
+            name,
+            RtSpec {
+                fabric: Pipelined,
+                protocol,
+                multi_steal: 2,
+                ..fib8()
             },
         ));
     }
-    v.push(bot_term_scenario("bot-term", workers, seed, FabricMode::Blocking));
+    v.push(bot_term_scenario("bot-term", workers, seed, Blocking));
     v.push(bot_term_scenario(
         "bot-term-pipelined",
         workers,
         seed,
-        FabricMode::Pipelined,
+        Pipelined,
     ));
-    v.push(crash_recovery_scenario(
-        "crash-recovery",
-        workers,
-        seed,
-        Policy::ChildRtc,
-        workers - 1,
+    // Fail-stop loss of one worker: every recoverable policy replays to the
+    // exact answer (ChildRtc stolen descriptors; continuation frames, the
+    // ContGreedy FAA race and ContStalling wait queues through the buddy
+    // mirror); killing worker 0 also re-elects the root holder.
+    for (name, policy, victim) in [
+        ("crash-recovery", Policy::ChildRtc, workers - 1),
+        ("crash-recovery-greedy", Policy::ContGreedy, workers - 1),
+        ("crash-recovery-stalling", Policy::ContStalling, workers - 1),
+        ("crash-recovery-root", Policy::ContGreedy, 0),
+    ] {
+        let spec = RtSpec::new(policy, fib, 9, completes(34, true, true));
+        v.push(rt(
+            name.to_string(),
+            RtSpec {
+                plan: kill_plan(victim),
+                ..spec
+            },
+        ));
+    }
+    let spec = RtSpec::new(Policy::ChildFull, fib, 9, aborts_typed(workers - 1, 34));
+    v.push(rt(
+        "crash-abort".to_string(),
+        RtSpec {
+            plan: kill_plan(workers - 1),
+            ..spec
+        },
     ));
-    v.push(crash_recovery_scenario(
-        "crash-recovery-greedy",
-        workers,
-        seed,
-        Policy::ContGreedy,
-        workers - 1,
-    ));
-    v.push(crash_recovery_scenario(
-        "crash-recovery-stalling",
-        workers,
-        seed,
-        Policy::ContStalling,
-        workers - 1,
-    ));
-    // Worker 0 holds the root frame: killing it exercises re-election of the
-    // root holder from the mirrored lineage record.
-    v.push(crash_recovery_scenario(
-        "crash-recovery-root",
-        workers,
-        seed,
-        Policy::ContGreedy,
-        0,
-    ));
-    v.push(crash_abort_scenario(workers, seed));
-    // Imperfect failure detection: the zombie seam on the raw deque (plus
-    // its planted-bug self-test) and the kill=none false-suspicion runs
-    // that must stay result-identical to fault-free.
-    v.push(zombie_steal_scenario("zombie-steal", 2, false));
-    v.push(zombie_steal_scenario("broken-fence", 2, true));
-    v.push(suspicion_scenario(
-        "false-suspect-term",
-        workers,
-        seed,
-        Policy::ContGreedy,
-        VTime::MAX,
-    ));
-    v.push(suspicion_scenario(
-        "rejoin-replay",
-        workers,
-        seed,
-        Policy::ChildRtc,
-        VTime::us(6),
-    ));
+    // Imperfect failure detection on the raw deque, single victim and
+    // inside a two-victim probe ring (the thief is evicted between probe
+    // and take while it holds the committed victim's lock), each with its
+    // planted-bug twin.
+    for (name, planted) in [("zombie-steal", false), ("broken-fence", true)] {
+        let z = if planted { unfenced(zombie) } else { zombie };
+        let cast = [(z, LOCK), suspector(ONE, 1)];
+        v.push(raw_scenario(
+            name,
+            3,
+            raw(CasLock, 1, 2, Blocking, &cast, planted),
+        ));
+    }
+    for (name, planted) in [("zombie-in-ring", false), ("broken-ring-fence", true)] {
+        let z = if planted {
+            unfenced(Script::on(TWO))
+        } else {
+            Script::on(TWO)
+        };
+        let cast = [(z, PROBE), suspector(TWO, 2)];
+        v.push(raw_scenario(
+            name,
+            4,
+            raw(CasLock, 2, 2, Blocking, &cast, planted),
+        ));
+    }
+    // kill=none false suspicion must stay result-identical to fault-free.
+    for (name, policy, until) in [
+        ("false-suspect-term", Policy::ContGreedy, VTime::MAX),
+        ("rejoin-replay", Policy::ChildRtc, VTime::us(6)),
+    ] {
+        let spec = RtSpec::new(policy, fib, 10, completes(55, true, false));
+        v.push(rt(
+            name.to_string(),
+            RtSpec {
+                plan: suspicion_plan(until),
+                ..spec
+            },
+        ));
+    }
     v
 }
 
@@ -2135,7 +1486,11 @@ mod tests {
     fn catalog_names_are_unique_and_resolvable() {
         let cat = catalog(3, 0);
         for s in &cat {
-            assert!(by_name(&s.name, 3, 0).is_some(), "{} not resolvable", s.name);
+            assert!(
+                by_name(&s.name, 3, 0).is_some(),
+                "{} not resolvable",
+                s.name
+            );
         }
         let mut names: Vec<&str> = cat.iter().map(|s| s.name.as_str()).collect();
         names.sort_unstable();
@@ -2143,4 +1498,3 @@ mod tests {
         assert_eq!(names.len(), cat.len());
     }
 }
-

@@ -96,25 +96,42 @@ fn word(lay: &SegLayout, me: WorkerId, w: u32) -> GlobalAddr {
 
 /// Owner-side lock check shared by all local operations.
 fn owner_check_lock(m: &mut Machine, lay: &SegLayout, me: WorkerId) -> Result<(), DequeError> {
-    let (lock, _) = m.get_u64(me, word(lay, me, DQ_LOCK));
-    if lock != 0 {
-        Err(DequeError::Busy)
-    } else {
-        Ok(())
+    match m.get_u64(me, word(lay, me, DQ_LOCK)).0 {
+        0 => Ok(()),
+        _ => Err(DequeError::Busy),
     }
 }
 
-/// Push an item at the bottom (local end). Returns the charged cost.
-pub fn owner_push(
+/// What a pop returns: the item, if one was taken, and the charged cost.
+pub type Popped = Result<(Option<QueueItem>, VTime), DequeError>;
+
+/// The pop family's accept test. `None` takes whatever sits at the bottom;
+/// `Some(e)` is the Fig.-4 DIE fast path — take the bottom item only if it
+/// is the dying thread's parent continuation (a `Cont` whose
+/// `spawned_child` equals `e`). A stale key (payload already gone) cannot
+/// be anybody's parent: it is a non-match here, and the eventual plain pop
+/// of the same slot surfaces the violation.
+#[inline]
+fn accepts(item: Option<&QueueItem>, parent_of: Option<GlobalAddr>) -> bool {
+    match parent_of {
+        None => true,
+        Some(e) => matches!(
+            item,
+            Some(QueueItem::Cont { spawned_child, .. }) if *spawned_child == e
+        ),
+    }
+}
+
+/// The ring write shared by the CAS-lock and lock-free pushes: one O(1)
+/// local operation covers the bounds, ring write and bottom update (all
+/// cache-resident for the owner).
+fn ring_push(
     m: &mut Machine,
     items: &mut Slab<QueueItem>,
     lay: &SegLayout,
     me: WorkerId,
     item: QueueItem,
-) -> Result<VTime, DequeError> {
-    owner_check_lock(m, lay, me)?;
-    // One O(1) local operation covers the lock check, bounds, ring write
-    // and bottom update (all cache-resident for the owner).
+) -> VTime {
     let cost = m.local_op(me);
     let top = m.read_own(me, word(lay, me, DQ_TOP));
     let bottom = m.read_own(me, word(lay, me, DQ_BOTTOM));
@@ -129,7 +146,56 @@ pub fn owner_push(
     m.write_own(me, slot, key as u64 + 1);
     m.write_own(me, slot.field(1), size as u64);
     m.write_own(me, word(lay, me, DQ_BOTTOM), bottom + 1);
-    Ok(cost)
+    cost
+}
+
+/// Push an item at the bottom (local end). Returns the charged cost.
+pub fn owner_push(
+    m: &mut Machine,
+    items: &mut Slab<QueueItem>,
+    lay: &SegLayout,
+    me: WorkerId,
+    item: QueueItem,
+) -> Result<VTime, DequeError> {
+    owner_check_lock(m, lay, me)?;
+    Ok(ring_push(m, items, lay, me, item))
+}
+
+/// The CAS-lock pop: lock probe, then check-and-pop of the bottom item in
+/// one owner-local step.
+#[inline]
+fn pop_if(
+    m: &mut Machine,
+    items: &mut Slab<QueueItem>,
+    lay: &SegLayout,
+    me: WorkerId,
+    op: &'static str,
+    parent_of: Option<GlobalAddr>,
+) -> Popped {
+    owner_check_lock(m, lay, me)?;
+    let cost = m.local_op(me);
+    let top = m.read_own(me, word(lay, me, DQ_TOP));
+    let bottom = m.read_own(me, word(lay, me, DQ_BOTTOM));
+    if top == bottom {
+        return Ok((None, cost));
+    }
+    let index = bottom - 1;
+    let slot = GlobalAddr::new(me, lay.dq_slot(index));
+    let keyp1 = m.read_own(me, slot);
+    let dead = Err(DequeError::Dead(DeadSlot { op, index, cost }));
+    if keyp1 == 0 {
+        return dead;
+    }
+    let key = (keyp1 - 1) as u32;
+    if !accepts(items.get(key), parent_of) {
+        return Ok((None, cost));
+    }
+    let Some(item) = items.try_take(key) else {
+        return dead;
+    };
+    m.write_own(me, word(lay, me, DQ_BOTTOM), index);
+    m.write_own(me, slot, 0);
+    Ok((Some(item), cost))
 }
 
 /// Pop the bottom item, if any.
@@ -138,75 +204,20 @@ pub fn owner_pop(
     items: &mut Slab<QueueItem>,
     lay: &SegLayout,
     me: WorkerId,
-) -> Result<(Option<QueueItem>, VTime), DequeError> {
-    owner_check_lock(m, lay, me)?;
-    let cost = m.local_op(me);
-    let top = m.read_own(me, word(lay, me, DQ_TOP));
-    let bottom = m.read_own(me, word(lay, me, DQ_BOTTOM));
-    if top == bottom {
-        return Ok((None, cost));
-    }
-    let slot = GlobalAddr::new(me, lay.dq_slot(bottom - 1));
-    let keyp1 = m.read_own(me, slot);
-    let dead = |cost| {
-        Err(DequeError::Dead(DeadSlot {
-            op: "owner_pop",
-            index: bottom - 1,
-            cost,
-        }))
-    };
-    if keyp1 == 0 {
-        return dead(cost);
-    }
-    let Some(item) = items.try_take((keyp1 - 1) as u32) else {
-        return dead(cost);
-    };
-    m.write_own(me, word(lay, me, DQ_BOTTOM), bottom - 1);
-    m.write_own(me, slot, 0);
-    Ok((Some(item), cost))
+) -> Popped {
+    pop_if(m, items, lay, me, "owner_pop", None)
 }
 
-/// Fig.-4 DIE fast-path test: is the bottom item this dying thread's parent
-/// continuation (a `Cont` whose `spawned_child` equals `e`)? If so, pop it.
-/// The check-and-pop is one owner-local step, mirroring the work-first pop.
+/// Fig.-4 DIE fast path: pop the bottom item only if it is the parent
+/// continuation of the dying thread whose entry is `e` (see [`accepts`]).
 pub fn owner_pop_parent(
     m: &mut Machine,
     items: &mut Slab<QueueItem>,
     lay: &SegLayout,
     me: WorkerId,
     e: GlobalAddr,
-) -> Result<(Option<QueueItem>, VTime), DequeError> {
-    owner_check_lock(m, lay, me)?;
-    let cost = m.local_op(me);
-    let top = m.read_own(me, word(lay, me, DQ_TOP));
-    let bottom = m.read_own(me, word(lay, me, DQ_BOTTOM));
-    if top == bottom {
-        return Ok((None, cost));
-    }
-    let slot = GlobalAddr::new(me, lay.dq_slot(bottom - 1));
-    let keyp1 = m.read_own(me, slot);
-    if keyp1 == 0 {
-        return Err(DequeError::Dead(DeadSlot {
-            op: "owner_pop_parent",
-            index: bottom - 1,
-            cost,
-        }));
-    }
-    let key = (keyp1 - 1) as u32;
-    // A stale non-zero key (payload already gone) cannot be this thread's
-    // parent; treat it as a non-match here and let the eventual `owner_pop`
-    // of the same slot surface the violation.
-    let is_parent = matches!(
-        items.get(key),
-        Some(QueueItem::Cont { spawned_child, .. }) if *spawned_child == e
-    );
-    if !is_parent {
-        return Ok((None, cost));
-    }
-    let item = items.take(key);
-    m.write_own(me, word(lay, me, DQ_BOTTOM), bottom - 1);
-    m.write_own(me, slot, 0);
-    Ok((Some(item), cost))
+) -> Popped {
+    pop_if(m, items, lay, me, "owner_pop_parent", Some(e))
 }
 
 /// Number of queued items, from the owner's perspective (test/debug aid;
@@ -303,12 +314,13 @@ pub fn thief_take(
 /// `top` index it was taken from.
 pub type StolenEntry = (QueueItem, usize, u64);
 
-/// Checker seam: steps 2–3 of a steal **without** the bounds advance or the
-/// lock release. On success returns the item, its wire size, and the `top`
-/// index it was taken from; the caller must then call [`thief_advance_top`]
-/// and [`thief_release_lock`] itself. `dcs-check` uses this to recompose the
-/// release sequence in the *wrong* order across separate engine steps and
-/// prove the schedule explorer catches the resulting dead-slot window.
+/// Steps 2–3 of a steal **without** the bounds advance or the lock release:
+/// on success returns the item, its wire size, and the `top` index it was
+/// taken from; the caller then issues [`thief_advance_top`] and the release
+/// itself. The scheduler composes them with a *posted* release so the
+/// payload transfer can overlap it; `dcs-check` also recomposes them in the
+/// *wrong* order across separate engine steps to prove the schedule explorer
+/// catches the resulting dead-slot window.
 pub fn thief_take_no_release(
     m: &mut Machine,
     victim_items: &mut Slab<QueueItem>,
@@ -367,37 +379,8 @@ pub fn thief_take_no_release_at(
     Ok((Some((item, size as usize, top)), cost))
 }
 
-/// [`thief_take`] with the bounds already known (see
-/// [`thief_take_no_release_at`]): entry read, advance, release — no bounds
-/// round trip.
-pub fn thief_take_at(
-    m: &mut Machine,
-    victim_items: &mut Slab<QueueItem>,
-    lay: &SegLayout,
-    me: WorkerId,
-    victim: WorkerId,
-    top: u64,
-    bottom: u64,
-) -> Result<(Option<(QueueItem, usize)>, VTime), DeadSlot> {
-    match thief_take_no_release_at(m, victim_items, lay, me, victim, top, bottom) {
-        Ok((None, mut cost)) => {
-            cost += m.post_put_u64_unsignaled(me, word(lay, victim, DQ_LOCK), 0);
-            Ok((None, cost))
-        }
-        Ok((Some((item, size, top)), mut cost)) => {
-            thief_advance_top(m, lay, me, victim, top + 1);
-            cost += thief_release_lock(m, lay, me, victim);
-            Ok((Some((item, size)), cost))
-        }
-        Err(mut d) => {
-            d.cost += thief_release_lock(m, lay, me, victim);
-            Err(d)
-        }
-    }
-}
-
-/// Checker seam: advance the victim's `top` to `new_top` (non-blocking put;
-/// the cost rides in the release's message window and is not charged).
+/// Advance the victim's `top` to `new_top` (non-blocking put; the cost
+/// rides in the release's message window and is not charged).
 pub fn thief_advance_top(
     m: &mut Machine,
     lay: &SegLayout,
@@ -408,8 +391,8 @@ pub fn thief_advance_top(
     m.post_put_u64_unsignaled(me, word(lay, victim, DQ_TOP), new_top);
 }
 
-/// Checker seam: release the victim's deque lock (blocking put; returns its
-/// round-trip cost).
+/// Release the victim's deque lock (blocking put; returns its round-trip
+/// cost).
 pub fn thief_release_lock(
     m: &mut Machine,
     lay: &SegLayout,
@@ -442,8 +425,8 @@ pub fn thief_read_bounds(
 // `top` per steal, an owner-local CAS only on the last-item race.
 // ----------------------------------------------------------------------
 
-/// Lock-free owner push: identical ring writes to [`owner_push`], but with
-/// no lock to probe — the owner can never be blocked by a thief.
+/// Lock-free owner push: the ring write of [`owner_push`] with no lock to
+/// probe — the owner can never be blocked by a thief.
 pub fn lf_owner_push(
     m: &mut Machine,
     items: &mut Slab<QueueItem>,
@@ -451,35 +434,25 @@ pub fn lf_owner_push(
     me: WorkerId,
     item: QueueItem,
 ) -> VTime {
-    let cost = m.local_op(me);
-    let top = m.read_own(me, word(lay, me, DQ_TOP));
-    let bottom = m.read_own(me, word(lay, me, DQ_BOTTOM));
-    assert!(
-        bottom - top < lay.deque_cap as u64,
-        "deque overflow (cap {}): nesting deeper than configured",
-        lay.deque_cap
-    );
-    let size = item.wire_size();
-    let key = items.insert(item);
-    let slot = GlobalAddr::new(me, lay.dq_slot(bottom));
-    m.write_own(me, slot, key as u64 + 1);
-    m.write_own(me, slot.field(1), size as u64);
-    m.write_own(me, word(lay, me, DQ_BOTTOM), bottom + 1);
-    cost
+    ring_push(m, items, lay, me, item)
 }
 
-/// Lock-free owner pop. Plain take except on the *last* item, where the
+/// The lock-free pop. Plain take except on the *last* item, where the
 /// owner races thieves with a CAS on its own `top` (a cheap local atomic).
 /// Engine steps are atomic, so a thief's claim either fully precedes this
 /// pop (the owner then observes `top == bottom`, empty) or fully follows
 /// it (the thief's CAS fails); the owner's CAS is charged because the real
-/// protocol cannot know that, but it never loses here.
-pub fn lf_owner_pop(
+/// protocol cannot know that, but it never loses here. The accept test
+/// peeks first: only a match pays the pop (including the last-item CAS).
+#[inline]
+fn lf_pop_if(
     m: &mut Machine,
     items: &mut Slab<QueueItem>,
     lay: &SegLayout,
     me: WorkerId,
-) -> Result<(Option<QueueItem>, VTime), DequeError> {
+    op: &'static str,
+    parent_of: Option<GlobalAddr>,
+) -> Popped {
     let mut cost = m.local_op(me);
     let top = m.read_own(me, word(lay, me, DQ_TOP));
     let bottom = m.read_own(me, word(lay, me, DQ_BOTTOM));
@@ -489,15 +462,13 @@ pub fn lf_owner_pop(
     let b = bottom - 1;
     let slot = GlobalAddr::new(me, lay.dq_slot(b));
     let keyp1 = m.read_own(me, slot);
-    let dead = |cost| {
-        Err(DequeError::Dead(DeadSlot {
-            op: "lf_owner_pop",
-            index: b,
-            cost,
-        }))
-    };
+    let dead = |cost| Err(DequeError::Dead(DeadSlot { op, index: b, cost }));
     if keyp1 == 0 {
         return dead(cost);
+    }
+    let key = (keyp1 - 1) as u32;
+    if !accepts(items.get(key), parent_of) {
+        return Ok((None, cost));
     }
     if b == top {
         // Last item: decide it with the top CAS before touching the slot.
@@ -510,59 +481,32 @@ pub fn lf_owner_pop(
     } else {
         m.write_own(me, word(lay, me, DQ_BOTTOM), b);
     }
-    let Some(item) = items.try_take((keyp1 - 1) as u32) else {
+    let Some(item) = items.try_take(key) else {
         return dead(cost);
     };
     m.write_own(me, slot, 0);
     Ok((Some(item), cost))
 }
 
-/// Lock-free variant of [`owner_pop_parent`]: peek the bottom item first;
-/// only a parent match pays the pop (including the last-item CAS).
+/// Lock-free owner pop (see [`lf_pop_if`]).
+pub fn lf_owner_pop(
+    m: &mut Machine,
+    items: &mut Slab<QueueItem>,
+    lay: &SegLayout,
+    me: WorkerId,
+) -> Popped {
+    lf_pop_if(m, items, lay, me, "lf_owner_pop", None)
+}
+
+/// Lock-free variant of [`owner_pop_parent`].
 pub fn lf_owner_pop_parent(
     m: &mut Machine,
     items: &mut Slab<QueueItem>,
     lay: &SegLayout,
     me: WorkerId,
     e: GlobalAddr,
-) -> Result<(Option<QueueItem>, VTime), DequeError> {
-    let mut cost = m.local_op(me);
-    let top = m.read_own(me, word(lay, me, DQ_TOP));
-    let bottom = m.read_own(me, word(lay, me, DQ_BOTTOM));
-    if top == bottom {
-        return Ok((None, cost));
-    }
-    let b = bottom - 1;
-    let slot = GlobalAddr::new(me, lay.dq_slot(b));
-    let keyp1 = m.read_own(me, slot);
-    if keyp1 == 0 {
-        return Err(DequeError::Dead(DeadSlot {
-            op: "lf_owner_pop_parent",
-            index: b,
-            cost,
-        }));
-    }
-    let key = (keyp1 - 1) as u32;
-    let is_parent = matches!(
-        items.get(key),
-        Some(QueueItem::Cont { spawned_child, .. }) if *spawned_child == e
-    );
-    if !is_parent {
-        return Ok((None, cost));
-    }
-    if b == top {
-        let (seen, c) = m.cas_u64(me, word(lay, me, DQ_TOP), top, top + 1);
-        cost += c;
-        m.write_own(me, word(lay, me, DQ_BOTTOM), top + 1);
-        if seen != top {
-            return Ok((None, cost));
-        }
-    } else {
-        m.write_own(me, word(lay, me, DQ_BOTTOM), b);
-    }
-    let item = items.take(key);
-    m.write_own(me, slot, 0);
-    Ok((Some(item), cost))
+) -> Popped {
+    lf_pop_if(m, items, lay, me, "lf_owner_pop_parent", Some(e))
 }
 
 /// Lock-free thief claim (the second thief step, after a bounds read saw
@@ -674,83 +618,115 @@ pub fn ff_owner_push(
     cost
 }
 
-/// Fence-free owner pop: walk down from `bottom`, reclaiming slots whose
-/// tickets were claimed by thieves (dropping a doubly-held `Child`
-/// original), until a live unclaimed item (claim + take it) or a zero
-/// slot (empty). Never returns [`DequeError::Busy`]; a nonzero slot that
-/// decodes to neither a claimed ticket nor a live payload is a typed
-/// [`DeadSlot`].
+/// What the fence-free owner finds at the bottom of its ring.
+enum FfBottom {
+    /// `bottom == 0` or a zero slot. Only the owner zeroes slots,
+    /// bottom-end first: the nonzero region is contiguous, so a zero slot
+    /// here means empty.
+    Empty,
+    /// A thief owned the occupancy; the slot has been reclaimed.
+    Reclaimed,
+    /// A nonzero slot nobody has claimed.
+    Unclaimed { b: u64, key: u64, ticket: u64 },
+}
+
+/// Look at the bottom slot and, if a thief claimed its ticket, reclaim it:
+/// drop a still-present `Child` original (the thief cloned), retire the
+/// ticket, zero the slot and lower `bottom`.
+fn ff_bottom(
+    m: &mut Machine,
+    ws: &mut WorkerShared,
+    claims: &mut ClaimSet,
+    lay: &SegLayout,
+    me: WorkerId,
+) -> FfBottom {
+    let bottom = m.read_own(me, word(lay, me, DQ_BOTTOM));
+    if bottom == 0 {
+        return FfBottom::Empty;
+    }
+    let b = bottom - 1;
+    let slot = GlobalAddr::new(me, lay.dq_slot(b));
+    let keyp1 = m.read_own(me, slot);
+    if keyp1 == 0 {
+        return FfBottom::Empty;
+    }
+    let key = keyp1 - 1;
+    let ticket = m.read_own(me, slot.field(2));
+    if !claims.contains(ticket) {
+        return FfBottom::Unclaimed { b, key, ticket };
+    }
+    if ws.ff_tickets.get(&key) == Some(&ticket) {
+        ws.ff_tickets.remove(&key);
+        let _ = ws.items.try_take(key as u32);
+    }
+    claims.retire(ticket);
+    m.write_own(me, slot, 0);
+    m.write_own(me, slot.field(2), 0);
+    m.write_own(me, word(lay, me, DQ_BOTTOM), b);
+    FfBottom::Reclaimed
+}
+
+/// The fence-free pop: walk down from `bottom` through the slots thieves
+/// claimed (one local op per reclaimed slot) to the first unclaimed one,
+/// which must be live — a nonzero slot that decodes to neither a claimed
+/// ticket nor a live payload is a typed [`DeadSlot`] — and claim + take it
+/// if the accept test passes. Never returns [`DequeError::Busy`].
+#[inline]
+fn ff_pop_if(
+    m: &mut Machine,
+    ws: &mut WorkerShared,
+    claims: &mut ClaimSet,
+    lay: &SegLayout,
+    me: WorkerId,
+    op: &'static str,
+    parent_of: Option<GlobalAddr>,
+) -> Popped {
+    let mut cost = m.local_op(me);
+    let (b, key, ticket) = loop {
+        match ff_bottom(m, ws, claims, lay, me) {
+            FfBottom::Empty => return Ok((None, cost)),
+            FfBottom::Reclaimed => cost += m.local_op(me),
+            FfBottom::Unclaimed { b, key, ticket } => break (b, key, ticket),
+        }
+    };
+    let dead = Err(DequeError::Dead(DeadSlot { op, index: b, cost }));
+    if ws.ff_tickets.get(&key) != Some(&ticket) {
+        return dead;
+    }
+    if !accepts(ws.items.get(key as u32), parent_of) {
+        return Ok((None, cost));
+    }
+    let claimed = claims.first_claim(ticket);
+    debug_assert!(claimed, "unclaimed ticket must be claimable in-step");
+    claims.retire(ticket);
+    ws.ff_tickets.remove(&key);
+    let Some(item) = ws.items.try_take(key as u32) else {
+        return dead;
+    };
+    let slot = GlobalAddr::new(me, lay.dq_slot(b));
+    m.write_own(me, slot, 0);
+    m.write_own(me, slot.field(2), 0);
+    m.write_own(me, word(lay, me, DQ_BOTTOM), b);
+    // The plain pop also pulls an overrun `top` hint back down; the DIE
+    // fast path leaves that to the next push.
+    if parent_of.is_none() && m.read_own(me, word(lay, me, DQ_TOP)) > b {
+        m.write_own(me, word(lay, me, DQ_TOP), b);
+    }
+    Ok((Some(item), cost))
+}
+
+/// Fence-free owner pop (see [`ff_pop_if`]).
 pub fn ff_owner_pop(
     m: &mut Machine,
     ws: &mut WorkerShared,
     claims: &mut ClaimSet,
     lay: &SegLayout,
     me: WorkerId,
-) -> Result<(Option<QueueItem>, VTime), DequeError> {
-    let mut cost = m.local_op(me);
-    loop {
-        let bottom = m.read_own(me, word(lay, me, DQ_BOTTOM));
-        if bottom == 0 {
-            return Ok((None, cost));
-        }
-        let b = bottom - 1;
-        let slot = GlobalAddr::new(me, lay.dq_slot(b));
-        let keyp1 = m.read_own(me, slot);
-        if keyp1 == 0 {
-            // Only the owner zeroes slots, bottom-end first: the nonzero
-            // region is contiguous, so a zero slot here means empty.
-            return Ok((None, cost));
-        }
-        let key = keyp1 - 1;
-        let ticket = m.read_own(me, slot.field(2));
-        if claims.contains(ticket) {
-            // A thief owns this occupancy. Drop a still-present Child
-            // original (the thief cloned), retire the ticket, reclaim the
-            // slot and keep walking. One local op per reclaimed slot.
-            if ws.ff_tickets.get(&key) == Some(&ticket) {
-                ws.ff_tickets.remove(&key);
-                let _ = ws.items.try_take(key as u32);
-            }
-            claims.retire(ticket);
-            m.write_own(me, slot, 0);
-            m.write_own(me, slot.field(2), 0);
-            m.write_own(me, word(lay, me, DQ_BOTTOM), b);
-            cost += m.local_op(me);
-            continue;
-        }
-        // Unclaimed: it must be live, or the ring is corrupt.
-        if ws.ff_tickets.get(&key) != Some(&ticket) {
-            return Err(DequeError::Dead(DeadSlot {
-                op: "ff_owner_pop",
-                index: b,
-                cost,
-            }));
-        }
-        let claimed = claims.first_claim(ticket);
-        debug_assert!(claimed, "unclaimed ticket must be claimable in-step");
-        claims.retire(ticket);
-        ws.ff_tickets.remove(&key);
-        let Some(item) = ws.items.try_take(key as u32) else {
-            return Err(DequeError::Dead(DeadSlot {
-                op: "ff_owner_pop",
-                index: b,
-                cost,
-            }));
-        };
-        m.write_own(me, slot, 0);
-        m.write_own(me, slot.field(2), 0);
-        m.write_own(me, word(lay, me, DQ_BOTTOM), b);
-        let top = m.read_own(me, word(lay, me, DQ_TOP));
-        if top > b {
-            m.write_own(me, word(lay, me, DQ_TOP), b);
-        }
-        return Ok((Some(item), cost));
-    }
+) -> Popped {
+    ff_pop_if(m, ws, claims, lay, me, "ff_owner_pop", None)
 }
 
-/// Fence-free variant of [`owner_pop_parent`]: walk down through claimed
-/// slots (reclaiming them like [`ff_owner_pop`]); at the first live
-/// unclaimed item, pop it only on a parent match.
+/// Fence-free variant of [`owner_pop_parent`].
 pub fn ff_owner_pop_parent(
     m: &mut Machine,
     ws: &mut WorkerShared,
@@ -758,57 +734,8 @@ pub fn ff_owner_pop_parent(
     lay: &SegLayout,
     me: WorkerId,
     e: GlobalAddr,
-) -> Result<(Option<QueueItem>, VTime), DequeError> {
-    let mut cost = m.local_op(me);
-    loop {
-        let bottom = m.read_own(me, word(lay, me, DQ_BOTTOM));
-        if bottom == 0 {
-            return Ok((None, cost));
-        }
-        let b = bottom - 1;
-        let slot = GlobalAddr::new(me, lay.dq_slot(b));
-        let keyp1 = m.read_own(me, slot);
-        if keyp1 == 0 {
-            return Ok((None, cost));
-        }
-        let key = keyp1 - 1;
-        let ticket = m.read_own(me, slot.field(2));
-        if claims.contains(ticket) {
-            if ws.ff_tickets.get(&key) == Some(&ticket) {
-                ws.ff_tickets.remove(&key);
-                let _ = ws.items.try_take(key as u32);
-            }
-            claims.retire(ticket);
-            m.write_own(me, slot, 0);
-            m.write_own(me, slot.field(2), 0);
-            m.write_own(me, word(lay, me, DQ_BOTTOM), b);
-            cost += m.local_op(me);
-            continue;
-        }
-        if ws.ff_tickets.get(&key) != Some(&ticket) {
-            return Err(DequeError::Dead(DeadSlot {
-                op: "ff_owner_pop_parent",
-                index: b,
-                cost,
-            }));
-        }
-        let is_parent = matches!(
-            ws.items.get(key as u32),
-            Some(QueueItem::Cont { spawned_child, .. }) if *spawned_child == e
-        );
-        if !is_parent {
-            return Ok((None, cost));
-        }
-        let claimed = claims.first_claim(ticket);
-        debug_assert!(claimed, "unclaimed ticket must be claimable in-step");
-        claims.retire(ticket);
-        ws.ff_tickets.remove(&key);
-        let item = ws.items.take(key as u32);
-        m.write_own(me, slot, 0);
-        m.write_own(me, slot.field(2), 0);
-        m.write_own(me, word(lay, me, DQ_BOTTOM), b);
-        return Ok((Some(item), cost));
-    }
+) -> Popped {
+    ff_pop_if(m, ws, claims, lay, me, "ff_owner_pop_parent", Some(e))
 }
 
 /// Decode one fence-free entry span `[key+1, wire_size, ticket]` read from
@@ -817,11 +744,7 @@ pub fn ff_owner_pop_parent(
 /// the victim's slab (`Cont` take / `Child` clone) and the claim set; the
 /// caller charges the fabric (entry get, claim-write, payload or wasted
 /// payload).
-pub fn ff_decide(
-    victim_ws: &mut WorkerShared,
-    claims: &mut ClaimSet,
-    vals: [u64; 3],
-) -> FfSteal {
+pub fn ff_decide(victim_ws: &mut WorkerShared, claims: &mut ClaimSet, vals: [u64; 3]) -> FfSteal {
     let [keyp1, size, ticket] = vals;
     if keyp1 == 0 || ticket == 0 {
         return FfSteal::Lost;
@@ -903,29 +826,9 @@ pub fn ff_owner_reclaim(
     me: WorkerId,
 ) {
     for _ in 0..lay.deque_cap {
-        let bottom = m.read_own(me, word(lay, me, DQ_BOTTOM));
-        if bottom == 0 {
+        if !matches!(ff_bottom(m, ws, claims, lay, me), FfBottom::Reclaimed) {
             return;
         }
-        let b = bottom - 1;
-        let slot = GlobalAddr::new(me, lay.dq_slot(b));
-        let keyp1 = m.read_own(me, slot);
-        if keyp1 == 0 {
-            return;
-        }
-        let ticket = m.read_own(me, slot.field(2));
-        if !claims.contains(ticket) {
-            return;
-        }
-        let key = keyp1 - 1;
-        if ws.ff_tickets.get(&key) == Some(&ticket) {
-            ws.ff_tickets.remove(&key);
-            let _ = ws.items.try_take(key as u32);
-        }
-        claims.retire(ticket);
-        m.write_own(me, slot, 0);
-        m.write_own(me, slot.field(2), 0);
-        m.write_own(me, word(lay, me, DQ_BOTTOM), b);
     }
 }
 
@@ -962,7 +865,12 @@ mod tests {
 
     fn cont_item(tid: u64, spawned: GlobalAddr) -> QueueItem {
         QueueItem::Cont {
-            th: VThread::new(tid, body, Value::Unit, ThreadHandle::single(GlobalAddr::NULL)),
+            th: VThread::new(
+                tid,
+                body,
+                Value::Unit,
+                ThreadHandle::single(GlobalAddr::NULL),
+            ),
             spawned_child: spawned,
             since: VTime::ZERO,
         }
@@ -1138,24 +1046,23 @@ mod tests {
         assert!(locked);
         let ((top, bottom), _) = thief_read_bounds(&mut m, &lay, 1, 0);
         let gets_before = m.stats_total().remote_gets;
-        let (got, _) = thief_take_at(&mut m, &mut items, &lay, 1, 0, top, bottom).unwrap();
-        let (item, size) = got.unwrap();
-        assert_eq!(tag_of(&item), 4);
+        let (got, _) =
+            thief_take_no_release_at(&mut m, &mut items, &lay, 1, 0, top, bottom).unwrap();
+        let (item, size, from) = got.unwrap();
+        assert_eq!((tag_of(&item), from), (4, top));
         assert_eq!(size, item.wire_size());
         // Only the ring-entry pair (adjacent [key, size] words) — the
         // bounds words of `thief_take` were not re-read.
         assert_eq!(m.stats_total().remote_gets, gets_before + 2);
-        // Post-state identical to `thief_take`: advanced and released.
+        // The composition the scheduler ships: advance, then release.
+        thief_advance_top(&mut m, &lay, 1, 0, from + 1);
+        thief_release_lock(&mut m, &lay, 1, 0);
         assert_eq!(m.get_u64(1, word(&lay, 0, DQ_TOP)).0, 1);
         assert_eq!(m.get_u64(1, word(&lay, 0, DQ_LOCK)).0, 0);
-        // A known-bounds take of an empty deque still releases the lock.
-        let (locked, _) = thief_lock(&mut m, &lay, 1, 0);
-        assert!(locked);
-        let ((top, bottom), _) = thief_read_bounds(&mut m, &lay, 1, 0);
-        assert_eq!(top, bottom);
-        let (none, _) = thief_take_at(&mut m, &mut items, &lay, 1, 0, top, bottom).unwrap();
+        // Known-empty bounds cost nothing and touch nothing.
+        let (none, cost) = thief_take_no_release_at(&mut m, &mut items, &lay, 1, 0, 1, 1).unwrap();
         assert!(none.is_none());
-        assert_eq!(m.get_u64(1, word(&lay, 0, DQ_LOCK)).0, 0);
+        assert_eq!(cost, VTime::ZERO);
     }
 
     #[test]
@@ -1253,7 +1160,11 @@ mod tests {
         m.write_own(0, slot, 0);
         assert!(matches!(
             lf_owner_pop(&mut m, &mut items, &lay, 0),
-            Err(DequeError::Dead(DeadSlot { op: "lf_owner_pop", index: 0, .. }))
+            Err(DequeError::Dead(DeadSlot {
+                op: "lf_owner_pop",
+                index: 0,
+                ..
+            }))
         ));
         // Restore a stale (dangling) key: the thief wins its CAS but the
         // payload is gone — typed, not a slab panic.
@@ -1332,7 +1243,10 @@ mod tests {
         let (first, _) = ff_thief_claim(&mut m, &mut ws, &mut claims, &lay, 1, 0, top);
         assert!(matches!(first, FfSteal::Taken(..)));
         let (second, _) = ff_thief_claim(&mut m, &mut ws, &mut claims, &lay, 1, 0, top);
-        assert!(matches!(second, FfSteal::Dup), "second take pays and discards");
+        assert!(
+            matches!(second, FfSteal::Dup),
+            "second take pays and discards"
+        );
         let (third, _) = ff_thief_claim(&mut m, &mut ws, &mut claims, &lay, 1, 0, top);
         assert!(matches!(third, FfSteal::Dup));
         // The owner reclaims the original; nothing executes twice.
@@ -1372,7 +1286,11 @@ mod tests {
         // bottom is now 0 while the hint says 1: inverted.
         ff_owner_push(&mut m, &mut ws, &lay, 0, child_item(2));
         let (it, _) = ff_owner_pop(&mut m, &mut ws, &mut claims, &lay, 0).unwrap();
-        assert_eq!(tag_of(&it.unwrap()), 2, "item pushed under an inverted hint survives");
+        assert_eq!(
+            tag_of(&it.unwrap()),
+            2,
+            "item pushed under an inverted hint survives"
+        );
         assert!(ws.items.is_empty());
     }
 
@@ -1408,7 +1326,11 @@ mod tests {
         m.write_own(0, slot, 555);
         assert!(matches!(
             ff_owner_pop(&mut m, &mut ws, &mut claims, &lay, 0),
-            Err(DequeError::Dead(DeadSlot { op: "ff_owner_pop", index: 0, .. }))
+            Err(DequeError::Dead(DeadSlot {
+                op: "ff_owner_pop",
+                index: 0,
+                ..
+            }))
         ));
     }
 
