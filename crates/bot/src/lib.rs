@@ -40,7 +40,7 @@ pub mod onesided;
 pub mod termination;
 pub mod twosided;
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 use dcs_apps::pfor::PforParams;
 use dcs_apps::uts::UtsSpec;
@@ -290,6 +290,8 @@ pub struct BotWorld<N = ()> {
     pub counters: Vec<Counters>,
     pub recovery: Recovery,
     pub token_rounds: u64,
+    /// The confirmed-dead set of the last judged token round.
+    left_out: BTreeSet<WorkerId>,
     pub net: N,
 }
 
@@ -303,6 +305,7 @@ impl<N> BotWorld<N> {
             counters: vec![Counters::default(); workers],
             recovery: Recovery::new(workers, root),
             token_rounds: 0,
+            left_out: BTreeSet::new(),
             net,
         };
         world.bags[0].push(root);
@@ -310,15 +313,20 @@ impl<N> BotWorld<N> {
         world
     }
 
-    /// A worker's detector judged a round: publish the count.
-    pub(crate) fn note_rounds(&mut self, rounds: u64) {
-        self.token_rounds = self.token_rounds.max(rounds);
+    /// A worker's detector judged a round: publish the count, and whom the
+    /// round left out of its sums (the deaths its initiator had confirmed).
+    pub(crate) fn note_round(&mut self, ring: &termination::Ring) {
+        self.token_rounds = self.token_rounds.max(ring.rounds());
+        self.left_out.clone_from(ring.dead());
     }
 
-    /// What the finished run left behind, summed over the workers still
-    /// alive at its end. No asserts: the checker reports mismatches.
+    /// What the finished run left behind, summed over the workers the last
+    /// judged round counted — so the check agrees with the detector about a
+    /// worker killed too late to be confirmed (its counters were folded in
+    /// while it lived, and nobody re-labelled the tasks it handed over). No
+    /// asserts: the checker reports mismatches.
     pub(crate) fn outcome(&self, run: &EngineReport) -> BotCheckOutcome {
-        let live = |p: &WorkerId| !self.m.is_dead(*p, run.end_time);
+        let live = |p: &WorkerId| !self.left_out.contains(p);
         let workers = 0..self.bags.len();
         let nodes = self.counters.iter().map(|c| c.nodes).sum();
         BotCheckOutcome {
@@ -343,7 +351,9 @@ impl<N> BotWorld<N> {
                 .clone()
                 .filter(|p| live(p) && !self.bags[*p].is_empty())
                 .collect(),
-            dead_workers: workers.filter(|p| !live(p)).collect(),
+            dead_workers: workers
+                .filter(|&p| self.m.is_dead(p, run.end_time))
+                .collect(),
             token_rounds: self.token_rounds,
             steps: run.steps,
         }

@@ -199,7 +199,7 @@ impl BotWorker {
             // counted steals make my own balance equivalent to my bag
             // being empty).
             self.ring.solo_round(&mut w.m, cnt);
-            w.note_rounds(self.ring.rounds());
+            w.note_round(&self.ring);
             return cost + w.m.local_op(me);
         };
         let (tok, c) = Self::read_token(&mut w.m, me, self.armed);
@@ -207,7 +207,7 @@ impl BotWorker {
         let initiator = me == self.ring.initiator();
         if initiator {
             if let Some(reduce) = self.ring.complete(&tok, &mut w.m) {
-                w.note_rounds(self.ring.rounds());
+                w.note_round(&self.ring);
                 if w.m.is_done() {
                     return cost + reduce;
                 }

@@ -321,7 +321,7 @@ impl TwoWorker {
                 return VTime::ZERO;
             };
             self.sent_cache = None;
-            w.note_rounds(self.ring.rounds());
+            w.note_round(&self.ring);
             reduce
         } else {
             let Some(succ) = self.ring.succ_live() else {
@@ -467,7 +467,7 @@ impl TwoWorker {
                 let Some(succ) = self.ring.succ_live() else {
                     // Degenerate ring (single worker, or every peer dead).
                     self.ring.solo_round(&mut w.m, cnt);
-                    w.note_rounds(self.ring.rounds());
+                    w.note_round(&self.ring);
                     return Step::Yield(cost + w.m.local_op(me));
                 };
                 let tok = self.ring.seed(&w.m, now, cnt);

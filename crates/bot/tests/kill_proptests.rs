@@ -126,3 +126,31 @@ proptest! {
         }
     }
 }
+
+/// A kill that lands after the detector's last round has counted the
+/// victim is never confirmed: nobody re-labels the tasks it handed over, so
+/// the post-run safety check must count what the detector counted (the
+/// seed-3 `kill=1@40us` Random cell ends at 40.03 µs and used to panic in
+/// `created == consumed`). The guarantee itself is the serial node count,
+/// over the whole grid that cell came from.
+#[test]
+fn twosided_kill_too_late_to_confirm_still_reports_the_serial_count() {
+    let spec = presets::tiny();
+    let truth = serial_count(&spec).nodes;
+    for variant in [twosided::Variant::Random, twosided::Variant::Lifeline] {
+        for seed in 0..12 {
+            for at_us in [20, 40, 60, 80] {
+                let plan = FaultPlan::parse(&format!("kill=1@{at_us}us")).unwrap();
+                let r = twosided::run_uts_faulty(
+                    &spec,
+                    16,
+                    profiles::test_profile(),
+                    variant,
+                    seed,
+                    plan,
+                );
+                assert_eq!(r.nodes, truth, "{variant:?} seed {seed} kill=1@{at_us}us");
+            }
+        }
+    }
+}

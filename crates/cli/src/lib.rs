@@ -720,7 +720,8 @@ pub fn execute_check(a: &CheckArgs) -> (String, bool) {
             Ok(x) => x,
             Err(e) => return (format!("error: bad schedule file {path}: {e}\n"), false),
         };
-        let Some(sc) = dcs_check::by_name(&sched.scenario, sched.workers, a.seed) else {
+        // The file's seed, not `--seed`: a schedule replays the run it recorded.
+        let Some(sc) = dcs_check::by_name(&sched.scenario, sched.workers, sched.seed) else {
             return (format!("error: unknown scenario '{}'\n", sched.scenario), false);
         };
         let rec = sc.run_choices(&sched.choices);
@@ -1127,6 +1128,38 @@ mod tests {
         assert!(ok, "{report}");
         assert!(report.contains("replay deque-steal"), "{report}");
         assert!(parse(&argv("check --schedule")).is_err(), "missing value");
+    }
+
+    /// A schedule file replays under its own `seed=`, whatever `--seed` says.
+    /// At W = 3 victim selection draws from the seed, so the two seeds take
+    /// different runs (and decision counts) on this choice vector.
+    #[test]
+    fn execute_check_replays_under_the_schedule_files_seed() {
+        let (name, choices) = ("single-steal:greedy:localc", [2]);
+        let decisions = |seed| {
+            let s = dcs_check::by_name(name, 3, seed).unwrap();
+            s.run_choices(&choices).taken.len()
+        };
+        assert_ne!(decisions(1), decisions(7), "the vector must tell the seeds apart");
+        let dir = std::env::temp_dir().join("dcs-check-cli-seed-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("seed7.schedule");
+        let sched = dcs_check::Schedule {
+            scenario: name.into(),
+            workers: 3,
+            seed: 7,
+            choices: choices.to_vec(),
+        };
+        std::fs::write(&path, sched.to_string()).unwrap();
+        let a = CheckArgs {
+            schedule: Some(path.to_string_lossy().into_owned()),
+            ..CheckArgs::defaults()
+        };
+        assert_eq!(a.seed, 1);
+        let (report, ok) = execute_check(&a);
+        assert!(ok, "{report}");
+        let want = format!("{} decisions", decisions(7));
+        assert!(report.contains(&want), "want {want}: {report}");
     }
 
     #[test]
