@@ -5,11 +5,11 @@
 //!
 //! * **Raw deque protocols** — owners and thieves drive [`dcs_core::deque`]
 //!   verbs directly against a simulated machine. All of them are built from
-//!   one kit: a [`RawWorld`] (machine, one deque per victim, one claim
-//!   arbiter, one ledger), one [`owner_step`], one thief state machine whose
-//!   states are the primitive steal steps ([`ThiefState`]) and whose
-//!   variations are flags on a [`Script`], and a list of end-of-run
-//!   [`Oracle`]s. The ledger is the spec: *order* (every pushed item is
+//!   one kit: a `RawWorld` (machine, one deque per victim, one claim
+//!   arbiter, one ledger), one `owner_step`, one thief state machine whose
+//!   states are the primitive steal steps (`ThiefState`) and whose
+//!   variations are flags on a `Script`, and a list of end-of-run
+//!   `Oracle`s. The ledger is the spec: *order* (every pushed item is
 //!   popped LIFO by its owner or stolen FIFO-from-top, exactly once) for the
 //!   CAS-lock family, *multiplicity* (a task may be taken more than once but
 //!   executes exactly once) for the fence-free family. Each `broken-*`

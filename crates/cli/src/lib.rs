@@ -1140,7 +1140,11 @@ mod tests {
             let s = dcs_check::by_name(name, 3, seed).unwrap();
             s.run_choices(&choices).taken.len()
         };
-        assert_ne!(decisions(1), decisions(7), "the vector must tell the seeds apart");
+        assert_ne!(
+            decisions(1),
+            decisions(7),
+            "the vector must tell the seeds apart"
+        );
         let dir = std::env::temp_dir().join("dcs-check-cli-seed-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("seed7.schedule");

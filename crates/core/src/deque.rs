@@ -41,6 +41,21 @@
 //! return [`DequeError::Busy`] and the caller yields a local-op's worth of
 //! time, exactly the brief victim stall a real lock-based RDMA deque causes.
 //!
+//! ## One body per operation
+//!
+//! Each family has one push and one pop body. The Fig.-4 DIE fast path
+//! (`*_pop_parent`: pop the bottom item only if it is the dying thread's
+//! parent continuation) is that family's pop with an accept test
+//! (`accepts`), not a second copy; the CAS-lock and lock-free pushes
+//! share one ring write; the fence-free pops and the end-of-run reclaim
+//! share one "look at the bottom slot, reclaim it if a thief claimed it"
+//! step. On the thief side [`thief_take`] is the composed reference form
+//! of [`thief_take_no_release`] → [`thief_advance_top`] →
+//! [`thief_release_lock`]; the scheduler composes the same three with a
+//! *posted* release (so the payload transfer overlaps it), and a
+//! multi-steal ring enters at [`thief_take_no_release_at`] with the bounds
+//! its probe froze under the won lock.
+//!
 //! ## Typed protocol violations
 //!
 //! Every slot decode (`key + 1` read from the ring) is guarded in release
@@ -209,7 +224,7 @@ pub fn owner_pop(
 }
 
 /// Fig.-4 DIE fast path: pop the bottom item only if it is the parent
-/// continuation of the dying thread whose entry is `e` (see [`accepts`]).
+/// continuation of the dying thread whose entry is `e`. A stale bottom key is a non-match, not an error.
 pub fn owner_pop_parent(
     m: &mut Machine,
     items: &mut Slab<QueueItem>,
@@ -488,7 +503,8 @@ fn lf_pop_if(
     Ok((Some(item), cost))
 }
 
-/// Lock-free owner pop (see [`lf_pop_if`]).
+/// Lock-free owner pop: plain take, except that the last item is decided
+/// by an owner-local CAS on `top` (charged; it never loses here).
 pub fn lf_owner_pop(
     m: &mut Machine,
     items: &mut Slab<QueueItem>,
@@ -715,7 +731,8 @@ fn ff_pop_if(
     Ok((Some(item), cost))
 }
 
-/// Fence-free owner pop (see [`ff_pop_if`]).
+/// Fence-free owner pop: reclaim the slots thieves claimed, then claim and
+/// take the first live one. Never [`DequeError::Busy`].
 pub fn ff_owner_pop(
     m: &mut Machine,
     ws: &mut WorkerShared,

@@ -48,11 +48,16 @@ fn exhaustive_two_worker_pass_explores_the_pinned_schedule_counts() {
         let s = by_name(name, 2, 1).unwrap_or_else(|| panic!("{name} left the catalog"));
         assert_eq!(s.expect_violation, planted.is_some(), "{name}");
         let out = explore_exhaustive(&|c| s.run_choices(c), 2, 50_000);
-        assert_eq!(out.schedules, schedules, "{name}: explored schedule count moved");
+        assert_eq!(
+            out.schedules, schedules,
+            "{name}: explored schedule count moved"
+        );
         match planted {
             None => assert!(out.findings.is_empty(), "{name}: {:?}", out.findings[0]),
             Some(text) => assert!(
-                out.findings.iter().any(|f| f.violations.iter().any(|v| v.contains(text))),
+                out.findings
+                    .iter()
+                    .any(|f| f.violations.iter().any(|v| v.contains(text))),
                 "{name}: planted bug not caught as {text:?}: {:?}",
                 out.findings
             ),
