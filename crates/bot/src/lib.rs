@@ -326,7 +326,7 @@ impl<N> BotWorld<N> {
     /// while it lived, and nobody re-labelled the tasks it handed over). No
     /// asserts: the checker reports mismatches.
     pub(crate) fn outcome(&self, run: &EngineReport) -> BotCheckOutcome {
-        let live = |p: &WorkerId| !self.left_out.contains(p);
+        let counted = |p: &WorkerId| !self.left_out.contains(p);
         let workers = 0..self.bags.len();
         let nodes = self.counters.iter().map(|c| c.nodes).sum();
         BotCheckOutcome {
@@ -339,17 +339,17 @@ impl<N> BotWorld<N> {
             checksum: self.recovery.collector.checksum,
             created: workers
                 .clone()
-                .filter(live)
+                .filter(counted)
                 .map(|p| self.counters[p].created)
                 .sum(),
             consumed: workers
                 .clone()
-                .filter(live)
+                .filter(counted)
                 .map(|p| self.counters[p].consumed)
                 .sum(),
             bags_nonempty: workers
                 .clone()
-                .filter(|p| live(p) && !self.bags[*p].is_empty())
+                .filter(|p| counted(p) && !self.bags[*p].is_empty())
                 .collect(),
             dead_workers: workers
                 .filter(|&p| self.m.is_dead(p, run.end_time))
@@ -407,12 +407,13 @@ pub struct BotCheckOutcome {
     pub unique: u64,
     /// Order-independent checksum of first-seen task ids.
     pub checksum: u64,
-    /// Global created / consumed task counts over workers still alive when
-    /// the run ended — termination *safety* is `created == consumed`.
+    /// Global created / consumed task counts over the workers the last
+    /// judged token round counted (everyone it had not confirmed dead) —
+    /// termination *safety* is `created == consumed`.
     pub created: u64,
     pub consumed: u64,
-    /// Live workers whose bag still held tasks when the run ended (must be
-    /// empty: terminating with resident work loses it).
+    /// Counted workers whose bag still held tasks when the run ended (must
+    /// be empty: terminating with resident work loses it).
     pub bags_nonempty: Vec<WorkerId>,
     /// Workers killed by the fault plan before the run ended.
     pub dead_workers: Vec<WorkerId>,

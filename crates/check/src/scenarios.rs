@@ -158,10 +158,9 @@ struct RawWorld {
 impl RawWorld {
     /// Names the victim in a message — unless there is only one.
     fn at(&self, v: usize) -> String {
-        if self.ws.len() == 1 {
-            String::new()
-        } else {
-            format!(" on victim {v}")
+        match self.ws.len() {
+            1 => String::new(),
+            _ => format!(" on victim {v}"),
         }
     }
 
@@ -174,52 +173,52 @@ impl RawWorld {
         }
     }
 
-    /// `who` got `tag`'s payload from `v`'s deque and will run it. `None`
-    /// is the owner's pop, `Some(thief)` a steal.
+    /// Somebody got `tag`'s payload from `v`'s deque and will run it: its
+    /// owner's pop (`None`) or a steal (`Some(thief)`).
     fn taken(&mut self, v: usize, tag: u64, thief: Option<WorkerId>) {
-        let at = self.at(v);
-        match &mut self.ledger {
+        let violation = match &mut self.ledger {
             Ledger::Order(shadow) => {
                 let (expect, what, end) = match thief {
                     None => (shadow[v].pop_back(), "owner_pop LIFO violated", "back"),
                     Some(_) => (shadow[v].pop_front(), "steal FIFO violated", "front"),
                 };
-                if expect != Some(tag) {
-                    let at = if thief.is_some() { at } else { String::new() };
-                    self.violations.push(format!(
-                        "{what}{at}: got tag {tag}, shadow {end} was {expect:?}"
-                    ));
-                }
+                (expect != Some(tag)).then(|| {
+                    let at = thief.map_or(String::new(), |_| self.at(v));
+                    format!("{what}{at}: got tag {tag}, shadow {end} was {expect:?}")
+                })
             }
             Ledger::Multiplicity { counts, .. } => {
                 let e = counts.entry((v, tag)).or_insert((0, 0));
                 e.0 += 1;
-                if e.0 > 1 {
+                let times = e.0;
+                (times > 1).then(|| {
                     let who = thief.map_or("owner_pop".to_string(), |t| format!("thief {t}"));
-                    self.violations.push(format!(
-                        "multiplicity: task {tag}{at} executed {} times ({who} took it again)",
-                        e.0
-                    ));
-                }
-                self.transferred(v, tag);
+                    let at = self.at(v);
+                    format!(
+                        "multiplicity: task {tag}{at} executed {times} times ({who} took it again)"
+                    )
+                })
             }
-        }
+        };
+        self.violations.extend(violation);
+        self.transferred(v, tag);
     }
 
     /// A taker paid for `tag`'s payload (and, if it lost the claim race,
     /// discarded it): the take count is bounded even when execution is not
     /// at stake.
     fn transferred(&mut self, v: usize, tag: u64) {
-        let at = self.at(v);
-        if let Ledger::Multiplicity { counts, cap } = &mut self.ledger {
-            let e = counts.entry((v, tag)).or_insert((0, 0));
-            e.1 += 1;
-            if e.1 > *cap {
-                self.violations.push(format!(
-                    "multiplicity: task {tag}{at} taken {} times, bound is {cap}",
-                    e.1
-                ));
-            }
+        let Ledger::Multiplicity { counts, cap } = &mut self.ledger else {
+            return;
+        };
+        let e = counts.entry((v, tag)).or_insert((0, 0));
+        e.1 += 1;
+        let (takes, cap) = (e.1, *cap);
+        if takes > cap {
+            let at = self.at(v);
+            self.violations.push(format!(
+                "multiplicity: task {tag}{at} taken {takes} times, bound is {cap}"
+            ));
         }
     }
 
