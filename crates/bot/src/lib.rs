@@ -292,6 +292,11 @@ pub struct BotWorld<N = ()> {
     pub token_rounds: u64,
     /// The confirmed-dead set of the last judged token round.
     left_out: BTreeSet<WorkerId>,
+    /// Whether a worker whose next steps would only re-poll may park
+    /// instead. The same predicate as `dcs-core`'s `Worker::may_park`: off
+    /// under a fault plan (timeouts, leases and crash windows are evaluated
+    /// per poll) and under a schedule hook.
+    pub(crate) may_park: bool,
     pub net: N,
 }
 
@@ -300,6 +305,7 @@ impl<N> BotWorld<N> {
     pub(crate) fn new(m: Machine, root: Task, net: N) -> BotWorld<N> {
         let workers = m.workers();
         let mut world = BotWorld {
+            may_park: !m.faults_active(),
             m,
             bags: (0..workers).map(|_| Vec::new()).collect(),
             counters: vec![Counters::default(); workers],

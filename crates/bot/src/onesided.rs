@@ -250,7 +250,14 @@ impl BotWorker {
                 cost += w.m.put_u64(me, word(me, W_LOCK), 0);
                 return Step::Yield(cost);
             }
-            return Step::Yield(w.m.local_op(me));
+            // Wait for the release: re-read the lock every local op, or park
+            // on it — each skipped wait is this read plus that local op.
+            let wait = w.m.local_op(me);
+            if !w.may_park {
+                return Step::Yield(wait);
+            }
+            w.m.park_on_own_word(me, word(me, W_LOCK).off, wait, 2);
+            return Step::Park;
         }
         let Some(task) = w.bags[me].pop() else {
             self.state = BState::Idle;
@@ -509,6 +516,8 @@ pub fn run_uts_hooked_fabric<H: ScheduleHook + ?Sized>(
         plan,
         fabric,
     );
+    // Exploration reorders steps, which breaks the wake-instant computation.
+    engine.world.may_park = false;
     let run = engine.run_with_hook(hook);
     engine.world.outcome(&run)
 }
@@ -552,7 +561,7 @@ fn build(
         })
         .collect();
 
-    Engine::new(world, actors)
+    Engine::new(world, actors).with_waker(|w, out| w.m.take_wakeups(out))
 }
 
 #[cfg(test)]

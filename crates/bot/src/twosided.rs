@@ -111,6 +111,9 @@ struct TwoWorker {
     fails: u32,
     /// Lifelines registered *on this worker* (armed, FIFO for fairness).
     armed_on_me: VecDeque<WorkerId>,
+    /// My hypercube lifeline neighbours: `me ^ 2^k`, for every `k` that
+    /// lands inside the machine.
+    neighbours: Vec<WorkerId>,
     /// Which of my lifeline neighbours I currently have armed.
     my_armed: Vec<WorkerId>,
     /// When the lifelines were (last) armed, for fault re-arming.
@@ -145,20 +148,21 @@ struct TwoWorker {
     halted: bool,
 }
 
-impl TwoWorker {
-    fn lifeline_neighbours(&self) -> Vec<WorkerId> {
-        let mut out = Vec::new();
-        let mut bit = 1;
-        while bit < self.n {
-            let nb = self.me ^ bit;
-            if nb < self.n {
-                out.push(nb);
-            }
-            bit <<= 1;
+/// The hypercube lifeline neighbours of `me` among `n` workers.
+fn lifeline_neighbours(me: WorkerId, n: usize) -> Vec<WorkerId> {
+    let mut out = Vec::new();
+    let mut bit = 1;
+    while bit < n {
+        let nb = me ^ bit;
+        if nb < n {
+            out.push(nb);
         }
-        out
+        bit <<= 1;
     }
+    out
+}
 
+impl TwoWorker {
     /// This worker's counters as the token fold sees them: `sent`/`recv`
     /// exclude channels with confirmed-dead peers.
     fn live_counters(&self, w: &TwoWorld) -> Counters {
@@ -225,19 +229,24 @@ impl TwoWorker {
     /// may duplicate but never lose them); control traffic is droppable.
     fn send(&mut self, w: &mut TwoWorld, now: VTime, to: WorkerId, msg: Msg, droppable: bool) -> VTime {
         let cost = w.m.message_sent(self.me);
-        let deliver = now + cost + VTime::ns(w.m.lat().message);
-        let redeliver = deliver + VTime::ns(w.m.lat().message);
-        let fate = w.m.msg_fate(self.me, droppable);
-        w.net.send_with_fate(self.me, to, deliver, redeliver, fate, msg);
-        cost
+        self.post(w, now, to, msg, cost, droppable)
     }
 
     fn send_tasks(&mut self, w: &mut TwoWorld, now: VTime, to: WorkerId, msg: Msg, k: usize) -> VTime {
         let cost = w.m.message_sent(self.me) + w.m.lat().payload(k * TASK_BYTES);
+        self.post(w, now, to, msg, cost, false)
+    }
+
+    /// Put `msg` into `to`'s mailbox, one message latency after the sender
+    /// has paid `cost`, and wake `to` if it is parked there.
+    fn post(&mut self, w: &mut TwoWorld, now: VTime, to: WorkerId, msg: Msg, cost: VTime, droppable: bool) -> VTime {
         let deliver = now + cost + VTime::ns(w.m.lat().message);
         let redeliver = deliver + VTime::ns(w.m.lat().message);
-        let fate = w.m.msg_fate(self.me, false);
+        let fate = w.m.msg_fate(self.me, droppable);
         w.net.send_with_fate(self.me, to, deliver, redeliver, fate, msg);
+        if let Some(at) = w.net.next_delivery(to) {
+            w.m.note_delivery(to, at);
+        }
         cost
     }
 
@@ -333,17 +342,15 @@ impl TwoWorker {
         }
     }
 
-    /// Handle one incoming message; returns its cost, and whether the worker
-    /// acquired work.
-    fn handle(&mut self, w: &mut TwoWorld, now: VTime, from: WorkerId, msg: Msg) -> (VTime, bool) {
+    /// Handle one incoming message; returns its cost.
+    fn handle(&mut self, w: &mut TwoWorld, now: VTime, from: WorkerId, msg: Msg) -> VTime {
         let me = self.me;
         let mut cost = w.m.message_handled(me);
-        let mut got_work = false;
         if self.ring.is_dead(from) && !matches!(msg, Msg::Token(_)) {
             // Epoch fencing: traffic from a confirmed-dead sender is
             // rejected — its batches were already replayed and its channel
             // excluded from the folds, so accepting now would double-count.
-            return (cost, false);
+            return cost;
         }
         match msg {
             Msg::Request => {
@@ -367,7 +374,6 @@ impl TwoWorker {
                     self.fails = 0;
                     self.steals_ok += 1;
                     cost += self.accept_tasks(w, from, tasks);
-                    got_work = true;
                 }
                 // else: fabric duplicate of a grant already banked — drop.
             }
@@ -390,7 +396,6 @@ impl TwoWorker {
                     self.seen_seq.insert(from, seq);
                     cost += self.accept_tasks(w, from, tasks);
                     self.steals_ok += 1;
-                    got_work = true;
                 }
                 // else: fabric duplicate of a push already banked — drop.
             }
@@ -398,25 +403,38 @@ impl TwoWorker {
                 cost += self.on_token(w, now, tok);
             }
         }
-        (cost, got_work)
+        cost
     }
 
-    fn poll_one(&mut self, w: &mut TwoWorld, now: VTime) -> (VTime, bool) {
+    fn poll_one(&mut self, w: &mut TwoWorld, now: VTime) -> VTime {
         let mut cost = w.m.local_op(self.me);
-        let mut got = false;
         if let Some((from, msg)) = w.net.recv(self.me, now) {
-            let (c, g) = self.handle(w, now, from, msg);
-            cost += c;
-            got = g;
+            cost += self.handle(w, now, from, msg);
         }
-        (cost, got)
+        cost
+    }
+
+    /// End an idle step that has nothing left to do but poll for mail (a
+    /// reply, a lifeline push, the token) or the done flag. If the step
+    /// cost exactly one poll, so will every step after it until something
+    /// arrives: the worker parks on its mailbox instead, on the grid those
+    /// polls would have run on. The initiator only waits once its round is
+    /// out — until then its next step seeds one.
+    fn await_mail(&self, w: &mut TwoWorld, cost: VTime) -> Step {
+        let me = self.me;
+        let waiting = me != self.ring.initiator() || self.ring.outstanding();
+        if !(w.may_park && waiting && cost == w.m.lat().local()) {
+            return Step::Yield(cost);
+        }
+        w.m.park_on_mailbox(me, w.net.next_delivery(me), cost, 1);
+        Step::Park
     }
 
     fn step_work(&mut self, w: &mut TwoWorld, now: VTime) -> Step {
         let me = self.me;
         // Poll between tasks — the receiver-side interruption two-sided
         // stealing imposes.
-        let (mut cost, _) = self.poll_one(w, now);
+        let mut cost = self.poll_one(w, now);
         let Some(task) = w.bags[me].pop() else {
             // Release a held token before going idle.
             if let Some(tok) = self.held_token.take() {
@@ -446,12 +464,16 @@ impl TwoWorker {
 
     fn step_idle(&mut self, w: &mut TwoWorld, now: VTime) -> Step {
         let me = self.me;
+        // Woken, or never parked: either way no longer watching the mailbox.
+        w.m.unpark(me);
         if w.m.is_done() {
-            assert!(w.bags[me].is_empty(), "terminated with work in the bag");
+            // Terminating with work in the bag is a detector bug; as in the
+            // one-sided runtime it is left observable, for the post-run
+            // check (`BotCheckOutcome::bags_nonempty`) to report.
             self.halted = true;
             return Step::Halt;
         }
-        let (mut cost, _) = self.poll_one(w, now);
+        let mut cost = self.poll_one(w, now);
         self.scan_confirm(now, w);
         if !w.bags[me].is_empty() {
             return Step::Yield(cost);
@@ -496,8 +518,7 @@ impl TwoWorker {
                 self.fails += 1;
                 self.steals_failed += 1;
             } else {
-                // Waiting for a reply; just keep polling.
-                return Step::Yield(cost);
+                return self.await_mail(w, cost);
             }
         }
         match self.variant {
@@ -531,7 +552,8 @@ impl TwoWorker {
                     }
                     // Arm any un-armed lifelines, then wait passively.
                     let mut armed_any = false;
-                    for nb in self.lifeline_neighbours() {
+                    for i in 0..self.neighbours.len() {
+                        let nb = self.neighbours[i];
                         if !self.ring.is_dead(nb) && !self.my_armed.contains(&nb) {
                             self.my_armed.push(nb);
                             cost += self.send(w, now, nb, Msg::Lifeline, true);
@@ -540,6 +562,8 @@ impl TwoWorker {
                     }
                     if armed_any {
                         self.armed_at = now;
+                    } else {
+                        return self.await_mail(w, cost);
                     }
                 }
             }
@@ -647,6 +671,10 @@ pub fn run_workload_faulty(
             pending: None,
             fails: 0,
             armed_on_me: VecDeque::new(),
+            neighbours: match variant {
+                Variant::Random => Vec::new(),
+                Variant::Lifeline => lifeline_neighbours(me, workers),
+            },
             my_armed: Vec::new(),
             armed_at: VTime::ZERO,
             ring: Ring::new(me, workers),
@@ -666,7 +694,7 @@ pub fn run_workload_faulty(
         })
         .collect();
 
-    let mut engine = Engine::new(world, actors);
+    let mut engine = Engine::new(world, actors).with_waker(|w, out| w.m.take_wakeups(out));
     let run = engine.run();
     let (world, actors) = engine.into_parts();
     let steals_ok = actors.iter().map(|a| a.steals_ok).sum();

@@ -26,7 +26,10 @@ pub enum Step {
     /// reports a wake instant for it. The world layer is responsible for
     /// computing a wake time that reproduces the exact step the actor
     /// would have made had it kept polling — parking is a host-side
-    /// fast-path, never a change to simulated behaviour.
+    /// fast-path, never a change to simulated behaviour. A wake reported
+    /// for a worker whose wake is already queued moves it to the new,
+    /// earlier instant (a mailbox delivery that overtook the one the first
+    /// wake was computed from).
     Park,
     /// The actor is finished and must not be scheduled again.
     Halt,
@@ -231,7 +234,9 @@ pub struct Engine<W, A> {
     /// parameters.
     waker: Option<Waker<W>>,
     wake_buf: Vec<(VTime, WorkerId)>,
-    parked: usize,
+    /// Bit `w` is set while worker `w` is parked. Empty until the first
+    /// park.
+    parked_bits: Vec<u64>,
 }
 
 impl<W, A: Actor<W>> Engine<W, A> {
@@ -247,7 +252,7 @@ impl<W, A: Actor<W>> Engine<W, A> {
             max_steps: 20_000_000_000,
             waker: None,
             wake_buf: Vec::new(),
-            parked: 0,
+            parked_bits: Vec::new(),
         }
     }
 
@@ -268,21 +273,35 @@ impl<W, A: Actor<W>> Engine<W, A> {
     /// *every* actor step: a step's memory effects may unpark a worker
     /// whose wake instant lies before the stepping actor's own next key,
     /// so the wakes must be in the tree before the next scheduling
-    /// decision.
+    /// decision. A wake for a worker that is parked queues it; a wake for
+    /// one whose wake is still queued moves that wake earlier.
     #[inline]
     fn drain_wakeups(&mut self) {
         if let Some(f) = self.waker {
             f(&mut self.world, &mut self.wake_buf);
             for &(t, w) in &self.wake_buf {
+                if self.is_parked(w) {
+                    self.parked_bits[w / 64] &= !(1 << (w % 64));
+                    self.queue.push(t, w);
+                } else {
+                    assert!(
+                        self.queue.queued(w) && t < self.clocks[w],
+                        "wakeup at {t} for worker {w}, which is neither parked \
+                         nor queued for a later wake"
+                    );
+                    self.queue.rekey(w, t);
+                }
                 self.clocks[w] = t;
-                self.queue.push(t, w);
-                self.parked = self
-                    .parked
-                    .checked_sub(1)
-                    .expect("wakeup for a worker that was not parked");
             }
             self.wake_buf.clear();
         }
+    }
+
+    #[inline]
+    fn is_parked(&self, w: WorkerId) -> bool {
+        self.parked_bits
+            .get(w / 64)
+            .is_some_and(|bits| bits & (1 << (w % 64)) != 0)
     }
 
     /// Drive all actors until every one has halted.
@@ -317,7 +336,10 @@ impl<W, A: Actor<W>> Engine<W, A> {
                         "Step::Park requires a waker (Engine::with_waker)"
                     );
                     self.clocks[w] = t;
-                    self.parked += 1;
+                    if self.parked_bits.is_empty() {
+                        self.parked_bits = vec![0; self.actors.len().div_ceil(64)];
+                    }
+                    self.parked_bits[w / 64] |= 1 << (w % 64);
                     self.queue.remove(w);
                 }
                 Step::Halt => {
@@ -328,10 +350,13 @@ impl<W, A: Actor<W>> Engine<W, A> {
             }
             self.drain_wakeups();
         }
+        let lost: Vec<WorkerId> = (0..self.actors.len())
+            .filter(|&w| self.is_parked(w))
+            .collect();
         assert!(
-            self.parked == 0,
-            "event queue drained with {} worker(s) still parked — lost wakeup",
-            self.parked
+            lost.is_empty(),
+            "event queue drained with {} worker(s) still parked — lost wakeup: {lost:?}",
+            lost.len()
         );
         EngineReport {
             end_time: end,

@@ -378,7 +378,8 @@ pub struct Machine {
     /// RDMA-broadcast epoch counter; idle loops poll it at local cost.
     done: bool,
     /// Per-rank park watch: `Some` while that worker is parked on a word
-    /// of its own segment (see [`Machine::park_on_own_word`]).
+    /// of its own segment (see [`Machine::park_on_own_word`]) or on its
+    /// mailbox (see [`Machine::park_on_mailbox`]).
     parked: Vec<Option<ParkWatch>>,
     /// Wake instants computed since the engine last drained them.
     wakeups: Vec<(VTime, WorkerId)>,
@@ -390,17 +391,32 @@ pub struct Machine {
     step_now: VTime,
 }
 
-/// A worker parked on one word of its own segment instead of re-polling it
-/// every `grid_ns` of virtual time. The watch carries everything needed to
-/// reproduce the abandoned polling loop exactly: the instant of the last
+/// A worker parked instead of re-polling every `grid_ns` of virtual time.
+/// The watch carries everything needed to reproduce the abandoned polling
+/// loop exactly: what the polls looked at (`on`), the instant of the last
 /// real poll (`since`), the poll period (`grid_ns`), and the fabric charge
 /// (`charge` local ops) each skipped poll would have made.
 #[derive(Clone, Copy, Debug)]
 struct ParkWatch {
-    off: u32,
+    on: WatchOn,
     since: VTime,
     grid_ns: u64,
     charge: u64,
+}
+
+/// What a parked worker's abandoned polls were looking at.
+#[derive(Clone, Copy, Debug)]
+enum WatchOn {
+    /// The word at this offset of the worker's own segment (see
+    /// [`Machine::park_on_own_word`]). The watch ends with its first wake:
+    /// a later write can only be seen by a later poll.
+    Word(u32),
+    /// The worker's mailbox (see [`Machine::park_on_mailbox`]). `wake_poll`
+    /// is the index of the poll the engine has been told to resume at, 0
+    /// while none is queued. The watch outlives its first wake, because a
+    /// message sent later can be delivered earlier and the wake then has to
+    /// move; the woken worker drops it ([`Machine::unpark`]).
+    Mailbox { wake_poll: u64 },
 }
 
 impl Machine {
@@ -1227,7 +1243,7 @@ impl Machine {
     }
 
     // ------------------------------------------------------------------
-    // Park/wake: host-side fast path for owner-side polling loops
+    // Park/wake: host-side fast path for polling loops
     // ------------------------------------------------------------------
 
     /// Park worker `me` (the actor currently stepping) on word `off` of its
@@ -1251,42 +1267,133 @@ impl Machine {
     /// no-op apart from its `charge` — callers gate on that (no fault
     /// plan, no watchdog).
     pub fn park_on_own_word(&mut self, me: WorkerId, off: u32, grid: VTime, charge: u64) {
+        self.park(me, WatchOn::Word(off), grid, charge);
+    }
+
+    /// Park worker `me` (the actor currently stepping) on its mailbox
+    /// instead of polling it every `grid` of virtual time: the second wake
+    /// source, for receivers of two-sided messages. The [`crate::Mailbox`]
+    /// is not the machine's, so the caller reports what is in it:
+    /// `next_delivery` is `me`'s earliest pending delivery right now, and
+    /// every later send to `me` must be followed by
+    /// [`Machine::note_delivery`].
+    ///
+    /// A poll at instant `s` receives a message iff `s ≥ deliver_at`, so
+    /// the worker is woken at the first abandoned poll `since + j·grid ≥
+    /// deliver_at` (`j ≥ 1`; a message already deliverable at park time
+    /// gives `j = 1`), with the `j − 1` polls before it credited `charge`
+    /// local ops each. Deliveries do not arrive in sending order — a small
+    /// message sent later overtakes a bulky one in flight — so a queued
+    /// wake **moves earlier** when such a message is sent, and the credit
+    /// shrinks with it. Raising the done flag wakes the worker by the same
+    /// rule as a word watch. The same gates as
+    /// [`Machine::park_on_own_word`] apply; the woken worker must call
+    /// [`Machine::unpark`] before anything else can be sent to it.
+    pub fn park_on_mailbox(
+        &mut self,
+        me: WorkerId,
+        next_delivery: Option<VTime>,
+        grid: VTime,
+        charge: u64,
+    ) {
+        self.park(me, WatchOn::Mailbox { wake_poll: 0 }, grid, charge);
+        if let Some(at) = next_delivery {
+            self.note_delivery(me, at);
+        }
+    }
+
+    fn park(&mut self, me: WorkerId, on: WatchOn, grid: VTime, charge: u64) {
         debug_assert_eq!(me, self.step_cur, "only the stepping worker can park");
         debug_assert!(self.parked[me].is_none(), "double park");
         self.parked[me] = Some(ParkWatch {
-            off,
+            on,
             since: self.step_now,
             grid_ns: grid.as_ns().max(1),
             charge,
         });
     }
 
-    /// Wake the worker parked on `rank`: compute the first of its abandoned
-    /// poll instants that observes the current step's effects, credit the
-    /// polls skipped before it, and queue the wake for the engine.
+    /// Worker `me` is stepping again after [`Machine::park_on_mailbox`]:
+    /// drop its watch. (A word watch is gone by the time its worker runs.)
+    #[inline]
+    pub fn unpark(&mut self, me: WorkerId) {
+        self.parked[me] = None;
+    }
+
+    /// Index `j ≥ 1` of the first abandoned poll of `rank` that observes
+    /// the current step's effects.
     ///
     /// A poll at `(s, rank)` observes an effect of the step `(T, writer)`
     /// iff `(s, rank) > (T, writer)` in engine key order — effects are
     /// eager, so everything a step writes is visible to every later step.
-    fn wake_parked(&mut self, rank: usize) {
-        let w = self.parked[rank].take().expect("wake of an unparked worker");
+    /// On an exact grid hit the worker-id tiebreak decides.
+    fn first_poll_after_step(&self, w: &ParkWatch, rank: usize) -> u64 {
         let d = self.step_now.as_ns() - w.since.as_ns();
-        let g = w.grid_ns;
-        let (j0, rem) = (d / g, d % g);
-        // First poll index j ≥ 1 with (since + j·g, rank) > (step_now, cur);
-        // on an exact grid hit the worker-id tiebreak decides.
-        let j = if rem != 0 {
-            j0 + 1
-        } else if j0 >= 1 && rank > self.step_cur {
+        let (j0, rem) = (d / w.grid_ns, d % w.grid_ns);
+        if rem == 0 && j0 >= 1 && rank > self.step_cur {
             j0
         } else {
             j0 + 1
-        };
+        }
+    }
+
+    /// Wake the worker parked on a word of `rank`: compute the first of its
+    /// abandoned poll instants that observes the current step's effects,
+    /// credit the polls skipped before it, and queue the wake for the
+    /// engine.
+    fn wake_parked(&mut self, rank: usize) {
+        let w = self.parked[rank].take().expect("wake of an unparked worker");
+        let j = self.first_poll_after_step(&w, rank);
         // The polls at since + g, …, since + (j−1)·g were skipped; each
         // would have charged `charge` local ops and nothing else.
         self.stats[rank].local_ops += (j - 1) * w.charge;
         self.wakeups
-            .push((VTime::ns(w.since.as_ns() + j * g), rank));
+            .push((VTime::ns(w.since.as_ns() + j * w.grid_ns), rank));
+    }
+
+    /// Resume the mailbox-parked `rank` at its abandoned poll `j`, unless
+    /// an earlier wake is already queued. The engine takes a second wake
+    /// for a queued worker as "move it earlier"; the credit for skipped
+    /// polls follows the wake.
+    fn wake_mailbox_parked(&mut self, rank: usize, j: u64) {
+        let Some(w) = self.parked[rank].as_mut() else {
+            unreachable!("wake of an unparked worker")
+        };
+        let WatchOn::Mailbox { wake_poll } = &mut w.on else {
+            unreachable!("worker {rank} is parked on a word, not its mailbox")
+        };
+        let ops = &mut self.stats[rank].local_ops;
+        if *wake_poll == 0 {
+            *ops += (j - 1) * w.charge;
+        } else if j < *wake_poll {
+            *ops -= (*wake_poll - j) * w.charge;
+        } else {
+            return;
+        }
+        *wake_poll = j;
+        self.wakeups
+            .push((VTime::ns(w.since.as_ns() + j * w.grid_ns), rank));
+    }
+
+    /// A message for `to`, visible at `deliver_at`, was just put into its
+    /// mailbox: wake `to` if it is parked there (see
+    /// [`Machine::park_on_mailbox`]). Any pending delivery time will do —
+    /// the wake only ever moves earlier — so callers may simply report the
+    /// mailbox's earliest one after each send.
+    #[inline]
+    pub fn note_delivery(&mut self, to: WorkerId, deliver_at: VTime) {
+        if let Some(w) = &self.parked[to] {
+            if matches!(w.on, WatchOn::Mailbox { .. }) {
+                // First poll at or after the delivery that also runs after
+                // the sending step (always true of a real latency; a
+                // zero-latency profile must not wake a poll in the past).
+                let wait = deliver_at.as_ns().saturating_sub(w.since.as_ns());
+                let j = wait
+                    .div_ceil(w.grid_ns)
+                    .max(self.first_poll_after_step(w, to));
+                self.wake_mailbox_parked(to, j);
+            }
+        }
     }
 
     /// A word of `rank`'s segment was just written; wake `rank` if it is
@@ -1302,8 +1409,8 @@ impl Machine {
         if r > self.stats[rank].peak_resident_bytes {
             self.stats[rank].peak_resident_bytes = r;
         }
-        if let Some(w) = &self.parked[rank] {
-            if w.off == off {
+        if let Some(ParkWatch { on: WatchOn::Word(o), .. }) = &self.parked[rank] {
+            if *o == off {
                 self.wake_parked(rank);
             }
         }
@@ -1321,8 +1428,13 @@ impl Machine {
     pub fn set_done(&mut self) {
         self.done = true;
         for r in 0..self.parked.len() {
-            if self.parked[r].is_some() {
-                self.wake_parked(r);
+            match self.parked[r] {
+                None => {}
+                Some(ParkWatch { on: WatchOn::Word(_), .. }) => self.wake_parked(r),
+                Some(w) => {
+                    let j = self.first_poll_after_step(&w, r);
+                    self.wake_mailbox_parked(r, j);
+                }
             }
         }
     }
@@ -1875,6 +1987,70 @@ mod tests {
         assert!(!m.is_done());
         m.set_done();
         assert!(m.is_done());
+    }
+
+    /// The mailbox watch shares the word watch's slot: a run that never
+    /// touches a mailbox builds the same `parked` vector it always did.
+    #[test]
+    fn park_watch_slot_keeps_its_size() {
+        assert_eq!(std::mem::size_of::<Option<ParkWatch>>(), 40);
+    }
+
+    #[test]
+    fn word_watch_wakes_at_the_first_poll_after_the_write() {
+        let mut m = machine(2);
+        m.begin_step(1, VTime::ns(100));
+        m.park_on_own_word(1, 8, VTime::ns(10), 2);
+        // Another word, then the watched one, written by worker 0 at 125.
+        m.begin_step(0, VTime::ns(125));
+        m.write_own(1, GlobalAddr::new(1, 16), 7);
+        m.write_own(1, GlobalAddr::new(1, 8), 7);
+        m.write_own(1, GlobalAddr::new(1, 8), 9);
+        let mut out = Vec::new();
+        m.take_wakeups(&mut out);
+        assert_eq!(out, vec![(VTime::ns(130), 1)]);
+        // Polls at 110 and 120 were skipped, two local ops each.
+        assert_eq!(m.stats(1).local_ops, 4);
+    }
+
+    #[test]
+    fn mailbox_wake_moves_earlier_and_takes_its_credit_along() {
+        let mut m = machine(2);
+        m.begin_step(1, VTime::ns(100));
+        m.park_on_mailbox(1, None, VTime::ns(10), 1);
+        m.begin_step(0, VTime::ns(105));
+        m.note_delivery(1, VTime::ns(157)); // poll 6, at 160: five skipped
+        assert_eq!(m.stats(1).local_ops, 5);
+        m.note_delivery(1, VTime::ns(130)); // poll 3, exactly on the grid
+        assert_eq!(m.stats(1).local_ops, 2);
+        m.note_delivery(1, VTime::ns(131)); // poll 4: later, ignored
+        m.set_done(); // poll 1, at 110: first after the step at 105
+        assert_eq!(m.stats(1).local_ops, 0);
+        let mut out = Vec::new();
+        m.take_wakeups(&mut out);
+        assert_eq!(
+            out,
+            vec![(VTime::ns(160), 1), (VTime::ns(130), 1), (VTime::ns(110), 1)]
+        );
+        // The woken worker drops the watch; mail after that wakes nobody.
+        m.begin_step(1, VTime::ns(110));
+        m.unpark(1);
+        m.note_delivery(1, VTime::ns(115));
+        m.take_wakeups(&mut out);
+        assert_eq!(out.len(), 3);
+    }
+
+    /// Mail already deliverable when the receiver parks resumes it at its
+    /// very next poll.
+    #[test]
+    fn mailbox_park_with_mail_waiting_wakes_one_grid_on() {
+        let mut m = machine(1);
+        m.begin_step(0, VTime::ns(40));
+        m.park_on_mailbox(0, Some(VTime::ns(33)), VTime::ns(10), 1);
+        let mut out = Vec::new();
+        m.take_wakeups(&mut out);
+        assert_eq!(out, vec![(VTime::ns(50), 0)]);
+        assert_eq!(m.stats(0).local_ops, 0);
     }
 
     #[test]

@@ -10,20 +10,26 @@
 //! duplicate durations make simultaneous events), park, halt, and wake
 //! parked workers at instants before, equal to (tie broken by worker id
 //! either way) and after the waking actor's own next key — from yielding,
-//! parking and halting steps alike. Fleets of 1, 2, 3, 64 and 1000 actors
-//! cover the one-leaf tree, padded (non-power-of-two) trees and deep ones.
-//! Scripts that never park must also run identically under
-//! `run_with_hook(&mut ())`.
+//! parking and halting steps alike — and move a wake that is still queued
+//! to an earlier instant, the way a mailbox delivery overtaking another
+//! does. Fleets of 1, 2, 3, 64 and 1000 actors cover the one-leaf tree,
+//! padded (non-power-of-two) trees and deep ones. Scripts that never park
+//! must also run identically under `run_with_hook(&mut ())`.
 //!
 //! The raw [`EventQueue`] is checked separately against a `BTreeSet` model
 //! over mixed `push/pop/rekey/remove/drain_sorted` sequences, and the
 //! second half of the file proves that *parking* a polling actor (instead
-//! of letting it re-poll) changes no virtual result.
+//! of letting it re-poll) changes no virtual result: first a poller of a
+//! flag with the wake rule written out, then a poller of a real
+//! [`Mailbox`] parked through [`Machine::park_on_mailbox`].
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 
-use dcs_sim::{Actor, Engine, EventQueue, SimRng, Step, VTime, WorkerId};
+use dcs_sim::{
+    profiles, Actor, Engine, EventQueue, Machine, MachineConfig, Mailbox, SimRng, Step, VTime,
+    WorkerId,
+};
 use proptest::prelude::*;
 
 /// Trace of every step the engine performed, in execution order.
@@ -46,6 +52,9 @@ struct Act {
     /// `(selector, offset)`: wake the `selector % parked`-th parked worker
     /// at `now + offset` ns, if anyone is parked.
     wake: Option<(usize, u64)>,
+    /// `(selector, back)`: move the `selector % woken`-th wake that is still
+    /// queued up to `back + 1` ns earlier, if there is one and room for it.
+    hasten: Option<(usize, u64)>,
     then: Then,
 }
 
@@ -56,6 +65,8 @@ struct SWorld {
     trace: Trace,
     parked: Vec<WorkerId>,
     wakeups: Vec<(VTime, WorkerId)>,
+    /// Wakes handed out whose worker has not stepped since.
+    woken: Vec<(VTime, WorkerId)>,
     /// Actors neither parked nor halted.
     running: usize,
 }
@@ -75,7 +86,22 @@ impl SWorld {
         let target = self.parked.swap_remove(slot);
         let offset = offset.max(u64::from(target < me));
         self.wakeups.push((now + VTime::ns(offset), target));
+        self.woken.push((now + VTime::ns(offset), target));
         self.running += 1;
+    }
+
+    /// Move the queued wake in `slot` earlier by up to `back + 1` ns, but
+    /// never to before the first instant after the hastening step's own key
+    /// `(now, me)`. A wake already at that instant stays where it is.
+    fn hasten(&mut self, slot: usize, now: VTime, me: WorkerId, back: u64) {
+        let (at, target) = self.woken[slot];
+        let earliest = now + VTime::ns(u64::from(target < me));
+        if earliest < at {
+            let room = at.as_ns() - earliest.as_ns();
+            let to = VTime::ns(at.as_ns() - (back % room + 1));
+            self.woken[slot].0 = to;
+            self.wakeups.push((to, target));
+        }
     }
 }
 
@@ -98,6 +124,7 @@ impl Scripted {
                 .iter()
                 .map(|&d| Act {
                     wake: None,
+                    hasten: None,
                     then: Then::Yield(d),
                 })
                 .collect(),
@@ -108,6 +135,7 @@ impl Scripted {
 impl Actor<SWorld> for Scripted {
     fn step(&mut self, me: WorkerId, now: VTime, world: &mut SWorld) -> Step {
         world.trace.push((now, me));
+        world.woken.retain(|&(_, w)| w != me);
         let Some(&act) = self.script.get(self.next) else {
             world.running -= 1;
             while !world.parked.is_empty() {
@@ -120,6 +148,11 @@ impl Actor<SWorld> for Scripted {
         if let Some((selector, offset)) = act.wake {
             if !world.parked.is_empty() {
                 world.wake(selector % world.parked.len(), now, me, offset);
+            }
+        }
+        if let Some((selector, back)) = act.hasten {
+            if !world.woken.is_empty() {
+                world.hasten(selector % world.woken.len(), now, me, back);
             }
         }
         match act.then {
@@ -146,8 +179,10 @@ struct Outcome {
 }
 
 /// The reference event loop: a `BinaryHeap`, one pop and (on `Yield`) one
-/// push per step, wake-ups pushed after every step. This is the semantics
-/// the production engine must reproduce exactly.
+/// push per step, wake-ups pushed after every step — a wake for a worker
+/// still waiting for an earlier wake replaces that entry, and must be
+/// earlier. This is the semantics the production engine must reproduce
+/// exactly.
 fn reference_run(mut actors: Vec<Scripted>) -> Outcome {
     let n = actors.len();
     let mut heap: BinaryHeap<Reverse<(VTime, WorkerId)>> =
@@ -171,6 +206,9 @@ fn reference_run(mut actors: Vec<Scripted>) -> Outcome {
             }
         }
         for (t, w) in world.wakeups.drain(..) {
+            let queued = heap.len();
+            heap.retain(|&Reverse((_, q))| q != w);
+            assert!(heap.len() == queued || t < clocks[w], "a wake only moves earlier");
             clocks[w] = t;
             heap.push(Reverse((t, w)));
         }
@@ -236,6 +274,8 @@ fn fleet(workers: usize, seed: u64, parks: bool) -> Vec<Scripted> {
                 .map(|_| Act {
                     wake: (parks && rng.below(2) == 0)
                         .then(|| (rng.next_u64() as usize, rng.below(6))),
+                    hasten: (parks && rng.below(3) == 0)
+                        .then(|| (rng.next_u64() as usize, rng.below(4))),
                     then: if parks && rng.below(4) == 0 {
                         Then::Park
                     } else {
@@ -257,7 +297,7 @@ proptest! {
         assert_equivalent(fleet(FLEETS[size], seed, false));
     }
 
-    /// Fleets that park and wake each other.
+    /// Fleets that park, wake each other, and move queued wakes earlier.
     #[test]
     fn parking_fleets_match_reference(size in 0usize..FLEETS.len(), seed in 0u64..u64::MAX) {
         assert_equivalent(fleet(FLEETS[size], seed, true));
@@ -281,28 +321,34 @@ fn wake_instants_around_the_wakers_next_key() {
             let parker = Scripted::new(vec![
                 Act {
                     wake: None,
+                    hasten: None,
                     then: Then::Park,
                 },
                 Act {
                     wake: None,
+                    hasten: None,
                     then: Then::Yield(1),
                 },
                 Act {
                     wake: None,
+                    hasten: None,
                     then: Then::Park,
                 },
             ]);
             let waker = Scripted::new(vec![
                 Act {
                     wake: None,
+                    hasten: None,
                     then: Then::Yield(5),
                 },
                 Act {
                     wake: Some((0, offset)),
+                    hasten: None,
                     then: Then::Yield(3),
                 },
                 Act {
                     wake: None,
+                    hasten: None,
                     then: Then::Yield(5),
                 },
             ]);
@@ -613,7 +659,7 @@ fn park_wake_grid_tie_is_exact() {
 }
 
 #[test]
-#[should_panic(expected = "still parked")]
+#[should_panic(expected = "still parked — lost wakeup: [0]")]
 fn lost_wakeup_panics() {
     // A parker with no writer: the queue drains with it still parked.
     let world = PWorld {
@@ -639,4 +685,243 @@ fn park_without_waker_panics() {
     };
     let mut e = Engine::new(world, vec![Role::Parker]);
     e.run();
+}
+
+/// A later wake for a worker whose wake is still queued moves it earlier:
+/// worker 1 parks, worker 0 wakes it 9 ns ahead and then, two steps later,
+/// pulls that wake in to the next nanosecond.
+#[test]
+fn a_queued_wake_moves_earlier() {
+    let act = |wake, hasten, then| Act { wake, hasten, then };
+    let fleet = vec![
+        Scripted::new(vec![
+            act(None, None, Then::Yield(2)),
+            act(Some((0, 9)), None, Then::Yield(1)),
+            act(None, None, Then::Yield(1)),
+            act(None, Some((0, 6)), Then::Yield(20)),
+        ]),
+        Scripted::new(vec![act(None, None, Then::Park)]),
+    ];
+    let out = engine_run(fleet.clone(), false);
+    // Woken at 2 for 11, hastened at 4 by all 7 ns there is room for: id 1
+    // steps after id 0 at the same instant.
+    assert!(out.trace.contains(&(VTime::ns(4), 1)), "{:?}", out.trace);
+    assert!(!out.trace.contains(&(VTime::ns(11), 1)));
+    assert_equivalent(fleet);
+}
+
+// ---------------------------------------------------------------------
+// Park/wake on a mailbox: parking a receiver is unobservable
+// ---------------------------------------------------------------------
+
+/// World of the mailbox runs: a real machine and mailbox, the step trace
+/// and the receiver's log of `(poll instant, sender, message)`.
+struct MWorld {
+    m: Machine,
+    mb: Mailbox<u32>,
+    trace: Trace,
+    got: Vec<(VTime, WorkerId, u32)>,
+    /// The receiver, and its poll period in ns.
+    rx: WorkerId,
+    grid: u64,
+}
+
+#[derive(Clone)]
+enum Mail {
+    /// Each step sends the next message — `flight` ns one way — to the
+    /// receiver and yields `gap`; halts when the script is through.
+    Sender { script: Vec<(u64, u64)>, next: u32 },
+    /// Yields `delay`, then raises the done flag and halts.
+    Closer { delay: u64, fired: bool },
+    /// Polls its mailbox every `grid` ns, one local op a poll, until the
+    /// done flag is up — re-polling, or parked on the mailbox in between.
+    Receiver { parks: bool },
+}
+
+impl Actor<MWorld> for Mail {
+    fn step(&mut self, me: WorkerId, now: VTime, w: &mut MWorld) -> Step {
+        w.trace.push((now, me));
+        w.m.begin_step(me, now);
+        match self {
+            Mail::Sender { script, next } => {
+                let Some(&(gap, flight)) = script.get(*next as usize) else {
+                    return Step::Halt;
+                };
+                w.mb.send(me, w.rx, now + VTime::ns(flight), *next);
+                if let Some(at) = w.mb.next_delivery(w.rx) {
+                    w.m.note_delivery(w.rx, at);
+                }
+                *next += 1;
+                Step::Yield(VTime::ns(gap))
+            }
+            Mail::Closer { delay, fired } => {
+                if !*fired {
+                    *fired = true;
+                    return Step::Yield(VTime::ns(*delay));
+                }
+                w.m.set_done();
+                Step::Halt
+            }
+            Mail::Receiver { parks } => {
+                w.m.unpark(me);
+                if w.m.is_done() {
+                    return Step::Halt;
+                }
+                w.m.local_op(me);
+                if let Some((from, msg)) = w.mb.recv(me, now) {
+                    w.got.push((now, from, msg));
+                }
+                let grid = VTime::ns(w.grid);
+                if *parks {
+                    w.m.park_on_mailbox(me, w.mb.next_delivery(me), grid, 1);
+                    Step::Park
+                } else {
+                    Step::Yield(grid)
+                }
+            }
+        }
+    }
+}
+
+/// Everything a mailbox run can be observed by, host steps aside.
+#[derive(Debug, PartialEq)]
+struct MailOutcome {
+    got: Vec<(VTime, WorkerId, u32)>,
+    end: VTime,
+    clocks: Vec<VTime>,
+    /// The receiver's local ops: one per poll, made or skipped.
+    polls: u64,
+}
+
+/// Run `senders` and a closer around a receiver at position `rx`.
+fn mail_run(senders: &[Mail], rx: usize, grid: u64, parks: bool) -> (MailOutcome, Trace) {
+    let mut actors = senders.to_vec();
+    actors.insert(rx, Mail::Receiver { parks });
+    let n = actors.len();
+    let world = MWorld {
+        m: Machine::new(MachineConfig::new(n, profiles::test_profile())),
+        mb: Mailbox::new(n),
+        trace: Trace::new(),
+        got: Vec::new(),
+        rx,
+        grid,
+    };
+    let mut e = Engine::new(world, actors).with_waker(|w, out| w.m.take_wakeups(out));
+    let r = e.run();
+    let clocks = (0..n).map(|w| e.clock(w)).collect();
+    let (w, _) = e.into_parts();
+    let out = MailOutcome {
+        got: w.got,
+        end: r.end_time,
+        clocks,
+        polls: w.m.stats(rx).local_ops,
+    };
+    (out, w.trace)
+}
+
+/// The parked run delivers every message at the instant the polling run
+/// does, halts everybody when it does and charges the receiver as many
+/// polls; its trace is the polling trace minus the skipped polls. Returns
+/// the delivery log.
+fn assert_mail_equivalent(senders: &[Mail], rx: usize, grid: u64) -> Vec<(VTime, WorkerId, u32)> {
+    let (spin, st) = mail_run(senders, rx, grid, false);
+    let (park, pt) = mail_run(senders, rx, grid, true);
+    assert_eq!(spin, park, "rx={rx} grid={grid}");
+    let mut si = st.iter();
+    assert!(
+        pt.iter().all(|e| si.any(|s| s == e)),
+        "parked trace is not a subsequence (rx={rx} grid={grid})"
+    );
+    park.got
+}
+
+fn sender(script: &[(u64, u64)]) -> Mail {
+    Mail::Sender { script: script.to_vec(), next: 0 }
+}
+
+fn closer(delay: u64) -> Mail {
+    Mail::Closer { delay, fired: false }
+}
+
+/// Deliveries one nanosecond before, exactly on and one after a poll
+/// instant, with the receiver's id below and above the sender's: the poll
+/// at the delivery instant receives the message whichever way the ids
+/// fall (the send itself ran at an earlier instant).
+#[test]
+fn mail_around_a_poll_instant() {
+    for grid in [4u64, 10] {
+        for rx in [0, 1, 2] {
+            for (flight, at) in [(3 * grid - 2, 3 * grid), (3 * grid - 1, 3 * grid), (3 * grid, 4 * grid)] {
+                // Sent at 1 ns, delivered at 1 + flight.
+                let senders = [sender(&[(1, 0), (0, flight)]), closer(9 * grid)];
+                let got = assert_mail_equivalent(&senders, rx, grid);
+                let from = if rx == 0 { 1 } else { 0 };
+                assert_eq!(got[1], (VTime::ns(at), from, 1), "grid={grid} rx={rx} flight={flight}");
+            }
+        }
+    }
+}
+
+/// A message sent later overtakes one in flight: the wake computed from
+/// the first must move earlier, and the credit for skipped polls with it.
+#[test]
+fn later_mail_overtakes_mail_in_flight() {
+    for rx in [0, 1, 2] {
+        let senders = [sender(&[(0, 50)]), sender(&[(5, 90), (0, 3)]), closer(200)];
+        let got = assert_mail_equivalent(&senders, rx, 4);
+        let (slow, fast) = if rx == 0 { (1, 2) } else if rx == 1 { (0, 2) } else { (0, 1) };
+        assert_eq!(
+            got,
+            vec![
+                (VTime::ns(8), fast, 1),
+                (VTime::ns(52), slow, 0),
+                (VTime::ns(92), fast, 0)
+            ]
+        );
+    }
+}
+
+/// Two messages deliverable at the same poll: the poll takes one and the
+/// receiver parks with the other already deliverable — woken one grid on.
+#[test]
+fn mail_already_deliverable_at_park_time() {
+    for rx in [0, 1] {
+        let senders = [sender(&[(0, 3), (0, 3)]), closer(40)];
+        let got = assert_mail_equivalent(&senders, rx, 4);
+        let from = 1 - rx;
+        assert_eq!(got, vec![(VTime::ns(4), from, 0), (VTime::ns(8), from, 1)]);
+    }
+}
+
+/// The done flag racing a delivery: raised before, at and after the poll
+/// instant a message in flight lands on, ids either way.
+#[test]
+fn done_races_a_delivery() {
+    for rx in [0, 1, 2] {
+        for done_at in [7, 8, 9, 11, 12, 13] {
+            for flight in [7, 8, 11, 12] {
+                let senders = [sender(&[(0, flight)]), closer(done_at)];
+                assert_mail_equivalent(&senders, rx, 4);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// Random senders (zero-latency messages included), a random closing
+    /// time and the receiver anywhere in the id order.
+    #[test]
+    fn parking_on_a_mailbox_is_unobservable(
+        scripts in proptest::collection::vec(
+            proptest::collection::vec((0u64..30, 0u64..60), 0..8), 1..4),
+        done_at in 1u64..300,
+        rx in 0usize..5,
+        grid in 1u64..12,
+    ) {
+        let mut senders: Vec<Mail> = scripts.iter().map(|s| sender(s)).collect();
+        senders.push(closer(done_at));
+        assert_mail_equivalent(&senders, rx % (senders.len() + 1), grid);
+    }
 }

@@ -238,13 +238,13 @@ fn bot_twosided(variant: dcs::bot::twosided::Variant) -> dcs::bot::BotReport {
 #[test]
 fn golden_bot_onesided_half() {
     let r = bot_onesided(dcs::bot::onesided::StealAmount::Half, FaultPlan::none());
-    assert_bot(&r, [500_430, 3028, 65, 473, 0, 3, 31_985, 569, 4552]);
+    assert_bot(&r, [500_430, 3028, 65, 473, 0, 3, 4065, 569, 4552]);
 }
 
 #[test]
 fn golden_bot_onesided_one() {
     let r = bot_onesided(dcs::bot::onesided::StealAmount::One, FaultPlan::none());
-    assert_bot(&r, [472_752, 3028, 37, 488, 0, 3, 33_420, 528, 4224]);
+    assert_bot(&r, [472_752, 3028, 37, 488, 0, 3, 4003, 528, 4224]);
 }
 
 #[test]
@@ -257,11 +257,11 @@ fn golden_bot_onesided_half_verb_faults() {
 #[test]
 fn golden_bot_twosided_random() {
     let r = bot_twosided(dcs::bot::twosided::Variant::Random);
-    assert_bot(&r, [769_446, 3028, 31, 660, 1470, 5, 698_965, 0, 0]);
+    assert_bot(&r, [769_446, 3028, 31, 660, 1470, 5, 5576, 0, 0]);
 }
 
 #[test]
 fn golden_bot_twosided_lifeline() {
     let r = bot_twosided(dcs::bot::twosided::Variant::Lifeline);
-    assert_bot(&r, [677_828, 3028, 423, 36, 1046, 4, 657_827, 0, 0]);
+    assert_bot(&r, [677_828, 3028, 423, 36, 1046, 4, 4356, 0, 0]);
 }
