@@ -5,7 +5,10 @@
 //! * **actor steps/sec** — how fast the discrete-event engine grinds through
 //!   scheduler steps on this host (the winner-tree event queue and the
 //!   paged segments), at 1k/10k/100k workers and on three fixed workloads,
-//! * **null-actor ns/step** — the engine alone, at W = 64 and 16 384, and
+//! * **null-actor ns/step** — the engine alone, at W = 64 and 16 384,
+//! * **bag-of-tasks steps per node** — the three `dcs-bot` shapes of the
+//!   repo benchmark's `bot_uts` workload; `steps / nodes` is an exact,
+//!   host-independent count of how much idle waiting costs the host, and
 //! * **runs/sec, sequential vs `--jobs N`** — the wall-clock effect of the
 //!   host-parallel sweep harness, together with a check that both passes
 //!   produced identical simulation results.
@@ -25,8 +28,9 @@ use dcs_apps::lcs::{self, LcsParams};
 use dcs_apps::pfor::{recpfor_program, PforParams};
 use dcs_apps::uts::{self, presets};
 use dcs_bench::{quick, sweep};
+use dcs_bot::{onesided, twosided};
 use dcs_core::prelude::*;
-use dcs_sim::{Actor, Engine, Step, WorkerId};
+use dcs_sim::{profiles, Actor, Engine, Step, WorkerId};
 
 /// Where the trajectory lives, relative to the working directory.
 const TRAJECTORY: &str = "BENCH_simperf.json";
@@ -211,6 +215,60 @@ fn null_step_ns(workers: usize) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// One bag-of-tasks cell: a `dcs-bot` runtime on a UTS tree.
+struct BotCell {
+    runtime: &'static str,
+    workers: usize,
+    nodes: u64,
+    steps: u64,
+    host_ms: f64,
+}
+
+/// The three shapes of the repo benchmark's `bot_uts` workload, the same in
+/// quick and full mode: `scripts/check_simperf.sh` gates their exact
+/// `steps / nodes` against the previous record's.
+fn bot_cells() -> Vec<BotCell> {
+    const SEED: u64 = 0x5EED;
+    println!("=== bag-of-tasks comparators (dcs-bot, UTS) ===");
+    println!(
+        "{:<10} {:>8} {:>10} {:>12} {:>12} {:>10}",
+        "runtime", "workers", "nodes", "steps", "steps/node", "host ms"
+    );
+    let out = [("onesided", 256), ("lifeline", 32), ("random", 16)]
+        .into_iter()
+        .map(|(runtime, workers)| {
+            let two_sided = |variant| {
+                twosided::run_uts(&presets::small(), workers, profiles::itoa(), variant, SEED)
+            };
+            let t0 = Instant::now();
+            let r = match runtime {
+                "onesided" => onesided::run_uts(&presets::medium(), workers, profiles::itoa(), SEED),
+                "lifeline" => two_sided(twosided::Variant::Lifeline),
+                _ => two_sided(twosided::Variant::Random),
+            };
+            let host_ms = t0.elapsed().as_secs_f64() * 1e3;
+            println!(
+                "{:<10} {:>8} {:>10} {:>12} {:>12.2} {:>10.1}",
+                runtime,
+                workers,
+                r.nodes,
+                r.steps,
+                r.steps as f64 / r.nodes as f64,
+                host_ms
+            );
+            BotCell {
+                runtime,
+                workers,
+                nodes: r.nodes,
+                steps: r.steps,
+                host_ms,
+            }
+        })
+        .collect();
+    println!();
+    out
+}
+
 /// Split `--label NAME` off the arguments; the rest go to the `--jobs`
 /// parser every bench bin shares.
 fn label_and_jobs() -> Result<(String, usize), String> {
@@ -264,6 +322,9 @@ fn main() {
         "null-actor engine step: {:.1} ns at W = 64, {:.1} ns at W = 16384\n",
         null_ns[0], null_ns[1]
     );
+
+    // Phase 0c: the bag-of-tasks comparators.
+    let bots = bot_cells();
 
     // Phase 1: single-run engine throughput (actor steps per host second).
     println!(
@@ -357,6 +418,19 @@ fn main() {
             c.vtime_us,
             c.peak_resident_bytes,
             c.host_rss_mb
+        );
+    }
+    j.push_str("], \"bot\": [");
+    for (i, c) in bots.iter().enumerate() {
+        let _ = write!(
+            j,
+            "{}{{\"bot\": \"{}\", \"workers\": {}, \"nodes\": {}, \"steps\": {}, \"host_ms\": {:.3}}}",
+            if i > 0 { ", " } else { "" },
+            json_escape_free(c.runtime),
+            c.workers,
+            c.nodes,
+            c.steps,
+            c.host_ms
         );
     }
     j.push_str("], \"single_runs\": [");
