@@ -18,6 +18,16 @@
 //! file only carries its token in `Msg::Token` and keeps the transport's
 //! own state (`held_token`, `sent_cache`, the RTO re-seed).
 //!
+//! ## Waiting
+//!
+//! A thief waiting for its reply, and a lifeline worker with every
+//! neighbour armed, have nothing to do but poll the mailbox (and the done
+//! flag) once per local op. In a fault-free run such a worker parks on its
+//! mailbox instead ([`Machine::park_on_mailbox`]) and is resumed at the poll
+//! that would have received the next message — same virtual timeline, same
+//! `local_ops`, a fraction of the host steps. Under a fault plan the
+//! timeouts below are evaluated per poll, so everybody polls.
+//!
 //! ## Fault tolerance
 //!
 //! Under an active [`FaultPlan`] the fabric may drop or duplicate

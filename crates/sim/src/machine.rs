@@ -1305,6 +1305,7 @@ impl Machine {
     fn park(&mut self, me: WorkerId, on: WatchOn, grid: VTime, charge: u64) {
         debug_assert_eq!(me, self.step_cur, "only the stepping worker can park");
         debug_assert!(self.parked[me].is_none(), "double park");
+        debug_assert!(!self.done, "the done flag is up: nothing would wake this park");
         self.parked[me] = Some(ParkWatch {
             on,
             since: self.step_now,

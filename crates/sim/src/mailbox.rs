@@ -6,6 +6,14 @@
 //! per-worker delivery queue where a message becomes visible only after its
 //! delivery timestamp, and handling it costs receiver CPU time (charged by
 //! the caller via [`crate::Machine::message_handled`]).
+//!
+//! A receiver with nothing to do but poll need not be stepped once per
+//! poll: it can park on its mailbox ([`crate::Machine::park_on_mailbox`],
+//! handing over [`Mailbox::next_delivery`]) and is resumed at the first of
+//! its abandoned polls that would have received something. The mailbox
+//! itself stays passive — whoever sends to a worker that may be parked
+//! reports the receiver's earliest pending delivery to the machine
+//! ([`crate::Machine::note_delivery`]) right after the send.
 
 use std::collections::VecDeque;
 
