@@ -14,12 +14,14 @@
 //! SAWS's scalability; it only waits, between two tasks, for a thief that
 //! holds its lock to let go (parked on the lock word in a fault-free run,
 //! see [`Machine::park_on_own_word`]). An idle worker cannot park: each of
-//! its steps is a real remote CAS on a freshly drawn victim. Termination uses the one-sided Mattern token: the
-//! holder writes the token record into its successor's segment; idle
-//! workers poll their own slot at local cost. The ring itself — who
-//! initiates, who the successor is, when a round counts — is
-//! [`crate::termination::Ring`], shared with the two-sided runtime; this
-//! file only carries its token in segment words.
+//! its steps is a real remote CAS on a freshly drawn victim.
+//!
+//! Termination uses the one-sided Mattern token: the holder writes the
+//! token record into its successor's segment; idle workers poll their own
+//! slot at local cost. The ring itself — who initiates, who the successor
+//! is, when a round counts — is [`crate::termination::Ring`], shared with
+//! the two-sided runtime; this file only carries its token in segment
+//! words.
 //!
 //! ## Fail-stop recovery
 //!

@@ -85,6 +85,12 @@ impl ScheduleHook for () {
 /// that would take worker id `u64::MAX`.
 const IDLE: u128 = u128::MAX;
 
+/// Smallest leaf key of a parked worker. A parked worker `w` keeps the key
+/// `(VTime::MAX, w)` — asleep until the end of time unless woken — so it
+/// sorts behind every real key, never becomes the next event, and can still
+/// be told from a halted worker ([`IDLE`]) without a byte of extra state.
+const PARKED: u128 = (u64::MAX as u128) << 64;
+
 fn pack(t: VTime, w: WorkerId) -> u128 {
     (t.as_ns() as u128) << 64 | w as u128
 }
@@ -98,7 +104,8 @@ fn unpack(key: u128) -> (VTime, WorkerId) {
 /// Every worker owns one fixed leaf holding its next wakeup, packed with
 /// the worker id into one integer so that integer order *is* the
 /// `(VTime, WorkerId)` order ([`IDLE`] = not queued, greater than every
-/// key). Each internal node is the minimum of its two children, so the root
+/// key; [`PARKED`] and up = parked, greater than every real key). Each
+/// internal node is the minimum of its two children, so the root
 /// is the next event and changing one worker's key is a single leaf-to-root
 /// pass of ⌈log₂ W⌉ `min` steps with no element moves and no position
 /// index: a stepping actor is re-keyed in place, never popped and re-pushed.
@@ -150,14 +157,19 @@ impl EventQueue {
     }
 
     fn queued(&self, w: WorkerId) -> bool {
-        self.tree[self.leaves + w] != IDLE
+        self.tree[self.leaves + w] < PARKED
+    }
+
+    /// Is worker `w` parked (see [`EventQueue::park`])?
+    pub fn parked(&self, w: WorkerId) -> bool {
+        (PARKED..IDLE).contains(&self.tree[self.leaves + w])
     }
 
     /// The minimum `(wakeup, worker)` key, if any.
     #[inline]
     pub fn peek(&self) -> Option<(VTime, WorkerId)> {
         let root = self.tree[1];
-        (root != IDLE).then(|| unpack(root))
+        (root < PARKED).then(|| unpack(root))
     }
 
     /// Remove and return the minimum key.
@@ -166,7 +178,7 @@ impl EventQueue {
     }
 
     /// Schedule worker `w` at time `t`. The worker must not already be
-    /// queued (each worker has exactly one next wakeup).
+    /// queued (each worker has exactly one next wakeup); it may be parked.
     #[inline]
     pub fn push(&mut self, t: VTime, w: WorkerId) {
         debug_assert!(!self.queued(w), "worker {w} already queued");
@@ -187,6 +199,15 @@ impl EventQueue {
         debug_assert!(self.queued(w), "worker {w} is not queued");
         self.len -= 1;
         self.set_leaf(w, IDLE);
+    }
+
+    /// Take the queued worker `w` out of the queue until somebody
+    /// [`push`](EventQueue::push)es it back.
+    #[inline]
+    pub fn park(&mut self, w: WorkerId) {
+        debug_assert!(self.queued(w), "worker {w} is not queued");
+        self.len -= 1;
+        self.set_leaf(w, pack(VTime::MAX, w));
     }
 
     /// Drain the queue into an ascending `(wakeup, worker)` vector.
@@ -234,9 +255,6 @@ pub struct Engine<W, A> {
     /// parameters.
     waker: Option<Waker<W>>,
     wake_buf: Vec<(VTime, WorkerId)>,
-    /// Bit `w` is set while worker `w` is parked. Empty until the first
-    /// park.
-    parked_bits: Vec<u64>,
 }
 
 impl<W, A: Actor<W>> Engine<W, A> {
@@ -252,7 +270,6 @@ impl<W, A: Actor<W>> Engine<W, A> {
             max_steps: 20_000_000_000,
             waker: None,
             wake_buf: Vec::new(),
-            parked_bits: Vec::new(),
         }
     }
 
@@ -280,8 +297,7 @@ impl<W, A: Actor<W>> Engine<W, A> {
         if let Some(f) = self.waker {
             f(&mut self.world, &mut self.wake_buf);
             for &(t, w) in &self.wake_buf {
-                if self.is_parked(w) {
-                    self.parked_bits[w / 64] &= !(1 << (w % 64));
+                if self.queue.parked(w) {
                     self.queue.push(t, w);
                 } else {
                     assert!(
@@ -297,13 +313,6 @@ impl<W, A: Actor<W>> Engine<W, A> {
         }
     }
 
-    #[inline]
-    fn is_parked(&self, w: WorkerId) -> bool {
-        self.parked_bits
-            .get(w / 64)
-            .is_some_and(|bits| bits & (1 << (w % 64)) != 0)
-    }
-
     /// Drive all actors until every one has halted.
     ///
     /// Panics if `max_steps` is exceeded — in this codebase that always
@@ -311,8 +320,9 @@ impl<W, A: Actor<W>> Engine<W, A> {
     /// beats hanging a benchmark run.
     ///
     /// Each iteration peeks the minimum key, steps that actor while it is
-    /// still queued, re-keys it to its next wakeup (or removes it on `Park`
-    /// / `Halt`) in one tree pass, then drains the step's wake-ups.
+    /// still queued, re-keys it to its next wakeup (or parks / removes it
+    /// on `Park` / `Halt`) in one tree pass, then drains the step's
+    /// wake-ups.
     pub fn run(&mut self) -> EngineReport {
         let mut steps = 0u64;
         let mut end = VTime::ZERO;
@@ -336,11 +346,7 @@ impl<W, A: Actor<W>> Engine<W, A> {
                         "Step::Park requires a waker (Engine::with_waker)"
                     );
                     self.clocks[w] = t;
-                    if self.parked_bits.is_empty() {
-                        self.parked_bits = vec![0; self.actors.len().div_ceil(64)];
-                    }
-                    self.parked_bits[w / 64] |= 1 << (w % 64);
-                    self.queue.remove(w);
+                    self.queue.park(w);
                 }
                 Step::Halt => {
                     self.clocks[w] = t;
@@ -351,7 +357,7 @@ impl<W, A: Actor<W>> Engine<W, A> {
             self.drain_wakeups();
         }
         let lost: Vec<WorkerId> = (0..self.actors.len())
-            .filter(|&w| self.is_parked(w))
+            .filter(|&w| self.queue.parked(w))
             .collect();
         assert!(
             lost.is_empty(),
@@ -699,6 +705,28 @@ mod tests {
             ]
         );
         assert_eq!(q.peek(), None);
+    }
+
+    /// A parked worker is out of the order and out of `len`, but not
+    /// forgotten: `push` brings it back, `remove` would not have been told
+    /// apart from a halt.
+    #[test]
+    fn event_queue_park_and_push_back() {
+        let mut q = EventQueue::new(3);
+        q.park(0);
+        q.remove(2);
+        assert_eq!(
+            (q.parked(0), q.parked(1), q.parked(2)),
+            (true, false, false)
+        );
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((VTime::ZERO, 1)));
+        assert_eq!(q.peek(), None, "a parked worker is never the next event");
+        assert!(q.is_empty());
+        assert_eq!(q.drain_sorted(), vec![]);
+        q.push(VTime::ns(7), 0);
+        assert!(!q.parked(0));
+        assert_eq!(q.pop(), Some((VTime::ns(7), 0)));
     }
 
     #[test]
