@@ -1429,11 +1429,11 @@ impl Machine {
     pub fn set_done(&mut self) {
         self.done = true;
         for r in 0..self.parked.len() {
-            match self.parked[r] {
+            match &self.parked[r] {
                 None => {}
                 Some(ParkWatch { on: WatchOn::Word(_), .. }) => self.wake_parked(r),
                 Some(w) => {
-                    let j = self.first_poll_after_step(&w, r);
+                    let j = self.first_poll_after_step(w, r);
                     self.wake_mailbox_parked(r, j);
                 }
             }
