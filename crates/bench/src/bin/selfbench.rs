@@ -237,12 +237,13 @@ fn bot_cells() -> Vec<BotCell> {
     let out = [("onesided", 256), ("lifeline", 32), ("random", 16)]
         .into_iter()
         .map(|(runtime, workers)| {
+            let itoa = profiles::itoa();
             let two_sided = |variant| {
-                twosided::run_uts(&presets::small(), workers, profiles::itoa(), variant, SEED)
+                twosided::run_uts(&presets::small(), workers, itoa.clone(), variant, SEED)
             };
             let t0 = Instant::now();
             let r = match runtime {
-                "onesided" => onesided::run_uts(&presets::medium(), workers, profiles::itoa(), SEED),
+                "onesided" => onesided::run_uts(&presets::medium(), workers, itoa.clone(), SEED),
                 "lifeline" => two_sided(twosided::Variant::Lifeline),
                 _ => two_sided(twosided::Variant::Random),
             };

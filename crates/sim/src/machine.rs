@@ -1305,7 +1305,7 @@ impl Machine {
     fn park(&mut self, me: WorkerId, on: WatchOn, grid: VTime, charge: u64) {
         debug_assert_eq!(me, self.step_cur, "only the stepping worker can park");
         debug_assert!(self.parked[me].is_none(), "double park");
-        debug_assert!(!self.done, "the done flag is up: nothing would wake this park");
+        debug_assert!(!self.done, "nothing wakes a park made after the done flag");
         self.parked[me] = Some(ParkWatch {
             on,
             since: self.step_now,
@@ -1410,8 +1410,8 @@ impl Machine {
         if r > self.stats[rank].peak_resident_bytes {
             self.stats[rank].peak_resident_bytes = r;
         }
-        if let Some(ParkWatch { on: WatchOn::Word(o), .. }) = &self.parked[rank] {
-            if *o == off {
+        if let Some(w) = &self.parked[rank] {
+            if matches!(w.on, WatchOn::Word(o) if o == off) {
                 self.wake_parked(rank);
             }
         }
@@ -1429,13 +1429,12 @@ impl Machine {
     pub fn set_done(&mut self) {
         self.done = true;
         for r in 0..self.parked.len() {
-            match &self.parked[r] {
-                None => {}
-                Some(ParkWatch { on: WatchOn::Word(_), .. }) => self.wake_parked(r),
-                Some(w) => {
-                    let j = self.first_poll_after_step(w, r);
-                    self.wake_mailbox_parked(r, j);
-                }
+            let Some(w) = &self.parked[r] else { continue };
+            if let WatchOn::Word(_) = w.on {
+                self.wake_parked(r);
+            } else {
+                let j = self.first_poll_after_step(w, r);
+                self.wake_mailbox_parked(r, j);
             }
         }
     }
@@ -2031,7 +2030,11 @@ mod tests {
         m.take_wakeups(&mut out);
         assert_eq!(
             out,
-            vec![(VTime::ns(160), 1), (VTime::ns(130), 1), (VTime::ns(110), 1)]
+            vec![
+                (VTime::ns(160), 1),
+                (VTime::ns(130), 1),
+                (VTime::ns(110), 1)
+            ]
         );
         // The woken worker drops the watch; mail after that wakes nobody.
         m.begin_step(1, VTime::ns(110));
