@@ -165,6 +165,13 @@ impl EventQueue {
         (PARKED..IDLE).contains(&self.tree[self.leaves + w])
     }
 
+    /// The parked workers, ascending. One look at the root when nobody is
+    /// queued or parked.
+    pub fn parked_workers(&self) -> Vec<WorkerId> {
+        let workers = if self.tree[1] == IDLE { 0 } else { self.leaves };
+        (0..workers).filter(|&w| self.parked(w)).collect()
+    }
+
     /// The minimum `(wakeup, worker)` key, if any.
     #[inline]
     pub fn peek(&self) -> Option<(VTime, WorkerId)> {
@@ -356,9 +363,7 @@ impl<W, A: Actor<W>> Engine<W, A> {
             }
             self.drain_wakeups();
         }
-        let lost: Vec<WorkerId> = (0..self.actors.len())
-            .filter(|&w| self.queue.parked(w))
-            .collect();
+        let lost = self.queue.parked_workers();
         assert!(
             lost.is_empty(),
             "event queue drained with {} worker(s) still parked — lost wakeup: {lost:?}",
@@ -719,6 +724,7 @@ mod tests {
             (q.parked(0), q.parked(1), q.parked(2)),
             (true, false, false)
         );
+        assert_eq!(q.parked_workers(), vec![0]);
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((VTime::ZERO, 1)));
         assert_eq!(q.peek(), None, "a parked worker is never the next event");
@@ -726,6 +732,7 @@ mod tests {
         assert_eq!(q.drain_sorted(), vec![]);
         q.push(VTime::ns(7), 0);
         assert!(!q.parked(0));
+        assert_eq!(q.parked_workers(), vec![]);
         assert_eq!(q.pop(), Some((VTime::ns(7), 0)));
     }
 
