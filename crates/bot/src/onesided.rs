@@ -258,11 +258,11 @@ impl BotWorker {
             // Wait for the release: re-read the lock every local op, or park
             // on it — each skipped wait is this read plus that local op.
             let wait = w.m.local_op(me);
-            if !w.may_park {
-                return Step::Yield(wait);
+            if w.may_park {
+                w.m.park_on_own_word(me, word(me, W_LOCK).off, wait, 2);
+                return Step::Park;
             }
-            w.m.park_on_own_word(me, word(me, W_LOCK).off, wait, 2);
-            return Step::Park;
+            return Step::Yield(wait);
         }
         let Some(task) = w.bags[me].pop() else {
             self.state = BState::Idle;

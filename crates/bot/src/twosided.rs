@@ -433,11 +433,11 @@ impl TwoWorker {
     fn await_mail(&self, w: &mut TwoWorld, cost: VTime) -> Step {
         let me = self.me;
         let waiting = me != self.ring.initiator() || self.ring.outstanding();
-        if !(w.may_park && waiting && cost == w.m.lat().local()) {
-            return Step::Yield(cost);
+        if w.may_park && waiting && cost == w.m.lat().local() {
+            w.m.park_on_mailbox(me, w.net.next_delivery(me), cost, 1);
+            return Step::Park;
         }
-        w.m.park_on_mailbox(me, w.net.next_delivery(me), cost, 1);
-        Step::Park
+        Step::Yield(cost)
     }
 
     fn step_work(&mut self, w: &mut TwoWorld, now: VTime) -> Step {

@@ -1357,23 +1357,26 @@ impl Machine {
     /// for a queued worker as "move it earlier"; the credit for skipped
     /// polls follows the wake.
     fn wake_mailbox_parked(&mut self, rank: usize, j: u64) {
-        let Some(w) = self.parked[rank].as_mut() else {
-            unreachable!("wake of an unparked worker")
-        };
-        let WatchOn::Mailbox { wake_poll } = &mut w.on else {
-            unreachable!("worker {rank} is parked on a word, not its mailbox")
+        let Some(ParkWatch {
+            on: WatchOn::Mailbox { wake_poll },
+            since,
+            grid_ns,
+            charge,
+        }) = &mut self.parked[rank]
+        else {
+            unreachable!("worker {rank} is not parked on its mailbox")
         };
         let ops = &mut self.stats[rank].local_ops;
         if *wake_poll == 0 {
-            *ops += (j - 1) * w.charge;
+            *ops += (j - 1) * *charge;
         } else if j < *wake_poll {
-            *ops -= (*wake_poll - j) * w.charge;
+            *ops -= (*wake_poll - j) * *charge;
         } else {
             return;
         }
         *wake_poll = j;
         self.wakeups
-            .push((VTime::ns(w.since.as_ns() + j * w.grid_ns), rank));
+            .push((VTime::ns(since.as_ns() + j * *grid_ns), rank));
     }
 
     /// A message for `to`, visible at `deliver_at`, was just put into its

@@ -17,7 +17,8 @@ pub struct VTime(pub u64);
 
 impl VTime {
     pub const ZERO: VTime = VTime(0);
-    /// Largest representable time; used as the key for halted workers.
+    /// Largest representable time ("never"): an open-ended window's end,
+    /// and the event-queue key of a parked worker.
     pub const MAX: VTime = VTime(u64::MAX);
 
     #[inline]

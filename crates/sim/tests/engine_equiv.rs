@@ -598,6 +598,12 @@ fn poll_run(actors: Vec<Role>, grid: u64) -> (Trace, VTime, Vec<VTime>) {
     (world.trace, r.end_time, clocks)
 }
 
+/// Do the steps of `sub` occur in `of`, in order?
+fn is_subsequence(sub: &Trace, of: &Trace) -> bool {
+    let mut rest = of.iter();
+    sub.iter().all(|e| rest.any(|s| s == e))
+}
+
 /// The parked run must halt every actor at the same virtual instant as the
 /// polling run — its trace is the polling trace minus the skipped re-polls.
 fn assert_park_equivalent(delay: u64, grid: u64, writer_first: bool) {
@@ -625,9 +631,8 @@ fn assert_park_equivalent(delay: u64, grid: u64, writer_first: bool) {
     );
     // The parked trace is a subsequence of the polling trace (only failed
     // re-polls are skipped), with identical first and last poller steps.
-    let mut si = st.iter();
     assert!(
-        pt.iter().all(|e| si.any(|s| s == e)),
+        is_subsequence(&pt, &st),
         "parked trace is not a subsequence (delay={delay} grid={grid} writer_first={writer_first})"
     );
     assert_eq!(st.last(), pt.last(), "final steps diverged");
@@ -827,9 +832,8 @@ fn assert_mail_equivalent(senders: &[Mail], rx: usize, grid: u64) -> Vec<(VTime,
     let (spin, st) = mail_run(senders, rx, grid, false);
     let (park, pt) = mail_run(senders, rx, grid, true);
     assert_eq!(spin, park, "rx={rx} grid={grid}");
-    let mut si = st.iter();
     assert!(
-        pt.iter().all(|e| si.any(|s| s == e)),
+        is_subsequence(&pt, &st),
         "parked trace is not a subsequence (rx={rx} grid={grid})"
     );
     park.got
