@@ -28,6 +28,47 @@
 //! Fig. 11 line 65); the others have one consumer per existing neighbour
 //! plus, for the global bottom-right corner chain, the root navigator that
 //! extracts the final length.
+//!
+//! # The leaf kernel: a bit-vector recurrence that tiles
+//!
+//! Rows and columns of an LCS table rise by 0 or 1 per cell, so a block row
+//! is `⌈n/64⌉` words `V` of *horizontal differences* — bit `c` set ⇔
+//! `X(r, c+1) == X(r, c)` — and a whole row of the DP is one multi-word
+//! addition (Crochemore et al. / Hyyrö). With `M` the match mask of the
+//! row's character (bit `c` ⇔ `a[r] == b[c]`), word by word:
+//!
+//! ```text
+//! x = V[k];  y = x & M[k];  sum = x + y + carry;
+//! V[k] = sum | (x & !M[k]);  carry = carry-out of the addition
+//! ```
+//!
+//! What makes it tile at any column is that the adder's carry *is* the
+//! vertical DP difference. One cell, with `h` / `h'` the horizontal
+//! difference above / below it (`x = 1 − h`) and `v` / `v'` the vertical
+//! difference to its left / right (`v` = carry in, `v'` = carry out):
+//!
+//! ```text
+//! match  h  v  │ h'  v'    DP                        adder
+//!   1    ·  ·  │ 1−v 1−h   X = diag + 1              y = x: sum bit = v, carry = x
+//!   0    0  0  │  0   0    up == left                1 + 0 + 0: bit 1, no carry
+//!   0    0  1  │  0   1    left wins (up == diag)    1 + 0 + 1: carry; x & !M keeps the bit
+//!   0    1  0  │  1   0    up wins                   0 + 0 + 0: bit 0, no carry
+//!   0    1  1  │  0   0    up == left                0 + 0 + 1: bit 1, no carry
+//! ```
+//!
+//! So the carry *into* row `r` is `left[r] − left[r−1]`, the carry *out* of
+//! its last column is `rgt[r] − rgt[r−1]`, `V` starts as `top`'s flat
+//! steps, and `bot` is read back from its zero bits. A partial last word
+//! (`n % 64 ≠ 0`) keeps its unused high bits zero, so its carry-out is bit
+//! `n % 64` of the sum rather than the adder's overflow. None of this is
+//! defined on a boundary that is not unit-step, which is why
+//! [`leaf_kernel`] asserts its preconditions in release builds.
+//!
+//! The 256 × `⌈n/64⌉`-word mask table of `b[j..j+n]` is built once per
+//! *leaf*, inside the leaf's charged host work (8 KB and ~0.3 µs at
+//! `C = 256`, against ~2.3 µs for the rows): a per-run table over all of `b`
+//! would be 256 · N/8 bytes of input set-up (8 MB at N = 2¹⁸) that every
+//! run pays before its first step, to save a tenth of the kernel.
 
 use std::sync::Arc;
 
@@ -130,29 +171,82 @@ pub fn lcs_reference(a: &[u8], b: &[u8]) -> u32 {
 /// * returns `bot[c] = X(i+n, j+c)` and `rgt[r] = X(i+r, j+n)` — both with
 ///   their pass-through corner elements (`bot[0] = left[n]`,
 ///   `rgt[0] = top[n]`).
+///
+/// Bit-vector recurrence (module docs): `O(n²/64)` word operations.
+///
+/// # Panics
+///
+/// The recurrence carries one bit per DP difference, so it is only defined
+/// on boundaries that *are* LCS boundaries: both `n + 1` long, agreeing in
+/// the corner, and unit-step (`0 ≤ v[k+1] − v[k] ≤ 1`). Anything else —
+/// and an `a[i..i+n]` / `b[j..j+n]` that does not exist — panics instead of
+/// returning a wrong block.
 pub fn leaf_kernel(a: &[u8], b: &[u8], i: usize, j: usize, n: usize, top: &[u32], left: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    debug_assert_eq!(top.len(), n + 1);
-    debug_assert_eq!(left.len(), n + 1);
-    debug_assert_eq!(top[0], left[0], "corner must agree");
-    let mut row = top.to_vec();
-    let mut rgt = Vec::with_capacity(n + 1);
-    rgt.push(top[n]);
-    for r in 1..=n {
-        let mut diag = row[0];
-        row[0] = left[r];
-        let ac = a[i + r - 1];
-        for c in 1..=n {
-            let up = row[c];
-            row[c] = if ac == b[j + c - 1] {
-                diag + 1
-            } else {
-                up.max(row[c - 1])
-            };
-            diag = up;
-        }
-        rgt.push(row[n]);
+    assert!(
+        top.len() == n + 1 && left.len() == n + 1,
+        "boundaries must be n + 1 long"
+    );
+    assert_eq!(top[0], left[0], "corner must agree");
+    assert!(
+        unit_step(top) && unit_step(left),
+        "boundaries must be unit-step"
+    );
+    assert!(
+        i + n <= a.len() && j + n <= b.len(),
+        "block must lie inside the sequences"
+    );
+    let words = n.div_ceil(64);
+    // The last word's carry leaves through bit `tail` when the word is
+    // partial, through the adder's overflow when it is full.
+    let tail = n % 64;
+
+    // Match masks of this block's columns: bit c of `masks[ch]` ⇔ b[j+c] == ch.
+    let mut masks = vec![0u64; 256 * words];
+    for (c, &ch) in b[j..j + n].iter().enumerate() {
+        masks[ch as usize * words + c / 64] |= 1 << (c % 64);
     }
-    (row, rgt)
+    // Bit c of `v` ⇔ X(r, j+c+1) == X(r, j+c); row 0 is `top`.
+    let mut v = vec![0u64; words];
+    for (c, pair) in top.windows(2).enumerate() {
+        v[c / 64] |= ((pair[0] == pair[1]) as u64) << (c % 64);
+    }
+
+    let mut rgt = Vec::with_capacity(n + 1);
+    let mut x_rgt = top[n];
+    rgt.push(x_rgt);
+    for (&ac, l) in a[i..i + n].iter().zip(left.windows(2)) {
+        let m = &masks[ac as usize * words..][..words];
+        let mut carry = (l[1] - l[0]) as u64;
+        for (vk, &mk) in v.iter_mut().zip(m) {
+            let x = *vk;
+            let (sum, c1) = x.overflowing_add(x & mk);
+            let (sum, c2) = sum.overflowing_add(carry);
+            *vk = sum | (x & !mk);
+            carry = (c1 | c2) as u64;
+        }
+        if tail != 0 {
+            let last = &mut v[words - 1];
+            carry = (*last >> tail) & 1;
+            *last &= (1 << tail) - 1;
+        }
+        x_rgt += carry as u32;
+        rgt.push(x_rgt);
+    }
+
+    let mut bot = Vec::with_capacity(n + 1);
+    let mut x_bot = left[n];
+    bot.push(x_bot);
+    for c in 0..n {
+        x_bot += 1 - ((v[c / 64] >> (c % 64)) & 1) as u32;
+        bot.push(x_bot);
+    }
+    (bot, rgt)
+}
+
+/// `0 ≤ v[k+1] − v[k] ≤ 1` throughout — what every row and column of an LCS
+/// table satisfies.
+fn unit_step(v: &[u32]) -> bool {
+    v.windows(2).all(|p| p[1].wrapping_sub(p[0]) <= 1)
 }
 
 // ---------------------------------------------------------------------
@@ -409,6 +503,7 @@ pub fn program(params: LcsParams) -> Program {
 mod tests {
     use super::*;
     use dcs_core::policy::Policy;
+    use proptest::prelude::*;
 
     #[test]
     fn reference_known_cases() {
@@ -419,29 +514,204 @@ mod tests {
         assert_eq!(lcs_reference(b"axbycz", b"abc"), 3);
     }
 
+    /// The scalar DP the bit-vector kernel replaced, cell by cell: the
+    /// oracle for [`leaf_kernel`] on whole boundaries, at any block.
+    fn scalar_leaf(
+        a: &[u8],
+        b: &[u8],
+        i: usize,
+        j: usize,
+        n: usize,
+        top: &[u32],
+        left: &[u32],
+    ) -> (Vec<u32>, Vec<u32>) {
+        let mut row = top.to_vec();
+        let mut rgt = Vec::with_capacity(n + 1);
+        rgt.push(top[n]);
+        for r in 1..=n {
+            let mut diag = row[0];
+            row[0] = left[r];
+            let ac = a[i + r - 1];
+            for c in 1..=n {
+                let up = row[c];
+                row[c] = if ac == b[j + c - 1] {
+                    diag + 1
+                } else {
+                    up.max(row[c - 1])
+                };
+                diag = up;
+            }
+            rgt.push(row[n]);
+        }
+        (row, rgt)
+    }
+
+    type Kernel = fn(&[u8], &[u8], usize, usize, usize, &[u32], &[u32]) -> (Vec<u32>, Vec<u32>);
+
+    fn random_string(rng: &mut SimRng, len: usize, alphabet: u32) -> Vec<u8> {
+        (0..len)
+            .map(|_| (rng.next_u64() % alphabet as u64) as u8)
+            .collect()
+    }
+
+    /// Run `kernel` on the four blocks of a 2×2 tiling of `a × b` — three
+    /// edge blocks and the interior one, whose `top` and `left` are the
+    /// oracle's outputs for its real neighbours — and name the first block
+    /// on which `(bot, rgt)` differs from the scalar oracle's.
+    fn first_mismatch(kernel: Kernel, a: &[u8], b: &[u8], n: usize) -> Option<&'static str> {
+        let z = vec![0u32; n + 1];
+        let (bot00, rgt00) = scalar_leaf(a, b, 0, 0, n, &z, &z);
+        let (bot01, _) = scalar_leaf(a, b, 0, n, n, &z, &rgt00);
+        let (_, rgt10) = scalar_leaf(a, b, n, 0, n, &bot00, &z);
+        let blocks = [
+            ("corner block", 0, 0, &z, &z),
+            ("top-edge block", 0, n, &z, &rgt00),
+            ("left-edge block", n, 0, &bot00, &z),
+            ("interior block", n, n, &bot01, &rgt10),
+        ];
+        for (name, i, j, top, left) in blocks {
+            if kernel(a, b, i, j, n, top, left) != scalar_leaf(a, b, i, j, n, top, left) {
+                return Some(name);
+            }
+        }
+        None
+    }
+
+    /// Block sizes around every word boundary the kernel can meet, and
+    /// alphabets from "mostly matches" to the paper's random bytes.
+    const SIZES: [usize; 15] = [
+        1, 2, 3, 5, 16, 63, 64, 65, 100, 127, 128, 129, 200, 256, 300,
+    ];
+    const ALPHABETS: [u32; 5] = [2, 3, 4, 26, 256];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn bit_kernel_equals_scalar_oracle(seed in 0u64..u64::MAX) {
+            let mut rng = SimRng::new(seed);
+            for n in SIZES {
+                for alphabet in ALPHABETS {
+                    let a = random_string(&mut rng, 2 * n, alphabet);
+                    let b = random_string(&mut rng, 2 * n, alphabet);
+                    prop_assert_eq!(
+                        first_mismatch(leaf_kernel, &a, &b, n),
+                        None,
+                        "n = {}, alphabet = {}",
+                        n,
+                        alphabet
+                    );
+                }
+            }
+        }
+    }
+
+    /// A kernel whose carry into every row is 0 instead of
+    /// `left[r] − left[r−1]`: a constant `left` column makes every carry-in
+    /// 0, and `bot` is lifted back so that only the recurrence is wrong.
+    fn zero_carry_in_kernel(
+        a: &[u8],
+        b: &[u8],
+        i: usize,
+        j: usize,
+        n: usize,
+        top: &[u32],
+        left: &[u32],
+    ) -> (Vec<u32>, Vec<u32>) {
+        let (mut bot, rgt) = leaf_kernel(a, b, i, j, n, top, &vec![top[0]; n + 1]);
+        bot.iter_mut().for_each(|x| *x += left[n] - left[0]);
+        (bot, rgt)
+    }
+
+    #[test]
+    fn zero_carry_in_is_caught_at_blocks_with_a_left_neighbour() {
+        // What catches it is `first_mismatch`'s `(bot, rgt)` comparison, and
+        // only where `left` rises: the two blocks on the zero left edge have
+        // carry-in 0 anyway, so a test over edge blocks alone would pass.
+        let mut rng = SimRng::new(11);
+        for n in [5, 64, 100, 256] {
+            let a = random_string(&mut rng, 2 * n, 4);
+            let b = random_string(&mut rng, 2 * n, 4);
+            assert_eq!(
+                first_mismatch(zero_carry_in_kernel, &a, &b, n),
+                Some("top-edge block"),
+                "n = {n}"
+            );
+            let z = vec![0u32; n + 1];
+            let (bot00, _) = scalar_leaf(&a, &b, 0, 0, n, &z, &z);
+            for (i, top) in [(0, &z), (n, &bot00)] {
+                assert_eq!(
+                    zero_carry_in_kernel(&a, &b, i, 0, n, top, &z),
+                    scalar_leaf(&a, &b, i, 0, n, top, &z),
+                );
+            }
+        }
+    }
+
     #[test]
     fn kernel_matches_reference_on_whole_matrix() {
         // One big leaf block == the full DP.
-        let p = LcsParams::random_alpha(16, 16, 5, 4);
-        let (bot, rgt) = leaf_kernel(&p.a, &p.b, 0, 0, 16, &zeros(16), &zeros(16));
-        let expected = lcs_reference(&p.a, &p.b);
-        assert_eq!(bot[16], expected);
-        assert_eq!(rgt[16], expected);
+        for (n, alphabet) in [(16, 4), (100, 3), (256, 26), (300, 256)] {
+            let mut rng = SimRng::new(5);
+            let a = random_string(&mut rng, n, alphabet);
+            let b = random_string(&mut rng, n, alphabet);
+            let (bot, rgt) = leaf_kernel(&a, &b, 0, 0, n, &zeros(n), &zeros(n));
+            let expected = lcs_reference(&a, &b);
+            assert_eq!(bot[n], expected);
+            assert_eq!(rgt[n], expected);
+        }
     }
 
     #[test]
     fn kernel_composes_across_blocks() {
-        // Compute a 8x8 matrix as four 4x4 blocks manually and compare the
-        // final corner with the reference.
-        let p = LcsParams::random_alpha(8, 4, 9, 3);
-        let z = zeros(4);
-        let (b00_bot, b00_rgt) = leaf_kernel(&p.a, &p.b, 0, 0, 4, &z, &z);
-        let (b01_bot, b01_rgt) = leaf_kernel(&p.a, &p.b, 0, 4, 4, &z, &b00_rgt);
-        let (b10_bot, b10_rgt) = leaf_kernel(&p.a, &p.b, 4, 0, 4, &b00_bot, &z);
-        let _ = &b10_bot;
-        let (b11_bot, _) = leaf_kernel(&p.a, &p.b, 4, 4, 4, &b01_bot, &b10_rgt);
-        let _ = b01_rgt;
-        assert_eq!(b11_bot[4], lcs_reference(&p.a, &p.b));
+        // A 3×3 grid of leaves, each fed its neighbours' outputs by hand,
+        // ends in the reference answer.
+        for (n, alphabet) in [(4, 3), (50, 4), (64, 26), (100, 256)] {
+            let mut rng = SimRng::new(9);
+            let a = random_string(&mut rng, 3 * n, alphabet);
+            let b = random_string(&mut rng, 3 * n, alphabet);
+            // `bots[bj]`: bottom row of the block above in block column `bj`.
+            let mut bots = vec![zeros(n).to_vec(); 3];
+            for bi in 0..3 {
+                let mut left = zeros(n).to_vec();
+                for (bj, top) in bots.iter_mut().enumerate() {
+                    let (bot, rgt) = leaf_kernel(&a, &b, bi * n, bj * n, n, top, &left);
+                    *top = bot;
+                    left = rgt;
+                }
+            }
+            assert_eq!(bots[2][n], lcs_reference(&a, &b), "n = {n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unit-step")]
+    fn kernel_rejects_a_decreasing_boundary() {
+        leaf_kernel(b"abc", b"abc", 0, 0, 3, &[0, 1, 0, 1], &[0, 0, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unit-step")]
+    fn kernel_rejects_a_step_of_two() {
+        leaf_kernel(b"abc", b"abc", 0, 0, 3, &[0, 0, 0, 0], &[0, 0, 2, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "corner must agree")]
+    fn kernel_rejects_a_corner_mismatch() {
+        leaf_kernel(b"abc", b"abc", 0, 0, 3, &[1, 1, 1, 1], &[0, 1, 1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "n + 1 long")]
+    fn kernel_rejects_a_short_boundary() {
+        leaf_kernel(b"abc", b"abc", 0, 0, 3, &[0, 0, 0], &[0, 0, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "inside the sequences")]
+    fn kernel_rejects_a_block_past_the_end_of_a_sequence() {
+        leaf_kernel(b"abc", b"ab", 0, 0, 3, &[0, 0, 0, 0], &[0, 0, 0, 0]);
     }
 
     fn run_lcs(policy: Policy, workers: usize, n: u64, c: u64, seed: u64) -> u64 {

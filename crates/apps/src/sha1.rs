@@ -5,6 +5,19 @@
 //! `i`'s digest is `SHA1(parent_digest ‖ i)`. The hash quality is what makes
 //! the tree both deterministic and statistically well-behaved, so we
 //! implement the real function rather than substituting a toy mixer.
+//!
+//! There is one `compress`, over a block already split into sixteen
+//! big-endian words: the 80-word message schedule is a rolling 16-word
+//! window, and the four 20-round stages are four loops, each with its own
+//! boolean function and constant. [`sha1`] feeds it whole blocks and the
+//! padded tail. [`sha1_child`] — the UTS kernel, one call per tree node —
+//! skips the byte staging: its 24-byte message always pads to the same
+//! single block,
+//!
+//! ```text
+//! w[0..5] = parent digest   w[5] = index   w[6] = 0x8000_0000
+//! w[7..15] = 0              w[15] = 192 (the message length in bits)
+//! ```
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 20;
@@ -14,35 +27,41 @@ pub type Digest = [u8; DIGEST_LEN];
 
 const H0: [u32; 5] = [0x6745_2301, 0xEFCD_AB89, 0x98BA_DCFE, 0x1032_5476, 0xC3D2_E1F0];
 
-/// Compress one 64-byte block into the state.
-fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
-    let mut w = [0u32; 80];
-    for (i, chunk) in block.chunks_exact(4).enumerate() {
-        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-    }
-    for i in 16..80 {
-        w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-    }
+/// Compress one 16-word block into the state.
+///
+/// The message schedule is a rolling window: `w[t & 15]` holds `W[t]` once
+/// round `t` has run, so `W[t] = rotl1(W[t-3] ^ W[t-8] ^ W[t-14] ^ W[t-16])`
+/// reads slots `t+13`, `t+8`, `t+2` and `t` (mod 16) and overwrites the last.
+fn compress(state: &mut [u32; 5], mut w: [u32; 16]) {
     let [mut a, mut b, mut c, mut d, mut e] = *state;
-    for (i, &wi) in w.iter().enumerate() {
-        let (f, k) = match i {
-            0..=19 => ((b & c) | (!b & d), 0x5A82_7999),
-            20..=39 => (b ^ c ^ d, 0x6ED9_EBA1),
-            40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1B_BCDC),
-            _ => (b ^ c ^ d, 0xCA62_C1D6),
+    // Twenty rounds of one stage: `$f` is the stage's boolean function of
+    // (b, c, d), `$k` its constant.
+    macro_rules! stage {
+        ($rounds:expr, $k:expr, $f:expr) => {
+            for t in $rounds {
+                if t >= 16 {
+                    w[t & 15] = (w[(t + 13) & 15] ^ w[(t + 8) & 15] ^ w[(t + 2) & 15] ^ w[t & 15])
+                        .rotate_left(1);
+                }
+                let f: u32 = $f;
+                let tmp = a
+                    .rotate_left(5)
+                    .wrapping_add(f)
+                    .wrapping_add(e)
+                    .wrapping_add($k)
+                    .wrapping_add(w[t & 15]);
+                e = d;
+                d = c;
+                c = b.rotate_left(30);
+                b = a;
+                a = tmp;
+            }
         };
-        let tmp = a
-            .rotate_left(5)
-            .wrapping_add(f)
-            .wrapping_add(e)
-            .wrapping_add(k)
-            .wrapping_add(wi);
-        e = d;
-        d = c;
-        c = b.rotate_left(30);
-        b = a;
-        a = tmp;
     }
+    stage!(0..20, 0x5A82_7999, (b & c) | (!b & d));
+    stage!(20..40, 0x6ED9_EBA1, b ^ c ^ d);
+    stage!(40..60, 0x8F1B_BCDC, (b & c) | (b & d) | (c & d));
+    stage!(60..80, 0xCA62_C1D6, b ^ c ^ d);
     state[0] = state[0].wrapping_add(a);
     state[1] = state[1].wrapping_add(b);
     state[2] = state[2].wrapping_add(c);
@@ -50,12 +69,30 @@ fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
     state[4] = state[4].wrapping_add(e);
 }
 
+/// The sixteen big-endian words of a 64-byte block.
+fn block_words(block: &[u8]) -> [u32; 16] {
+    debug_assert_eq!(block.len(), 64);
+    let mut w = [0u32; 16];
+    for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *wi = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    w
+}
+
+fn digest_of(state: [u32; 5]) -> Digest {
+    let mut out = [0u8; DIGEST_LEN];
+    for (bytes, s) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&s.to_be_bytes());
+    }
+    out
+}
+
 /// SHA-1 of an arbitrary message.
 pub fn sha1(msg: &[u8]) -> Digest {
     let mut state = H0;
     let mut chunks = msg.chunks_exact(64);
     for block in &mut chunks {
-        compress(&mut state, block.try_into().expect("exact chunk"));
+        compress(&mut state, block_words(block));
     }
     // Padding: 0x80, zeros, 64-bit big-endian bit length.
     let rem = chunks.remainder();
@@ -65,23 +102,27 @@ pub fn sha1(msg: &[u8]) -> Digest {
     last[rem.len()] = 0x80;
     let blocks = if rem.len() + 9 <= 64 { 1 } else { 2 };
     last[blocks * 64 - 8..blocks * 64].copy_from_slice(&bitlen.to_be_bytes());
-    for i in 0..blocks {
-        compress(&mut state, last[i * 64..(i + 1) * 64].try_into().expect("64"));
+    for block in last[..blocks * 64].chunks_exact(64) {
+        compress(&mut state, block_words(block));
     }
-    let mut out = [0u8; DIGEST_LEN];
-    for (i, s) in state.iter().enumerate() {
-        out[i * 4..i * 4 + 4].copy_from_slice(&s.to_be_bytes());
-    }
-    out
+    digest_of(state)
 }
 
 /// The UTS child-derivation hash: `SHA1(parent ‖ child_index_be32)`, exactly
-/// one compression (24-byte message).
+/// one compression. The 24-byte message pads to one fixed block, written
+/// here as words: the digest, the index, the `0x80` terminator, zeros, and
+/// the bit length 192.
 pub fn sha1_child(parent: &Digest, index: u32) -> Digest {
-    let mut msg = [0u8; 24];
-    msg[..20].copy_from_slice(parent);
-    msg[20..].copy_from_slice(&index.to_be_bytes());
-    sha1(&msg)
+    let mut w = [0u32; 16];
+    for (wi, chunk) in w.iter_mut().zip(parent.chunks_exact(4)) {
+        *wi = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    w[5] = index;
+    w[6] = 0x8000_0000;
+    w[15] = 24 * 8;
+    let mut state = H0;
+    compress(&mut state, w);
+    digest_of(state)
 }
 
 /// Interpret the first 8 digest bytes as a uniform value in `[0, 1)`.
@@ -93,6 +134,7 @@ pub fn digest_to_unit(d: &Digest) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(d: &Digest) -> String {
         d.iter().map(|b| format!("{b:02x}")).collect()
@@ -140,6 +182,48 @@ mod tests {
         assert_ne!(c0, c1);
         // Deterministic.
         assert_eq!(c0, sha1_child(&root, 0));
+    }
+
+    /// `sha1_child` builds its padded block by hand; `sha1` over the same
+    /// 24 bytes goes through the general padding.
+    fn child_by_bytes(parent: &Digest, index: u32) -> Digest {
+        let mut msg = [0u8; 24];
+        msg[..20].copy_from_slice(parent);
+        msg[20..].copy_from_slice(&index.to_be_bytes());
+        sha1(&msg)
+    }
+
+    #[test]
+    fn child_equals_sha1_of_parent_and_index_along_a_chain() {
+        let mut d = sha1(b"chain");
+        for step in 0..5000u32 {
+            let index = step.wrapping_mul(0x9E37_79B9) >> (step % 32);
+            let child = sha1_child(&d, index);
+            assert_eq!(
+                child,
+                child_by_bytes(&d, index),
+                "step {step}, index {index}"
+            );
+            d = child;
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn child_equals_sha1_of_parent_and_index(
+            hi in 0u64..u64::MAX,
+            mid in 0u64..u64::MAX,
+            lo in 0u32..u32::MAX,
+            index in 0u32..u32::MAX,
+        ) {
+            let mut d = [0u8; DIGEST_LEN];
+            d[..8].copy_from_slice(&hi.to_be_bytes());
+            d[8..16].copy_from_slice(&mid.to_be_bytes());
+            d[16..].copy_from_slice(&lo.to_be_bytes());
+            for index in [index, !index, 0, u32::MAX] {
+                prop_assert_eq!(sha1_child(&d, index), child_by_bytes(&d, index));
+            }
+        }
     }
 
     #[test]

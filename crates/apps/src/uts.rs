@@ -197,13 +197,11 @@ pub fn uts_count(arg: Value, ctx: &mut TaskCtx) -> Effect {
     let spec = ctx.app::<UtsSpec>();
     let n = spec.num_children(&digest, depth);
     let dur = ctx.scaled(spec.visit_cost(n));
-    let work: HostWork = Box::new(move |ctx: &mut TaskCtx| {
-        let spec = ctx.app::<UtsSpec>();
-        let children = spec.children(&digest, depth);
+    let work: HostWork = Box::new(move |_: &mut TaskCtx| {
         // Ship the children as a flat byte buffer.
-        let mut flat = Vec::with_capacity(children.len() * 20);
-        for c in &children {
-            flat.extend_from_slice(c);
+        let mut flat = Vec::with_capacity(n as usize * 20);
+        for i in 0..n {
+            flat.extend_from_slice(&sha1_child(&digest, i));
         }
         Value::Bytes(flat.into())
     });
