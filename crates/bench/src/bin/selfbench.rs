@@ -6,6 +6,9 @@
 //!   scheduler steps on this host (the winner-tree event queue and the
 //!   paged segments), at 1k/10k/100k workers and on three fixed workloads,
 //! * **null-actor ns/step** — the engine alone, at W = 64 and 16 384,
+//! * **workload kernels, ns per call** — the LCS leaf at C = 256 and 512 and
+//!   the UTS child hash, outside any run: the host cost the scheduler cells
+//!   below do *not* measure,
 //! * **bag-of-tasks steps per node** — the three `dcs-bot` shapes of the
 //!   repo benchmark's `bot_uts` workload; `steps / nodes` is an exact,
 //!   host-independent count of how much idle waiting costs the host, and
@@ -22,10 +25,12 @@
 //! results are asserted equal across passes, never affected.
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
 
 use dcs_apps::lcs::{self, LcsParams};
 use dcs_apps::pfor::{recpfor_program, PforParams};
+use dcs_apps::sha1::{sha1, sha1_child};
 use dcs_apps::uts::{self, presets};
 use dcs_bench::{quick, sweep};
 use dcs_bot::{onesided, twosided};
@@ -215,6 +220,44 @@ fn null_step_ns(workers: usize) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// Host ns per call of `op`: the best of five rounds of `iters` calls.
+fn best_ns(iters: u32, mut op: impl FnMut()) -> f64 {
+    (0..5)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                op();
+            }
+            t0.elapsed().as_nanos() as f64 / iters as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// One `c × c` LCS leaf on random bytes (the paper's input) from zero edges.
+fn lcs_leaf_ns(c: usize) -> f64 {
+    let p = LcsParams::random(c as u64, c as u64, 1);
+    let edge = vec![0u32; c + 1];
+    best_ns(500, || {
+        black_box(lcs::leaf_kernel(
+            black_box(&p.a),
+            black_box(&p.b),
+            0,
+            0,
+            c,
+            &edge,
+            &edge,
+        ));
+    })
+}
+
+/// One UTS child derivation, chained so that calls cannot overlap.
+fn sha1_child_ns() -> f64 {
+    let mut d = sha1(b"root");
+    let ns = best_ns(200_000, || d = sha1_child(black_box(&d), 7));
+    black_box(d);
+    ns
+}
+
 /// One bag-of-tasks cell: a `dcs-bot` runtime on a UTS tree.
 struct BotCell {
     runtime: &'static str,
@@ -324,7 +367,15 @@ fn main() {
         null_ns[0], null_ns[1]
     );
 
-    // Phase 0c: the bag-of-tasks comparators.
+    // Phase 0c: the workload kernels, the same in quick and full mode:
+    // `scripts/check_simperf.sh` gates the C = 256 leaf.
+    let kernel_ns = [lcs_leaf_ns(256), lcs_leaf_ns(512), sha1_child_ns()];
+    println!(
+        "kernels: LCS leaf {:.1} ns at C = 256, {:.1} ns at C = 512; SHA-1 child {:.1} ns\n",
+        kernel_ns[0], kernel_ns[1], kernel_ns[2]
+    );
+
+    // Phase 0d: the bag-of-tasks comparators.
     let bots = bot_cells();
 
     // Phase 1: single-run engine throughput (actor steps per host second).
@@ -399,10 +450,15 @@ fn main() {
     let _ = write!(
         j,
         "{{\"label\": \"{label}\", \"quick\": {}, \"host_cores\": {host_cores}, \"jobs\": {jobs}, \
-         \"null_step_ns\": {{\"w64\": {:.1}, \"w16384\": {:.1}}}, \"worker_scaling\": [",
+         \"null_step_ns\": {{\"w64\": {:.1}, \"w16384\": {:.1}}}, \
+         \"kernels\": {{\"lcs_leaf_256_ns\": {:.1}, \"lcs_leaf_512_ns\": {:.1}, \
+         \"sha1_child_ns\": {:.1}}}, \"worker_scaling\": [",
         quick(),
         null_ns[0],
-        null_ns[1]
+        null_ns[1],
+        kernel_ns[0],
+        kernel_ns[1],
+        kernel_ns[2]
     );
     for (i, c) in scaling.iter().enumerate() {
         let _ = write!(

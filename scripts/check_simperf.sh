@@ -4,17 +4,21 @@
 #   scripts/check_simperf.sh [FILE]
 #       compares the last record of FILE (default: BENCH_simperf.json) with
 #       the record before it and fails when the 10k-worker steps/s of either
-#       scaling workload fell below 0.5x, or when a bag-of-tasks cell takes
-#       more than 2x the engine steps per tree node. Run `selfbench` first:
-#       it appends the fresh record after the last committed one. The 10k
-#       and the bag-of-tasks cells are the same in quick and full mode, so a
-#       quick CI run gates against a committed full-mode record; the loose
-#       ratio absorbs host differences, and steps per node is an exact count
-#       (what an idle worker that polls instead of parking inflates).
+#       scaling workload fell below 0.5x, when a bag-of-tasks cell takes
+#       more than 2x the engine steps per tree node, or when the C = 256 LCS
+#       leaf kernel takes more than 2x the host ns. Run `selfbench` first:
+#       it appends the fresh record after the last committed one. The 10k,
+#       the bag-of-tasks and the kernel cells are the same in quick and full
+#       mode, so a quick CI run gates against a committed full-mode record;
+#       the loose ratio absorbs host differences (the bit-vector leaf is 60x
+#       faster than the scalar DP it replaced), and steps per node is an
+#       exact count (what an idle worker that polls instead of parking
+#       inflates).
 #   scripts/check_simperf.sh --self-test [FILE]
 #       proves the gate bites: the last record of FILE gated against itself
-#       must pass, and against a copy at 0.49x its steps/s, or at 2.01x the
-#       steps of its bag-of-tasks cells, must fail.
+#       must pass, and against a copy at 0.49x its steps/s, at 2.01x the
+#       steps of its bag-of-tasks cells, or at 2.01x its leaf-kernel ns, must
+#       fail.
 #
 # The trajectory is one record per line, so grep and shell arithmetic do.
 set -euo pipefail
@@ -34,10 +38,14 @@ bot_cell() {
         sed -E 's/.*"nodes": ([0-9]+), "steps": ([0-9]+).*/\1 \2/' || true
 }
 
+# host ns of the C = 256 LCS leaf kernel in record $1.
+leaf_ns() { grep -o '"lcs_leaf_256_ns": [0-9.]*' <<<"$1" | grep -o '[0-9.]*$' || true; }
+
 label() { grep -o '^{"label": "[^"]*"' <<<"$1" | cut -d'"' -f4; }
 
 # gate BASE NEW: non-zero when NEW is below half of BASE on any 10k cell,
-# or above twice BASE's steps per node on any bag-of-tasks cell.
+# above twice BASE's steps per node on any bag-of-tasks cell, or above twice
+# BASE's ns on the LCS leaf kernel.
 gate() {
     local wl rt base new bn bs nn ns status=0
     for wl in uts recpfor; do
@@ -69,6 +77,19 @@ gate() {
             echo "ok   bot $rt: $ns steps / $nn nodes vs $bs / $bn"
         fi
     done
+    base=$(leaf_ns "$1")
+    new=$(leaf_ns "$2")
+    if [ -z "$new" ]; then
+        echo "check_simperf: no kernels cell in the new record" >&2
+        return 2
+    elif [ -z "$base" ]; then
+        echo "skip lcs leaf: the base record predates the kernels cell"
+    elif perl -e 'exit($ARGV[1] > 2 * $ARGV[0] ? 0 : 1)' "$base" "$new"; then
+        echo "FAIL lcs leaf C=256: $new ns > 2 x $base"
+        status=1
+    else
+        echo "ok   lcs leaf C=256: $new ns vs $base"
+    fi
     return $status
 }
 
@@ -85,7 +106,12 @@ if [ "${1:-}" = "--self-test" ]; then
         echo "self-test: bag-of-tasks cells at 2.01x the steps must fail the gate" >&2
         exit 1
     fi
-    echo "check_simperf self-test: gate passes 1.00x, fails 0.49x steps/s and 2.01x bot steps"
+    slow_leaf=$(perl -pe 's/("lcs_leaf_256_ns": )([0-9.]+)/sprintf("%s%.1f", $1, $2 * 2.01)/e' <<<"$last")
+    if gate "$last" "$slow_leaf" >/dev/null; then
+        echo "self-test: a leaf kernel at 2.01x the ns must fail the gate" >&2
+        exit 1
+    fi
+    echo "check_simperf self-test: gate passes 1.00x, fails 0.49x steps/s, 2.01x bot steps and 2.01x leaf ns"
     exit 0
 fi
 
