@@ -671,9 +671,9 @@ mod tests {
             let a = random_string(&mut rng, 3 * n, alphabet);
             let b = random_string(&mut rng, 3 * n, alphabet);
             // `bots[bj]`: bottom row of the block above in block column `bj`.
-            let mut bots = vec![zeros(n).to_vec(); 3];
+            let mut bots = vec![vec![0u32; n + 1]; 3];
             for bi in 0..3 {
-                let mut left = zeros(n).to_vec();
+                let mut left = vec![0u32; n + 1];
                 for (bj, top) in bots.iter_mut().enumerate() {
                     let (bot, rgt) = leaf_kernel(&a, &b, bi * n, bj * n, n, top, &left);
                     *top = bot;

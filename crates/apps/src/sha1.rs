@@ -69,11 +69,11 @@ fn compress(state: &mut [u32; 5], mut w: [u32; 16]) {
     state[4] = state[4].wrapping_add(e);
 }
 
-/// The sixteen big-endian words of a 64-byte block.
-fn block_words(block: &[u8]) -> [u32; 16] {
-    debug_assert_eq!(block.len(), 64);
+/// The big-endian words of up to 64 bytes (a multiple of four), zero-filled
+/// to a block.
+fn be_words(bytes: &[u8]) -> [u32; 16] {
     let mut w = [0u32; 16];
-    for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+    for (wi, chunk) in w.iter_mut().zip(bytes.chunks_exact(4)) {
         *wi = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
     }
     w
@@ -92,7 +92,7 @@ pub fn sha1(msg: &[u8]) -> Digest {
     let mut state = H0;
     let mut chunks = msg.chunks_exact(64);
     for block in &mut chunks {
-        compress(&mut state, block_words(block));
+        compress(&mut state, be_words(block));
     }
     // Padding: 0x80, zeros, 64-bit big-endian bit length.
     let rem = chunks.remainder();
@@ -103,7 +103,7 @@ pub fn sha1(msg: &[u8]) -> Digest {
     let blocks = if rem.len() + 9 <= 64 { 1 } else { 2 };
     last[blocks * 64 - 8..blocks * 64].copy_from_slice(&bitlen.to_be_bytes());
     for block in last[..blocks * 64].chunks_exact(64) {
-        compress(&mut state, block_words(block));
+        compress(&mut state, be_words(block));
     }
     digest_of(state)
 }
@@ -113,10 +113,7 @@ pub fn sha1(msg: &[u8]) -> Digest {
 /// here as words: the digest, the index, the `0x80` terminator, zeros, and
 /// the bit length 192.
 pub fn sha1_child(parent: &Digest, index: u32) -> Digest {
-    let mut w = [0u32; 16];
-    for (wi, chunk) in w.iter_mut().zip(parent.chunks_exact(4)) {
-        *wi = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-    }
+    let mut w = be_words(parent);
     w[5] = index;
     w[6] = 0x8000_0000;
     w[15] = 24 * 8;

@@ -10,10 +10,9 @@
 #       it appends the fresh record after the last committed one. The 10k,
 #       the bag-of-tasks and the kernel cells are the same in quick and full
 #       mode, so a quick CI run gates against a committed full-mode record;
-#       the loose ratio absorbs host differences (the bit-vector leaf is 60x
-#       faster than the scalar DP it replaced), and steps per node is an
-#       exact count (what an idle worker that polls instead of parking
-#       inflates).
+#       the loose ratio absorbs host differences (a leaf that went back to
+#       a scalar DP would be 60x), and steps per node is an exact count (what
+#       an idle worker that polls instead of parking inflates).
 #   scripts/check_simperf.sh --self-test [FILE]
 #       proves the gate bites: the last record of FILE gated against itself
 #       must pass, and against a copy at 0.49x its steps/s, at 2.01x the
