@@ -76,6 +76,7 @@ struct ScaleCell {
     steps_per_sec: f64,
     vtime_us: f64,
     peak_resident_bytes: u64,
+    backing_bytes: u64,
     host_rss_mb: f64,
 }
 
@@ -100,8 +101,9 @@ fn reset_peak_rss() {
 /// Constant-size workloads on cubish 3-D meshes at growing worker counts.
 /// The point is the *engine*, not the workload: with the O(active) paths
 /// (indexed event queue, lazy mailboxes/segments, sparse runtime maps) the
-/// host cost per step and the simulated peak resident bytes should both
-/// stay ~O(touched state), not O(W) per step / O(W·seg) resident.
+/// host cost per step, the simulated peak resident bytes and the host
+/// bytes backing them should all stay ~O(touched state), not O(W) per step
+/// / O(W·seg) resident.
 fn scaling_build(name: &str, workers: usize) -> (RunConfig, Program) {
     let mut cfg = RunConfig::new(workers, Policy::ContGreedy)
         .with_seed(0x5CA1E)
@@ -136,8 +138,16 @@ fn scaling_sweep() -> Vec<ScaleCell> {
     };
     println!("=== worker scaling: cubish_mesh(W, node = 48) ===");
     println!(
-        "{:<10} {:>8} {:>12} {:>10} {:>14} {:>12} {:>14} {:>10}",
-        "workload", "workers", "steps", "host ms", "steps/s", "vtime", "peak bytes", "host RSS"
+        "{:<10} {:>8} {:>12} {:>10} {:>14} {:>12} {:>14} {:>14} {:>10}",
+        "workload",
+        "workers",
+        "steps",
+        "host ms",
+        "steps/s",
+        "vtime",
+        "peak bytes",
+        "backing bytes",
+        "host RSS"
     );
     let mut out = Vec::new();
     for &w in scales {
@@ -145,14 +155,19 @@ fn scaling_sweep() -> Vec<ScaleCell> {
             let (cfg, program) = scaling_build(name, w);
             reset_peak_rss();
             let t0 = Instant::now();
-            let r = run(cfg, program);
+            let (r, machine) = run_full(cfg, program);
+            // What the host allocated behind the simulated footprint: an
+            // exact count, the one `scripts/check_simperf.sh` gates at 10k.
+            // The machine is dropped inside the timed span, as `run` drops it.
+            let backing = machine.backing_bytes_total();
+            drop(machine);
             let host = t0.elapsed();
             let host_rss_mb = peak_rss_mb();
             let host_ms = host.as_secs_f64() * 1e3;
             let sps = r.steps as f64 / host.as_secs_f64().max(1e-9);
             let peak = r.fabric.peak_resident_bytes;
             println!(
-                "{:<10} {:>8} {:>12} {:>10.1} {:>14.0} {:>12} {:>14} {:>7.1} MB",
+                "{:<10} {:>8} {:>12} {:>10.1} {:>14.0} {:>12} {:>14} {:>14} {:>7.1} MB",
                 name,
                 w,
                 r.steps,
@@ -160,6 +175,7 @@ fn scaling_sweep() -> Vec<ScaleCell> {
                 sps,
                 r.elapsed.to_string(),
                 peak,
+                backing,
                 host_rss_mb
             );
             out.push(ScaleCell {
@@ -170,6 +186,7 @@ fn scaling_sweep() -> Vec<ScaleCell> {
                 steps_per_sec: sps,
                 vtime_us: r.elapsed.as_secs_f64() * 1e6,
                 peak_resident_bytes: peak,
+                backing_bytes: backing,
                 host_rss_mb,
             });
         }
@@ -465,7 +482,7 @@ fn main() {
             j,
             "{}{{\"workload\": \"{}\", \"workers\": {}, \"steps\": {}, \"host_ms\": {:.3}, \
              \"steps_per_sec\": {:.0}, \"vtime_us\": {:.3}, \"peak_resident_bytes\": {}, \
-             \"host_rss_mb\": {:.1}}}",
+             \"backing_bytes\": {}, \"host_rss_mb\": {:.1}}}",
             if i > 0 { ", " } else { "" },
             json_escape_free(c.workload),
             c.workers,
@@ -474,6 +491,7 @@ fn main() {
             c.steps_per_sec,
             c.vtime_us,
             c.peak_resident_bytes,
+            c.backing_bytes,
             c.host_rss_mb
         );
     }

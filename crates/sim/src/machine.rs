@@ -162,14 +162,16 @@ pub struct FabricStats {
     /// verb was refused instead of tearing post-eviction state. See
     /// [`Machine::fence_verb`].
     pub fenced_verbs: u64,
-    /// High-water mark of host bytes resident for *this worker's* pinned
-    /// segment, at page granularity: backing pages materialize on the first
-    /// non-zero write they receive, so a worker that is never written
-    /// reports 0 and one whose traffic stays inside its deque control words
-    /// reports a single page — regardless of the configured `seg_bytes`.
-    /// The machine-wide total ([`FabricStats::merge`] sums this field)
-    /// therefore grows with the number of *touched pages*, not with
-    /// `workers × seg_bytes`.
+    /// High-water mark of the *simulated* pinned footprint of this worker's
+    /// segment, at 4 KiB registration granularity: a page is resident from
+    /// the first non-zero write it receives, so a worker that is never
+    /// written reports 0 and one whose traffic stays inside its deque
+    /// control words reports a single page — regardless of the configured
+    /// `seg_bytes`. The machine-wide total ([`FabricStats::merge`] sums this
+    /// field) therefore grows with the number of *touched pages*, not with
+    /// `workers × seg_bytes`. A simulation result, pinned by goldens; what
+    /// the host allocates behind it is [`Machine::backing_bytes_total`],
+    /// which is smaller (see [`crate::mem::Segment`]).
     pub peak_resident_bytes: u64,
 }
 
@@ -216,7 +218,7 @@ impl FabricStats {
         self.cq_polls += cq_polls;
         self.doorbell_chained += doorbell_chained;
         self.fenced_verbs += fenced_verbs;
-        // Segments are disjoint host allocations, so the machine-wide
+        // Segments are disjoint registrations, so the machine-wide
         // footprint is the sum of the per-worker high-water marks.
         self.peak_resident_bytes += peak_resident_bytes;
     }
@@ -494,9 +496,10 @@ impl Machine {
     /// The segment backing `rank`, materialized on first mutating touch.
     /// Materialization is pure host-side bookkeeping (a fresh segment is
     /// all-zero, exactly what [`Machine::seg_read`] reported while it was
-    /// absent) and costs only the page table — backing pages materialize
-    /// one by one as words are written (see [`crate::mem::Segment`]), and
-    /// [`Machine::note_word_write`] keeps the resident stat in step.
+    /// absent) and costs only the struct with its inline head — pages are
+    /// boxed one by one as words past the head are written (see
+    /// [`crate::mem::Segment`]), and [`Machine::note_word_write`] keeps the
+    /// resident stat in step.
     #[inline]
     fn seg_mut(&mut self, rank: usize) -> &mut Segment {
         let slot = &mut self.segments[rank];
@@ -1242,6 +1245,18 @@ impl Machine {
         t
     }
 
+    /// Host bytes allocated behind all segments (boxed pages and page
+    /// tables; see [`crate::mem::Segment::backing_bytes`]). Unlike
+    /// [`FabricStats::peak_resident_bytes`] this is not a simulation
+    /// result: it is what the simulated footprint costs the host.
+    pub fn backing_bytes_total(&self) -> u64 {
+        self.segments
+            .iter()
+            .flatten()
+            .map(Segment::backing_bytes)
+            .sum()
+    }
+
     // ------------------------------------------------------------------
     // Park/wake: host-side fast path for polling loops
     // ------------------------------------------------------------------
@@ -1407,8 +1422,8 @@ impl Machine {
     /// re-parks on the same grid.
     #[inline]
     fn note_word_write(&mut self, rank: usize, off: u32) {
-        // The write may have materialized a backing page of `rank`'s
-        // segment; residency is monotone, so current == peak.
+        // The write may have made a page of `rank`'s segment resident;
+        // residency is monotone, so current == peak.
         let r = self.segments[rank].as_ref().map_or(0, |s| s.resident_bytes());
         if r > self.stats[rank].peak_resident_bytes {
             self.stats[rank].peak_resident_bytes = r;
@@ -1864,6 +1879,23 @@ mod tests {
         // The lazily materialized segment behaves like an eager one.
         let (v, _) = m.get_u64(3, a1);
         assert_eq!(v, 8);
+    }
+
+    /// A steal probe that takes and releases an idle victim's lock makes
+    /// one simulated page resident and allocates nothing on the host.
+    #[test]
+    fn an_idle_probed_segment_has_no_backing() {
+        let mut m = machine(4);
+        let lock = GlobalAddr::new(2, 0);
+        assert_eq!(m.cas_u64(0, lock, 0, 1).0, 0);
+        m.put_u64(0, lock, 0);
+        let page = crate::mem::PAGE_BYTES as u64;
+        assert_eq!(m.stats_total().peak_resident_bytes, page);
+        assert_eq!(m.backing_bytes_total(), 0);
+        // Past the inline head the same page needs its box and a table slot.
+        m.put_u64(0, GlobalAddr::new(2, 1024), 9);
+        assert_eq!(m.stats_total().peak_resident_bytes, page);
+        assert_eq!(m.backing_bytes_total(), page + 8);
     }
 
     /// One verb of the depth-1 proptest, issued either through its blocking

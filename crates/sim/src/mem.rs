@@ -12,7 +12,8 @@
 //! payloads (migrated call stacks, task arguments) are accounted by byte size
 //! on the fabric but their Rust-side representation travels through typed
 //! side tables owned by the runtime, so the segment itself never needs raw
-//! byte storage. On the host a segment is paged: it costs its touched pages.
+//! byte storage. On the host a segment is paged, and its first cache line —
+//! the deque control block — is stored inline (see [`Segment`]).
 //!
 //! The embedded allocator ([`SegAlloc`]) is a bump allocator with per-size
 //! free lists — the workload is a high rate of small fixed-size records
@@ -177,16 +178,26 @@ fn round_up(bytes: u32) -> u32 {
     bytes.div_ceil(WORD) * WORD
 }
 
-/// Bytes per backing page of a segment. Segments are *page-granular* on the
-/// host: the configured capacity is only an address-space bound, and the
-/// whole-machine footprint is O(touched pages), not O(workers × seg_bytes)
-/// (see [`Segment`]).
+/// Bytes per page of a segment: the granularity at which the simulated
+/// pinned footprint is *accounted* ([`Segment::resident_bytes`]) and at
+/// which host backing is allocated for everything past the inline head.
+/// The configured capacity is only an address-space bound; both figures
+/// are O(touched pages), not O(workers × seg_bytes) (see [`Segment`]).
 pub const PAGE_BYTES: u32 = 4096;
 
-/// Words per backing page.
+/// Words per page.
 const PAGE_WORDS: usize = (PAGE_BYTES / WORD) as usize;
 
-/// One page-table slot; `None` until the page's first non-zero write.
+/// Words of page 0 stored inline in the [`Segment`] struct: one cache line,
+/// which holds the deque control block (`DQ_LOCK/DQ_TOP/DQ_BOTTOM`, the
+/// bag lock of `dcs-bot`) and the first ring words. At large worker counts
+/// almost every steal probe and every own-deque pop lands on these words of
+/// an otherwise empty segment; inline, they cost no 4 KiB host page (and no
+/// TLB + cache miss through the page table) per idle worker.
+const HEAD_WORDS: usize = 8;
+
+/// One page-table slot; `None` until the first non-zero write to the page
+/// (for page 0: to its body, past the inline head).
 type PageSlot = Option<Box<[u64; PAGE_WORDS]>>;
 
 fn zero_page() -> Box<[u64; PAGE_WORDS]> {
@@ -200,22 +211,37 @@ fn zero_page() -> Box<[u64; PAGE_WORDS]> {
 /// The first `reserved` bytes are statically laid out by the runtime (deque
 /// control words + ring buffer); the rest is managed by the embedded
 /// allocator for dynamically created remote objects (thread entries, saved
-/// contexts). Backing storage is a page table of lazily materialized 4 KiB
-/// pages (see [`PAGE_BYTES`]): an absent page reads as zero, and writing a
-/// zero to an absent page is a no-op — so a fresh segment, a fresh page and
-/// a never-written word are all indistinguishable, and laziness cannot
-/// change any simulation result. The table is lazy too: it reaches only to
-/// the highest page ever written non-zero, and a page past its end is an
-/// absent page. [`SegAlloc`] bumps upward from `reserved`, so the touched
-/// pages are a prefix and a segment that holds little has a short table.
+/// contexts). Storage is the inline head (the first [`HEAD_WORDS`] words)
+/// plus a page table of lazily boxed 4 KiB pages (see [`PAGE_BYTES`]): an
+/// absent page reads as zero, and writing a zero to an absent page is a
+/// no-op — so a fresh segment, a fresh page and a never-written word are
+/// all indistinguishable, and laziness cannot change any simulation result.
+/// The table is lazy too: it reaches only to the highest page whose boxed
+/// part was ever written non-zero, and a page past its end is an absent
+/// page. [`SegAlloc`] bumps upward from `reserved`, so the touched pages
+/// are a prefix and a segment that holds little has a short table.
+///
+/// Two footprints are reported, and only the first is a simulation result:
+/// [`Segment::resident_bytes`] is the *simulated* pinned footprint — one
+/// [`PAGE_BYTES`] page per page that ever held a non-zero word anywhere in
+/// it, head included — and [`Segment::backing_bytes`] is what the host
+/// allocated, which for a segment whose traffic stays in the head is zero.
 pub struct Segment {
-    /// Slots for pages `0..=highest page ever written non-zero`.
+    /// Words `0..HEAD_WORDS` of page 0. Page 0's box, when it exists, keeps
+    /// these positions unused.
+    head: [u64; HEAD_WORDS],
+    /// Slots for pages `0..=highest page whose box was ever needed`.
     pages: Vec<PageSlot>,
     alloc: SegAlloc,
-    /// Materialized page count. Monotone: pages are never released while
-    /// the segment lives (a freed record's page stays resident, matching a
-    /// real allocator's behaviour).
+    /// Resident pages other than page 0. Monotone: pages are never
+    /// released while the segment lives (a freed record's page stays
+    /// resident, matching a real allocator's behaviour). Each of these has
+    /// a box.
     resident_pages: usize,
+    /// Page 0 is resident: it received a non-zero write, to its head or to
+    /// its body. Kept apart from `resident_pages` so that the two stores of
+    /// page 0 cannot count it twice.
+    page0_resident: bool,
 }
 
 impl Segment {
@@ -224,30 +250,40 @@ impl Segment {
         let reserved = round_up(reserved_bytes);
         assert!(reserved <= cap_bytes);
         Segment {
+            head: [0; HEAD_WORDS],
             pages: Vec::new(),
             alloc: SegAlloc::new(cap_bytes, reserved),
             resident_pages: 0,
+            page0_resident: false,
         }
     }
 
-    /// Host bytes of materialized pages backing this segment (the page
-    /// table is counted by [`Segment::table_bytes`]).
+    /// Simulated pinned footprint of this segment at 4 KiB registration
+    /// granularity: [`PAGE_BYTES`] per page that ever received a non-zero
+    /// write. A simulation result (pinned by goldens); the host cost is
+    /// [`Segment::backing_bytes`].
     #[inline]
     pub fn resident_bytes(&self) -> u64 {
-        self.resident_pages as u64 * PAGE_BYTES as u64
+        (self.resident_pages + usize::from(self.page0_resident)) as u64 * PAGE_BYTES as u64
     }
 
-    /// Host bytes of the page table: one slot per page up to the highest
-    /// one ever written non-zero.
-    pub fn table_bytes(&self) -> u64 {
-        (self.pages.len() * std::mem::size_of::<PageSlot>()) as u64
+    /// Host bytes allocated behind this segment: the boxed pages plus the
+    /// page table (one slot per page up to the highest boxed one). The
+    /// inline head is part of the struct and not counted, so a segment that
+    /// only ever saw its control block written reports 0.
+    pub fn backing_bytes(&self) -> u64 {
+        let boxed = self.resident_pages + usize::from(matches!(self.pages.first(), Some(Some(_))));
+        boxed as u64 * PAGE_BYTES as u64
+            + (self.pages.len() * std::mem::size_of::<PageSlot>()) as u64
     }
 
-    /// Word index of `off`, bounds-checked in release builds too: past the
-    /// table a stray offset would otherwise pass for an absent page.
+    /// Word index of `off`, checked in release builds too: past the table a
+    /// stray offset would otherwise pass for an absent page, and a
+    /// misaligned one would alias the word below it — across the head/body
+    /// seam, a word of the other store.
     #[inline]
     fn word(&self, off: u32) -> usize {
-        debug_assert_eq!(off % WORD, 0);
+        assert_eq!(off % WORD, 0, "offset {off:#x} is not word-aligned");
         assert!(
             off < self.alloc.cap,
             "offset {off:#x} past segment capacity"
@@ -258,6 +294,9 @@ impl Segment {
     #[inline]
     pub fn read(&self, off: u32) -> u64 {
         let idx = self.word(off);
+        if idx < HEAD_WORDS {
+            return self.head[idx];
+        }
         match self.pages.get(idx / PAGE_WORDS) {
             Some(Some(p)) => p[idx % PAGE_WORDS],
             _ => 0,
@@ -268,7 +307,10 @@ impl Segment {
     pub fn write(&mut self, off: u32, v: u64) {
         let idx = self.word(off);
         let (page, word) = (idx / PAGE_WORDS, idx % PAGE_WORDS);
-        if let Some(Some(p)) = self.pages.get_mut(page) {
+        if idx < HEAD_WORDS {
+            self.head[idx] = v;
+            self.page0_resident |= v != 0;
+        } else if let Some(Some(p)) = self.pages.get_mut(page) {
             p[word] = v;
         } else if v != 0 {
             // An absent page already reads as zero: only a non-zero write
@@ -278,7 +320,11 @@ impl Segment {
                 self.pages.resize_with(page + 1, || None);
             }
             self.pages[page].insert(zero_page())[word] = v;
-            self.resident_pages += 1;
+            if page == 0 {
+                self.page0_resident = true;
+            } else {
+                self.resident_pages += 1;
+            }
         }
     }
 
@@ -433,31 +479,123 @@ mod tests {
         }
     }
 
-    /// The page table reaches only as far as the highest page ever written
-    /// non-zero: a big segment that holds its deque control words costs one
-    /// slot, not `cap / PAGE_BYTES` of them.
+    /// The page table reaches only as far as the highest page whose box was
+    /// ever needed: a big segment that holds its deque control words costs
+    /// no host allocation at all, not `cap / PAGE_BYTES` slots.
     #[test]
-    fn table_grows_with_the_touched_prefix() {
+    fn table_grows_with_the_boxed_prefix() {
         let cap: u32 = 64 << 20;
+        let page = PAGE_BYTES as u64;
         let slot = std::mem::size_of::<PageSlot>() as u64;
         let mut s = Segment::new(cap, 128);
-        assert_eq!(s.table_bytes(), 0, "a fresh segment has no table");
+        assert_eq!(s.backing_bytes(), 0, "a fresh segment has no table");
         s.write(0, 1);
+        s.write(16, 2);
+        assert_eq!(s.backing_bytes(), 0, "control words live in the head");
         s.write(64, 2);
-        assert_eq!(s.table_bytes(), slot, "control words live in page 0");
+        assert_eq!(
+            s.backing_bytes(),
+            page + slot,
+            "the ring goes on in page 0's box"
+        );
         // Reads and zero writes past the table neither grow it nor fault.
         assert_eq!(s.read(cap - WORD), 0);
         s.write(cap - WORD, 0);
-        assert_eq!(s.table_bytes(), slot);
-        assert_eq!(s.resident_bytes(), PAGE_BYTES as u64);
+        assert_eq!(s.backing_bytes(), page + slot);
+        assert_eq!(s.resident_bytes(), page);
         // The last page grows the table to capacity and no further.
+        let slots = (cap / PAGE_BYTES) as u64 * slot;
         s.write(cap - WORD, 9);
-        assert_eq!(s.table_bytes(), (cap / PAGE_BYTES) as u64 * slot);
-        assert_eq!(s.resident_bytes(), 2 * PAGE_BYTES as u64);
+        assert_eq!(s.backing_bytes(), 2 * page + slots);
+        assert_eq!(s.resident_bytes(), 2 * page);
         s.write(cap - PAGE_BYTES, 3);
-        assert_eq!(s.table_bytes(), (cap / PAGE_BYTES) as u64 * slot);
+        assert_eq!(s.backing_bytes(), 2 * page + slots);
         assert_eq!(s.read(cap - WORD), 9);
         assert_eq!(s.read(cap / 2), 0, "a hole inside the table reads as zero");
+    }
+
+    /// Byte offset of the first word past the inline head.
+    const SEAM: u32 = HEAD_WORDS as u32 * WORD;
+
+    /// Page 0 has two stores and one count. "page 0 was resident already"
+    /// is the assertion a double count (head write and body write each
+    /// adding a page) fails, with 8192 for 4096.
+    #[test]
+    fn page_zero_is_counted_once_across_head_and_body() {
+        let page = PAGE_BYTES as u64;
+        let mut s = Segment::new(1 << 20, 128);
+        s.write(0, 0);
+        s.write(SEAM - WORD, 0);
+        assert_eq!((s.resident_bytes(), s.backing_bytes()), (0, 0));
+        // An idle worker whose lock word was probed and released.
+        assert_eq!(s.cas(0, 0, 1), 0);
+        s.write(0, 0);
+        assert_eq!((s.resident_bytes(), s.backing_bytes()), (page, 0));
+        s.write(SEAM, 5);
+        assert_eq!(s.resident_bytes(), page, "page 0 was resident already");
+        assert_eq!(
+            s.backing_bytes(),
+            page + std::mem::size_of::<PageSlot>() as u64
+        );
+        assert_eq!((s.read(0), s.read(SEAM)), (0, 5));
+
+        // The other order: body first, head second.
+        let mut s = Segment::new(1 << 20, 128);
+        s.write(SEAM, 5);
+        s.write(8, 3);
+        assert_eq!(s.resident_bytes(), page);
+        assert_eq!((s.read(8), s.read(SEAM)), (3, 5));
+    }
+
+    /// The atomics are compositions of `read` and `write`, so they work on
+    /// either side of the seam without code of their own.
+    #[test]
+    fn atomics_on_both_sides_of_the_seam() {
+        for (off, neighbour) in [(SEAM - WORD, SEAM), (SEAM, SEAM - WORD)] {
+            let mut s = Segment::new(4096, 0);
+            assert_eq!(s.fetch_add(off, 0), 0);
+            assert_eq!(s.cas(off, 0, 0), 0);
+            assert_eq!(s.resident_bytes(), 0, "zero results materialize nothing");
+            assert_eq!(s.fetch_add(off, 5), 0);
+            assert_eq!(s.fetch_add(off, 2), 5);
+            assert_eq!(s.cas(off, 7, 11), 7);
+            assert_eq!(s.cas(off, 7, 1), 11, "failed CAS leaves value");
+            assert_eq!(s.read(off), 11);
+            assert_eq!(s.read(neighbour), 0, "the other store is untouched");
+            assert_eq!(s.resident_bytes(), PAGE_BYTES as u64);
+        }
+    }
+
+    /// A record that straddles the seam (`reserved` inside the head) is
+    /// zeroed in both stores when it is recycled.
+    #[test]
+    fn alloc_zeroes_across_the_seam() {
+        let mut s = Segment::new(4096, SEAM - 2 * WORD);
+        let a = s.alloc(4 * WORD);
+        assert_eq!(a, SEAM - 2 * WORD);
+        assert_eq!(s.resident_bytes(), 0, "zeroing a fresh record is free");
+        for i in 0..4 {
+            s.write(a + i * WORD, u64::MAX);
+        }
+        s.free(a, 4 * WORD);
+        assert_eq!(s.alloc(4 * WORD), a);
+        for i in 0..4 {
+            assert_eq!(s.read(a + i * WORD), 0, "stale word at field {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not word-aligned")]
+    fn misaligned_read_panics() {
+        Segment::new(4096, 0).read(4);
+    }
+
+    /// Rounded down this would be the last head word, rounded up the first
+    /// body word.
+    #[test]
+    #[should_panic(expected = "not word-aligned")]
+    fn misaligned_write_at_the_seam_panics() {
+        Segment::new(4096, 0).write(SEAM - 4, 1);
     }
 
     /// Capacity that is not a page multiple: the last word sits in a

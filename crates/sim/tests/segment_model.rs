@@ -2,11 +2,20 @@
 //!
 //! Random `write/read/cas/fetch_add/alloc/free` sequences run against the
 //! segment and against a plain `Vec<u64>` of its full capacity. Every
-//! observed value must agree, `resident_bytes()` must be exactly one page
-//! per page that ever held a non-zero word, and the page table must reach
-//! exactly to the highest such page — so zero writes and reads past the
-//! grown prefix, holes inside it, and the partial last page of capacity are
-//! all covered by the same rule as everything else.
+//! observed value must agree; `resident_bytes()` must be exactly one page
+//! per page that ever held a non-zero word *anywhere in it*; and
+//! `backing_bytes()` must be one page per page whose *body* — the words not
+//! in the segment's inline head, so for every page but page 0 the whole
+//! page — ever did, plus a table that reaches exactly to the highest such
+//! page. So zero writes and reads past the grown prefix, holes inside it,
+//! the partial last page of capacity and histories that touch only the
+//! head, only the body or both sides of page 0 are all covered by the same
+//! rules as everything else.
+//!
+//! The assertion that catches a double count of page 0 (head write and body
+//! write each adding a page) is `residency after`: planted in the source, it
+//! failed `segment_matches_dense_model` at case 0 and
+//! `page_zero_has_two_stores_and_one_count` at its first body write.
 
 use std::collections::BTreeSet;
 
@@ -29,12 +38,18 @@ enum Op {
     Free(usize),
 }
 
-/// Word offsets: mostly the low prefix the allocator also uses, sometimes
-/// anywhere, sometimes the last (partial) page of capacity.
+/// Words of page 0 that `Segment` stores inline (its private `HEAD_WORDS`):
+/// the model needs the seam to say which writes need a boxed page.
+const HEAD_WORDS: u32 = 8;
+
+/// Word offsets: mostly the two sides of the head/body seam and the low
+/// prefix the allocator also uses, sometimes anywhere, sometimes the last
+/// (partial) page of capacity.
 fn offset() -> impl Strategy<Value = u32> {
     let words = CAP / WORD;
     let last_page = (8 * PAGE_BYTES) / WORD;
     prop_oneof![
+        3 => (0u32..2 * HEAD_WORDS).prop_map(|w| w * WORD),
         3 => (0u32..256).prop_map(|w| w * WORD),
         2 => (0u32..words).prop_map(|w| w * WORD),
         1 => (last_page..words).prop_map(|w| w * WORD),
@@ -61,6 +76,8 @@ struct Model {
     words: Vec<u64>,
     /// Pages that ever held a non-zero word.
     touched: BTreeSet<u32>,
+    /// Pages that ever held a non-zero word outside the inline head.
+    boxed: BTreeSet<u32>,
 }
 
 impl Model {
@@ -68,6 +85,9 @@ impl Model {
         self.words[(off / WORD) as usize] = v;
         if v != 0 {
             self.touched.insert(off / PAGE_BYTES);
+            if off / WORD >= HEAD_WORDS {
+                self.boxed.insert(off / PAGE_BYTES);
+            }
         }
     }
 
@@ -81,6 +101,7 @@ fn check(ops: Vec<Op>) {
     let mut model = Model {
         words: vec![0; (CAP / WORD) as usize],
         touched: BTreeSet::new(),
+        boxed: BTreeSet::new(),
     };
     let mut live: Vec<(u32, u32)> = Vec::new();
     for op in &ops {
@@ -127,11 +148,13 @@ fn check(ops: Vec<Op>) {
     for (w, &v) in model.words.iter().enumerate() {
         assert_eq!(seg.read(w as u32 * WORD), v, "word {w} after {ops:?}");
     }
-    // One thin pointer per slot, up to the highest page ever made non-zero.
-    let slots = model.touched.last().map_or(0, |&p| p as u64 + 1);
+    // One page per boxed page and one thin pointer per slot, up to the
+    // highest boxed page.
+    let slots = model.boxed.last().map_or(0, |&p| p as u64 + 1);
     assert_eq!(
-        seg.table_bytes(),
-        slots * std::mem::size_of::<usize>() as u64
+        seg.backing_bytes(),
+        model.boxed.len() as u64 * PAGE_BYTES as u64 + slots * std::mem::size_of::<usize>() as u64,
+        "backing after {ops:?}"
     );
 }
 
@@ -163,4 +186,26 @@ fn absent_page_rules_hold_at_the_edges() {
         Op::Free(0),
         Op::Alloc(24),
     ]);
+}
+
+/// Page 0 written head first, body first, and head only: counted once, and
+/// boxed only for its body.
+#[test]
+fn page_zero_has_two_stores_and_one_count() {
+    let (head, body) = ((HEAD_WORDS - 1) * WORD, HEAD_WORDS * WORD);
+    check(vec![
+        Op::Write(head, 0),    // zero write to the head: nothing resident
+        Op::Cas(0, true, 1),   // a probe takes the lock word: resident, not boxed
+        Op::Write(0, 0),       // and releases it: the page stays resident
+        Op::FetchAdd(body, 2), // first body word: boxed, not counted again
+        Op::Write(head, 3),
+        Op::Read(head),
+        Op::Read(body),
+    ]);
+    check(vec![
+        Op::Write(body, 1),
+        Op::Write(0, 1),
+        Op::Write(body, 0),
+    ]);
+    check(vec![Op::Write(0, 1), Op::Write(PAGE_BYTES, 1)]);
 }

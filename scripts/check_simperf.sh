@@ -4,20 +4,24 @@
 #   scripts/check_simperf.sh [FILE]
 #       compares the last record of FILE (default: BENCH_simperf.json) with
 #       the record before it and fails when the 10k-worker steps/s of either
-#       scaling workload fell below 0.5x, when a bag-of-tasks cell takes
-#       more than 2x the engine steps per tree node, or when the C = 256 LCS
-#       leaf kernel takes more than 2x the host ns. Run `selfbench` first:
-#       it appends the fresh record after the last committed one. The 10k,
-#       the bag-of-tasks and the kernel cells are the same in quick and full
-#       mode, so a quick CI run gates against a committed full-mode record;
-#       the loose ratio absorbs host differences (a leaf that went back to
-#       a scalar DP would be 60x), and steps per node is an exact count (what
-#       an idle worker that polls instead of parking inflates).
+#       scaling workload fell below 0.5x, when the 10k-worker UTS cell's
+#       segments take more than 2x the host bytes, when a bag-of-tasks cell
+#       takes more than 2x the engine steps per tree node, or when the
+#       C = 256 LCS leaf kernel takes more than 2x the host ns. Run
+#       `selfbench` first: it appends the fresh record after the last
+#       committed one. The 10k, the bag-of-tasks and the kernel cells are the
+#       same in quick and full mode, so a quick CI run gates against a
+#       committed full-mode record; the loose ratio absorbs host differences
+#       (a leaf that went back to a scalar DP would be 60x), and backing
+#       bytes and steps per node are exact counts (what a host page per idle
+#       worker, and an idle worker that polls instead of parking, inflate —
+#       the first by 130x where steps/s moves 0.5-0.77x, inside its own
+#       gate).
 #   scripts/check_simperf.sh --self-test [FILE]
 #       proves the gate bites: the last record of FILE gated against itself
-#       must pass, and against a copy at 0.49x its steps/s, at 2.01x the
-#       steps of its bag-of-tasks cells, or at 2.01x its leaf-kernel ns, must
-#       fail.
+#       must pass, and against a copy at 0.49x its steps/s, at 2.01x its
+#       backing bytes, at 2.01x the steps of its bag-of-tasks cells, or at
+#       2.01x its leaf-kernel ns, must fail.
 #
 # The trajectory is one record per line, so grep and shell arithmetic do.
 set -euo pipefail
@@ -25,10 +29,11 @@ default="$(dirname "$0")/../BENCH_simperf.json"
 
 records() { grep -E '^ *\{"label"' "$1" | sed -e 's/^ *//' -e 's/,$//'; }
 
-# steps/s of the 10k-worker cell of workload $2 in record $1.
-sps_10k() {
+# integer field $3 (steps_per_sec; backing_bytes, the host bytes behind the
+# segments) of the 10k-worker cell of workload $2 in record $1.
+cell_10k() {
     grep -o "{\"workload\": \"$2\", \"workers\": 10000,[^}]*}" <<<"$1" |
-        grep -o '"steps_per_sec": [0-9]*' | grep -o '[0-9]*$' || true
+        grep -o "\"$3\": [0-9]*" | grep -o '[0-9]*$' || true
 }
 
 # "nodes steps" of the bag-of-tasks cell of runtime $2 in record $1.
@@ -43,13 +48,14 @@ leaf_ns() { grep -o '"lcs_leaf_256_ns": [0-9.]*' <<<"$1" | grep -o '[0-9.]*$' ||
 label() { grep -o '^{"label": "[^"]*"' <<<"$1" | cut -d'"' -f4; }
 
 # gate BASE NEW: non-zero when NEW is below half of BASE on any 10k cell,
-# above twice BASE's steps per node on any bag-of-tasks cell, or above twice
-# BASE's ns on the LCS leaf kernel.
+# above twice BASE's backing bytes on the 10k UTS cell, above twice BASE's
+# steps per node on any bag-of-tasks cell, or above twice BASE's ns on the
+# LCS leaf kernel.
 gate() {
     local wl rt base new bn bs nn ns status=0
     for wl in uts recpfor; do
-        base=$(sps_10k "$1" "$wl")
-        new=$(sps_10k "$2" "$wl")
+        base=$(cell_10k "$1" "$wl" steps_per_sec)
+        new=$(cell_10k "$2" "$wl" steps_per_sec)
         if [ -z "$base" ] || [ -z "$new" ]; then
             echo "check_simperf: no 10k-worker $wl cell in one of the records" >&2
             return 2
@@ -61,6 +67,19 @@ gate() {
             echo "ok   $wl @10k: $new steps/s vs $base ($((100 * new / base)) %)"
         fi
     done
+    base=$(cell_10k "$1" uts backing_bytes)
+    new=$(cell_10k "$2" uts backing_bytes)
+    if [ -z "$new" ]; then
+        echo "check_simperf: no backing_bytes in the new record's 10k-worker uts cell" >&2
+        return 2
+    elif [ -z "$base" ]; then
+        echo "skip backing bytes: the base record predates the count"
+    elif [ "$new" -gt $((2 * base)) ]; then
+        echo "FAIL uts @10k: $new backing bytes > 2 x $base"
+        status=1
+    else
+        echo "ok   uts @10k: $new backing bytes vs $base"
+    fi
     for rt in onesided lifeline random; do
         read -r bn bs <<<"$(bot_cell "$1" "$rt")"
         read -r nn ns <<<"$(bot_cell "$2" "$rt")"
@@ -100,6 +119,11 @@ if [ "${1:-}" = "--self-test" ]; then
         echo "self-test: a record at 0.49x must fail the gate" >&2
         exit 1
     fi
+    paged=$(perl -pe 's/("backing_bytes": )(\d+)/$1 . int($2 * 2.01)/ge' <<<"$last")
+    if gate "$last" "$paged" >/dev/null; then
+        echo "self-test: segments at 2.01x the backing bytes must fail the gate" >&2
+        exit 1
+    fi
     polls=$(perl -pe 's/("bot": [^}]*"steps": )(\d+)/$1 . int($2 * 2.01)/ge' <<<"$last")
     if gate "$last" "$polls" >/dev/null; then
         echo "self-test: bag-of-tasks cells at 2.01x the steps must fail the gate" >&2
@@ -110,7 +134,7 @@ if [ "${1:-}" = "--self-test" ]; then
         echo "self-test: a leaf kernel at 2.01x the ns must fail the gate" >&2
         exit 1
     fi
-    echo "check_simperf self-test: gate passes 1.00x, fails 0.49x steps/s, 2.01x bot steps and 2.01x leaf ns"
+    echo "check_simperf self-test: gate passes 1.00x, fails 0.49x steps/s, 2.01x backing bytes, 2.01x bot steps and 2.01x leaf ns"
     exit 0
 fi
 
