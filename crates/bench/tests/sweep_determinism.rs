@@ -1,108 +1,110 @@
-//! Golden parallel-equals-sequential test for the sweep harness.
+//! The `experiments` binary, driven as a user drives it.
 //!
-//! Runs a small fig6-style experiment matrix — (bench, N, config, seed) over
-//! real simulations — once with `jobs = 1` and once with `jobs = 4`, renders
-//! both to full CSV strings through the same `csv_line` path the bench bins
-//! use, and requires the two documents to be **byte-identical**. This is the
-//! contract that makes `--jobs` safe to default on: host parallelism may
-//! only change wall-clock time, never a single output byte.
+//! Host parallelism may only change wall-clock time, never an output byte:
+//! three cheap quick-mode experiments run at `--jobs 1`, `4` and `32`
+//! (more jobs than cells), each in its own directory, and every CSV and
+//! `.txt` they write must be byte-identical across the three. This is the
+//! contract that makes `--jobs` safe to default on. The command line's
+//! error path and `--list` are pinned too.
 
-use dcs_apps::pfor::{pfor_program, recpfor_program, PforParams};
-use dcs_bench::{csv_line, sweep};
-use dcs_core::prelude::*;
+use std::collections::BTreeMap;
+use std::fs;
+use std::path::PathBuf;
+use std::process::{Command, Output};
 
-struct Config {
-    name: &'static str,
-    policy: Policy,
-    free: FreeStrategy,
-}
+const BIN: &str = env!("CARGO_BIN_EXE_experiments");
 
-const CONFIGS: [Config; 3] = [
-    Config {
-        name: "baseline",
-        policy: Policy::ContStalling,
-        free: FreeStrategy::LockQueue,
-    },
-    Config {
-        name: "greedy",
-        policy: Policy::ContGreedy,
-        free: FreeStrategy::LocalCollection,
-    },
-    Config {
-        name: "child-full",
-        policy: Policy::ChildFull,
-        free: FreeStrategy::LocalCollection,
-    },
-];
-
-/// The miniature fig6 matrix: bench × N × config × seed, in render order.
-fn cells() -> Vec<(&'static str, u64, usize, u64)> {
-    let mut out = Vec::new();
-    for (bench, sizes) in [("PFor", [1u64 << 8, 1 << 9]), ("RecPFor", [1 << 5, 1 << 6])] {
-        for n in sizes {
-            for (ci, _) in CONFIGS.iter().enumerate() {
-                for seed in [0x5EED, 0x5EEE] {
-                    out.push((bench, n, ci, seed));
-                }
-            }
+/// Run the binary in a fresh directory named `tag`; return its output and
+/// every file it wrote under `results/`.
+fn run_in(tag: &str, args: &[&str]) -> (Output, BTreeMap<String, Vec<u8>>) {
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("dcs-experiments-{}-{tag}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(BIN)
+        .args(args)
+        .current_dir(&dir)
+        .env("DCS_QUICK", "1")
+        .env_remove("DCS_JOBS")
+        .output()
+        .expect("run experiments");
+    let mut files = BTreeMap::new();
+    if let Ok(entries) = fs::read_dir(dir.join("results")) {
+        for e in entries {
+            let e = e.unwrap();
+            files.insert(
+                e.file_name().into_string().unwrap(),
+                fs::read(e.path()).unwrap(),
+            );
         }
     }
-    out
-}
-
-/// Render the whole experiment to one CSV document at the given job count.
-fn render(jobs: usize) -> String {
-    let workers = 16;
-    let cells = cells();
-    let reports = sweep::run_matrix(&cells, jobs, |_, &(bench, n, ci, seed)| {
-        let cfg = RunConfig::new(workers, CONFIGS[ci].policy)
-            .with_free_strategy(CONFIGS[ci].free)
-            .with_seed(seed)
-            .with_seg_bytes(16 << 20);
-        let params = PforParams::paper(n);
-        let program = match bench {
-            "PFor" => pfor_program(params),
-            _ => recpfor_program(params),
-        };
-        run(cfg, program)
-    });
-
-    let mut doc = String::from("bench,n,config,seed,elapsed_ns,steals_ok,outstanding,threads\n");
-    for (&(bench, n, ci, seed), r) in cells.iter().zip(&reports) {
-        doc.push_str(&csv_line(&[
-            &bench,
-            &n,
-            &CONFIGS[ci].name,
-            &seed,
-            &r.elapsed.as_ns(),
-            &r.stats.steals_ok,
-            &r.stats.outstanding_joins,
-            &r.threads,
-        ]));
-        doc.push('\n');
-    }
-    doc
+    fs::remove_dir_all(&dir).unwrap();
+    (out, files)
 }
 
 #[test]
-fn parallel_sweep_output_is_byte_identical_to_sequential() {
-    let seq = render(1);
-    let par = render(4);
-    assert!(
-        seq == par,
-        "jobs=4 changed the CSV document:\n--- jobs=1 ---\n{seq}\n--- jobs=4 ---\n{par}"
+fn job_count_never_changes_an_output_byte() {
+    let names = ["ablate_join", "ablate_free", "fig7"];
+    let runs: Vec<_> = ["1", "4", "32"]
+        .iter()
+        .map(|jobs| {
+            let mut args = names.to_vec();
+            args.extend(["--jobs", jobs]);
+            let (out, files) = run_in(&format!("jobs{jobs}"), &args);
+            assert!(
+                out.status.success(),
+                "--jobs {jobs}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            (out.stdout, files)
+        })
+        .collect();
+    let (stdout, files) = &runs[0];
+    let written: Vec<&str> = files.keys().map(|k| k.as_str()).collect();
+    assert_eq!(
+        written,
+        [
+            "ablate_free.csv",
+            "ablate_free.txt",
+            "ablate_join.csv",
+            "ablate_join.txt",
+            "fig7.csv",
+            "fig7.txt"
+        ]
     );
-    // And the document is not trivially empty.
-    assert_eq!(seq.lines().count(), 1 + cells().len());
-    assert!(seq.lines().nth(1).unwrap().starts_with("PFor,256,baseline,"));
+    assert!(files["fig7.csv"].starts_with(b"strategy,t_ms,busy_workers,ready_joins\n"));
+    for (name, bytes) in files {
+        assert!(bytes.len() > 64, "{name} is not trivially empty");
+    }
+    // Stdout is the three .txt files, in the order named.
+    let txts = names.map(|n| String::from_utf8(files[&format!("{n}.txt")].clone()).unwrap());
+    assert_eq!(String::from_utf8_lossy(stdout), txts.join("\n"));
+    for (jobs, run) in ["4", "32"].iter().zip(&runs[1..]) {
+        assert!(run.1 == *files, "--jobs {jobs} changed a results/ file");
+        assert!(run.0 == *stdout, "--jobs {jobs} changed stdout");
+    }
 }
 
-/// Oversubscription (more jobs than cells) and a second identical pass (pool
-/// reuse in a warm process) must also reproduce the document.
 #[test]
-fn oversubscribed_and_warm_passes_agree() {
-    let first = render(32);
-    let second = render(32);
-    assert_eq!(first, render(1));
-    assert_eq!(first, second, "warm segment pool changed results");
+fn unknown_name_exits_2_and_lists_the_names() {
+    let (out, files) = run_in("unknown", &["ablate_join", "fig99"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown experiment 'fig99'"), "{err}");
+    assert!(
+        err.contains("ablate_overlap") && err.contains("table3"),
+        "{err}"
+    );
+    assert!(files.is_empty(), "nothing runs when a name is wrong");
+}
+
+#[test]
+fn list_prints_the_17_experiments() {
+    let (out, files) = run_in("list", &["--list"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let names: Vec<&str> = stdout.lines().collect();
+    assert_eq!(names.len(), 17, "{stdout}");
+    assert_eq!((names[0], names[16]), ("fig6", "ablate_overlap"));
+    assert!(files.is_empty());
 }

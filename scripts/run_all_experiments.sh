@@ -3,9 +3,9 @@
 # results/*.txt. Full run takes tens of minutes on one core; set DCS_QUICK=1
 # for a minutes-long smoke pass.
 #
-# Each bin fans its independent simulations across host threads. Pass
-# --jobs N (or set DCS_JOBS) to pin the thread count; the default is the
-# host's available cores. Output is byte-identical for any value.
+# Each experiment fans its independent simulations across host threads.
+# Pass --jobs N (or set DCS_JOBS) to pin the thread count; the default is
+# the host's available cores. Output is byte-identical for any value.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,11 +30,12 @@ done
 cargo build --release -p dcs-bench
 
 mkdir -p results
-for bin in fig6 fig6_protocols table2 fig7 fig8 fig9 table3 fig12 ablate_free ablate_join ablate_uniaddr ablate_topology ablate_stealhalf ablate_faults ablate_recovery ablate_suspicion ablate_overlap; do
-    echo "=== running $bin ==="
+# Each experiment writes results/<name>.txt (its stdout) and its CSVs.
+for name in $(./target/release/experiments --list); do
+    echo "=== running $name ==="
     start=$(date +%s)
-    ./target/release/$bin "${JOBS_ARGS[@]}" 2>&1 | tee "results/$bin.txt"
-    echo "($(( $(date +%s) - start )) s host time for $bin)"
+    ./target/release/experiments "$name" "${JOBS_ARGS[@]}"
+    echo "($(( $(date +%s) - start )) s host time for $name)"
 done
 
 # Host-side self-benchmark: worker-scaling sweep (1k/10k/100k, the engine
