@@ -495,7 +495,6 @@ pub fn program(params: LcsParams) -> Program {
         root: lcs_root,
         arg: Value::Unit,
         app: Arc::new(params),
-        init: None,
     }
 }
 

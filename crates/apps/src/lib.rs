@@ -6,15 +6,14 @@
 //!   Fig. 8/9), fork-join parallelization,
 //! * [`lcs`] — longest common subsequence via recursive decomposition and
 //!   multi-consumer futures (§V-D, Fig. 10–12, Table III),
-//! * [`sha1`] — the SHA-1 substrate UTS relies on,
-//! * [`nqueens`] — irregular backtracking search (extra workload),
-//! * [`msort`] — parallel mergesort whose data flows through task values
-//!   (extra workload).
+//! * [`sha1`] — the SHA-1 substrate UTS relies on.
+//!
+//! Each program carries its own closed forms for work and span
+//! ([`pfor::PforParams::pfor_t1`], [`pfor::PforParams::recpfor_t1`],
+//! [`uts::serial_vtime`], [`lcs::LcsParams::t1`], [`lcs::LcsParams::t_inf`]),
+//! so a run's distance from `T1 / P` needs no separate calibration program.
 
 pub mod lcs;
-pub mod matmul;
-pub mod msort;
-pub mod nqueens;
 pub mod pfor;
 pub mod sha1;
 pub mod uts;

@@ -138,7 +138,6 @@ pub fn pfor_program(params: PforParams) -> Program {
         root: pfor_root,
         arg: Value::U64(params.n),
         app: Arc::new(params),
-        init: None,
     }
 }
 
@@ -149,7 +148,6 @@ pub fn recpfor_program(params: PforParams) -> Program {
         root: recpfor,
         arg: Value::U64(params.n),
         app: Arc::new(params),
-        init: None,
     }
 }
 

@@ -271,7 +271,6 @@ pub fn program(spec: UtsSpec) -> Program {
         root: uts_count,
         arg: root,
         app: Arc::new(spec),
-        init: None,
     }
 }
 

@@ -12,7 +12,7 @@
 
 use std::fmt::Write as _;
 
-use dcs_apps::{lcs, matmul, msort, nqueens, pfor, uts};
+use dcs_apps::{lcs, pfor, uts};
 use dcs_core::prelude::*;
 use dcs_sim::{FaultPlan, Topology};
 
@@ -76,30 +76,41 @@ pub enum Bench {
     Recpfor,
     Uts,
     Lcs,
-    Nqueens,
-    Msort,
-    Matmul,
     BotUts,
 }
 
 impl Bench {
+    /// Every bench, in the order `--bench`'s help and `dcs info` list them.
+    const ALL: [Bench; 6] = [
+        Bench::Fib,
+        Bench::Pfor,
+        Bench::Recpfor,
+        Bench::Uts,
+        Bench::Lcs,
+        Bench::BotUts,
+    ];
+
+    /// The `--bench` spelling.
+    fn label(self) -> &'static str {
+        match self {
+            Bench::Fib => "fib",
+            Bench::Pfor => "pfor",
+            Bench::Recpfor => "recpfor",
+            Bench::Uts => "uts",
+            Bench::Lcs => "lcs",
+            Bench::BotUts => "bot-uts",
+        }
+    }
+
+    fn labels(sep: &str) -> String {
+        Bench::ALL.map(Bench::label).join(sep)
+    }
+
     fn parse(s: &str) -> Result<Bench, String> {
-        Ok(match s {
-            "fib" => Bench::Fib,
-            "pfor" => Bench::Pfor,
-            "recpfor" => Bench::Recpfor,
-            "uts" => Bench::Uts,
-            "lcs" => Bench::Lcs,
-            "nqueens" => Bench::Nqueens,
-            "msort" => Bench::Msort,
-            "matmul" => Bench::Matmul,
-            "bot-uts" => Bench::BotUts,
-            other => {
-                return Err(format!(
-                    "unknown bench '{other}' (fib|pfor|recpfor|uts|lcs|nqueens|msort|matmul|bot-uts)"
-                ))
-            }
-        })
+        Bench::ALL
+            .into_iter()
+            .find(|b| b.label() == s)
+            .ok_or_else(|| format!("unknown bench '{s}' ({})", Bench::labels("|")))
     }
 }
 
@@ -226,6 +237,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         "check" => Ok(Command::Check(parse_check(rest)?)),
         "sweep" => {
             let (base, workers, jobs) = parse_run_with_list(rest)?;
+            if base.trace_out.is_some() {
+                return Err("--trace only makes sense with `run` (a sweep is many runs)".into());
+            }
             let jobs = match jobs {
                 Some(v) => dcs_bench::sweep::parse_jobs(&v)?,
                 None => dcs_bench::sweep::available_jobs(),
@@ -332,17 +346,17 @@ fn parse_run_with_list(args: &[String]) -> Result<(RunArgs, Vec<usize>, Option<S
     Ok((out, worker_list, jobs))
 }
 
-/// Default problem size per benchmark when `--n` is absent.
-pub fn default_n(bench: Bench) -> u64 {
-    match bench {
+/// `--n`, or the bench's default problem size when it is absent.
+fn problem_size(a: &RunArgs) -> u64 {
+    if a.n != 0 {
+        return a.n;
+    }
+    match a.bench {
         Bench::Fib => 20,
         Bench::Pfor => 1 << 12,
         Bench::Recpfor => 1 << 9,
         Bench::Uts | Bench::BotUts => 15, // gen_mx
         Bench::Lcs => 1 << 12,
-        Bench::Nqueens => 9,
-        Bench::Msort => 1 << 14,
-        Bench::Matmul => 128,
     }
 }
 
@@ -368,10 +382,9 @@ fn fib_task(arg: Value, _ctx: &mut TaskCtx) -> Effect {
     )
 }
 
-/// Execute a `run` command, returning the rendered report.
-pub fn execute_run(a: &RunArgs) -> String {
-    let n = if a.n == 0 { default_n(a.bench) } else { a.n };
-    let mut cfg = RunConfig::new(a.workers, a.policy)
+/// The runtime configuration `a` asks for, at `workers` workers.
+fn run_config(a: &RunArgs, workers: usize) -> RunConfig {
+    let mut cfg = RunConfig::new(workers, a.policy)
         .with_profile(a.machine.clone())
         .with_free_strategy(a.free)
         .with_address_scheme(a.scheme)
@@ -392,64 +405,84 @@ pub fn execute_run(a: &RunArgs) -> String {
             intra_factor: 0.3,
         });
     }
+    cfg
+}
 
-    if a.bench == Bench::BotUts {
-        let spec = uts::UtsSpec::new(4.0, n as u32, uts::Shape::Linear, 19);
-        let r = dcs_bot::onesided::run_workload_fabric(
-            &dcs_bot::Workload::Uts(spec),
-            a.workers,
-            a.machine.clone(),
-            a.seed,
-            dcs_bot::onesided::StealAmount::Half,
-            a.fault.clone(),
-            a.fabric,
-        );
-        let mut s = String::new();
-        let _ = writeln!(s, "bench:      bot-uts (one-sided steal-half, gen_mx = {n})");
-        let _ = writeln!(s, "nodes:      {}", r.nodes);
-        let _ = writeln!(s, "elapsed:    {}", r.elapsed);
-        let _ = writeln!(s, "throughput: {:.2} Mnodes/s", r.throughput() / 1e6);
-        let _ = writeln!(s, "steals:     {} ok, {} failed", r.steals_ok, r.steals_failed);
-        let _ = writeln!(s, "token rounds: {}", r.token_rounds);
-        let _ = writeln!(
-            s,
-            "fabric:     {} remote ops, {} KiB moved ({}, {} max in flight)",
-            r.fabric.remote_total(),
-            (r.fabric.bytes_got + r.fabric.bytes_put) / 1024,
-            a.fabric.label(),
-            r.fabric.max_inflight
-        );
-        if a.fault.is_active() {
-            let _ = writeln!(
-                s,
-                "faults:     {} verb retries, {} timeouts",
-                r.fabric.retries, r.fabric.timeouts
-            );
-        }
-        if a.fault.recovery_armed() {
-            let _ = writeln!(
-                s,
-                "recovery:   {} dead workers, {} tasks lost, {} re-executed, {} duplicate results absorbed",
-                r.dead_workers, r.lost_tasks, r.reexec_tasks, r.dup_results
-            );
-        }
-        return s;
-    }
+/// What one simulation of `--bench` produced: a `dcs-core` task run, or a
+/// run of the one-sided bag-of-tasks runtime (`bot-uts`). One per run,
+/// moved once: the size gap between the reports costs nothing.
+#[allow(clippy::large_enum_variant)]
+enum Sim {
+    Tasks(RunReport),
+    Bot(dcs_bot::BotReport),
+}
 
+/// Build and run `a`'s bench at `workers` workers: the one path `run` and
+/// every `sweep` point take, so both honour the same flags.
+fn simulate(a: &RunArgs, workers: usize) -> Sim {
+    let n = problem_size(a);
+    let uts_spec = || uts::UtsSpec::new(4.0, n as u32, uts::Shape::Linear, 19);
     let program = match a.bench {
         Bench::Fib => Program::new(fib_task, n),
         Bench::Pfor => pfor::pfor_program(pfor::PforParams::paper(n)),
         Bench::Recpfor => pfor::recpfor_program(pfor::PforParams::paper(n)),
-        Bench::Uts => uts::program(uts::UtsSpec::new(4.0, n as u32, uts::Shape::Linear, 19)),
+        Bench::Uts => uts::program(uts_spec()),
         Bench::Lcs => lcs::program(lcs::LcsParams::random(n, 256.min(n), a.seed)),
-        Bench::Nqueens => nqueens::program(nqueens::NqParams::new(n as u32)),
-        Bench::Msort => msort::program(msort::SortParams::random(n as usize, 64, a.seed)),
-        Bench::Matmul => {
-            matmul::program(matmul::MatParams::random(n as usize, 16.min(n as usize), a.seed))
+        Bench::BotUts => {
+            return Sim::Bot(dcs_bot::onesided::run_workload_fabric(
+                &dcs_bot::Workload::Uts(uts_spec()),
+                workers,
+                a.machine.clone(),
+                a.seed,
+                dcs_bot::onesided::StealAmount::Half,
+                a.fault.clone(),
+                a.fabric,
+            ))
         }
-        Bench::BotUts => unreachable!("handled above"),
     };
-    let report = run(cfg, program);
+    Sim::Tasks(run(run_config(a, workers), program))
+}
+
+fn render_bot(a: &RunArgs, n: u64, r: &dcs_bot::BotReport) -> String {
+    let mut s = String::new();
+    let _ = writeln!(s, "bench:      bot-uts (one-sided steal-half, gen_mx = {n})");
+    let _ = writeln!(s, "nodes:      {}", r.nodes);
+    let _ = writeln!(s, "elapsed:    {}", r.elapsed);
+    let _ = writeln!(s, "throughput: {:.2} Mnodes/s", r.throughput() / 1e6);
+    let _ = writeln!(s, "steals:     {} ok, {} failed", r.steals_ok, r.steals_failed);
+    let _ = writeln!(s, "token rounds: {}", r.token_rounds);
+    let _ = writeln!(
+        s,
+        "fabric:     {} remote ops, {} KiB moved ({}, {} max in flight)",
+        r.fabric.remote_total(),
+        (r.fabric.bytes_got + r.fabric.bytes_put) / 1024,
+        a.fabric.label(),
+        r.fabric.max_inflight
+    );
+    if a.fault.is_active() {
+        let _ = writeln!(
+            s,
+            "faults:     {} verb retries, {} timeouts",
+            r.fabric.retries, r.fabric.timeouts
+        );
+    }
+    if a.fault.recovery_armed() {
+        let _ = writeln!(
+            s,
+            "recovery:   {} dead workers, {} tasks lost, {} re-executed, {} duplicate results absorbed",
+            r.dead_workers, r.lost_tasks, r.reexec_tasks, r.dup_results
+        );
+    }
+    s
+}
+
+/// Execute a `run` command, returning the rendered report.
+pub fn execute_run(a: &RunArgs) -> String {
+    let n = problem_size(a);
+    let report = match simulate(a, a.workers) {
+        Sim::Tasks(r) => r,
+        Sim::Bot(r) => return render_bot(a, n, &r),
+    };
     let mut rendered = render_report(a, n, &report);
     if let Some(d) = report.stats.delay_report(report.elapsed, a.workers) {
         let _ = writeln!(
@@ -602,46 +635,13 @@ fn render_report(a: &RunArgs, n: u64, r: &RunReport) -> String {
 pub fn execute_sweep(a: &SweepArgs) -> String {
     // (elapsed, steals_ok, avg steal latency; None for the BoT runtime).
     let rows: Vec<(VTime, u64, Option<VTime>)> =
-        dcs_bench::sweep::run_matrix(&a.worker_list, a.jobs, |_, &p| {
-            let args = a.base.clone();
-            let n = if args.n == 0 { default_n(args.bench) } else { args.n };
-            let cfg = RunConfig::new(p, args.policy)
-                .with_profile(args.machine.clone())
-                .with_seed(args.seed)
-                .with_seg_bytes(64 << 20)
-                .with_fault_plan(args.fault.clone())
-                .with_fabric(args.fabric);
-            let program = match args.bench {
-                Bench::Fib => Program::new(fib_task, n),
-                Bench::Pfor => pfor::pfor_program(pfor::PforParams::paper(n)),
-                Bench::Recpfor => pfor::recpfor_program(pfor::PforParams::paper(n)),
-                Bench::Uts => {
-                    uts::program(uts::UtsSpec::new(4.0, n as u32, uts::Shape::Linear, 19))
-                }
-                Bench::Lcs => lcs::program(lcs::LcsParams::random(n, 256.min(n), args.seed)),
-                Bench::Nqueens => nqueens::program(nqueens::NqParams::new(n as u32)),
-                Bench::Msort => {
-                    msort::program(msort::SortParams::random(n as usize, 64, args.seed))
-                }
-                Bench::Matmul => matmul::program(matmul::MatParams::random(
-                    n as usize,
-                    16.min(n as usize),
-                    args.seed,
-                )),
-                Bench::BotUts => {
-                    let spec = uts::UtsSpec::new(4.0, n as u32, uts::Shape::Linear, 19);
-                    let r = dcs_bot::onesided::run_uts_fabric(
-                        &spec,
-                        p,
-                        args.machine.clone(),
-                        args.seed,
-                        args.fabric,
-                    );
-                    return (r.elapsed, r.steals_ok, None);
-                }
-            };
-            let r = run(cfg, program);
-            (r.elapsed, r.stats.steals_ok, Some(r.stats.avg_steal_latency()))
+        dcs_bench::sweep::run_matrix(&a.worker_list, a.jobs, |_, &p| match simulate(&a.base, p) {
+            Sim::Tasks(r) => (
+                r.elapsed,
+                r.stats.steals_ok,
+                Some(r.stats.avg_steal_latency()),
+            ),
+            Sim::Bot(r) => (r.elapsed, r.steals_ok, None),
         });
 
     let mut s = String::new();
@@ -861,7 +861,7 @@ pub fn info() -> String {
         );
     }
     let _ = writeln!(s, "\npolicies: cont-greedy cont-stalling child-full child-rtc");
-    let _ = writeln!(s, "benches:  fib pfor recpfor uts lcs bot-uts");
+    let _ = writeln!(s, "benches:  {}", Bench::labels(" "));
     let _ = writeln!(s, "see `dcs help` for flags");
     s
 }
@@ -876,7 +876,7 @@ USAGE:
     dcs help               this text
 
 FLAGS (run & sweep):
-    --bench <fib|pfor|recpfor|uts|lcs|nqueens|msort|matmul|bot-uts> [uts]
+    --bench <fib|pfor|recpfor|uts|lcs|bot-uts>                      [uts]
     --policy <cont-greedy|cont-stalling|child-full|child-rtc>       [cont-greedy]
     --workers, -p <n[,n...]>                      worker count(s)    [16]
     --jobs, -j <n>     host threads for sweep points (sweep only;
@@ -906,7 +906,8 @@ FLAGS (run & sweep):
                        behind one doorbell ring (probe rings, waiter
                        sweeps); 1.0 disables the discount            [1.0]
     --node-size <n>    hierarchical topology with n workers per node
-    --trace <file>     write a Chrome trace (chrome://tracing, perfetto) [off]
+    --trace <file>     write a Chrome trace (chrome://tracing, perfetto;
+                       run only)                                      [off]
     --fault-plan <spec>  deterministic fault injection                   [off]
                        comma-separated clauses:
                          verb=P             transient verb-failure probability
@@ -1253,5 +1254,113 @@ mod tests {
             jobs,
         };
         assert_eq!(execute_sweep(&mk(1)), execute_sweep(&mk(4)));
+    }
+
+    /// `run FLAGS --workers 4`'s elapsed beside the elapsed of the single
+    /// row `sweep FLAGS --workers 4` prints.
+    fn run_and_sweep_elapsed(flags: &str) -> (String, String) {
+        let Command::Run(r) = parse(&argv(&format!("run {flags} --workers 4"))).unwrap() else {
+            panic!()
+        };
+        let Command::Sweep(s) =
+            parse(&argv(&format!("sweep {flags} --workers 4 --jobs 1"))).unwrap()
+        else {
+            panic!()
+        };
+        let ran = execute_run(&r);
+        let ran = ran
+            .lines()
+            .find_map(|l| l.strip_prefix("elapsed:"))
+            .expect("elapsed line");
+        let swept = execute_sweep(&s);
+        let row = swept.lines().nth(1).expect("one sweep row");
+        (
+            ran.trim().to_string(),
+            row.split_whitespace().nth(1).unwrap().to_string(),
+        )
+    }
+
+    #[test]
+    fn sweep_honours_protocol() {
+        let (ran, swept) = run_and_sweep_elapsed("--bench fib --n 16 --protocol fence-free");
+        assert_eq!(swept, ran);
+    }
+
+    #[test]
+    fn sweep_honours_victim_and_node_size() {
+        let (ran, swept) =
+            run_and_sweep_elapsed("--bench fib --n 16 --victim hier:2 --node-size 2");
+        assert_eq!(swept, ran);
+    }
+
+    #[test]
+    fn sweep_honours_free_strategy() {
+        let (ran, swept) = run_and_sweep_elapsed("--bench fib --n 16 --free lock-queue");
+        assert_eq!(swept, ran);
+    }
+
+    #[test]
+    fn sweep_honours_multi_steal_and_doorbell() {
+        let (ran, swept) = run_and_sweep_elapsed(
+            "--bench fib --n 16 --fabric pipelined --multi-steal 2 --doorbell 0.25",
+        );
+        assert_eq!(swept, ran);
+    }
+
+    #[test]
+    fn sweep_honours_the_bot_fault_plan() {
+        let (ran, swept) = run_and_sweep_elapsed("--bench bot-uts --n 10 --fault-plan kill=1@50us");
+        assert_eq!(swept, ran);
+    }
+
+    /// `--scheme` moves no elapsed on fib, so check the configuration itself:
+    /// every runtime flag reaches the `RunConfig` both verbs build.
+    #[test]
+    fn run_config_carries_every_runtime_flag() {
+        let Command::Run(a) = parse(&argv(
+            "run --policy child-rtc --seed 7 --free lock-queue --scheme iso --victim hier:2 \
+             --node-size 2 --fabric pipelined --protocol lock-free --multi-steal 3 --doorbell 0.5 \
+             --fault-plan verb=0.01",
+        ))
+        .unwrap() else {
+            panic!()
+        };
+        let cfg = run_config(&a, 4);
+        assert_eq!(cfg.workers, 4);
+        assert_eq!(cfg.policy, Policy::ChildRtc);
+        assert_eq!(cfg.seed, 7);
+        assert_eq!(cfg.free_strategy, FreeStrategy::LockQueue);
+        assert_eq!(cfg.address_scheme, AddressScheme::Iso);
+        assert_eq!(cfg.victim, VictimPolicy::Hierarchical { local_tries: 2 });
+        assert!(matches!(
+            cfg.topology,
+            Topology::Hierarchical { node_size: 2, .. }
+        ));
+        assert_eq!(cfg.fabric, FabricMode::Pipelined);
+        assert_eq!(cfg.protocol, Protocol::LockFree);
+        assert_eq!(cfg.multi_steal, 3);
+        assert_eq!(cfg.doorbell, 0.5);
+        assert!(cfg.fault.is_active());
+    }
+
+    #[test]
+    fn sweep_rejects_trace() {
+        let err = parse(&argv("sweep --bench fib --trace t.json")).unwrap_err();
+        assert!(err.contains("run"), "{err}");
+    }
+
+    #[test]
+    fn every_bench_label_parses_and_is_listed() {
+        for b in Bench::ALL {
+            assert_eq!(Bench::parse(b.label()), Ok(b));
+        }
+        let bar = Bench::labels("|");
+        assert!(
+            HELP.contains(&format!("--bench <{bar}>")),
+            "HELP lists {bar}"
+        );
+        assert!(info().contains(&format!("benches:  {}", Bench::labels(" "))));
+        let err = Bench::parse("nope").unwrap_err();
+        assert!(err.contains(&bar), "{err}");
     }
 }

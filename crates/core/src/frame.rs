@@ -25,7 +25,7 @@ use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
-use dcs_sim::{GlobalAddr, VTime, WorkerId};
+use dcs_sim::{VTime, WorkerId};
 use dcs_uniaddr::StackSlot;
 
 use crate::value::{ThreadHandle, Value};
@@ -72,6 +72,10 @@ impl<'a> TaskCtx<'a> {
 pub type HostWork = Box<dyn FnOnce(&mut TaskCtx) -> Value + Send>;
 
 /// What a task does next. Produced by every frame resume / task start.
+///
+/// No effect lets task code read or write memory: as in the paper (§VII),
+/// a task exchanges data only through its argument, its return value and
+/// the futures it joins.
 pub enum Effect {
     /// Return `v` to the calling frame (or complete the thread if the stack
     /// is empty, triggering the DIE protocol).
@@ -112,26 +116,6 @@ pub enum Effect {
     /// else. §II-C: the generic suspension capability behind yields, locks
     /// and barriers. Run-to-completion threads cannot yield by definition.
     Yield { cont: Box<dyn Frame> },
-    /// A one-sided access to global (PGAS) memory — the global-heap support
-    /// the paper defers to future work (§VII). The continuation receives
-    /// the operation's result (`U64` for word gets and fetch-adds, `U64s`
-    /// for block gets, `Unit` for puts).
-    Rma { op: RmaOp, cont: Box<dyn Frame> },
-}
-
-/// One-sided global-memory operations available to task code.
-#[derive(Debug)]
-pub enum RmaOp {
-    /// Read one word.
-    GetWord(GlobalAddr),
-    /// Write one word (blocking put).
-    PutWord(GlobalAddr, u64),
-    /// Atomic fetch-and-add on a word.
-    FetchAdd(GlobalAddr, u64),
-    /// Read `words` consecutive words starting at the address.
-    GetBlock(GlobalAddr, u32),
-    /// Write consecutive words starting at the address.
-    PutBlock(GlobalAddr, std::sync::Arc<[u64]>),
 }
 
 impl Effect {
@@ -195,10 +179,6 @@ impl Effect {
     pub fn yield_now(cont: Box<dyn Frame>) -> Effect {
         Effect::Yield { cont }
     }
-
-    pub fn rma(op: RmaOp, cont: Box<dyn Frame>) -> Effect {
-        Effect::Rma { op, cont }
-    }
 }
 
 impl fmt::Debug for Effect {
@@ -210,7 +190,6 @@ impl fmt::Debug for Effect {
             Effect::Join { handle, .. } => write!(f, "Join({:?})", handle.entry),
             Effect::Compute { dur, .. } => write!(f, "Compute({dur})"),
             Effect::Yield { .. } => write!(f, "Yield"),
-            Effect::Rma { op, .. } => write!(f, "Rma({op:?})"),
         }
     }
 }

@@ -66,7 +66,7 @@ pub mod watchdog;
 pub mod world;
 
 pub use dedup::{ClaimSet, DoneFlag};
-pub use frame::{frame, ret_frame, AppCtx, Effect, Frame, HostWork, RmaOp, TaskCtx, TaskFn, VThread};
+pub use frame::{frame, ret_frame, AppCtx, Effect, Frame, HostWork, TaskCtx, TaskFn, VThread};
 pub use policy::{AddressScheme, FreeStrategy, Policy, Protocol, RunConfig, SlowdownWindow, TraceLevel, VictimPolicy};
 pub use runner::{run, run_full, run_hooked, Program, RunOutcome, RunReport};
 pub use stats::{DelayReport, RunStats};
@@ -77,7 +77,7 @@ pub use world::UnrecoverableReason;
 
 /// Convenient glob import for writing programs and harnesses.
 pub mod prelude {
-    pub use crate::frame::{frame, ret_frame, Effect, RmaOp, TaskCtx, TaskFn};
+    pub use crate::frame::{frame, ret_frame, Effect, TaskCtx, TaskFn};
     pub use crate::policy::{AddressScheme, FreeStrategy, Policy, Protocol, RunConfig, SlowdownWindow, TraceLevel, VictimPolicy};
     pub use crate::runner::{run, run_full, run_hooked, Program, RunOutcome, RunReport};
     pub use crate::value::{ThreadHandle, Value};

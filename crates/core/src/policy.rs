@@ -192,14 +192,9 @@ pub struct RunConfig {
     pub topology: Topology,
     /// Victim-selection policy for steals.
     pub victim: VictimPolicy,
-    /// Whole-run per-worker compute-speed multipliers: worker `w` runs
-    /// compute `perturb[w]`× slower for the entire run. Empty =
-    /// homogeneous. For *time-varying* degradation use [`RunConfig::slowdowns`]
-    /// (which [`RunConfig::with_straggler`] now builds on); both compose
-    /// multiplicatively with the profile's base compute scale.
-    pub perturb: Vec<f64>,
     /// Time-windowed compute slowdowns (see [`SlowdownWindow`]); built by
-    /// [`RunConfig::with_slowdown`] / [`RunConfig::with_straggler`].
+    /// [`RunConfig::with_slowdown`] / [`RunConfig::with_straggler`]. They
+    /// compose multiplicatively with the profile's base compute scale.
     pub slowdowns: Vec<SlowdownWindow>,
     /// Fabric fault-injection plan (verb failures, message drop/dup,
     /// degraded-NIC and crash windows). [`FaultPlan::none()`] keeps the
@@ -219,8 +214,6 @@ pub struct RunConfig {
     pub freeq_cap: u32,
     /// Uni-address stack slot reserved per thread (bytes).
     pub stack_slot: u64,
-    /// Full-thread stack size for `ChildFull` (bytes; paper: 32 KB).
-    pub full_stack: u64,
     /// Local-collection sweep threshold (bytes of live remote objects).
     pub collect_limit: u64,
     /// Pinned segment size per worker.
@@ -261,7 +254,6 @@ impl RunConfig {
             address_scheme: AddressScheme::Uni,
             topology: Topology::Flat,
             victim: VictimPolicy::Uniform,
-            perturb: Vec::new(),
             slowdowns: Vec::new(),
             fault: FaultPlan::none(),
             watchdog: false,
@@ -271,7 +263,6 @@ impl RunConfig {
             deque_cap: 1 << 13,
             freeq_cap: 1 << 12,
             stack_slot: 16 << 10,
-            full_stack: 32 << 10,
             collect_limit: 256 << 10,
             seg_bytes: 32 << 20,
             strict: true,

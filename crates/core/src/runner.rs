@@ -19,21 +19,12 @@ use crate::value::Value;
 use crate::watchdog::{Violation, WatchdogReport};
 use crate::world::{RtShared, World};
 
-/// One-shot machine initializer run before any worker steps (global-array
-/// setup for PGAS programs).
-pub type InitFn = Box<dyn FnOnce(&mut Machine) + Send>;
-
 /// A program: root task + argument + application context shared by all
-/// tasks (inputs, workload parameters), plus an optional machine
-/// initializer for programs that use global (PGAS) memory.
+/// tasks (inputs, workload parameters).
 pub struct Program {
     pub root: TaskFn,
     pub arg: Value,
     pub app: AppCtx,
-    /// Runs once after the machine is built and before any worker steps —
-    /// the place to allocate and fill global arrays (models the
-    /// collective setup phase of a PGAS program).
-    pub init: Option<InitFn>,
 }
 
 impl Program {
@@ -42,17 +33,11 @@ impl Program {
             root,
             arg: arg.into(),
             app: Arc::new(()),
-            init: None,
         }
     }
 
     pub fn with_app<T: Send + Sync + 'static>(mut self, app: T) -> Program {
         self.app = Arc::new(app);
-        self
-    }
-
-    pub fn with_init(mut self, f: impl FnOnce(&mut Machine) + Send + 'static) -> Program {
-        self.init = Some(Box::new(f));
         self
     }
 }
@@ -130,7 +115,7 @@ pub fn run(cfg: RunConfig, program: Program) -> RunReport {
 }
 
 /// Like [`run`], but also returns the final [`Machine`] so callers can
-/// inspect global (PGAS) memory after the program finishes.
+/// read its end-of-run memory accounting (e.g. host backing bytes).
 pub fn run_full(cfg: RunConfig, program: Program) -> (RunReport, Machine) {
     run_inner(cfg, program, |e| e.run())
 }
@@ -166,7 +151,7 @@ fn run_inner(
     // no kill scheduled — so suspicion-capable plans drop strict too.
     cfg.strict = cfg.strict && cfg.fault.kill.is_empty() && !cfg.fault.suspicion_possible();
     let lay = SegLayout::new(&cfg);
-    let mut machine = Machine::new(
+    let machine = Machine::new(
         MachineConfig::new(cfg.workers, cfg.profile.clone())
             .with_seg_bytes(cfg.seg_bytes)
             .with_reserved(lay.reserved)
@@ -175,9 +160,6 @@ fn run_inner(
             .with_fabric(cfg.fabric)
             .with_doorbell(cfg.doorbell),
     );
-    if let Some(init) = program.init {
-        init(&mut machine);
-    }
     let max_steps = cfg.max_steps;
     let strict = cfg.strict;
     let seed = cfg.seed;

@@ -1,5 +1,5 @@
 //! Run-state steps: advancing the current thread and applying its
-//! effects (return/call/fork/join dispatch, compute, yield, RMA).
+//! effects (return/call/fork/join dispatch, compute, yield).
 
 use super::*;
 
@@ -139,47 +139,6 @@ impl Worker {
             Effect::Yield { cont } => self
                 .yield_now(now, world, cont)
                 .map_err(|(cont, b)| (PendingOp::Effect(Effect::Yield { cont }), b)),
-            Effect::Rma { op, cont } => {
-                let (v, cost) = self.do_rma(world, op);
-                let th = self.cur.as_mut().expect("rma without thread");
-                th.frames.push(cont);
-                th.pending = Pending::Resume(v);
-                Ok(cost)
-            }
-        }
-    }
-
-    /// Execute a one-sided global-memory access on behalf of the current
-    /// task, charging the fabric cost.
-    pub(crate) fn do_rma(&mut self, world: &mut World, op: RmaOp) -> (Value, VTime) {
-        let me = self.me;
-        match op {
-            RmaOp::GetWord(addr) => {
-                let (v, c) = world.m.get_u64(me, addr);
-                (Value::U64(v), c)
-            }
-            RmaOp::PutWord(addr, v) => (Value::Unit, world.m.put_u64(me, addr, v)),
-            RmaOp::FetchAdd(addr, add) => {
-                let (v, c) = world.m.fetch_add_u64(me, addr, add);
-                (Value::U64(v), c)
-            }
-            RmaOp::GetBlock(addr, words) => {
-                let owner = addr.rank as usize;
-                let mut out = Vec::with_capacity(words as usize);
-                for i in 0..words {
-                    out.push(world.m.read_own(owner, addr.field(i)));
-                }
-                let cost = world.m.get_bulk(me, owner, words as usize * 8);
-                (Value::U64s(out.into()), cost)
-            }
-            RmaOp::PutBlock(addr, vals) => {
-                let owner = addr.rank as usize;
-                for (i, &v) in vals.iter().enumerate() {
-                    world.m.write_own(owner, addr.field(i as u32), v);
-                }
-                let cost = world.m.put_bulk(me, owner, vals.len() * 8);
-                (Value::Unit, cost)
-            }
         }
     }
 

@@ -56,7 +56,7 @@ use crate::entry::{
     alloc_entry, alloc_saved_ctx, free_entry, read_saved_ctx, DONE_BIT, EM_CONSUMED, EM_CTX0,
     E_CTXLOC, E_FLAG, SAVED_CTX_BYTES,
 };
-use crate::frame::{AppCtx, Effect, Frame, Pending, RmaOp, TaskCtx, TaskFn, VThread};
+use crate::frame::{AppCtx, Effect, Frame, Pending, TaskCtx, TaskFn, VThread};
 use crate::layout::{SegLayout, DQ_BOTTOM, DQ_LOCK, DQ_TOP};
 use crate::policy::{AddressScheme, FreeStrategy, Policy, Protocol, VictimPolicy};
 use crate::remote_free::free_robj;
@@ -211,7 +211,8 @@ pub struct Worker {
     lay: SegLayout,
     rng: SimRng,
     app: AppCtx,
-    /// Whole-run compute slowdown (profile scale × perturb).
+    /// Whole-run compute speed (the profile's scale); stragglers are
+    /// `slow_windows`.
     base_scale: f64,
     /// Time-windowed slowdowns affecting this worker: `(from, until, factor)`.
     slow_windows: Vec<(VTime, VTime, f64)>,
@@ -266,8 +267,7 @@ impl Worker {
         let strategy = world.rt.cfg.free_strategy;
         let scheme = world.rt.cfg.address_scheme;
         let victim_policy = world.rt.cfg.victim;
-        let base_scale = world.rt.cfg.profile.compute_scale
-            * world.rt.cfg.perturb.get(me).copied().unwrap_or(1.0);
+        let base_scale = world.rt.cfg.profile.compute_scale;
         let slow_windows: Vec<(VTime, VTime, f64)> = world
             .rt
             .cfg

@@ -2,9 +2,10 @@
 //!
 //! In the paper's programming model, "data are only exchanged via arguments
 //! or return values of tasks" (§VII) — there is no global heap. [`Value`] is
-//! the closed universe of such data: scalars, pairs, future handles (the
-//! thread-entry locations of Fig. 3/4), and shared byte/word buffers for the
-//! LCS boundary vectors. Every variant knows its wire size so the fabric can
+//! the closed universe of such data, exactly what the paper's programs
+//! pass: `u64` scalars and pairs (PFor ranges, counts), future handles (the
+//! thread-entry locations of Fig. 3/4), the LCS boundary vectors (`U32s`)
+//! and UTS node digests (`Bytes`). Every variant knows its wire size so the fabric can
 //! charge bulk-transfer costs when a value crosses workers inside a thread
 //! entry, a task descriptor, or a migrated stack.
 
@@ -35,13 +36,12 @@ impl ThreadHandle {
     }
 }
 
-/// A value passed between tasks (argument, return value, or future payload).
+/// A value passed between tasks (argument, return value, or future payload);
+/// one variant per shape the paper's programs exchange.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     Unit,
     U64(u64),
-    I64(i64),
-    F64(f64),
     Pair(Box<Value>, Box<Value>),
     /// A future handle (§V-D: handles are first-class and can be passed to
     /// any task, not just the parent).
@@ -53,10 +53,8 @@ pub enum Value {
     /// intra-simulation clones free; the wire size still charges the full
     /// payload whenever the value crosses workers.
     U32s(Arc<[u32]>),
-    /// Shared immutable byte vector.
+    /// Shared immutable byte vector (UTS node digests).
     Bytes(Arc<[u8]>),
-    /// Shared immutable word vector (bulk PGAS transfers).
-    U64s(Arc<[u64]>),
 }
 
 impl Value {
@@ -65,13 +63,12 @@ impl Value {
     pub fn wire_size(&self) -> usize {
         1 + match self {
             Value::Unit => 0,
-            Value::U64(_) | Value::I64(_) | Value::F64(_) => 8,
+            Value::U64(_) => 8,
             Value::Pair(a, b) => a.wire_size() + b.wire_size(),
             Value::Handle(_) => ThreadHandle::WIRE_SIZE,
             Value::Handles3(_) => 3 * ThreadHandle::WIRE_SIZE,
             Value::U32s(v) => 4 + 4 * v.len(),
             Value::Bytes(v) => 4 + v.len(),
-            Value::U64s(v) => 4 + 8 * v.len(),
         }
     }
 
@@ -90,22 +87,6 @@ impl Value {
         match self {
             Value::U64(v) => *v,
             other => panic!("expected U64, got {other:?}"),
-        }
-    }
-
-    #[track_caller]
-    pub fn as_i64(&self) -> i64 {
-        match self {
-            Value::I64(v) => *v,
-            other => panic!("expected I64, got {other:?}"),
-        }
-    }
-
-    #[track_caller]
-    pub fn as_f64(&self) -> f64 {
-        match self {
-            Value::F64(v) => *v,
-            other => panic!("expected F64, got {other:?}"),
         }
     }
 
@@ -133,23 +114,12 @@ impl Value {
         }
     }
 
-    #[track_caller]
-    pub fn as_u64s(&self) -> &Arc<[u64]> {
-        match self {
-            Value::U64s(v) => v,
-            other => panic!("expected U64s, got {other:?}"),
-        }
-    }
-
     /// Compact human-readable rendering: scalars verbatim, buffers
     /// summarized by length and head (for reports and logs).
     pub fn summary(&self) -> String {
         match self {
             Value::U32s(v) if v.len() > 8 => {
                 format!("U32s(len={}, head={:?}…)", v.len(), &v[..4])
-            }
-            Value::U64s(v) if v.len() > 8 => {
-                format!("U64s(len={}, head={:?}…)", v.len(), &v[..4])
             }
             Value::Bytes(v) if v.len() > 16 => {
                 format!("Bytes(len={}, head={:?}…)", v.len(), &v[..8])
@@ -170,18 +140,6 @@ impl Value {
 impl From<u64> for Value {
     fn from(v: u64) -> Value {
         Value::U64(v)
-    }
-}
-
-impl From<i64> for Value {
-    fn from(v: i64) -> Value {
-        Value::I64(v)
-    }
-}
-
-impl From<f64> for Value {
-    fn from(v: f64) -> Value {
-        Value::F64(v)
     }
 }
 
@@ -226,8 +184,6 @@ mod tests {
     #[test]
     fn accessors_roundtrip() {
         assert_eq!(Value::from(5u64).as_u64(), 5);
-        assert_eq!(Value::from(-5i64).as_i64(), -5);
-        assert_eq!(Value::from(1.5f64).as_f64(), 1.5);
         assert_eq!(Value::from(handle()).as_handle(), handle());
         let (a, b) = Value::pair(1u64.into(), 2u64.into()).into_pair();
         assert_eq!((a.as_u64(), b.as_u64()), (1, 2));

@@ -1205,21 +1205,6 @@ impl Machine {
         VTime::ns(self.lat().msg_handler)
     }
 
-    /// Cost-free host-side word write (setup phase), the mutating mirror of
-    /// [`Machine::peek_word`]. Goes through the same write path as the
-    /// fabric verbs so page residency accounting (and parked-worker wakes)
-    /// stay exact.
-    pub fn poke_word(&mut self, addr: GlobalAddr, v: u64) {
-        self.seg_mut(addr.rank as usize).write(addr.off, v);
-        self.note_word_write(addr.rank as usize, addr.off);
-    }
-
-    /// Cost-free host-side word read (setup / verification), valid whether
-    /// or not the segment has been materialized.
-    pub fn peek_word(&self, addr: GlobalAddr) -> u64 {
-        self.seg_read(addr.rank as usize, addr.off)
-    }
-
     /// Allocate a zeroed record in `rank`'s segment (owner-side allocation;
     /// thread entries are always allocated where the thread is spawned).
     pub fn alloc(&mut self, rank: WorkerId, bytes: u32) -> GlobalAddr {

@@ -13,9 +13,10 @@
 //! * [`core`] — the runtime: continuation/child stealing × greedy/stalling
 //!   joins, multi-consumer futures, remote-object memory management,
 //! * [`apps`] — PFor, RecPFor, UTS and LCS benchmark programs,
-//! * [`bot`] — bag-of-tasks baselines (SAWS/Charm++/X10-GLB styles),
-//! * [`pgas`] — global-heap (PGAS) arrays with one-sided task access
-//!   (the paper's §VII future work).
+//! * [`bot`] — bag-of-tasks baselines (SAWS/Charm++/X10-GLB styles).
+//!
+//! As in the paper, tasks exchange data only through arguments and return
+//! values; global heaps are its §VII future work and are not modelled.
 //!
 //! ## Quick start
 //!
@@ -35,7 +36,6 @@
 pub use dcs_apps as apps;
 pub use dcs_bot as bot;
 pub use dcs_core as core;
-pub use dcs_pgas as pgas;
 pub use dcs_sim as sim;
 pub use dcs_uniaddr as uniaddr;
 
