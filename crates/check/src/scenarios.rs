@@ -3,18 +3,21 @@
 //! Each [`Scenario`] is a deterministic function from a [`dcs_sim::ScheduleHook`]
 //! to a list of oracle violations (empty = clean). Three families:
 //!
-//! * **Raw deque protocols** — owners and thieves drive [`dcs_core::deque`]
-//!   verbs directly against a simulated machine. All of them are built from
-//!   one kit: a `RawWorld` (machine, one deque per victim, one claim
-//!   arbiter, one ledger), one `owner_step`, one thief state machine whose
-//!   states are the primitive steal steps (`ThiefState`) and whose
-//!   variations are flags on a `Script`, and a list of end-of-run
-//!   `Oracle`s. The ledger is the spec: *order* (every pushed item is
-//!   popped LIFO by its owner or stolen FIFO-from-top, exactly once) for the
-//!   CAS-lock family, *multiplicity* (a task may be taken more than once but
-//!   executes exactly once) for the fence-free family. Each `broken-*`
-//!   scenario is its shipped twin with one planted-bug flag set, and exists
-//!   to prove the checker catches that bug (`expect_violation`).
+//! * **Raw deque protocols** — owners and thieves drive the shipped deque
+//!   against a simulated machine, with no scheduler around them. All of
+//!   them are built from one kit: a `RawWorld` (machine, one deque per
+//!   victim, one claim arbiter, one ledger), one `owner_step` pushing and
+//!   popping through the protocol's [`Desc`], thieves running the
+//!   scheduler's own steal machine ([`dcs_core::steal`]) with a `Script`
+//!   (the victim ring, an idle beat, planted-bug hooks) as its host, and a
+//!   list of end-of-run `Oracle`s. The ledger is the spec: *order* (every
+//!   pushed item is popped LIFO by its owner or stolen FIFO-from-top,
+//!   exactly once) for the CAS-lock and lock-free families, *multiplicity*
+//!   (a task may be taken more than once but executes exactly once) for the
+//!   fence-free family. Each `broken-*` scenario is its shipped twin with
+//!   one planted mutation of the machine — a descriptor field or a host
+//!   hook — and exists to prove the checker catches that bug
+//!   (`expect_violation`).
 //! * **Full runtime** (`single-steal:*`, `fork-join`, the crash and
 //!   suspicion runs): real programs through [`dcs_core::run_hooked`] with
 //!   the invariant watchdog on; a per-scenario judge reads the report.
@@ -29,13 +32,10 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dcs_core::dedup::ClaimSet;
-use dcs_core::deque::{
-    ff_owner_pop, ff_owner_push, ff_thief_claim, lock_word, owner_pop, owner_push,
-    thief_advance_top, thief_lock_epoch, thief_read_bounds, thief_release_lock,
-    thief_take_no_release, thief_take_no_release_at, DequeError, FfSteal,
-};
+use dcs_core::deque::{lock_word, DeadSlot, DequeError};
 use dcs_core::frame::{frame, Effect, TaskCtx};
-use dcs_core::layout::{SegLayout, DQ_LOCK, DQ_TOP};
+use dcs_core::layout::{SegLayout, DQ_LOCK};
+use dcs_core::steal::{self, Claim, Desc, Host, Landed, Pending, Ring, Stage};
 use dcs_core::value::{ThreadHandle, Value};
 use dcs_core::watchdog::Violation;
 use dcs_core::world::{QueueItem, WorkerShared};
@@ -45,7 +45,7 @@ use dcs_core::{
 };
 use dcs_sim::{
     profiles, Actor, DegradeWindow, Detector, Engine, FabricMode, FaultPlan, GlobalAddr, Machine,
-    MachineConfig, ScheduleHook, Step, VTime, VerbHandle, WorkerId,
+    MachineConfig, ScheduleHook, Step, VTime, Window, WorkerId,
 };
 
 use crate::explore::RunRecord;
@@ -117,15 +117,6 @@ impl Scenario {
 // The raw-deque kit: world and ledger
 // ---------------------------------------------------------------------------
 
-/// Which steal-protocol family a raw world's owners and thieves speak.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Family {
-    /// Lock word serializes thieves and gates the owner; order ledger.
-    CasLock,
-    /// Plain reads/writes with claim arbitration; multiplicity ledger.
-    FenceFree,
-}
-
 /// The run's specification, updated in the same engine step as the deque
 /// operation it records.
 enum Ledger {
@@ -146,7 +137,9 @@ enum Ledger {
 struct RawWorld {
     m: Machine,
     lay: SegLayout,
-    fam: Family,
+    /// The protocol every owner and thief speaks, as the scheduler runs it
+    /// (but for `broken-release`'s planted late advance).
+    desc: Desc,
     /// Item slab and live-ticket map of each victim.
     ws: Vec<WorkerShared>,
     /// The run-wide claim arbiter (tickets carry their owner's rank).
@@ -260,42 +253,24 @@ fn dq_tag(item: &QueueItem) -> u64 {
 // The raw-deque kit: actors
 // ---------------------------------------------------------------------------
 
-/// How a thief that took an entry under the lock leaves the victim.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Release {
-    /// The shipped protocol: top advances no later than the lock release.
-    Shipped,
-    /// PLANTED BUG (`broken-release`), the historical ordering: lock
-    /// released in the take step, top advanced one engine step later.
-    /// Between those steps the owner can observe the dead slot.
-    BeforeAdvance,
-    /// The posted-verb composition the Pipelined fabric runs: advance the
-    /// top, post the lock-release put and the payload get together, reap
-    /// them one engine step later. The window between post and completion
-    /// is a real interleaving point the owner can race into.
-    Posted,
-}
-
-/// What varies between thieves. A thief is a start state plus these flags;
-/// every planted bug is one of them.
+/// What varies between thieves: the victims, one idle beat, and the two
+/// planted bugs that are host hooks (the third, `broken-release`, is a
+/// descriptor field on the world).
 #[derive(Clone, Copy)]
 struct Script {
-    /// The victims probed, in ring order.
+    /// The victims probed, in ring order; its length is the ring width K.
     ring: &'static [usize],
-    /// `Probe` posts the whole ring behind one doorbell and reaps it
-    /// together (the shipped pipelined ring) instead of verb by verb.
-    chained: bool,
-    /// One idle beat between `Lock` and `Take`: the window a degraded NIC
-    /// opens in the real runtime, and the one a false eviction lands in.
+    /// One idle beat between the probe and the take, holding the won lock:
+    /// the window a degraded NIC opens in the real runtime, and the one a
+    /// false eviction lands in.
     pause: bool,
-    release: Release,
-    /// PLANTED BUG (`broken-fence`, `broken-ring-fence`): the epoch
-    /// self-check is dropped from the take step, so an evicted incarnation
-    /// completes its steal.
+    /// PLANTED BUG (`broken-fence`, `broken-ring-fence`): the thief's epoch
+    /// self-check is dropped from [`Host::voided`], so an evicted
+    /// incarnation completes its steal.
     unfenced: bool,
     /// PLANTED BUG (`broken-claim`): the claim-write reaches nobody — the
-    /// thief arbitrates against a private claim set, so a take it wins is
-    /// invisible to the owner and the task runs twice.
+    /// thief arbitrates against a private claim set ([`Host::parts`]), so a
+    /// take it wins is invisible to the owner and the task runs twice.
     private_claims: bool,
 }
 
@@ -303,72 +278,50 @@ impl Script {
     const fn on(ring: &'static [usize]) -> Script {
         Script {
             ring,
-            chained: false,
             pause: false,
-            release: Release::Shipped,
             unfenced: false,
             private_claims: false,
         }
     }
 }
 
-/// The primitive steal steps. Each variant is one engine step: whatever
-/// happens between two of them is an interleaving point.
+/// Who a non-owner worker is, as a catalog row casts it.
 #[derive(Clone, Copy)]
-enum ThiefState {
-    /// Suspector: poll the ring's lock words until `suspect` is seen
-    /// holding one, then falsely evict it and break its lock.
-    Watch {
+enum Role {
+    Thief(Script),
+    /// Watches `ring`'s lock words for `suspect` (see [`RawActor::Watch`]).
+    Suspector {
+        ring: &'static [usize],
         suspect: WorkerId,
-        attempts: u32,
     },
-    /// CAS-lock, one victim: CAS the epoch-stamped lock word.
-    Lock {
-        victim: usize,
-        attempts: u32,
-    },
-    Pause {
-        victim: usize,
-    },
-    /// CAS-lock ring: lock CAS + bounds read on every ring victim; commit
-    /// the first with the lock and work, release every other won lock.
-    Probe {
-        attempts: u32,
-    },
-    /// Fence-free ring: bounds read on every ring victim; commit the first
-    /// with work (an abandoned victim needs no cancel: no ticket claimed).
-    Bounds {
-        attempts: u32,
-    },
-    /// Lock held: take the oldest entry — at the bounds the probe froze, or
-    /// after reading them — then advance and release per [`Release`].
-    Take {
-        victim: usize,
-        bounds: Option<(u64, u64)>,
-    },
-    /// Fence-free: validate and claim the entry at `top`.
-    Claim {
-        victim: usize,
-        top: u64,
-        attempts: u32,
-    },
-    /// [`Release::BeforeAdvance`] only: the late top advance.
-    Advance {
-        victim: usize,
-        new_top: u64,
-    },
-    /// [`Release::Posted`] only: release put + payload get not yet reaped.
-    Reap {
-        h_release: VerbHandle,
-        h_copy: VerbHandle,
-    },
-    Done,
 }
 
-#[derive(Clone, Copy)]
+/// A raw thief's steal between engine steps: the machine's stage and
+/// parked commit, plus the script's bookkeeping.
+#[derive(Default)]
+struct Steal {
+    stage: Option<Stage>,
+    parked: Option<Pending>,
+    paused: bool,
+    attempts: u32,
+    /// Stolen once, self-fenced, or read a dead slot: halt.
+    done: bool,
+}
+
 enum RawActor {
-    Owner { to_push: u64, pushed: u64 },
-    Thief { script: Script, state: ThiefState },
+    Owner {
+        to_push: u64,
+        pushed: u64,
+    },
+    /// Poll the ring's lock words until `suspect` is seen holding one, then
+    /// falsely evict it, break its lock and steal from that victim in its
+    /// place.
+    Watch {
+        ring: &'static [usize],
+        suspect: WorkerId,
+        polls: u32,
+    },
+    Thief(Script, Box<Steal>),
 }
 
 /// Failed steal attempts after which a thief gives up and halts.
@@ -380,7 +333,35 @@ impl Actor<RawWorld> for RawActor {
     fn step(&mut self, me: WorkerId, now: VTime, w: &mut RawWorld) -> Step {
         match self {
             RawActor::Owner { to_push, pushed } => owner_step(me, w, *to_push, pushed),
-            RawActor::Thief { script, state } => thief_step(me, now, w, script, state),
+            RawActor::Thief(script, st) => thief_step(me, now, w, *script, st),
+            RawActor::Watch {
+                ring,
+                suspect,
+                polls,
+            } => {
+                let (ring, suspect) = (*ring, *suspect);
+                let mut cost = VTime::ZERO;
+                for (i, &v) in ring.iter().enumerate() {
+                    let lock = GlobalAddr::new(v, w.lay.dq_word(DQ_LOCK));
+                    let (word, c) = w.m.get_u64(me, lock);
+                    cost += c;
+                    if word == lock_word(0, suspect) {
+                        // False suspicion: the holder is alive, but its
+                        // heartbeats look stale from here. Evict it and
+                        // break the stale-epoch lock (the owner-side
+                        // `break_dead_lock` clause, run by a survivor).
+                        w.m.evict(suspect);
+                        cost += w.m.put_u64(me, lock, 0);
+                        *self = RawActor::Thief(Script::on(&ring[i..=i]), Box::default());
+                        return Step::Yield(cost);
+                    }
+                }
+                *polls += 1;
+                if *polls >= MAX_WATCH {
+                    return Step::Halt; // the suspect finished first: no eviction
+                }
+                Step::Yield(cost)
+            }
         }
     }
 }
@@ -389,19 +370,10 @@ impl Actor<RawWorld> for RawActor {
 /// owner pushed has been consumed.
 fn owner_step(me: WorkerId, w: &mut RawWorld, to_push: u64, pushed: &mut u64) -> Step {
     let pushing = *pushed < to_push;
-    let res = match (w.fam, pushing) {
-        (Family::CasLock, true) => {
-            owner_push(&mut w.m, &mut w.ws[me].items, &w.lay, me, dq_item(*pushed))
-                .map(|cost| (None, cost))
-        }
-        (Family::FenceFree, true) => {
-            let cost = ff_owner_push(&mut w.m, &mut w.ws[me], &w.lay, me, dq_item(*pushed));
-            Ok((None, cost))
-        }
-        (Family::CasLock, false) => owner_pop(&mut w.m, &mut w.ws[me].items, &w.lay, me),
-        (Family::FenceFree, false) => {
-            ff_owner_pop(&mut w.m, &mut w.ws[me], &mut w.claims, &w.lay, me)
-        }
+    let res = if pushing {
+        (w.desc.push)(&mut w.m, &mut w.ws[me], &w.lay, me, dq_item(*pushed)).map(|c| (None, c))
+    } else {
+        (w.desc.pop)(&mut w.m, &mut w.ws[me], &mut w.claims, &w.lay, me, None)
     };
     match res {
         Ok((_, cost)) if pushing => {
@@ -415,14 +387,13 @@ fn owner_step(me: WorkerId, w: &mut RawWorld, to_push: u64, pushed: &mut u64) ->
         }
         Ok((None, _)) if w.drained(me) => Step::Halt,
         Ok((None, cost)) => Step::Yield(cost),
-        // A thief holds the lock (CAS-lock only; fence-free owners are
-        // never blocked): the brief victim stall a real lock-based RDMA
-        // deque causes.
+        // A thief holds the lock (CAS-lock only; the other owners are never
+        // blocked): the brief victim stall a real lock-based RDMA deque
+        // causes.
         Err(DequeError::Busy) => Step::Yield(w.m.local_op(me)),
         Err(DequeError::Dead(d)) => {
             w.violations.push(format!(
-                "deque-protocol: {} observed a dead ring slot at index {} \
-                 (steal advanced the lock before the top)",
+                "deque-protocol: {} observed a dead ring slot at index {}",
                 d.op, d.index
             ));
             Step::Halt
@@ -430,296 +401,148 @@ fn owner_step(me: WorkerId, w: &mut RawWorld, to_push: u64, pushed: &mut u64) ->
     }
 }
 
-fn thief_step(
-    me: WorkerId,
-    now: VTime,
-    w: &mut RawWorld,
-    script: &Script,
-    state: &mut ThiefState,
-) -> Step {
-    let lock_of = |w: &RawWorld, v: usize| GlobalAddr::new(v, w.lay.dq_word(DQ_LOCK));
-    // A failed attempt: retry from `again` after `cost`, or give up.
-    let retry = |state: &mut ThiefState, attempts: u32, again: ThiefState, cost: VTime| {
-        if attempts + 1 >= MAX_ATTEMPTS {
-            return Step::Halt;
+/// One thief step: probe the script's ring, or resume the steal the last
+/// step parked (after the script's idle beat, if it asks for one).
+fn thief_step(me: WorkerId, now: VTime, w: &mut RawWorld, script: Script, st: &mut Steal) -> Step {
+    if st.done {
+        return Step::Halt;
+    }
+    let stage = st.stage.take();
+    if let Some(won @ Stage::Won { .. }) = stage {
+        if script.pause && !st.paused {
+            st.paused = true;
+            st.stage = Some(won);
+            return Step::Yield(w.m.local_op(me));
         }
-        *state = again;
-        Step::Yield(cost)
+    }
+    st.paused = false;
+    let mut h = RawThief {
+        me,
+        w,
+        script,
+        st,
+        private: ClaimSet::default(),
     };
-    match *state {
-        ThiefState::Watch { suspect, attempts } => {
-            let mut cost = VTime::ZERO;
+    match stage {
+        None => {
+            let mut ring = Ring::default();
             for &v in script.ring {
-                let (word, c) = w.m.get_u64(me, lock_of(w, v));
-                cost += c;
-                if word == lock_word(0, suspect) {
-                    // False suspicion: the holder is alive, but its
-                    // heartbeats look stale from here. Evict it and break
-                    // the stale-epoch lock (the owner-side `break_dead_lock`
-                    // clause, run by a survivor), then steal in its place.
-                    w.m.evict(suspect);
-                    cost += w.m.put_u64(me, lock_of(w, v), 0);
-                    *state = ThiefState::Lock {
-                        victim: v,
-                        attempts: 0,
-                    };
-                    return Step::Yield(cost);
-                }
+                ring.add(v);
             }
-            if attempts + 1 >= MAX_WATCH {
-                return Step::Halt; // the suspect finished first: no eviction
-            }
-            *state = ThiefState::Watch {
-                suspect,
-                attempts: attempts + 1,
-            };
+            steal::probe(&mut h, now, VTime::ZERO, &mut ring, script.ring.len())
+        }
+        Some(stage) => steal::resume(&mut h, now, stage),
+    }
+}
+
+/// A raw thief as the steal machine's host: the ring comes from its script,
+/// the ledger records its takes, and the planted bugs hook in here.
+struct RawThief<'a> {
+    me: WorkerId,
+    w: &'a mut RawWorld,
+    script: Script,
+    st: &'a mut Steal,
+    /// `broken-claim`'s claim set, private to one claim step.
+    private: ClaimSet,
+}
+
+impl Host for RawThief<'_> {
+    fn me(&self) -> WorkerId {
+        self.me
+    }
+
+    fn epoch(&self) -> u64 {
+        self.w.m.epoch_of(self.me)
+    }
+
+    fn lay(&self) -> SegLayout {
+        self.w.lay
+    }
+
+    fn desc(&self) -> Desc {
+        self.w.desc
+    }
+
+    fn m(&mut self) -> &mut Machine {
+        &mut self.w.m
+    }
+
+    fn parts(&mut self, victim: WorkerId) -> (&mut Machine, &mut WorkerShared, &mut ClaimSet) {
+        let claims = if self.script.private_claims {
+            &mut self.private
+        } else {
+            &mut self.w.claims
+        };
+        (&mut self.w.m, &mut self.w.ws[victim], claims)
+    }
+
+    /// A failed attempt: retry next step, or give up.
+    fn idle(&mut self, _: VTime, cost: VTime) -> Step {
+        self.st.attempts += 1;
+        if self.st.attempts >= MAX_ATTEMPTS {
+            Step::Halt
+        } else {
             Step::Yield(cost)
         }
-        ThiefState::Lock { victim, attempts } => {
-            let epoch = w.m.epoch_of(me);
-            let (locked, cost) = thief_lock_epoch(&mut w.m, &w.lay, me, victim, epoch);
-            if !locked {
-                let again = ThiefState::Lock {
-                    victim,
-                    attempts: attempts + 1,
-                };
-                return retry(state, attempts, again, cost);
-            }
-            *state = if script.pause {
-                ThiefState::Pause { victim }
-            } else {
-                ThiefState::Take {
-                    victim,
-                    bounds: None,
-                }
-            };
-            Step::Yield(cost)
+    }
+
+    /// The runtime's self-fence: a worker observing its own eviction
+    /// quiesces before issuing another verb. The lock it held is someone
+    /// else's problem (the suspector broke it as stale).
+    fn voided(&mut self, _: VTime, _: WorkerId, _: u64) -> Option<VTime> {
+        if self.script.unfenced || self.w.m.epoch_of(self.me) == 0 {
+            return None;
         }
-        ThiefState::Pause { victim } => {
-            *state = ThiefState::Take {
-                victim,
-                bounds: None,
-            };
-            Step::Yield(w.m.local_op(me))
+        self.st.done = true;
+        Some(self.w.m.local_op(self.me))
+    }
+
+    /// A corrupt deque cannot be trusted: report it and stop stealing.
+    fn dead_slot(&mut self, _: WorkerId, d: &DeadSlot) {
+        let msg = format!("{} observed dead slot: {d:?}", d.op);
+        self.w.violations.push(msg);
+        self.st.done = true;
+    }
+
+    /// A dup paid for the payload: the take counts against the bound.
+    fn raced(&mut self, victim: WorkerId, dup: Option<u32>) {
+        let items = &self.w.ws[victim].items;
+        if let Some(tag) = dup.and_then(|key| items.get(key)).map(dq_tag) {
+            self.w.transferred(victim, tag);
         }
-        ThiefState::Probe { attempts } => {
-            let epoch = w.m.epoch_of(me);
-            let mut cost = VTime::ZERO;
-            // (victim, lock won, top, bottom) per ring slot.
-            let mut probes: Vec<(usize, bool, u64, u64)> = Vec::new();
-            if script.chained {
-                // Every probe's CAS and bounds read posted behind one
-                // doorbell, reaped together; decisions use the eager values.
-                w.m.chain_begin(me);
-                let mut handles = Vec::new();
-                for &v in script.ring {
-                    let h_cas =
-                        w.m.post_cas_u64(me, lock_of(w, v), 0, lock_word(epoch, me), now);
-                    let top_addr = GlobalAddr::new(v, w.lay.dq_word(DQ_TOP));
-                    let (vals, h_b) = w.m.post_get_u64_span::<2>(me, top_addr, now);
-                    handles.push((v, h_cas, h_b, vals));
-                }
-                w.m.chain_end(me);
-                let mut fin_max = now;
-                for (v, h_cas, h_b, vals) in handles {
-                    let (observed, f1) = w.m.wait(me, h_cas);
-                    let (_, f2) = w.m.wait(me, h_b);
-                    fin_max = fin_max.max(f1).max(f2);
-                    probes.push((v, observed == 0, vals[0], vals[1]));
-                }
-                cost = fin_max.saturating_sub(now);
-            } else {
-                for &v in script.ring {
-                    let (locked, c1) = thief_lock_epoch(&mut w.m, &w.lay, me, v, epoch);
-                    cost += c1;
-                    if locked {
-                        let ((top, bottom), c2) = thief_read_bounds(&mut w.m, &w.lay, me, v);
-                        cost += c2;
-                        probes.push((v, true, top, bottom));
-                    } else {
-                        probes.push((v, false, 0, 0));
-                    }
-                }
-            }
-            // A lock leaked here is what the `locks_free` oracle catches.
-            let mut won = None;
-            for (v, locked, top, bottom) in probes {
-                if locked && won.is_none() && top < bottom {
-                    won = Some((v, top, bottom));
-                } else if locked {
-                    cost += thief_release_lock(&mut w.m, &w.lay, me, v);
-                }
-            }
-            match won {
-                Some((victim, top, bottom)) => {
-                    // The lock is held and the bounds are frozen across this
-                    // engine-step boundary — the window the owners and the
-                    // other thieves interleave into.
-                    *state = ThiefState::Take {
-                        victim,
-                        bounds: Some((top, bottom)),
-                    };
-                    Step::Yield(cost)
-                }
-                None => {
-                    let again = ThiefState::Probe {
-                        attempts: attempts + 1,
-                    };
-                    retry(state, attempts, again, cost.max(w.m.local_op(me)))
-                }
-            }
+    }
+
+    fn taken(
+        &mut self,
+        _: VTime,
+        victim: WorkerId,
+        item: &mut QueueItem,
+        _: &mut Window,
+    ) -> Result<Option<(WorkerId, usize)>, ()> {
+        if self.w.m.epoch_of(self.me) > 0 {
+            self.w.violations.push(
+                "zombie-steal: task taken by an evicted incarnation \
+                 (epoch fence missing on the take verb)"
+                    .to_string(),
+            );
         }
-        ThiefState::Bounds { attempts } => {
-            let mut cost = VTime::ZERO;
-            let mut won = None;
-            for &v in script.ring {
-                let ((top, bottom), c) = thief_read_bounds(&mut w.m, &w.lay, me, v);
-                cost += c;
-                if won.is_none() && top < bottom {
-                    won = Some((v, top));
-                }
-            }
-            match won {
-                Some((victim, top)) => {
-                    *state = ThiefState::Claim {
-                        victim,
-                        top,
-                        attempts,
-                    };
-                    Step::Yield(cost)
-                }
-                None => {
-                    let again = ThiefState::Bounds {
-                        attempts: attempts + 1,
-                    };
-                    retry(state, attempts, again, cost)
-                }
-            }
-        }
-        ThiefState::Take { victim: v, bounds } => {
-            *state = ThiefState::Done;
-            if !script.unfenced && w.m.epoch_of(me) > 0 {
-                // The runtime's self-fence: a worker observing its own
-                // eviction quiesces before issuing another verb. The lock is
-                // already someone else's problem (the suspector broke it as
-                // stale).
-                return Step::Yield(w.m.local_op(me));
-            }
-            let items = &mut w.ws[v].items;
-            let took = match bounds {
-                Some((top, bottom)) => {
-                    thief_take_no_release_at(&mut w.m, items, &w.lay, me, v, top, bottom)
-                }
-                None => thief_take_no_release(&mut w.m, items, &w.lay, me, v),
-            };
-            match took {
-                Ok((Some((item, size, top)), mut cost)) => {
-                    if w.m.epoch_of(me) > 0 {
-                        w.violations.push(
-                            "zombie-steal: task taken by an evicted incarnation \
-                             (epoch fence missing on the take verb)"
-                                .to_string(),
-                        );
-                    }
-                    w.taken(v, dq_tag(&item), Some(me));
-                    match script.release {
-                        Release::Shipped => {
-                            thief_advance_top(&mut w.m, &w.lay, me, v, top + 1);
-                            cost += thief_release_lock(&mut w.m, &w.lay, me, v);
-                        }
-                        Release::BeforeAdvance => {
-                            cost += thief_release_lock(&mut w.m, &w.lay, me, v);
-                            *state = ThiefState::Advance {
-                                victim: v,
-                                new_top: top + 1,
-                            };
-                        }
-                        Release::Posted => {
-                            // Top is advanced before the release is posted,
-                            // so the deque is consistent the instant the
-                            // release's (eager) effect lands.
-                            thief_advance_top(&mut w.m, &w.lay, me, v, top + 1);
-                            let at = now + cost;
-                            let h_release = w.m.post_put_u64(me, lock_of(w, v), 0, at);
-                            let h_copy = w.m.post_get_bulk(me, v, size, at);
-                            *state = ThiefState::Reap { h_release, h_copy };
-                        }
-                    }
-                    Step::Yield(cost)
-                }
-                Ok((None, cost)) => {
-                    if let Ledger::Order(shadow) = &w.ledger {
-                        if !shadow[v].is_empty() {
-                            w.violations.push(format!(
-                                "steal missed items{}: deque read empty with {} outstanding",
-                                w.at(v),
-                                shadow[v].len()
-                            ));
-                        }
-                    }
-                    // Empty: the shipped take releases with a non-blocking
-                    // put, the recomposed orders with the blocking one.
-                    let release = match script.release {
-                        Release::Shipped => w.m.post_put_u64_unsignaled(me, lock_of(w, v), 0),
-                        _ => thief_release_lock(&mut w.m, &w.lay, me, v),
-                    };
-                    Step::Yield(cost + release)
-                }
-                Err(d) => {
-                    thief_release_lock(&mut w.m, &w.lay, me, v);
-                    w.violations
-                        .push(format!("thief_take observed dead slot: {d:?}"));
-                    Step::Halt
-                }
-            }
-        }
-        ThiefState::Claim {
-            victim: v,
-            top,
-            attempts,
-        } => {
-            // Oracle-side peek at the slot the claim will target, so a Dup
-            // can be charged to the right task.
-            let keyp1 = w.m.read_own(v, GlobalAddr::new(v, w.lay.dq_slot(top)));
-            let mut private = ClaimSet::default();
-            let claims = if script.private_claims {
-                &mut private
-            } else {
-                &mut w.claims
-            };
-            let (outcome, mut cost) =
-                ff_thief_claim(&mut w.m, &mut w.ws[v], claims, &w.lay, me, v, top);
-            *state = ThiefState::Bounds {
-                attempts: attempts + 1,
-            };
-            match outcome {
-                FfSteal::Taken(item, size) => {
-                    cost += w.m.get_bulk(me, v, size);
-                    w.taken(v, dq_tag(&item), Some(me));
-                    *state = ThiefState::Done; // one steal per thief
-                }
-                FfSteal::Dup => {
-                    let key = keyp1.checked_sub(1);
-                    if let Some(tag) = key.and_then(|k| w.ws[v].items.get(k as u32)).map(dq_tag) {
-                        w.transferred(v, tag);
-                    }
-                }
-                FfSteal::Lost => {}
-            }
-            Step::Yield(cost)
-        }
-        ThiefState::Advance { victim, new_top } => {
-            thief_advance_top(&mut w.m, &w.lay, me, victim, new_top);
-            *state = ThiefState::Done;
-            Step::Yield(w.m.local_op(me))
-        }
-        ThiefState::Reap { h_release, h_copy } => {
-            let (_, f1) = w.m.wait(me, h_release);
-            let (_, f2) = w.m.wait(me, h_copy);
-            *state = ThiefState::Done;
-            Step::Yield(f1.max(f2).saturating_sub(now))
-        }
-        ThiefState::Done => Step::Halt,
+        self.w.taken(victim, dq_tag(item), Some(self.me));
+        Ok(None)
+    }
+
+    /// One steal per thief.
+    fn adopt(&mut self, _: VTime, _: WorkerId, _: Landed) -> VTime {
+        self.st.done = true;
+        VTime::ZERO
+    }
+
+    fn park(&mut self, stage: Stage, pending: Option<Pending>) {
+        self.st.stage = Some(stage);
+        self.st.parked = pending;
+    }
+
+    fn unpark(&mut self) -> Pending {
+        self.st.parked.take().expect("reap without a parked steal")
     }
 }
 
@@ -810,34 +633,30 @@ fn multiplicity_exact(w: &mut RawWorld) {
     w.violations.dedup();
 }
 
-/// A raw scenario as data: the world's shape, who steals and how, and what
-/// must hold at the end.
+/// A raw scenario as data: the world's shape and who steals. What must hold
+/// at the end follows from the protocol: the order oracles, or the
+/// multiplicity ones for fence-free.
 struct RawSpec {
-    fam: Family,
+    desc: Desc,
     /// Workers `0..victims` own a deque and push `items` tasks each.
     victims: usize,
     items: u64,
     fabric: FabricMode,
-    /// The thieves, from worker `victims` up; the last entry repeats for
+    /// The non-owners, from worker `victims` up; the last entry repeats for
     /// every further worker.
-    thieves: Vec<(Script, ThiefState)>,
-    oracles: &'static [Oracle],
-    /// A `Script` in `thieves` carries a planted bug the explorer must find.
+    cast: Vec<Role>,
+    /// The descriptor or a `Script` in `cast` carries a planted bug the
+    /// explorer must find.
     planted: bool,
 }
 
-const LOCK: ThiefState = ThiefState::Lock {
-    victim: 0,
-    attempts: 0,
-};
-const PROBE: ThiefState = ThiefState::Probe { attempts: 0 };
-const BOUNDS: ThiefState = ThiefState::Bounds { attempts: 0 };
 const ORDER_ORACLES: &[Oracle] = &[leaked_items, slab_empty, locks_free, cq_drained];
 const MULTIPLICITY_ORACLES: &[Oracle] = &[slab_empty, tickets_retired, multiplicity_exact];
 
 fn raw_scenario(name: &str, workers: usize, spec: RawSpec) -> Scenario {
-    let workers = workers.max(spec.victims + spec.thieves.len());
+    let workers = workers.max(spec.victims + spec.cast.len());
     let expect_violation = spec.planted;
+    let multiplicity = spec.desc.claim == Claim::Ticket;
     let runner = move |hook: &mut dyn ScheduleHook| -> Vec<String> {
         let cfg = RunConfig::new(workers, Policy::ContGreedy);
         let lay = SegLayout::new(&cfg);
@@ -847,17 +666,18 @@ fn raw_scenario(name: &str, workers: usize, spec: RawSpec) -> Scenario {
                 .with_reserved(lay.reserved)
                 .with_fabric(spec.fabric),
         );
-        let ledger = match spec.fam {
-            Family::CasLock => Ledger::Order(vec![VecDeque::new(); spec.victims]),
-            Family::FenceFree => Ledger::Multiplicity {
+        let ledger = if multiplicity {
+            Ledger::Multiplicity {
                 counts: HashMap::new(),
                 cap: (1 + workers - spec.victims) as u32,
-            },
+            }
+        } else {
+            Ledger::Order(vec![VecDeque::new(); spec.victims])
         };
         let world = RawWorld {
             m,
             lay,
-            fam: spec.fam,
+            desc: spec.desc,
             ws: (0..spec.victims).map(|_| WorkerShared::new(&cfg)).collect(),
             claims: ClaimSet::default(),
             ledger,
@@ -869,15 +689,24 @@ fn raw_scenario(name: &str, workers: usize, spec: RawSpec) -> Scenario {
                     to_push: spec.items,
                     pushed: 0,
                 },
-                Some(t) => {
-                    let (script, state) = spec.thieves[t.min(spec.thieves.len() - 1)];
-                    RawActor::Thief { script, state }
-                }
+                Some(t) => match spec.cast[t.min(spec.cast.len() - 1)] {
+                    Role::Thief(script) => RawActor::Thief(script, Box::default()),
+                    Role::Suspector { ring, suspect } => RawActor::Watch {
+                        ring,
+                        suspect,
+                        polls: 0,
+                    },
+                },
             })
             .collect();
         let mut engine = Engine::new(world, actors).with_max_steps(100_000);
         engine.run_with_hook(hook);
-        for oracle in spec.oracles {
+        let oracles = if multiplicity {
+            MULTIPLICITY_ORACLES
+        } else {
+            ORDER_ORACLES
+        };
+        for oracle in oracles {
             oracle(&mut engine.world);
         }
         engine.world.violations
@@ -1182,22 +1011,20 @@ fn bot_term_scenario(name: &str, workers: usize, seed: u64, fabric: FabricMode) 
 /// must fail under exploration.
 pub fn catalog(workers: usize, seed: u64) -> Vec<Scenario> {
     use FabricMode::{Blocking, Pipelined};
-    use Family::{CasLock, FenceFree};
+    use Protocol::{CasLock, FenceFree, LockFree};
     let workers = workers.max(2);
     const ONE: &[usize] = &[0];
     const TWO: &[usize] = &[0, 1];
-    let raw = |fam, victims, items, fabric, thieves: &[(Script, ThiefState)], planted| RawSpec {
-        fam,
+    let raw = |protocol, victims, items, fabric, cast: &[Role], planted| RawSpec {
+        desc: Desc::of(protocol),
         victims,
         items,
         fabric,
-        thieves: thieves.to_vec(),
-        oracles: match fam {
-            CasLock => ORDER_ORACLES,
-            FenceFree => MULTIPLICITY_ORACLES,
-        },
+        cast: cast.to_vec(),
         planted,
     };
+    let thief = |ring| [Role::Thief(Script::on(ring))];
+    let suspector = |ring, suspect| Role::Suspector { ring, suspect };
     // The zombie seam: worker 1 locks with an epoch-stamped word and pauses
     // mid-steal; worker 2 plays a message detector with a false positive.
     // The shipped zombie re-checks its own epoch before the take, so no
@@ -1206,69 +1033,54 @@ pub fn catalog(workers: usize, seed: u64) -> Vec<Scenario> {
         pause: true,
         ..Script::on(ONE)
     };
-    let suspector = |ring, suspect| {
-        (
-            Script::on(ring),
-            ThiefState::Watch {
-                suspect,
-                attempts: 0,
-            },
-        )
-    };
     let unfenced = |s: Script| Script {
         unfenced: true,
         ..s
     };
-    let posted = Script {
-        release: Release::Posted,
-        ..Script::on(ONE)
-    };
-    let late_advance = Script {
-        release: Release::BeforeAdvance,
-        ..Script::on(ONE)
-    };
-    let no_claim_write = Script {
+    let no_claim_write = [Role::Thief(Script {
         private_claims: true,
         ..Script::on(ONE)
-    };
-    let chained = Script {
-        chained: true,
-        ..Script::on(TWO)
-    };
+    })];
     let mut v = vec![
         raw_scenario(
             "deque-steal",
             workers,
-            raw(CasLock, 1, 2, Blocking, &[(Script::on(ONE), LOCK)], false),
+            raw(CasLock, 1, 2, Blocking, &thief(ONE), false),
         ),
         raw_scenario(
             "broken-release",
             2,
-            raw(CasLock, 1, 1, Blocking, &[(late_advance, LOCK)], true),
+            RawSpec {
+                desc: Desc {
+                    late_advance: true,
+                    ..Desc::of(CasLock)
+                },
+                ..raw(CasLock, 1, 1, Blocking, &thief(ONE), true)
+            },
         ),
         raw_scenario(
             "deque-steal-pipelined",
             workers,
-            raw(CasLock, 1, 2, Pipelined, &[(posted, LOCK)], false),
+            raw(CasLock, 1, 2, Pipelined, &thief(ONE), false),
+        ),
+        // The lock-free family in isolation: the thief's `top` CAS against
+        // the owner's last-item CAS, under the order ledger.
+        raw_scenario(
+            "lock-free-steal",
+            workers,
+            raw(LockFree, 1, 2, Blocking, &thief(ONE), false),
         ),
         // The fence-free family: read/write-only steals with bounded
         // multiplicity.
         raw_scenario(
             "fence-free-steal",
             workers,
-            raw(
-                FenceFree,
-                1,
-                2,
-                Blocking,
-                &[(Script::on(ONE), BOUNDS)],
-                false,
-            ),
+            raw(FenceFree, 1, 2, Blocking, &thief(ONE), false),
         ),
         raw_scenario(
             "broken-claim",
             2,
-            raw(FenceFree, 1, 1, Blocking, &[(no_claim_write, BOUNDS)], true),
+            raw(FenceFree, 1, 1, Blocking, &no_claim_write, true),
         ),
         // The multi-steal probe rings (`--multi-steal`): two victims, each
         // thief's probes in flight at once, first hit in ring order wins and
@@ -1277,24 +1089,17 @@ pub fn catalog(workers: usize, seed: u64) -> Vec<Scenario> {
         raw_scenario(
             "multi-steal-probe",
             workers,
-            raw(CasLock, 2, 2, Blocking, &[(Script::on(TWO), PROBE)], false),
+            raw(CasLock, 2, 2, Blocking, &thief(TWO), false),
         ),
         raw_scenario(
             "multi-steal-probe-pipelined",
             workers,
-            raw(CasLock, 2, 2, Pipelined, &[(chained, PROBE)], false),
+            raw(CasLock, 2, 2, Pipelined, &thief(TWO), false),
         ),
         raw_scenario(
             "multi-steal-ff",
             workers,
-            raw(
-                FenceFree,
-                2,
-                2,
-                Blocking,
-                &[(Script::on(TWO), BOUNDS)],
-                false,
-            ),
+            raw(FenceFree, 2, 2, Blocking, &thief(TWO), false),
         ),
     ];
 
@@ -1410,7 +1215,7 @@ pub fn catalog(workers: usize, seed: u64) -> Vec<Scenario> {
     // planted-bug twin.
     for (name, planted) in [("zombie-steal", false), ("broken-fence", true)] {
         let z = if planted { unfenced(zombie) } else { zombie };
-        let cast = [(z, LOCK), suspector(ONE, 1)];
+        let cast = [Role::Thief(z), suspector(ONE, 1)];
         v.push(raw_scenario(
             name,
             3,
@@ -1423,7 +1228,7 @@ pub fn catalog(workers: usize, seed: u64) -> Vec<Scenario> {
         } else {
             Script::on(TWO)
         };
-        let cast = [(z, PROBE), suspector(TWO, 2)];
+        let cast = [Role::Thief(z), suspector(TWO, 2)];
         v.push(raw_scenario(
             name,
             4,

@@ -38,13 +38,14 @@ fn digest(rec: &RunRecord) -> u64 {
 /// `(scenario, digests under VECTORS at catalog(2, 1), at catalog(3, 1))`.
 #[rustfmt::skip]
 const RUNS: &[(&str, [u64; 4], [u64; 4])] = &[
-    ("deque-steal", [0x1085f2e8ad518f44, 0xeffa57083eeba866, 0x9e89f34f9315a784, 0xb0f4dbf683fd3807], [0x69c4e4301acf4ef5, 0xd803218aac3bea86, 0x8af17e45f059c976, 0xc6f9f36281123c24]),
-    ("broken-release", [0x6a0cf2278be737a9, 0x622f44e332ed7f45, 0xb89e1a7a9e5a30f6, 0x989eaa94544af3b7], [0x6a0cf2278be737a9, 0x622f44e332ed7f45, 0xb89e1a7a9e5a30f6, 0x989eaa94544af3b7]),
-    ("deque-steal-pipelined", [0xdaea9025bd7af915, 0xd2ff59fdca894325, 0x6ae9fe027940c215, 0xb0f4dbf683fd3807], [0x56e2d695019a4f06, 0x5d3f8851b3a584f4, 0xa445c43cd3aadcf4, 0x6d3f613ac8cb5c94]),
+    ("deque-steal", [0x1085f2e8ad518f44, 0x32d3f07cdd9e5ed7, 0x9e89f34f9315a784, 0xfdd4b92e63b321f5], [0xc6f60726e2d16834, 0x47f86ff5b11626a6, 0xe8cb6c8e5417bf37, 0x72e8e60e019977c5]),
+    ("broken-release", [0xdeb917c887297880, 0xf5a330cc5c5d29f4, 0xb8166d0423cf73e7, 0xe6e24b2a95bd28c6], [0xdeb917c887297880, 0xf5a330cc5c5d29f4, 0xb8166d0423cf73e7, 0xe6e24b2a95bd28c6]),
+    ("deque-steal-pipelined", [0xdaea9025bd7af915, 0x749dfe2b57cd0526, 0x6ae9fe027940c215, 0xf0e5c74aefb4a9c4], [0x0c73e7fdab2a9504, 0x6b1863101f659be6, 0x40e7d98edaafed46, 0x72e8e60e019977c5]),
+    ("lock-free-steal", [0xae05043739111364, 0x9f89f4aa53e957b4, 0x9e89f34f9315a784, 0x15c474ce64ae2807], [0x4eccb7976f05ead5, 0xfd59e446f6a1d2d7, 0x46be520f27f490a5, 0x50aabc24b0e5dfa5]),
     ("fence-free-steal", [0xae05043739111364, 0xd86876118826c627, 0x9e89f34f9315a784, 0x15c474ce64ae2807], [0x5be544c396d35226, 0xfd59e446f6a1d2d7, 0x5ce1614a00ec9d66, 0x50aabc24b0e5dfa5]),
     ("broken-claim", [0xb280f6f0ee740f25, 0x00b38d2e296fc1d5, 0xdb86b8b88e845267, 0x50ac1c11dc5861b5], [0xb280f6f0ee740f25, 0x00b38d2e296fc1d5, 0xdb86b8b88e845267, 0x50ac1c11dc5861b5]),
-    ("multi-steal-probe", [0xc52042f39d0736a7, 0x35847138095ab9c6, 0x535b003db7469344, 0x9c7ab47f18865204], [0xc52042f39d0736a7, 0x35847138095ab9c6, 0x535b003db7469344, 0x9c7ab47f18865204]),
-    ("multi-steal-probe-pipelined", [0x0e6604eb3e152ee7, 0xec67d64af3888a06, 0x535b003db7469344, 0x9c7ab47f18865204], [0x0e6604eb3e152ee7, 0xec67d64af3888a06, 0x535b003db7469344, 0x9c7ab47f18865204]),
+    ("multi-steal-probe", [0x476a3c25c9e897a5, 0xd35f7ca399e61b84, 0x535b003db7469344, 0x9c7ab47f18865204], [0x476a3c25c9e897a5, 0xd35f7ca399e61b84, 0x535b003db7469344, 0x9c7ab47f18865204]),
+    ("multi-steal-probe-pipelined", [0xb09d68bcb9e12e96, 0x4a30727977bc8a57, 0xc7b11363343e43c5, 0x9c7ab47f18865204], [0xb09d68bcb9e12e96, 0x4a30727977bc8a57, 0xc7b11363343e43c5, 0x9c7ab47f18865204]),
     ("multi-steal-ff", [0xd88dc40fb7452987, 0x9abf24a1c723b526, 0x535b003db7469344, 0x9c7ab47f18865204], [0xd88dc40fb7452987, 0x9abf24a1c723b526, 0x535b003db7469344, 0x9c7ab47f18865204]),
     ("single-steal:greedy:lockq", [0xb5d341f7f60dc0b5, 0xbc842ed9f6c6dd34, 0x21d12211859bfe36, 0x4ae6708d199e2d04], [0x84a7897ecdff1254, 0xac3d41efb9ecd415, 0x95c3d5b05e5a2024, 0x6d3f613ac8cb5c94]),
     ("single-steal:greedy:localc", [0x8c22966c14bfcc04, 0x28706a23853204a5, 0x21d12211859bfe36, 0x0100786545348c75], [0x493826f732067256, 0xefe63bf90c7aa817, 0x318538f91662c435, 0x6d3f613ac8cb5c94]),
@@ -77,8 +78,8 @@ const RUNS: &[(&str, [u64; 4], [u64; 4])] = &[
     ("crash-recovery-stalling", [0xa70f7587d6712951, 0xb907d8ba6d621de5, 0x595b84dd047a5931, 0x3cdafb7da6b50f35], [0xe67fe3b20d61dd1a, 0xd16554edcc35163b, 0xd57f9cf9ad2959c3, 0x1d302a00d0f497ca]),
     ("crash-recovery-root", [0x9da664560b32d697, 0x04f9c95b3393d476, 0xd7c7f19219a83a77, 0x6dabc25cf2d99e32], [0x3454598332f91569, 0x99a331f7f961b5dc, 0xcd75d06c587e963c, 0x897d41e646b7c771]),
     ("crash-abort", [0x7cbeca5d74b7a776, 0xa72334bc85935757, 0xb87cc7dfafc22f84, 0x2cfe629e29ed4007], [0x0400885ba8069935, 0x9aa7a870c0806f34, 0x6dacee5082c53646, 0x6a89dda4c91223f4]),
-    ("zombie-steal", [0x0059a3cd2483e785, 0x05b5851fe28a18c7, 0xbef449ee1d224f45, 0xec4f3c3c9ade19c4], [0x0059a3cd2483e785, 0x05b5851fe28a18c7, 0xbef449ee1d224f45, 0xec4f3c3c9ade19c4]),
-    ("broken-fence", [0xf39d5d6ee8c53b56, 0x0dd7a278dd0ec42a, 0xbef449ee1d224f45, 0xec4f3c3c9ade19c4], [0xf39d5d6ee8c53b56, 0x0dd7a278dd0ec42a, 0xbef449ee1d224f45, 0xec4f3c3c9ade19c4]),
+    ("zombie-steal", [0x53b05efe6b5a0464, 0xc1023828394d6db6, 0xb139f90163ccb614, 0x0f12cd1a38f08055], [0x53b05efe6b5a0464, 0xc1023828394d6db6, 0xb139f90163ccb614, 0x0f12cd1a38f08055]),
+    ("broken-fence", [0x58759d5795919894, 0xad951958c079d888, 0x1930cd9ab37ac705, 0x25cee8353d5b6c04], [0x58759d5795919894, 0xad951958c079d888, 0x1930cd9ab37ac705, 0x25cee8353d5b6c04]),
     ("false-suspect-term", [0xe4402376af73a484, 0x5e57299e864726e5, 0x60365ef95ca940ba, 0x1191cd45f0e521eb], [0x999c9a0a25970298, 0x0fb9e6425bcfb16d, 0x1d01c3bc59450ad6, 0x87421c3c9411b9f4]),
     ("rejoin-replay", [0xf121f54913620b80, 0xf37b3b045af385d8, 0x07bdeb71bd6d2277, 0x3c232fddc8965b96], [0xfd7208b73565b292, 0x279ba334f5e7b413, 0x5339b9b9aac8131d, 0xdb9d375c25608ef6]),
 ];
@@ -86,8 +87,8 @@ const RUNS: &[(&str, [u64; 4], [u64; 4])] = &[
 /// `(fixture file, digest of its replay)`.
 const FIXTURES: &[(&str, u64)] = &[
     ("broken-claim.schedule", 0x039ef0782468ab8e),
-    ("broken-fence.schedule", 0x9744ee216ea16508),
-    ("broken-release.schedule", 0x6a0cf2278be737a9),
+    ("broken-fence.schedule", 0xd468667cfcdf4e9a),
+    ("broken-release.schedule", 0xdeb917c887297880),
     ("crash-recovery-greedy.schedule", 0xc5bca97108370b76),
     ("crash-recovery-root.schedule", 0x2cc20508c403c7b4),
     ("crash-recovery-stalling.schedule", 0xb708c95a792eee84),
@@ -101,20 +102,22 @@ const FIXTURES: &[(&str, u64)] = &[
 
 /// `explore_exhaustive(_, 2, 50_000).schedules` of the raw scenarios.
 const COUNTS_W2: &[(&str, u64)] = &[
-    ("deque-steal", 32),
+    ("deque-steal", 36),
     ("broken-release", 23),
-    ("deque-steal-pipelined", 39),
+    ("deque-steal-pipelined", 42),
+    ("lock-free-steal", 25),
     ("fence-free-steal", 24),
     ("broken-claim", 13),
-    ("multi-steal-probe", 421),
-    ("multi-steal-probe-pipelined", 320),
+    ("multi-steal-probe", 404),
+    ("multi-steal-probe-pipelined", 339),
     ("multi-steal-ff", 221),
     ("zombie-steal", 249),
-    ("broken-fence", 37),
+    ("broken-fence", 1571),
 ];
 const COUNTS_W3: &[(&str, u64)] = &[
-    ("deque-steal", 325),
-    ("deque-steal-pipelined", 391),
+    ("deque-steal", 422),
+    ("deque-steal-pipelined", 484),
+    ("lock-free-steal", 196),
     ("fence-free-steal", 188),
 ];
 

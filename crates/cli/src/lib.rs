@@ -799,39 +799,36 @@ pub fn execute_check(a: &CheckArgs) -> (String, bool) {
             if out.complete { "" } else { " (budget hit)" },
             verdict
         );
-        if caught {
-            // Minimize the first finding and serialize it for replay.
-            let f = &out.findings[0];
-            let min = if sc.expect_violation {
-                f.choices.clone() // self-test: no need to shrink
-            } else {
-                dcs_check::minimize(&|c| sc.run_choices(c), &f.choices)
-            };
+        // Minimize the first finding and serialize it for replay. A
+        // self-test's finding is expected: it is shrunk only when the
+        // scenario is named, to refresh its committed fixture.
+        if let Some(f) = out.findings.first() {
             for v in &f.violations {
                 let _ = writeln!(s, "  violation: {v}");
+            }
+            if sc.expect_violation && a.scenario != sc.name {
+                continue;
             }
             let sched = dcs_check::Schedule {
                 scenario: sc.name.clone(),
                 workers: sc.workers,
                 seed: a.seed,
-                choices: min,
+                choices: dcs_check::minimize(&|c| sc.run_choices(c), &f.choices),
             };
-            if !sc.expect_violation {
-                if let Some(dir) = &a.out {
-                    let file = format!("{dir}/{}.schedule", sc.name.replace(':', "-"));
-                    match std::fs::create_dir_all(dir)
-                        .and_then(|()| std::fs::write(&file, sched.to_string()))
-                    {
-                        Ok(()) => {
-                            let _ = writeln!(s, "  minimized schedule written to {file}");
-                        }
-                        Err(e) => {
-                            let _ = writeln!(s, "  error writing {file}: {e}");
-                        }
+            if let Some(dir) = &a.out {
+                let file = format!("{dir}/{}.schedule", sc.name.replace(':', "-"));
+                match std::fs::create_dir_all(dir)
+                    .and_then(|()| std::fs::write(&file, sched.to_string()))
+                {
+                    Ok(()) => {
+                        let _ = writeln!(s, "  minimized schedule written to {file}");
                     }
-                } else {
-                    let _ = write!(s, "  minimized reproducer:\n{sched}");
+                    Err(e) => {
+                        let _ = writeln!(s, "  error writing {file}: {e}");
+                    }
                 }
+            } else {
+                let _ = write!(s, "  minimized reproducer:\n{sched}");
             }
         }
     }
@@ -934,8 +931,9 @@ FLAGS (check):
     --budget <n>           max schedules per scenario (exhaustive)       [50000]
     --seed <n>             scenario seed                                 [1]
     --schedule <file>      replay a serialized failing schedule
-    --out <dir>            write minimized failing schedules here
-                           (exit code is non-zero on any violation)
+    --out <dir>            write minimized failing schedules here (a
+                           self-test's planted bug only when --scenario
+                           names it; exit code is non-zero on any violation)
 ";
 
 #[cfg(test)]
@@ -1107,6 +1105,9 @@ mod tests {
         let (report, ok) = execute_check(&a);
         assert!(ok, "{report}");
         assert!(report.contains("planted bug caught"), "{report}");
+        // Named, the self-test's finding is minimized into a fixture.
+        assert!(report.contains("minimized reproducer:"), "{report}");
+        assert!(report.contains("scenario=broken-release"), "{report}");
     }
 
     #[test]

@@ -35,26 +35,29 @@
 //! 4. Transfer the payload (stack or descriptor bytes) — charged by the
 //!    scheduler, which also records steal statistics.
 //!
-//! The thief holds the lock **across simulator steps** (between
-//! [`thief_lock`] and [`thief_take`]), so a victim touching its own deque in
-//! that window observes the lock and must retry — the owner-side functions
-//! return [`DequeError::Busy`] and the caller yields a local-op's worth of
-//! time, exactly the brief victim stall a real lock-based RDMA deque causes.
+//! The thief holds the lock **across simulator steps** — from the steal
+//! machine's probe step to its take step ([`crate::steal`]) — so a victim
+//! touching its own deque in that window observes the lock and must retry:
+//! the owner-side functions return [`DequeError::Busy`] and the caller
+//! yields a local-op's worth of time, exactly the brief victim stall a real
+//! lock-based RDMA deque causes.
 //!
 //! ## One body per operation
 //!
 //! Each family has one push and one pop body. The Fig.-4 DIE fast path
-//! (`*_pop_parent`: pop the bottom item only if it is the dying thread's
-//! parent continuation) is that family's pop with an accept test
-//! (`accepts`), not a second copy; the CAS-lock and lock-free pushes
-//! share one ring write; the fence-free pops and the end-of-run reclaim
-//! share one "look at the bottom slot, reclaim it if a thief claimed it"
-//! step. On the thief side [`thief_take`] is the composed reference form
-//! of [`thief_take_no_release`] → [`thief_advance_top`] →
-//! [`thief_release_lock`]; the scheduler composes the same three with a
-//! *posted* release (so the payload transfer overlaps it), and a
-//! multi-steal ring enters at [`thief_take_no_release_at`] with the bounds
-//! its probe froze under the won lock.
+//! (pop the bottom item only if it is the dying thread's parent
+//! continuation) is that family's pop body (`pop_if`, `lf_pop_if`,
+//! `ff_pop_if`) with an accept test (`accepts`), not a second copy; the
+//! CAS-lock and lock-free pushes share one ring write; the fence-free pops
+//! and the end-of-run reclaim share one "look at the bottom slot, reclaim
+//! it if a thief claimed it" step. On the thief side [`thief_lock`] +
+//! [`thief_take`] is the blocking reference form of one steal (what the
+//! tests and the benchmark ladder drive). The steal machine ([`crate::steal`]) is what the scheduler and
+//! `dcs-check` run: it posts the lock CAS in its probe ring and composes
+//! `thief_take_no_release` → `thief_advance_top` with a *posted* release,
+//! so the payload transfer overlaps it; a multi-steal ring enters at
+//! `thief_take_no_release_at` with the bounds its probe froze under the
+//! won lock.
 //!
 //! ## Typed protocol violations
 //!
@@ -177,16 +180,18 @@ pub fn owner_push(
 }
 
 /// The CAS-lock pop: lock probe, then check-and-pop of the bottom item in
-/// one owner-local step.
+/// one owner-local step. With `parent_of = Some(e)` it is the Fig.-4 DIE
+/// fast path: pop the bottom item only if it is the parent continuation of
+/// the dying thread whose entry is `e` (see [`accepts`]).
 #[inline]
-fn pop_if(
+pub(crate) fn pop_if(
     m: &mut Machine,
     items: &mut Slab<QueueItem>,
     lay: &SegLayout,
     me: WorkerId,
-    op: &'static str,
     parent_of: Option<GlobalAddr>,
 ) -> Popped {
+    let op = parent_of.map_or("owner_pop", |_| "owner_pop_parent");
     owner_check_lock(m, lay, me)?;
     let cost = m.local_op(me);
     let top = m.read_own(me, word(lay, me, DQ_TOP));
@@ -220,27 +225,7 @@ pub fn owner_pop(
     lay: &SegLayout,
     me: WorkerId,
 ) -> Popped {
-    pop_if(m, items, lay, me, "owner_pop", None)
-}
-
-/// Fig.-4 DIE fast path: pop the bottom item only if it is the parent
-/// continuation of the dying thread whose entry is `e`. A stale bottom key is a non-match, not an error.
-pub fn owner_pop_parent(
-    m: &mut Machine,
-    items: &mut Slab<QueueItem>,
-    lay: &SegLayout,
-    me: WorkerId,
-    e: GlobalAddr,
-) -> Popped {
-    pop_if(m, items, lay, me, "owner_pop_parent", Some(e))
-}
-
-/// Number of queued items, from the owner's perspective (test/debug aid;
-/// does not charge time).
-pub fn owner_len(m: &mut Machine, lay: &SegLayout, me: WorkerId) -> u64 {
-    let (top, _) = m.get_u64(me, word(lay, me, DQ_TOP));
-    let (bottom, _) = m.get_u64(me, word(lay, me, DQ_BOTTOM));
-    bottom - top
+    pop_if(m, items, lay, me, None)
 }
 
 /// Encode the deque lock word: the holder's rank (biased by 1 so 0 stays
@@ -255,33 +240,21 @@ pub fn lock_word(epoch: u64, rank: WorkerId) -> u64 {
 
 /// Decode a non-zero deque lock word into `(holder_epoch, holder_rank)`.
 #[inline]
-pub fn lock_holder(word: u64) -> (u64, WorkerId) {
+pub(crate) fn lock_holder(word: u64) -> (u64, WorkerId) {
     debug_assert!(word != 0, "the unlocked word has no holder");
     (word >> 16, (word & 0xFFFF) as WorkerId - 1)
 }
 
-/// Step 1 of a steal: try to lock `victim`'s deque. Returns whether the lock
-/// was acquired plus the atomic's cost.
+/// Step 1 of a steal: try to lock `victim`'s deque with an epoch-0 lock
+/// word (the steal machine stamps the thief's own epoch). Returns whether
+/// the lock was acquired plus the atomic's cost.
 pub fn thief_lock(
     m: &mut Machine,
     lay: &SegLayout,
     me: WorkerId,
     victim: WorkerId,
 ) -> (bool, VTime) {
-    thief_lock_epoch(m, lay, me, victim, 0)
-}
-
-/// [`thief_lock`] with the thief's incarnation epoch stamped into the lock
-/// word, so an owner breaking a stale lease can tell a dead holder from a
-/// zombie one (see the scheduler's `break_dead_lock`).
-pub fn thief_lock_epoch(
-    m: &mut Machine,
-    lay: &SegLayout,
-    me: WorkerId,
-    victim: WorkerId,
-    epoch: u64,
-) -> (bool, VTime) {
-    let (old, cost) = m.cas_u64(me, word(lay, victim, DQ_LOCK), 0, lock_word(epoch, me));
+    let (old, cost) = m.cas_u64(me, word(lay, victim, DQ_LOCK), 0, lock_word(0, me));
     (old == 0, cost)
 }
 
@@ -327,16 +300,17 @@ pub fn thief_take(
 
 /// A stolen entry as seen mid-protocol: the item, its wire size, and the
 /// `top` index it was taken from.
-pub type StolenEntry = (QueueItem, usize, u64);
+pub(crate) type StolenEntry = (QueueItem, usize, u64);
 
 /// Steps 2–3 of a steal **without** the bounds advance or the lock release:
 /// on success returns the item, its wire size, and the `top` index it was
 /// taken from; the caller then issues [`thief_advance_top`] and the release
-/// itself. The scheduler composes them with a *posted* release so the
-/// payload transfer can overlap it; `dcs-check` also recomposes them in the
-/// *wrong* order across separate engine steps to prove the schedule explorer
-/// catches the resulting dead-slot window.
-pub fn thief_take_no_release(
+/// itself. The steal machine ([`crate::steal`]) composes them with a
+/// *posted* release so the payload transfer can overlap it; its planted
+/// `late_advance` mutation issues the advance one engine step after the
+/// release, the dead-slot window `dcs-check`'s `broken-release` proves the
+/// schedule explorer catches.
+pub(crate) fn thief_take_no_release(
     m: &mut Machine,
     victim_items: &mut Slab<QueueItem>,
     lay: &SegLayout,
@@ -361,7 +335,7 @@ pub fn thief_take_no_release(
 /// and a won lock freezes the bounds (owner ops and rival thieves observe
 /// the lock), so the take step can skip the bounds re-read — one small-get
 /// round trip saved per successful steal.
-pub fn thief_take_no_release_at(
+pub(crate) fn thief_take_no_release_at(
     m: &mut Machine,
     victim_items: &mut Slab<QueueItem>,
     lay: &SegLayout,
@@ -396,7 +370,7 @@ pub fn thief_take_no_release_at(
 
 /// Advance the victim's `top` to `new_top` (non-blocking put; the cost
 /// rides in the release's message window and is not charged).
-pub fn thief_advance_top(
+pub(crate) fn thief_advance_top(
     m: &mut Machine,
     lay: &SegLayout,
     me: WorkerId,
@@ -408,7 +382,7 @@ pub fn thief_advance_top(
 
 /// Release the victim's deque lock (blocking put; returns its round-trip
 /// cost).
-pub fn thief_release_lock(
+pub(crate) fn thief_release_lock(
     m: &mut Machine,
     lay: &SegLayout,
     me: WorkerId,
@@ -460,14 +434,14 @@ pub fn lf_owner_push(
 /// protocol cannot know that, but it never loses here. The accept test
 /// peeks first: only a match pays the pop (including the last-item CAS).
 #[inline]
-fn lf_pop_if(
+pub(crate) fn lf_pop_if(
     m: &mut Machine,
     items: &mut Slab<QueueItem>,
     lay: &SegLayout,
     me: WorkerId,
-    op: &'static str,
     parent_of: Option<GlobalAddr>,
 ) -> Popped {
+    let op = parent_of.map_or("lf_owner_pop", |_| "lf_owner_pop_parent");
     let mut cost = m.local_op(me);
     let top = m.read_own(me, word(lay, me, DQ_TOP));
     let bottom = m.read_own(me, word(lay, me, DQ_BOTTOM));
@@ -511,18 +485,7 @@ pub fn lf_owner_pop(
     lay: &SegLayout,
     me: WorkerId,
 ) -> Popped {
-    lf_pop_if(m, items, lay, me, "lf_owner_pop", None)
-}
-
-/// Lock-free variant of [`owner_pop_parent`].
-pub fn lf_owner_pop_parent(
-    m: &mut Machine,
-    items: &mut Slab<QueueItem>,
-    lay: &SegLayout,
-    me: WorkerId,
-    e: GlobalAddr,
-) -> Popped {
-    lf_pop_if(m, items, lay, me, "lf_owner_pop_parent", Some(e))
+    lf_pop_if(m, items, lay, me, None)
 }
 
 /// Lock-free thief claim (the second thief step, after a bounds read saw
@@ -688,15 +651,15 @@ fn ff_bottom(
 /// ticket nor a live payload is a typed [`DeadSlot`] — and claim + take it
 /// if the accept test passes. Never returns [`DequeError::Busy`].
 #[inline]
-fn ff_pop_if(
+pub(crate) fn ff_pop_if(
     m: &mut Machine,
     ws: &mut WorkerShared,
     claims: &mut ClaimSet,
     lay: &SegLayout,
     me: WorkerId,
-    op: &'static str,
     parent_of: Option<GlobalAddr>,
 ) -> Popped {
+    let op = parent_of.map_or("ff_owner_pop", |_| "ff_owner_pop_parent");
     let mut cost = m.local_op(me);
     let (b, key, ticket) = loop {
         match ff_bottom(m, ws, claims, lay, me) {
@@ -740,28 +703,20 @@ pub fn ff_owner_pop(
     lay: &SegLayout,
     me: WorkerId,
 ) -> Popped {
-    ff_pop_if(m, ws, claims, lay, me, "ff_owner_pop", None)
-}
-
-/// Fence-free variant of [`owner_pop_parent`].
-pub fn ff_owner_pop_parent(
-    m: &mut Machine,
-    ws: &mut WorkerShared,
-    claims: &mut ClaimSet,
-    lay: &SegLayout,
-    me: WorkerId,
-    e: GlobalAddr,
-) -> Popped {
-    ff_pop_if(m, ws, claims, lay, me, "ff_owner_pop_parent", Some(e))
+    ff_pop_if(m, ws, claims, lay, me, None)
 }
 
 /// Decode one fence-free entry span `[key+1, wire_size, ticket]` read from
 /// a victim's ring and decide the steal outcome — the host-side half of the
-/// thief's claim step, shared by the blocking and pipelined paths. Mutates
+/// thief's claim step, shared by [`ff_thief_claim`] and the steal machine. Mutates
 /// the victim's slab (`Cont` take / `Child` clone) and the claim set; the
 /// caller charges the fabric (entry get, claim-write, payload or wasted
 /// payload).
-pub fn ff_decide(victim_ws: &mut WorkerShared, claims: &mut ClaimSet, vals: [u64; 3]) -> FfSteal {
+pub(crate) fn ff_decide(
+    victim_ws: &mut WorkerShared,
+    claims: &mut ClaimSet,
+    vals: [u64; 3],
+) -> FfSteal {
     let [keyp1, size, ticket] = vals;
     if keyp1 == 0 || ticket == 0 {
         return FfSteal::Lost;
@@ -835,7 +790,7 @@ pub fn ff_thief_claim(
 /// claimed slots the owner never walked past, so thief-held `Child`
 /// originals don't trip the strict "no leaked items" assert. Stops at the
 /// first unclaimed slot — a genuinely lost item must still be caught.
-pub fn ff_owner_reclaim(
+pub(crate) fn ff_owner_reclaim(
     m: &mut Machine,
     ws: &mut WorkerShared,
     claims: &mut ClaimSet,
@@ -898,6 +853,14 @@ mod tests {
             QueueItem::Child { arg, .. } => arg.as_u64(),
             QueueItem::Cont { th, .. } => th.tid,
         }
+    }
+
+    /// Number of queued items, from the owner's perspective (it issues two
+    /// counted `get_u64` verbs).
+    fn owner_len(m: &mut Machine, lay: &SegLayout, me: WorkerId) -> u64 {
+        let (top, _) = m.get_u64(me, word(lay, me, DQ_TOP));
+        let (bottom, _) = m.get_u64(me, word(lay, me, DQ_BOTTOM));
+        bottom - top
     }
 
     #[test]
@@ -975,16 +938,16 @@ mod tests {
         let e2 = GlobalAddr::new(0, 0x200);
         owner_push(&mut m, &mut items, &lay, 0, cont_item(1, e1)).unwrap();
         // Wrong entry: no pop.
-        let (none, _) = owner_pop_parent(&mut m, &mut items, &lay, 0, e2).unwrap();
+        let (none, _) = pop_if(&mut m, &mut items, &lay, 0, Some(e2)).unwrap();
         assert!(none.is_none());
         assert_eq!(owner_len(&mut m, &lay, 0), 1);
         // Child descriptors never match.
         owner_push(&mut m, &mut items, &lay, 0, child_item(9)).unwrap();
-        let (none, _) = owner_pop_parent(&mut m, &mut items, &lay, 0, e1).unwrap();
+        let (none, _) = pop_if(&mut m, &mut items, &lay, 0, Some(e1)).unwrap();
         assert!(none.is_none());
         let _ = owner_pop(&mut m, &mut items, &lay, 0).unwrap();
         // Right entry at the bottom: popped.
-        let (some, _) = owner_pop_parent(&mut m, &mut items, &lay, 0, e1).unwrap();
+        let (some, _) = pop_if(&mut m, &mut items, &lay, 0, Some(e1)).unwrap();
         assert_eq!(tag_of(&some.unwrap()), 1);
         assert_eq!(owner_len(&mut m, &lay, 0), 0);
     }
@@ -1017,7 +980,7 @@ mod tests {
             })
         ));
         let DequeError::Dead(d) =
-            owner_pop_parent(&mut m, &mut items, &lay, 0, GlobalAddr::NULL).unwrap_err()
+            pop_if(&mut m, &mut items, &lay, 0, Some(GlobalAddr::NULL)).unwrap_err()
         else {
             panic!("expected dead slot");
         };
@@ -1162,9 +1125,9 @@ mod tests {
         let e1 = GlobalAddr::new(0, 0x100);
         let e2 = GlobalAddr::new(0, 0x200);
         lf_owner_push(&mut m, &mut items, &lay, 0, cont_item(1, e1));
-        let (none, _) = lf_owner_pop_parent(&mut m, &mut items, &lay, 0, e2).unwrap();
+        let (none, _) = lf_pop_if(&mut m, &mut items, &lay, 0, Some(e2)).unwrap();
         assert!(none.is_none());
-        let (some, _) = lf_owner_pop_parent(&mut m, &mut items, &lay, 0, e1).unwrap();
+        let (some, _) = lf_pop_if(&mut m, &mut items, &lay, 0, Some(e1)).unwrap();
         assert_eq!(tag_of(&some.unwrap()), 1);
         assert!(items.is_empty());
     }

@@ -59,6 +59,7 @@ pub mod remote_free;
 pub mod runner;
 pub mod sched;
 pub mod stats;
+pub mod steal;
 pub mod trace;
 pub mod util;
 pub mod value;

@@ -87,11 +87,6 @@ impl Protocol {
         }
     }
 
-    /// Does the steal path issue any AMO verbs?
-    pub fn uses_amo(self) -> bool {
-        !matches!(self, Protocol::FenceFree)
-    }
-
     pub const ALL: [Protocol; 3] = [Protocol::CasLock, Protocol::LockFree, Protocol::FenceFree];
 }
 
@@ -405,9 +400,6 @@ mod tests {
         assert_eq!(Protocol::CasLock.label(), "cas-lock");
         assert_eq!(Protocol::LockFree.label(), "lock-free");
         assert_eq!(Protocol::FenceFree.label(), "fence-free");
-        assert!(Protocol::CasLock.uses_amo());
-        assert!(Protocol::LockFree.uses_amo());
-        assert!(!Protocol::FenceFree.uses_amo());
         assert_eq!(
             RunConfig::new(1, Policy::ContGreedy).protocol,
             Protocol::CasLock,

@@ -44,7 +44,7 @@ impl Worker {
         // Work-first fast path: try to pop the parent before racing. This
         // observes the deque lock, so Busy can propagate before any side
         // effect.
-        let (popped, mut cost) = match self.dq_pop_parent(world, e.entry) {
+        let (popped, mut cost) = match world.own_pop(&self.lay, self.me, Some(e.entry)) {
             Ok(x) => x,
             Err(DequeError::Busy) => return Err(Busy),
             Err(DequeError::Dead(d)) => {
@@ -324,8 +324,9 @@ impl Worker {
             if first.is_none() {
                 first = Some(th);
             } else {
-                let push = self.dq_push(
-                    world,
+                let push = world.own_push(
+                    &self.lay,
+                    self.me,
                     QueueItem::Cont {
                         th,
                         spawned_child: GlobalAddr::NULL,
@@ -361,7 +362,7 @@ impl Worker {
     ) -> Result<VTime, Busy> {
         // Pop first (it can observe the deque lock under CAS-lock, and
         // Busy must propagate before any side effects).
-        let (popped, mut cost) = match self.dq_pop(world) {
+        let (popped, mut cost) = match world.own_pop(&self.lay, self.me, None) {
             Ok(x) => x,
             Err(DequeError::Busy) => return Err(Busy),
             Err(DequeError::Dead(d)) => {

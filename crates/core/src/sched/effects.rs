@@ -10,7 +10,7 @@ impl Worker {
 
     pub(crate) fn step_run(&mut self, now: VTime, world: &mut World) -> Step {
         if self.pending.is_none() {
-            let eff = self.advance_cur(now, world);
+            let eff = self.advance_cur(now);
             self.pending = Some(PendingOp::Effect(eff));
         }
         match self.apply_pending(now, world) {
@@ -152,22 +152,16 @@ impl Worker {
     ) -> Result<VTime, (Box<dyn Frame>, Busy)> {
         match self.policy {
             Policy::ContGreedy | Policy::ContStalling => {
-                // CAS-lock only: probe the deque lock before any side
-                // effect (the other families never block the owner).
-                if self.needs_lock_probe() {
-                    let (lock, _) = world
-                        .m
-                        .get_u64(self.me, GlobalAddr::new(self.me, self.lay.dq_word(0)));
-                    if lock != 0 {
-                        return Err((cont, Busy));
-                    }
+                if world.own_locked(&self.lay, self.me) {
+                    return Err((cont, Busy));
                 }
                 let mut th = self.cur.take().expect("yield without thread");
                 th.frames.push(cont);
                 th.pending = Pending::Resume(Value::Unit);
-                let cost = self
-                    .dq_push(
-                        world,
+                let cost = world
+                    .own_push(
+                        &self.lay,
+                        self.me,
                         QueueItem::Cont {
                             th,
                             spawned_child: GlobalAddr::NULL,
@@ -234,16 +228,9 @@ impl Worker {
         consumers: u32,
         cont: Box<dyn Frame>,
     ) -> Result<VTime, (TaskFn, Value, u32, Box<dyn Frame>, Busy)> {
-        // The push must succeed before any side effect; under CAS-lock,
-        // probe the deque lock first so a Busy retry is side-effect free
-        // (the lock-free and fence-free owners can never be blocked).
-        if self.needs_lock_probe() {
-            let (lock, _) = world
-                .m
-                .get_u64(self.me, GlobalAddr::new(self.me, self.lay.dq_word(0)));
-            if lock != 0 {
-                return Err((child, arg, consumers, cont, Busy));
-            }
+        // The push must succeed before any side effect.
+        if world.own_locked(&self.lay, self.me) {
+            return Err((child, arg, consumers, cont, Busy));
         }
         let mut cost = VTime::ZERO;
         let (h, c_alloc) = alloc_entry(
@@ -266,9 +253,10 @@ impl Worker {
             parent.frames.push(cont);
             parent.pending = Pending::Resume(Value::Handle(h));
             let parent_home = parent.home;
-            let push_cost = self
-                .dq_push(
-                    world,
+            let push_cost = world
+                .own_push(
+                    &self.lay,
+                    self.me,
                     QueueItem::Cont {
                         th: parent,
                         spawned_child: h.entry,
@@ -291,8 +279,8 @@ impl Worker {
             Ok(cost + world.m.local_op(self.me))
         } else {
             // Child stealing: push the descriptor, parent continues.
-            let push_cost = self
-                .dq_push(world, QueueItem::Child { f: child, arg, handle: h })
+            let push_cost = world
+                .own_push(&self.lay, self.me, QueueItem::Child { f: child, arg, handle: h })
                 .expect("lock probed free within the same atomic step");
             cost += push_cost;
             let th = self.cur.as_mut().expect("fork without thread");

@@ -1,18 +1,12 @@
-//! The idle loop: termination, local pops, victim selection, the
-//! cross-step steal protocol, wait-queue/nest polling, finalization.
+//! The idle loop: termination, local pops, victim selection, the worker as
+//! the steal machine's host ([`Thief`]), wait-queue/nest polling,
+//! finalization.
 
 use super::*;
 
-/// What a steal commit issues to let go of the victim's deque.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Release {
-    /// CAS-lock: a signaled put clearing the lock word.
-    Lock,
-    /// Fence-free: the unsignaled claim-write of the `top` hint.
-    Hint(u64),
-    /// Lock-free: nothing — the claim CAS already committed.
-    Claimed,
-}
+use crate::dedup::ClaimSet;
+use crate::steal::{Desc, Host, Landed, Ring};
+use crate::world::WorkerShared;
 
 impl Worker {
     // ------------------------------------------------------------------
@@ -367,7 +361,7 @@ impl Worker {
             }
         }
         // 1. Local pop.
-        match self.dq_pop(world) {
+        match world.own_pop(&self.lay, self.me, None) {
             Err(DequeError::Busy) => {
                 self.break_dead_lock(now, world);
                 let cost = world.m.local_op(self.me);
@@ -403,73 +397,34 @@ impl Worker {
         }
     }
 
-    /// A failed steal attempt: count it, re-poll blocked work, yield.
-    fn steal_miss(&mut self, now: VTime, world: &mut World, cost: VTime) -> Step {
-        world.rt.stats.steal_failed();
-        self.fail_streak += 1;
-        self.yield_after_poll(now, world, cost)
-    }
-
     fn yield_after_poll(&mut self, now: VTime, world: &mut World, cost: VTime) -> Step {
         let c_wait = self.poll_blocked(now, world);
         Step::Yield(cost + c_wait)
     }
 
-    /// Attribute the fabric faults accrued since the last drain to `victim`.
-    fn drain_faults(&mut self, now: VTime, world: &mut World, victim: WorkerId) {
-        let faults = world.m.take_faults(self.me);
-        self.note_victim_faults(victim, faults, now);
-    }
-
-    /// Step 1 of every steal — the probe ring (`--multi-steal K`): keep
-    /// steal probes on up to K distinct victims in one window and commit
-    /// the first (in ring order) that lands with work. K = 1 is the plain
-    /// single-victim probe.
-    ///
-    /// Per `--protocol` family the probe is:
-    ///
-    /// * **CAS-lock** — the lock CAS (the lock word encodes our rank *and*
-    ///   epoch, so the victim can break it if we are evicted mid-steal).
-    ///   Rings of K ≥ 2 chain the `[top, bottom]` span get behind it on the
-    ///   victim's QP. Issuing the bounds read before the CAS outcome is
-    ///   known is sound — gets have no memory effects, and same-QP in-order
-    ///   retirement lands the bounds after the CAS; a *won* CAS freezes the
-    ///   bounds until release, so the winner's take step reuses them (one
-    ///   small-get round trip saved). A won-but-unused lock (ring order
-    ///   lost, or empty deque) is always released immediately with an
-    ///   unsignaled put.
-    /// * **lock-free / fence-free** — one bounds span get per victim (no
-    ///   lock, no atomic); losers' reads are simply dropped. The winner
-    ///   proceeds through [`WState::StealClaim`] next step, leaving the
-    ///   real protocols' race window open between the two — so a fence-free
-    ///   ticket is claimed for the ring's single winner at most, and the
-    ///   shared ClaimSet arbitrates races with rival thieves.
-    ///
-    /// The whole ring rides one doorbell chain and one window: probes to
-    /// distinct victims cost one round trip when the machine overlaps them
-    /// and K when it does not.
+    /// Start a steal: draw the probe ring (`--multi-steal K`: up to K
+    /// distinct victims, K = 1 the plain single-victim probe) and hand it
+    /// to the steal machine's probe ([`crate::steal::probe`]).
     fn step_probe(
         &mut self,
         now: VTime,
         world: &mut World,
         mut cost: VTime,
-        ring: &mut Vec<Probe>,
+        ring: &mut Ring,
     ) -> Step {
         ring.clear();
         for _ in 0..self.multi_steal.min(self.n - 1) {
             let victim = self.select_victim(now, world);
-            if !ring.iter().any(|p| p.victim == victim) {
-                ring.push(Probe { victim, h_lock: None, bounds: None, won: true });
-            }
+            ring.add(victim);
         }
         if self.kills {
             // Fail-fast verb against a dead victim: one RTT, a failed
             // steal, and a blacklist bump so the selector stops drawing it
             // even before the lease confirms the death. Dead victims leave
             // the ring before any probe verb is issued.
-            ring.retain(|p| match world.m.dead_guard(self.me, p.victim, now) {
+            ring.retain(|victim| match world.m.dead_guard(self.me, victim, now) {
                 Some(c_dead) => {
-                    self.note_victim_faults(p.victim, 1, now);
+                    self.note_victim_faults(victim, 1, now);
                     world.rt.stats.steal_failed();
                     self.fail_streak += 1;
                     cost += c_dead;
@@ -481,86 +436,8 @@ impl Worker {
                 return self.yield_after_poll(now, world, cost);
             }
         }
-        // Drop fault counts accrued before the probes so the per-victim
-        // drains below attribute only each victim's own faults.
-        let _ = world.m.take_faults(self.me);
-        let cas_lock = self.protocol == Protocol::CasLock;
-        let mut w = world.m.window(self.me, now + cost);
-        world.m.chain_begin(self.me);
-        for p in ring.iter_mut() {
-            if cas_lock {
-                let lock = GlobalAddr::new(p.victim, self.lay.dq_word(DQ_LOCK));
-                let word = lock_word(self.my_epoch, self.me);
-                p.h_lock = Some(w.posted(world.m.post_cas_u64(self.me, lock, 0, word, w.at())));
-            }
-            if !cas_lock || self.multi_steal >= 2 {
-                let top = GlobalAddr::new(p.victim, self.lay.dq_word(DQ_TOP));
-                let ([top, bottom], h) = world.m.post_get_u64_span::<2>(self.me, top, w.at());
-                p.bounds = Some((w.posted(h), top, bottom));
-            }
-            self.drain_faults(now, world, p.victim);
-        }
-        world.m.chain_end(self.me);
-        for p in ring.iter_mut() {
-            if let Some(h) = p.h_lock {
-                p.won = world.m.wait(self.me, h).0 == 0;
-            }
-            if let Some((h, ..)) = p.bounds {
-                world.m.wait(self.me, h);
-            }
-        }
-        cost = world.m.finish(&w).saturating_sub(now);
-        // Commit the first probe in ring order that landed with work;
-        // cancel the rest. The abandon releases ride their own doorbell
-        // chain (they are issued back to back once the probe results are
-        // in).
-        let mut won: Option<(WorkerId, Option<(u64, u64)>)> = None;
-        world.m.chain_begin(self.me);
-        for p in ring.iter() {
-            if !p.won {
-                // CAS lost: an ordinary failed attempt.
-                world.rt.stats.steal_failed();
-                self.fail_streak += 1;
-                continue;
-            }
-            // Fence-free `top` is a hint that can momentarily exceed
-            // `bottom`; every family treats that as empty. A bare lock CAS
-            // learns the bounds only in its take step.
-            let bounds = p.bounds.map(|(_, top, bottom)| (top, bottom));
-            let has_work = bounds.is_none_or(|(top, bottom)| top < bottom);
-            if won.is_none() && has_work {
-                won = Some((p.victim, bounds));
-                continue;
-            }
-            if cas_lock {
-                // A won-but-unused lock is always released, whether the
-                // deque was empty or the ring already committed elsewhere
-                // (unsignaled put: injection only, no round trip).
-                let lock = GlobalAddr::new(p.victim, self.lay.dq_word(DQ_LOCK));
-                cost += world.m.post_put_u64_unsignaled(self.me, lock, 0);
-            }
-            if has_work {
-                // Work was there but the ring committed to an earlier
-                // victim: an abandoned attempt, never a latency sample.
-                world.rt.stats.steal_abandoned();
-            } else {
-                world.rt.stats.steal_failed();
-                self.fail_streak += 1;
-            }
-        }
-        world.m.chain_end(self.me);
-        let Some((victim, bounds)) = won else {
-            return self.yield_after_poll(now, world, cost);
-        };
-        // Probes and the commit run inside this one step, so the victim's
-        // epoch now is the epoch every probe saw.
-        let vepoch = world.m.epoch_of(victim);
-        self.state = match bounds {
-            _ if cas_lock => WState::StealTake { victim, t0: now, bounds, vepoch },
-            Some((top, _)) => WState::StealClaim { victim, top, t0: now, vepoch },
-            None => unreachable!("lock-free / fence-free probes always read bounds"),
-        };
-        Step::Yield(cost)
+        let k = self.multi_steal;
+        crate::steal::probe(&mut Thief { w: self, world }, now, cost, ring, k)
     }
 
     /// Re-poll blocked work after a failed steal attempt: stalling policies
@@ -684,337 +561,17 @@ impl Worker {
         cost
     }
 
-    /// Shared prelude of the take and claim steps: the victim may have died
-    /// (its segment is gone — abandon the steal; a held lock word dies with
-    /// it) or been evicted and rejoined (the rejoin purged the deque, so the
-    /// lock word or bounds we hold belong to a dead incarnation and touching
-    /// the fresh one would tear it — the epoch fence voids the steal) since
-    /// the probe. The fence is unreachable under the oracle detector: an
-    /// eviction there implies a confirmed death, which the dead guard
-    /// catches first.
-    fn steal_voided(
-        &mut self,
-        now: VTime,
-        world: &mut World,
-        victim: WorkerId,
-        vepoch: u64,
-    ) -> Option<Step> {
-        if !self.kills {
-            return None;
-        }
-        if let Some(c_dead) = world.m.dead_guard(self.me, victim, now) {
-            self.note_victim_faults(victim, 1, now);
-            return Some(self.steal_miss(now, world, c_dead));
-        }
-        world
-            .m
-            .fence_verb(self.me, vepoch, victim)
-            .then(|| self.steal_miss(now, world, VTime::ZERO))
-    }
-
-    /// Complete a CAS-lock steal whose lock we won last step: read the
-    /// bounds (unless the probe already did), take the oldest item and
-    /// commit. An empty deque or a dead slot releases the lock and misses.
-    pub(crate) fn step_steal_take(
-        &mut self,
-        now: VTime,
-        world: &mut World,
-        victim: WorkerId,
-        t0: VTime,
-        bounds: Option<(u64, u64)>,
-        vepoch: u64,
-    ) -> Step {
-        self.state = WState::Idle;
-        if let Some(step) = self.steal_voided(now, world, victim, vepoch) {
-            return step;
-        }
-        let took = {
-            let (_me_ws, victim_ws) = world.rt.two(self.me, victim);
-            let items = &mut victim_ws.items;
-            match bounds {
-                Some((top, bottom)) => thief_take_no_release_at(
-                    &mut world.m, items, &self.lay, self.me, victim, top, bottom,
-                ),
-                None => thief_take_no_release(&mut world.m, items, &self.lay, self.me, victim),
-            }
-        };
-        match took {
-            Err(mut d) => {
-                // The victim's deque (not ours) held the corpse. Release so
-                // the victim can still make progress, but leave the bounds
-                // pointing at it for the oracle to see.
-                d.cost += thief_release_lock(&mut world.m, &self.lay, self.me, victim);
-                self.drain_faults(now, world, victim);
-                self.deque_violation(world, victim, &d);
-                self.steal_miss(now, world, d.cost)
-            }
-            Ok((None, mut cost)) => {
-                // Empty: a non-blocking put suffices to release.
-                let lock = GlobalAddr::new(victim, self.lay.dq_word(DQ_LOCK));
-                cost += world.m.post_put_u64_unsignaled(self.me, lock, 0);
-                self.drain_faults(now, world, victim);
-                self.steal_miss(now, world, cost)
-            }
-            Ok((Some((item, size, top)), cost)) => {
-                // The advance is issued *before* the lock release and rides
-                // its message window ([top, lock] are adjacent words), so no
-                // later lock acquirer can observe stale bounds.
-                thief_advance_top(&mut world.m, &self.lay, self.me, victim, top + 1);
-                self.commit_steal(now, world, victim, t0, item, size, cost, Release::Lock)
-            }
-        }
-    }
-
-    /// Complete a lock-free / fence-free steal whose bounds read saw
-    /// `top < bottom` last step. The cross-step window since that read is
-    /// where the races live: the slot may have been consumed (CAS loss /
-    /// validation miss) or — fence-free only — already claimed (a dup).
-    pub(crate) fn step_steal_claim(
-        &mut self,
-        now: VTime,
-        world: &mut World,
-        victim: WorkerId,
-        top: u64,
-        t0: VTime,
-        vepoch: u64,
-    ) -> Step {
-        self.state = WState::Idle;
-        if let Some(step) = self.steal_voided(now, world, victim, vepoch) {
-            return step;
-        }
-        match self.protocol {
-            Protocol::LockFree => self.step_steal_claim_lf(now, world, victim, top, t0),
-            Protocol::FenceFree => self.step_steal_claim_ff(now, world, victim, top, t0),
-            Protocol::CasLock => unreachable!("claim step under the CAS-lock protocol"),
-        }
-    }
-
-    /// Lock-free claim: entry read + one CAS on the victim's `top`. A lost
-    /// CAS is a benign failed steal; a won CAS commits the take.
-    fn step_steal_claim_lf(
-        &mut self,
-        now: VTime,
-        world: &mut World,
-        victim: WorkerId,
-        top: u64,
-        t0: VTime,
-    ) -> Step {
-        let took = {
-            let (_me_ws, victim_ws) = world.rt.two(self.me, victim);
-            lf_thief_claim(&mut world.m, &mut victim_ws.items, &self.lay, self.me, victim, top)
-        };
-        let (got, cost) = match took {
-            Ok(x) => x,
-            Err(d) => {
-                // The victim's deque (not ours) held the corpse.
-                self.deque_violation(world, victim, &d);
-                (None, d.cost)
-            }
-        };
-        self.drain_faults(now, world, victim);
-        match got {
-            None => self.steal_miss(now, world, cost),
-            Some((item, size)) => {
-                self.commit_steal(now, world, victim, t0, item, size, cost, Release::Claimed)
-            }
-        }
-    }
-
-    /// Fence-free claim: entry span read (plain get), host-side ticket
-    /// arbitration, then a plain claim-write of the `top` hint — no atomic
-    /// anywhere. A `Dup` pays the wasted payload transfer and discards; a
-    /// `Lost` race costs only the span read.
-    fn step_steal_claim_ff(
-        &mut self,
-        now: VTime,
-        world: &mut World,
-        victim: WorkerId,
-        top: u64,
-        t0: VTime,
-    ) -> Step {
-        let slot = GlobalAddr::new(victim, self.lay.dq_slot(top));
-        let (vals, mut cost) = world.m.get_u64_span::<3>(self.me, slot);
-        let outcome = {
-            let rt = &mut world.rt;
-            ff_decide(&mut rt.per[victim], &mut rt.ff_claims, vals)
-        };
-        self.drain_faults(now, world, victim);
-        match outcome {
-            FfSteal::Lost => {
-                world.rt.stats.ff_lost_races += 1;
-                self.steal_miss(now, world, cost)
-            }
-            FfSteal::Dup => {
-                // The loser copied the payload before discovering the claim
-                // (the fence-free algorithm's cost of multiplicity), and
-                // still writes the hint so later thieves skip the slot.
-                let top_word = GlobalAddr::new(victim, self.lay.dq_word(DQ_TOP));
-                cost += world.m.post_put_u64_unsignaled(self.me, top_word, top + 1);
-                cost += world.m.get_bulk(self.me, victim, vals[1] as usize);
-                world.rt.stats.ff_dups += 1;
-                self.steal_miss(now, world, cost)
-            }
-            FfSteal::Taken(item, size) => {
-                self.commit_steal(now, world, victim, t0, *item, size, cost, Release::Hint(top + 1))
-            }
-        }
-    }
-
-    /// Record the steal lineage of `item`, keyed by us (the executor): if we
-    /// die before the entry flag is set, our death's confirmer re-adopts the
-    /// work from this record. Child descriptors get a fresh record (bound to
-    /// the thread id once the child materializes); a stolen continuation
-    /// migrates an existing one (re-keyed here), and its header is mirrored
-    /// to our buddy — inside `w` — so either side of the split survives one
-    /// death. `Err` means the continuation is a stale duplicate: the victim
-    /// died and a confirmer already claimed its record for replay (our take
-    /// was virtually earlier but executed later), so it must not run.
-    fn steal_lineage(
-        &mut self,
-        now: VTime,
-        world: &mut World,
-        item: &mut QueueItem,
-        w: &mut Window,
-    ) -> Result<Option<(WorkerId, usize)>, ()> {
-        if !self.kills {
-            return Ok(None);
-        }
-        match item {
-            QueueItem::Child { f, arg, handle } if self.policy == Policy::ChildRtc => {
-                Ok(Some(self.record_lineage(world, 0, *f, arg.clone(), *handle)))
-            }
-            QueueItem::Cont { th, .. } => {
-                if !self.rekey_lineage(world, th) {
-                    return Err(());
-                }
-                self.mirror_split(world, now, w);
-                Ok(None)
-            }
-            QueueItem::Child { .. } => Ok(None),
-        }
-    }
-
-    /// The one steal commit, shared by the CAS-lock take and the lock-free
-    /// / fence-free claims: open a window after the `cost` spent so far,
-    /// issue the protocol's release, record the lineage (before the payload
-    /// crosses the wire), post the checkpoint and the payload get, and
-    /// charge the window. When the protocol has a release in flight and the
-    /// machine left completions outstanding, the handles are parked for
-    /// [`Self::step_steal_reap`]; otherwise (depth 1, or nothing to overlap
-    /// the payload with) the steal finishes in this step.
-    #[allow(clippy::too_many_arguments)]
-    fn commit_steal(
-        &mut self,
-        now: VTime,
-        world: &mut World,
-        victim: WorkerId,
-        t0: VTime,
-        mut item: QueueItem,
-        size: usize,
-        cost: VTime,
-        release: Release,
-    ) -> Step {
-        self.fail_streak = 0;
-        let mut w = world.m.window(self.me, now + cost);
-        let h_release = match release {
-            Release::Lock => {
-                let lock = GlobalAddr::new(victim, self.lay.dq_word(DQ_LOCK));
-                let h = w.posted(world.m.post_put_u64(self.me, lock, 0, w.at()));
-                // The take's faults, the release's included, are the
-                // victim's; the claim steps drained theirs already.
-                self.drain_faults(now, world, victim);
-                Some(h)
-            }
-            Release::Hint(top) => {
-                let top_word = GlobalAddr::new(victim, self.lay.dq_word(DQ_TOP));
-                w.unsignaled(world.m.post_put_u64_unsignaled(self.me, top_word, top));
-                None
-            }
-            Release::Claimed => None,
-        };
-        let Ok(rec) = self.steal_lineage(now, world, &mut item, &mut w) else {
-            // The take still committed protocol-wise — top advanced,
-            // release posted — but the stale duplicate must not run.
-            if let Some(h) = h_release {
-                world.m.wait(self.me, h);
-            }
-            let cost = world.m.finish(&w).saturating_sub(now);
-            return self.steal_miss(now, world, cost);
-        };
-        let (issued, copy_at) = (w.now(), w.at());
-        let h_copy = w.posted(world.m.post_get_bulk(self.me, victim, size, copy_at));
-        let fin = world.m.finish(&w);
-        let ps = PendingSteal { item, size, t0, h_release, h_copy, copy_at, issued, fin, rec };
-        if release != Release::Claimed && world.m.outstanding(self.me, w.now()) {
-            self.pending_steal = Some(ps);
-            self.state = WState::StealReap { victim };
-            Step::Yield(w.now().saturating_sub(now))
-        } else {
-            self.finish_steal(now, world, victim, ps)
-        }
-    }
-
-    /// Reap a steal parked by [`Self::commit_steal`]. Runs one engine step
-    /// after the commit, so the schedule explorer can interleave other
-    /// workers between the post instant and the completion instant. Even if
-    /// the victim has died meanwhile the steal commits: the item left its
-    /// slab at take time and every verb was already posted (and charged)
-    /// before the death could be observed.
-    pub(crate) fn step_steal_reap(&mut self, now: VTime, world: &mut World, victim: WorkerId) -> Step {
-        let ps = self.pending_steal.take().expect("reap without a pending steal");
-        self.state = WState::Idle;
-        self.finish_steal(now, world, victim, ps)
-    }
-
-    /// Reap a committed steal's completions and adopt the item. The step
-    /// pays whatever of the window is still ahead of `now`; the recorded
-    /// latency runs from the probe to the payload's arrival as seen from
-    /// the thief's clock at issue.
-    fn finish_steal(
-        &mut self,
-        now: VTime,
-        world: &mut World,
-        victim: WorkerId,
-        ps: PendingSteal,
-    ) -> Step {
-        if let Some(h) = ps.h_release {
-            world.m.wait(self.me, h);
-        }
-        world.m.wait(self.me, ps.h_copy);
-        let copy_cost = ps.h_copy.finish().saturating_sub(ps.copy_at);
-        let latency = ps.issued.saturating_sub(ps.t0) + copy_cost;
-        let c2 = self.adopt_item(now, world, ps.item, Some(victim));
-        world.rt.stats.steal_ok(latency, copy_cost, ps.size);
-        world.rt.stats.note_steal_event(self.me, victim, ps.t0, ps.t0 + latency);
-        world.rt.watch_progress(now);
-        if let (Some((w, i)), Some(th)) = (ps.rec, self.cur.as_mut()) {
-            // The stolen child materialized as a thread only now: bind its
-            // id to the record made at commit time.
-            world.rt.lineage.rec_mut(w, i).tid = th.tid;
-            th.replay_rec = ps.rec;
-        }
-        Step::Yield(ps.fin.saturating_sub(now) + c2)
-    }
-
     /// End-of-run consistency checks.
     pub(crate) fn finalize(&mut self, world: &mut World, now: VTime) {
         self.set_busy(world, now, false);
         self.halted = true;
-        if self.protocol == Protocol::FenceFree {
-            // Thief-claimed Child originals linger in our slab until a pop
-            // walks past their slots; at termination nobody will, so sweep
-            // the trailing claimed slots. The sweep stops at the first
-            // unclaimed slot — a genuinely leaked item still trips the
-            // strict assert below.
-            let rt = &mut world.rt;
-            ff_owner_reclaim(
-                &mut world.m,
-                &mut rt.per[self.me],
-                &mut rt.ff_claims,
-                &self.lay,
-                self.me,
-            );
-        }
+        // Fence-free: thief-claimed Child originals linger in our slab until
+        // a pop walks past their slots; at termination nobody will, so sweep
+        // the trailing claimed slots. The sweep stops at the first unclaimed
+        // slot — a genuinely leaked item still trips the strict assert
+        // below. (A no-op for the other protocols.)
+        let (m, rt, me) = (&mut world.m, &mut world.rt, self.me);
+        (rt.desc.reclaim)(m, &mut rt.per[me], &mut rt.ff_claims, &self.lay, me);
         if self.kills {
             // Armed termination can strand orphaned duplicates: a lineage
             // replay re-executed an ancestor whose original children kept
@@ -1066,6 +623,152 @@ impl Worker {
                 ws.saved.len()
             );
         }
+    }
+}
+
+/// A worker as the steal machine's host: the machine runs the protocol's
+/// verbs, the worker keeps what only a scheduler has — fencing against dead
+/// and evicted victims, fault attribution, statistics, lineage and the
+/// adoption of the stolen item.
+pub(super) struct Thief<'a> {
+    pub(super) w: &'a mut Worker,
+    pub(super) world: &'a mut World,
+}
+
+impl Host for Thief<'_> {
+    fn me(&self) -> WorkerId {
+        self.w.me
+    }
+
+    fn epoch(&self) -> u64 {
+        self.w.my_epoch
+    }
+
+    fn lay(&self) -> SegLayout {
+        self.w.lay
+    }
+
+    fn desc(&self) -> Desc {
+        self.world.rt.desc
+    }
+
+    fn m(&mut self) -> &mut Machine {
+        &mut self.world.m
+    }
+
+    fn parts(&mut self, victim: WorkerId) -> (&mut Machine, &mut WorkerShared, &mut ClaimSet) {
+        let rt = &mut self.world.rt;
+        (&mut self.world.m, &mut rt.per[victim], &mut rt.ff_claims)
+    }
+
+    fn faults(&mut self, now: VTime, victim: WorkerId) {
+        let faults = self.world.m.take_faults(self.w.me);
+        self.w.note_victim_faults(victim, faults, now);
+    }
+
+    fn failed(&mut self) {
+        self.world.rt.stats.steal_failed();
+        self.w.fail_streak += 1;
+    }
+
+    fn abandoned(&mut self) {
+        self.world.rt.stats.steal_abandoned();
+    }
+
+    fn idle(&mut self, now: VTime, cost: VTime) -> Step {
+        self.w.yield_after_poll(now, self.world, cost)
+    }
+
+    /// The victim may have died since the probe (its segment is gone —
+    /// abandon the steal; a held lock word dies with it) or been evicted and
+    /// rejoined (the rejoin purged the deque, so the lock word or bounds we
+    /// hold belong to a dead incarnation and touching the fresh one would
+    /// tear it — the epoch fence voids the steal). The fence is unreachable
+    /// under the oracle detector: an eviction there implies a confirmed
+    /// death, which the dead guard catches first.
+    fn voided(&mut self, now: VTime, victim: WorkerId, vepoch: u64) -> Option<VTime> {
+        if !self.w.kills {
+            return None;
+        }
+        let (me, m) = (self.w.me, &mut self.world.m);
+        if let Some(c_dead) = m.dead_guard(me, victim, now) {
+            self.w.note_victim_faults(victim, 1, now);
+            return Some(c_dead);
+        }
+        m.fence_verb(me, vepoch, victim).then_some(VTime::ZERO)
+    }
+
+    fn dead_slot(&mut self, victim: WorkerId, d: &DeadSlot) {
+        self.w.deque_violation(self.world, victim, d);
+    }
+
+    fn raced(&mut self, _victim: WorkerId, dup: Option<u32>) {
+        match dup {
+            Some(_) => self.world.rt.stats.ff_dups += 1,
+            None => self.world.rt.stats.ff_lost_races += 1,
+        }
+    }
+
+    /// Record the steal lineage of `item`, keyed by us (the executor): if we
+    /// die before the entry flag is set, our death's confirmer re-adopts the
+    /// work from this record. Child descriptors get a fresh record (bound to
+    /// the thread id once the child materializes); a stolen continuation
+    /// migrates an existing one (re-keyed here), and its header is mirrored
+    /// to our buddy — inside `w` — so either side of the split survives one
+    /// death. `Err` means the continuation is a stale duplicate: the victim
+    /// died and a confirmer already claimed its record for replay (our take
+    /// was virtually earlier but executed later), so it must not run.
+    fn taken(
+        &mut self,
+        now: VTime,
+        _victim: WorkerId,
+        item: &mut QueueItem,
+        w: &mut Window,
+    ) -> Result<Option<(WorkerId, usize)>, ()> {
+        let (wk, world) = (&mut *self.w, &mut *self.world);
+        wk.fail_streak = 0;
+        if !wk.kills {
+            return Ok(None);
+        }
+        match item {
+            QueueItem::Child { f, arg, handle } if wk.policy == Policy::ChildRtc => {
+                Ok(Some(wk.record_lineage(world, 0, *f, arg.clone(), *handle)))
+            }
+            QueueItem::Cont { th, .. } => {
+                if !wk.rekey_lineage(world, th) {
+                    return Err(());
+                }
+                wk.mirror_split(world, now, w);
+                Ok(None)
+            }
+            QueueItem::Child { .. } => Ok(None),
+        }
+    }
+
+    fn adopt(&mut self, now: VTime, victim: WorkerId, l: Landed) -> VTime {
+        let (w, world) = (&mut *self.w, &mut *self.world);
+        let c2 = w.adopt_item(now, world, l.item, Some(victim));
+        let stats = &mut world.rt.stats;
+        stats.steal_ok(l.latency, l.copy, l.size);
+        stats.note_steal_event(w.me, victim, l.t0, l.t0 + l.latency);
+        world.rt.watch_progress(now);
+        if let (Some((owner, i)), Some(th)) = (l.rec, w.cur.as_mut()) {
+            // The stolen child materialized as a thread only now: bind its
+            // id to the record made at commit time.
+            world.rt.lineage.rec_mut(owner, i).tid = th.tid;
+            th.replay_rec = l.rec;
+        }
+        c2
+    }
+
+    fn park(&mut self, stage: Stage, pending: Option<steal::Pending>) {
+        self.w.state = WState::Steal(stage);
+        self.w.pending_steal = pending;
+    }
+
+    fn unpark(&mut self) -> steal::Pending {
+        let parked = self.w.pending_steal.take();
+        parked.expect("reap without a pending steal")
     }
 }
 

@@ -10,12 +10,11 @@
 //!   local work, otherwise pick a uniformly random victim and start a steal.
 //!   After every *failed* steal attempt, stalling policies round-robin the
 //!   local wait queue (Fig. 3).
-//! * `WState::StealTake` / `WState::StealClaim` — the probe won last step
-//!   (the thief holds the victim's deque lock, or read non-empty bounds);
-//!   take or claim the oldest task and commit the steal: record lineage,
-//!   post release, checkpoint and payload in one window.
-//! * `WState::StealReap` — the commit's completions were still outstanding
-//!   when its step ended; reap them and adopt the item.
+//! * `WState::Steal` — mid-steal: the idle loop's probe committed to a
+//!   victim last step, so resume the steal machine ([`crate::steal`]) at its
+//!   take/claim step, or at its reap step when the commit's completions were
+//!   still outstanding. The worker is the machine's host: victim selection,
+//!   blacklisting, fencing, statistics, lineage and adoption stay here.
 //!
 //! DIE and JOIN follow the paper's pseudocode per policy:
 //!
@@ -41,25 +40,19 @@
 
 use std::collections::VecDeque;
 
-use dcs_sim::{
-    Actor, GlobalAddr, Machine, SimRng, Step, VTime, VerbHandle, Window, WorkerId,
-};
+use dcs_sim::{Actor, GlobalAddr, Machine, SimRng, Step, VTime, VerbHandle, Window, WorkerId};
 
 use crate::dedup::DoneFlag;
-use crate::deque::{
-    ff_decide, ff_owner_pop, ff_owner_pop_parent, ff_owner_push, ff_owner_reclaim, lf_owner_pop,
-    lf_owner_pop_parent, lf_owner_push, lf_thief_claim, lock_holder, lock_word, owner_pop,
-    owner_pop_parent, owner_push, thief_advance_top, thief_release_lock, thief_take_no_release,
-    thief_take_no_release_at, Busy, DeadSlot, DequeError, FfSteal,
-};
+use crate::deque::{lock_holder, Busy, DeadSlot, DequeError};
 use crate::entry::{
     alloc_entry, alloc_saved_ctx, free_entry, read_saved_ctx, DONE_BIT, EM_CONSUMED, EM_CTX0,
     E_CTXLOC, E_FLAG, SAVED_CTX_BYTES,
 };
 use crate::frame::{AppCtx, Effect, Frame, Pending, TaskCtx, TaskFn, VThread};
 use crate::layout::{SegLayout, DQ_BOTTOM, DQ_LOCK, DQ_TOP};
-use crate::policy::{AddressScheme, FreeStrategy, Policy, Protocol, VictimPolicy};
+use crate::policy::{AddressScheme, FreeStrategy, Policy, VictimPolicy};
 use crate::remote_free::free_robj;
+use crate::steal::{self, Stage};
 use crate::value::{ThreadHandle, Value};
 use crate::world::{evict_key, LineageRec, QueueItem, StoredVal, UnrecoverableReason, World};
 
@@ -79,73 +72,8 @@ pub(crate) enum WState {
     Run,
     /// Looking for work.
     Idle,
-    /// Holding `victim`'s deque lock; complete the steal this step.
-    /// `bounds` carries the `[top, bottom]` words when the lock-winning
-    /// probe chained their read behind its CAS (rings of K ≥ 2): a won lock
-    /// freezes the bounds, so the take skips the re-read. A K = 1 probe is
-    /// the bare CAS and passes `None`.
-    /// `vepoch` is the victim's incarnation epoch observed when the probe
-    /// was issued: if the victim is evicted and rejoins before the next
-    /// step, the epoch fence voids the stale take instead of letting a
-    /// zombie-held lock tear the fresh incarnation's deque.
-    StealTake {
-        victim: WorkerId,
-        t0: VTime,
-        bounds: Option<(u64, u64)>,
-        vepoch: u64,
-    },
-    /// Lock-free / fence-free protocols: a bounds read last step saw
-    /// `top < bottom`; claim the entry at `top` this step. The cross-step
-    /// split is the real protocol's race window — the victim (or another
-    /// thief) can consume the slot in between, making the claim lose (CAS
-    /// failure / validation miss) or double-take (fence-free `Dup`).
-    /// `vepoch` fences the claim exactly like the CAS-lock take's.
-    StealClaim {
-        victim: WorkerId,
-        top: u64,
-        t0: VTime,
-        vepoch: u64,
-    },
-    /// The take or claim succeeded last step and its release and payload
-    /// transfer were still in flight when that step's window closed (the
-    /// machine overlaps them). Reap the completions and adopt the item
-    /// this step. The extra engine step is the checker-visible window
-    /// between *post* and *completion*: the victim can already observe its
-    /// lock released while the thief has not yet adopted the stolen item.
-    StealReap { victim: WorkerId },
-}
-
-/// A committed steal: the item has left the victim's slab, every verb is
-/// posted and its window charged; the completions are reaped either in the
-/// committing step or — when the machine left them outstanding — one step
-/// later from [`WState::StealReap`].
-pub(crate) struct PendingSteal {
-    item: QueueItem,
-    size: usize,
-    /// When the steal began (probe step start), for latency accounting.
-    t0: VTime,
-    /// Lock-release put (CAS-lock only; the fence-free claim-write is
-    /// unsignaled and the lock-free CAS already committed).
-    h_release: Option<VerbHandle>,
-    /// Stack / descriptor `get_bulk`, posted at `copy_at`.
-    h_copy: VerbHandle,
-    copy_at: VTime,
-    /// The thief's clock when it issued the payload get.
-    issued: VTime,
-    /// The instant the whole window has retired.
-    fin: VTime,
-    /// Steal-lineage record created at commit time (kill plans only).
-    rec: Option<(WorkerId, usize)>,
-}
-
-/// One victim of the idle loop's probe ring.
-pub(crate) struct Probe {
-    victim: WorkerId,
-    /// Lock CAS (CAS-lock only).
-    h_lock: Option<VerbHandle>,
-    /// `[top, bottom]` span get, with the words it read.
-    bounds: Option<(VerbHandle, u64, u64)>,
-    won: bool,
+    /// Mid-steal: resume the steal machine at this stage.
+    Steal(Stage),
 }
 
 /// A thread suspended in the local wait queue (stalling strategies).
@@ -199,8 +127,6 @@ pub struct Worker {
     me: WorkerId,
     n: usize,
     policy: Policy,
-    /// Steal-protocol family (CAS-lock / lock-free / fence-free).
-    protocol: Protocol,
     strategy: FreeStrategy,
     scheme: AddressScheme,
     victim_policy: VictimPolicy,
@@ -221,8 +147,8 @@ pub struct Worker {
     blacklist: Option<Box<Blacklist>>,
     state: WState,
     cur: Option<VThread>,
-    /// Steal awaiting its completions (`WState::StealReap` only).
-    pending_steal: Option<PendingSteal>,
+    /// Steal awaiting its completions (`Stage::Reap` only).
+    pending_steal: Option<steal::Pending>,
     pending: Option<PendingOp>,
     wait_q: VecDeque<Waiting>,
     nest: Vec<Nested>,
@@ -263,7 +189,6 @@ impl Worker {
         seed: u64,
     ) -> Worker {
         let policy = world.rt.cfg.policy;
-        let protocol = world.rt.cfg.protocol;
         let strategy = world.rt.cfg.free_strategy;
         let scheme = world.rt.cfg.address_scheme;
         let victim_policy = world.rt.cfg.victim;
@@ -322,7 +247,6 @@ impl Worker {
             me,
             n,
             policy,
-            protocol,
             strategy,
             lay,
             rng: SimRng::for_worker(seed, me),
@@ -582,6 +506,26 @@ impl Worker {
         }
     }
 
+    /// The thread ids of every frame this worker holds: the current thread,
+    /// the wait queue and the nest, a steal caught between commit and reap
+    /// (child descriptors were lineage-recorded at commit time and replay),
+    /// queued continuations and suspended threads.
+    fn held_tids(&self, world: &World) -> Vec<u64> {
+        let ws = &world.rt.per[self.me];
+        let parked = self.pending_steal.iter().map(|ps| &ps.item);
+        let cont = |item: &QueueItem| match item {
+            QueueItem::Cont { th, .. } => Some(th.tid),
+            QueueItem::Child { .. } => None,
+        };
+        let mut tids: Vec<u64> = self.cur.iter().map(|th| th.tid).collect();
+        tids.extend(self.wait_q.iter().map(|w| w.th.tid));
+        tids.extend(self.nest.iter().map(|x| x.th.tid));
+        tids.extend(parked.filter_map(cont));
+        tids.extend(ws.items.iter().filter_map(|(_, item)| cont(item)));
+        tids.extend(ws.saved.iter().map(|(_, th)| th.tid));
+        tids
+    }
+
     /// This worker's scheduled fail-stop kill instant has arrived: collect
     /// every frame that dies with it, report the loss, and halt forever.
     /// Every policy except [`Policy::ChildFull`] is recoverable — thread
@@ -592,25 +536,7 @@ impl Worker {
     /// survivor has nobody to replay; those runs abort with a typed
     /// outcome.
     fn step_killed(&mut self, now: VTime, world: &mut World) -> Step {
-        let mut tids: Vec<u64> = Vec::new();
-        if let Some(th) = &self.cur {
-            tids.push(th.tid);
-        }
-        tids.extend(self.wait_q.iter().map(|w| w.th.tid));
-        tids.extend(self.nest.iter().map(|x| x.th.tid));
-        if let Some(ps) = &self.pending_steal {
-            // A steal caught between commit and reap dies with us; child
-            // descriptors were lineage-recorded at commit time and replay.
-            if let QueueItem::Cont { th, .. } = &ps.item {
-                tids.push(th.tid);
-            }
-        }
-        for (_, item) in world.rt.per[self.me].items.iter() {
-            if let QueueItem::Cont { th, .. } = item {
-                tids.push(th.tid);
-            }
-        }
-        tids.extend(world.rt.per[self.me].saved.iter().map(|(_, th)| th.tid));
+        let tids = self.held_tids(world);
         let all_dead = (0..self.n).all(|w| w == self.me || world.m.is_dead(w, now));
         let fail = if self.policy == Policy::ChildFull {
             Some(UnrecoverableReason::FullStacks)
@@ -646,26 +572,9 @@ impl Worker {
             world.rt.note_worker_evicted(self.me, Vec::new());
             return Step::Yield(world.m.local_op(self.me));
         }
-        // Enumerate every frame that dies with this incarnation (the same
-        // census a fail-stop kill takes; replay re-creates the recorded
-        // subset under fresh ids).
-        let mut tids: Vec<u64> = Vec::new();
-        if let Some(th) = &self.cur {
-            tids.push(th.tid);
-        }
-        tids.extend(self.wait_q.iter().map(|w| w.th.tid));
-        tids.extend(self.nest.iter().map(|x| x.th.tid));
-        if let Some(ps) = &self.pending_steal {
-            if let QueueItem::Cont { th, .. } = &ps.item {
-                tids.push(th.tid);
-            }
-        }
-        for (_, item) in world.rt.per[self.me].items.iter() {
-            if let QueueItem::Cont { th, .. } = item {
-                tids.push(th.tid);
-            }
-        }
-        tids.extend(world.rt.per[self.me].saved.iter().map(|(_, th)| th.tid));
+        // Every frame dies with this incarnation (the census a fail-stop
+        // kill takes; replay re-creates the recorded subset under fresh ids).
+        let tids = self.held_tids(world);
         // Shed the current thread and the local queues, returning stack
         // homes so the region survives into the next incarnation.
         if let Some(mut th) = self.cur.take() {
@@ -692,7 +601,8 @@ impl Worker {
             }
             let _ = world.m.wait(self.me, ps.h_copy);
             if let QueueItem::Cont { mut th, .. } = ps.item {
-                if let (WState::StealReap { victim }, Some(home)) = (&self.state, th.home.take())
+                if let (WState::Steal(Stage::Reap { victim, .. }), Some(home)) =
+                    (&self.state, th.home.take())
                 {
                     // The stolen stack's home still sits in the *victim's*
                     // region (adopt would have released it there).
@@ -840,17 +750,6 @@ impl Worker {
         }
     }
 
-    /// Fail-stop lock-break: a thief that died between acquiring this
-    /// worker's deque lock and its take step left the lock set forever —
-    /// and can never have taken anything (the take is a single atomic
-    /// step), so once the holder's death is lease-confirmed the owner may
-    /// clear the word without losing an item. The lock word carries the
-    /// holder's incarnation epoch (see [`lock_word`]): a holder that was
-    /// evicted and rejoined since acquiring is equally gone — its old
-    /// incarnation self-fenced and will never run the take — so an epoch
-    /// gap breaks the lock too. Under the oracle detector the epoch clause
-    /// is redundant (eviction requires confirmation, which this check sees
-    /// first), keeping oracle runs byte-identical.
     /// Fabric charge of one owner-side lock-spin iteration: the lock
     /// probe's local get (charged inside the deque op / probe) plus the
     /// retry's bookkeeping `local_op`. Parking credits this per skipped
@@ -871,6 +770,17 @@ impl Worker {
             && world.rt.watch.is_none()
     }
 
+    /// Fail-stop lock-break: a thief that died between acquiring this
+    /// worker's deque lock and its take step left the lock set forever —
+    /// and can never have taken anything (the take is a single atomic
+    /// step), so once the holder's death is lease-confirmed the owner may
+    /// clear the word without losing an item. The lock word carries the
+    /// holder's incarnation epoch (see [`crate::deque::lock_word`]): a
+    /// holder that was evicted and rejoined since acquiring is equally
+    /// gone — its old incarnation self-fenced and will never run the take —
+    /// so an epoch gap breaks the lock too. Under the oracle detector the
+    /// epoch clause is redundant (eviction requires confirmation, which this
+    /// check sees first), keeping oracle runs byte-identical.
     pub(crate) fn break_dead_lock(&mut self, now: VTime, world: &mut World) {
         if !self.kills {
             return;
@@ -886,121 +796,8 @@ impl Worker {
         }
     }
 
-    // ------------------------------------------------------------------
-    // owner-side deque dispatch (protocol families)
-    // ------------------------------------------------------------------
-
-    /// Push to the local deque under the run's protocol. Only CAS-lock can
-    /// report [`DequeError::Busy`] (a thief holds the lock); the lock-free
-    /// and fence-free owners are never blocked.
-    pub(crate) fn dq_push(
-        &mut self,
-        world: &mut World,
-        item: QueueItem,
-    ) -> Result<VTime, DequeError> {
-        match self.protocol {
-            Protocol::CasLock => owner_push(
-                &mut world.m,
-                &mut world.rt.per[self.me].items,
-                &self.lay,
-                self.me,
-                item,
-            ),
-            Protocol::LockFree => Ok(lf_owner_push(
-                &mut world.m,
-                &mut world.rt.per[self.me].items,
-                &self.lay,
-                self.me,
-                item,
-            )),
-            Protocol::FenceFree => {
-                let rt = &mut world.rt;
-                Ok(ff_owner_push(
-                    &mut world.m,
-                    &mut rt.per[self.me],
-                    &self.lay,
-                    self.me,
-                    item,
-                ))
-            }
-        }
-    }
-
-    /// Pop the local deque's bottom under the run's protocol.
-    pub(crate) fn dq_pop(
-        &mut self,
-        world: &mut World,
-    ) -> Result<(Option<QueueItem>, VTime), DequeError> {
-        match self.protocol {
-            Protocol::CasLock => owner_pop(
-                &mut world.m,
-                &mut world.rt.per[self.me].items,
-                &self.lay,
-                self.me,
-            ),
-            Protocol::LockFree => lf_owner_pop(
-                &mut world.m,
-                &mut world.rt.per[self.me].items,
-                &self.lay,
-                self.me,
-            ),
-            Protocol::FenceFree => {
-                let rt = &mut world.rt;
-                ff_owner_pop(
-                    &mut world.m,
-                    &mut rt.per[self.me],
-                    &mut rt.ff_claims,
-                    &self.lay,
-                    self.me,
-                )
-            }
-        }
-    }
-
-    /// Fig.-4 parent fast-path pop under the run's protocol.
-    pub(crate) fn dq_pop_parent(
-        &mut self,
-        world: &mut World,
-        e: GlobalAddr,
-    ) -> Result<(Option<QueueItem>, VTime), DequeError> {
-        match self.protocol {
-            Protocol::CasLock => owner_pop_parent(
-                &mut world.m,
-                &mut world.rt.per[self.me].items,
-                &self.lay,
-                self.me,
-                e,
-            ),
-            Protocol::LockFree => lf_owner_pop_parent(
-                &mut world.m,
-                &mut world.rt.per[self.me].items,
-                &self.lay,
-                self.me,
-                e,
-            ),
-            Protocol::FenceFree => {
-                let rt = &mut world.rt;
-                ff_owner_pop_parent(
-                    &mut world.m,
-                    &mut rt.per[self.me],
-                    &mut rt.ff_claims,
-                    &self.lay,
-                    self.me,
-                    e,
-                )
-            }
-        }
-    }
-
-    /// Does a fork/yield need the CAS-lock "probe the lock before side
-    /// effects" dance? The lock-free and fence-free owners never block, so
-    /// their pushes are unconditional.
-    pub(crate) fn needs_lock_probe(&self) -> bool {
-        self.protocol == Protocol::CasLock
-    }
-
     /// Run one application step of the current thread, producing an effect.
-    pub(crate) fn advance_cur(&mut self, now: VTime, world: &mut World) -> Effect {
+    pub(crate) fn advance_cur(&mut self, now: VTime) -> Effect {
         let scale = self.compute_scale_at(now);
         let th = self.cur.as_mut().expect("advance without current thread");
         let mut ctx = TaskCtx {
@@ -1008,10 +805,8 @@ impl Worker {
             app: &self.app,
             compute_scale: scale,
         };
-        let _ = &mut world.m; // world reserved for future instrumentation
         th.advance(&mut ctx)
     }
-
 }
 
 impl Actor<World> for Worker {
@@ -1053,25 +848,31 @@ impl Actor<World> for Worker {
         match self.state {
             WState::Run => self.step_run(now, world),
             WState::Idle => self.step_idle(now, world),
-            WState::StealTake {
-                victim,
-                t0,
-                bounds,
-                vepoch,
-            } => self.step_steal_take(now, world, victim, t0, bounds, vepoch),
-            WState::StealClaim {
-                victim,
-                top,
-                t0,
-                vepoch,
-            } => self.step_steal_claim(now, world, victim, top, t0, vepoch),
-            WState::StealReap { victim } => self.step_steal_reap(now, world, victim),
+            WState::Steal(stage) => {
+                self.state = WState::Idle;
+                steal::resume(&mut idle::Thief { w: self, world }, now, stage)
+            }
         }
     }
 }
-
 
 mod die;
 mod effects;
 mod idle;
 mod join;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `Vec<Worker>` is built and dropped per run, and its size moves
+    /// glibc's dynamic trim threshold: a change here must be measured
+    /// against `scale_sparse`'s `setup_s` before this pin moves.
+    #[test]
+    fn per_worker_sizes_are_pinned() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<WState>(), 48);
+        assert_eq!(size_of::<Option<steal::Pending>>(), 304);
+        assert_eq!(size_of::<Worker>(), 856);
+    }
+}

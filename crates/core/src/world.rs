@@ -12,10 +12,13 @@ use dcs_sim::{GlobalAddr, Machine, VTime};
 use dcs_uniaddr::{EvacRegion, IsoAlloc, UniRegion};
 
 use crate::dedup::{ClaimSet, DoneFlag};
+use crate::deque::{DequeError, Popped};
 use crate::frame::{TaskFn, VThread};
+use crate::layout::{SegLayout, DQ_LOCK};
 use crate::policy::RunConfig;
 use crate::remote_free::RemoteRegistry;
 use crate::stats::RunStats;
+use crate::steal::{Desc, Ring};
 use crate::util::{Slab, U64Map};
 use crate::value::{ThreadHandle, Value};
 use crate::watchdog::{Watchdog, WatchdogReport};
@@ -299,6 +302,9 @@ pub struct RtShared {
     /// `taken[]` array of the fence-free algorithm (the one word a taker
     /// *writes* before executing).
     pub ff_claims: ClaimSet,
+    /// The run's steal protocol as data: the thieves' claim and the owners'
+    /// push / pop / reclaim.
+    pub desc: Desc,
     /// Whether owner-side lock spins may park on the engine's wake
     /// mechanism instead of re-stepping every poll. On for plain runs;
     /// forced off under schedule exploration, whose reordered steps break
@@ -306,7 +312,7 @@ pub struct RtShared {
     pub allow_park: bool,
     /// Host-side scratch of the idle loop's probe ring, shared by every
     /// worker (steps run one at a time) so the K = 1 path never allocates.
-    pub(crate) probe_ring: Vec<crate::sched::Probe>,
+    pub(crate) probe_ring: Ring,
 }
 
 impl RtShared {
@@ -317,7 +323,6 @@ impl RtShared {
             .watchdog_enabled()
             .then(|| Box::new(Watchdog::new(cfg.stall_limit)));
         RtShared {
-            cfg,
             retvals: U64Map::default(),
             meta: U64Map::default(),
             per,
@@ -331,8 +336,10 @@ impl RtShared {
             replay_pool: std::collections::VecDeque::new(),
             unrecoverable: None,
             ff_claims: ClaimSet::new(),
+            desc: Desc::of(cfg.protocol),
             allow_park: true,
-            probe_ring: Vec::new(),
+            probe_ring: Ring::default(),
+            cfg,
         }
     }
 
@@ -485,24 +492,46 @@ impl RtShared {
             w.unsuspect(worker);
         }
     }
-
-    /// Split-borrow two distinct workers' shared state.
-    pub fn two(&mut self, a: usize, b: usize) -> (&mut WorkerShared, &mut WorkerShared) {
-        assert_ne!(a, b);
-        if a < b {
-            let (lo, hi) = self.per.split_at_mut(b);
-            (&mut lo[a], &mut hi[0])
-        } else {
-            let (lo, hi) = self.per.split_at_mut(a);
-            (&mut hi[0], &mut lo[b])
-        }
-    }
 }
 
 /// The engine world: machine + runtime shared state.
 pub struct World {
     pub m: Machine,
     pub rt: RtShared,
+}
+
+impl World {
+    /// Does a thief hold `me`'s deque lock? A fork or yield probes it before
+    /// any side effect, so that a `Busy` retry is side-effect free. One
+    /// counted owner get under the CAS-lock protocol; the other owners are
+    /// never blocked and never ask.
+    pub(crate) fn own_locked(&mut self, lay: &SegLayout, me: usize) -> bool {
+        let lock = GlobalAddr::new(me, lay.dq_word(DQ_LOCK));
+        self.rt.desc.locks() && self.m.get_u64(me, lock).0 != 0
+    }
+
+    /// Push `item` at the bottom of `me`'s own deque under the run's
+    /// protocol ([`Desc::push`]).
+    pub(crate) fn own_push(
+        &mut self,
+        lay: &SegLayout,
+        me: usize,
+        item: QueueItem,
+    ) -> Result<VTime, DequeError> {
+        (self.rt.desc.push)(&mut self.m, &mut self.rt.per[me], lay, me, item)
+    }
+
+    /// Pop the bottom of `me`'s own deque under the run's protocol
+    /// ([`Desc::pop`]; `parent` is the DIE fast path's accept test).
+    pub(crate) fn own_pop(
+        &mut self,
+        lay: &SegLayout,
+        me: usize,
+        parent: Option<GlobalAddr>,
+    ) -> Popped {
+        let (m, rt) = (&mut self.m, &mut self.rt);
+        (rt.desc.pop)(m, &mut rt.per[me], &mut rt.ff_claims, lay, me, parent)
+    }
 }
 
 #[cfg(test)]
@@ -513,26 +542,6 @@ mod tests {
 
     fn mk_rt() -> RtShared {
         RtShared::new(RunConfig::new(4, Policy::ContGreedy))
-    }
-
-    #[test]
-    fn two_splits_correctly() {
-        let mut rt = mk_rt();
-        rt.per[1].full_stacks_live = 11;
-        rt.per[3].full_stacks_live = 33;
-        let (a, b) = rt.two(1, 3);
-        assert_eq!(a.full_stacks_live, 11);
-        assert_eq!(b.full_stacks_live, 33);
-        let (a, b) = rt.two(3, 1);
-        assert_eq!(a.full_stacks_live, 33);
-        assert_eq!(b.full_stacks_live, 11);
-    }
-
-    #[test]
-    #[should_panic]
-    fn two_same_index_panics() {
-        let mut rt = mk_rt();
-        let _ = rt.two(2, 2);
     }
 
     #[test]

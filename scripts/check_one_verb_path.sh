@@ -5,8 +5,9 @@
 # `FabricMode` only to pass it through (`use` lists, `fabric: FabricMode,`
 # parameters, the `FabricMode::Blocking)` default of the run_* wrappers) —
 # never to branch on it. Exits non-zero listing every other mention.
-# A second pattern (below) keeps the BoT termination ring single too, and
-# a third keeps dcs-check's raw-deque scenarios on one kit.
+# A second pattern (below) keeps the BoT termination ring single too, a
+# third keeps dcs-check's raw-deque scenarios on one kit, and a fourth
+# keeps one steal core.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,6 +45,23 @@ if [ "$actors" -ne 1 ] || [ "$engines" -ne 1 ] || [ -n "$worlds" ]; then
     grep -nE '^impl Actor<|Engine::new\(' "$kit" >&2 || true
     [ -z "$worlds" ] || echo "$worlds" >&2
     echo "compose the scenario from RawSpec / Script / the oracle list instead of a second world" >&2
+    exit 1
+fi
+
+# Fourth pattern: one steal core. The protocol is decided once, by
+# `Desc::of` in crates/core/src/steal.rs; the scheduler reads the
+# descriptor and never names a `Protocol::` variant outside its tests, and
+# dcs-check's raw thief drives the same machine rather than calling the
+# deque's thief primitives or keeping its own state enum.
+core=$(for f in crates/core/src/sched/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$f"
+done | grep -E 'Protocol::' || true)
+copy=$(awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$kit" \
+    | grep -E '\b(thief_(lock|take|read_bounds|advance_top|release_lock)[a-z_]*|(lf|ff)_thief_claim|ff_decide)\b|enum ThiefState' || true)
+if [ -n "$core" ] || [ -n "$copy" ]; then
+    echo "one-verb-path gate: a second steal path (drive crates/core/src/steal.rs through its Desc and Host instead):" >&2
+    [ -z "$core" ] || echo "$core" >&2
+    [ -z "$copy" ] || echo "$copy" >&2
     exit 1
 fi
 echo "one-verb-path gate: ok"

@@ -1,5 +1,6 @@
 //! Tier-1's view of `dcs-check`: the schedule explorer runs over the raw
-//! deque protocols and the Fig. 4 one-item join race, and every committed
+//! deque protocols (every family, driven by the scheduler's own steal
+//! machine) and the Fig. 4 one-item join race, and every committed
 //! `.schedule` fixture replays.
 //!
 //! Exhaustive delay-2 exploration at two workers (the raw scenarios clamp
@@ -13,17 +14,18 @@ use dcs_check::{by_name, explore_exhaustive, Schedule};
 /// `(scenario, schedules explored, violation a finding must carry)`; `None`
 /// = a shipped protocol, no schedule may violate an oracle.
 const EXPLORED: &[(&str, u64, Option<&str>)] = &[
-    ("deque-steal", 32, None),
+    ("deque-steal", 36, None),
     ("broken-release", 23, Some("dead ring slot")),
-    ("deque-steal-pipelined", 39, None),
+    ("deque-steal-pipelined", 42, None),
+    ("lock-free-steal", 25, None),
     ("fence-free-steal", 24, None),
     ("broken-claim", 13, Some("multiplicity")),
-    ("multi-steal-probe", 421, None),
-    ("multi-steal-probe-pipelined", 320, None),
+    ("multi-steal-probe", 404, None),
+    ("multi-steal-probe-pipelined", 339, None),
     ("multi-steal-ff", 221, None),
     ("zombie-steal", 249, None),
-    ("broken-fence", 37, Some("evicted incarnation")),
-    ("zombie-in-ring", 911, None),
+    ("broken-fence", 1571, Some("evicted incarnation")),
+    ("zombie-in-ring", 956, None),
     ("single-steal:greedy:lockq", 102, None),
     ("single-steal:greedy:localc", 88, None),
     ("single-steal-pipelined:greedy", 95, None),
