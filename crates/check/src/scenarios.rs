@@ -15,9 +15,8 @@
 //!   exactly once) for the CAS-lock and lock-free families, *multiplicity*
 //!   (a task may be taken more than once but executes exactly once) for the
 //!   fence-free family. Each `broken-*` scenario is its shipped twin with
-//!   one planted mutation of the machine — a descriptor field or a host
-//!   hook — and exists to prove the checker catches that bug
-//!   (`expect_violation`).
+//!   one planted mutation of the machine, made in a host hook, and exists
+//!   to prove the checker catches that bug (`expect_violation`).
 //! * **Full runtime** (`single-steal:*`, `fork-join`, the crash and
 //!   suspicion runs): real programs through [`dcs_core::run_hooked`] with
 //!   the invariant watchdog on; a per-scenario judge reads the report.
@@ -35,7 +34,7 @@ use dcs_core::dedup::ClaimSet;
 use dcs_core::deque::{lock_word, DeadSlot, DequeError};
 use dcs_core::frame::{frame, Effect, TaskCtx};
 use dcs_core::layout::{SegLayout, DQ_LOCK};
-use dcs_core::steal::{self, Claim, Desc, Host, Landed, Pending, Ring, Stage};
+use dcs_core::steal::{self, Claim, Cx, Desc, Host, Landed, Pending, Ring, Stage};
 use dcs_core::value::{ThreadHandle, Value};
 use dcs_core::watchdog::Violation;
 use dcs_core::world::{QueueItem, WorkerShared};
@@ -137,8 +136,7 @@ enum Ledger {
 struct RawWorld {
     m: Machine,
     lay: SegLayout,
-    /// The protocol every owner and thief speaks, as the scheduler runs it
-    /// (but for `broken-release`'s planted late advance).
+    /// The protocol every owner and thief speaks, as the scheduler runs it.
     desc: Desc,
     /// Item slab and live-ticket map of each victim.
     ws: Vec<WorkerShared>,
@@ -253,9 +251,8 @@ fn dq_tag(item: &QueueItem) -> u64 {
 // The raw-deque kit: actors
 // ---------------------------------------------------------------------------
 
-/// What varies between thieves: the victims, one idle beat, and the two
-/// planted bugs that are host hooks (the third, `broken-release`, is a
-/// descriptor field on the world).
+/// What varies between thieves: the victims, one idle beat, and the
+/// planted bugs, each a host hook.
 #[derive(Clone, Copy)]
 struct Script {
     /// The victims probed, in ring order; its length is the ring width K.
@@ -272,6 +269,10 @@ struct Script {
     /// thief arbitrates against a private claim set ([`Host::parts`]), so a
     /// take it wins is invisible to the owner and the task runs twice.
     private_claims: bool,
+    /// PLANTED BUG (`broken-release`): the CAS-lock take advances `top` one
+    /// engine step *after* its lock release ([`Host::advance`]; the
+    /// historical ordering), so an owner can pop the emptied slot in between.
+    late_advance: bool,
 }
 
 impl Script {
@@ -281,6 +282,7 @@ impl Script {
             pause: false,
             unfenced: false,
             private_claims: false,
+            late_advance: false,
         }
     }
 }
@@ -302,6 +304,8 @@ enum Role {
 struct Steal {
     stage: Option<Stage>,
     parked: Option<Pending>,
+    /// `broken-release`'s deferred `top` advance: `(victim, top)`.
+    late_top: Option<(WorkerId, u64)>,
     paused: bool,
     attempts: u32,
     /// Stolen once, self-fenced, or read a dead slot: halt.
@@ -404,8 +408,21 @@ fn owner_step(me: WorkerId, w: &mut RawWorld, to_push: u64, pushed: &mut u64) ->
 /// One thief step: probe the script's ring, or resume the steal the last
 /// step parked (after the script's idle beat, if it asks for one).
 fn thief_step(me: WorkerId, now: VTime, w: &mut RawWorld, script: Script, st: &mut Steal) -> Step {
+    let cx = Cx {
+        me,
+        epoch: w.m.epoch_of(me),
+        lay: w.lay,
+        desc: w.desc,
+    };
+    let late = st.late_top.take();
+    if let Some((victim, top)) = late {
+        steal::advance_top(&mut w.m, &cx, victim, top);
+    }
     if st.done {
-        return Step::Halt;
+        return match late {
+            Some(_) => Step::Yield(w.m.local_op(me)),
+            None => Step::Halt,
+        };
     }
     let stage = st.stage.take();
     if let Some(won @ Stage::Won { .. }) = stage {
@@ -429,9 +446,9 @@ fn thief_step(me: WorkerId, now: VTime, w: &mut RawWorld, script: Script, st: &m
             for &v in script.ring {
                 ring.add(v);
             }
-            steal::probe(&mut h, now, VTime::ZERO, &mut ring, script.ring.len())
+            steal::probe(&mut h, cx, now, VTime::ZERO, &mut ring, script.ring.len())
         }
-        Some(stage) => steal::resume(&mut h, now, stage),
+        Some(stage) => steal::resume(&mut h, cx, now, stage),
     }
 }
 
@@ -447,33 +464,13 @@ struct RawThief<'a> {
 }
 
 impl Host for RawThief<'_> {
-    fn me(&self) -> WorkerId {
-        self.me
-    }
-
-    fn epoch(&self) -> u64 {
-        self.w.m.epoch_of(self.me)
-    }
-
-    fn lay(&self) -> SegLayout {
-        self.w.lay
-    }
-
-    fn desc(&self) -> Desc {
-        self.w.desc
-    }
-
-    fn m(&mut self) -> &mut Machine {
-        &mut self.w.m
-    }
-
-    fn parts(&mut self, victim: WorkerId) -> (&mut Machine, &mut WorkerShared, &mut ClaimSet) {
+    fn parts(&mut self) -> (&mut Machine, &mut [WorkerShared], &mut ClaimSet) {
         let claims = if self.script.private_claims {
             &mut self.private
         } else {
             &mut self.w.claims
         };
-        (&mut self.w.m, &mut self.w.ws[victim], claims)
+        (&mut self.w.m, &mut self.w.ws, claims)
     }
 
     /// A failed attempt: retry next step, or give up.
@@ -502,6 +499,27 @@ impl Host for RawThief<'_> {
         let msg = format!("{} observed dead slot: {d:?}", d.op);
         self.w.violations.push(msg);
         self.st.done = true;
+    }
+
+    /// The won lock froze the deque: reading it empty while the ledger
+    /// still holds items means the thief's view of the bounds is stale.
+    fn empty(&mut self, victim: WorkerId) {
+        if let Ledger::Order(shadow) = &self.w.ledger {
+            if !shadow[victim].is_empty() {
+                let (at, n) = (self.w.at(victim), shadow[victim].len());
+                let msg = format!("steal missed items{at}: deque read empty with {n} outstanding");
+                self.w.violations.push(msg);
+            }
+        }
+    }
+
+    /// `broken-release` keeps the advance for the thief's next step.
+    fn advance(&mut self, cx: &Cx, victim: WorkerId, top: u64) {
+        if self.script.late_advance {
+            self.st.late_top = Some((victim, top));
+        } else {
+            steal::advance_top(&mut self.w.m, cx, victim, top);
+        }
     }
 
     /// A dup paid for the payload: the take counts against the bound.
@@ -645,8 +663,7 @@ struct RawSpec {
     /// The non-owners, from worker `victims` up; the last entry repeats for
     /// every further worker.
     cast: Vec<Role>,
-    /// The descriptor or a `Script` in `cast` carries a planted bug the
-    /// explorer must find.
+    /// A `Script` in `cast` carries a planted bug the explorer must find.
     planted: bool,
 }
 
@@ -1041,6 +1058,10 @@ pub fn catalog(workers: usize, seed: u64) -> Vec<Scenario> {
         private_claims: true,
         ..Script::on(ONE)
     })];
+    let late_advance = [Role::Thief(Script {
+        late_advance: true,
+        ..Script::on(ONE)
+    })];
     let mut v = vec![
         raw_scenario(
             "deque-steal",
@@ -1050,13 +1071,7 @@ pub fn catalog(workers: usize, seed: u64) -> Vec<Scenario> {
         raw_scenario(
             "broken-release",
             2,
-            RawSpec {
-                desc: Desc {
-                    late_advance: true,
-                    ..Desc::of(CasLock)
-                },
-                ..raw(CasLock, 1, 1, Blocking, &thief(ONE), true)
-            },
+            raw(CasLock, 1, 1, Blocking, &late_advance, true),
         ),
         raw_scenario(
             "deque-steal-pipelined",

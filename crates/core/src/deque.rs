@@ -52,8 +52,8 @@
 //! and the end-of-run reclaim share one "look at the bottom slot, reclaim
 //! it if a thief claimed it" step. On the thief side [`thief_lock`] +
 //! [`thief_take`] is the blocking reference form of one steal (what the
-//! tests and the benchmark ladder drive). The steal machine ([`crate::steal`]) is what the scheduler and
-//! `dcs-check` run: it posts the lock CAS in its probe ring and composes
+//! tests and the benchmark ladder drive). The steal machine
+//! ([`crate::steal`]) is what the scheduler and `dcs-check` run: it posts the lock CAS in its probe ring and composes
 //! `thief_take_no_release` → `thief_advance_top` with a *posted* release,
 //! so the payload transfer overlaps it; a multi-steal ring enters at
 //! `thief_take_no_release_at` with the bounds its probe froze under the
@@ -306,9 +306,9 @@ pub(crate) type StolenEntry = (QueueItem, usize, u64);
 /// on success returns the item, its wire size, and the `top` index it was
 /// taken from; the caller then issues [`thief_advance_top`] and the release
 /// itself. The steal machine ([`crate::steal`]) composes them with a
-/// *posted* release so the payload transfer can overlap it; its planted
-/// `late_advance` mutation issues the advance one engine step after the
-/// release, the dead-slot window `dcs-check`'s `broken-release` proves the
+/// *posted* release so the payload transfer can overlap it; `dcs-check`'s
+/// `broken-release` defers the advance (through the machine's advance hook)
+/// to one engine step after the release, the dead-slot window it proves the
 /// schedule explorer catches.
 pub(crate) fn thief_take_no_release(
     m: &mut Machine,

@@ -850,7 +850,8 @@ impl Actor<World> for Worker {
             WState::Idle => self.step_idle(now, world),
             WState::Steal(stage) => {
                 self.state = WState::Idle;
-                steal::resume(&mut idle::Thief { w: self, world }, now, stage)
+                let (mut h, cx) = idle::Thief::new(self, world);
+                steal::resume(&mut h, cx, now, stage)
             }
         }
     }

@@ -20,9 +20,10 @@
 //! with Multiplicity" presents its variants the same way). That difference
 //! is one [`Desc`] row, built by [`Desc::of`] — the one `match` on
 //! [`Protocol`] — which also carries the owner's push, pop and reclaim.
-//! Everything else a thief does (victim selection, fencing, statistics,
-//! lineage and adoption in the scheduler; the ring script and the ledger in
-//! the checker) is its [`Host`]'s.
+//! Each step gets the thief and its row as one [`Cx`]; everything else a
+//! thief does (victim selection, fencing, statistics, lineage and adoption
+//! in the scheduler; the ring script and the ledger in the checker) is its
+//! [`Host`]'s.
 
 use dcs_sim::{GlobalAddr, Machine, Step, VTime, VerbHandle, Window, WorkerId};
 
@@ -31,6 +32,7 @@ use crate::deque::{
     ff_decide, ff_owner_push, ff_owner_reclaim, ff_pop_if, lf_owner_push, lf_pop_if,
     lf_thief_claim, lock_word, owner_push, pop_if, thief_advance_top, thief_release_lock,
     thief_take_no_release, thief_take_no_release_at, DeadSlot, DequeError, FfSteal, Popped,
+    StolenEntry,
 };
 use crate::layout::{SegLayout, DQ_LOCK, DQ_TOP};
 use crate::policy::Protocol;
@@ -72,11 +74,6 @@ type Reclaim = fn(&mut Machine, &mut WorkerShared, &mut ClaimSet, &SegLayout, Wo
 #[derive(Clone, Copy)]
 pub struct Desc {
     pub claim: Claim,
-    /// PLANTED-BUG knob, off in every shipped row: the CAS-lock take
-    /// advances `top` one engine step *after* its lock release (the
-    /// historical ordering), so an owner can pop the emptied slot in
-    /// between. `dcs-check`'s `broken-release` sets it.
-    pub late_advance: bool,
     /// Push an item at the bottom of the caller's own deque.
     pub push: Push,
     /// Pop the bottom item; with `Some(e)`, only if it is the parent
@@ -93,21 +90,18 @@ impl Desc {
         match protocol {
             Protocol::CasLock => Desc {
                 claim: Claim::Lock,
-                late_advance: false,
                 push: |m, ws, lay, me, item| owner_push(m, &mut ws.items, lay, me, item),
                 pop: |m, ws, _, lay, me, parent| pop_if(m, &mut ws.items, lay, me, parent),
                 reclaim: |_, _, _, _, _| {},
             },
             Protocol::LockFree => Desc {
                 claim: Claim::TopCas,
-                late_advance: false,
                 push: |m, ws, lay, me, item| Ok(lf_owner_push(m, &mut ws.items, lay, me, item)),
                 pop: |m, ws, _, lay, me, parent| lf_pop_if(m, &mut ws.items, lay, me, parent),
                 reclaim: |_, _, _, _, _| {},
             },
             Protocol::FenceFree => Desc {
                 claim: Claim::Ticket,
-                late_advance: false,
                 push: |m, ws, lay, me, item| Ok(ff_owner_push(m, ws, lay, me, item)),
                 pop: ff_pop_if,
                 reclaim: ff_owner_reclaim,
@@ -120,6 +114,17 @@ impl Desc {
     pub fn locks(&self) -> bool {
         self.claim == Claim::Lock
     }
+}
+
+/// What every step of a steal reads and none changes: the thief and the
+/// protocol it speaks.
+#[derive(Clone, Copy)]
+pub struct Cx {
+    pub me: WorkerId,
+    /// The thief's incarnation epoch, stamped into the lock word it CASes.
+    pub epoch: u64,
+    pub lay: SegLayout,
+    pub desc: Desc,
 }
 
 /// Where a steal stands between two engine steps.
@@ -141,12 +146,8 @@ pub enum Stage {
     /// The commit's release and payload transfer were still in flight when
     /// its step ended: reap them and adopt the item. The extra step is the
     /// window in which the victim already sees its lock released while the
-    /// thief has not yet adopted the item. `late_top` is the planted late
-    /// advance ([`Desc::late_advance`]).
-    Reap {
-        victim: WorkerId,
-        late_top: Option<u64>,
-    },
+    /// thief has not yet adopted the item.
+    Reap { victim: WorkerId },
 }
 
 /// A committed steal awaiting its completions: the item has left the
@@ -224,15 +225,9 @@ impl Ring {
 /// What a thief driving the machine supplies. Every call is monomorphised:
 /// the step path has no dynamic dispatch.
 pub trait Host {
-    /// The thief.
-    fn me(&self) -> WorkerId;
-    /// The thief's incarnation epoch, stamped into the lock word it CASes.
-    fn epoch(&self) -> u64;
-    fn lay(&self) -> SegLayout;
-    fn desc(&self) -> Desc;
-    fn m(&mut self) -> &mut Machine;
-    /// The machine, `victim`'s deque payloads and the claim arbiter.
-    fn parts(&mut self, victim: WorkerId) -> (&mut Machine, &mut WorkerShared, &mut ClaimSet);
+    /// The machine, every deque's payloads (indexed by owner) and the claim
+    /// arbiter.
+    fn parts(&mut self) -> (&mut Machine, &mut [WorkerShared], &mut ClaimSet);
     /// Attribute the fabric faults accrued since the last call to `victim`.
     /// (This and the two counting hooks are no-ops for a host that keeps no
     /// blacklist or statistics.)
@@ -248,6 +243,16 @@ pub trait Host {
     fn voided(&mut self, now: VTime, victim: WorkerId, vepoch: u64) -> Option<VTime>;
     /// `victim`'s deque held a dead slot: a protocol violation.
     fn dead_slot(&mut self, victim: WorkerId, d: &DeadSlot);
+    /// A CAS-lock take read `victim`'s deque empty under its won lock. The
+    /// lock freezes the deque, so a checker whose ledger still holds items
+    /// there has caught a stale read.
+    fn empty(&mut self, _victim: WorkerId) {}
+    /// Issue a CAS-lock take's `top` advance, ahead of its lock release. A
+    /// host may defer it, issuing [`advance_top`] itself later (`dcs-check`'s
+    /// planted `broken-release`).
+    fn advance(&mut self, cx: &Cx, victim: WorkerId, top: u64) {
+        advance_top(self.parts().0, cx, victim, top);
+    }
     /// A fence-free claim lost its race; `dup` is the slab key of a task
     /// this taker paid the payload for and then found already claimed.
     fn raced(&mut self, victim: WorkerId, dup: Option<u32>);
@@ -264,10 +269,21 @@ pub trait Host {
     ) -> Result<Option<(WorkerId, usize)>, ()>;
     /// The payload landed: run the item. Returns the added cost.
     fn adopt(&mut self, now: VTime, victim: WorkerId, landed: Landed) -> VTime;
-    /// Resume at `stage` next step, with `pending` parked until then.
+    /// Resume at `stage` next step, with `pending` parked until then
+    /// (`Some` only for [`Stage::Reap`]).
     fn park(&mut self, stage: Stage, pending: Option<Pending>);
     /// The steal [`Self::park`] parked for its reap.
     fn unpark(&mut self) -> Pending;
+}
+
+fn machine<H: Host>(h: &mut H) -> &mut Machine {
+    h.parts().0
+}
+
+/// Advance `victim`'s `top` to `top` (non-blocking put; its cost rides the
+/// release's message window).
+pub fn advance_top(m: &mut Machine, cx: &Cx, victim: WorkerId, top: u64) {
+    thief_advance_top(m, &cx.lay, cx.me, victim, top);
 }
 
 /// Step 1 of every steal: keep probes on every victim of `ring` in one
@@ -290,16 +306,23 @@ pub trait Host {
 /// The whole ring rides one doorbell chain and one window: probes to
 /// distinct victims cost one round trip when the machine overlaps them and
 /// K when it does not.
-pub fn probe<H: Host>(h: &mut H, now: VTime, cost: VTime, ring: &mut Ring, k: usize) -> Step {
-    let (me, lay, locks) = (h.me(), h.lay(), h.desc().locks());
-    let word = lock_word(h.epoch(), me);
+pub fn probe<H: Host>(
+    h: &mut H,
+    cx: Cx,
+    now: VTime,
+    cost: VTime,
+    ring: &mut Ring,
+    k: usize,
+) -> Step {
+    let (me, lay, locks) = (cx.me, cx.lay, cx.desc.locks());
+    let word = lock_word(cx.epoch, me);
     // Drop fault counts accrued before the probes so the per-victim drains
     // below attribute only each victim's own faults.
-    let _ = h.m().take_faults(me);
-    let mut w = h.m().window(me, now + cost);
-    h.m().chain_begin(me);
+    let _ = machine(h).take_faults(me);
+    let mut w = machine(h).window(me, now + cost);
+    machine(h).chain_begin(me);
     for p in ring.0.iter_mut() {
-        let m = h.m();
+        let m = machine(h);
         if locks {
             let lock = GlobalAddr::new(p.victim, lay.dq_word(DQ_LOCK));
             p.h_lock = Some(w.posted(m.post_cas_u64(me, lock, 0, word, w.at())));
@@ -311,20 +334,20 @@ pub fn probe<H: Host>(h: &mut H, now: VTime, cost: VTime, ring: &mut Ring, k: us
         }
         h.faults(now, p.victim);
     }
-    h.m().chain_end(me);
+    machine(h).chain_end(me);
     for p in ring.0.iter_mut() {
         if let Some(hl) = p.h_lock {
-            p.won = h.m().wait(me, hl).0 == 0;
+            p.won = machine(h).wait(me, hl).0 == 0;
         }
         if let Some((hb, ..)) = p.bounds {
-            h.m().wait(me, hb);
+            machine(h).wait(me, hb);
         }
     }
-    let mut cost = h.m().finish(&w).saturating_sub(now);
+    let mut cost = machine(h).finish(&w).saturating_sub(now);
     // Commit the first probe in ring order that landed with work; let go of
     // the rest. The abandon releases ride their own doorbell chain.
     let mut won: Option<(WorkerId, Option<(u64, u64)>)> = None;
-    h.m().chain_begin(me);
+    machine(h).chain_begin(me);
     for p in ring.0.iter() {
         if !p.won {
             // CAS lost: an ordinary failed attempt.
@@ -342,7 +365,7 @@ pub fn probe<H: Host>(h: &mut H, now: VTime, cost: VTime, ring: &mut Ring, k: us
         }
         if locks {
             let lock = GlobalAddr::new(p.victim, lay.dq_word(DQ_LOCK));
-            cost += h.m().post_put_u64_unsignaled(me, lock, 0);
+            cost += machine(h).post_put_u64_unsignaled(me, lock, 0);
         }
         if has_work {
             // Work was there but the ring committed to an earlier victim:
@@ -352,13 +375,13 @@ pub fn probe<H: Host>(h: &mut H, now: VTime, cost: VTime, ring: &mut Ring, k: us
             h.failed();
         }
     }
-    h.m().chain_end(me);
+    machine(h).chain_end(me);
     let Some((victim, bounds)) = won else {
         return h.idle(now, cost);
     };
     // Probes and the commit run inside this one step, so the victim's epoch
     // now is the epoch every probe saw.
-    let vepoch = h.m().epoch_of(victim);
+    let vepoch = machine(h).epoch_of(victim);
     h.park(
         Stage::Won {
             victim,
@@ -372,7 +395,7 @@ pub fn probe<H: Host>(h: &mut H, now: VTime, cost: VTime, ring: &mut Ring, k: us
 }
 
 /// Steps 2 and 3: resume a steal parked at `stage`.
-pub fn resume<H: Host>(h: &mut H, now: VTime, stage: Stage) -> Step {
+pub fn resume<H: Host>(h: &mut H, cx: Cx, now: VTime, stage: Stage) -> Step {
     let (victim, t0, bounds, vepoch) = match stage {
         Stage::Won {
             victim,
@@ -380,56 +403,52 @@ pub fn resume<H: Host>(h: &mut H, now: VTime, stage: Stage) -> Step {
             bounds,
             vepoch,
         } => (victim, t0, bounds, vepoch),
-        Stage::Reap { victim, late_top } => {
-            if let Some(top) = late_top {
-                let (me, lay) = (h.me(), h.lay());
-                thief_advance_top(h.m(), &lay, me, victim, top);
-            }
+        Stage::Reap { victim } => {
             let ps = h.unpark();
-            return finish(h, now, victim, ps);
+            return finish(h, cx.me, now, victim, ps);
         }
     };
     if let Some(cost) = h.voided(now, victim, vepoch) {
         return miss(h, now, cost);
     }
-    let (me, lay, desc) = (h.me(), h.lay(), h.desc());
+    let Cx { me, lay, desc, .. } = cx;
     let won = (victim, t0);
     let top = || bounds.expect("a claim family's probe reads the bounds").0;
     match desc.claim {
         Claim::Lock => {
-            let (m, ws, _) = h.parts(victim);
+            let (m, ws, _) = h.parts();
+            let items = &mut ws[victim].items;
             let took = match bounds {
                 Some((top, bottom)) => {
-                    thief_take_no_release_at(m, &mut ws.items, &lay, me, victim, top, bottom)
+                    thief_take_no_release_at(m, items, &lay, me, victim, top, bottom)
                 }
-                None => thief_take_no_release(m, &mut ws.items, &lay, me, victim),
+                None => thief_take_no_release(m, items, &lay, me, victim),
             };
             match took {
                 Err(mut d) => {
                     // The victim's deque held the corpse. Release so the
                     // victim can still make progress, but leave the bounds
                     // pointing at it for the oracle to see.
-                    d.cost += thief_release_lock(h.m(), &lay, me, victim);
+                    d.cost += thief_release_lock(machine(h), &lay, me, victim);
                     h.faults(now, victim);
                     h.dead_slot(victim, &d);
                     miss(h, now, d.cost)
                 }
                 Ok((None, mut cost)) => {
                     // Empty: a non-blocking put suffices to release.
+                    h.empty(victim);
                     let lock = GlobalAddr::new(victim, lay.dq_word(DQ_LOCK));
-                    cost += h.m().post_put_u64_unsignaled(me, lock, 0);
+                    cost += machine(h).post_put_u64_unsignaled(me, lock, 0);
                     h.faults(now, victim);
                     miss(h, now, cost)
                 }
-                Ok((Some((item, size, top)), cost)) => {
+                Ok((Some(entry), cost)) => {
                     // The advance is issued *before* the lock release and
                     // rides its message window ([top, lock] are adjacent
                     // words), so no later lock acquirer can observe stale
                     // bounds.
-                    if !desc.late_advance {
-                        thief_advance_top(h.m(), &lay, me, victim, top + 1);
-                    }
-                    commit(h, now, won, item, size, cost, top)
+                    h.advance(&cx, victim, entry.2 + 1);
+                    commit(h, cx, now, won, entry, cost)
                 }
             }
         }
@@ -437,8 +456,9 @@ pub fn resume<H: Host>(h: &mut H, now: VTime, stage: Stage) -> Step {
             // Entry read + one CAS on `top`: a lost CAS is a benign failed
             // steal, a won one commits the take.
             let top = top();
-            let (m, ws, _) = h.parts(victim);
-            let (got, cost) = match lf_thief_claim(m, &mut ws.items, &lay, me, victim, top) {
+            let (m, ws, _) = h.parts();
+            let items = &mut ws[victim].items;
+            let (got, cost) = match lf_thief_claim(m, items, &lay, me, victim, top) {
                 Ok(x) => x,
                 Err(d) => {
                     h.dead_slot(victim, &d);
@@ -448,7 +468,7 @@ pub fn resume<H: Host>(h: &mut H, now: VTime, stage: Stage) -> Step {
             h.faults(now, victim);
             match got {
                 None => miss(h, now, cost),
-                Some((item, size)) => commit(h, now, won, item, size, cost, top),
+                Some((item, size)) => commit(h, cx, now, won, (item, size, top), cost),
             }
         }
         Claim::Ticket => {
@@ -457,9 +477,9 @@ pub fn resume<H: Host>(h: &mut H, now: VTime, stage: Stage) -> Step {
             // lost race costs only the span read.
             let top = top();
             let slot = GlobalAddr::new(victim, lay.dq_slot(top));
-            let (m, ws, claims) = h.parts(victim);
+            let (m, ws, claims) = h.parts();
             let (vals, mut cost) = m.get_u64_span::<3>(me, slot);
-            let outcome = ff_decide(ws, claims, vals);
+            let outcome = ff_decide(&mut ws[victim], claims, vals);
             h.faults(now, victim);
             match outcome {
                 FfSteal::Lost => {
@@ -472,12 +492,12 @@ pub fn resume<H: Host>(h: &mut H, now: VTime, stage: Stage) -> Step {
                     // multiplicity), and still writes the hint so later
                     // thieves skip the slot.
                     let top_word = GlobalAddr::new(victim, lay.dq_word(DQ_TOP));
-                    cost += h.m().post_put_u64_unsignaled(me, top_word, top + 1);
-                    cost += h.m().get_bulk(me, victim, vals[1] as usize);
+                    cost += machine(h).post_put_u64_unsignaled(me, top_word, top + 1);
+                    cost += machine(h).get_bulk(me, victim, vals[1] as usize);
                     h.raced(victim, Some((vals[0] - 1) as u32));
                     miss(h, now, cost)
                 }
-                FfSteal::Taken(item, size) => commit(h, now, won, *item, size, cost, top),
+                FfSteal::Taken(item, size) => commit(h, cx, now, won, (*item, size, top), cost),
             }
         }
     }
@@ -497,19 +517,18 @@ fn miss<H: Host>(h: &mut H, now: VTime, cost: VTime) -> Step {
 /// nothing to overlap the payload with) it finishes in this step.
 fn commit<H: Host>(
     h: &mut H,
+    cx: Cx,
     now: VTime,
     (victim, t0): (WorkerId, VTime),
-    mut item: QueueItem,
-    size: usize,
+    (mut item, size, top): StolenEntry,
     cost: VTime,
-    top: u64,
 ) -> Step {
-    let (me, lay, desc) = (h.me(), h.lay(), h.desc());
-    let mut w = h.m().window(me, now + cost);
+    let Cx { me, lay, desc, .. } = cx;
+    let mut w = machine(h).window(me, now + cost);
     let h_release = match desc.claim {
         Claim::Lock => {
             let lock = GlobalAddr::new(victim, lay.dq_word(DQ_LOCK));
-            let hr = w.posted(h.m().post_put_u64(me, lock, 0, w.at()));
+            let hr = w.posted(machine(h).post_put_u64(me, lock, 0, w.at()));
             // The take's faults, the release's included, are the victim's;
             // the claim steps drained theirs already.
             h.faults(now, victim);
@@ -517,7 +536,7 @@ fn commit<H: Host>(
         }
         Claim::Ticket => {
             let top_word = GlobalAddr::new(victim, lay.dq_word(DQ_TOP));
-            w.unsignaled(h.m().post_put_u64_unsignaled(me, top_word, top + 1));
+            w.unsignaled(machine(h).post_put_u64_unsignaled(me, top_word, top + 1));
             None
         }
         Claim::TopCas => None,
@@ -526,12 +545,12 @@ fn commit<H: Host>(
         // The take still committed protocol-wise — top advanced, release
         // posted — but the stale duplicate must not run.
         if let Some(hr) = h_release {
-            h.m().wait(me, hr);
+            machine(h).wait(me, hr);
         }
-        let cost = h.m().finish(&w).saturating_sub(now);
+        let cost = machine(h).finish(&w).saturating_sub(now);
         return miss(h, now, cost);
     };
-    let m = h.m();
+    let m = machine(h);
     let (issued, copy_at) = (w.now(), w.at());
     let h_copy = w.posted(m.post_get_bulk(me, victim, size, copy_at));
     let fin = m.finish(&w);
@@ -546,12 +565,11 @@ fn commit<H: Host>(
         fin,
         rec,
     };
-    let late_top = desc.late_advance.then_some(top + 1);
-    if late_top.is_some() || desc.claim != Claim::TopCas && m.outstanding(me, w.now()) {
-        h.park(Stage::Reap { victim, late_top }, Some(ps));
+    if desc.claim != Claim::TopCas && m.outstanding(me, w.now()) {
+        h.park(Stage::Reap { victim }, Some(ps));
         Step::Yield(w.now().saturating_sub(now))
     } else {
-        finish(h, now, victim, ps)
+        finish(h, me, now, victim, ps)
     }
 }
 
@@ -561,12 +579,11 @@ fn commit<H: Host>(
 /// clock at issue. Even if the victim has died since the commit the steal
 /// stands: the item left its slab at take time and every verb was already
 /// posted and charged.
-fn finish<H: Host>(h: &mut H, now: VTime, victim: WorkerId, ps: Pending) -> Step {
-    let me = h.me();
+fn finish<H: Host>(h: &mut H, me: WorkerId, now: VTime, victim: WorkerId, ps: Pending) -> Step {
     if let Some(hr) = ps.h_release {
-        h.m().wait(me, hr);
+        machine(h).wait(me, hr);
     }
-    h.m().wait(me, ps.h_copy);
+    machine(h).wait(me, ps.h_copy);
     let copy = ps.h_copy.finish().saturating_sub(ps.copy_at);
     let latency = ps.issued.saturating_sub(ps.t0) + copy;
     let landed = Landed {
