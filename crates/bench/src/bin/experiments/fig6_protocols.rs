@@ -9,7 +9,7 @@
 //!   no lock word, owner CAS only for the last-item race,
 //! * `fence-free` — thieves use plain reads and writes only (zero AMO
 //!   verbs on the steal path); the resulting bounded multiplicity is
-//!   closed at runtime by the done-flag/lineage dedup, so a doubly-taken
+//!   closed at runtime by the claim-set dedup (`ClaimSet`), so a doubly-taken
 //!   task executes at most once observably.
 //!
 //! Reported per (config, protocol, fabric mode): virtual makespan, mean

@@ -11,7 +11,10 @@
 //!   below do *not* measure,
 //! * **bag-of-tasks steps per node** — the three `dcs-bot` shapes of the
 //!   repo benchmark's `bot_uts` workload; `steps / nodes` is an exact,
-//!   host-independent count of how much idle waiting costs the host, and
+//!   host-independent count of how much idle waiting costs the host,
+//! * **the faulted cell** — the repo benchmark's `faulted_poll` under its
+//!   armed fault plan: the lineage log's exact record counts (recorded and
+//!   peak live) and the host RSS the run reached, and
 //! * **runs/sec, sequential vs `--jobs N`** — the wall-clock effect of the
 //!   host-parallel sweep harness, together with a check that both passes
 //!   produced identical simulation results.
@@ -32,7 +35,7 @@ use dcs_apps::lcs::{self, LcsParams};
 use dcs_apps::pfor::{recpfor_program, PforParams};
 use dcs_apps::sha1::{sha1, sha1_child};
 use dcs_apps::uts::{self, presets};
-use dcs_bench::{quick, sweep};
+use dcs_bench::{faulted_poll, quick, sweep};
 use dcs_bot::{onesided, twosided};
 use dcs_core::prelude::*;
 use dcs_sim::{profiles, Actor, Engine, Step, WorkerId};
@@ -330,6 +333,47 @@ fn bot_cells() -> Vec<BotCell> {
     out
 }
 
+/// The armed-recovery cell: `faulted_poll` at seed 1, the same in quick
+/// and full mode.
+struct FaultedCell {
+    workers: usize,
+    nodes: u64,
+    steps: u64,
+    host_ms: f64,
+    lineage: dcs_core::world::LineageCounts,
+    host_rss_mb: f64,
+}
+
+/// Run the faulted cell. `peak_live` is an exact count (the same figure
+/// `tests/lineage_bound.rs` pins) that `scripts/check_simperf.sh` gates: a
+/// log that keeps completed records again grows it with the run, not with
+/// the live threads. Runs first, before the large cells grow the heap, so
+/// `host_rss_mb` is this run's own peak.
+fn faulted_cell() -> FaultedCell {
+    let (cfg, spec) = faulted_poll(1);
+    let workers = cfg.workers;
+    reset_peak_rss();
+    let t0 = Instant::now();
+    let r = run(cfg, uts::program(spec));
+    let host_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let host_rss_mb = peak_rss_mb();
+    assert!(r.outcome.is_complete(), "faulted cell: {:?}", r.outcome);
+    let c = FaultedCell {
+        workers,
+        nodes: r.result.as_u64(),
+        steps: r.steps,
+        host_ms,
+        lineage: r.lineage,
+        host_rss_mb,
+    };
+    println!("=== faulted cell: faulted_poll (kills + message detector) ===");
+    println!(
+        "{} workers, {} nodes, {} steps, {:.1} host ms; lineage {} recorded, {} peak live; host RSS {:.1} MB\n",
+        c.workers, c.nodes, c.steps, c.host_ms, c.lineage.recorded, c.lineage.peak_live, c.host_rss_mb
+    );
+    c
+}
+
 /// Split `--label NAME` off the arguments; the rest go to the `--jobs`
 /// parser every bench bin shares.
 fn label_and_jobs() -> Result<(String, usize), String> {
@@ -373,6 +417,9 @@ fn main() {
 
     println!("=== selfbench: simulator host throughput ===");
     println!("host cores: {host_cores}; sweep pass uses --jobs {jobs}\n");
+
+    // The faulted cell first: its RSS is read before the large cells run.
+    let faulted = faulted_cell();
 
     // Phase 0 (headline): worker-scaling sweep on cubish meshes.
     let scaling = scaling_sweep();
@@ -508,7 +555,18 @@ fn main() {
             c.host_ms
         );
     }
-    j.push_str("], \"single_runs\": [");
+    let _ = write!(
+        j,
+        "], \"faulted\": {{\"workers\": {}, \"nodes\": {}, \"steps\": {}, \"host_ms\": {:.3}, \
+         \"recorded\": {}, \"peak_live\": {}, \"host_rss_mb\": {:.1}}}, \"single_runs\": [",
+        faulted.workers,
+        faulted.nodes,
+        faulted.steps,
+        faulted.host_ms,
+        faulted.lineage.recorded,
+        faulted.lineage.peak_live,
+        faulted.host_rss_mb
+    );
     for (i, (name, steps, host_ms, sps)) in singles.iter().enumerate() {
         let _ = write!(
             j,

@@ -37,7 +37,7 @@ use dcs_core::layout::{SegLayout, DQ_LOCK};
 use dcs_core::steal::{self, Claim, Cx, Desc, Host, Landed, Pending, Ring, Stage};
 use dcs_core::value::{ThreadHandle, Value};
 use dcs_core::watchdog::Violation;
-use dcs_core::world::{QueueItem, WorkerShared};
+use dcs_core::world::{LineageKey, QueueItem, WorkerShared};
 use dcs_core::{
     run_hooked, FreeStrategy, Policy, Program, Protocol, RunConfig, RunOutcome, RunReport, TaskFn,
     UnrecoverableReason,
@@ -536,7 +536,7 @@ impl Host for RawThief<'_> {
         victim: WorkerId,
         item: &mut QueueItem,
         _: &mut Window,
-    ) -> Result<Option<(WorkerId, usize)>, ()> {
+    ) -> Result<Option<LineageKey>, ()> {
         if self.w.m.epoch_of(self.me) > 0 {
             self.w.violations.push(
                 "zombie-steal: task taken by an evicted incarnation \
@@ -871,7 +871,7 @@ fn watchdog_findings(report: &RunReport, lossy: bool) -> Vec<String> {
 
 /// The run completes with the exact fault-free answer under EVERY schedule
 /// and the watchdog is quiet. `lossy` says the plan may lose or evict
-/// workers (lineage replay plus done-flag dedup: at-least-once execution
+/// workers (lineage replay plus claim-once records: at-least-once execution
 /// with exactly-once effects); `kills` says it may lose them for real —
 /// a suspicion-only plan must count nobody as genuinely lost.
 fn completes(expected: u64, lossy: bool, kills: bool) -> Judge {

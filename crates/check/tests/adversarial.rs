@@ -418,7 +418,7 @@ fn pct_runs_replay_deterministically() {
 
 /// Fail-stop crash oracles under exploration. The `crash-recovery*` family
 /// loses a worker mid-run on every schedule and must still produce the
-/// exact fault-free answer (continuation-lineage replay + done-flag dedup):
+/// exact fault-free answer (continuation-lineage replay + claim-once records):
 /// ChildRtc replays stolen child descriptors, the continuation policies
 /// replay forked continuation frames (the Fig. 4 FAA race and the stalling
 /// wait queues must converge through the buddy mirror), and the `-root`

@@ -1,54 +1,14 @@
-//! First-claimer-wins deduplication primitives.
+//! First-claimer-wins deduplication: the fence-free claim set.
 //!
-//! Two runtime features need "at most one of N racers proceeds" decided at
-//! the Rust level (each engine step is atomic, so no host-side locking is
-//! needed — see docs/PROTOCOLS.md, "What the checker can and cannot see"):
-//!
-//! * **Lineage replay** (fail-stop recovery, PRs 4/6): a lineage record may
-//!   be drained by several survivors racing over the same dead worker; the
-//!   first to flip the record's [`DoneFlag`] owns the replay, later
-//!   claimers see `done` and skip. The same flag also marks normal
-//!   completion so a kill after completion never re-executes.
-//! * **Fence-free stealing with multiplicity**: a task may be *taken* by
-//!   more than one thief (no atomics on the wire), but only the first to
-//!   claim its ticket in the shared [`ClaimSet`] may *execute* it.
-//!
-//! Both were originally open-coded as `bool` fields; this module is the one
-//! shared implementation.
+//! Fence-free stealing with multiplicity lets a task be *taken* by more
+//! than one thief (no atomics on the wire), but only the first to claim its
+//! ticket in the shared [`ClaimSet`] may *execute* it. Each engine step is
+//! atomic, so no host-side locking is needed — see docs/PROTOCOLS.md, "What
+//! the checker can and cannot see". The eviction arbiter
+//! (`RtShared::evictions`) reuses the same set; lineage records are claimed
+//! by taking them out of the log (`world::Lineage::take`).
 
 use crate::util::U64Map;
-
-/// A one-way done/claimed flag with first-claimer-wins semantics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DoneFlag(bool);
-
-impl DoneFlag {
-    /// A flag that is still unclaimed.
-    pub fn new() -> DoneFlag {
-        DoneFlag(false)
-    }
-
-    /// A flag born already set (e.g. a lineage record for work that
-    /// completed before the record was interesting).
-    pub fn done() -> DoneFlag {
-        DoneFlag(true)
-    }
-
-    /// Attempt to claim: returns `true` exactly once, for the first caller.
-    #[must_use]
-    pub fn claim(&mut self) -> bool {
-        !std::mem::replace(&mut self.0, true)
-    }
-
-    /// Set unconditionally (completion marking, where nobody races).
-    pub fn set(&mut self) {
-        self.0 = true;
-    }
-
-    pub fn is_done(self) -> bool {
-        self.0
-    }
-}
 
 /// A set of `u64` tickets with first-claimer-wins insertion — the dedup
 /// arbiter for fence-free stealing. Tickets are globally unique per deque
@@ -94,27 +54,6 @@ impl ClaimSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn done_flag_first_claim_wins() {
-        let mut f = DoneFlag::new();
-        assert!(!f.is_done());
-        assert!(f.claim(), "first claimer wins");
-        assert!(f.is_done());
-        assert!(!f.claim(), "second claimer loses");
-        assert!(!f.claim(), "and keeps losing");
-    }
-
-    #[test]
-    fn done_flag_set_and_born_done() {
-        let mut f = DoneFlag::new();
-        f.set();
-        assert!(!f.claim(), "set() beats later claims");
-        let mut d = DoneFlag::done();
-        assert!(d.is_done());
-        assert!(!d.claim());
-        assert_eq!(DoneFlag::default(), DoneFlag::new());
-    }
 
     #[test]
     fn claim_set_first_claim_per_ticket() {

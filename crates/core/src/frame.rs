@@ -29,6 +29,7 @@ use dcs_sim::{VTime, WorkerId};
 use dcs_uniaddr::StackSlot;
 
 use crate::value::{ThreadHandle, Value};
+use crate::world::LineageKey;
 
 /// Entry point of a task body. Being a plain function pointer (plus a
 /// [`Value`] argument) is exactly what makes a *child-stealing* task
@@ -287,13 +288,13 @@ pub struct VThread {
     /// address). Cleared — and turned into an outstanding-join statistic —
     /// when the thread actually resumes.
     pub suspension: Option<(VTime, u64)>,
-    /// Fail-stop lineage back-pointer (armed fault plans only): the
-    /// `(worker, index)` of this thread's origin record in the shared
-    /// lineage log, marked done when the thread dies and re-keyed when it
-    /// migrates (the record always lives with the worker that physically
-    /// holds the thread). `None` for non-replayable threads (ChildFull,
-    /// unstolen ChildRtc children) and in every run without an armed plan.
-    pub replay_rec: Option<(usize, usize)>,
+    /// Fail-stop lineage back-pointer (armed fault plans only): the key of
+    /// this thread's origin record in the shared lineage log, taken out
+    /// when the thread dies and re-keyed when it migrates (the record
+    /// always lives with the worker that physically holds the thread).
+    /// `None` for non-replayable threads (ChildFull, unstolen ChildRtc
+    /// children) and in every run without an armed plan.
+    pub replay_rec: Option<LineageKey>,
 }
 
 impl VThread {

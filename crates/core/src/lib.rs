@@ -66,7 +66,7 @@ pub mod value;
 pub mod watchdog;
 pub mod world;
 
-pub use dedup::{ClaimSet, DoneFlag};
+pub use dedup::ClaimSet;
 pub use frame::{frame, ret_frame, AppCtx, Effect, Frame, HostWork, TaskCtx, TaskFn, VThread};
 pub use policy::{AddressScheme, FreeStrategy, Policy, Protocol, RunConfig, SlowdownWindow, TraceLevel, VictimPolicy};
 pub use runner::{run, run_full, run_hooked, Program, RunOutcome, RunReport};

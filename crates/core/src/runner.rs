@@ -17,7 +17,7 @@ use crate::sched::Worker;
 use crate::stats::RunStats;
 use crate::value::Value;
 use crate::watchdog::{Violation, WatchdogReport};
-use crate::world::{RtShared, World};
+use crate::world::{LineageCounts, RtShared, World};
 
 /// A program: root task + argument + application context shared by all
 /// tasks (inputs, workload parameters).
@@ -99,6 +99,8 @@ pub struct RunReport {
     /// Invariant-watchdog findings; `None` when the run carried no watchdog
     /// (the default for fault-free runs).
     pub watchdog: Option<WatchdogReport>,
+    /// Lineage-log record counts (all zero without an armed fault plan).
+    pub lineage: LineageCounts,
 }
 
 impl RunReport {
@@ -279,6 +281,7 @@ fn run_inner(
         evac_peak,
         full_stack_peak,
         watchdog,
+        lineage: rt.lineage.counts(),
     };
     (rep, m)
 }

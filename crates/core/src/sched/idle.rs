@@ -210,8 +210,8 @@ impl Worker {
 
     /// Detector-registry scan: confirm newly-expired peers, blacklist them,
     /// and — first confirmer of each incarnation only — evict the peer
-    /// (epoch bump) and move its unfinished lineage records into the shared
-    /// replay pool.
+    /// (epoch bump) and enqueue its live lineage records, in recording
+    /// order, into the shared replay pool.
     ///
     /// Under the oracle detector a confirmation is ground truth and the
     /// latch never revokes. Under the message detector it is a *suspicion*
@@ -266,29 +266,24 @@ impl Worker {
             let epoch = world.m.epoch_of(d);
             if world.rt.evictions.first_claim(evict_key(d, epoch)) {
                 world.m.evict(d);
-                for (i, rec) in world.rt.lineage.log(d).iter().enumerate() {
-                    if !rec.done.is_done() {
-                        world.rt.replay_pool.push_back((d, i));
-                    }
-                }
+                world.rt.replay_pool.extend(world.rt.lineage.live_keys(d));
             }
         }
     }
 
-    /// Re-adopt one lost thread from the replay pool. The record is
-    /// superseded (marked done) and re-recorded under this worker, so a
-    /// second kill hitting the replayer is itself recoverable. Returns
-    /// `None` when nothing (relevant) is pooled.
+    /// Re-adopt one lost thread from the replay pool. The record is taken
+    /// out and re-recorded under this worker, so a second kill hitting the
+    /// replayer is itself recoverable. Returns `None` when nothing
+    /// (relevant) is pooled.
     pub(crate) fn try_replay(&mut self, now: VTime, world: &mut World) -> Option<Step> {
         loop {
-            let (w, i) = world.rt.replay_pool.pop_front()?;
-            let rec = world.rt.lineage.rec(w, i);
-            if rec.done.is_done() {
-                // Completed before the kill: the entry flag is already
-                // visible to the waiting parent — replaying would run the
-                // task's effect twice.
+            let key = world.rt.replay_pool.pop_front()?;
+            let Some(rec) = world.rt.lineage.get(key) else {
+                // Taken already: completed before the kill (the entry flag
+                // is visible to the waiting parent — replaying would run
+                // the task's effect twice), re-keyed or replayed.
                 continue;
-            }
+            };
             let is_root = rec.handle.entry.is_null();
             if is_root && world.rt.result.is_some() {
                 // The root published its result before its holder died;
@@ -307,15 +302,14 @@ impl Worker {
                 // the entry words stay readable on the buddy mirror.
                 continue;
             }
-            let (f, arg, handle) = (rec.f, rec.arg.clone(), rec.handle);
+            let rec = world.rt.lineage.take(key).expect("checked live");
             // Claiming the record settles the original incarnation's fate:
             // it died with its worker and can never complete — retire it so
             // the fresh-id replay is the only live copy the oracles track.
             world.rt.watch_retire(rec.tid);
-            world.rt.lineage.rec_mut(w, i).done.set();
             let tid = world.rt.fresh_tid();
-            let mut th = VThread::new(tid, f, arg.clone(), handle);
-            th.replay_rec = Some(self.record_lineage(world, tid, f, arg, handle));
+            let mut th = VThread::new(tid, rec.f, rec.arg.clone(), rec.handle);
+            th.replay_rec = Some(self.record_lineage(world, tid, rec.f, rec.arg, rec.handle));
             if self.policy.is_cont() {
                 // Re-materialized continuations (root included) need a
                 // stack home in this worker's region.
@@ -717,7 +711,7 @@ impl Host for Thief<'_> {
         _victim: WorkerId,
         item: &mut QueueItem,
         w: &mut Window,
-    ) -> Result<Option<(WorkerId, usize)>, ()> {
+    ) -> Result<Option<LineageKey>, ()> {
         let (wk, world) = (&mut *self.w, &mut *self.world);
         wk.fail_streak = 0;
         if !wk.kills {
@@ -745,10 +739,12 @@ impl Host for Thief<'_> {
         stats.steal_ok(l.latency, l.copy, l.size);
         stats.note_steal_event(w.me, victim, l.t0, l.t0 + l.latency);
         world.rt.watch_progress(now);
-        if let (Some((owner, i)), Some(th)) = (l.rec, w.cur.as_mut()) {
+        if let (Some(key), Some(th)) = (l.rec, w.cur.as_mut()) {
             // The stolen child materialized as a thread only now: bind its
             // id to the record made at commit time.
-            world.rt.lineage.rec_mut(owner, i).tid = th.tid;
+            if let Some(rec) = world.rt.lineage.get_mut(key) {
+                rec.tid = th.tid;
+            }
             th.replay_rec = l.rec;
         }
         c2

@@ -42,7 +42,6 @@ use std::collections::VecDeque;
 
 use dcs_sim::{Actor, GlobalAddr, Machine, SimRng, Step, VTime, VerbHandle, Window, WorkerId};
 
-use crate::dedup::DoneFlag;
 use crate::deque::{lock_holder, Busy, DeadSlot, DequeError};
 use crate::entry::{
     alloc_entry, alloc_saved_ctx, free_entry, read_saved_ctx, DONE_BIT, EM_CONSUMED, EM_CTX0,
@@ -54,7 +53,9 @@ use crate::policy::{AddressScheme, FreeStrategy, Policy, VictimPolicy};
 use crate::remote_free::free_robj;
 use crate::steal::{self, Stage};
 use crate::value::{ThreadHandle, Value};
-use crate::world::{evict_key, LineageRec, QueueItem, StoredVal, UnrecoverableReason, World};
+use crate::world::{
+    evict_key, LineageKey, LineageRec, QueueItem, StoredVal, UnrecoverableReason, World,
+};
 
 /// A pending operation carried across steps.
 pub(crate) enum PendingOp {
@@ -208,11 +209,10 @@ impl Worker {
         let kills = world.rt.cfg.fault.recovery_armed();
         let cur = root.map(|(f, arg)| {
             let tid = world.rt.fresh_tid();
-            if kills && policy != Policy::ChildFull {
-                // Root re-election: the root's origin is mirrored as the
-                // first lineage record of worker 0 with a NULL handle, so
-                // a worker-0 kill replays the root elsewhere instead of
-                // aborting the run.
+            // Root re-election: the root's origin is mirrored as the first
+            // lineage record of worker 0 with a NULL handle, so a worker-0
+            // kill replays the root elsewhere instead of aborting the run.
+            let rec = (kills && policy != Policy::ChildFull).then(|| {
                 world.rt.lineage.push(
                     me,
                     LineageRec {
@@ -220,14 +220,11 @@ impl Worker {
                         arg: arg.clone(),
                         handle: ThreadHandle::single(GlobalAddr::NULL),
                         tid,
-                        done: DoneFlag::new(),
                     },
-                );
-            }
+                )
+            });
             let mut th = VThread::new(tid, f, arg, ThreadHandle::single(GlobalAddr::NULL));
-            if kills && policy != Policy::ChildFull {
-                th.replay_rec = Some((me, 0));
-            }
+            th.replay_rec = rec;
             if policy.is_cont() {
                 let slot = world.rt.cfg.stack_slot;
                 th.home = Some(match scheme {
@@ -696,7 +693,7 @@ impl Worker {
 
     /// Append a lineage record for thread origin `(f, arg, handle)`,
     /// currently incarnated as thread `tid`, under this worker and return
-    /// its `(worker, index)` key.
+    /// its key.
     pub(crate) fn record_lineage(
         &mut self,
         world: &mut World,
@@ -704,49 +701,45 @@ impl Worker {
         f: TaskFn,
         arg: Value,
         handle: ThreadHandle,
-    ) -> (usize, usize) {
-        let idx = world.rt.lineage.push(
-            self.me,
-            LineageRec {
-                f,
-                arg,
-                handle,
-                tid,
-                done: DoneFlag::new(),
-            },
-        );
-        (self.me, idx)
+    ) -> LineageKey {
+        let rec = LineageRec {
+            f,
+            arg,
+            handle,
+            tid,
+        };
+        world.rt.lineage.push(self.me, rec)
     }
 
     /// A thread is migrating to this worker (steal split take, greedy
-    /// joiner migration): supersede its old lineage record and re-record
-    /// it here, preserving the invariant that `lineage[w]` indexes exactly
-    /// the threads worker `w` physically holds. Returns `false` when the
-    /// old record was already claimed by a replayer — the caller holds a
-    /// stale duplicate (its re-execution is already underway elsewhere)
-    /// and must discard it instead of running it.
+    /// joiner migration): take its old lineage record out and re-record it
+    /// here, preserving the invariant that `lineage[w]` holds exactly the
+    /// threads worker `w` physically holds. Returns `false` when the old
+    /// record was already claimed by a replayer — the caller holds a stale
+    /// duplicate (its re-execution is already underway elsewhere) and must
+    /// discard it instead of running it.
     #[must_use = "a false return means the thread is a stale duplicate"]
     pub(crate) fn rekey_lineage(&mut self, world: &mut World, th: &mut VThread) -> bool {
-        let Some((w, i)) = th.replay_rec else { return true };
-        if w == self.me {
+        let Some(key) = th.replay_rec else {
+            return true;
+        };
+        if key.worker as usize == self.me {
             return true;
         }
-        let rec = world.rt.lineage.rec_mut(w, i);
-        if !rec.done.claim() {
-            // Claimed while we raced for it: a confirmer drained `w`'s
-            // lineage and a replay re-executes this thread already.
+        let Some(rec) = world.rt.lineage.take(key) else {
+            // Claimed while we raced for it: a confirmer drained the old
+            // holder's lineage and a replay re-executes this thread already.
             return false;
-        }
-        let (f, arg, handle) = (rec.f, rec.arg.clone(), rec.handle);
-        th.replay_rec = Some(self.record_lineage(world, th.tid, f, arg, handle));
+        };
+        th.replay_rec = Some(self.record_lineage(world, th.tid, rec.f, rec.arg, rec.handle));
         true
     }
 
-    /// The thread completed (its entry flag is globally visible): its
-    /// lineage record must never replay.
+    /// The thread completed (its entry flag is globally visible): take its
+    /// lineage record out, so it never replays.
     pub(crate) fn mark_lineage_done(world: &mut World, th: &VThread) {
-        if let Some((w, i)) = th.replay_rec {
-            world.rt.lineage.rec_mut(w, i).done.set();
+        if let Some(key) = th.replay_rec {
+            world.rt.lineage.take(key);
         }
     }
 
@@ -875,5 +868,37 @@ mod tests {
         assert_eq!(size_of::<WState>(), 48);
         assert_eq!(size_of::<Option<steal::Pending>>(), 304);
         assert_eq!(size_of::<Worker>(), 856);
+        assert_eq!(size_of::<VThread>(), 168);
+        assert_eq!(size_of::<Option<LineageKey>>(), 24);
+    }
+
+    /// An armed run's root thread carries the key its record was pushed
+    /// under, and completing the root takes the record out.
+    #[test]
+    fn the_root_lineage_key_round_trips() {
+        let plan = dcs_sim::FaultPlan::parse("recover=on").expect("plan parses");
+        let cfg = crate::policy::RunConfig::new(2, Policy::ContGreedy).with_fault_plan(plan);
+        let lay = SegLayout::new(&cfg);
+        let m = Machine::new(
+            dcs_sim::MachineConfig::new(2, cfg.profile.clone())
+                .with_seg_bytes(cfg.seg_bytes)
+                .with_reserved(lay.reserved)
+                .with_faults(cfg.fault.clone()),
+        );
+        let mut world = World {
+            m,
+            rt: crate::world::RtShared::new(cfg),
+        };
+        let root: TaskFn = |_, _| crate::frame::Effect::ret(0u64);
+        let app = std::sync::Arc::new(());
+        let w = Worker::new(0, &mut world, lay, app, Some((root, Value::U64(7))), 0);
+        let th = w.cur.as_ref().expect("worker 0 holds the root");
+        let key = th.replay_rec.expect("an armed root carries a record");
+        let rec = world.rt.lineage.get(key).expect("the key is live");
+        assert!(rec.handle.entry.is_null());
+        assert_eq!(rec.tid, th.tid);
+        Worker::mark_lineage_done(&mut world, th);
+        assert!(world.rt.lineage.get(key).is_none());
+        assert_eq!(world.rt.lineage.counts().live, 0);
     }
 }

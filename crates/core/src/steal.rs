@@ -36,7 +36,7 @@ use crate::deque::{
 };
 use crate::layout::{SegLayout, DQ_LOCK, DQ_TOP};
 use crate::policy::Protocol;
-use crate::world::{QueueItem, WorkerShared};
+use crate::world::{LineageKey, QueueItem, WorkerShared};
 
 /// How the probe's winner takes the `top` entry, and what it lets go of
 /// when it commits.
@@ -166,14 +166,14 @@ pub struct Pending {
     issued: VTime,
     /// The instant the whole window has retired.
     fin: VTime,
-    rec: Option<(WorkerId, usize)>,
+    rec: Option<LineageKey>,
 }
 
 /// A steal whose payload has landed, handed to [`Host::adopt`].
 pub struct Landed {
     pub item: QueueItem,
     /// The lineage record [`Host::taken`] returned.
-    pub rec: Option<(WorkerId, usize)>,
+    pub rec: Option<LineageKey>,
     pub size: usize,
     pub t0: VTime,
     /// From the probe to the payload's arrival, on the thief's clock.
@@ -266,7 +266,7 @@ pub trait Host {
         victim: WorkerId,
         item: &mut QueueItem,
         w: &mut Window,
-    ) -> Result<Option<(WorkerId, usize)>, ()>;
+    ) -> Result<Option<LineageKey>, ()>;
     /// The payload landed: run the item. Returns the added cost.
     fn adopt(&mut self, now: VTime, victim: WorkerId, landed: Landed) -> VTime;
     /// Resume at `stage` next step, with `pending` parked until then

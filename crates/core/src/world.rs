@@ -11,7 +11,7 @@
 use dcs_sim::{GlobalAddr, Machine, VTime};
 use dcs_uniaddr::{EvacRegion, IsoAlloc, UniRegion};
 
-use crate::dedup::{ClaimSet, DoneFlag};
+use crate::dedup::ClaimSet;
 use crate::deque::{DequeError, Popped};
 use crate::frame::{TaskFn, VThread};
 use crate::layout::{SegLayout, DQ_LOCK};
@@ -91,27 +91,60 @@ impl QueueItem {
 ///   the thief/executor — PR 4's original machinery;
 /// * **continuation threads** (ContGreedy/ContStalling): recorded at the
 ///   fork that creates them, and *re-keyed* at every migration (steal
-///   split take, greedy joiner migration) so `lineage[w]` always indexes
+///   split take, greedy joiner migration) so `lineage[w]` always holds
 ///   the threads worker `w` physically holds;
 /// * **the root thread**: recorded on worker 0 at startup with a NULL
 ///   handle, so a worker-0 kill re-elects a root holder via replay
 ///   instead of aborting.
 ///
-/// `done` flips when the thread dies (its completion is globally visible)
-/// or when the record is superseded by a re-key or a replay; racing
-/// claimers (replay vs. re-key under cascading kills) are arbitrated by the
-/// flag's first-claimer-wins [`DoneFlag::claim`].
+/// A record lives exactly as long as its thread may still need a replay.
+/// It is taken out of the log (`Lineage::take`) when the thread dies
+/// (its completion is globally visible), when a re-key supersedes it, or
+/// when a replay claims it; racing claimers (replay vs. re-key under
+/// cascading kills) are arbitrated by `take`'s first-claimer-wins `Some`.
 pub struct LineageRec {
     pub f: TaskFn,
     pub arg: Value,
     pub handle: ThreadHandle,
     /// Thread id of the live incarnation this record describes. Replay
-    /// assigns a fresh id, so at end of run any still-undone record names a
-    /// thread that never completed anywhere (lost with its worker, or an
-    /// orphaned duplicate abandoned at termination) — the watchdog retires
-    /// it instead of reporting lost work.
+    /// assigns a fresh id, so at end of run any record still in the log
+    /// names a thread that never completed anywhere (lost with its worker,
+    /// or an orphaned duplicate abandoned at termination) — the watchdog
+    /// retires it instead of reporting lost work.
     pub tid: u64,
-    pub done: DoneFlag,
+}
+
+/// Names one lineage record: the recording worker, the slab slot the
+/// record occupies and the worker's recording sequence number. Slots are
+/// reused once their record is taken, so `seq` tells a record from a later
+/// tenant of the same slot: a key whose slot is empty, or holds another
+/// `seq`, reads as already claimed. 16 bytes with no niche: a niche would
+/// shrink `Option<steal::Pending>` and `Worker`, whose sizes are pinned
+/// (`sched::tests::per_worker_sizes_are_pinned`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LineageKey {
+    pub(crate) worker: u32,
+    slot: u32,
+    seq: u64,
+}
+
+/// Record counts of one run's lineage log (all zero without an armed plan).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LineageCounts {
+    /// Records ever pushed.
+    pub recorded: u64,
+    /// Most records live at once.
+    pub peak_live: u64,
+    /// Records still live (never taken) at the end of the run.
+    pub live: u64,
+}
+
+/// One worker's live records: a slot-reusing slab of `(seq, record)`
+/// plus the worker's next recording sequence number.
+#[derive(Default)]
+struct Log {
+    recs: Slab<(u64, LineageRec)>,
+    next_seq: u64,
 }
 
 /// Why a fail-stop loss could not be recovered (typed abort reason).
@@ -138,46 +171,94 @@ impl std::fmt::Display for UnrecoverableReason {
     }
 }
 
-/// The fail-stop lineage log: `log(w)` holds the origin record of every
-/// replayable thread worker `w` physically holds (see [`LineageRec`]).
+/// The fail-stop lineage log: worker `w`'s log holds the origin record of
+/// every replayable thread `w` physically holds (see [`LineageRec`]), and
+/// nothing else — a record leaves the log when its thread completes, so
+/// the log is bounded by live threads, not by run length.
 ///
 /// Sparse: only workers that ever recorded a thread own a per-worker log,
 /// so an armed 10⁵-worker run where a handful of workers do all the
-/// spawning stays O(records), not O(workers). Backed by a `BTreeMap` so
-/// whole-log iteration (end-of-run settlement) visits workers in id order —
-/// the exact order the former `Vec<Vec<_>>` gave — keeping retirement
-/// bookkeeping deterministic.
+/// spawning stays O(live records + recording workers), not O(workers). A
+/// log outlives its last record so its sequence numbers never restart.
+/// Backed by a `BTreeMap` so whole-log walks (end-of-run settlement) visit
+/// workers in id order, and each worker's records in recording order,
+/// keeping retirement bookkeeping deterministic.
 #[derive(Default)]
 pub struct Lineage {
-    logs: std::collections::BTreeMap<usize, Vec<LineageRec>>,
+    logs: std::collections::BTreeMap<usize, Log>,
+    counts: LineageCounts,
 }
 
 impl Lineage {
-    /// Worker `w`'s records (empty slice if it never recorded any).
-    pub fn log(&self, w: usize) -> &[LineageRec] {
-        self.logs.get(&w).map_or(&[], |v| v)
-    }
-
-    /// Append a record under worker `w`, returning its index.
-    pub fn push(&mut self, w: usize, rec: LineageRec) -> usize {
+    /// Record `rec` under worker `w`, returning its key.
+    pub(crate) fn push(&mut self, w: usize, rec: LineageRec) -> LineageKey {
         let log = self.logs.entry(w).or_default();
-        log.push(rec);
-        log.len() - 1
+        let seq = log.next_seq;
+        log.next_seq += 1;
+        let slot = log.recs.insert((seq, rec));
+        let c = &mut self.counts;
+        c.recorded += 1;
+        c.live += 1;
+        c.peak_live = c.peak_live.max(c.live);
+        LineageKey {
+            worker: u32::try_from(w).expect("worker ids fit in 32 bits"),
+            slot,
+            seq,
+        }
     }
 
-    /// Record `(w, i)`; the pair must have come from [`Self::push`].
-    pub fn rec(&self, w: usize, i: usize) -> &LineageRec {
-        &self.logs[&w][i]
+    /// The record `key` names, or `None` once it has been taken.
+    pub(crate) fn get(&self, key: LineageKey) -> Option<&LineageRec> {
+        let (seq, rec) = self.logs.get(&(key.worker as usize))?.recs.get(key.slot)?;
+        (*seq == key.seq).then_some(rec)
     }
 
-    /// Mutable access to record `(w, i)`.
-    pub fn rec_mut(&mut self, w: usize, i: usize) -> &mut LineageRec {
-        &mut self.logs.get_mut(&w).expect("lineage log exists")[i]
+    /// Mutable access to the record `key` names, if still live.
+    pub(crate) fn get_mut(&mut self, key: LineageKey) -> Option<&mut LineageRec> {
+        let log = self.logs.get_mut(&(key.worker as usize))?;
+        let (seq, rec) = log.recs.get_mut(key.slot)?;
+        (*seq == key.seq).then_some(rec)
     }
 
-    /// Every record, in (worker id, index) order.
-    pub fn iter(&self) -> impl Iterator<Item = &LineageRec> {
-        self.logs.values().flatten()
+    /// Take the record `key` names out of the log: `Some` exactly once, for
+    /// the first claimer (completion, re-key or replay); `None` after.
+    pub(crate) fn take(&mut self, key: LineageKey) -> Option<LineageRec> {
+        let recs = &mut self.logs.get_mut(&(key.worker as usize))?.recs;
+        if recs.get(key.slot)?.0 != key.seq {
+            return None;
+        }
+        self.counts.live -= 1;
+        Some(recs.take(key.slot).1)
+    }
+
+    /// Keys of worker `w`'s live records, in recording order.
+    pub(crate) fn live_keys(&self, w: usize) -> Vec<LineageKey> {
+        let Some(log) = self.logs.get(&w) else {
+            return Vec::new();
+        };
+        let mut keys: Vec<LineageKey> = log
+            .recs
+            .iter()
+            .map(|(slot, &(seq, _))| LineageKey {
+                worker: w as u32,
+                slot,
+                seq,
+            })
+            .collect();
+        keys.sort_unstable_by_key(|k| k.seq);
+        keys
+    }
+
+    /// Every live record, in (worker id, recording) order.
+    pub(crate) fn live(&self) -> impl Iterator<Item = &LineageRec> + '_ {
+        self.logs
+            .keys()
+            .flat_map(|&w| self.live_keys(w))
+            .map(|k| self.get(k).expect("live key"))
+    }
+
+    pub(crate) fn counts(&self) -> LineageCounts {
+        self.counts
     }
 }
 
@@ -278,20 +359,21 @@ pub struct RtShared {
     /// with active fault injection), so healthy runs pay nothing.
     pub watch: Option<Box<Watchdog>>,
     /// Fail-stop lineage log (armed fault plans only): survivors can
-    /// re-execute the subset a dead worker never completed. Records are
-    /// marked `done` rather than removed; empty in healthy runs.
+    /// re-execute the subset a dead worker never completed. A record is
+    /// taken out when its thread completes, so the log holds live threads
+    /// only; empty in healthy runs.
     pub lineage: Lineage,
     /// Eviction arbiter: one claim per `(worker, epoch)` incarnation end
     /// (see [`evict_key`]). The first survivor to confirm an incarnation's
     /// death — by oracle confirmation or by suspicion-lease expiry — wins
     /// the claim, bumps the victim's epoch in the machine registry and
-    /// drains `lineage[w]`'s undone records into the replay pool
+    /// drains `lineage[w]`'s live records into the replay pool
     /// (exactly-once hand-off); every later confirmer of the *same*
     /// incarnation observes the claim and stands down.
     pub evictions: ClaimSet,
-    /// Replay pool: `(worker, index)` references into `lineage` enqueued by
-    /// death confirmers and drained by any idle survivor.
-    pub replay_pool: std::collections::VecDeque<(usize, usize)>,
+    /// Replay pool: keys into `lineage` enqueued by death confirmers and
+    /// drained by any idle survivor; a key taken meanwhile is skipped.
+    pub replay_pool: std::collections::VecDeque<LineageKey>,
     /// Set when a fail-stop loss cannot be recovered: `(worker, lost frame
     /// tids, reason)`. Aborts the run with a typed outcome instead of a
     /// hang.
@@ -417,7 +499,7 @@ impl RtShared {
     }
 
     /// End-of-run lineage settlement (armed fault plans only): any record
-    /// still undone names a thread that never completed anywhere — its
+    /// still live names a thread that never completed anywhere — its
     /// worker died with it and a fresh-id replay covered the work, or the
     /// duplicate subtree it belonged to was abandoned at termination. Both
     /// are expected under kills; retire them so the lost-task oracle keeps
@@ -426,12 +508,7 @@ impl RtShared {
         if self.watch.is_none() {
             return;
         }
-        let tids: Vec<u64> = self
-            .lineage
-            .iter()
-            .filter(|r| !r.done.is_done())
-            .map(|r| r.tid)
-            .collect();
+        let tids: Vec<u64> = self.lineage.live().map(|r| r.tid).collect();
         for t in tids {
             self.watch_retire(t);
         }
@@ -571,6 +648,52 @@ mod tests {
         };
         // 46 + 9 = 55 bytes: the paper's descriptor size.
         assert_eq!(child.wire_size(), 55);
+    }
+
+    fn rec(tid: u64) -> LineageRec {
+        LineageRec {
+            f: |_, _| crate::frame::Effect::ret(0u64),
+            arg: Value::U64(tid),
+            handle: ThreadHandle::single(GlobalAddr::new(0, 8)),
+            tid,
+        }
+    }
+
+    #[test]
+    fn a_key_to_a_reused_slot_reads_as_claimed() {
+        let mut l = Lineage::default();
+        let old = l.push(3, rec(1));
+        assert_eq!(l.take(old).map(|r| r.tid), Some(1));
+        let new = l.push(3, rec(2));
+        assert_eq!((new.worker, new.slot), (old.worker, old.slot), "slot reuse");
+        assert_ne!(new.seq, old.seq);
+        assert!(l.get(old).is_none() && l.take(old).is_none(), "stale key");
+        assert_eq!(l.get(new).map(|r| r.tid), Some(2));
+        assert_eq!(l.take(new).map(|r| r.tid), Some(2));
+        assert!(l.take(new).is_none(), "claim-once");
+        let other = LineageKey {
+            worker: 9,
+            slot: 0,
+            seq: 0,
+        };
+        assert!(l.get(other).is_none(), "a worker that never recorded");
+    }
+
+    #[test]
+    fn the_drain_walks_live_records_in_recording_order() {
+        let mut l = Lineage::default();
+        let k: Vec<LineageKey> = (0..4).map(|t| l.push(1, rec(t))).collect();
+        l.take(k[0]).unwrap();
+        l.take(k[2]).unwrap();
+        let k4 = l.push(1, rec(4)); // reuses k[2]'s slot
+        let k5 = l.push(1, rec(5)); // reuses k[0]'s slot
+        l.push(2, rec(6));
+        assert_eq!(l.live_keys(1), vec![k[1], k[3], k4, k5]);
+        let tids: Vec<u64> = l.live().map(|r| r.tid).collect();
+        assert_eq!(tids, [1, 3, 4, 5, 6], "(worker, seq) order");
+        let c = l.counts();
+        assert_eq!((c.recorded, c.peak_live, c.live), (7, 5, 5));
+        assert!(l.live_keys(7).is_empty());
     }
 
     #[test]

@@ -6,22 +6,25 @@
 #       the record before it and fails when the 10k-worker steps/s of either
 #       scaling workload fell below 0.5x, when the 10k-worker UTS cell's
 #       segments take more than 2x the host bytes, when a bag-of-tasks cell
-#       takes more than 2x the engine steps per tree node, or when the
-#       C = 256 LCS leaf kernel takes more than 2x the host ns. Run
+#       takes more than 2x the engine steps per tree node, when the
+#       C = 256 LCS leaf kernel takes more than 2x the host ns, or when the
+#       faulted cell's lineage log peaks above 2x the live records. Run
 #       `selfbench` first: it appends the fresh record after the last
-#       committed one. The 10k, the bag-of-tasks and the kernel cells are the
-#       same in quick and full mode, so a quick CI run gates against a
+#       committed one. The 10k, the bag-of-tasks, the kernel and the faulted
+#       cells are the same in quick and full mode, so a quick CI run gates against a
 #       committed full-mode record; the loose ratio absorbs host differences
 #       (a leaf that went back to a scalar DP would be 60x), and backing
-#       bytes and steps per node are exact counts (what a host page per idle
-#       worker, and an idle worker that polls instead of parking, inflate —
+#       bytes, steps per node and peak live records are exact counts (what a
+#       host page per idle worker, an idle worker that polls instead of
+#       parking, and a lineage log that keeps completed records inflate —
 #       the first by 130x where steps/s moves 0.5-0.77x, inside its own
-#       gate).
+#       gate; the last by 320x).
 #   scripts/check_simperf.sh --self-test [FILE]
 #       proves the gate bites: the last record of FILE gated against itself
 #       must pass, and against a copy at 0.49x its steps/s, at 2.01x its
-#       backing bytes, at 2.01x the steps of its bag-of-tasks cells, or at
-#       2.01x its leaf-kernel ns, must fail.
+#       backing bytes, at 2.01x the steps of its bag-of-tasks cells, at
+#       2.01x its leaf-kernel ns, or at 2.01x its peak live lineage records,
+#       must fail.
 #
 # The trajectory is one record per line, so grep and shell arithmetic do.
 set -euo pipefail
@@ -45,14 +48,20 @@ bot_cell() {
 # host ns of the C = 256 LCS leaf kernel in record $1.
 leaf_ns() { grep -o '"lcs_leaf_256_ns": [0-9.]*' <<<"$1" | grep -o '[0-9.]*$' || true; }
 
+# "recorded peak_live" lineage records of the faulted cell in record $1.
+faulted_cell() {
+    grep -o '"faulted": {[^}]*}' <<<"$1" |
+        sed -E 's/.*"recorded": ([0-9]+), "peak_live": ([0-9]+).*/\1 \2/' || true
+}
+
 label() { grep -o '^{"label": "[^"]*"' <<<"$1" | cut -d'"' -f4; }
 
 # gate BASE NEW: non-zero when NEW is below half of BASE on any 10k cell,
 # above twice BASE's backing bytes on the 10k UTS cell, above twice BASE's
-# steps per node on any bag-of-tasks cell, or above twice BASE's ns on the
-# LCS leaf kernel.
+# steps per node on any bag-of-tasks cell, above twice BASE's ns on the
+# LCS leaf kernel, or above twice BASE's peak live lineage records.
 gate() {
-    local wl rt base new bn bs nn ns status=0
+    local wl rt base new bn bs nn ns br bp nr np status=0
     for wl in uts recpfor; do
         base=$(cell_10k "$1" "$wl" steps_per_sec)
         new=$(cell_10k "$2" "$wl" steps_per_sec)
@@ -108,6 +117,19 @@ gate() {
     else
         echo "ok   lcs leaf C=256: $new ns vs $base"
     fi
+    read -r br bp <<<"$(faulted_cell "$1")"
+    read -r nr np <<<"$(faulted_cell "$2")"
+    if [ -z "${np:-}" ]; then
+        echo "check_simperf: no faulted cell in the new record" >&2
+        return 2
+    elif [ -z "${bp:-}" ]; then
+        echo "skip faulted lineage: the base record predates the faulted cell"
+    elif [ "$np" -gt $((2 * bp)) ]; then
+        echo "FAIL faulted lineage: $np peak live records > 2 x $bp ($nr recorded)"
+        status=1
+    else
+        echo "ok   faulted lineage: $np peak live records vs $bp ($nr recorded)"
+    fi
     return $status
 }
 
@@ -134,7 +156,12 @@ if [ "${1:-}" = "--self-test" ]; then
         echo "self-test: a leaf kernel at 2.01x the ns must fail the gate" >&2
         exit 1
     fi
-    echo "check_simperf self-test: gate passes 1.00x, fails 0.49x steps/s, 2.01x backing bytes, 2.01x bot steps and 2.01x leaf ns"
+    leaky=$(perl -pe 's/("peak_live": )(\d+)/$1 . int($2 * 2.01)/ge' <<<"$last")
+    if gate "$last" "$leaky" >/dev/null; then
+        echo "self-test: a lineage log at 2.01x the peak live records must fail the gate" >&2
+        exit 1
+    fi
+    echo "check_simperf self-test: gate passes 1.00x, fails 0.49x steps/s, 2.01x backing bytes, 2.01x bot steps, 2.01x leaf ns and 2.01x peak live lineage"
     exit 0
 fi
 
