@@ -872,6 +872,17 @@ mod tests {
         assert_eq!(size_of::<Option<LineageKey>>(), 24);
     }
 
+    /// The fabric's per-verb records ride every steal and join: a change to
+    /// how verbs are issued must leave the handle a worker keeps, the
+    /// window it charges a group through, and (pinned in `dcs-sim`'s own
+    /// tests, where it is private) the completion-queue entry at these sizes.
+    #[test]
+    fn verb_record_sizes_are_pinned() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<VerbHandle>(), 24);
+        assert_eq!(size_of::<Window>(), 48);
+    }
+
     /// An armed run's root thread carries the key its record was pushed
     /// under, and completing the root takes the record out.
     #[test]

@@ -2016,6 +2016,13 @@ mod tests {
         assert_eq!(std::mem::size_of::<Option<ParkWatch>>(), 40);
     }
 
+    /// One completion-queue entry per posted verb; `dcs-core`'s
+    /// `verb_record_sizes_are_pinned` pins the public handle and window.
+    #[test]
+    fn cq_entry_keeps_its_size() {
+        assert_eq!(std::mem::size_of::<CqEntry>(), 32);
+    }
+
     #[test]
     fn word_watch_wakes_at_the_first_poll_after_the_write() {
         let mut m = machine(2);
