@@ -62,7 +62,7 @@
 use dcs_apps::uts::UtsSpec;
 use dcs_sim::{
     Actor, Engine, FabricMode, FaultPlan, GlobalAddr, Machine, MachineConfig, MachineProfile,
-    ScheduleHook, SimRng, Step, VTime, WorkerId,
+    ScheduleHook, SimRng, Step, VTime, Verb, WorkerId,
 };
 
 use crate::termination::{Ring, Token};
@@ -126,11 +126,11 @@ fn word(me: WorkerId, w: u32) -> GlobalAddr {
 
 impl BotWorker {
     fn read_token(m: &mut Machine, me: WorkerId, armed: bool) -> (Token, VTime) {
-        let (round, c) = m.get_u64(me, word(me, W_TOK_ROUND));
-        let (created, _) = m.get_u64(me, word(me, W_TOK_CREATED));
-        let (consumed, _) = m.get_u64(me, word(me, W_TOK_CONSUMED));
+        let (round, c) = m.call(me, Verb::Get(word(me, W_TOK_ROUND)));
+        let (created, _) = m.call(me, Verb::Get(word(me, W_TOK_CREATED)));
+        let (consumed, _) = m.call(me, Verb::Get(word(me, W_TOK_CONSUMED)));
         let start_ns = if armed {
-            m.get_u64(me, word(me, W_TOK_START)).0
+            m.call(me, Verb::Get(word(me, W_TOK_START))).0
         } else {
             0
         };
@@ -149,11 +149,11 @@ impl BotWorker {
     /// Write the token into `to`'s slot: a 24-byte one-sided put (32 bytes
     /// with the start stamp armed runs add).
     fn put_token(m: &mut Machine, me: WorkerId, to: WorkerId, tok: Token, armed: bool) -> VTime {
-        let cost = m.put_u64(me, word(to, W_TOK_ROUND), tok.round);
-        m.post_put_u64_unsignaled(me, word(to, W_TOK_CREATED), tok.created);
-        m.post_put_u64_unsignaled(me, word(to, W_TOK_CONSUMED), tok.consumed);
+        let cost = m.call(me, Verb::Put(word(to, W_TOK_ROUND), tok.round)).1;
+        m.post_unsignaled(me, Verb::Put(word(to, W_TOK_CREATED), tok.created));
+        m.post_unsignaled(me, Verb::Put(word(to, W_TOK_CONSUMED), tok.consumed));
         if armed {
-            m.post_put_u64_unsignaled(me, word(to, W_TOK_START), tok.start_ns);
+            m.post_unsignaled(me, Verb::Put(word(to, W_TOK_START), tok.start_ns));
         }
         cost
     }
@@ -174,7 +174,10 @@ impl BotWorker {
         if k > 0 {
             w.counters[me].created += k;
             // Publish the new size so thieves can see the replayed work.
-            return w.m.put_u64(me, word(me, W_SIZE), w.bags[me].len() as u64);
+            return w
+                .m
+                .call(me, Verb::Put(word(me, W_SIZE), w.bags[me].len() as u64))
+                .1;
         }
         w.m.local_op(me)
     }
@@ -245,14 +248,14 @@ impl BotWorker {
     fn step_work(&mut self, now: VTime, w: &mut BotWorld) -> Step {
         let me = self.me;
         // Respect a thief holding our bag lock.
-        let (lock, _) = w.m.get_u64(me, word(me, W_LOCK));
+        let (lock, _) = w.m.call(me, Verb::Get(word(me, W_LOCK)));
         if lock != 0 {
             let holder = (lock - 1) as usize;
             if self.ring.is_dead(holder) || w.m.confirmed_dead(holder, now) {
                 // The take is a single atomic step, so a thief that died
                 // holding our lock transferred nothing: break the lock.
                 let mut cost = self.confirm(holder, w);
-                cost += w.m.put_u64(me, word(me, W_LOCK), 0);
+                cost += w.m.call(me, Verb::Put(word(me, W_LOCK), 0)).1;
                 return Step::Yield(cost);
             }
             // Wait for the release: re-read the lock every local op, or park
@@ -280,7 +283,7 @@ impl BotWorker {
         }
         // Owner-side size update (local put).
         let size = w.bags[me].len() as u64;
-        let c2 = w.m.put_u64(me, word(me, W_SIZE), size);
+        let c2 = w.m.call(me, Verb::Put(word(me, W_SIZE), size)).1;
         Step::Yield(cost + c2)
     }
 
@@ -312,7 +315,8 @@ impl BotWorker {
                 cost += fail;
                 self.steals_failed += 1;
             } else {
-                let (old, c) = w.m.cas_u64(me, word(victim, W_LOCK), 0, me as u64 + 1);
+                let (old, c) =
+                    w.m.call(me, Verb::Cas(word(victim, W_LOCK), 0, me as u64 + 1));
                 cost += c;
                 if old == 0 {
                     self.state = BState::StealTake { victim };
@@ -332,13 +336,13 @@ impl BotWorker {
             self.steals_failed += 1;
             return Step::Yield(fail);
         }
-        let (size, mut cost) = w.m.get_u64(me, word(victim, W_SIZE));
+        let (size, mut cost) = w.m.call(me, Verb::Get(word(victim, W_SIZE)));
         if size < 2 {
             // Steal-half leaves half behind: a lone task stays with its
             // owner. Taking the last task would allow a two-worker
             // ping-pong where each side steals it back while the other is
             // lock-blocked, so the task is never executed.
-            cost += w.m.post_put_u64_unsignaled(me, word(victim, W_LOCK), 0);
+            cost += w.m.post_unsignaled(me, Verb::Put(word(victim, W_LOCK), 0));
             self.steals_failed += 1;
             return Step::Yield(cost);
         }
@@ -357,7 +361,7 @@ impl BotWorker {
         // which sums it at depth 1 instead of losing it behind the fence.
         let mut win = w.m.window(me, now + cost);
         let new_size = (size as usize - k) as u64;
-        let h_size = win.posted(w.m.post_put_u64(me, word(victim, W_SIZE), new_size, win.at()));
+        let h_size = win.posted(w.m.post(me, Verb::Put(word(victim, W_SIZE), new_size), win.at()));
         if self.armed {
             // Steal lineage: the descriptor shares the victim's 64-byte
             // control line with W_SIZE, so it rides the size put charged
@@ -367,17 +371,18 @@ impl BotWorker {
             // region; see the module doc). The transfer is counted on
             // both sides so per-worker balance mirrors bag contents.
             w.recovery.record_batch(victim, me, &stolen);
-            let _ = w.m.post_put_u64_unsignaled(me, word(victim, W_JRNL), me as u64);
+            let _ =
+                w.m.post_unsignaled(me, Verb::Put(word(victim, W_JRNL), me as u64));
             w.counters[victim].consumed += k as u64;
             w.counters[me].created += k as u64;
         }
-        win.unsignaled(w.m.post_put_u64_unsignaled(me, word(victim, W_LOCK), 0));
-        let h_copy = win.posted(w.m.post_get_bulk(me, victim, k * TASK_BYTES, win.at()));
+        win.unsignaled(w.m.post_unsignaled(me, Verb::Put(word(victim, W_LOCK), 0)));
+        let h_copy = win.posted(w.m.post(me, Verb::GetBulk(victim, k * TASK_BYTES), win.at()));
         w.m.wait(me, h_size);
         w.m.wait(me, h_copy);
         cost = w.m.finish(&win).saturating_sub(now);
         w.bags[me].extend(stolen);
-        w.m.post_put_u64_unsignaled(me, word(me, W_SIZE), w.bags[me].len() as u64);
+        w.m.post_unsignaled(me, Verb::Put(word(me, W_SIZE), w.bags[me].len() as u64));
         self.steals_ok += 1;
         self.state = BState::Work;
         Step::Yield(cost)
@@ -547,7 +552,7 @@ fn build(
             .with_fabric(fabric),
     );
     let mut world = BotWorld::new(m, work.root_task(), ());
-    world.m.put_u64(0, word(0, W_SIZE), 1);
+    world.m.call(0, Verb::Put(word(0, W_SIZE), 1));
 
     let actors: Vec<BotWorker> = (0..workers)
         .map(|me| BotWorker {

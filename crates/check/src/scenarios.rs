@@ -44,7 +44,7 @@ use dcs_core::{
 };
 use dcs_sim::{
     profiles, Actor, DegradeWindow, Detector, Engine, FabricMode, FaultPlan, GlobalAddr, Machine,
-    MachineConfig, ScheduleHook, Step, VTime, Window, WorkerId,
+    MachineConfig, ScheduleHook, Step, VTime, Verb, Window, WorkerId,
 };
 
 use crate::explore::RunRecord;
@@ -347,7 +347,7 @@ impl Actor<RawWorld> for RawActor {
                 let mut cost = VTime::ZERO;
                 for (i, &v) in ring.iter().enumerate() {
                     let lock = GlobalAddr::new(v, w.lay.dq_word(DQ_LOCK));
-                    let (word, c) = w.m.get_u64(me, lock);
+                    let (word, c) = w.m.call(me, Verb::Get(lock));
                     cost += c;
                     if word == lock_word(0, suspect) {
                         // False suspicion: the holder is alive, but its
@@ -355,7 +355,7 @@ impl Actor<RawWorld> for RawActor {
                         // break the stale-epoch lock (the owner-side
                         // `break_dead_lock` clause, run by a survivor).
                         w.m.evict(suspect);
-                        cost += w.m.put_u64(me, lock, 0);
+                        cost += w.m.call(me, Verb::Put(lock, 0)).1;
                         *self = RawActor::Thief(Script::on(&ring[i..=i]), Box::default());
                         return Step::Yield(cost);
                     }

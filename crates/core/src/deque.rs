@@ -69,7 +69,7 @@
 //! [`Slab::take`]. `dcs-check` relies on these typed errors as its deque
 //! oracle.
 
-use dcs_sim::{GlobalAddr, Machine, VTime, WorkerId};
+use dcs_sim::{GlobalAddr, Machine, VTime, Verb, WorkerId};
 
 use crate::dedup::ClaimSet;
 use crate::layout::{SegLayout, DQ_BOTTOM, DQ_LOCK, DQ_TOP};
@@ -114,7 +114,7 @@ fn word(lay: &SegLayout, me: WorkerId, w: u32) -> GlobalAddr {
 
 /// Owner-side lock check shared by all local operations.
 fn owner_check_lock(m: &mut Machine, lay: &SegLayout, me: WorkerId) -> Result<(), DequeError> {
-    match m.get_u64(me, word(lay, me, DQ_LOCK)).0 {
+    match m.call(me, Verb::Get(word(lay, me, DQ_LOCK))).0 {
         0 => Ok(()),
         _ => Err(DequeError::Busy),
     }
@@ -254,7 +254,10 @@ pub fn thief_lock(
     me: WorkerId,
     victim: WorkerId,
 ) -> (bool, VTime) {
-    let (old, cost) = m.cas_u64(me, word(lay, victim, DQ_LOCK), 0, lock_word(0, me));
+    let (old, cost) = m.call(
+        me,
+        Verb::Cas(word(lay, victim, DQ_LOCK), 0, lock_word(0, me)),
+    );
     (old == 0, cost)
 }
 
@@ -276,7 +279,7 @@ pub fn thief_take(
     match thief_take_no_release(m, victim_items, lay, me, victim) {
         Ok((None, mut cost)) => {
             // Empty: release the lock (non-blocking put suffices).
-            cost += m.post_put_u64_unsignaled(me, word(lay, victim, DQ_LOCK), 0);
+            cost += m.post_unsignaled(me, Verb::Put(word(lay, victim, DQ_LOCK), 0));
             Ok((None, cost))
         }
         Ok((Some((item, size, top)), mut cost)) => {
@@ -319,8 +322,8 @@ pub(crate) fn thief_take_no_release(
 ) -> Result<(Option<StolenEntry>, VTime), DeadSlot> {
     debug_assert_ne!(me, victim, "stealing from self");
     // One get covers the adjacent [top, bottom] words.
-    let (top, cost) = m.get_u64(me, word(lay, victim, DQ_TOP));
-    let (bottom, _) = m.get_u64(me, word(lay, victim, DQ_BOTTOM));
+    let (top, cost) = m.call(me, Verb::Get(word(lay, victim, DQ_TOP)));
+    let (bottom, _) = m.call(me, Verb::Get(word(lay, victim, DQ_BOTTOM)));
     match thief_take_no_release_at(m, victim_items, lay, me, victim, top, bottom) {
         Ok((got, c)) => Ok((got, cost + c)),
         Err(mut d) => {
@@ -349,8 +352,8 @@ pub(crate) fn thief_take_no_release_at(
         return Ok((None, VTime::ZERO));
     }
     let slot = GlobalAddr::new(victim, lay.dq_slot(top));
-    let (keyp1, cost) = m.get_u64(me, slot);
-    let (size, _) = m.get_u64(me, slot.field(1));
+    let (keyp1, cost) = m.call(me, Verb::Get(slot));
+    let (size, _) = m.call(me, Verb::Get(slot.field(1)));
     let dead = |cost| {
         Err(DeadSlot {
             op: "thief_take",
@@ -364,7 +367,7 @@ pub(crate) fn thief_take_no_release_at(
     let Some(item) = victim_items.try_take((keyp1 - 1) as u32) else {
         return dead(cost);
     };
-    m.post_put_u64_unsignaled(me, slot, 0);
+    m.post_unsignaled(me, Verb::Put(slot, 0));
     Ok((Some((item, size as usize, top)), cost))
 }
 
@@ -377,7 +380,7 @@ pub(crate) fn thief_advance_top(
     victim: WorkerId,
     new_top: u64,
 ) {
-    m.post_put_u64_unsignaled(me, word(lay, victim, DQ_TOP), new_top);
+    m.post_unsignaled(me, Verb::Put(word(lay, victim, DQ_TOP), new_top));
 }
 
 /// Release the victim's deque lock (blocking put; returns its round-trip
@@ -388,7 +391,7 @@ pub(crate) fn thief_release_lock(
     me: WorkerId,
     victim: WorkerId,
 ) -> VTime {
-    m.put_u64(me, word(lay, victim, DQ_LOCK), 0)
+    m.call(me, Verb::Put(word(lay, victim, DQ_LOCK), 0)).1
 }
 
 // ----------------------------------------------------------------------
@@ -405,8 +408,8 @@ pub fn thief_read_bounds(
     me: WorkerId,
     victim: WorkerId,
 ) -> ((u64, u64), VTime) {
-    let ([top, bottom], cost) = m.get_u64_span::<2>(me, word(lay, victim, DQ_TOP));
-    ((top, bottom), cost)
+    let ([top, bottom], h) = m.post_span::<2>(me, word(lay, victim, DQ_TOP), VTime::ZERO);
+    ((top, bottom), m.wait(me, h).1)
 }
 
 // ----------------------------------------------------------------------
@@ -461,7 +464,7 @@ pub(crate) fn lf_pop_if(
     }
     if b == top {
         // Last item: decide it with the top CAS before touching the slot.
-        let (seen, c) = m.cas_u64(me, word(lay, me, DQ_TOP), top, top + 1);
+        let (seen, c) = m.call(me, Verb::Cas(word(lay, me, DQ_TOP), top, top + 1));
         cost += c;
         m.write_own(me, word(lay, me, DQ_BOTTOM), top + 1);
         if seen != top {
@@ -504,8 +507,9 @@ pub fn lf_thief_claim(
 ) -> Result<(Option<(QueueItem, usize)>, VTime), DeadSlot> {
     debug_assert_ne!(me, victim, "stealing from self");
     let slot = GlobalAddr::new(victim, lay.dq_slot(top));
-    let ([keyp1, size], mut cost) = m.get_u64_span::<2>(me, slot);
-    let (seen, c_cas) = m.cas_u64(me, word(lay, victim, DQ_TOP), top, top + 1);
+    let ([keyp1, size], h) = m.post_span::<2>(me, slot, VTime::ZERO);
+    let mut cost = m.wait(me, h).1;
+    let (seen, c_cas) = m.call(me, Verb::Cas(word(lay, victim, DQ_TOP), top, top + 1));
     cost += c_cas;
     if seen != top {
         return Ok((None, cost));
@@ -523,7 +527,7 @@ pub fn lf_thief_claim(
     let Some(item) = victim_items.try_take((keyp1 - 1) as u32) else {
         return dead(cost);
     };
-    m.post_put_u64_unsignaled(me, slot, 0);
+    m.post_unsignaled(me, Verb::Put(slot, 0));
     Ok((Some((item, size as usize)), cost))
 }
 
@@ -775,13 +779,14 @@ pub fn ff_thief_claim(
 ) -> (FfSteal, VTime) {
     debug_assert_ne!(me, victim, "stealing from self");
     let slot = GlobalAddr::new(victim, lay.dq_slot(top));
-    let (vals, mut cost) = m.get_u64_span::<3>(me, slot);
+    let (vals, h) = m.post_span::<3>(me, slot, VTime::ZERO);
+    let mut cost = m.wait(me, h).1;
     let outcome = ff_decide(victim_ws, claims, vals);
     if !matches!(outcome, FfSteal::Lost) {
-        cost += m.post_put_u64_unsignaled(me, word(lay, victim, DQ_TOP), top + 1);
+        cost += m.post_unsignaled(me, Verb::Put(word(lay, victim, DQ_TOP), top + 1));
     }
     if let FfSteal::Dup = outcome {
-        cost += m.get_bulk(me, victim, vals[1] as usize);
+        cost += m.call(me, Verb::GetBulk(victim, vals[1] as usize)).1;
     }
     (outcome, cost)
 }
@@ -856,10 +861,10 @@ mod tests {
     }
 
     /// Number of queued items, from the owner's perspective (it issues two
-    /// counted `get_u64` verbs).
+    /// counted `Verb::Get`s).
     fn owner_len(m: &mut Machine, lay: &SegLayout, me: WorkerId) -> u64 {
-        let (top, _) = m.get_u64(me, word(lay, me, DQ_TOP));
-        let (bottom, _) = m.get_u64(me, word(lay, me, DQ_BOTTOM));
+        let (top, _) = m.call(me, Verb::Get(word(lay, me, DQ_TOP)));
+        let (bottom, _) = m.call(me, Verb::Get(word(lay, me, DQ_BOTTOM)));
         bottom - top
     }
 
@@ -991,8 +996,8 @@ mod tests {
         assert_eq!((d.op, d.index), ("thief_take", 0));
         // The failed thief still released the lock, and left `top` pointing
         // at the corpse.
-        assert_eq!(m.get_u64(1, word(&lay, 0, DQ_LOCK)).0, 0);
-        assert_eq!(m.get_u64(1, word(&lay, 0, DQ_TOP)).0, 0);
+        assert_eq!(m.call(1, Verb::Get(word(&lay, 0, DQ_LOCK))).0, 0);
+        assert_eq!(m.call(1, Verb::Get(word(&lay, 0, DQ_TOP))).0, 0);
         // A stale non-zero key (payload gone from the slab) is a dead slot
         // too, instead of a panic inside `Slab::take`.
         m.write_own(0, slot, 77 + 1);
@@ -1012,8 +1017,8 @@ mod tests {
         assert!(got.is_some());
         // Post-state: bounds advanced AND lock released — never the lock
         // free while `top` still covers the emptied slot.
-        assert_eq!(m.get_u64(1, word(&lay, 0, DQ_TOP)).0, 1);
-        assert_eq!(m.get_u64(1, word(&lay, 0, DQ_LOCK)).0, 0);
+        assert_eq!(m.call(1, Verb::Get(word(&lay, 0, DQ_TOP))).0, 1);
+        assert_eq!(m.call(1, Verb::Get(word(&lay, 0, DQ_LOCK))).0, 0);
         let (none, _) = owner_pop(&mut m, &mut items, &lay, 0).unwrap();
         assert!(none.is_none());
     }
@@ -1037,8 +1042,8 @@ mod tests {
         // The composition the scheduler ships: advance, then release.
         thief_advance_top(&mut m, &lay, 1, 0, from + 1);
         thief_release_lock(&mut m, &lay, 1, 0);
-        assert_eq!(m.get_u64(1, word(&lay, 0, DQ_TOP)).0, 1);
-        assert_eq!(m.get_u64(1, word(&lay, 0, DQ_LOCK)).0, 0);
+        assert_eq!(m.call(1, Verb::Get(word(&lay, 0, DQ_TOP))).0, 1);
+        assert_eq!(m.call(1, Verb::Get(word(&lay, 0, DQ_LOCK))).0, 0);
         // Known-empty bounds cost nothing and touch nothing.
         let (none, cost) = thief_take_no_release_at(&mut m, &mut items, &lay, 1, 0, 1, 1).unwrap();
         assert!(none.is_none());

@@ -27,7 +27,7 @@
 //! stack (in `WorkerShared::saved` of worker OWNER) and charge the stack
 //! transfer.
 
-use dcs_sim::{GlobalAddr, Machine, VTime, WorkerId};
+use dcs_sim::{GlobalAddr, Machine, VTime, Verb, WorkerId};
 
 use crate::layout::SegLayout;
 use crate::policy::FreeStrategy;
@@ -112,9 +112,9 @@ pub fn alloc_saved_ctx(
 ) -> (GlobalAddr, VTime) {
     let (addr, mut cost) = alloc_robj(m, ws, lay, strategy, me, SAVED_CTX_BYTES);
     // Owner-local writes; one combined local touch.
-    cost += m.put_u64(me, addr.field(0), me as u64);
-    cost += m.put_u64(me, addr.field(1), slot as u64);
-    cost += m.put_u64(me, addr.field(2), stack_bytes as u64);
+    cost += m.call(me, Verb::Put(addr.field(0), me as u64)).1;
+    cost += m.call(me, Verb::Put(addr.field(1), slot as u64)).1;
+    cost += m.call(me, Verb::Put(addr.field(2), stack_bytes as u64)).1;
     (addr, cost)
 }
 
@@ -129,11 +129,11 @@ pub struct SavedCtx {
 
 /// Read a saved-context record (one small get covers the 24-byte record).
 pub fn read_saved_ctx(m: &mut Machine, me: WorkerId, addr: GlobalAddr) -> (SavedCtx, VTime) {
-    let (owner, c1) = m.get_u64(me, addr.field(0));
+    let (owner, c1) = m.call(me, Verb::Get(addr.field(0)));
     // The record is 24 contiguous bytes; a real implementation reads it in
     // one verb. Charge one round trip; the remaining words are free reads.
-    let (slot, _) = m.get_u64(me, addr.field(1));
-    let (bytes, _) = m.get_u64(me, addr.field(2));
+    let (slot, _) = m.call(me, Verb::Get(addr.field(1)));
+    let (bytes, _) = m.call(me, Verb::Get(addr.field(2)));
     (
         SavedCtx {
             owner: owner as WorkerId,
@@ -179,7 +179,7 @@ mod tests {
         assert_eq!(h.consumers, 1);
         assert!(meta.contains_key(&h.entry.to_u64()));
         // Fresh entries are zeroed (flag unset).
-        let (flag, _) = m.get_u64(0, h.entry.field(E_FLAG));
+        let (flag, _) = m.call(0, Verb::Get(h.entry.field(E_FLAG)));
         assert_eq!(flag, 0);
         free_entry(&mut m, &mut ws, &lay, st, 0, h, &mut meta, &mut retvals);
         assert!(meta.is_empty());
@@ -224,10 +224,10 @@ mod tests {
         let (h, _) = alloc_entry(&mut m, &mut ws, &lay, st, 0, 3, &mut meta);
         // Write each ctxloc slot and read back through the fabric.
         for i in 0..3 {
-            m.put_u64(0, h.entry.field(EM_CTX0 + i), 100 + i as u64);
+            m.call(0, Verb::Put(h.entry.field(EM_CTX0 + i), 100 + i as u64));
         }
         for i in 0..3 {
-            let (v, _) = m.get_u64(1, h.entry.field(EM_CTX0 + i));
+            let (v, _) = m.call(1, Verb::Get(h.entry.field(EM_CTX0 + i)));
             assert_eq!(v, 100 + i as u64);
         }
         assert_eq!(meta[&h.entry.to_u64()].bytes, 40);

@@ -11,7 +11,7 @@
 //!
 //! * a continuation can be stolen/suspended/resumed only at the same points
 //!   the real runtime allows (spawn, join, compute boundaries),
-//! * migrating a thread costs `get_bulk(stack_bytes)` on the fabric, where
+//! * migrating a thread costs a `Verb::GetBulk` of `stack_bytes`, where
 //!   `stack_bytes` grows with nesting depth and captured state exactly like
 //!   a native stack (the paper measures 1–2 KB median stolen stacks),
 //! * the uni-address placement discipline is enforced through

@@ -21,7 +21,7 @@
 //! serializes through virtual time itself. (The deque lock, by contrast, is
 //! deliberately held across steps; see `deque.rs`.)
 
-use dcs_sim::{GlobalAddr, Machine, VTime, VerbHandle, WorkerId, WORD};
+use dcs_sim::{GlobalAddr, Machine, VTime, Verb, VerbHandle, WorkerId, WORD};
 
 use crate::layout::{SegLayout, FQ_COUNT, FQ_LOCK};
 use crate::policy::FreeStrategy;
@@ -169,7 +169,7 @@ pub fn free_robj(
                 // One non-blocking put of the free bit. The owner reclaims at
                 // its next sweep.
                 owner_ws.robj.remote_frees_sent += 1;
-                m.post_put_u64_unsignaled(me, addr.field(free_bit_off(bytes) / WORD), 1)
+                m.post_unsignaled(me, Verb::Put(addr.field(free_bit_off(bytes) / WORD), 1))
             }
         }
         FreeStrategy::LockQueue => {
@@ -200,10 +200,10 @@ fn free_via_lock_queue(
     // 1. Acquire the lock. Protocol steps are atomic within this simulator
     //    step and no lock-queue holder spans steps, so the CAS succeeds; the
     //    round trip is still charged.
-    let (old, c1) = m.cas_u64(me, lock, 0, me as u64 + 1);
+    let (old, c1) = m.call(me, Verb::Cas(lock, 0, me as u64 + 1));
     debug_assert_eq!(old, 0, "lock-queue lock held across a step");
     // 2. Bump the counter (fetch-and-add round trip).
-    let (n, c2) = m.fetch_add_u64(me, count, 1);
+    let (n, c2) = m.call(me, Verb::Faa(count, 1));
     let idx = n as u32;
     assert!(
         idx < lay.freeq_cap,
@@ -220,9 +220,9 @@ fn free_via_lock_queue(
     // and charged on top of the pair at either depth.
     let slot = GlobalAddr::new(owner, lay.fq_slot(idx));
     let mut w = m.window(me, VTime::ZERO);
-    let h3 = w.posted(m.post_put_u64(me, slot, addr.to_u64(), w.at()));
-    let c3b = m.post_put_u64_unsignaled(me, slot.field(1), bytes as u64);
-    let h4 = w.posted(m.post_put_u64(me, lock, 0, w.at()));
+    let h3 = w.posted(m.post(me, Verb::Put(slot, addr.to_u64()), w.at()));
+    let c3b = m.post_unsignaled(me, Verb::Put(slot.field(1), bytes as u64));
+    let h4 = w.posted(m.post(me, Verb::Put(lock, 0), w.at()));
     m.wait(me, h3);
     m.wait(me, h4);
     c1 + c2 + c3b + m.finish(&w)
@@ -232,25 +232,25 @@ fn free_via_lock_queue(
 /// operations are local).
 fn drain_lock_queue(m: &mut Machine, ws: &mut WorkerShared, lay: &SegLayout, me: WorkerId) -> VTime {
     let count_addr = GlobalAddr::new(me, lay.fq_word(FQ_COUNT));
-    let (n, mut cost) = m.get_u64(me, count_addr);
+    let (n, mut cost) = m.call(me, Verb::Get(count_addr));
     if n == 0 {
         return cost;
     }
     let lock = GlobalAddr::new(me, lay.fq_word(FQ_LOCK));
-    let (old, c) = m.cas_u64(me, lock, 0, me as u64 + 1);
+    let (old, c) = m.call(me, Verb::Cas(lock, 0, me as u64 + 1));
     cost += c;
     debug_assert_eq!(old, 0);
     for i in 0..n as u32 {
         let slot = GlobalAddr::new(me, lay.fq_slot(i));
-        let (a, c1) = m.get_u64(me, slot);
-        let (b, c2) = m.get_u64(me, slot.field(1));
+        let (a, c1) = m.call(me, Verb::Get(slot));
+        let (b, c2) = m.call(me, Verb::Get(slot.field(1)));
         cost += c1 + c2;
         m.free(GlobalAddr::from_u64(a), b as u32);
         cost += m.local_op(me);
         ws.robj.lq_drained_items += 1;
     }
-    cost += m.put_u64(me, count_addr, 0);
-    cost += m.put_u64(me, lock, 0);
+    cost += m.call(me, Verb::Put(count_addr, 0)).1;
+    cost += m.call(me, Verb::Put(lock, 0)).1;
     ws.robj.lq_drains += 1;
     cost
 }
@@ -273,7 +273,11 @@ fn maybe_sweep(m: &mut Machine, ws: &mut WorkerShared, me: WorkerId) -> VTime {
     for &(off, bytes) in &ws.robj.list {
         cost += m.local_op(me);
         let bit_addr = GlobalAddr::new(me, off + free_bit_off(bytes));
-        scan.push((off, bytes, w.posted(m.post_get_u64(me, bit_addr, w.at()))));
+        scan.push((
+            off,
+            bytes,
+            w.posted(m.post(me, Verb::Get(bit_addr), w.at())),
+        ));
     }
     m.chain_end(me);
     ws.robj.swept_items += scan.len() as u64;

@@ -75,7 +75,7 @@ impl Worker {
                     e.entry.rank as usize, self.me,
                     "work-first pop implies the entry is local"
                 );
-                cost += self.publish_retval_and_flag(world, e, v, 1, now + cost);
+                cost += self.publish(world, e, v, Verb::Put, 1, now + cost).1;
                 world.rt.stats.die_fast += 1;
                 // The parent's stack is directly below the dying child's in
                 // the uni-address region: resuming it "in the same way as an
@@ -87,7 +87,7 @@ impl Worker {
                 return Ok(cost);
             }
             // Slow path: race on the flag (Fig. 4 l. 33).
-            let (old, c) = self.publish_retval_and_faa(world, e, v.clone(), 1, now + cost);
+            let (old, c) = self.publish(world, e, v.clone(), Verb::Faa, 1, now + cost);
             cost += c;
             if old == 0 {
                 // Won: the joiner has not suspended yet (or not arrived);
@@ -125,7 +125,7 @@ impl Worker {
         e: ThreadHandle,
         v: Value,
     ) -> VTime {
-        let (ctxloc, mut cost) = world.m.get_u64(self.me, e.entry.field(E_CTXLOC));
+        let (ctxloc, mut cost) = world.m.call(self.me, Verb::Get(e.entry.field(E_CTXLOC)));
         let c_addr = GlobalAddr::from_u64(ctxloc);
         debug_assert!(!c_addr.is_null(), "loser must find a saved context");
         let (saved, c1) = read_saved_ctx(&mut world.m, self.me, c_addr);
@@ -174,7 +174,10 @@ impl Worker {
         if self.scheme == AddressScheme::Uni && th.home.is_some() {
             world.rt.per[saved.owner].evac.restore(saved.stack_bytes as u64);
         }
-        cost += world.m.get_bulk(self.me, saved.owner, saved.stack_bytes);
+        cost += world
+            .m
+            .call(self.me, Verb::GetBulk(saved.owner, saved.stack_bytes))
+            .1;
         // Free the saved-context record (a remote object of its owner).
         cost += free_robj(
             &mut world.m,
@@ -225,8 +228,7 @@ impl Worker {
         parent: Option<VThread>,
         at: VTime,
     ) -> VTime {
-        let (old, mut cost) =
-            self.publish_retval_and_faa(world, e, v.clone(), DONE_BIT, at);
+        let (old, mut cost) = self.publish(world, e, v.clone(), Verb::Faa, DONE_BIT, at);
         let waiters = (old & (DONE_BIT - 1)) as u32;
         debug_assert!(waiters <= e.consumers);
         let mut resumed: Vec<VThread> = Vec::with_capacity(waiters as usize);
@@ -238,9 +240,13 @@ impl Worker {
             // One bulk get covers the ctxloc slot array.
             cost += world
                 .m
-                .get_bulk(self.me, e.entry.rank as usize, 8 * waiters as usize);
+                .call(
+                    self.me,
+                    Verb::GetBulk(e.entry.rank as usize, 8 * waiters as usize),
+                )
+                .1;
             for i in 0..waiters {
-                let (ctxloc, _) = world.m.get_u64(self.me, e.entry.field(EM_CTX0 + i));
+                let (ctxloc, _) = world.m.call(self.me, Verb::Get(e.entry.field(EM_CTX0 + i)));
                 let c_addr = GlobalAddr::from_u64(ctxloc);
                 let (saved, c1) = read_saved_ctx(&mut world.m, self.me, c_addr);
                 cost += c1;
@@ -286,10 +292,9 @@ impl Worker {
             // consume never happens (its replay re-arrives instead), so
             // under kills the entry may leak rather than free early.
             let handed = resumed.len() as u64;
-            let (c_old, c2) =
-                world
-                    .m
-                    .fetch_add_u64(self.me, e.entry.field(EM_CONSUMED), handed);
+            let (c_old, c2) = world
+                .m
+                .call(self.me, Verb::Faa(e.entry.field(EM_CONSUMED), handed));
             cost += c2;
             if c_old + handed == e.consumers as u64 {
                 cost += self.free_entry_here(world, e);
@@ -306,7 +311,7 @@ impl Worker {
                 let copies: Vec<VerbHandle> = sweep
                     .iter()
                     .map(|&(owner, bytes)| {
-                        w.posted(world.m.post_get_bulk(self.me, owner, bytes, w.at()))
+                        w.posted(world.m.post(self.me, Verb::GetBulk(owner, bytes), w.at()))
                     })
                     .collect();
                 world.m.chain_end(self.me);
@@ -372,7 +377,7 @@ impl Worker {
             }
         };
         let flag_val = if e.consumers == 1 { 1 } else { DONE_BIT };
-        cost += self.publish_retval_and_flag(world, e, v, flag_val, now + cost);
+        cost += self.publish(world, e, v, Verb::Put, flag_val, now + cost).1;
         world.rt.stats.note_die(e.entry.to_u64(), now);
         let mut th = self.cur.take().expect("die without thread");
         Self::mark_lineage_done(world, &th);
@@ -417,7 +422,7 @@ impl Worker {
             cost = c_dead;
         } else {
             let flag_val = if e.consumers == 1 { 1 } else { DONE_BIT };
-            cost = self.publish_retval_and_flag(world, e, v, flag_val, now);
+            cost = self.publish(world, e, v, Verb::Put, flag_val, now).1;
         }
         world.rt.stats.note_die(e.entry.to_u64(), now);
         let mut th = self.cur.take().expect("die without thread");
@@ -429,7 +434,7 @@ impl Worker {
         if self.policy == Policy::ChildRtc {
             if let Some(top) = self.nest.last() {
                 let h = top.handle;
-                let (flag, c) = world.m.get_u64(self.me, h.entry.field(E_FLAG));
+                let (flag, c) = world.m.call(self.me, Verb::Get(h.entry.field(E_FLAG)));
                 cost += c;
                 let done = if h.consumers == 1 {
                     flag != 0

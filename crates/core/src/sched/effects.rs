@@ -100,7 +100,7 @@ impl Worker {
                 // Step A: read the flag.
                 let th = self.cur.as_mut().expect("join without thread");
                 th.frames.push(cont);
-                let (flag, cost) = world.m.get_u64(self.me, handle.entry.field(E_FLAG));
+                let (flag, cost) = world.m.call(self.me, Verb::Get(handle.entry.field(E_FLAG)));
                 let done = if handle.consumers == 1 {
                     flag != 0
                 } else {
@@ -202,10 +202,9 @@ impl Worker {
         if h.consumers == 1 {
             cost += self.free_entry_here(world, h);
         } else {
-            let (old, c) =
-                world
-                    .m
-                    .fetch_add_u64(self.me, h.entry.field(EM_CONSUMED), 1);
+            let (old, c) = world
+                .m
+                .call(self.me, Verb::Faa(h.entry.field(EM_CONSUMED), 1));
             cost += c;
             if old + 1 == h.consumers as u64 {
                 cost += self.free_entry_here(world, h);

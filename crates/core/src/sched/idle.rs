@@ -334,7 +334,7 @@ impl Worker {
             w.unsignaled(
                 world
                     .m
-                    .post_put_bulk_unsignaled(self.me, b, Self::CKPT_HDR_BYTES),
+                    .post_unsignaled(self.me, Verb::PutBulk(b, Self::CKPT_HDR_BYTES)),
             );
         }
     }
@@ -452,7 +452,7 @@ impl Worker {
             return VTime::ZERO;
         };
         let h = top.handle;
-        let (flag, mut cost) = world.m.get_u64(self.me, h.entry.field(E_FLAG));
+        let (flag, mut cost) = world.m.call(self.me, Verb::Get(h.entry.field(E_FLAG)));
         let done = if h.consumers == 1 {
             flag != 0
         } else {
@@ -482,7 +482,7 @@ impl Worker {
             self.start_thread(world, now, th);
             return cost;
         }
-        let (flag, mut cost) = world.m.get_u64(self.me, handle.entry.field(E_FLAG));
+        let (flag, mut cost) = world.m.call(self.me, Verb::Get(handle.entry.field(E_FLAG)));
         let done = if handle.consumers == 1 {
             flag != 0
         } else {

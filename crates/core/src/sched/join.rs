@@ -94,9 +94,13 @@ impl Worker {
             let at = now + cost;
             let mut w = world.m.window(self.me, at);
             let ctxloc = h.entry.field(E_CTXLOC);
-            let h_ctx = w.posted(world.m.post_put_u64(self.me, ctxloc, c_addr.to_u64(), w.at()));
+            let h_ctx = w.posted(
+                world
+                    .m
+                    .post(self.me, Verb::Put(ctxloc, c_addr.to_u64()), w.at()),
+            );
             let flag = h.entry.field(E_FLAG);
-            let h_faa = w.posted(world.m.post_fetch_add_u64(self.me, flag, 1, w.at()));
+            let h_faa = w.posted(world.m.post(self.me, Verb::Faa(flag, 1), w.at()));
             world.m.wait(self.me, h_ctx);
             let (old, _) = world.m.wait(self.me, h_faa);
             let c1 = world.m.finish(&w).saturating_sub(at);
@@ -133,7 +137,7 @@ impl Worker {
             }
         } else {
             // Multi-consumer waiter: claim an arrival slot and publish.
-            let (old, c1) = world.m.fetch_add_u64(self.me, h.entry.field(E_FLAG), 1);
+            let (old, c1) = world.m.call(self.me, Verb::Faa(h.entry.field(E_FLAG), 1));
             cost += c1;
             if old & DONE_BIT != 0 {
                 // Producer already done: self-resume and consume.
@@ -162,7 +166,11 @@ impl Worker {
                 debug_assert!(idx < h.consumers);
                 cost += world
                     .m
-                    .put_u64(self.me, h.entry.field(EM_CTX0 + idx), c_addr.to_u64());
+                    .call(
+                        self.me,
+                        Verb::Put(h.entry.field(EM_CTX0 + idx), c_addr.to_u64()),
+                    )
+                    .1;
                 self.state = WState::Idle;
                 self.set_busy(world, now, false);
                 Ok(cost)
@@ -179,7 +187,7 @@ impl Worker {
         } else {
             let (old, c) = world
                 .m
-                .fetch_add_u64(self.me, h.entry.field(EM_CONSUMED), 1);
+                .call(self.me, Verb::Faa(h.entry.field(EM_CONSUMED), 1));
             cost += c;
             if old + 1 == h.consumers as u64 {
                 cost += self.free_entry_here(world, h);

@@ -40,7 +40,9 @@
 
 use std::collections::VecDeque;
 
-use dcs_sim::{Actor, GlobalAddr, Machine, SimRng, Step, VTime, VerbHandle, Window, WorkerId};
+use dcs_sim::{
+    Actor, GlobalAddr, Machine, SimRng, Step, VTime, Verb, VerbHandle, Window, WorkerId,
+};
 
 use crate::deque::{lock_holder, Busy, DeadSlot, DequeError};
 use crate::entry::{
@@ -296,18 +298,23 @@ impl Worker {
 
     /// Publish a completion record as one window: park the retval (side
     /// table) and post its wire put, then post the join-flag verb
-    /// `post_flag` builds. Both verbs target the entry's rank, so same-QP
-    /// in-order retirement keeps the value visible before the flag — the
-    /// publication order Fig. 3/4 rely on — even when the two overlap.
-    /// `at` is the issuer's absolute virtual instant; returns the flag
-    /// verb's value and the added cost.
-    fn publish(
+    /// `flag(E_FLAG word, val)` — Fig. 3 DIE's plain write (`Verb::Put`,
+    /// lines 1–2) or the greedy race's fetch-add (`Verb::Faa`, Fig. 4
+    /// l. 33). Both verbs target the entry's rank, so same-QP in-order
+    /// retirement keeps the value visible before the flag — the
+    /// publication order Fig. 3/4 rely on — even when the two overlap: a
+    /// racing joiner that observes the incremented flag is guaranteed to
+    /// find the value. `at` is the issuer's absolute virtual instant;
+    /// returns the flag verb's value (the old flag, for a fetch-add) and
+    /// the added cost.
+    pub(crate) fn publish(
         &mut self,
         world: &mut World,
         e: ThreadHandle,
         v: Value,
+        flag: fn(GlobalAddr, u64) -> Verb,
+        val: u64,
         at: VTime,
-        post_flag: impl FnOnce(&mut Machine, GlobalAddr, VTime) -> VerbHandle,
     ) -> (u64, VTime) {
         let size = v.wire_size();
         world
@@ -315,42 +322,16 @@ impl Worker {
             .retvals
             .insert(e.entry.to_u64(), StoredVal { v, size: size as u32 });
         let mut w = world.m.window(self.me, at);
-        let h_rv = w.posted(world.m.post_put_bulk(self.me, e.entry.rank as usize, size, w.at()));
-        let h_flag = w.posted(post_flag(&mut world.m, e.entry.field(E_FLAG), w.at()));
+        let rv = Verb::PutBulk(e.entry.rank as usize, size);
+        let h_rv = w.posted(world.m.post(self.me, rv, w.at()));
+        let h_flag = w.posted(
+            world
+                .m
+                .post(self.me, flag(e.entry.field(E_FLAG), val), w.at()),
+        );
         world.m.wait(self.me, h_rv);
         let (old, _) = world.m.wait(self.me, h_flag);
         (old, world.m.finish(&w).saturating_sub(at))
-    }
-
-    /// Fig. 3 DIE, lines 1–2: retval put, then a plain write of the join
-    /// flag. Returns the added cost.
-    pub(crate) fn publish_retval_and_flag(
-        &mut self,
-        world: &mut World,
-        e: ThreadHandle,
-        v: Value,
-        flag_val: u64,
-        at: VTime,
-    ) -> VTime {
-        let me = self.me;
-        self.publish(world, e, v, at, |m, flag, t| m.post_put_u64(me, flag, flag_val, t)).1
-    }
-
-    /// As [`Self::publish_retval_and_flag`], but the flag op is the greedy
-    /// race's fetch-add (Fig. 4 l. 33): returns `(old flag, added cost)`.
-    /// The AMO cannot retire before the retval put on the same QP, so a
-    /// racing joiner that observes the incremented flag is guaranteed to
-    /// find the value.
-    pub(crate) fn publish_retval_and_faa(
-        &mut self,
-        world: &mut World,
-        e: ThreadHandle,
-        v: Value,
-        add: u64,
-        at: VTime,
-    ) -> (u64, VTime) {
-        let me = self.me;
-        self.publish(world, e, v, at, |m, flag, t| m.post_fetch_add_u64(me, flag, add, t))
     }
 
     /// Fetch a return value from entry `e`. Single-consumer entries hand the
@@ -375,7 +356,8 @@ impl Worker {
         };
         let cost = world
             .m
-            .get_bulk(self.me, e.entry.rank as usize, size as usize);
+            .call(self.me, Verb::GetBulk(e.entry.rank as usize, size as usize))
+            .1;
         (v, cost)
     }
 

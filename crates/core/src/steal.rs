@@ -25,7 +25,7 @@
 //! in the scheduler; the ring script and the ledger in the checker) is its
 //! [`Host`]'s.
 
-use dcs_sim::{GlobalAddr, Machine, Step, VTime, VerbHandle, Window, WorkerId};
+use dcs_sim::{GlobalAddr, Machine, Step, VTime, Verb, VerbHandle, Window, WorkerId};
 
 use crate::dedup::ClaimSet;
 use crate::deque::{
@@ -159,7 +159,7 @@ pub struct Pending {
     /// Lock-release put (CAS-lock only: the fence-free hint write is
     /// unsignaled and the lock-free CAS already committed).
     pub(crate) h_release: Option<VerbHandle>,
-    /// Payload `get_bulk`, posted at `copy_at`.
+    /// Payload `Verb::GetBulk`, posted at `copy_at`.
     pub(crate) h_copy: VerbHandle,
     copy_at: VTime,
     /// The thief's clock when it issued the payload get.
@@ -325,11 +325,11 @@ pub fn probe<H: Host>(
         let m = machine(h);
         if locks {
             let lock = GlobalAddr::new(p.victim, lay.dq_word(DQ_LOCK));
-            p.h_lock = Some(w.posted(m.post_cas_u64(me, lock, 0, word, w.at())));
+            p.h_lock = Some(w.posted(m.post(me, Verb::Cas(lock, 0, word), w.at())));
         }
         if !locks || k >= 2 {
             let top = GlobalAddr::new(p.victim, lay.dq_word(DQ_TOP));
-            let ([top, bottom], hb) = m.post_get_u64_span::<2>(me, top, w.at());
+            let ([top, bottom], hb) = m.post_span::<2>(me, top, w.at());
             p.bounds = Some((w.posted(hb), top, bottom));
         }
         h.faults(now, p.victim);
@@ -365,7 +365,7 @@ pub fn probe<H: Host>(
         }
         if locks {
             let lock = GlobalAddr::new(p.victim, lay.dq_word(DQ_LOCK));
-            cost += machine(h).post_put_u64_unsignaled(me, lock, 0);
+            cost += machine(h).post_unsignaled(me, Verb::Put(lock, 0));
         }
         if has_work {
             // Work was there but the ring committed to an earlier victim:
@@ -438,7 +438,7 @@ pub fn resume<H: Host>(h: &mut H, cx: Cx, now: VTime, stage: Stage) -> Step {
                     // Empty: a non-blocking put suffices to release.
                     h.empty(victim);
                     let lock = GlobalAddr::new(victim, lay.dq_word(DQ_LOCK));
-                    cost += machine(h).post_put_u64_unsignaled(me, lock, 0);
+                    cost += machine(h).post_unsignaled(me, Verb::Put(lock, 0));
                     h.faults(now, victim);
                     miss(h, now, cost)
                 }
@@ -478,7 +478,8 @@ pub fn resume<H: Host>(h: &mut H, cx: Cx, now: VTime, stage: Stage) -> Step {
             let top = top();
             let slot = GlobalAddr::new(victim, lay.dq_slot(top));
             let (m, ws, claims) = h.parts();
-            let (vals, mut cost) = m.get_u64_span::<3>(me, slot);
+            let (vals, h_span) = m.post_span::<3>(me, slot, VTime::ZERO);
+            let mut cost = m.wait(me, h_span).1;
             let outcome = ff_decide(&mut ws[victim], claims, vals);
             h.faults(now, victim);
             match outcome {
@@ -492,8 +493,10 @@ pub fn resume<H: Host>(h: &mut H, cx: Cx, now: VTime, stage: Stage) -> Step {
                     // multiplicity), and still writes the hint so later
                     // thieves skip the slot.
                     let top_word = GlobalAddr::new(victim, lay.dq_word(DQ_TOP));
-                    cost += machine(h).post_put_u64_unsignaled(me, top_word, top + 1);
-                    cost += machine(h).get_bulk(me, victim, vals[1] as usize);
+                    cost += machine(h).post_unsignaled(me, Verb::Put(top_word, top + 1));
+                    cost += machine(h)
+                        .call(me, Verb::GetBulk(victim, vals[1] as usize))
+                        .1;
                     h.raced(victim, Some((vals[0] - 1) as u32));
                     miss(h, now, cost)
                 }
@@ -528,7 +531,7 @@ fn commit<H: Host>(
     let h_release = match desc.claim {
         Claim::Lock => {
             let lock = GlobalAddr::new(victim, lay.dq_word(DQ_LOCK));
-            let hr = w.posted(machine(h).post_put_u64(me, lock, 0, w.at()));
+            let hr = w.posted(machine(h).post(me, Verb::Put(lock, 0), w.at()));
             // The take's faults, the release's included, are the victim's;
             // the claim steps drained theirs already.
             h.faults(now, victim);
@@ -536,7 +539,7 @@ fn commit<H: Host>(
         }
         Claim::Ticket => {
             let top_word = GlobalAddr::new(victim, lay.dq_word(DQ_TOP));
-            w.unsignaled(machine(h).post_put_u64_unsignaled(me, top_word, top + 1));
+            w.unsignaled(machine(h).post_unsignaled(me, Verb::Put(top_word, top + 1)));
             None
         }
         Claim::TopCas => None,
@@ -552,7 +555,7 @@ fn commit<H: Host>(
     };
     let m = machine(h);
     let (issued, copy_at) = (w.now(), w.at());
-    let h_copy = w.posted(m.post_get_bulk(me, victim, size, copy_at));
+    let h_copy = w.posted(m.post(me, Verb::GetBulk(victim, size), copy_at));
     let fin = m.finish(&w);
     let ps = Pending {
         item,

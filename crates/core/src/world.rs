@@ -8,7 +8,7 @@
 //! fabric. This keeps every protocol decision observable in pinned memory
 //! while avoiding byte-serialization of closures.
 
-use dcs_sim::{GlobalAddr, Machine, VTime};
+use dcs_sim::{GlobalAddr, Machine, VTime, Verb};
 use dcs_uniaddr::{EvacRegion, IsoAlloc, UniRegion};
 
 use crate::dedup::ClaimSet;
@@ -584,7 +584,7 @@ impl World {
     /// never blocked and never ask.
     pub(crate) fn own_locked(&mut self, lay: &SegLayout, me: usize) -> bool {
         let lock = GlobalAddr::new(me, lay.dq_word(DQ_LOCK));
-        self.rt.desc.locks() && self.m.get_u64(me, lock).0 != 0
+        self.rt.desc.locks() && self.m.call(me, Verb::Get(lock)).0 != 0
     }
 
     /// Push `item` at the bottom of `me`'s own deque under the run's

@@ -9,13 +9,12 @@
 //!
 //! * every worker is a simulated **process** with its own pinned memory
 //!   [`Segment`] — a worker can touch remote memory *only* through one-sided
-//!   verbs, which are *posted* ([`Machine::post_get_u64`],
-//!   [`Machine::post_put_u64`], [`Machine::post_fetch_add_u64`],
-//!   [`Machine::post_cas_u64`], bulk [`Machine::post_get_bulk`] /
-//!   [`Machine::post_put_bulk`]) and reaped from a per-worker completion
-//!   queue ([`Machine::wait`] / [`Machine::poll_cq`] / [`Machine::fence`]),
-//!   exactly like `ibv_post_send` / `ibv_poll_cq`; the blocking forms
-//!   ([`Machine::get_u64`] etc.) are `post + wait` wrappers,
+//!   verbs: one [`Verb`] type (get, span get, put, fetch-and-add, CAS,
+//!   bulk get, bulk put) *posted* through one [`Machine::post`] and reaped
+//!   from a per-worker completion queue ([`Machine::wait`] /
+//!   [`Machine::poll_cq`]), exactly like `ibv_post_send` / `ibv_poll_cq`;
+//!   [`Machine::post_unsignaled`] is the write that never completes on the
+//!   queue, and the blocking form [`Machine::call`] is `post + wait`,
 //! * each verb charges a calibrated latency ([`LatencyModel`], with presets for
 //!   both machines in [`profiles`]) to the issuing worker's **virtual clock**
 //!   and updates per-worker operation/byte counters ([`FabricStats`]),
@@ -43,7 +42,7 @@ pub use engine::{Actor, Engine, EventQueue, ScheduleHook, Step};
 pub use fault::{CrashWindow, DegradeWindow, Detector, FaultPlan, KillEvent, MsgFate};
 pub use latency::{profiles, LatencyModel, MachineProfile};
 pub use machine::{
-    Completion, FabricMode, FabricStats, Machine, MachineConfig, VerbHandle, Window,
+    Completion, FabricMode, FabricStats, Machine, MachineConfig, Verb, VerbHandle, Window,
 };
 pub use mailbox::Mailbox;
 pub use mem::{GlobalAddr, SegAlloc, Segment, PAGE_BYTES, WORD};

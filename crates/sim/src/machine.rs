@@ -2,22 +2,23 @@
 //!
 //! [`Machine`] is the only way workers touch each other's memory. The fabric
 //! is a *posted-operation* model, mirroring real RDMA (`ibv_post_send` /
-//! `ibv_poll_cq`, MPI-3 `MPI_Rput` / `MPI_Win_flush`): `post_*` verbs apply
-//! the memory effect, bump the issuing worker's [`FabricStats`], run the
-//! nominal cost through the fault layer, and enqueue a completion on the
-//! issuer's completion queue at its computed finish time. Workers reap with
-//! [`Machine::wait`] (advance to one completion), [`Machine::poll_cq`]
-//! (harvest everything already finished) or [`Machine::fence`] (wait-all,
-//! the MPI `flush` analogue).
+//! `ibv_poll_cq`, MPI-3 `MPI_Rput` / `MPI_Win_flush`): every one-sided verb
+//! is a [`Verb`] value, and [`Machine::post`] applies its memory effect,
+//! bumps the issuing worker's [`FabricStats`], runs the nominal cost through
+//! the fault layer, and enqueues a completion on the issuer's completion
+//! queue at its computed finish time. Workers reap with [`Machine::wait`]
+//! (advance to one completion) or [`Machine::poll_cq`] (harvest everything
+//! already finished). [`Machine::post_unsignaled`] issues a write that
+//! never completes on the queue, and [`Machine::post_span`] a read of
+//! adjacent words.
 //!
 //! *When* a posted verb starts is the machine's issue depth
 //! ([`FabricMode`]): after the issuer's previous verb has retired (depth 1,
 //! the default) or at its post instant (overlapped). Protocol code posts
 //! one verb sequence per step into a [`Window`] and never reads the mode.
 //!
-//! The classic blocking verbs (`get_u64`, `put_u64`, …) are thin
-//! `post + wait` wrappers and charge exactly what they always did; they
-//! must not be issued while the issuer has posts outstanding.
+//! The blocking form [`Machine::call`] is `post + wait` and must not be
+//! issued while the issuer has posts outstanding.
 //! Local accesses (to the issuer's own segment) are charged `local_op`
 //! instead of a network round trip, mirroring how the runtime in the paper
 //! distinguishes local deque operations from remote steals.
@@ -148,7 +149,7 @@ pub struct FabricStats {
     /// is charged). Exactly 1 under [`FabricMode::Blocking`], whose issue
     /// depth is 1 by definition; overlapped hot paths push it higher.
     pub max_inflight: u64,
-    /// Completion-queue reap calls ([`Machine::poll_cq`] + [`Machine::fence`]).
+    /// Completion-queue reap calls ([`Machine::poll_cq`]).
     /// `wait` on a single handle is not counted: blocking on one verb is not
     /// a poll, so the runtimes (which only ever `wait`) report 0 here.
     pub cq_polls: u64,
@@ -224,9 +225,36 @@ impl FabricStats {
     }
 }
 
-/// A posted verb awaiting completion. Returned by the `post_*` family;
-/// redeemed by [`Machine::wait`] or reaped in bulk via [`Machine::poll_cq`]
-/// / [`Machine::fence`].
+/// One one-sided verb: the paper's four primitives (get, put,
+/// fetch-and-add, CAS) on one word, a read spanning adjacent words, and the
+/// bulk transfers. Issued by [`Machine::post`], [`Machine::post_unsignaled`]
+/// or [`Machine::call`]; a verb to the issuer's own segment is a local op.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Verb {
+    /// `get v ← L`: read one word; the completion carries it.
+    Get(GlobalAddr),
+    /// One read of `n` adjacent words from the address — a contiguous
+    /// record (deque bounds, a ring-slot entry). One verb on the wire: one
+    /// `remote_gets`, one round trip, `8·n` bytes. The completion carries
+    /// the first word; [`Machine::post_span`] returns them all.
+    GetSpan(GlobalAddr, u32),
+    /// `put L ← v`: write one word.
+    Put(GlobalAddr, u64),
+    /// `fetch_and_add(L, v)`; the completion carries the fetched value.
+    Faa(GlobalAddr, u64),
+    /// Compare-and-swap `(expect, new)`; the completion carries the
+    /// observed value.
+    Cas(GlobalAddr, u64, u64),
+    /// Read `len` bytes from a worker's segment (e.g. a migrated call
+    /// stack). The payload travels through runtime-owned side tables; the
+    /// verb charges latency + bandwidth and counts bytes.
+    GetBulk(WorkerId, usize),
+    /// Write `len` bytes into a worker's segment.
+    PutBulk(WorkerId, usize),
+}
+
+/// A posted verb awaiting completion. Returned by [`Machine::post`];
+/// redeemed by [`Machine::wait`] or reaped in bulk via [`Machine::poll_cq`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct VerbHandle {
     worker: WorkerId,
@@ -459,22 +487,11 @@ impl Machine {
         &self.cfg.profile.latency
     }
 
-    #[inline]
-    pub fn profile(&self) -> &MachineProfile {
-        &self.cfg.profile
-    }
-
-    #[inline]
-    fn is_local(&self, me: WorkerId, addr: GlobalAddr) -> bool {
-        addr.rank as usize == me
-    }
-
-    /// Scale the network component of a remote cost by the topology
+    /// The network component of a remote cost, scaled by the topology
     /// distance; the CPU-side injection part is distance-independent.
     #[inline]
-    fn dist(&self, me: WorkerId, other: WorkerId, network_ns: u64) -> VTime {
-        let f = self.cfg.topology.factor(me, other);
-        VTime::ns(self.lat().injection + (network_ns as f64 * f).round() as u64)
+    fn wire(&self, me: WorkerId, other: WorkerId, network_ns: u64) -> u64 {
+        (network_ns as f64 * self.cfg.topology.factor(me, other)).round() as u64
     }
 
     #[inline]
@@ -549,16 +566,6 @@ impl Machine {
         }
     }
 
-    /// Chain-aware variant of [`Machine::dist`], used by the posted verbs:
-    /// same topology-scaled network component, but the injection part is the
-    /// doorbell charge for `me`'s current chain state.
-    #[inline]
-    fn dist_chained(&mut self, me: WorkerId, other: WorkerId, network_ns: u64) -> VTime {
-        let inj = self.chain_injection(me);
-        let f = self.cfg.topology.factor(me, other);
-        VTime::ns(inj + (network_ns as f64 * f).round() as u64)
-    }
-
     /// Run a remote verb's nominal cost through the fault layer: retries,
     /// backoff, crash-window timeouts, and degraded-NIC scaling. Identity
     /// when faults are disabled.
@@ -591,11 +598,6 @@ impl Machine {
     #[inline]
     pub fn faults_active(&self) -> bool {
         self.faults.is_some()
-    }
-
-    /// The loaded fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|f| f.plan())
     }
 
     /// Failed verb attempts by `me` since the last poll (feeds victim
@@ -635,11 +637,6 @@ impl Machine {
             .is_some_and(|fs| fs.plan().recovery_armed())
     }
 
-    /// Kill time of `worker` under the loaded plan, if any.
-    pub fn killed_at(&self, worker: WorkerId) -> Option<VTime> {
-        self.faults.as_ref().and_then(|fs| fs.killed_at(worker))
-    }
-
     /// Is `worker` fail-stopped at `now`? Ground truth (the NIC's view);
     /// survivors learn it through [`Machine::dead_guard`] errors or the
     /// lease registry.
@@ -673,15 +670,6 @@ impl Machine {
         }
     }
 
-    /// Has `worker` published a heartbeat strictly after `since` that is
-    /// visible at `now`? (Termination attest rule.)
-    #[inline]
-    pub fn fresh_since(&self, worker: WorkerId, since: VTime, now: VTime) -> bool {
-        self.faults
-            .as_ref()
-            .is_none_or(|fs| fs.fresh_since(worker, since, now))
-    }
-
     /// Guard a remote protocol operation by `me` against `peer` at `now`:
     /// if the peer is fail-stopped the verb does not happen — the NIC
     /// reports the peer unreachable after roughly one round trip, and the
@@ -696,7 +684,8 @@ impl Machine {
     pub fn dead_guard(&mut self, me: WorkerId, peer: WorkerId, now: VTime) -> Option<VTime> {
         if me != peer && self.is_dead(peer, now) {
             self.stats[me].dead_fails += 1;
-            Some(self.dist(me, peer, self.lat().rdma_get))
+            let wire = self.wire(me, peer, self.lat().rdma_get);
+            Some(VTime::ns(self.lat().injection + wire))
         } else {
             None
         }
@@ -767,15 +756,17 @@ impl Machine {
     // Posted verbs: issue now, reap later
     // ------------------------------------------------------------------
     //
-    // Every `post_*` takes `at` — the issuer's virtual instant of the post
-    // (step start + cost accrued so far). The memory effect is applied at
-    // post (effects are eager everywhere in this simulator: races resolve
-    // within one latency window, each op linearizes at issue), the nominal
-    // cost runs through the fault layer *at post* — so retries, backoff,
-    // timeouts and degraded-NIC scaling draw exactly the RNG sequence the
-    // blocking verbs drew — and the completion lands on the issuer's queue
-    // one `cost` after the verb starts: at `at`, or at issue depth 1 once
-    // every verb already on the queue has retired (see `post_core`).
+    // Every verb is a `Verb` value issued through one body (`issue`).
+    // `post` takes `at` — the issuer's virtual instant of the post (step
+    // start + cost accrued so far). The memory effect is applied at post
+    // (effects are eager everywhere in this simulator: races resolve within
+    // one latency window, each op linearizes at issue), the nominal cost
+    // runs through the fault layer *at post* — so retries, backoff,
+    // timeouts and degraded-NIC scaling draw the same RNG sequence whether
+    // the issuer then blocks (`call`) or not — and the completion lands on
+    // the issuer's queue one `cost` after the verb starts: at `at`, or at
+    // issue depth 1 once every verb already on the queue has retired (see
+    // `post_core`).
 
     /// Enqueue one completion. At issue depth 1 the verb starts when every
     /// verb the issuer still has on its queue has retired; otherwise it
@@ -858,186 +849,132 @@ impl Machine {
         self.cqs[me].inflight.iter().any(|e| e.finish > at)
     }
 
-    /// Post `get v ← L` of the paper's pseudocode: one-sided small read.
-    pub fn post_get_u64(&mut self, me: WorkerId, addr: GlobalAddr, at: VTime) -> VerbHandle {
-        let v = self.seg_read(addr.rank as usize, addr.off);
-        let cost = if self.is_local(me, addr) {
-            self.stats[me].local_ops += 1;
-            self.lat().local()
-        } else {
-            self.stats[me].remote_gets += 1;
-            self.stats[me].bytes_got += 8;
-            let base = self.dist_chained(me, addr.rank as usize, self.lat().rdma_get);
-            self.fault_cost(me, addr.rank as usize, base)
-        };
-        self.post_core(me, addr.rank as usize, v, cost, at)
+    /// Post `v`, signaled: its memory effect happens now and its
+    /// completion, carrying the verb's read result, lands on `me`'s queue.
+    #[inline]
+    pub fn post(&mut self, me: WorkerId, v: Verb, at: VTime) -> VerbHandle {
+        let (to, value, cost) = self.issue(me, v, true);
+        self.post_core(me, to, value, cost, at)
     }
 
-    /// Post one read covering `N` *adjacent* words starting at `addr` —
-    /// a single small get spanning a contiguous record (deque bounds,
-    /// a ring-slot entry). One verb on the wire: one `remote_gets`, one
-    /// RDMA-read round trip, `8·N` bytes. The word values are returned
-    /// eagerly at post (verb memory effects are eager everywhere here);
-    /// the handle's completion carries the first word.
-    pub fn post_get_u64_span<const N: usize>(
+    /// Post a write (`Put` or `PutBulk`) *unsignaled*: the issuer pays only
+    /// the injection (plus a bulk payload's serialization) and never reaps a
+    /// completion — retirement is subsumed by adjacent signaled traffic on
+    /// the same queue pair. Used by the local-collection free-bit scheme
+    /// (§III-B), whose point is that a remote free costs one non-blocking
+    /// communication, by protocol writes that ride an already-charged
+    /// packet window, and by the inlined checkpoint header. It still goes
+    /// through the reliable retransmitting channel (a lost free bit would
+    /// leak memory forever), so the issuer is charged the rare retries.
+    #[inline]
+    pub fn post_unsignaled(&mut self, me: WorkerId, v: Verb) -> VTime {
+        debug_assert!(
+            matches!(v, Verb::Put(..) | Verb::PutBulk(..)),
+            "unsignaled {v:?}"
+        );
+        self.issue(me, v, false).2
+    }
+
+    /// Issue `v` and block on it: `(value, cost)`. Must not be issued while
+    /// `me` has posts outstanding.
+    #[inline]
+    pub fn call(&mut self, me: WorkerId, v: Verb) -> (u64, VTime) {
+        let h = self.post(me, v, VTime::ZERO);
+        self.wait(me, h)
+    }
+
+    /// Post [`Verb::GetSpan`] over the `N` adjacent words at `addr` and
+    /// return their values (eager, like every verb effect here) with the
+    /// handle. Post at `VTime::ZERO` and `wait` for the blocking form.
+    pub fn post_span<const N: usize>(
         &mut self,
         me: WorkerId,
         addr: GlobalAddr,
         at: VTime,
     ) -> ([u64; N], VerbHandle) {
-        let mut vals = [0u64; N];
-        for (i, v) in vals.iter_mut().enumerate() {
-            *v = self.seg_read(addr.rank as usize, addr.off + i as u32 * crate::WORD);
-        }
-        let cost = if self.is_local(me, addr) {
-            self.stats[me].local_ops += 1;
-            self.lat().local()
-        } else {
-            self.stats[me].remote_gets += 1;
-            self.stats[me].bytes_got += 8 * N as u64;
-            let base = self.dist_chained(me, addr.rank as usize, self.lat().rdma_get);
-            self.fault_cost(me, addr.rank as usize, base)
+        let vals = std::array::from_fn(|i| {
+            self.seg_read(addr.rank as usize, addr.off + i as u32 * crate::WORD)
+        });
+        (vals, self.post(me, Verb::GetSpan(addr, N as u32), at))
+    }
+
+    /// The one verb body: the eager memory effect, then the local-or-remote
+    /// split, the [`FabricStats`] counter and bytes, the injection (the
+    /// doorbell charge of `me`'s current chain, plus the topology-scaled
+    /// wire when signaled), a bulk payload, and the fault cost. Returns
+    /// the target, the value read and the cost.
+    ///
+    /// Always inlined, and its entry points `#[inline]`, so that a call
+    /// site's constant `Verb` folds both matches away: measured on a
+    /// steal-probe loop, an out-of-line body cost ~15 % more per verb than
+    /// the per-verb methods it replaces.
+    #[inline(always)]
+    fn issue(&mut self, me: WorkerId, v: Verb, signaled: bool) -> (WorkerId, u64, VTime) {
+        let (to, value, bytes, len) = match v {
+            Verb::Get(a) => (a.rank as usize, self.seg_read(a.rank as usize, a.off), 8, 0),
+            Verb::GetSpan(a, n) => {
+                let first = self.seg_read(a.rank as usize, a.off);
+                (a.rank as usize, first, 8 * n as u64, 0)
+            }
+            Verb::Put(a, x) => {
+                self.seg_mut(a.rank as usize).write(a.off, x);
+                self.note_word_write(a.rank as usize, a.off);
+                (a.rank as usize, 0, 8, 0)
+            }
+            Verb::Faa(a, add) => {
+                let old = self.seg_mut(a.rank as usize).fetch_add(a.off, add);
+                self.note_word_write(a.rank as usize, a.off);
+                (a.rank as usize, old, 0, 0)
+            }
+            Verb::Cas(a, expect, new) => {
+                let seen = self.seg_mut(a.rank as usize).cas(a.off, expect, new);
+                if seen == expect {
+                    // Only a successful CAS writes the word.
+                    self.note_word_write(a.rank as usize, a.off);
+                }
+                (a.rank as usize, seen, 0, 0)
+            }
+            Verb::GetBulk(rank, len) | Verb::PutBulk(rank, len) => (rank, 0, len as u64, len),
         };
-        let h = self.post_core(me, addr.rank as usize, vals[0], cost, at);
-        (vals, h)
-    }
-
-    /// Post `put L ← v`: one-sided small write, signaled.
-    pub fn post_put_u64(&mut self, me: WorkerId, addr: GlobalAddr, v: u64, at: VTime) -> VerbHandle {
-        self.seg_mut(addr.rank as usize).write(addr.off, v);
-        self.note_word_write(addr.rank as usize, addr.off);
-        let cost = if self.is_local(me, addr) {
-            self.stats[me].local_ops += 1;
-            self.lat().local()
-        } else {
-            self.stats[me].remote_puts += 1;
-            self.stats[me].bytes_put += 8;
-            let base = self.dist_chained(me, addr.rank as usize, self.lat().rdma_put);
-            self.fault_cost(me, addr.rank as usize, base)
-        };
-        self.post_core(me, addr.rank as usize, 0, cost, at)
-    }
-
-    /// Post an *unsignaled* put: the issuer pays only the injection overhead
-    /// and never reaps a completion — retirement is subsumed by adjacent
-    /// signaled traffic on the same queue pair. Used by the local-collection
-    /// free-bit scheme (§III-B), whose point is that remote frees cost one
-    /// non-blocking communication, and by protocol writes that ride an
-    /// already-charged packet window.
-    pub fn post_put_u64_unsignaled(&mut self, me: WorkerId, addr: GlobalAddr, v: u64) -> VTime {
-        self.seg_mut(addr.rank as usize).write(addr.off, v);
-        self.note_word_write(addr.rank as usize, addr.off);
-        self.note_unsignaled_depth(me);
-        if self.is_local(me, addr) {
-            self.stats[me].local_ops += 1;
-            self.lat().local()
-        } else {
-            self.stats[me].remote_puts += 1;
-            self.stats[me].bytes_put += 8;
-            // Unsignaled puts still go through the reliable retransmitting
-            // channel: a lost free-bit would leak memory forever, so the NIC
-            // retries; the issuer is charged the (rare) extra injections.
-            let base = VTime::ns(self.chain_injection(me));
-            self.fault_cost(me, addr.rank as usize, base)
+        if !signaled {
+            self.note_unsignaled_depth(me);
         }
-    }
-
-    /// Post an *unsignaled* bulk put: like
-    /// [`Self::post_put_u64_unsignaled`], but for a small payload that still
-    /// rides a single injection (e.g. an inlined checkpoint header). The
-    /// issuer pays the non-blocking injection plus wire serialization and
-    /// never reaps a completion.
-    pub fn post_put_bulk_unsignaled(&mut self, me: WorkerId, to: WorkerId, len: usize) -> VTime {
-        self.note_unsignaled_depth(me);
+        // The payload travels through runtime-owned side tables; a bulk
+        // verb charges its serialization (an eighth of it locally).
         if to == me {
             self.stats[me].local_ops += 1;
-            self.lat().local() + self.lat().payload(len) / 8
-        } else {
-            self.stats[me].remote_puts += 1;
-            self.stats[me].bytes_put += len as u64;
-            let base = VTime::ns(self.chain_injection(me)) + self.lat().payload(len);
-            self.fault_cost(me, to, base)
+            let mut cost = self.lat().local();
+            if len != 0 {
+                cost += self.lat().payload(len) / 8;
+            }
+            return (to, value, cost);
         }
-    }
-
-    /// Post `fetch_and_add(L, v)`: one-sided atomic; the completion carries
-    /// the fetched value.
-    pub fn post_fetch_add_u64(
-        &mut self,
-        me: WorkerId,
-        addr: GlobalAddr,
-        add: u64,
-        at: VTime,
-    ) -> VerbHandle {
-        let v = self.seg_mut(addr.rank as usize).fetch_add(addr.off, add);
-        self.note_word_write(addr.rank as usize, addr.off);
-        let cost = if self.is_local(me, addr) {
-            // Local atomics still cost a little more than plain accesses.
-            self.stats[me].local_ops += 1;
-            self.lat().local()
-        } else {
-            self.stats[me].remote_amos += 1;
-            let base = self.dist_chained(me, addr.rank as usize, self.lat().rdma_amo);
-            self.fault_cost(me, addr.rank as usize, base)
+        let (l, s) = (&self.cfg.profile.latency, &mut self.stats[me]);
+        let wire = match v {
+            Verb::Get(_) | Verb::GetSpan(..) | Verb::GetBulk(..) => {
+                s.remote_gets += 1;
+                s.bytes_got += bytes;
+                l.rdma_get
+            }
+            Verb::Put(..) | Verb::PutBulk(..) => {
+                s.remote_puts += 1;
+                s.bytes_put += bytes;
+                l.rdma_put
+            }
+            Verb::Faa(..) | Verb::Cas(..) => {
+                s.remote_amos += 1;
+                l.rdma_amo
+            }
         };
-        self.post_core(me, addr.rank as usize, v, cost, at)
-    }
-
-    /// Post a one-sided compare-and-swap; the completion carries the
-    /// observed value.
-    pub fn post_cas_u64(
-        &mut self,
-        me: WorkerId,
-        addr: GlobalAddr,
-        expect: u64,
-        new: u64,
-        at: VTime,
-    ) -> VerbHandle {
-        let v = self.seg_mut(addr.rank as usize).cas(addr.off, expect, new);
-        if v == expect {
-            // Only a successful CAS writes the word.
-            self.note_word_write(addr.rank as usize, addr.off);
+        let mut base_ns = self.chain_injection(me);
+        if signaled {
+            base_ns += self.wire(me, to, wire);
         }
-        let cost = if self.is_local(me, addr) {
-            self.stats[me].local_ops += 1;
-            self.lat().local()
-        } else {
-            self.stats[me].remote_amos += 1;
-            let base = self.dist_chained(me, addr.rank as usize, self.lat().rdma_amo);
-            self.fault_cost(me, addr.rank as usize, base)
-        };
-        self.post_core(me, addr.rank as usize, v, cost, at)
-    }
-
-    /// Post a bulk one-sided read of `len` bytes from `from`'s segment
-    /// (e.g. a migrated call stack). The payload itself travels through
-    /// runtime-owned side tables; this charges latency + bandwidth and
-    /// counts bytes.
-    pub fn post_get_bulk(&mut self, me: WorkerId, from: WorkerId, len: usize, at: VTime) -> VerbHandle {
-        let cost = if from == me {
-            self.stats[me].local_ops += 1;
-            self.lat().local() + self.lat().payload(len) / 8
-        } else {
-            self.stats[me].remote_gets += 1;
-            self.stats[me].bytes_got += len as u64;
-            let base = self.dist_chained(me, from, self.lat().rdma_get) + self.lat().payload(len);
-            self.fault_cost(me, from, base)
-        };
-        self.post_core(me, from, 0, cost, at)
-    }
-
-    /// Post a bulk one-sided write of `len` bytes into `to`'s segment.
-    pub fn post_put_bulk(&mut self, me: WorkerId, to: WorkerId, len: usize, at: VTime) -> VerbHandle {
-        let cost = if to == me {
-            self.stats[me].local_ops += 1;
-            self.lat().local() + self.lat().payload(len) / 8
-        } else {
-            self.stats[me].remote_puts += 1;
-            self.stats[me].bytes_put += len as u64;
-            let base = self.dist_chained(me, to, self.lat().rdma_put) + self.lat().payload(len);
-            self.fault_cost(me, to, base)
-        };
-        self.post_core(me, to, 0, cost, at)
+        let mut base = VTime::ns(base_ns);
+        if len != 0 {
+            base += self.lat().payload(len);
+        }
+        (to, value, self.fault_cost(me, to, base))
     }
 
     /// Block on one posted verb: remove it from the completion queue and
@@ -1074,21 +1011,6 @@ impl Machine {
         out
     }
 
-    /// Wait-all (the MPI `flush` analogue): drain the issuer's completion
-    /// queue and return the instant the last verb retired (or `at` when
-    /// nothing was inflight). Values are discarded — `wait` the handles
-    /// whose results matter before fencing the rest.
-    pub fn fence(&mut self, me: WorkerId, at: VTime) -> VTime {
-        self.stats[me].cq_polls += 1;
-        let mut t = at;
-        for e in self.cqs[me].inflight.drain(..) {
-            if e.finish > t {
-                t = e.finish;
-            }
-        }
-        t
-    }
-
     /// Verbs currently outstanding on `me`'s completion queue.
     #[inline]
     pub fn cq_depth(&self, me: WorkerId) -> usize {
@@ -1096,61 +1018,26 @@ impl Machine {
     }
 
     // ------------------------------------------------------------------
-    // Blocking wrappers: post + wait, charging exactly the posted cost
+    // Benchmark-only names
     // ------------------------------------------------------------------
+    //
+    // The `benchmark/` ladder times these three by name; protocol code
+    // issues `post` / `post_unsignaled` / `call` / `post_span`.
 
-    /// `get v ← L` of the paper's pseudocode: one-sided small read.
+    /// `call(me, Verb::Get(addr))`, kept for the benchmark ladder only.
     pub fn get_u64(&mut self, me: WorkerId, addr: GlobalAddr) -> (u64, VTime) {
-        let h = self.post_get_u64(me, addr, VTime::ZERO);
-        self.wait(me, h)
+        self.call(me, Verb::Get(addr))
     }
 
-    /// Blocking span read of `N` adjacent words (see
-    /// [`Machine::post_get_u64_span`]): one verb, one round trip.
-    pub fn get_u64_span<const N: usize>(
-        &mut self,
-        me: WorkerId,
-        addr: GlobalAddr,
-    ) -> ([u64; N], VTime) {
-        let (vals, h) = self.post_get_u64_span::<N>(me, addr, VTime::ZERO);
-        let (_, t) = self.wait(me, h);
-        (vals, t)
+    /// `post(me, Verb::Get(addr), at)`, kept for the benchmark ladder only.
+    pub fn post_get_u64(&mut self, me: WorkerId, addr: GlobalAddr, at: VTime) -> VerbHandle {
+        self.post(me, Verb::Get(addr), at)
     }
 
-    /// `put L ← v`: one-sided small write; the issuer waits for completion.
-    pub fn put_u64(&mut self, me: WorkerId, addr: GlobalAddr, v: u64) -> VTime {
-        let h = self.post_put_u64(me, addr, v, VTime::ZERO);
-        self.wait(me, h).1
-    }
-
-    /// `fetch_and_add(L, v)`: one-sided atomic.
-    pub fn fetch_add_u64(&mut self, me: WorkerId, addr: GlobalAddr, add: u64) -> (u64, VTime) {
-        let h = self.post_fetch_add_u64(me, addr, add, VTime::ZERO);
-        self.wait(me, h)
-    }
-
-    /// One-sided compare-and-swap; returns the observed value.
-    pub fn cas_u64(
-        &mut self,
-        me: WorkerId,
-        addr: GlobalAddr,
-        expect: u64,
-        new: u64,
-    ) -> (u64, VTime) {
-        let h = self.post_cas_u64(me, addr, expect, new, VTime::ZERO);
-        self.wait(me, h)
-    }
-
-    /// Blocking bulk one-sided read (see [`Machine::post_get_bulk`]).
+    /// `call(me, Verb::GetBulk(from, len))`'s cost, kept for the benchmark
+    /// ladder only.
     pub fn get_bulk(&mut self, me: WorkerId, from: WorkerId, len: usize) -> VTime {
-        let h = self.post_get_bulk(me, from, len, VTime::ZERO);
-        self.wait(me, h).1
-    }
-
-    /// Blocking bulk one-sided write (see [`Machine::post_put_bulk`]).
-    pub fn put_bulk(&mut self, me: WorkerId, to: WorkerId, len: usize) -> VTime {
-        let h = self.post_put_bulk(me, to, len, VTime::ZERO);
-        self.wait(me, h).1
+        self.call(me, Verb::GetBulk(from, len)).1
     }
 
     /// Charge a purely local operation (deque push/pop, allocator, flag poll).
@@ -1536,13 +1423,14 @@ mod tests {
     #[test]
     fn dead_guard_fails_fast_and_counts() {
         use crate::fault::FaultPlan;
+        let plan = FaultPlan::none().with_kill(1, VTime::us(50));
+        let lease = plan.lease;
         let mut m = Machine::new(
             MachineConfig::new(3, profiles::itoa())
                 .with_seg_bytes(1 << 16)
-                .with_faults(FaultPlan::none().with_kill(1, VTime::us(50))),
+                .with_faults(plan),
         );
         assert!(m.recovery_armed());
-        assert_eq!(m.killed_at(1), Some(VTime::us(50)));
         // Before the kill: no guard, peer reachable.
         assert!(m.dead_guard(0, 1, VTime::us(10)).is_none());
         assert!(!m.is_dead(1, VTime::us(10)));
@@ -1555,7 +1443,7 @@ mod tests {
         assert!(m.dead_guard(0, 2, VTime::us(60)).is_none());
         // Lease confirmation trails ground truth.
         assert!(!m.confirmed_dead(1, VTime::us(60)));
-        assert!(m.confirmed_dead(1, VTime::us(50) + m.fault_plan().unwrap().lease));
+        assert!(m.confirmed_dead(1, VTime::us(50) + lease));
     }
 
     #[test]
@@ -1581,20 +1469,14 @@ mod tests {
     }
 
     #[test]
-    fn fresh_since_without_faults_is_always_true() {
-        let m = machine(2);
-        assert!(m.fresh_since(1, VTime::ZERO, VTime::ns(1)));
-    }
-
-    #[test]
     fn remote_ops_cost_more_than_local() {
         let mut m = machine(2);
         let a0 = m.alloc(0, 8);
         let a1 = m.alloc(1, 8);
-        let local = m.put_u64(0, a0, 1);
-        let remote = m.put_u64(0, a1, 2);
+        let local = m.call(0, Verb::Put(a0, 1)).1;
+        let remote = m.call(0, Verb::Put(a1, 2)).1;
         assert!(remote > local * 10);
-        let (v, _) = m.get_u64(1, a1);
+        let (v, _) = m.call(1, Verb::Get(a1));
         assert_eq!(v, 2);
     }
 
@@ -1602,10 +1484,10 @@ mod tests {
     fn stats_count_ops_and_bytes() {
         let mut m = machine(2);
         let a1 = m.alloc(1, 16);
-        m.put_u64(0, a1, 5);
-        let _ = m.get_u64(0, a1);
-        let _ = m.fetch_add_u64(0, a1.field(1), 3);
-        let _ = m.get_bulk(0, 1, 1800);
+        m.call(0, Verb::Put(a1, 5));
+        let _ = m.call(0, Verb::Get(a1));
+        let _ = m.call(0, Verb::Faa(a1.field(1), 3));
+        let _ = m.call(0, Verb::GetBulk(1, 1800)).1;
         let s = m.stats(0);
         assert_eq!(s.remote_puts, 1);
         assert_eq!(s.remote_gets, 2);
@@ -1620,13 +1502,13 @@ mod tests {
     fn fetch_add_and_cas_apply_effects() {
         let mut m = machine(2);
         let a = m.alloc(1, 8);
-        let (old, _) = m.fetch_add_u64(0, a, 1);
+        let (old, _) = m.call(0, Verb::Faa(a, 1));
         assert_eq!(old, 0);
-        let (old, _) = m.fetch_add_u64(1, a, 1);
+        let (old, _) = m.call(1, Verb::Faa(a, 1));
         assert_eq!(old, 1);
-        let (seen, _) = m.cas_u64(0, a, 2, 100);
+        let (seen, _) = m.call(0, Verb::Cas(a, 2, 100));
         assert_eq!(seen, 2);
-        let (v, _) = m.get_u64(1, a);
+        let (v, _) = m.call(1, Verb::Get(a));
         assert_eq!(v, 100);
     }
 
@@ -1634,10 +1516,10 @@ mod tests {
     fn unsignaled_put_is_cheaper() {
         let mut m = machine(2);
         let a1 = m.alloc(1, 8);
-        let blocking = m.put_u64(0, a1, 1);
-        let nb = m.post_put_u64_unsignaled(0, a1, 2);
+        let blocking = m.call(0, Verb::Put(a1, 1)).1;
+        let nb = m.post_unsignaled(0, Verb::Put(a1, 2));
         assert!(nb < blocking);
-        let (v, _) = m.get_u64(1, a1);
+        let (v, _) = m.call(1, Verb::Get(a1));
         assert_eq!(v, 2, "unsignaled put still applies its effect");
     }
 
@@ -1645,13 +1527,13 @@ mod tests {
     fn blocking_wrappers_never_leave_completions_behind() {
         let mut m = machine(2);
         let a1 = m.alloc(1, 16);
-        m.put_u64(0, a1, 5);
-        let _ = m.get_u64(0, a1);
-        let _ = m.fetch_add_u64(0, a1.field(1), 3);
-        let _ = m.cas_u64(0, a1, 8, 9);
-        let _ = m.get_bulk(0, 1, 1800);
-        let _ = m.put_bulk(0, 1, 64);
-        let _ = m.post_put_u64_unsignaled(0, a1, 7);
+        m.call(0, Verb::Put(a1, 5));
+        let _ = m.call(0, Verb::Get(a1));
+        let _ = m.call(0, Verb::Faa(a1.field(1), 3));
+        let _ = m.call(0, Verb::Cas(a1, 8, 9));
+        let _ = m.call(0, Verb::GetBulk(1, 1800)).1;
+        let _ = m.call(0, Verb::PutBulk(1, 64)).1;
+        let _ = m.post_unsignaled(0, Verb::Put(a1, 7));
         assert_eq!(m.cq_depth(0), 0, "wrappers reap what they post");
         let s = m.stats(0);
         assert_eq!(s.cq_polls, 0, "single-verb waits are not polls");
@@ -1659,7 +1541,7 @@ mod tests {
     }
 
     #[test]
-    fn posted_verbs_overlap_and_fence_at_the_slowest() {
+    fn posted_verbs_overlap_and_retire_at_the_slowest() {
         let mut m = pipelined(3);
         let a1 = m.alloc(1, 8);
         let at = VTime::us(2);
@@ -1668,18 +1550,18 @@ mod tests {
             // Reference cost from a scratch blocking machine.
             let mut r = machine(3);
             let ra = r.alloc(1, 8);
-            r.put_u64(0, ra, 1)
+            r.call(0, Verb::Put(ra, 1)).1
         };
-        let h_put = m.post_put_u64(0, a1, 1, at);
-        let h_get = m.post_get_bulk(0, 1, 1800, at);
+        let h_put = m.post(0, Verb::Put(a1, 1), at);
+        let h_get = m.post(0, Verb::GetBulk(1, 1800), at);
         assert_eq!(m.cq_depth(0), 2);
         assert_eq!(m.stats(0).max_inflight, 2);
         let (_, put_fin) = m.wait(0, h_put);
         assert_eq!(put_fin, at + put_cost, "first verb is unclamped");
         let (_, get_fin) = m.wait(0, h_get);
         assert!(get_fin > put_fin, "bulk get outlives the small put");
-        // Fencing an empty queue is a no-op in time and drains nothing.
-        assert_eq!(m.fence(0, get_fin), get_fin);
+        // Polling the drained queue reaps nothing, and counts as a poll.
+        assert!(m.poll_cq(0, get_fin).is_empty());
         assert_eq!(m.stats(0).cq_polls, 1);
     }
 
@@ -1689,16 +1571,16 @@ mod tests {
         // expensive get cannot retire first.
         let mut m = pipelined(2);
         let a1 = m.alloc(1, 16);
-        let h_get = m.post_get_bulk(0, 1, 64 << 10, VTime::ZERO);
-        let h_put = m.post_put_u64(0, a1, 1, VTime::ZERO);
+        let h_get = m.post(0, Verb::GetBulk(1, 64 << 10), VTime::ZERO);
+        let h_put = m.post(0, Verb::Put(a1, 1), VTime::ZERO);
         let (_, get_fin) = m.wait(0, h_get);
         let (_, put_fin) = m.wait(0, h_put);
         assert_eq!(put_fin, get_fin, "clamped to the in-order retirement");
         // Different peers ride different queue pairs: no clamping.
         let mut m = pipelined(3);
         let a2 = m.alloc(2, 8);
-        let h_get = m.post_get_bulk(0, 1, 64 << 10, VTime::ZERO);
-        let h_put = m.post_put_u64(0, a2, 1, VTime::ZERO);
+        let h_get = m.post(0, Verb::GetBulk(1, 64 << 10), VTime::ZERO);
+        let h_put = m.post(0, Verb::Put(a2, 1), VTime::ZERO);
         let (_, get_fin) = m.wait(0, h_get);
         let (_, put_fin) = m.wait(0, h_put);
         assert!(put_fin < get_fin, "independent QPs overlap freely");
@@ -1708,8 +1590,8 @@ mod tests {
     fn poll_cq_reaps_only_what_has_finished() {
         let mut m = machine(3);
         let a1 = m.alloc(1, 8);
-        let h_small = m.post_put_u64(0, a1, 1, VTime::ZERO);
-        let h_big = m.post_get_bulk(0, 2, 1 << 20, VTime::ZERO);
+        let h_small = m.post(0, Verb::Put(a1, 1), VTime::ZERO);
+        let h_big = m.post(0, Verb::GetBulk(2, 1 << 20), VTime::ZERO);
         let (_, small_fin) = {
             let cq_was = m.cq_depth(0);
             assert_eq!(cq_was, 2);
@@ -1724,40 +1606,43 @@ mod tests {
         // Fresh machine: poll strictly between the two finish times.
         let mut m = machine(3);
         let a1 = m.alloc(1, 8);
-        let h_small = m.post_put_u64(0, a1, 1, VTime::ZERO);
-        let _h_big = m.post_get_bulk(0, 2, 1 << 20, VTime::ZERO);
+        let h_small = m.post(0, Verb::Put(a1, 1), VTime::ZERO);
+        let _h_big = m.post(0, Verb::GetBulk(2, 1 << 20), VTime::ZERO);
         let done = m.poll_cq(0, small_fin);
         assert_eq!(done.len(), 1, "only the small put has retired");
         assert_eq!(done[0].id, h_small.id());
         assert_eq!(m.cq_depth(0), 1, "the bulk get is still inflight");
-        let fin = m.fence(0, small_fin);
-        assert!(fin > small_fin);
+        let rest = m.poll_cq(0, VTime::secs(1));
+        assert_eq!(rest.len(), 1);
+        assert!(rest[0].finish > small_fin);
         assert_eq!(m.cq_depth(0), 0);
-        assert_eq!(m.stats(0).cq_polls, 2, "one poll + one fence");
+        assert_eq!(m.stats(0).cq_polls, 2, "one poll each");
     }
 
     #[test]
     fn span_get_is_one_verb() {
         let mut m = machine(2);
         let a1 = m.alloc(1, 24);
-        m.put_u64(0, a1, 10);
-        m.put_u64(0, a1.field(1), 20);
-        m.put_u64(0, a1.field(2), 30);
+        m.call(0, Verb::Put(a1, 10));
+        m.call(0, Verb::Put(a1.field(1), 20));
+        m.call(0, Verb::Put(a1.field(2), 30));
         let before = *m.stats(0);
-        let ([x, y, z], span_cost) = m.get_u64_span::<3>(0, a1);
+        let ([x, y, z], h) = m.post_span::<3>(0, a1, VTime::ZERO);
+        let span_cost = m.wait(0, h).1;
         assert_eq!([x, y, z], [10, 20, 30]);
         let s = m.stats(0);
         assert_eq!(s.remote_gets, before.remote_gets + 1, "one verb, not three");
         assert_eq!(s.bytes_got, before.bytes_got + 24);
-        assert_eq!(m.cq_depth(0), 0, "blocking wrapper reaps its post");
+        assert_eq!(m.cq_depth(0), 0, "the wait reaps the post");
         // One span costs the same round trip as one word — that is the
         // point — and strictly less than two separate gets.
-        let (_, one) = m.get_u64(0, a1);
+        let (_, one) = m.call(0, Verb::Get(a1));
         assert_eq!(span_cost, one);
         // Local spans charge a single local op.
         let a0 = m.alloc(0, 16);
         let before = *m.stats(0);
-        let (_, c) = m.get_u64_span::<2>(0, a0);
+        let (_, h) = m.post_span::<2>(0, a0, VTime::ZERO);
+        let c = m.wait(0, h).1;
         assert_eq!(m.stats(0).local_ops, before.local_ops + 1);
         assert_eq!(m.stats(0).remote_gets, before.remote_gets);
         assert!(c < one);
@@ -1776,14 +1661,14 @@ mod tests {
         let a1 = m.alloc(1, 32);
         let a2 = m.alloc(2, 32);
         let unchained = {
-            let h = m.post_get_u64(0, a1, VTime::ZERO);
+            let h = m.post(0, Verb::Get(a1), VTime::ZERO);
             m.wait(0, h).1
         };
         assert_eq!(m.stats(0).doorbell_chained, 0);
         // Chain to two different peers (independent QPs, no in-order clamp).
         m.chain_begin(0);
-        let h_first = m.post_get_u64(0, a1, VTime::ZERO);
-        let h_second = m.post_get_u64(0, a2, VTime::ZERO);
+        let h_first = m.post(0, Verb::Get(a1), VTime::ZERO);
+        let h_second = m.post(0, Verb::Get(a2), VTime::ZERO);
         m.chain_end(0);
         let (_, first_fin) = m.wait(0, h_first);
         let (_, second_fin) = m.wait(0, h_second);
@@ -1798,8 +1683,8 @@ mod tests {
         assert_eq!(m.stats(0).doorbell_chained, 1);
         // Unsignaled puts in a chain get the same discount.
         m.chain_begin(0);
-        let head = m.post_put_u64_unsignaled(0, a1, 1);
-        let tail = m.post_put_u64_unsignaled(0, a1, 2);
+        let head = m.post_unsignaled(0, Verb::Put(a1, 1));
+        let tail = m.post_unsignaled(0, Verb::Put(a1, 2));
         m.chain_end(0);
         assert_eq!(head, VTime::ns(m.lat().injection));
         assert_eq!(tail, VTime::ns((m.lat().injection as f64 * 0.5).round() as u64));
@@ -1817,13 +1702,13 @@ mod tests {
         let ac = chained.alloc(1, 32);
         let ap = plain.alloc(1, 32);
         chained.chain_begin(0);
-        let h1 = chained.post_cas_u64(0, ac, 0, 7, VTime::ZERO);
-        let (_, h2) = chained.post_get_u64_span::<2>(0, ac.field(1), VTime::ZERO);
-        let nb_c = chained.post_put_u64_unsignaled(0, ac, 9);
+        let h1 = chained.post(0, Verb::Cas(ac, 0, 7), VTime::ZERO);
+        let (_, h2) = chained.post_span::<2>(0, ac.field(1), VTime::ZERO);
+        let nb_c = chained.post_unsignaled(0, Verb::Put(ac, 9));
         chained.chain_end(0);
-        let g1 = plain.post_cas_u64(0, ap, 0, 7, VTime::ZERO);
-        let (_, g2) = plain.post_get_u64_span::<2>(0, ap.field(1), VTime::ZERO);
-        let nb_p = plain.post_put_u64_unsignaled(0, ap, 9);
+        let g1 = plain.post(0, Verb::Cas(ap, 0, 7), VTime::ZERO);
+        let (_, g2) = plain.post_span::<2>(0, ap.field(1), VTime::ZERO);
+        let nb_p = plain.post_unsignaled(0, Verb::Put(ap, 9));
         assert_eq!(chained.wait(0, h1).1, plain.wait(0, g1).1);
         assert_eq!(chained.wait(0, h2).1, plain.wait(0, g2).1);
         assert_eq!(nb_c, nb_p);
@@ -1837,14 +1722,14 @@ mod tests {
         assert_eq!(m.stats_total().peak_resident_bytes, 0, "nothing touched yet");
         // Remote reads of an absent segment report zero and stay free.
         let a3 = GlobalAddr::new(3, 0);
-        let (v, _) = m.get_u64(0, a3);
+        let (v, _) = m.call(0, Verb::Get(a3));
         assert_eq!(v, 0);
         assert_eq!(m.stats_total().peak_resident_bytes, 0, "reads do not materialize");
         assert_eq!(m.read_own(3, a3), 0);
         // A non-zero write materializes exactly one page of the target's
         // segment, regardless of the configured capacity.
         let a1 = GlobalAddr::new(1, 0);
-        m.put_u64(0, a1, 7);
+        m.call(0, Verb::Put(a1, 7));
         let page = crate::mem::PAGE_BYTES as u64;
         assert_eq!(m.stats(1).peak_resident_bytes, page);
         assert_eq!(m.stats(0).peak_resident_bytes, 0, "issuer untouched");
@@ -1853,16 +1738,16 @@ mod tests {
         // record costs its page when first really written.
         let r = m.alloc(2, 8);
         assert_eq!(m.stats(2).peak_resident_bytes, 0);
-        m.put_u64(2, r, 1);
+        m.call(2, Verb::Put(r, 1));
         assert_eq!(m.stats(2).peak_resident_bytes, page);
         // Re-touching an already-resident page is idempotent.
-        m.put_u64(0, a1, 8);
+        m.call(0, Verb::Put(a1, 8));
         assert_eq!(m.stats_total().peak_resident_bytes, 2 * page);
         // A write far into the same segment costs one more page.
-        m.put_u64(0, GlobalAddr::new(1, 32 * 1024), 9);
+        m.call(0, Verb::Put(GlobalAddr::new(1, 32 * 1024), 9));
         assert_eq!(m.stats(1).peak_resident_bytes, 2 * page);
         // The lazily materialized segment behaves like an eager one.
-        let (v, _) = m.get_u64(3, a1);
+        let (v, _) = m.call(3, Verb::Get(a1));
         assert_eq!(v, 8);
     }
 
@@ -1872,21 +1757,21 @@ mod tests {
     fn an_idle_probed_segment_has_no_backing() {
         let mut m = machine(4);
         let lock = GlobalAddr::new(2, 0);
-        assert_eq!(m.cas_u64(0, lock, 0, 1).0, 0);
-        m.put_u64(0, lock, 0);
+        assert_eq!(m.call(0, Verb::Cas(lock, 0, 1)).0, 0);
+        m.call(0, Verb::Put(lock, 0));
         let page = crate::mem::PAGE_BYTES as u64;
         assert_eq!(m.stats_total().peak_resident_bytes, page);
         assert_eq!(m.backing_bytes_total(), 0);
         // Past the inline head the same page needs its box and a table slot.
-        m.put_u64(0, GlobalAddr::new(2, 1024), 9);
+        m.call(0, Verb::Put(GlobalAddr::new(2, 1024), 9));
         assert_eq!(m.stats_total().peak_resident_bytes, page);
         assert_eq!(m.backing_bytes_total(), page + 8);
     }
 
-    /// One verb of the depth-1 proptest, issued either through its blocking
-    /// wrapper (`at = None`) or posted at `at`. Returns the value, the
-    /// handle of a signaled post, and the cost of a wrapper or unsignaled
-    /// post.
+    /// One verb of the depth-1 proptest, issued either blocking (posted at
+    /// zero and waited on, as [`Machine::call`] does; `at = None`) or posted
+    /// at `at`. Returns the value, the handle of a signaled post, and the
+    /// cost of a blocking or unsignaled issue.
     fn issue(
         m: &mut Machine,
         kind: u8,
@@ -1898,18 +1783,18 @@ mod tests {
         let (tgt, len) = (addr.rank as usize, (val % 4096) as usize + 8);
         let post_at = at.unwrap_or(VTime::ZERO);
         let (v, h) = match kind {
-            0 => (0, m.post_get_u64(me, addr, post_at)),
-            1 => (0, m.post_put_u64(me, addr, val, post_at)),
-            2 => (0, m.post_fetch_add_u64(me, addr, val, post_at)),
-            3 => (0, m.post_cas_u64(me, addr, val % 7, val, post_at)),
-            4 => (0, m.post_get_bulk(me, tgt, len, post_at)),
-            5 => (0, m.post_put_bulk(me, tgt, len, post_at)),
+            0 => (0, m.post(me, Verb::Get(addr), post_at)),
+            1 => (0, m.post(me, Verb::Put(addr, val), post_at)),
+            2 => (0, m.post(me, Verb::Faa(addr, val), post_at)),
+            3 => (0, m.post(me, Verb::Cas(addr, val % 7, val), post_at)),
+            4 => (0, m.post(me, Verb::GetBulk(tgt, len), post_at)),
+            5 => (0, m.post(me, Verb::PutBulk(tgt, len), post_at)),
             6 => {
-                let (vals, h) = m.post_get_u64_span::<3>(me, addr, post_at);
+                let (vals, h) = m.post_span::<3>(me, addr, post_at);
                 (vals[1] ^ vals[2], h)
             }
-            7 => return (0, None, m.post_put_u64_unsignaled(me, addr, val)),
-            _ => return (0, None, m.post_put_bulk_unsignaled(me, tgt, len)),
+            7 => return (0, None, m.post_unsignaled(me, Verb::Put(addr, val))),
+            _ => return (0, None, m.post_unsignaled(me, Verb::PutBulk(tgt, len))),
         };
         if at.is_some() {
             return (v, Some(h), VTime::ZERO);
@@ -1926,7 +1811,7 @@ mod tests {
         proptest! {
             /// Issue depth 1: a group of posts — signaled, unsignaled, span
             /// and bulk, through a window or hand-posted at one instant —
-            /// retires at the running sum of the blocking wrappers' costs,
+            /// retires at the running sum of the blocking issues' costs,
             /// with the same values and the same `FabricStats`.
             #[test]
             fn depth1_posts_serialize(
@@ -2087,10 +1972,10 @@ mod tests {
     #[test]
     fn bulk_costs_scale() {
         let mut m = machine(2);
-        let small = m.get_bulk(0, 1, 56);
-        let big = m.get_bulk(0, 1, 1800);
+        let small = m.call(0, Verb::GetBulk(1, 56)).1;
+        let big = m.call(0, Verb::GetBulk(1, 1800)).1;
         assert!(big > small);
-        let local = m.get_bulk(0, 0, 1800);
+        let local = m.call(0, Verb::GetBulk(0, 1800)).1;
         assert!(local < small);
     }
 }

@@ -3,7 +3,7 @@
 
 use dcs_sim::{
     profiles, Actor, Engine, GlobalAddr, Machine, MachineConfig, Mailbox, SimRng, Step, Topology,
-    VTime, WorkerId,
+    VTime, Verb, WorkerId,
 };
 
 /// World for the ping-pong test: machine + mailbox.
@@ -89,7 +89,7 @@ impl Actor<Machine> for Bumper {
             return Step::Halt;
         }
         self.rounds -= 1;
-        let (_, cost) = m.fetch_add_u64(me, self.target, 1);
+        let (_, cost) = m.call(me, Verb::Faa(self.target, 1));
         Step::Yield(cost)
     }
 }
@@ -112,7 +112,7 @@ fn hierarchical_topology_speeds_up_intra_node_actors() {
     let mut e = Engine::new(m, actors);
     e.run();
     // All 200 increments landed.
-    let (v, _) = e.world.get_u64(1, target);
+    let (v, _) = e.world.call(1, Verb::Get(target));
     assert_eq!(v, 200);
     // Worker 0 shares a node with the target's owner: its 50 atomics are
     // cheaper, so its final clock is earlier than worker 2/3's.
@@ -137,7 +137,7 @@ impl Actor<Machine> for Racer {
             return Step::Halt;
         }
         self.rounds -= 1;
-        let (old, cost) = m.fetch_add_u64(me, self.word, 1);
+        let (old, cost) = m.call(me, Verb::Faa(self.word, 1));
         self.won.push(old);
         // Jitter the next attempt so interleavings vary.
         let jitter = VTime::ns(self.rng.below(500));

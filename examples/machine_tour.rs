@@ -10,7 +10,7 @@
 //! every number in the paper reproduction.
 
 use dcs::prelude::*;
-use dcs::sim::{Machine, MachineConfig};
+use dcs::sim::{Machine, MachineConfig, Verb};
 use dcs::uniaddr::{IsoAlloc, UniRegion};
 
 fn main() {
@@ -27,8 +27,8 @@ fn main() {
             l.local().to_string(),
             l.get_small().to_string(),
             l.amo().to_string(),
-            l.get_bulk(56).to_string(),
-            l.get_bulk(1800).to_string(),
+            (l.get_small() + l.payload(56)).to_string(),
+            (l.get_small() + l.payload(1800)).to_string(),
         );
     }
     println!("\n(56 B = a child-stealing task descriptor; 1.8 kB = a typical");
@@ -37,11 +37,11 @@ fn main() {
     println!("== verbs in action ==\n");
     let mut m = Machine::new(MachineConfig::new(2, profiles::itoa()).with_seg_bytes(1 << 16));
     let flag = m.alloc(1, 8); // worker 1 owns a flag word
-    let (old, cost) = m.fetch_add_u64(0, flag, 1);
+    let (old, cost) = m.call(0, Verb::Faa(flag, 1));
     println!("worker 0: fetch_add on worker 1's flag: old={old}, cost={cost}");
-    let (v, cost) = m.get_u64(0, flag);
+    let (v, cost) = m.call(0, Verb::Get(flag));
     println!("worker 0: get the flag:                 v={v},   cost={cost}");
-    let (v, cost) = m.get_u64(1, flag);
+    let (v, cost) = m.call(1, Verb::Get(flag));
     println!("worker 1: get its own flag:             v={v},   cost={cost} (local)");
     let s = m.stats(0);
     println!(

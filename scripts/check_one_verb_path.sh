@@ -6,8 +6,10 @@
 # parameters, the `FabricMode::Blocking)` default of the run_* wrappers) —
 # never to branch on it. Exits non-zero listing every other mention.
 # A second pattern (below) keeps the BoT termination ring single too, a
-# third keeps dcs-check's raw-deque scenarios on one kit, and a fourth
-# keeps one steal core.
+# third keeps dcs-check's raw-deque scenarios on one kit, a fourth keeps
+# one steal core, and a fifth keeps one verb type: outside dcs-sim every
+# one-sided verb is a `Verb` issued through `Machine::post` /
+# `post_unsignaled` / `call` / `post_span`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,6 +64,20 @@ if [ -n "$core" ] || [ -n "$copy" ]; then
     echo "one-verb-path gate: a second steal path (drive crates/core/src/steal.rs through its Desc and Host instead):" >&2
     [ -z "$core" ] || echo "$core" >&2
     [ -z "$copy" ] || echo "$copy" >&2
+    exit 1
+fi
+# Fifth pattern: one verb type. The per-verb methods `Machine` had before
+# `Verb` (`post_get_u64`, `post_cas_u64`, …, and the blocking `get_u64`,
+# `put_u64`, …) must not come back as calls anywhere in crates/*/src
+# (dcs-sim's own excepted), src/, tests/ or examples/. `benchmark/` is
+# not scanned: its ladder times `get_u64`, `post_get_u64` and `get_bulk`,
+# which dcs-sim keeps for it alone.
+legacy=$(grep -rnE --include='*.rs' \
+    '\bpost_(get|put|fetch_add|cas)_[a-z0-9_]*(::<[^>]*>)?\(|\.(get_u64|put_u64|fetch_add_u64|cas_u64|get_bulk|put_bulk|get_u64_span)(::<[^>]*>)?\(' \
+    crates/*/src src tests examples | grep -v '^crates/sim/src/' || true)
+if [ -n "$legacy" ]; then
+    echo "one-verb-path gate: a per-verb Machine method is called (issue a Verb through post / post_unsignaled / call / post_span):" >&2
+    echo "$legacy" >&2
     exit 1
 fi
 echo "one-verb-path gate: ok"

@@ -11,6 +11,60 @@ use dcs::apps::lcs::{self, LcsParams};
 use dcs::apps::uts::{serial_count, Shape, UtsSpec};
 use dcs::bot;
 use dcs::prelude::*;
+use dcs::sim::{FabricMode, GlobalAddr, Machine, MachineConfig, Verb};
+
+/// One step of `blocking_equals_posted`.
+#[derive(Clone, Copy, Debug)]
+enum VerbStep {
+    /// Issued signaled: blocking, posted at zero, posted at a clock.
+    Signaled(Verb),
+    /// A write issued unsignaled on every machine.
+    Unsignaled(Verb),
+    /// A steal-commit-shaped group charged through one window at depth 1:
+    /// signaled put, unsignaled put to the next word, bulk get from the
+    /// same rank.
+    Group(GlobalAddr, u64, usize),
+}
+
+impl VerbStep {
+    /// The step on a machine of `workers` ranks (ranks are drawn in 0..4).
+    fn on(self, workers: usize) -> VerbStep {
+        let at = |a: GlobalAddr| GlobalAddr::new(a.rank as usize % workers, a.off);
+        let verb = |v| match v {
+            Verb::Get(a) => Verb::Get(at(a)),
+            Verb::GetSpan(a, n) => Verb::GetSpan(at(a), n),
+            Verb::Put(a, x) => Verb::Put(at(a), x),
+            Verb::Faa(a, x) => Verb::Faa(at(a), x),
+            Verb::Cas(a, e, n) => Verb::Cas(at(a), e, n),
+            Verb::GetBulk(r, n) => Verb::GetBulk(r % workers, n),
+            Verb::PutBulk(r, n) => Verb::PutBulk(r % workers, n),
+        };
+        match self {
+            VerbStep::Signaled(v) => VerbStep::Signaled(verb(v)),
+            VerbStep::Unsignaled(v) => VerbStep::Unsignaled(verb(v)),
+            VerbStep::Group(a, x, n) => VerbStep::Group(at(a), x, n),
+        }
+    }
+}
+
+/// Every `Verb` variant signaled, both unsignaled writes, and the group.
+fn any_verb_step() -> impl Strategy<Value = VerbStep> {
+    use VerbStep::{Group, Signaled, Unsignaled};
+    let addr = || (0usize..4, 0u32..64).prop_map(|(r, w)| GlobalAddr::new(r, 8 + w * 8));
+    let (val, rank, len) = (|| 1u64..1_000_000, || 0usize..4, || 8usize..4104);
+    prop_oneof![
+        addr().prop_map(|a| Signaled(Verb::Get(a))),
+        addr().prop_map(|a| Signaled(Verb::GetSpan(a, 3))),
+        (addr(), val()).prop_map(|(a, v)| Signaled(Verb::Put(a, v))),
+        (addr(), val()).prop_map(|(a, v)| Signaled(Verb::Faa(a, v))),
+        (addr(), 0u64..7, val()).prop_map(|(a, e, v)| Signaled(Verb::Cas(a, e, v))),
+        (rank(), len()).prop_map(|(r, n)| Signaled(Verb::GetBulk(r, n))),
+        (rank(), len()).prop_map(|(r, n)| Signaled(Verb::PutBulk(r, n))),
+        (addr(), val()).prop_map(|(a, v)| Unsignaled(Verb::Put(a, v))),
+        (rank(), len()).prop_map(|(r, n)| Unsignaled(Verb::PutBulk(r, n))),
+        (addr(), val(), len()).prop_map(|(a, v, n)| Group(a, v, n)),
+    ]
+}
 
 fn any_policy() -> impl Strategy<Value = Policy> {
     prop_oneof![
@@ -224,25 +278,21 @@ proptest! {
         prop_assert_eq!(r.result.as_u64(), expected);
     }
 
-    /// The posted-verb refactor is conservative: for random verb sequences
-    /// (mixed kinds, issuers, targets, faults), the blocking wrappers are
-    /// bit-identical — in observed value, charged time, and FabricStats —
-    /// to (a) manual post-at-ZERO + wait and (b) posting at a running
-    /// absolute clock and charging `finish − now` — and (c) a depth-1
-    /// machine charges a whole `Window` (two signaled verbs around an
-    /// unsignaled one) the sum of the three blocking costs. This is the
+    /// One verb body, three issue styles: for random verb sequences (every
+    /// `Verb` variant, local and remote, unsignaled writes, faults), a
+    /// blocking `call` is bit-identical — in observed value, charged time
+    /// and FabricStats — to (a) a post at `VTime::ZERO` + wait and (b) a
+    /// post at a running absolute clock charged `finish − now`; and (c) a
+    /// depth-1 machine charges a whole `Window` (two signaled verbs around
+    /// an unsignaled one) the sum of the three blocking costs. This is the
     /// contract that lets FabricMode::Blocking keep every golden valid.
     #[test]
     fn blocking_equals_posted(
         workers in 2usize..5,
         fault_permille in 0u64..80,
         fault_seed in 0u64..500,
-        ops in proptest::collection::vec(
-            (0u8..9, 0usize..4, 0u32..64, 1u64..1_000_000),
-            1..40,
-        ),
+        ops in proptest::collection::vec((any_verb_step(), 0usize..4), 1..40),
     ) {
-        use dcs::sim::{FabricMode, GlobalAddr, Machine, MachineConfig};
         let mk = |mode| {
             let mut cfg = MachineConfig::new(workers, profiles::itoa())
                 .with_seg_bytes(1 << 20)
@@ -260,117 +310,80 @@ proptest! {
             mk(FabricMode::Pipelined),
             mk(FabricMode::Pipelined),
         );
-        // Depth-1 machine: wrappers everywhere except the grouped kind.
+        // Depth-1 machine: blocking calls everywhere except the group.
         let mut grouped = mk(FabricMode::Blocking);
         let mut now = VTime::ZERO;
-        for &(kind, tgt, woff, val) in &ops {
-            let tgt = tgt % workers;
-            let me = (tgt + val as usize) % workers; // sometimes local, sometimes remote
-            let addr = GlobalAddr::new(tgt, 8 + woff * 8);
-            let len = (val % 4096) as usize + 8;
-
-            if kind == 8 {
-                // A steal-commit-shaped group: signaled put, unsignaled
-                // put, bulk get. Serial on the three reference machines;
-                // one window at depth 1.
-                let mut sum = VTime::ZERO;
-                for m in [&mut blk, &mut posted, &mut clocked] {
-                    sum = m.put_u64(me, addr, val)
-                        + m.post_put_u64_unsignaled(me, addr.field(1), val)
-                        + m.get_bulk(me, tgt, len);
+        for &(step, me) in &ops {
+            let me = me % workers; // sometimes local, sometimes remote
+            match step.on(workers) {
+                VerbStep::Group(addr, val, len) => {
+                    // A steal-commit-shaped group: signaled put, unsignaled
+                    // put, bulk get. Serial on the three reference machines;
+                    // one window at depth 1.
+                    let (put, ack, copy) = (
+                        Verb::Put(addr, val),
+                        Verb::Put(addr.field(1), val),
+                        Verb::GetBulk(addr.rank as usize, len),
+                    );
+                    let mut sum = VTime::ZERO;
+                    for m in [&mut blk, &mut posted, &mut clocked] {
+                        sum = m.call(me, put).1 + m.post_unsignaled(me, ack) + m.call(me, copy).1;
+                    }
+                    let mut w = grouped.window(me, now);
+                    let h_put = w.posted(grouped.post(me, put, w.at()));
+                    w.unsignaled(grouped.post_unsignaled(me, ack));
+                    let h_get = w.posted(grouped.post(me, copy, w.at()));
+                    prop_assert!(!grouped.outstanding(me, w.now()), "depth 1 leaves nothing outstanding");
+                    grouped.wait(me, h_put);
+                    grouped.wait(me, h_get);
+                    prop_assert_eq!(grouped.finish(&w).saturating_sub(now), sum, "window != sum");
+                    now += sum;
                 }
-                let mut w = grouped.window(me, now);
-                let h_put = w.posted(grouped.post_put_u64(me, addr, val, w.at()));
-                w.unsignaled(grouped.post_put_u64_unsignaled(me, addr.field(1), val));
-                let h_get = w.posted(grouped.post_get_bulk(me, tgt, len, w.at()));
-                prop_assert!(!grouped.outstanding(me, w.now()), "depth 1 leaves nothing outstanding");
-                grouped.wait(me, h_put);
-                grouped.wait(me, h_get);
-                prop_assert_eq!(grouped.finish(&w).saturating_sub(now), sum, "window != sum");
-                now += sum;
-                continue;
+                VerbStep::Unsignaled(v) => {
+                    // The fence-free claim write and the checkpoint header:
+                    // eager, and the same non-blocking injection everywhere.
+                    let c = grouped.post_unsignaled(me, v);
+                    prop_assert_eq!(blk.post_unsignaled(me, v), c, "unsignaled cost diverged");
+                    prop_assert_eq!(posted.post_unsignaled(me, v), c);
+                    prop_assert_eq!(clocked.post_unsignaled(me, v), c);
+                    now += c;
+                }
+                VerbStep::Signaled(Verb::GetSpan(addr, n)) => {
+                    // Fence-free bounds/entry read: the 3-word span get is
+                    // bit-identical across the issue styles too, and its
+                    // completion carries the first word.
+                    prop_assert_eq!(n, 3);
+                    grouped.call(me, Verb::GetSpan(addr, 3));
+                    let (first, c_b) = blk.call(me, Verb::GetSpan(addr, 3));
+                    let (v_p, h) = posted.post_span::<3>(me, addr, VTime::ZERO);
+                    let (first_p, c_p) = posted.wait(me, h);
+                    prop_assert_eq!(first, v_p[0], "span values diverged");
+                    prop_assert_eq!(first_p, v_p[0]);
+                    prop_assert_eq!(c_b, c_p, "span cost diverged");
+                    let (v_c, h) = clocked.post_span::<3>(me, addr, now);
+                    let (_, fin) = clocked.wait(me, h);
+                    prop_assert_eq!(v_p, v_c);
+                    prop_assert_eq!(fin.saturating_sub(now), c_b);
+                    now = fin;
+                }
+                VerbStep::Signaled(v) => {
+                    grouped.call(me, v);
+                    // Blocking: (value, cost); writes and bulks carry 0.
+                    let (v_b, c_b) = blk.call(me, v);
+                    // Post at VTime::ZERO + wait: finish IS the cost.
+                    let h = posted.post(me, v, VTime::ZERO);
+                    let (v_p, c_p) = posted.wait(me, h);
+                    prop_assert_eq!((v_b, c_b), (v_p, c_p), "diverged on {:?}", v);
+                    // Post at a running absolute clock: the relative charge
+                    // `finish − now` must equal the blocking cost (empty CQ,
+                    // so the same-QP clamp never engages).
+                    let h = clocked.post(me, v, now);
+                    let (v_c, fin) = clocked.wait(me, h);
+                    prop_assert_eq!(fin.saturating_sub(now), c_b);
+                    prop_assert_eq!(v_b, v_c);
+                    now = fin;
+                }
             }
-            // The depth-1 machine sees the same traffic through wrappers.
-            match kind {
-                0 => drop(grouped.get_u64(me, addr)),
-                1 => drop(grouped.put_u64(me, addr, val)),
-                2 => drop(grouped.fetch_add_u64(me, addr, val)),
-                3 => drop(grouped.cas_u64(me, addr, val % 7, val)),
-                4 => drop(grouped.get_bulk(me, tgt, len)),
-                5 => drop(grouped.put_bulk(me, tgt, len)),
-                6 => drop(grouped.get_u64_span::<3>(me, addr)),
-                _ => drop(grouped.post_put_u64_unsignaled(me, addr, val)),
-            }
-
-            if kind == 6 {
-                // Fence-free bounds/entry read: the 3-word span get must be
-                // bit-identical across the three issue styles too.
-                let (v_b, c_b) = blk.get_u64_span::<3>(me, addr);
-                let (v_p, h) = posted.post_get_u64_span::<3>(me, addr, VTime::ZERO);
-                let (_, c_p) = posted.wait(me, h);
-                prop_assert_eq!(v_b, v_p, "span values diverged");
-                prop_assert_eq!(c_b, c_p, "span cost diverged");
-                let (v_c, h) = clocked.post_get_u64_span::<3>(me, addr, now);
-                let (_, fin) = clocked.wait(me, h);
-                prop_assert_eq!(v_b, v_c);
-                prop_assert_eq!(fin.saturating_sub(now), c_b);
-                now = fin;
-                continue;
-            }
-            if kind == 7 {
-                // Fence-free claim write: the unsignaled put is eager and
-                // charges the same non-blocking injection on every machine.
-                let c_b = blk.post_put_u64_unsignaled(me, addr, val);
-                let c_p = posted.post_put_u64_unsignaled(me, addr, val);
-                let c_c = clocked.post_put_u64_unsignaled(me, addr, val);
-                prop_assert_eq!(c_b, c_p, "unsignaled cost diverged");
-                prop_assert_eq!(c_b, c_c);
-                now += c_c;
-                continue;
-            }
-
-            // Blocking wrapper: (value, cost). Puts and bulks carry no value.
-            let (v_b, c_b) = match kind {
-                0 => blk.get_u64(me, addr),
-                1 => (0, blk.put_u64(me, addr, val)),
-                2 => blk.fetch_add_u64(me, addr, val),
-                3 => blk.cas_u64(me, addr, val % 7, val),
-                4 => (0, blk.get_bulk(me, tgt, len)),
-                _ => (0, blk.put_bulk(me, tgt, len)),
-            };
-
-            // Manual post at VTime::ZERO + wait: finish IS the cost.
-            let h = match kind {
-                0 => posted.post_get_u64(me, addr, VTime::ZERO),
-                1 => posted.post_put_u64(me, addr, val, VTime::ZERO),
-                2 => posted.post_fetch_add_u64(me, addr, val, VTime::ZERO),
-                3 => posted.post_cas_u64(me, addr, val % 7, val, VTime::ZERO),
-                4 => posted.post_get_bulk(me, tgt, len, VTime::ZERO),
-                _ => posted.post_put_bulk(me, tgt, len, VTime::ZERO),
-            };
-            let (v_p, c_p) = posted.wait(me, h);
-            prop_assert_eq!(c_b, c_p, "cost diverged on kind {}", kind);
-            if matches!(kind, 0 | 2 | 3) {
-                prop_assert_eq!(v_b, v_p, "value diverged on kind {}", kind);
-            }
-
-            // Post at a running absolute clock: the relative charge
-            // `finish − now` must equal the blocking cost (empty CQ, so the
-            // same-QP clamp never engages).
-            let h = match kind {
-                0 => clocked.post_get_u64(me, addr, now),
-                1 => clocked.post_put_u64(me, addr, val, now),
-                2 => clocked.post_fetch_add_u64(me, addr, val, now),
-                3 => clocked.post_cas_u64(me, addr, val % 7, val, now),
-                4 => clocked.post_get_bulk(me, tgt, len, now),
-                _ => clocked.post_put_bulk(me, tgt, len, now),
-            };
-            let (v_c, fin) = clocked.wait(me, h);
-            prop_assert_eq!(fin.saturating_sub(now), c_b);
-            if matches!(kind, 0 | 2 | 3) {
-                prop_assert_eq!(v_b, v_c);
-            }
-            now = fin;
         }
         // Identical traffic ⇒ bit-identical per-worker fabric stats, and a
         // serial issue pattern never overlaps: depth 1, no CQ polls.
