@@ -117,7 +117,7 @@ pub fn tables(jobs: usize) -> Vec<Table> {
         notes: vec![
             "Expected shape: lock-free shaves the lock round-trips off every".into(),
             "steal; fence-free trades the last AMO for a small dup/lost-race".into(),
-            "tax that the done-flag dedup absorbs without a second execution.".into(),
+            "tax that ClaimSet's first-claim arbiter absorbs without a second execution.".into(),
         ],
     }]
 }

@@ -287,6 +287,9 @@ fn parse_run_with_list(args: &[String]) -> Result<(RunArgs, Vec<usize>, Option<S
                 if worker_list.is_empty() {
                     return Err("empty worker list".into());
                 }
+                if worker_list.contains(&0) {
+                    return Err(format!("bad workers '{v}': every count must be >= 1"));
+                }
                 out.workers = worker_list[0];
             }
             "--machine" => {
@@ -327,9 +330,11 @@ fn parse_run_with_list(args: &[String]) -> Result<(RunArgs, Vec<usize>, Option<S
                 }
                 out.doorbell = f;
             }
-            "--node-size" => {
-                out.node_size = Some(val()?.parse().map_err(|_| "bad --node-size".to_string())?)
-            }
+            "--node-size" => match val()?.parse() {
+                Ok(0) => return Err("--node-size needs n >= 1 workers per node".into()),
+                Ok(n) => out.node_size = Some(n),
+                Err(_) => return Err("bad --node-size".into()),
+            },
             "--jobs" | "-j" => jobs = Some(val()?.clone()),
             "--trace" => out.trace_out = Some(val()?.clone()),
             "--fault-plan" => out.fault = FaultPlan::parse(val()?)?,
@@ -342,6 +347,12 @@ fn parse_run_with_list(args: &[String]) -> Result<(RunArgs, Vec<usize>, Option<S
     }
     if let Some(s) = fault_seed {
         out.fault = out.fault.clone().with_seed(s);
+    }
+    for &w in &worker_list {
+        out.fault.check_workers(w)?;
+    }
+    if out.bench == Bench::Lcs && !problem_size(&out).is_power_of_two() {
+        return Err(format!("--bench lcs needs --n a power of two, got {}", out.n));
     }
     Ok((out, worker_list, jobs))
 }
@@ -893,8 +904,9 @@ FLAGS (run & sweep):
                        cas-lock serializes steals with a per-deque lock;
                        lock-free claims entries with a single remote CAS;
                        fence-free uses plain reads/writes only (zero AMO
-                       verbs) with bounded multiplicity closed by the
-                       done-flag dedup — a doubly-taken task executes once
+                       verbs) with bounded multiplicity closed by
+                       ClaimSet's first-claim arbiter — a doubly-taken task
+                       executes once
     --multi-steal <K>  steal attempts kept in flight at once while idle [1]
                        K >= 2 probes K distinct victims per idle step,
                        commits the first hit in ring order and abandons

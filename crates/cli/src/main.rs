@@ -30,10 +30,11 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
+        // A usage error exits 2, apart from `check`'s 1 for a violation.
         Err(e) => {
             eprintln!("error: {e}\n");
             eprint!("{}", dcs_cli::HELP);
-            ExitCode::FAILURE
+            ExitCode::from(2)
         }
     }
 }

@@ -148,6 +148,14 @@ pub enum FaultPlanError {
     /// heartbeat period plus the beat flight time, so even a loss-free
     /// fabric would suspect live workers continuously.
     SuspectLeaseTooShort { suspect: VTime, min: VTime },
+    /// A `kill=`, `crash=` or `degrade=` clause names a worker the run does
+    /// not have. Only [`FaultPlan::check_workers`] can see this: a plan is
+    /// parsed before it meets a worker count.
+    WorkerOutOfRange {
+        clause: &'static str,
+        worker: WorkerId,
+        workers: usize,
+    },
 }
 
 impl fmt::Display for FaultPlanError {
@@ -174,6 +182,11 @@ impl fmt::Display for FaultPlanError {
                 "suspect lease {suspect} is shorter than one heartbeat period plus the \
                  beat flight time ({min}): the message detector would suspect live \
                  workers even on a loss-free fabric"
+            ),
+            FaultPlanError::WorkerOutOfRange { clause, worker, workers } => write!(
+                f,
+                "{clause}= names worker {worker}, but the run has {workers} workers \
+                 (0..{workers})"
             ),
         }
     }
@@ -486,6 +499,24 @@ impl FaultPlan {
             }
         }
         Ok(())
+    }
+
+    /// The check a plan needs once it meets a worker count: every worker a
+    /// `kill=`, `crash=` or `degrade=` clause names exists.
+    /// [`FaultState::new`] (and so `Machine::new`) refuses a plan that
+    /// fails it.
+    pub fn check_workers(&self, workers: usize) -> Result<(), FaultPlanError> {
+        let named = (self.kill.iter().map(|k| ("kill", k.worker)))
+            .chain(self.crash.iter().map(|c| ("crash", c.worker)))
+            .chain(self.degrade.iter().map(|d| ("degrade", d.worker)));
+        match named.into_iter().find(|&(_, w)| w >= workers) {
+            Some((clause, worker)) => Err(FaultPlanError::WorkerOutOfRange {
+                clause,
+                worker,
+                workers,
+            }),
+            None => Ok(()),
+        }
     }
 }
 
@@ -827,6 +858,9 @@ pub struct FaultState {
 
 impl FaultState {
     pub fn new(plan: FaultPlan, workers: usize) -> FaultState {
+        if let Err(e) = plan.check_workers(workers) {
+            panic!("{e}");
+        }
         let rng = (0..workers)
             // Decorrelate from scheduler streams (different domain constant).
             .map(|w| SimRng::for_worker(plan.seed ^ 0xFA01_7A11_u64, w))
@@ -1305,6 +1339,29 @@ mod tests {
             p.validate(),
             Err(FaultPlanError::DuplicateKill { worker: 3 })
         );
+    }
+
+    #[test]
+    fn check_workers_rejects_a_worker_the_run_lacks() {
+        let p = FaultPlan::parse("kill=9@1us").unwrap();
+        let err = p.check_workers(4).unwrap_err();
+        assert_eq!(
+            err,
+            FaultPlanError::WorkerOutOfRange { clause: "kill", worker: 9, workers: 4 }
+        );
+        assert!(err.to_string().contains("kill= names worker 9"), "{err}");
+        assert!(p.check_workers(10).is_ok());
+        // Crash and degrade windows name workers too.
+        let p = FaultPlan::parse("crash=1@1ms..2ms,degrade=4@0..1ms*2").unwrap();
+        assert!(matches!(
+            p.check_workers(4),
+            Err(FaultPlanError::WorkerOutOfRange { clause: "degrade", worker: 4, .. })
+        ));
+        assert!(matches!(
+            p.check_workers(1),
+            Err(FaultPlanError::WorkerOutOfRange { clause: "crash", worker: 1, .. })
+        ));
+        assert!(FaultPlan::none().check_workers(1).is_ok());
     }
 
     #[test]
