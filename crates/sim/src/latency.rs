@@ -32,7 +32,7 @@ pub struct LatencyModel {
     /// Round-trip latency of a small (≤ 8 B) RDMA read.
     pub rdma_get: u64,
     /// Round-trip latency of a small RDMA write (the issuer waits for the
-    /// completion; see [`crate::machine::Machine::post_put_u64_unsignaled`] for the
+    /// completion; see [`crate::machine::Machine::post_unsignaled`] for the
     /// fire-and-forget variant that only costs `injection`).
     pub rdma_put: u64,
     /// Round-trip latency of an RDMA atomic (fetch-and-add / CAS).
