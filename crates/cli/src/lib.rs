@@ -352,7 +352,10 @@ fn parse_run_with_list(args: &[String]) -> Result<(RunArgs, Vec<usize>, Option<S
         out.fault.check_workers(w)?;
     }
     if out.bench == Bench::Lcs && !problem_size(&out).is_power_of_two() {
-        return Err(format!("--bench lcs needs --n a power of two, got {}", out.n));
+        return Err(format!(
+            "--bench lcs needs --n a power of two, got {}",
+            out.n
+        ));
     }
     Ok((out, worker_list, jobs))
 }

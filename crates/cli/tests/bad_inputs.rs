@@ -10,13 +10,19 @@ fn dcs(args: &str) -> (Option<i32>, String) {
         .output()
         .expect("dcs runs");
     let err = String::from_utf8_lossy(&out.stderr);
-    (out.status.code(), err.lines().next().unwrap_or("").to_string())
+    (
+        out.status.code(),
+        err.lines().next().unwrap_or("").to_string(),
+    )
 }
 
 fn assert_usage_error(args: &str, says: &str) {
     let (code, first) = dcs(args);
     assert_eq!(code, Some(2), "dcs {args}: {first}");
-    assert!(first.starts_with("error: ") && first.contains(says), "dcs {args}: {first}");
+    assert!(
+        first.starts_with("error: ") && first.contains(says),
+        "dcs {args}: {first}"
+    );
 }
 
 #[test]
@@ -29,16 +35,25 @@ fn a_kill_of_a_worker_the_run_lacks() {
 
 #[test]
 fn a_node_size_of_zero() {
-    assert_usage_error("run --bench fib --workers 4 --node-size 0", "--node-size needs n >= 1");
+    assert_usage_error(
+        "run --bench fib --workers 4 --node-size 0",
+        "--node-size needs n >= 1",
+    );
 }
 
 #[test]
 fn zero_workers_under_run_and_sweep() {
     assert_usage_error("run --bench fib --workers 0", "every count must be >= 1");
-    assert_usage_error("sweep --bench fib --workers 2,0", "every count must be >= 1");
+    assert_usage_error(
+        "sweep --bench fib --workers 2,0",
+        "every count must be >= 1",
+    );
 }
 
 #[test]
 fn an_lcs_size_that_is_not_a_power_of_two() {
-    assert_usage_error("run --bench lcs --n 3", "--bench lcs needs --n a power of two, got 3");
+    assert_usage_error(
+        "run --bench lcs --n 3",
+        "--bench lcs needs --n a power of two, got 3",
+    );
 }

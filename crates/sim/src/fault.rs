@@ -183,7 +183,11 @@ impl fmt::Display for FaultPlanError {
                  beat flight time ({min}): the message detector would suspect live \
                  workers even on a loss-free fabric"
             ),
-            FaultPlanError::WorkerOutOfRange { clause, worker, workers } => write!(
+            FaultPlanError::WorkerOutOfRange {
+                clause,
+                worker,
+                workers,
+            } => write!(
                 f,
                 "{clause}= names worker {worker}, but the run has {workers} workers \
                  (0..{workers})"
@@ -1347,7 +1351,11 @@ mod tests {
         let err = p.check_workers(4).unwrap_err();
         assert_eq!(
             err,
-            FaultPlanError::WorkerOutOfRange { clause: "kill", worker: 9, workers: 4 }
+            FaultPlanError::WorkerOutOfRange {
+                clause: "kill",
+                worker: 9,
+                workers: 4
+            }
         );
         assert!(err.to_string().contains("kill= names worker 9"), "{err}");
         assert!(p.check_workers(10).is_ok());
@@ -1355,11 +1363,19 @@ mod tests {
         let p = FaultPlan::parse("crash=1@1ms..2ms,degrade=4@0..1ms*2").unwrap();
         assert!(matches!(
             p.check_workers(4),
-            Err(FaultPlanError::WorkerOutOfRange { clause: "degrade", worker: 4, .. })
+            Err(FaultPlanError::WorkerOutOfRange {
+                clause: "degrade",
+                worker: 4,
+                ..
+            })
         ));
         assert!(matches!(
             p.check_workers(1),
-            Err(FaultPlanError::WorkerOutOfRange { clause: "crash", worker: 1, .. })
+            Err(FaultPlanError::WorkerOutOfRange {
+                clause: "crash",
+                worker: 1,
+                ..
+            })
         ));
         assert!(FaultPlan::none().check_workers(1).is_ok());
     }
