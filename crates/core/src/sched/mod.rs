@@ -852,6 +852,8 @@ mod tests {
         assert_eq!(size_of::<Worker>(), 856);
         assert_eq!(size_of::<VThread>(), 168);
         assert_eq!(size_of::<Option<LineageKey>>(), 24);
+        // `scale_sparse` builds one per worker per `setup_s` sample.
+        assert_eq!(size_of::<crate::world::WorkerShared>(), 408);
     }
 
     /// The fabric's per-verb records ride every steal and join: a change to
