@@ -58,6 +58,7 @@ pub mod policy;
 pub mod remote_free;
 pub mod runner;
 pub mod sched;
+pub mod stacks;
 pub mod stats;
 pub mod steal;
 pub mod trace;

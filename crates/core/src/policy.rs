@@ -134,6 +134,77 @@ impl AddressScheme {
     }
 }
 
+/// What a steal takes (and so what a fork pushes).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Unit {
+    /// The parent's continuation: the child runs on at once.
+    Cont,
+    /// A child descriptor: the parent runs on.
+    Child,
+}
+
+/// What a join that finds its child unfinished does.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum JoinKind {
+    /// Fig. 4: race the child's DIE on the flag with a fetch-and-add; the
+    /// loser resumes the joiner, wherever it finishes.
+    Race,
+    /// Fig. 3 (and tied full threads): suspend into the local FIFO wait
+    /// queue, re-polled after each failed steal.
+    Wait,
+    /// §IV-B: bury the join and nest the scheduler on the worker's stack.
+    Nest,
+}
+
+/// Where a thread's stack lives (see [`crate::stacks`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stacks {
+    /// Uni-address regions: suspended stacks are evacuated.
+    Uni,
+    /// One globally unique iso-address range per stack.
+    Iso,
+    /// A private full stack per thread, which never moves.
+    Full,
+    /// Every task runs on its worker's one stack.
+    OnWorker,
+}
+
+/// The run's policy and address scheme decided once, as data: the
+/// scheduler reads these fields and never names a [`Policy`] or
+/// [`AddressScheme`] variant. The scheme matters only to continuation
+/// policies, so the pair collapses to four stack kinds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PolicyDesc {
+    pub unit: Unit,
+    pub join: JoinKind,
+    pub stacks: Stacks,
+    /// Whether a fail-stop loss can be replayed from the lineage log. Thread
+    /// origins are pure data, but full private stacks cannot be rebuilt, so
+    /// ChildFull records no lineage and a kill aborts its run.
+    pub recoverable: bool,
+}
+
+impl PolicyDesc {
+    pub fn of(policy: Policy, scheme: AddressScheme) -> PolicyDesc {
+        let moving = match scheme {
+            AddressScheme::Uni => Stacks::Uni,
+            AddressScheme::Iso => Stacks::Iso,
+        };
+        let (unit, join, stacks, recoverable) = match policy {
+            Policy::ContGreedy => (Unit::Cont, JoinKind::Race, moving, true),
+            Policy::ContStalling => (Unit::Cont, JoinKind::Wait, moving, true),
+            Policy::ChildFull => (Unit::Child, JoinKind::Wait, Stacks::Full, false),
+            Policy::ChildRtc => (Unit::Child, JoinKind::Nest, Stacks::OnWorker, true),
+        };
+        PolicyDesc {
+            unit,
+            join,
+            stacks,
+            recoverable,
+        }
+    }
+}
+
 /// Victim-selection policy for steal attempts.
 ///
 /// The paper uses uniform random selection and flags topology-aware
@@ -386,6 +457,32 @@ mod tests {
         assert!(!Policy::ChildFull.is_cont());
         assert!(!Policy::ChildRtc.is_cont());
         assert_eq!(Policy::ALL.len(), 4);
+    }
+
+    #[test]
+    fn policy_descriptors() {
+        use JoinKind::{Nest, Race, Wait};
+        for (scheme, moving) in [
+            (AddressScheme::Uni, Stacks::Uni),
+            (AddressScheme::Iso, Stacks::Iso),
+        ] {
+            let rows = [
+                (Policy::ContGreedy, Unit::Cont, Race, moving, true),
+                (Policy::ContStalling, Unit::Cont, Wait, moving, true),
+                (Policy::ChildFull, Unit::Child, Wait, Stacks::Full, false),
+                (Policy::ChildRtc, Unit::Child, Nest, Stacks::OnWorker, true),
+            ];
+            for (p, unit, join, stacks, recoverable) in rows {
+                let want = PolicyDesc {
+                    unit,
+                    join,
+                    stacks,
+                    recoverable,
+                };
+                assert_eq!(PolicyDesc::of(p, scheme), want, "{p:?}/{scheme:?}");
+                assert_eq!(unit == Unit::Cont, p.is_cont());
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@ use crate::frame::{AppCtx, TaskFn};
 use crate::layout::SegLayout;
 use crate::policy::RunConfig;
 use crate::sched::Worker;
+use crate::stacks;
 use crate::stats::RunStats;
 use crate::value::Value;
 use crate::watchdog::{Violation, WatchdogReport};
@@ -207,64 +208,29 @@ fn run_inner(
             Value::Unit
         }
     };
+    let stacks = stacks::census(&rt);
+    let entries = [
+        ("thread entries", rt.meta.len() as u64),
+        ("return values", rt.retvals.len() as u64),
+    ];
+    let leaks = entries.into_iter().chain(stacks.leaks);
     if strict {
-        assert!(
-            rt.meta.is_empty(),
-            "{} thread entries leaked",
-            rt.meta.len()
-        );
-        assert!(
-            rt.retvals.is_empty(),
-            "{} return values leaked",
-            rt.retvals.len()
-        );
         assert_eq!(
             rt.stats.threads_spawned, rt.stats.threads_died,
             "thread spawn/death imbalance"
         );
-        for (w, ws) in rt.per.iter().enumerate() {
-            assert_eq!(ws.uni.live(), 0, "worker {w} leaked uni-address slots");
-            assert_eq!(ws.evac.live_bytes(), 0, "worker {w} leaked evacuations");
-            assert_eq!(ws.full_stacks_live, 0, "worker {w} leaked full stacks");
+        for (what, count) in leaks {
+            assert_eq!(count, 0, "{count} {what} leaked");
         }
-        assert_eq!(rt.iso.live(), 0, "iso-address slots leaked");
     } else if let Some(wd) = &mut watchdog {
         // Non-strict with a watchdog (the dcs-check configuration): route
         // the same end-of-run accounting into the report as violations
         // instead of panicking, so an exploring checker sees them as oracle
         // findings.
-        let mut leak = |what: &'static str, count: u64| {
-            if count > 0 {
-                wd.violations.push(Violation::Leak { what, count });
-            }
-        };
-        leak("thread entries", rt.meta.len() as u64);
-        leak("return values", rt.retvals.len() as u64);
-        leak(
-            "uni-address slots",
-            rt.per.iter().map(|ws| ws.uni.live() as u64).sum(),
-        );
-        leak(
-            "evacuated bytes",
-            rt.per.iter().map(|ws| ws.evac.live_bytes()).sum(),
-        );
-        leak(
-            "full stacks",
-            rt.per.iter().map(|ws| ws.full_stacks_live).sum(),
-        );
-        leak("iso-address slots", rt.iso.live() as u64);
-    }
-    if let Some(wd) = &watchdog {
-        if strict && !wd.is_clean() {
-            panic!("invariant watchdog tripped:\n{wd}");
+        for (what, count) in leaks.filter(|&(_, count)| count > 0) {
+            wd.violations.push(Violation::Leak { what, count });
         }
     }
-
-    let uni_peak = rt.per.iter().map(|w| w.uni.stats().peak_bytes).max().unwrap_or(0);
-    let uni_conflicts = rt.per.iter().map(|w| w.uni.stats().conflicts).sum();
-    let evac_peak = rt.per.iter().map(|w| w.evac.peak_bytes()).max().unwrap_or(0);
-    let full_stack_peak = rt.per.iter().map(|w| w.full_stacks_peak).max().unwrap_or(0);
-    let iso_peak = rt.iso.peak_bytes();
 
     let rep = RunReport {
         outcome,
@@ -275,11 +241,11 @@ fn run_inner(
         stats: rt.stats,
         fabric: m.stats_total(),
         steps: report.steps,
-        uni_peak,
-        iso_peak,
-        uni_conflicts,
-        evac_peak,
-        full_stack_peak,
+        uni_peak: stacks.uni_peak,
+        iso_peak: stacks.iso_peak,
+        uni_conflicts: stacks.uni_conflicts,
+        evac_peak: stacks.evac_peak,
+        full_stack_peak: stacks.full_stack_peak,
         watchdog,
         lineage: rt.lineage.counts(),
     };

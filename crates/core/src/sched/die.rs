@@ -16,7 +16,7 @@ impl Worker {
         if e.entry.is_null() {
             let mut th = self.cur.take().expect("checked");
             Self::mark_lineage_done(world, &th);
-            self.retire_thread(world, &mut th);
+            self.desc.stacks.retire(&mut world.rt, self.me, &mut th);
             world.rt.watch_death(th.tid, now);
             world.rt.result = Some(v);
             world.rt.stats.threads_died += 1;
@@ -26,10 +26,10 @@ impl Worker {
             return Ok(world.m.local_op(self.me));
         }
 
-        match self.policy {
-            Policy::ContGreedy => self.die_greedy(now, world, e, v),
-            Policy::ContStalling => self.die_stalling_cont(now, world, e, v),
-            Policy::ChildFull | Policy::ChildRtc => self.die_child(now, world, e, v),
+        match (self.desc.unit, self.desc.join) {
+            (Unit::Cont, JoinKind::Race) => self.die_greedy(now, world, e, v),
+            (Unit::Cont, _) => self.die_stalling_cont(now, world, e, v),
+            (Unit::Child, _) => self.die_child(now, world, e, v),
         }
     }
 
@@ -58,7 +58,7 @@ impl Worker {
         world.rt.stats.note_die(e.entry.to_u64(), now);
         let mut th = self.cur.take().expect("die without thread");
         Self::mark_lineage_done(world, &th);
-        self.retire_thread(world, &mut th);
+        self.desc.stacks.retire(&mut world.rt, self.me, &mut th);
         world.rt.watch_death(th.tid, now);
 
         let parent = match popped {
@@ -164,16 +164,14 @@ impl Worker {
             // A confirmer drained the evicted owner's lineage and a replay
             // already re-executes this joiner. Undo the slab claim's memory
             // accounting and drop the stale copy.
-            if self.scheme == AddressScheme::Uni && th.home.is_some() {
-                world.rt.per[saved.owner].evac.restore(saved.stack_bytes as u64);
-            }
+            self.desc.stacks.restore(&mut world.rt, saved.owner, &th);
             self.state = WState::Idle;
             self.set_busy(world, now, false);
             return cost;
         }
-        if self.scheme == AddressScheme::Uni && th.home.is_some() {
-            world.rt.per[saved.owner].evac.restore(saved.stack_bytes as u64);
-        }
+        self.desc
+            .stacks
+            .resume(&mut world.rt, saved.owner, self.me, &mut th);
         cost += world
             .m
             .call(self.me, Verb::GetBulk(saved.owner, saved.stack_bytes))
@@ -195,7 +193,6 @@ impl Worker {
         let (_stored, c2) = self.get_retval(world, e);
         cost += c2;
         cost += self.free_entry_here_after_close(world, e, &mut th, now + cost);
-        self.claim_home(world, &mut th);
         th.supply(v);
         cost += world.m.ctx_switch(self.me);
         self.start_thread(world, now, th);
@@ -257,9 +254,9 @@ impl Worker {
                     continue;
                 }
                 let mut th = world.rt.per[saved.owner].saved.take(saved.slot);
-                if self.scheme == AddressScheme::Uni && th.home.is_some() {
-                    world.rt.per[saved.owner].evac.restore(saved.stack_bytes as u64);
-                }
+                self.desc
+                    .stacks
+                    .resume(&mut world.rt, saved.owner, self.me, &mut th);
                 sweep.push((saved.owner, saved.stack_bytes));
                 cost += free_robj(
                     &mut world.m,
@@ -278,7 +275,6 @@ impl Worker {
                 if let Some((at, entry)) = th.suspension {
                     th.suspension = Some((at.max(now), entry));
                 }
-                self.claim_home(world, &mut th);
                 if self.kills {
                     // The waiter migrates here: its lineage record follows.
                     let fresh = self.rekey_lineage(world, &mut th);
@@ -381,7 +377,7 @@ impl Worker {
         world.rt.stats.note_die(e.entry.to_u64(), now);
         let mut th = self.cur.take().expect("die without thread");
         Self::mark_lineage_done(world, &th);
-        self.retire_thread(world, &mut th);
+        self.desc.stacks.retire(&mut world.rt, self.me, &mut th);
         world.rt.watch_death(th.tid, now);
         match popped {
             Some(QueueItem::Cont { th: next, .. }) => {
@@ -399,8 +395,9 @@ impl Worker {
         Ok(cost)
     }
 
-    /// Child-stealing DIE: put retval + flag. ChildRtc additionally re-checks
-    /// the join buried directly below (it can resume only now).
+    /// Child-stealing DIE: put retval + flag. A nesting join
+    /// ([`JoinKind::Nest`], ChildRtc) additionally re-checks the join buried
+    /// directly below (it can resume only now).
     pub(crate) fn die_child(
         &mut self,
         now: VTime,
@@ -428,31 +425,15 @@ impl Worker {
         let mut th = self.cur.take().expect("die without thread");
         // Completion reached the lineage: this record must never replay.
         Self::mark_lineage_done(world, &th);
-        self.retire_thread(world, &mut th);
+        self.desc.stacks.retire(&mut world.rt, self.me, &mut th);
         world.rt.watch_death(th.tid, now);
 
-        if self.policy == Policy::ChildRtc {
-            if let Some(top) = self.nest.last() {
-                let h = top.handle;
-                let (flag, c) = world.m.call(self.me, Verb::Get(h.entry.field(E_FLAG)));
-                cost += c;
-                let done = if h.consumers == 1 {
-                    flag != 0
-                } else {
-                    flag & DONE_BIT != 0
-                };
-                if done {
-                    // Unbury: complete the join below (plain function-return
-                    // semantics, no context switch).
-                    let Nested { mut th, handle } =
-                        self.nest.pop().expect("checked non-empty");
-                    self.close_suspension(world, &mut th, now);
-                    let (jv, c2) = self.join_complete_fast(world, handle);
-                    cost += c2;
-                    th.supply(jv);
-                    self.start_thread(world, now, th);
-                    return Ok(cost);
-                }
+        if self.desc.join == JoinKind::Nest {
+            // Unbury the join below if it is now complete (plain
+            // function-return semantics, no context switch).
+            cost += self.poll_nest_top(now, world);
+            if self.cur.is_some() {
+                return Ok(cost);
             }
         }
         self.state = WState::Idle;

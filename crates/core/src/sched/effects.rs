@@ -100,12 +100,7 @@ impl Worker {
                 // Step A: read the flag.
                 let th = self.cur.as_mut().expect("join without thread");
                 th.frames.push(cont);
-                let (flag, cost) = world.m.call(self.me, Verb::Get(handle.entry.field(E_FLAG)));
-                let done = if handle.consumers == 1 {
-                    flag != 0
-                } else {
-                    flag & DONE_BIT != 0
-                };
+                let (done, cost) = self.join_done(world, handle);
                 if done {
                     let (v, c2) = self.join_complete_fast(world, handle);
                     let th = self.cur.as_mut().expect("checked");
@@ -150,8 +145,8 @@ impl Worker {
         world: &mut World,
         cont: Box<dyn Frame>,
     ) -> Result<VTime, (Box<dyn Frame>, Busy)> {
-        match self.policy {
-            Policy::ContGreedy | Policy::ContStalling => {
+        match (self.desc.unit, self.desc.join) {
+            (Unit::Cont, _) => {
                 if world.own_locked(&self.lay, self.me) {
                     return Err((cont, Busy));
                 }
@@ -173,7 +168,7 @@ impl Worker {
                 self.set_busy(world, now, false);
                 Ok(cost + world.m.ctx_restore(self.me))
             }
-            Policy::ChildFull => {
+            (Unit::Child, JoinKind::Wait) => {
                 // Tied threads cannot migrate; a yield parks the thread in
                 // the local wait queue with no entry to wait on — the next
                 // round-robin poll resumes it unconditionally.
@@ -189,14 +184,15 @@ impl Worker {
                 self.set_busy(world, now, false);
                 Ok(cost)
             }
-            Policy::ChildRtc => {
+            (Unit::Child, _) => {
                 panic!("run-to-completion threads cannot yield (§IV-B)")
             }
         }
     }
 
     /// Fast join completion: flag already set. Handles the multi-consumer
-    /// consumed counter and entry freeing by the last consumer.
+    /// consumed counter and entry freeing by the last consumer. Touches
+    /// only `h`'s entry, never `self.cur`, so a resumed thread uses it too.
     pub(crate) fn join_complete_fast(&mut self, world: &mut World, h: ThreadHandle) -> (Value, VTime) {
         let (v, mut cost) = self.get_retval(world, h);
         if h.consumers == 1 {
@@ -243,7 +239,7 @@ impl Worker {
         );
         cost += c_alloc;
 
-        if self.policy.is_cont() {
+        if self.desc.unit == Unit::Cont {
             let tid = world.rt.fresh_tid();
             // Continuation stealing: the parent's continuation becomes
             // stealable; the child runs immediately on this worker (plain
@@ -272,8 +268,7 @@ impl Worker {
                 .then(|| self.record_lineage(world, tid, child, arg.clone(), h));
             let mut th = VThread::new(tid, child, arg, h);
             th.replay_rec = rec;
-            let slot_len = world.rt.cfg.stack_slot;
-            th.home = Some(self.place_stack(world, parent_home, slot_len));
+            th.home = self.desc.stacks.place(&mut world.rt, self.me, parent_home);
             self.cur = Some(th);
             Ok(cost + world.m.local_op(self.me))
         } else {

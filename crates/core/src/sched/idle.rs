@@ -291,7 +291,7 @@ impl Worker {
                 continue;
             }
             if !is_root
-                && !self.policy.is_cont()
+                && self.desc.unit == Unit::Child
                 && world.m.is_dead(rec.handle.entry.rank as usize, now)
             {
                 // ChildRtc ties a task to the parent frame that owns its
@@ -310,12 +310,9 @@ impl Worker {
             let tid = world.rt.fresh_tid();
             let mut th = VThread::new(tid, rec.f, rec.arg.clone(), rec.handle);
             th.replay_rec = Some(self.record_lineage(world, tid, rec.f, rec.arg, rec.handle));
-            if self.policy.is_cont() {
-                // Re-materialized continuations (root included) need a
-                // stack home in this worker's region.
-                let slot_len = world.rt.cfg.stack_slot;
-                th.home = Some(self.place_stack(world, None, slot_len));
-            }
+            // Re-materialized continuations (root included) need a stack
+            // home in this worker's region.
+            th.home = self.desc.stacks.place(&mut world.rt, self.me, None);
             world.rt.stats.tasks_replayed += 1;
             let cost = world.m.ctx_restore(self.me);
             self.start_thread(world, now, th);
@@ -348,7 +345,7 @@ impl Worker {
         world.rt.watch_stall(now);
         if self.kills {
             self.fail_stop_scan(now, world);
-            if self.policy != Policy::ChildFull {
+            if self.desc.recoverable {
                 if let Some(step) = self.try_replay(now, world) {
                     return step;
                 }
@@ -435,12 +432,13 @@ impl Worker {
         crate::steal::probe(&mut h, cx, now, cost, ring, k)
     }
 
-    /// Re-poll blocked work after a failed steal attempt: stalling policies
-    /// round-robin the wait queue (Fig. 3); ChildRtc re-checks the join
-    /// buried at the top of the nest (the scheduler-in-a-loop of a
-    /// run-to-completion thread re-reads the flag between tasks).
+    /// Re-poll blocked work after a failed steal attempt: waiting joins
+    /// round-robin the wait queue (Fig. 3); nesting joins (ChildRtc)
+    /// re-check the join buried at the top of the nest (the
+    /// scheduler-in-a-loop of a run-to-completion thread re-reads the flag
+    /// between tasks).
     pub(crate) fn poll_blocked(&mut self, now: VTime, world: &mut World) -> VTime {
-        if self.policy == Policy::ChildRtc {
+        if self.desc.join == JoinKind::Nest {
             return self.poll_nest_top(now, world);
         }
         self.poll_wait_queue(now, world)
@@ -451,17 +449,11 @@ impl Worker {
         let Some(top) = self.nest.last() else {
             return VTime::ZERO;
         };
-        let h = top.handle;
-        let (flag, mut cost) = world.m.call(self.me, Verb::Get(h.entry.field(E_FLAG)));
-        let done = if h.consumers == 1 {
-            flag != 0
-        } else {
-            flag & DONE_BIT != 0
-        };
+        let (done, mut cost) = self.join_done(world, top.handle);
         if done {
             let Nested { mut th, handle } = self.nest.pop().expect("checked non-empty");
             self.close_suspension(world, &mut th, now);
-            let (v, c2) = self.join_complete_fast_value(world, handle);
+            let (v, c2) = self.join_complete_fast(world, handle);
             cost += c2;
             th.supply(v);
             self.start_thread(world, now, th);
@@ -482,24 +474,14 @@ impl Worker {
             self.start_thread(world, now, th);
             return cost;
         }
-        let (flag, mut cost) = world.m.call(self.me, Verb::Get(handle.entry.field(E_FLAG)));
-        let done = if handle.consumers == 1 {
-            flag != 0
-        } else {
-            flag & DONE_BIT != 0
-        };
+        let (done, mut cost) = self.join_done(world, handle);
         if done {
             self.close_suspension(world, &mut th, now);
-            let (v, c2) = self.join_complete_fast_value(world, handle);
+            let (v, c2) = self.join_complete_fast(world, handle);
             cost += c2;
-            if self.policy == Policy::ContStalling && self.scheme == AddressScheme::Uni {
-                if th.home.is_some() {
-                    world.rt.per[self.me]
-                        .evac
-                        .restore(th.stack_bytes() as u64);
-                }
-                self.claim_home(world, &mut th);
-            }
+            self.desc
+                .stacks
+                .resume(&mut world.rt, self.me, self.me, &mut th);
             th.supply(v);
             cost += world.m.ctx_switch(self.me);
             self.start_thread(world, now, th);
@@ -523,15 +505,9 @@ impl Worker {
         match item {
             QueueItem::Cont { mut th, .. } => {
                 if let Some(victim) = from {
-                    // Uni-address: the stack leaves the victim's region and
-                    // lands at the same virtual address here. Iso-address:
-                    // the globally unique range simply travels along.
-                    if self.scheme == AddressScheme::Uni {
-                        if let Some(home) = th.home {
-                            world.rt.per[victim].uni.release(home);
-                        }
-                        self.claim_home(world, &mut th);
-                    }
+                    self.desc
+                        .stacks
+                        .migrate(&mut world.rt, victim, self.me, &mut th);
                 }
                 cost = world.m.ctx_restore(self.me);
                 self.start_thread(world, now, th);
@@ -539,17 +515,7 @@ impl Worker {
             QueueItem::Child { f, arg, handle } => {
                 let tid = world.rt.fresh_tid();
                 let th = VThread::new(tid, f, arg, handle);
-                if self.policy == Policy::ChildFull {
-                    // Full threads start on a fresh private stack.
-                    world.rt.per[self.me].note_full_stack_alloc();
-                    cost = world.m.ctx_switch(self.me);
-                } else if self.policy.is_cont() {
-                    // Continuation runs never create child descriptors.
-                    unreachable!("child descriptor under continuation stealing");
-                } else {
-                    // RtC threads run as a plain call on the worker stack.
-                    cost = world.m.ctx_restore(self.me);
-                }
+                cost = self.desc.stacks.start_child(world, self.me);
                 self.start_thread(world, now, th);
             }
         }
@@ -718,7 +684,7 @@ impl Host for Thief<'_> {
             return Ok(None);
         }
         match item {
-            QueueItem::Child { f, arg, handle } if wk.policy == Policy::ChildRtc => {
+            QueueItem::Child { f, arg, handle } if wk.desc.recoverable => {
                 Ok(Some(wk.record_lineage(world, 0, *f, arg.clone(), *handle)))
             }
             QueueItem::Cont { th, .. } => {

@@ -8,7 +8,7 @@ impl Worker {
     // ------------------------------------------------------------------
 
     /// Step B of a join that saw flag = 0. Re-reads nothing: commits the
-    /// policy's blocking action. The producer may have slipped in since step
+    /// descriptor's [`JoinKind`]. The producer may have slipped in since step
     /// A — the greedy race handles that; the stalling paths simply park the
     /// thread (the wait-queue poll will find the flag set immediately).
     pub(crate) fn join_slow(
@@ -17,31 +17,20 @@ impl Worker {
         world: &mut World,
         h: ThreadHandle,
     ) -> Result<VTime, (PendingOp, Busy)> {
-        match self.policy {
-            Policy::ContGreedy => self.join_greedy_commit(now, world, h),
-            Policy::ContStalling | Policy::ChildFull => {
-                let mut cost = VTime::ZERO;
+        match self.desc.join {
+            JoinKind::Race => self.join_greedy_commit(now, world, h),
+            JoinKind::Wait => {
                 let mut th = self.cur.take().expect("join without thread");
                 th.pending = Pending::AwaitValue;
                 th.suspension = Some((now, h.entry.to_u64()));
-                if self.policy == Policy::ContStalling && self.scheme == AddressScheme::Uni {
-                    // Evacuate the stack (uni-address discipline); Full
-                    // threads keep their private stack while suspended, and
-                    // iso-address stacks never move.
-                    if let Some(home) = th.home {
-                        world.rt.per[self.me].uni.release(home);
-                        world.rt.per[self.me]
-                            .evac
-                            .evacuate(th.stack_bytes() as u64);
-                    }
-                }
-                cost += world.m.ctx_switch(self.me);
+                self.desc.stacks.suspend(&mut world.rt, self.me, &th);
+                let cost = world.m.ctx_switch(self.me);
                 self.wait_q.push_back(Waiting { th, handle: h });
                 self.state = WState::Idle;
                 self.set_busy(world, now, false);
                 Ok(cost)
             }
-            Policy::ChildRtc => {
+            JoinKind::Nest => {
                 // Bury the join: nest the scheduler on this stack.
                 let mut th = self.cur.take().expect("join without thread");
                 th.pending = Pending::AwaitValue;
@@ -67,12 +56,7 @@ impl Worker {
         th.suspension = Some((now, h.entry.to_u64()));
         // Evacuate the stack and publish the saved context.
         let stack_bytes = th.stack_bytes();
-        if self.scheme == AddressScheme::Uni {
-            if let Some(home) = th.home {
-                world.rt.per[self.me].uni.release(home);
-                world.rt.per[self.me].evac.evacuate(stack_bytes as u64);
-            }
-        }
+        self.desc.stacks.suspend(&mut world.rt, self.me, &th);
         let slot = world.rt.per[self.me].saved.insert(th);
         let (c_addr, c0) = alloc_saved_ctx(
             &mut world.m,
@@ -114,9 +98,9 @@ impl Worker {
                 // Lost: the producer finished in the window between step A
                 // and now — resume ourselves (Fig. 4 l. 49–50).
                 let mut th = world.rt.per[self.me].saved.take(slot);
-                if self.scheme == AddressScheme::Uni && th.home.is_some() {
-                    world.rt.per[self.me].evac.restore(stack_bytes as u64);
-                }
+                self.desc
+                    .stacks
+                    .resume(&mut world.rt, self.me, self.me, &mut th);
                 cost += free_robj(
                     &mut world.m,
                     &mut world.rt.per[self.me],
@@ -130,7 +114,6 @@ impl Worker {
                 let (v, c2) = self.get_retval(world, h);
                 cost += c2;
                 cost += self.free_entry_here(world, h);
-                self.claim_home(world, &mut th);
                 th.supply(v);
                 self.start_thread(world, now, th);
                 Ok(cost)
@@ -142,9 +125,9 @@ impl Worker {
             if old & DONE_BIT != 0 {
                 // Producer already done: self-resume and consume.
                 let mut th = world.rt.per[self.me].saved.take(slot);
-                if self.scheme == AddressScheme::Uni && th.home.is_some() {
-                    world.rt.per[self.me].evac.restore(stack_bytes as u64);
-                }
+                self.desc
+                    .stacks
+                    .resume(&mut world.rt, self.me, self.me, &mut th);
                 cost += free_robj(
                     &mut world.m,
                     &mut world.rt.per[self.me],
@@ -155,9 +138,8 @@ impl Worker {
                     SAVED_CTX_BYTES,
                 );
                 self.close_suspension(world, &mut th, now);
-                let (v, c2) = self.join_complete_fast_value(world, h);
+                let (v, c2) = self.join_complete_fast(world, h);
                 cost += c2;
-                self.claim_home(world, &mut th);
                 th.supply(v);
                 self.start_thread(world, now, th);
                 Ok(cost)
@@ -176,24 +158,6 @@ impl Worker {
                 Ok(cost)
             }
         }
-    }
-
-    /// `join_complete_fast` without touching `self.cur` (used when resuming a
-    /// saved thread rather than the current one).
-    pub(crate) fn join_complete_fast_value(&mut self, world: &mut World, h: ThreadHandle) -> (Value, VTime) {
-        let (v, mut cost) = self.get_retval(world, h);
-        if h.consumers == 1 {
-            cost += self.free_entry_here(world, h);
-        } else {
-            let (old, c) = world
-                .m
-                .call(self.me, Verb::Faa(h.entry.field(EM_CONSUMED), 1));
-            cost += c;
-            if old + 1 == h.consumers as u64 {
-                cost += self.free_entry_here(world, h);
-            }
-        }
-        (v, cost)
     }
 
 }

@@ -3,7 +3,7 @@
 //! A worker is a state machine driven by the discrete-event engine:
 //!
 //! * `WState::Run` — execute the current thread: advance it one effect and
-//!   apply that effect under the run's [`Policy`]. Effects that need the
+//!   apply that effect under the run's [`PolicyDesc`]. Effects that need the
 //!   local deque observe the deque lock; if a thief holds it the application
 //!   is retried next step (the effect is kept pending, no side effects leak).
 //! * `WState::Idle` — the scheduler loop: poll the termination flag, pop
@@ -16,22 +16,28 @@
 //!   still outstanding. The worker is the machine's host: victim selection,
 //!   blacklisting, fencing, statistics, lineage and adoption stay here.
 //!
-//! DIE and JOIN follow the paper's pseudocode per policy:
+//! DIE and JOIN follow the paper's pseudocode per policy. The policy and the
+//! address scheme are decided once, as a [`PolicyDesc`] row (what a steal
+//! takes, what a missed join does, where stacks live, whether a loss
+//! replays); the scheduler branches on its fields and leaves every stack
+//! placement, suspension, resumption, migration and shed to
+//! [`crate::stacks`], never naming a `Policy` or `AddressScheme` variant:
 //!
-//! * **ContGreedy** — Fig. 4, including the work-first fast path (pop the
-//!   parent before racing), the fetch-and-add race, and migration of the
-//!   suspended joiner to the race loser; multi-consumer futures use the §V-D
-//!   extension (arrival-counting flag word with a DONE bit, per-consumer
-//!   ctxloc slots, a consumed counter so the last consumer frees the entry).
-//! * **ContStalling** — Fig. 3: DIE puts retval + flag and pops the local
-//!   queue; JOIN suspends into the local FIFO wait queue, re-polled after
-//!   each failed steal; suspended threads never migrate.
-//! * **ChildFull** — spawn pushes a 56-byte descriptor; tasks are tied, each
-//!   gets its own full stack and suspends to the wait queue at unresolved
-//!   joins.
-//! * **ChildRtc** — like ChildFull but a blocked join *nests* the scheduler
-//!   on the worker's single stack: the blocked task is buried until
-//!   everything above it completes (§IV-B).
+//! * **ContGreedy** (`Cont`, `Race`) — Fig. 4, including the work-first
+//!   fast path (pop the parent before racing), the fetch-and-add race, and
+//!   migration of the suspended joiner to the race loser; multi-consumer
+//!   futures use the §V-D extension (arrival-counting flag word with a DONE
+//!   bit, per-consumer ctxloc slots, a consumed counter so the last consumer
+//!   frees the entry).
+//! * **ContStalling** (`Cont`, `Wait`) — Fig. 3: DIE puts retval + flag and
+//!   pops the local queue; JOIN suspends into the local FIFO wait queue,
+//!   re-polled after each failed steal; suspended threads never migrate.
+//! * **ChildFull** (`Child`, `Wait`, not recoverable) — spawn pushes a
+//!   56-byte descriptor; tasks are tied, each gets its own full stack and
+//!   suspends to the wait queue at unresolved joins.
+//! * **ChildRtc** (`Child`, `Nest`) — like ChildFull but a blocked join
+//!   *nests* the scheduler on the worker's single stack: the blocked task is
+//!   buried until everything above it completes (§IV-B).
 //!
 //! JOIN is split across two steps (flag read, then the suspend + race
 //! commit) so a producer's DIE can interleave in the window — the rare
@@ -51,7 +57,7 @@ use crate::entry::{
 };
 use crate::frame::{AppCtx, Effect, Frame, Pending, TaskCtx, TaskFn, VThread};
 use crate::layout::{SegLayout, DQ_BOTTOM, DQ_LOCK, DQ_TOP};
-use crate::policy::{AddressScheme, FreeStrategy, Policy, VictimPolicy};
+use crate::policy::{FreeStrategy, JoinKind, PolicyDesc, Unit, VictimPolicy};
 use crate::remote_free::free_robj;
 use crate::steal::{self, Stage};
 use crate::value::{ThreadHandle, Value};
@@ -129,9 +135,9 @@ impl Blacklist {
 pub struct Worker {
     me: WorkerId,
     n: usize,
-    policy: Policy,
+    /// The run's policy and address scheme, decided once.
+    desc: PolicyDesc,
     strategy: FreeStrategy,
-    scheme: AddressScheme,
     victim_policy: VictimPolicy,
     /// Steal attempts kept in flight at once (`--multi-steal K`).
     multi_steal: usize,
@@ -191,9 +197,8 @@ impl Worker {
         root: Option<(TaskFn, Value)>,
         seed: u64,
     ) -> Worker {
-        let policy = world.rt.cfg.policy;
+        let desc = PolicyDesc::of(world.rt.cfg.policy, world.rt.cfg.address_scheme);
         let strategy = world.rt.cfg.free_strategy;
-        let scheme = world.rt.cfg.address_scheme;
         let victim_policy = world.rt.cfg.victim;
         let base_scale = world.rt.cfg.profile.compute_scale;
         let slow_windows: Vec<(VTime, VTime, f64)> = world
@@ -214,7 +219,7 @@ impl Worker {
             // Root re-election: the root's origin is mirrored as the first
             // lineage record of worker 0 with a NULL handle, so a worker-0
             // kill replays the root elsewhere instead of aborting the run.
-            let rec = (kills && policy != Policy::ChildFull).then(|| {
+            let rec = (kills && desc.recoverable).then(|| {
                 world.rt.lineage.push(
                     me,
                     LineageRec {
@@ -227,15 +232,7 @@ impl Worker {
             });
             let mut th = VThread::new(tid, f, arg, ThreadHandle::single(GlobalAddr::NULL));
             th.replay_rec = rec;
-            if policy.is_cont() {
-                let slot = world.rt.cfg.stack_slot;
-                th.home = Some(match scheme {
-                    AddressScheme::Uni => world.rt.per[me].uni.place_child(None, slot),
-                    AddressScheme::Iso => world.rt.iso.alloc(slot),
-                });
-            } else if policy == Policy::ChildFull {
-                world.rt.per[me].note_full_stack_alloc();
-            }
+            th.home = desc.stacks.place(&mut world.rt, me, None);
             th
         });
         let busy = cur.is_some();
@@ -245,7 +242,7 @@ impl Worker {
         Worker {
             me,
             n,
-            policy,
+            desc,
             strategy,
             lay,
             rng: SimRng::for_worker(seed, me),
@@ -253,7 +250,6 @@ impl Worker {
             base_scale,
             slow_windows,
             blacklist: None,
-            scheme,
             victim_policy,
             multi_steal: (world.rt.cfg.multi_steal as usize).max(1),
             fail_streak: 0,
@@ -334,6 +330,19 @@ impl Worker {
         (old, world.m.finish(&w).saturating_sub(at))
     }
 
+    /// Read `h`'s join flag: has the joined thread completed? A
+    /// single-consumer flag is nonzero once it has; a future's flag counts
+    /// arrivals and carries [`DONE_BIT`].
+    pub(crate) fn join_done(&mut self, world: &mut World, h: ThreadHandle) -> (bool, VTime) {
+        let (flag, cost) = world.m.call(self.me, Verb::Get(h.entry.field(E_FLAG)));
+        let done = if h.consumers == 1 {
+            flag != 0
+        } else {
+            flag & DONE_BIT != 0
+        };
+        (done, cost)
+    }
+
     /// Fetch a return value from entry `e`. Single-consumer entries hand the
     /// value out once (removal); multi-consumer entries clone (the entry is
     /// freed — and the table cleaned — by the last consumer).
@@ -382,19 +391,6 @@ impl Worker {
         )
     }
 
-    /// Release the thread's execution resources at death.
-    pub(crate) fn retire_thread(&mut self, world: &mut World, th: &mut VThread) {
-        if let Some(home) = th.home.take() {
-            match self.scheme {
-                AddressScheme::Uni => world.rt.per[self.me].uni.release(home),
-                AddressScheme::Iso => world.rt.iso.free(home),
-            }
-        }
-        if self.policy == Policy::ChildFull {
-            world.rt.per[self.me].note_full_stack_free();
-        }
-    }
-
     /// Close a suspended thread's outstanding-join record now (used by
     /// resume paths that free the entry before `start_thread` runs — the
     /// die-time record must still be present when the interval is computed).
@@ -414,48 +410,6 @@ impl Worker {
         self.cur = Some(th);
         self.state = WState::Run;
         self.set_busy(world, now, true);
-    }
-
-    /// Place a newly spawned thread's stack immediately above its parent's
-    /// (the uni-address rule). After migrations have re-homed stacks, the
-    /// slot above the parent can be occupied by an unrelated resident
-    /// continuation; the real system would relocate — the model falls back
-    /// to first-fit and counts the conflict, exactly like [`Self::claim_home`].
-    pub(crate) fn place_stack(
-        &mut self,
-        world: &mut World,
-        parent: Option<dcs_uniaddr::StackSlot>,
-        len: u64,
-    ) -> dcs_uniaddr::StackSlot {
-        if self.scheme == AddressScheme::Iso {
-            return world.rt.iso.alloc(len);
-        }
-        let uni = &mut world.rt.per[self.me].uni;
-        let base = parent.map_or(uni.base(), |p| p.end());
-        let want = dcs_uniaddr::StackSlot { base, len };
-        if uni.claim(want) {
-            want
-        } else {
-            uni.place_anywhere(len)
-        }
-    }
-
-    /// Claim a migrated thread's home range in this worker's uni-address
-    /// region, falling back to first-fit on conflict (counted).
-    pub(crate) fn claim_home(&mut self, world: &mut World, th: &mut VThread) {
-        if !self.policy.is_cont() || self.scheme == AddressScheme::Iso {
-            // Iso-address stacks keep their globally unique range wherever
-            // they go — migration never relocates.
-            return;
-        }
-        let slot_len = world.rt.cfg.stack_slot;
-        let uni = &mut world.rt.per[self.me].uni;
-        match th.home {
-            Some(home) if uni.claim(home) => {}
-            _ => {
-                th.home = Some(uni.place_anywhere(slot_len));
-            }
-        }
     }
 
     /// Effective compute slowdown at virtual time `now`: the whole-run base
@@ -507,17 +461,16 @@ impl Worker {
 
     /// This worker's scheduled fail-stop kill instant has arrived: collect
     /// every frame that dies with it, report the loss, and halt forever.
-    /// Every policy except [`Policy::ChildFull`] is recoverable — thread
-    /// origins (child descriptors, continuation fork/steal records, the
-    /// mirrored root) are replayable pure data and the lineage log covers
-    /// everything in flight, including worker 0's root. ChildFull's full
-    /// private stacks cannot be reconstructed, and a loss that leaves no
-    /// survivor has nobody to replay; those runs abort with a typed
-    /// outcome.
+    /// A [`PolicyDesc::recoverable`] run replays the loss: thread origins
+    /// (child descriptors, continuation fork/steal records, the mirrored
+    /// root) are pure data and the lineage log covers everything in flight,
+    /// including worker 0's root. Full private stacks cannot be rebuilt,
+    /// and a loss that leaves no survivor has nobody to replay; those runs
+    /// abort with a typed outcome.
     fn step_killed(&mut self, now: VTime, world: &mut World) -> Step {
         let tids = self.held_tids(world);
         let all_dead = (0..self.n).all(|w| w == self.me || world.m.is_dead(w, now));
-        let fail = if self.policy == Policy::ChildFull {
+        let fail = if !self.desc.recoverable {
             Some(UnrecoverableReason::FullStacks)
         } else if all_dead {
             Some(UnrecoverableReason::AllWorkersDead)
@@ -540,13 +493,13 @@ impl Worker {
     /// stale duplicate: quiesce, shed it, and rejoin as a fresh incarnation
     /// with an empty deque (or halt, when the plan forbids rejoining).
     ///
-    /// ChildFull is the exception: it records no lineage, so the confirmer
-    /// drained nothing and nothing we hold is stale — the worker just
-    /// adopts its new epoch and keeps running (survivors un-blacklist it
-    /// once its beats resume).
+    /// An unrecoverable run (ChildFull) is the exception: it records no
+    /// lineage, so the confirmer drained nothing and nothing we hold is
+    /// stale — the worker just adopts its new epoch and keeps running
+    /// (survivors un-blacklist it once its beats resume).
     fn step_evicted(&mut self, now: VTime, world: &mut World) -> Step {
         let new_epoch = world.m.epoch_of(self.me);
-        if self.policy == Policy::ChildFull {
+        if !self.desc.recoverable {
             self.my_epoch = new_epoch;
             world.rt.note_worker_evicted(self.me, Vec::new());
             return Step::Yield(world.m.local_op(self.me));
@@ -556,20 +509,15 @@ impl Worker {
         let tids = self.held_tids(world);
         // Shed the current thread and the local queues, returning stack
         // homes so the region survives into the next incarnation.
+        let (stacks, me) = (self.desc.stacks, self.me);
         if let Some(mut th) = self.cur.take() {
-            self.retire_thread(world, &mut th);
+            stacks.retire(&mut world.rt, me, &mut th);
         }
-        while let Some(Waiting { mut th, .. }) = self.wait_q.pop_front() {
-            if self.scheme == AddressScheme::Uni && th.home.take().is_some() {
-                // Stalling suspensions released their home at evacuation;
-                // only the evacuation accounting is still open.
-                world.rt.per[self.me].evac.restore(th.stack_bytes() as u64);
-            } else {
-                self.retire_thread(world, &mut th);
-            }
+        while let Some(Waiting { th, .. }) = self.wait_q.pop_front() {
+            stacks.shed_suspended(&mut world.rt, me, &th);
         }
         while let Some(Nested { mut th, .. }) = self.nest.pop() {
-            self.retire_thread(world, &mut th);
+            stacks.retire(&mut world.rt, me, &mut th);
         }
         // Reap any mid-flight steal's posted completions, then abandon the
         // item (its lineage record is keyed under us and was just drained —
@@ -585,10 +533,7 @@ impl Worker {
                 {
                     // The stolen stack's home still sits in the *victim's*
                     // region (adopt would have released it there).
-                    match self.scheme {
-                        AddressScheme::Uni => world.rt.per[*victim].uni.release(home),
-                        AddressScheme::Iso => world.rt.iso.free(home),
-                    }
+                    stacks.release(&mut world.rt, *victim, home);
                 }
             }
         }
@@ -596,34 +541,16 @@ impl Worker {
         // Empty the deque: payload objects, suspended threads, fence-free
         // ticket index (the ticket *counter* survives — tickets must stay
         // unique across incarnations), and the pinned protocol words.
-        let items = std::mem::take(&mut world.rt.per[self.me].items);
+        let items = std::mem::take(&mut world.rt.per[me].items);
         for (_, item) in items.iter() {
-            if let QueueItem::Cont { th, .. } = item {
-                if let Some(home) = th.home {
-                    match self.scheme {
-                        AddressScheme::Uni => world.rt.per[self.me].uni.release(home),
-                        AddressScheme::Iso => world.rt.iso.free(home),
-                    }
-                }
+            if let QueueItem::Cont { th: VThread { home: Some(home), .. }, .. } = item {
+                stacks.release(&mut world.rt, me, *home);
             }
         }
         drop(items);
-        let saved = std::mem::take(&mut world.rt.per[self.me].saved);
+        let saved = std::mem::take(&mut world.rt.per[me].saved);
         for (_, th) in saved.iter() {
-            if th.home.is_some() {
-                match self.scheme {
-                    AddressScheme::Uni => {
-                        // Greedy suspensions evacuated: the home was already
-                        // released, only the evacuation accounting is open.
-                        world.rt.per[self.me].evac.restore(th.stack_bytes() as u64);
-                    }
-                    AddressScheme::Iso => {
-                        if let Some(home) = th.home {
-                            world.rt.iso.free(home);
-                        }
-                    }
-                }
-            }
+            stacks.shed_suspended(&mut world.rt, me, th);
         }
         drop(saved);
         world.rt.per[self.me].ff_tickets.clear();
@@ -854,6 +781,8 @@ mod tests {
         assert_eq!(size_of::<Option<LineageKey>>(), 24);
         // `scale_sparse` builds one per worker per `setup_s` sample.
         assert_eq!(size_of::<crate::world::WorkerShared>(), 408);
+        // Read on every fork, join and die: four one-byte fields.
+        assert_eq!(size_of::<PolicyDesc>(), 4);
     }
 
     /// The fabric's per-verb records ride every steal and join: a change to
@@ -872,7 +801,7 @@ mod tests {
     #[test]
     fn the_root_lineage_key_round_trips() {
         let plan = dcs_sim::FaultPlan::parse("recover=on").expect("plan parses");
-        let cfg = crate::policy::RunConfig::new(2, Policy::ContGreedy).with_fault_plan(plan);
+        let cfg = crate::policy::RunConfig::new(2, crate::Policy::ContGreedy).with_fault_plan(plan);
         let lay = SegLayout::new(&cfg);
         let m = Machine::new(
             dcs_sim::MachineConfig::new(2, cfg.profile.clone())

@@ -7,9 +7,11 @@
 # never to branch on it. Exits non-zero listing every other mention.
 # A second pattern (below) keeps the BoT termination ring single too, a
 # third keeps dcs-check's raw-deque scenarios on one kit, a fourth keeps
-# one steal core, and a fifth keeps one verb type: outside dcs-sim every
+# one steal core, a fifth keeps one verb type: outside dcs-sim every
 # one-sided verb is a `Verb` issued through `Machine::post` /
-# `post_unsignaled` / `call` / `post_span`.
+# `post_unsignaled` / `call` / `post_span`, and a sixth keeps one policy
+# descriptor: the scheduler reads `PolicyDesc` fields and leaves stack homes
+# to crates/core/src/stacks.rs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -78,6 +80,26 @@ legacy=$(grep -rnE --include='*.rs' \
 if [ -n "$legacy" ]; then
     echo "one-verb-path gate: a per-verb Machine method is called (issue a Verb through post / post_unsignaled / call / post_span):" >&2
     echo "$legacy" >&2
+    exit 1
+fi
+# Sixth pattern: one policy descriptor. The policy and the address scheme
+# are decided once, by `PolicyDesc::of` in crates/core/src/policy.rs. The
+# scheduler branches on the descriptor's fields and never names a `Policy::`
+# or `AddressScheme::` variant or asks `.is_cont()` outside its tests; no
+# other non-test code in crates/core/src names an `AddressScheme::` variant
+# either (stacks.rs works on the descriptor's `Stacks` kind).
+nontest() {
+    for f in "$@"; do
+        awk '/^#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// { print FILENAME ":" FNR ": " $0 }' "$f"
+    done
+}
+policy=$(nontest crates/core/src/sched/*.rs | grep -E '\bPolicy::|\bAddressScheme::|\.is_cont\(\)' || true)
+scheme=$(nontest $(find crates/core/src -name '*.rs' ! -path crates/core/src/policy.rs | sort) \
+    | grep -E '\bAddressScheme::' || true)
+if [ -n "$policy" ] || [ -n "$scheme" ]; then
+    echo "one-verb-path gate: the policy or address scheme is re-derived (read the PolicyDesc fields; stack homes live in crates/core/src/stacks.rs):" >&2
+    [ -z "$policy" ] || echo "$policy" >&2
+    [ -z "$scheme" ] || echo "$scheme" | grep -vxF -- "$policy" >&2 || true
     exit 1
 fi
 echo "one-verb-path gate: ok"
