@@ -231,6 +231,11 @@ fn run_inner(
             wd.violations.push(Violation::Leak { what, count });
         }
     }
+    if let Some(wd) = &watchdog {
+        if strict && !wd.is_clean() {
+            panic!("invariant watchdog tripped:\n{wd}");
+        }
+    }
 
     let rep = RunReport {
         outcome,
@@ -298,6 +303,18 @@ mod tests {
             .with_profile(profiles::test_profile())
             .with_seg_bytes(64 << 20);
         run(cfg, Program::new(fib, n))
+    }
+
+    /// A strict run that carries a watchdog panics on any finding — here a
+    /// stall limit no run can meet.
+    #[test]
+    #[should_panic(expected = "invariant watchdog tripped")]
+    fn strict_runs_panic_on_a_watchdog_finding() {
+        let mut cfg = RunConfig::new(2, Policy::ContGreedy)
+            .with_profile(profiles::test_profile())
+            .with_watchdog(true);
+        cfg.stall_limit = VTime::ns(1);
+        run(cfg, Program::new(fib, 10u64));
     }
 
     #[test]

@@ -314,3 +314,41 @@ fn straggler_with_locality_policy() {
     assert_eq!(r.result.as_u64(), expected);
     assert!(r.stats.steals_ok > 0);
 }
+
+/// The continuation policies under the lossy detector on a tree large
+/// enough for false suspicions (10 under ContGreedy, 21 under ContStalling):
+/// every evicted worker sheds the stacks it runs, queues, holds suspended
+/// and has evacuated, under both address schemes. The tiny tree of
+/// `faulted_cells_over_memory_configurations` evicts no continuation
+/// worker. Recorded before the stack refactor, like the pins above.
+#[test]
+fn evicted_continuation_workers_shed_their_stacks() {
+    let spec = uts::UtsSpec::new(4.0, 12, uts::Shape::Linear, 19);
+    let expected = uts::serial_count(&spec).nodes;
+    let plan = FaultPlan::parse("detector=message,suspect=40us,drop=0.05").expect("plan parses");
+    let mut digests = Vec::new();
+    for policy in [Policy::ContGreedy, Policy::ContStalling] {
+        for scheme in [AddressScheme::Uni, AddressScheme::Iso] {
+            let cfg = RunConfig::new(4, policy)
+                .with_address_scheme(scheme)
+                .with_seed(1)
+                .with_fault_plan(plan.clone());
+            let r = run(cfg, uts::program(spec.clone()));
+            assert_eq!(r.result.as_u64(), expected, "{policy:?}/{scheme:?}");
+            assert!(r.stats.rejoins > 0, "{policy:?}/{scheme:?} evicts nobody");
+            digests.push(digest(&r));
+        }
+    }
+    assert_eq!(
+        digests, EVICTED_4,
+        "an evicted configuration's virtual numbers moved"
+    );
+}
+
+/// Digests of the 4 eviction cells, in loop order (policy, address scheme).
+const EVICTED_4: [u64; 4] = [
+    0x6b5cf38e7f782cc4,
+    0x60355e9ec134f2cf,
+    0xdf15afe2a0368cfe,
+    0x461904c2afe3070d,
+];
