@@ -57,7 +57,9 @@ impl Stacks {
             }
             Stacks::Iso => Some(rt.iso.alloc(len)),
             Stacks::Full => {
-                rt.per[me].note_full_stack_alloc();
+                let ws = &mut rt.per[me];
+                ws.full_stacks_live += 1;
+                ws.full_stacks_peak = ws.full_stacks_peak.max(ws.full_stacks_live);
                 None
             }
             Stacks::OnWorker => None,
@@ -95,7 +97,7 @@ impl Stacks {
             self.release(rt, me, home);
         }
         if self == Stacks::Full {
-            rt.per[me].note_full_stack_free();
+            rt.per[me].full_stacks_live -= 1;
         }
     }
 
@@ -161,7 +163,7 @@ impl Stacks {
         match (self, th.home) {
             (Stacks::Uni, Some(_)) => rt.per[me].evac.restore(th.stack_bytes() as u64),
             (_, Some(home)) => self.release(rt, me, home),
-            (Stacks::Full, None) => rt.per[me].note_full_stack_free(),
+            (Stacks::Full, None) => rt.per[me].full_stacks_live -= 1,
             (_, None) => {}
         }
     }
@@ -195,5 +197,33 @@ pub(crate) fn census(rt: &RtShared) -> Census {
         evac_peak: max(|w| w.evac.peak_bytes()),
         full_stack_peak: max(|w| w.full_stacks_peak),
         iso_peak: rt.iso.peak_bytes(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::Effect;
+    use crate::policy::{Policy, RunConfig};
+    use crate::value::{ThreadHandle, Value};
+    use dcs_sim::GlobalAddr;
+
+    #[test]
+    fn full_stacks_are_counted_live_and_peak() {
+        let mut rt = RtShared::new(RunConfig::new(1, Policy::ChildFull));
+        let mut th = VThread::new(
+            0,
+            |_, _| Effect::ret(0u64),
+            Value::Unit,
+            ThreadHandle::single(GlobalAddr::NULL),
+        );
+        let full = Stacks::Full;
+        assert_eq!(full.place(&mut rt, 0, None), None);
+        full.place(&mut rt, 0, None);
+        full.retire(&mut rt, 0, &mut th);
+        full.place(&mut rt, 0, None);
+        let census = census(&rt);
+        assert_eq!((rt.per[0].full_stacks_live, census.full_stack_peak), (2, 2));
+        assert_eq!(census.leaks[2], ("full stacks", 2));
     }
 }

@@ -327,16 +327,6 @@ impl WorkerShared {
         self.ff_next_ticket += 1;
         ((me as u64) << 48) | self.ff_next_ticket
     }
-
-    pub fn note_full_stack_alloc(&mut self) {
-        self.full_stacks_live += 1;
-        self.full_stacks_peak = self.full_stacks_peak.max(self.full_stacks_live);
-    }
-
-    pub fn note_full_stack_free(&mut self) {
-        debug_assert!(self.full_stacks_live > 0);
-        self.full_stacks_live -= 1;
-    }
 }
 
 /// All runtime state shared across workers (next to the [`Machine`]).
@@ -694,16 +684,5 @@ mod tests {
         let c = l.counts();
         assert_eq!((c.recorded, c.peak_live, c.live), (7, 5, 5));
         assert!(l.live_keys(7).is_empty());
-    }
-
-    #[test]
-    fn full_stack_accounting() {
-        let mut ws = WorkerShared::new(&RunConfig::new(1, Policy::ChildFull));
-        ws.note_full_stack_alloc();
-        ws.note_full_stack_alloc();
-        ws.note_full_stack_free();
-        ws.note_full_stack_alloc();
-        assert_eq!(ws.full_stacks_live, 2);
-        assert_eq!(ws.full_stacks_peak, 2);
     }
 }
