@@ -262,7 +262,7 @@ impl BotWorker {
             // on it — each skipped wait is this read plus that local op.
             let wait = w.m.local_op(me);
             if w.may_park {
-                w.m.park_on_own_word(me, word(me, W_LOCK).off, wait, 2);
+                w.m.park_on_own_word(me, word(me, W_LOCK).off, wait, 2, VTime::MAX);
                 return Step::Park;
             }
             return Step::Yield(wait);

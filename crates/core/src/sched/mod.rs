@@ -477,6 +477,11 @@ impl Worker {
         } else {
             None
         };
+        if fail.is_some() {
+            // The run ends here, with no progress event to sample the stall
+            // clock after the parked idle spins' last skipped polls.
+            world.watch_fold_parked();
+        }
         world.rt.note_worker_lost(self.me, tids, fail);
         if fail.is_some() {
             world.m.set_done();
@@ -655,21 +660,59 @@ impl Worker {
     /// Fabric charge of one owner-side lock-spin iteration: the lock
     /// probe's local get (charged inside the deque op / probe) plus the
     /// retry's bookkeeping `local_op`. Parking credits this per skipped
-    /// iteration.
+    /// iteration, under a fault plan as without one: a spin poll issues no
+    /// remote verb, so it pays no fault cost and draws no fault RNG.
     pub(crate) const SPIN_CHARGE: u64 = 2;
 
     /// Whether an owner-side lock spin may park on the engine's wake
     /// mechanism instead of re-stepping every `local_op` of virtual time
-    /// (see `Machine::park_on_own_word`). Parking reproduces the spin loop
-    /// exactly only when each skipped iteration would have been a pure
-    /// re-poll: no fault plan evaluating crash/suspicion windows per step,
-    /// no dead-lock breaking, no watchdog stall clock, and no schedule
-    /// exploration reordering steps.
+    /// (see `Machine::park_on_own_word`): in every run but a hooked one,
+    /// whose reordered steps break the wake-instant computation.
     pub(crate) fn may_park(&self, world: &World) -> bool {
         world.rt.allow_park
-            && !self.kills
-            && !world.m.faults_active()
-            && world.rt.watch.is_none()
+    }
+
+    /// One owner-side lock-spin iteration: a thief holds this worker's
+    /// deque lock, so the deque operation (`Run`'s effect, `Idle`'s pop)
+    /// retries one `local_op` later. Where it may, the spin parks on the
+    /// lock word instead of re-stepping, with a deadline for everything
+    /// else a skipped poll could observe:
+    ///
+    /// * time-driven, so in the deadline: this worker's kill and crash
+    ///   window, the detector feed's next status change (`fail_stop_scan`,
+    ///   and the holder's lease confirmation `break_dead_lock` acts on),
+    ///   and, for the idle loop's polls, the watchdog's stall instant;
+    /// * event-driven, so waking the parked worker as a write to its lock
+    ///   word does: the lock's release, an eviction (this worker's
+    ///   self-fence, the holder's epoch; `Machine::evict` pokes every
+    ///   parked worker, and the replay-pool push that `try_replay` reads
+    ///   rides the same step), the done flag (the unrecoverable latch
+    ///   raises it too).
+    ///
+    /// `idle` marks the idle loop's spin, whose polls also sample the
+    /// watchdog's stall clock.
+    pub(crate) fn spin_on_lock(&mut self, now: VTime, world: &mut World, idle: bool) -> Step {
+        // A dead thief can hold our deque lock forever; break it once the
+        // death is lease-confirmed so the retry converges. A broken lock is
+        // free at the very next poll: step to it.
+        let broke = self.break_dead_lock(now, world);
+        let cost = world.m.local_op(self.me);
+        if broke || !self.may_park(world) {
+            return Step::Yield(cost);
+        }
+        let mut wake_by = world.m.next_fault_change(self.me, now);
+        if idle {
+            wake_by = wake_by.min(world.rt.watch_stall_deadline(now));
+            world.rt.watch_parked_poller(self.me, now);
+        }
+        // The thief holds our lock across multi-µs verbs while each
+        // re-poll is one local op: park on the lock word instead of
+        // re-stepping every poll.
+        let lock = self.lay.dq_word(DQ_LOCK);
+        world
+            .m
+            .park_on_own_word(self.me, lock, cost, Self::SPIN_CHARGE, wake_by);
+        Step::Park
     }
 
     /// Fail-stop lock-break: a thief that died between acquiring this
@@ -682,20 +725,23 @@ impl Worker {
     /// gone — its old incarnation self-fenced and will never run the take —
     /// so an epoch gap breaks the lock too. Under the oracle detector the
     /// epoch clause is redundant (eviction requires confirmation, which this
-    /// check sees first), keeping oracle runs byte-identical.
-    pub(crate) fn break_dead_lock(&mut self, now: VTime, world: &mut World) {
+    /// check sees first), keeping oracle runs byte-identical. Returns
+    /// whether the lock was broken.
+    pub(crate) fn break_dead_lock(&mut self, now: VTime, world: &mut World) -> bool {
         if !self.kills {
-            return;
+            return false;
         }
         let addr = GlobalAddr::new(self.me, self.lay.dq_word(DQ_LOCK));
         let holder = world.m.read_own(self.me, addr);
         if holder == 0 {
-            return;
+            return false;
         }
         let (holder_epoch, thief) = lock_holder(holder);
-        if world.m.confirmed_dead(thief, now) || world.m.epoch_of(thief) > holder_epoch {
+        let dead = world.m.confirmed_dead(thief, now) || world.m.epoch_of(thief) > holder_epoch;
+        if dead {
             world.m.write_own(self.me, addr, 0);
         }
+        dead
     }
 
     /// Run one application step of the current thread, producing an effect.
@@ -735,6 +781,7 @@ impl Actor<World> for Worker {
             }
         }
         if let Some(until) = world.m.crashed_until(me, now) {
+            world.watch_fold_parked();
             world.rt.watch_crash_sleep(until);
             return Step::Yield(until.saturating_sub(now).max(VTime::ns(1)));
         }

@@ -184,6 +184,10 @@ pub struct Watchdog {
     died: u64,
     max_gap: VTime,
     violations: Vec<Violation>,
+    /// Per worker, the instant it last parked an idle-loop lock spin
+    /// ([`VTime::MAX`]: never). Each skipped idle poll would have sampled
+    /// the stall clock; see [`Self::fold_parked`].
+    parked_pollers: Vec<VTime>,
 }
 
 impl Watchdog {
@@ -201,6 +205,7 @@ impl Watchdog {
             died: 0,
             max_gap: VTime::ZERO,
             violations: Vec::new(),
+            parked_pollers: Vec::new(),
         }
     }
 
@@ -335,6 +340,54 @@ impl Watchdog {
                 last_progress: since,
                 suspected_dead,
             });
+        }
+    }
+
+    /// The first instant at which an idle poll made now or later could
+    /// report a stall: one past `since + stall_limit`, where `since` only
+    /// moves later. While a stall is already reported, nothing is due
+    /// before a progress event resets the clock to at least `now`.
+    pub fn stall_deadline(&self, now: VTime) -> VTime {
+        let since = if self.stall_reported {
+            now
+        } else {
+            self.last_progress.max(self.pause_until)
+        };
+        since + self.stall_limit + VTime::ns(1)
+    }
+
+    /// `worker` parked an idle-loop lock spin at `since`.
+    pub fn note_parked_poller(&mut self, worker: usize, since: VTime) {
+        if self.parked_pollers.len() <= worker {
+            self.parked_pollers.resize(worker + 1, VTime::MAX);
+        }
+        self.parked_pollers[worker] = since;
+    }
+
+    /// Fold the stall polls that parked idle spins skipped into `max_gap`,
+    /// before the stall clock's reference moves without a progress event (a
+    /// crash-window sleep, the sleeper's own skipped polls included) or the
+    /// run ends without one (an unrecoverable abort). Anywhere else a
+    /// skipped poll's gap is dominated by a later sample against the same
+    /// reference — a progress event, another worker's poll, the woken
+    /// poller's own poll. Folding against the reference in force now is
+    /// exact: a skipped poll made before the reference last moved folds
+    /// nothing, as its gap was sampled when it moved. `last_poll(worker,
+    /// since)` is the worker's last skipped poll of its park at `since`.
+    /// No skipped poll can report a stall: a parked idle spin wakes at
+    /// [`Self::stall_deadline`].
+    pub fn fold_parked(&mut self, last_poll: impl Fn(usize, VTime) -> Option<VTime>) {
+        if self.stall_reported {
+            return;
+        }
+        let since = self.last_progress.max(self.pause_until);
+        for (worker, &parked) in self.parked_pollers.iter().enumerate() {
+            if parked == VTime::MAX {
+                continue;
+            }
+            if let Some(t) = last_poll(worker, parked) {
+                self.max_gap = self.max_gap.max(t.saturating_sub(since));
+            }
         }
     }
 

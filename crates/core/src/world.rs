@@ -378,9 +378,10 @@ pub struct RtShared {
     /// push / pop / reclaim.
     pub desc: Desc,
     /// Whether owner-side lock spins may park on the engine's wake
-    /// mechanism instead of re-stepping every poll. On for plain runs;
-    /// forced off under schedule exploration, whose reordered steps break
-    /// the wake-instant computation (see `Machine::park_on_own_word`).
+    /// mechanism instead of re-stepping every poll. On for every plain run,
+    /// fault plans and the watchdog included; forced off under schedule
+    /// exploration, whose reordered steps break the wake-instant
+    /// computation (see `Machine::park_on_own_word`).
     pub allow_park: bool,
     /// Host-side scratch of the idle loop's probe ring, shared by every
     /// worker (steps run one at a time) so the K = 1 path never allocates.
@@ -451,6 +452,21 @@ impl RtShared {
     pub fn watch_stall(&mut self, now: VTime) {
         if let Some(w) = &mut self.watch {
             w.check_stall(now);
+        }
+    }
+
+    /// The first instant an idle poll could report a stall
+    /// ([`Watchdog::stall_deadline`]); `VTime::MAX` without a watchdog.
+    pub fn watch_stall_deadline(&self, now: VTime) -> VTime {
+        self.watch
+            .as_ref()
+            .map_or(VTime::MAX, |w| w.stall_deadline(now))
+    }
+
+    /// Worker `worker` parked an idle-loop lock spin at `since`.
+    pub fn watch_parked_poller(&mut self, worker: usize, since: VTime) {
+        if let Some(w) = &mut self.watch {
+            w.note_parked_poller(worker, since);
         }
     }
 
@@ -568,6 +584,16 @@ pub struct World {
 }
 
 impl World {
+    /// Fold the stall polls of parked idle spins into the watchdog before
+    /// its clock's reference moves without a progress event
+    /// ([`Watchdog::fold_parked`]).
+    pub(crate) fn watch_fold_parked(&mut self) {
+        if let Some(w) = &mut self.rt.watch {
+            let m = &self.m;
+            w.fold_parked(|worker, since| m.last_abandoned_poll(worker, since));
+        }
+    }
+
     /// Does a thief hold `me`'s deque lock? A fork or yield probes it before
     /// any side effect, so that a `Busy` retry is side-effect free. One
     /// counted owner get under the CAS-lock protocol; the other owners are

@@ -890,13 +890,7 @@ impl FaultState {
     /// unchanged after an intra-poll toggle) but complete: a worker absent
     /// from the feed since the cursor's last position has not changed.
     pub fn death_candidates(&mut self, cursor: &mut usize, now: VTime, out: &mut Vec<WorkerId>) {
-        if now > self.watch.generated_to {
-            // Detach the feed so generation can read plan state through
-            // `&self` (it never touches the watch itself).
-            let mut watch = std::mem::take(&mut self.watch);
-            watch.generate(self, now);
-            self.watch = watch;
-        }
+        self.extend_feed(now);
         let events = &self.watch.events;
         while let Some(&(t, w)) = events.get(*cursor) {
             if t > now {
@@ -905,6 +899,45 @@ impl FaultState {
             out.push(w);
             *cursor += 1;
         }
+    }
+
+    /// Make the feed complete up to `to` (see [`DeathWatch::generate`]).
+    fn extend_feed(&mut self, to: VTime) {
+        if to > self.watch.generated_to {
+            // Detach the feed so generation can read plan state through
+            // `&self` (it never touches the watch itself).
+            let mut watch = std::mem::take(&mut self.watch);
+            watch.generate(self, to);
+            self.watch = watch;
+        }
+    }
+
+    /// The first instant after `now` at which a purely local poll by `me`
+    /// can observe the plan differently: `me`'s kill, the start of one of
+    /// `me`'s crash windows, or the next candidate status change in the
+    /// detector feed (any worker's — [`Self::confirmed_dead`] of every
+    /// worker is constant between feed events). Where the feed is not yet
+    /// generated, the first instant past what is; [`VTime::MAX`] when
+    /// nothing is due. Host-side only: the feed is a pure function of the
+    /// plan, so generating it early changes no event.
+    pub fn next_change_after(&mut self, me: WorkerId, now: VTime) -> VTime {
+        let mut at = match self.kill_at[me] {
+            Some(k) if k > now => k,
+            _ => VTime::MAX,
+        };
+        for c in &self.plan.crash {
+            if c.worker == me && c.from > now {
+                at = at.min(c.from);
+            }
+        }
+        self.extend_feed(now + VTime::ns(1));
+        let events = &self.watch.events;
+        let next = match events.get(events.partition_point(|&(t, _)| t <= now)) {
+            Some(&(t, _)) => t,
+            None if self.watch.generated_to == VTime::MAX => VTime::MAX,
+            None => self.watch.generated_to + VTime::ns(1),
+        };
+        at.min(next)
     }
 
     pub fn plan(&self) -> &FaultPlan {

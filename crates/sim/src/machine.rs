@@ -424,29 +424,30 @@ pub struct Machine {
 /// A worker parked instead of re-polling every `grid_ns` of virtual time.
 /// The watch carries everything needed to reproduce the abandoned polling
 /// loop exactly: what the polls looked at (`on`), the instant of the last
-/// real poll (`since`), the poll period (`grid_ns`), and the fabric charge
-/// (`charge` local ops) each skipped poll would have made.
+/// real poll (`since`), the poll period (`grid_ns`), the fabric charge
+/// (`charge` local ops) each skipped poll would have made, and the index
+/// of the poll the engine has been told to resume at (`wake_poll`, 0 while
+/// none is queued). The watch outlives its first wake, because a later
+/// event can call for an earlier poll than a queued deadline or delivery,
+/// and the wake then has to move.
 #[derive(Clone, Copy, Debug)]
 struct ParkWatch {
     on: WatchOn,
     since: VTime,
     grid_ns: u64,
     charge: u64,
+    wake_poll: u64,
 }
 
 /// What a parked worker's abandoned polls were looking at.
 #[derive(Clone, Copy, Debug)]
 enum WatchOn {
     /// The word at this offset of the worker's own segment (see
-    /// [`Machine::park_on_own_word`]). The watch ends with its first wake:
-    /// a later write can only be seen by a later poll.
+    /// [`Machine::park_on_own_word`]).
     Word(u32),
-    /// The worker's mailbox (see [`Machine::park_on_mailbox`]). `wake_poll`
-    /// is the index of the poll the engine has been told to resume at, 0
-    /// while none is queued. The watch outlives its first wake, because a
-    /// message sent later can be delivered earlier and the wake then has to
-    /// move; the woken worker drops it ([`Machine::unpark`]).
-    Mailbox { wake_poll: u64 },
+    /// The worker's mailbox (see [`Machine::park_on_mailbox`]); the woken
+    /// worker drops the watch ([`Machine::unpark`]).
+    Mailbox,
 }
 
 impl Machine {
@@ -615,6 +616,18 @@ impl Machine {
             .and_then(|fs| fs.crashed_until(worker, now))
     }
 
+    /// The first instant after `now` at which a purely local poll by `me`
+    /// can observe the fault plan differently — `me`'s kill, the start of
+    /// one of its crash windows, a detector status change of any worker
+    /// (see [`crate::fault::FaultState::next_change_after`]); `VTime::MAX`
+    /// without a plan. The deadline of a parked spin
+    /// ([`Machine::park_on_own_word`]).
+    pub fn next_fault_change(&mut self, me: WorkerId, now: VTime) -> VTime {
+        self.faults
+            .as_mut()
+            .map_or(VTime::MAX, |fs| fs.next_change_after(me, now))
+    }
+
     /// Decide the fabric fate of one two-sided message sent by `me`.
     /// Task-carrying messages must pass `droppable = false` (reliable
     /// channel: never dropped, possibly duplicated).
@@ -710,8 +723,13 @@ impl Machine {
     /// well-known registry the heartbeats land in; survivors piggyback the
     /// refreshed view on their next lease read, which the idle loop already
     /// charges for.
+    ///
+    /// A parked poller may be looking at the bumped epoch — its own (the
+    /// self-fence) or that of the thief holding its lock (the lock break) —
+    /// so every parked worker is poked.
     pub fn evict(&mut self, worker: WorkerId) -> u64 {
         self.epochs[worker] += 1;
+        self.poke_all();
         self.epochs[worker]
     }
 
@@ -1139,22 +1157,48 @@ impl Machine {
     /// This is a pure host-side optimization with byte-identical simulated
     /// behaviour: had the worker kept polling, it would have re-checked the
     /// word at `now + grid`, `now + 2·grid`, … and each failed check would
-    /// have charged `charge` local ops. When the word is next written (or
-    /// the global done flag raised), [`Machine::wake_parked`] computes the
-    /// first poll instant that observes the write under the engine's
-    /// `(clock, worker)` ordering, credits the skipped polls' local ops,
-    /// and hands the wake instant to the engine — which re-runs the worker
-    /// exactly where the polling loop would have made its first successful
-    /// check. The caller must return [`crate::engine::Step::Park`] for the
-    /// current step.
+    /// have charged `charge` local ops. The worker is woken at the first of
+    /// those abandoned poll instants that could see anything change, with
+    /// the polls skipped before it credited:
+    ///
+    /// * **Event-driven wakes.** A write to the word, the global done flag
+    ///   and a [`Machine::poke`] (every [`Machine::evict`] pokes all parked
+    ///   workers) wake the worker at the first poll that observes the
+    ///   current step under the engine's `(clock, worker)` ordering.
+    /// * **A deadline.** `wake_by` is the earliest instant at which a poll
+    ///   could observe something time-driven — a kill, a crash window, a
+    ///   detector status change, a watchdog stall; [`VTime::MAX`] for none.
+    ///   The worker is queued at the first poll at or after it.
+    ///
+    /// The one-sided rule that makes this exact: a wake may come early — the
+    /// woken worker makes the poll it would have made, finds nothing, and
+    /// parks again — but never late. An earlier event moves a queued wake
+    /// earlier (and its credit with it); a later one changes nothing. The
+    /// watch lapses by itself once its wake instant has passed (the worker
+    /// has run), so the caller never has to drop it.
     ///
     /// The wake-instant computation assumes minimum-key scheduling, so
     /// callers must not park under schedule exploration, and it reproduces
     /// the abandoned loop only if every skipped poll would have been a
-    /// no-op apart from its `charge` — callers gate on that (no fault
-    /// plan, no watchdog).
-    pub fn park_on_own_word(&mut self, me: WorkerId, off: u32, grid: VTime, charge: u64) {
+    /// no-op apart from its `charge` and whatever `wake_by` and the event
+    /// wakes cover. The caller must return [`crate::engine::Step::Park`]
+    /// for the current step.
+    pub fn park_on_own_word(
+        &mut self,
+        me: WorkerId,
+        off: u32,
+        grid: VTime,
+        charge: u64,
+        wake_by: VTime,
+    ) {
         self.park(me, WatchOn::Word(off), grid, charge);
+        // A poll made after the done flag rises sees it: the next one.
+        let by = if self.done { self.step_now } else { wake_by };
+        if by != VTime::MAX {
+            let w = self.parked[me].as_ref().expect("just parked");
+            let wait = by.as_ns().saturating_sub(w.since.as_ns());
+            self.queue_wake(me, wait.div_ceil(w.grid_ns).max(1));
+        }
     }
 
     /// Park worker `me` (the actor currently stepping) on its mailbox
@@ -1173,9 +1217,10 @@ impl Machine {
     /// message sent later overtakes a bulky one in flight — so a queued
     /// wake **moves earlier** when such a message is sent, and the credit
     /// shrinks with it. Raising the done flag wakes the worker by the same
-    /// rule as a word watch. The same gates as
-    /// [`Machine::park_on_own_word`] apply; the woken worker must call
-    /// [`Machine::unpark`] before anything else can be sent to it.
+    /// rule as a word watch. Callers must not park under schedule
+    /// exploration or a fault plan (nothing here wakes a mailbox poller for
+    /// a fault); the woken worker must call [`Machine::unpark`] before
+    /// anything else can be sent to it.
     pub fn park_on_mailbox(
         &mut self,
         me: WorkerId,
@@ -1183,7 +1228,7 @@ impl Machine {
         grid: VTime,
         charge: u64,
     ) {
-        self.park(me, WatchOn::Mailbox { wake_poll: 0 }, grid, charge);
+        self.park(me, WatchOn::Mailbox, grid, charge);
         if let Some(at) = next_delivery {
             self.note_delivery(me, at);
         }
@@ -1191,21 +1236,34 @@ impl Machine {
 
     fn park(&mut self, me: WorkerId, on: WatchOn, grid: VTime, charge: u64) {
         debug_assert_eq!(me, self.step_cur, "only the stepping worker can park");
-        debug_assert!(self.parked[me].is_none(), "double park");
-        debug_assert!(!self.done, "nothing wakes a park made after the done flag");
+        debug_assert!(self.live_watch(me).is_none(), "double park");
         self.parked[me] = Some(ParkWatch {
             on,
             since: self.step_now,
             grid_ns: grid.as_ns().max(1),
             charge,
+            wake_poll: 0,
         });
     }
 
     /// Worker `me` is stepping again after [`Machine::park_on_mailbox`]:
-    /// drop its watch. (A word watch is gone by the time its worker runs.)
+    /// drop its watch. (A word watch lapses by itself.)
     #[inline]
     pub fn unpark(&mut self, me: WorkerId) {
         self.parked[me] = None;
+    }
+
+    /// `rank`'s watch, unless it has lapsed: a word watch whose queued wake
+    /// is not after the current step has had its worker run (or is running
+    /// it now). A mailbox watch lasts until [`Machine::unpark`].
+    #[inline]
+    fn live_watch(&self, rank: usize) -> Option<&ParkWatch> {
+        let w = self.parked[rank].as_ref()?;
+        let lapsed = matches!(w.on, WatchOn::Word(_))
+            && w.wake_poll != 0
+            && (self.step_now.as_ns(), self.step_cur)
+                >= (w.since.as_ns() + w.wake_poll * w.grid_ns, rank);
+        (!lapsed).then_some(w)
     }
 
     /// Index `j ≥ 1` of the first abandoned poll of `rank` that observes
@@ -1225,34 +1283,37 @@ impl Machine {
         }
     }
 
-    /// Wake the worker parked on a word of `rank`: compute the first of its
-    /// abandoned poll instants that observes the current step's effects,
-    /// credit the polls skipped before it, and queue the wake for the
-    /// engine.
-    fn wake_parked(&mut self, rank: usize) {
-        let w = self.parked[rank].take().expect("wake of an unparked worker");
-        let j = self.first_poll_after_step(&w, rank);
-        // The polls at since + g, …, since + (j−1)·g were skipped; each
-        // would have charged `charge` local ops and nothing else.
-        self.stats[rank].local_ops += (j - 1) * w.charge;
-        self.wakeups
-            .push((VTime::ns(w.since.as_ns() + j * w.grid_ns), rank));
+    /// The last poll of `rank`'s word park made at `since` that was
+    /// skipped before the current step: the latest instant the abandoned
+    /// loop would have polled at by now, or, once the worker has woken
+    /// (its watch lapsed, possibly in the current step), the last poll
+    /// before its wake. `None` when no poll was skipped or `rank` has
+    /// parked anew since. A reader of a clock the polls sampled (the
+    /// watchdog's stall clock) folds it in before the clock's reference
+    /// moves; folding the same poll twice is harmless.
+    pub fn last_abandoned_poll(&self, rank: usize, since: VTime) -> Option<VTime> {
+        let w = self.parked[rank]
+            .as_ref()
+            .filter(|w| matches!(w.on, WatchOn::Word(_)) && w.since == since)?;
+        let mut j = self.first_poll_after_step(w, rank) - 1;
+        if w.wake_poll != 0 {
+            j = j.min(w.wake_poll - 1);
+        }
+        (j >= 1).then(|| VTime::ns(w.since.as_ns() + j * w.grid_ns))
     }
 
-    /// Resume the mailbox-parked `rank` at its abandoned poll `j`, unless
-    /// an earlier wake is already queued. The engine takes a second wake
-    /// for a queued worker as "move it earlier"; the credit for skipped
-    /// polls follows the wake.
-    fn wake_mailbox_parked(&mut self, rank: usize, j: u64) {
-        let Some(ParkWatch {
-            on: WatchOn::Mailbox { wake_poll },
+    /// Resume the parked `rank` at its abandoned poll `j`, unless an
+    /// earlier wake is already queued, and credit the `j − 1` polls skipped
+    /// before it. The engine takes a second wake for a queued worker as
+    /// "move it earlier"; the credit follows the wake.
+    fn queue_wake(&mut self, rank: usize, j: u64) {
+        let ParkWatch {
             since,
             grid_ns,
             charge,
-        }) = &mut self.parked[rank]
-        else {
-            unreachable!("worker {rank} is not parked on its mailbox")
-        };
+            wake_poll,
+            ..
+        } = self.parked[rank].as_mut().expect("wake of an unparked worker");
         let ops = &mut self.stats[rank].local_ops;
         if *wake_poll == 0 {
             *ops += (j - 1) * *charge;
@@ -1266,6 +1327,18 @@ impl Machine {
             .push((VTime::ns(since.as_ns() + j * *grid_ns), rank));
     }
 
+    /// Wake `rank`, if it is parked, at its first abandoned poll that
+    /// observes the current step — as if the word it watches had just been
+    /// written. For state a poll reads that is not a word of the watcher's
+    /// segment (another worker's epoch, a shared queue); a spurious poke
+    /// only costs the poller one poll.
+    pub fn poke(&mut self, rank: usize) {
+        if let Some(w) = self.live_watch(rank) {
+            let j = self.first_poll_after_step(w, rank);
+            self.queue_wake(rank, j);
+        }
+    }
+
     /// A message for `to`, visible at `deliver_at`, was just put into its
     /// mailbox: wake `to` if it is parked there (see
     /// [`Machine::park_on_mailbox`]). Any pending delivery time will do —
@@ -1274,7 +1347,7 @@ impl Machine {
     #[inline]
     pub fn note_delivery(&mut self, to: WorkerId, deliver_at: VTime) {
         if let Some(w) = &self.parked[to] {
-            if matches!(w.on, WatchOn::Mailbox { .. }) {
+            if matches!(w.on, WatchOn::Mailbox) {
                 // First poll at or after the delivery that also runs after
                 // the sending step (always true of a real latency; a
                 // zero-latency profile must not wake a poll in the past).
@@ -1282,7 +1355,7 @@ impl Machine {
                 let j = wait
                     .div_ceil(w.grid_ns)
                     .max(self.first_poll_after_step(w, to));
-                self.wake_mailbox_parked(to, j);
+                self.queue_wake(to, j);
             }
         }
     }
@@ -1302,7 +1375,7 @@ impl Machine {
         }
         if let Some(w) = &self.parked[rank] {
             if matches!(w.on, WatchOn::Word(o) if o == off) {
-                self.wake_parked(rank);
+                self.poke(rank);
             }
         }
     }
@@ -1318,13 +1391,14 @@ impl Machine {
     /// (same engine-order rule as a word write).
     pub fn set_done(&mut self) {
         self.done = true;
+        self.poke_all();
+    }
+
+    /// [`Machine::poke`] every parked worker.
+    fn poke_all(&mut self) {
         for r in 0..self.parked.len() {
-            let Some(w) = &self.parked[r] else { continue };
-            if let WatchOn::Word(_) = w.on {
-                self.wake_parked(r);
-            } else {
-                let j = self.first_poll_after_step(w, r);
-                self.wake_mailbox_parked(r, j);
+            if self.parked[r].is_some() {
+                self.poke(r);
             }
         }
     }
@@ -1912,7 +1986,7 @@ mod tests {
     fn word_watch_wakes_at_the_first_poll_after_the_write() {
         let mut m = machine(2);
         m.begin_step(1, VTime::ns(100));
-        m.park_on_own_word(1, 8, VTime::ns(10), 2);
+        m.park_on_own_word(1, 8, VTime::ns(10), 2, VTime::MAX);
         // Another word, then the watched one, written by worker 0 at 125.
         m.begin_step(0, VTime::ns(125));
         m.write_own(1, GlobalAddr::new(1, 16), 7);
@@ -1923,6 +1997,90 @@ mod tests {
         assert_eq!(out, vec![(VTime::ns(130), 1)]);
         // Polls at 110 and 120 were skipped, two local ops each.
         assert_eq!(m.stats(1).local_ops, 4);
+    }
+
+    /// A deadline queues the wake at the first poll at or after it, with
+    /// its credit; a write before it moves the wake earlier and takes the
+    /// credit along, and a later write changes nothing.
+    #[test]
+    fn word_watch_deadline_moves_earlier_on_a_write() {
+        let mut m = machine(2);
+        m.begin_step(1, VTime::ns(100));
+        m.park_on_own_word(1, 8, VTime::ns(10), 2, VTime::ns(157));
+        assert_eq!(m.stats(1).local_ops, 10); // polls 1..=5 skipped
+        m.begin_step(0, VTime::ns(125));
+        m.write_own(1, GlobalAddr::new(1, 8), 7); // poll 3, at 130
+        assert_eq!(m.stats(1).local_ops, 4);
+        m.begin_step(0, VTime::ns(128));
+        m.write_own(1, GlobalAddr::new(1, 8), 0);
+        let mut out = Vec::new();
+        m.take_wakeups(&mut out);
+        assert_eq!(out, vec![(VTime::ns(160), 1), (VTime::ns(130), 1)]);
+        assert_eq!(m.stats(1).local_ops, 4);
+    }
+
+    /// Once the worker runs at its wake, the watch has lapsed: a write or
+    /// a poke wakes nobody, and the worker may park again.
+    #[test]
+    fn word_watch_lapses_when_its_worker_runs() {
+        let mut m = machine(2);
+        m.begin_step(1, VTime::ns(100));
+        m.park_on_own_word(1, 8, VTime::ns(10), 2, VTime::ns(120));
+        m.begin_step(1, VTime::ns(120));
+        m.write_own(1, GlobalAddr::new(1, 8), 7);
+        m.begin_step(0, VTime::ns(125));
+        m.write_own(1, GlobalAddr::new(1, 8), 0);
+        m.evict(0);
+        let mut out = Vec::new();
+        m.take_wakeups(&mut out);
+        assert_eq!(out, vec![(VTime::ns(120), 1)]);
+        // The poll at 110 was the one skipped before the wake at 120.
+        assert_eq!(m.last_abandoned_poll(1, VTime::ns(100)), Some(VTime::ns(110)));
+        m.begin_step(1, VTime::ns(120));
+        m.park_on_own_word(1, 8, VTime::ns(10), 2, VTime::MAX);
+        assert_eq!(m.stats(1).local_ops, 2);
+        assert_eq!(m.last_abandoned_poll(1, VTime::ns(100)), None);
+    }
+
+    /// An eviction pokes every parked worker as a write to its word would;
+    /// a park made after the done flag wakes at its next poll.
+    #[test]
+    fn evictions_poke_and_late_parks_wake_next_poll() {
+        let mut m = machine(3);
+        m.begin_step(1, VTime::ns(100));
+        m.park_on_own_word(1, 8, VTime::ns(10), 2, VTime::MAX);
+        m.begin_step(2, VTime::ns(104));
+        m.park_on_own_word(2, 8, VTime::ns(10), 2, VTime::MAX);
+        m.begin_step(0, VTime::ns(120));
+        m.evict(0);
+        m.set_done();
+        m.begin_step(0, VTime::ns(121));
+        m.park_on_own_word(0, 8, VTime::ns(10), 2, VTime::MAX);
+        let mut out = Vec::new();
+        m.take_wakeups(&mut out);
+        // Worker 1's poll at 120 runs after worker 0's step at 120.
+        assert_eq!(
+            out,
+            vec![(VTime::ns(120), 1), (VTime::ns(124), 2), (VTime::ns(131), 0)]
+        );
+    }
+
+    /// The last abandoned poll before the current step, by engine key.
+    #[test]
+    fn last_abandoned_poll_follows_the_engine_order() {
+        let mut m = machine(3);
+        m.begin_step(1, VTime::ns(100));
+        m.park_on_own_word(1, 8, VTime::ns(10), 2, VTime::MAX);
+        m.begin_step(0, VTime::ns(105));
+        assert_eq!(m.last_abandoned_poll(1, VTime::ns(100)), None);
+        m.begin_step(0, VTime::ns(135));
+        assert_eq!(m.last_abandoned_poll(1, VTime::ns(100)), Some(VTime::ns(130)));
+        m.begin_step(0, VTime::ns(130));
+        assert_eq!(m.last_abandoned_poll(1, VTime::ns(100)), Some(VTime::ns(120)));
+        m.begin_step(2, VTime::ns(130));
+        assert_eq!(m.last_abandoned_poll(1, VTime::ns(100)), Some(VTime::ns(130)));
+        // Another park's instant names a different wait.
+        assert_eq!(m.last_abandoned_poll(1, VTime::ns(90)), None);
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //! a stall limit short enough to trip (each report must come from the
 //! poll the polling run makes it at), and a crash window during a lease
 //! wait (the stall polls a parked idle spin skipped must still count
-//! towards `max_gap`).
+//! towards `max_gap`). The last test pins the engine steps of the repo
+//! benchmark's quick faulted cell.
 
 use dcs::apps::uts::{self, UtsSpec};
 use dcs::core::RunStats;
@@ -422,4 +423,27 @@ fn owner_crash_window_opens_while_parked() {
             assert_parked_equals_polled(&format!("{:?} `{p}`", base.policy), cfg, &spec);
         }
     }
+}
+
+/// The quick cell of the repo benchmark's `faulted_poll` workload: 64
+/// workers on `presets::tiny()` under its plan (`dcs_bench::FAULTED_POLL_PLAN`:
+/// staggered kills under a lossy message detector), seed 11. Its lock spins
+/// park, so it takes about as many engine steps as its no-plan twin
+/// (17 530); polling them took 374 856. An exact count: a spin that stops
+/// parking, or a deadline that wakes it every poll, moves it.
+#[test]
+fn faulted_quick_cell_steps_are_pinned() {
+    let fault = plan(
+        "kill=0@200us,kill=3@400us,kill=17@600us,detector=message,\
+         suspect=300us,hb=50us,lease=400us,drop=0.05",
+    )
+    .with_seed(11);
+    let cfg = RunConfig::new(64, Policy::ContGreedy)
+        .with_seed(11)
+        .with_fault_plan(fault);
+    let spec = uts::presets::tiny();
+    let r = run(cfg, uts::program(spec.clone()));
+    assert_eq!(r.result.as_u64(), uts::serial_count(&spec).nodes);
+    assert_eq!(r.stats.workers_lost, 2); // it ends before the third kill
+    assert_eq!(r.steps, 17_214);
 }
