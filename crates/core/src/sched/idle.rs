@@ -527,17 +527,24 @@ impl Worker {
             // running here, and the root completed from the replayed copy.
             // Threads still buried when the done flag goes up are by
             // definition not part of the published result — retire them so
-            // the lost-task oracle keeps meaning for live workers. Locally
+            // the lost-task oracle keeps meaning for live workers, and hand
+            // their stacks back so the leak census keeps meaning too. Locally
             // spawned run-to-completion children carry no lineage record,
-            // so the end-of-run lineage settlement cannot cover them.
-            if let Some(th) = &self.cur {
+            // so the end-of-run lineage settlement cannot cover them. (A
+            // steal's reap runs in the `Steal` state, so no stolen stack is
+            // still in flight here.)
+            let (stacks, me) = (self.desc.stacks, self.me);
+            if let Some(th) = &mut self.cur {
                 world.rt.watch_retire(th.tid);
+                stacks.retire(&mut world.rt, me, th);
             }
             for w in &self.wait_q {
                 world.rt.watch_retire(w.th.tid);
+                stacks.shed_suspended(&mut world.rt, me, &w.th);
             }
-            for x in &self.nest {
+            for x in &mut self.nest {
                 world.rt.watch_retire(x.th.tid);
+                stacks.retire(&mut world.rt, me, &mut x.th);
             }
             if let Some(ps) = &self.pending_steal {
                 if let QueueItem::Cont { th, .. } = &ps.item {

@@ -345,10 +345,36 @@ fn evicted_continuation_workers_shed_their_stacks() {
     );
 }
 
+/// Threads still suspended or buried when an armed run terminates are
+/// orphaned duplicates: the run retires them and hands their stacks back,
+/// so the watchdog names no stack leak. ContStalling's evicted workers
+/// leave a waiter in the wait queue at the end of this run.
+#[test]
+fn armed_termination_releases_stranded_stacks() {
+    let spec = uts::UtsSpec::new(4.0, 12, uts::Shape::Linear, 19);
+    let plan = FaultPlan::parse("detector=message,suspect=40us,drop=0.05").expect("plan parses");
+    for scheme in [AddressScheme::Uni, AddressScheme::Iso] {
+        let cfg = RunConfig::new(4, Policy::ContStalling)
+            .with_address_scheme(scheme)
+            .with_seed(1)
+            .with_fault_plan(plan.clone());
+        let r = run(cfg, uts::program(spec.clone()));
+        let text = r.watchdog.expect("an armed run carries a watchdog").to_string();
+        for what in ["uni-address slots", "evacuated bytes", "full stacks", "iso-address slots"] {
+            assert!(!text.contains(what), "{scheme:?}: {what} leaked:\n{text}");
+        }
+    }
+}
+
 /// Digests of the 4 eviction cells, in loop order (policy, address scheme).
+/// The two ContStalling digests were re-pinned once, when armed termination
+/// began releasing the stacks of stranded waiters (their watchdog text lost
+/// its `leak: 392 evacuated bytes` and `leak: 1 iso-address slots` lines):
+/// 0xdf15afe2a0368cfe → 0xb01df975fe7329aa and 0x461904c2afe3070d →
+/// 0x028d9c75ca770160.
 const EVICTED_4: [u64; 4] = [
     0x6b5cf38e7f782cc4,
     0x60355e9ec134f2cf,
-    0xdf15afe2a0368cfe,
-    0x461904c2afe3070d,
+    0xb01df975fe7329aa,
+    0x028d9c75ca770160,
 ];
