@@ -7,8 +7,10 @@
 #       scaling workload fell below 0.5x, when the 10k-worker UTS cell's
 #       segments take more than 2x the host bytes, when a bag-of-tasks cell
 #       takes more than 2x the engine steps per tree node, when the
-#       C = 256 LCS leaf kernel takes more than 2x the host ns, or when the
-#       faulted cell's lineage log peaks above 2x the live records. Run
+#       C = 256 LCS leaf kernel takes more than 2x the host ns, when the
+#       faulted cell's lineage log peaks above 2x the live records, or when
+#       the faulted cell takes more than 1.25x the engine steps per tree
+#       node (its lock spins stopped parking). Run
 #       `selfbench` first: it appends the fresh record after the last
 #       committed one. The 10k, the bag-of-tasks, the kernel and the faulted
 #       cells are the same in quick and full mode, so a quick CI run gates against a
@@ -18,13 +20,15 @@
 #       host page per idle worker, an idle worker that polls instead of
 #       parking, and a lineage log that keeps completed records inflate —
 #       the first by 130x where steps/s moves 0.5-0.77x, inside its own
-#       gate; the last by 320x).
+#       gate; the last by 320x). Exact counts are why the faulted cell's
+#       steps gate can sit at 1.25x: a faulted lock spin that polls again
+#       is about 3.2x.
 #   scripts/check_simperf.sh --self-test [FILE]
 #       proves the gate bites: the last record of FILE gated against itself
 #       must pass, and against a copy at 0.49x its steps/s, at 2.01x its
 #       backing bytes, at 2.01x the steps of its bag-of-tasks cells, at
-#       2.01x its leaf-kernel ns, or at 2.01x its peak live lineage records,
-#       must fail.
+#       2.01x its leaf-kernel ns, at 2.01x its peak live lineage records, or
+#       at 1.26x its faulted cell's steps, must fail.
 #
 # The trajectory is one record per line, so grep and shell arithmetic do.
 set -euo pipefail
@@ -54,12 +58,19 @@ faulted_cell() {
         sed -E 's/.*"recorded": ([0-9]+), "peak_live": ([0-9]+).*/\1 \2/' || true
 }
 
+# "nodes steps" of the faulted cell in record $1.
+faulted_steps() {
+    grep -o '"faulted": {[^}]*}' <<<"$1" |
+        sed -E 's/.*"nodes": ([0-9]+), "steps": ([0-9]+).*/\1 \2/' || true
+}
+
 label() { grep -o '^{"label": "[^"]*"' <<<"$1" | cut -d'"' -f4; }
 
 # gate BASE NEW: non-zero when NEW is below half of BASE on any 10k cell,
 # above twice BASE's backing bytes on the 10k UTS cell, above twice BASE's
 # steps per node on any bag-of-tasks cell, above twice BASE's ns on the
-# LCS leaf kernel, or above twice BASE's peak live lineage records.
+# LCS leaf kernel, above twice BASE's peak live lineage records, or above
+# 1.25x BASE's steps per node on the faulted cell.
 gate() {
     local wl rt base new bn bs nn ns br bp nr np status=0
     for wl in uts recpfor; do
@@ -130,6 +141,19 @@ gate() {
     else
         echo "ok   faulted lineage: $np peak live records vs $bp ($nr recorded)"
     fi
+    read -r bn bs <<<"$(faulted_steps "$1")"
+    read -r nn ns <<<"$(faulted_steps "$2")"
+    if [ -z "${ns:-}" ]; then
+        echo "check_simperf: no faulted cell in the new record" >&2
+        return 2
+    elif [ -z "${bs:-}" ]; then
+        echo "skip faulted steps: the base record predates the faulted cell"
+    elif [ $((4 * ns * bn)) -gt $((5 * bs * nn)) ]; then
+        echo "FAIL faulted steps: $ns steps / $nn nodes > 1.25 x $bs / $bn"
+        status=1
+    else
+        echo "ok   faulted steps: $ns steps / $nn nodes vs $bs / $bn"
+    fi
     return $status
 }
 
@@ -161,7 +185,12 @@ if [ "${1:-}" = "--self-test" ]; then
         echo "self-test: a lineage log at 2.01x the peak live records must fail the gate" >&2
         exit 1
     fi
-    echo "check_simperf self-test: gate passes 1.00x, fails 0.49x steps/s, 2.01x backing bytes, 2.01x bot steps, 2.01x leaf ns and 2.01x peak live lineage"
+    spins=$(perl -pe 's/("faulted": [^}]*"steps": )(\d+)/$1 . int($2 * 1.26)/ge' <<<"$last")
+    if gate "$last" "$spins" >/dev/null; then
+        echo "self-test: a faulted cell at 1.26x the steps must fail the gate" >&2
+        exit 1
+    fi
+    echo "check_simperf self-test: gate passes 1.00x, fails 0.49x steps/s, 2.01x backing bytes, 2.01x bot steps, 2.01x leaf ns, 2.01x peak live lineage and 1.26x faulted steps"
     exit 0
 fi
 
