@@ -60,6 +60,7 @@ use crate::layout::{SegLayout, DQ_BOTTOM, DQ_LOCK, DQ_TOP};
 use crate::policy::{FreeStrategy, JoinKind, PolicyDesc, Unit, VictimPolicy};
 use crate::remote_free::free_robj;
 use crate::steal::{self, Stage};
+use crate::util::WorkerMap;
 use crate::value::{ThreadHandle, Value};
 use crate::world::{
     evict_key, LineageKey, LineageRec, QueueItem, StoredVal, UnrecoverableReason, World,
@@ -109,10 +110,12 @@ pub(crate) struct Nested {
 /// Sparse: keyed by victim id, populated only for peers that actually
 /// misbehaved, so a worker in a 10⁵-peer run pays for its handful of flaky
 /// or dead victims rather than two O(W) vectors. Never iterated (only
-/// probed per victim), so the map's ordering is irrelevant to determinism.
+/// probed per victim, with the fast hasher: every victim draw of a worker
+/// that has seen a fault probes it), so the map's ordering is irrelevant
+/// to determinism.
 pub(crate) struct Blacklist {
     /// `victim → (score, last-update time)`; absent means score 0.
-    entries: std::collections::HashMap<WorkerId, (u64, VTime)>,
+    entries: WorkerMap<(u64, VTime)>,
     /// Cached cheapest-by-topology non-permanently-blacklisted fallback
     /// victim (`None` = stale, recompute; `Some(None)` = every peer is
     /// permanently blacklisted). Invalidated whenever the permanent set
@@ -125,7 +128,7 @@ pub(crate) struct Blacklist {
 impl Blacklist {
     fn new() -> Blacklist {
         Blacklist {
-            entries: std::collections::HashMap::new(),
+            entries: WorkerMap::default(),
             fallback: None,
         }
     }

@@ -1,6 +1,6 @@
 //! Small allocation-friendly containers used on the simulator's hot paths.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplicative hasher for `u64` keys (thread-entry addresses, thread ids).
@@ -28,10 +28,21 @@ impl Hasher for U64Hasher {
     fn write_u64(&mut self, v: u64) {
         self.0 = v.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31);
     }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
 }
 
 /// `HashMap` keyed by `u64` with the fast hasher.
 pub type U64Map<V> = HashMap<u64, V, BuildHasherDefault<U64Hasher>>;
+
+/// `HashSet` of `u64` (thread ids) with the fast hasher.
+pub type U64Set = HashSet<u64, BuildHasherDefault<U64Hasher>>;
+
+/// `HashMap` keyed by worker id with the fast hasher.
+pub type WorkerMap<V> = HashMap<usize, V, BuildHasherDefault<U64Hasher>>;
 
 /// Slot-reusing arena. Deque payload objects and evacuated threads are
 /// addressed by slot index from pinned-memory words, so the container must

@@ -12,10 +12,11 @@
 //! the watchdog on or off (it only reads event streams the scheduler already
 //! produces, and never charges virtual time).
 
-use std::collections::HashSet;
 use std::fmt;
 
 use dcs_sim::VTime;
+
+use crate::util::U64Set;
 
 /// One detected invariant violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -164,13 +165,13 @@ pub struct Watchdog {
     pause_until: VTime,
     /// A stall is reported at most once per silent period.
     stall_reported: bool,
-    live: HashSet<u64>,
+    live: U64Set,
     /// Tids enumerated on recoverably-killed workers. They cannot be retired
     /// at kill time — an operation whose virtual instant precedes the kill
     /// may still complete them later in execution order — but if they never
     /// die they went down with their worker, so [`Self::finish`] discounts
     /// them from the lost-task check.
-    lost_tids: HashSet<u64>,
+    lost_tids: U64Set,
     /// Workers reported lost (fail-stop kills observed so far); names the
     /// suspects in a stall report.
     lost_workers: Vec<usize>,
@@ -197,8 +198,8 @@ impl Watchdog {
             last_progress: VTime::ZERO,
             pause_until: VTime::ZERO,
             stall_reported: false,
-            live: HashSet::new(),
-            lost_tids: HashSet::new(),
+            live: U64Set::default(),
+            lost_tids: U64Set::default(),
             lost_workers: Vec::new(),
             suspected: Vec::new(),
             spawned: 0,

@@ -19,7 +19,7 @@ use crate::policy::RunConfig;
 use crate::remote_free::RemoteRegistry;
 use crate::stats::RunStats;
 use crate::steal::{Desc, Ring};
-use crate::util::{Slab, U64Map};
+use crate::util::{Slab, U64Map, WorkerMap};
 use crate::value::{ThreadHandle, Value};
 use crate::watchdog::{Watchdog, WatchdogReport};
 
@@ -180,12 +180,13 @@ impl std::fmt::Display for UnrecoverableReason {
 /// so an armed 10⁵-worker run where a handful of workers do all the
 /// spawning stays O(live records + recording workers), not O(workers). A
 /// log outlives its last record so its sequence numbers never restart.
-/// Backed by a `BTreeMap` so whole-log walks (end-of-run settlement) visit
-/// workers in id order, and each worker's records in recording order,
-/// keeping retirement bookkeeping deterministic.
+/// Keyed by a fast-hash map (every fork pushes and every completion takes
+/// a record); whole-log walks (end-of-run settlement) sort the worker ids,
+/// so they visit workers in id order, and each worker's records in
+/// recording order, keeping retirement bookkeeping deterministic.
 #[derive(Default)]
 pub struct Lineage {
-    logs: std::collections::BTreeMap<usize, Log>,
+    logs: WorkerMap<Log>,
     counts: LineageCounts,
 }
 
@@ -251,9 +252,11 @@ impl Lineage {
 
     /// Every live record, in (worker id, recording) order.
     pub(crate) fn live(&self) -> impl Iterator<Item = &LineageRec> + '_ {
-        self.logs
-            .keys()
-            .flat_map(|&w| self.live_keys(w))
+        let mut workers: Vec<usize> = self.logs.keys().copied().collect();
+        workers.sort_unstable();
+        workers
+            .into_iter()
+            .flat_map(|w| self.live_keys(w))
             .map(|k| self.get(k).expect("live key"))
     }
 
