@@ -291,18 +291,22 @@ impl Blk {
     }
 
     fn unpack(v: &Value) -> Blk {
-        let Value::Pair(ij, rest) = v else {
+        let Value::Pair(ij_rest) = v else {
             panic!("bad block encoding")
         };
-        let Value::Pair(i, j) = ij.as_ref() else {
+        let (ij, rest) = &**ij_rest;
+        let Value::Pair(ij) = ij else {
             panic!("bad block encoding")
         };
-        let Value::Pair(n, tl) = rest.as_ref() else {
+        let (i, j) = &**ij;
+        let Value::Pair(n_tl) = rest else {
             panic!("bad block encoding")
         };
-        let Value::Pair(t, l) = tl.as_ref() else {
+        let (n, tl) = &**n_tl;
+        let Value::Pair(tl) = tl else {
             panic!("bad block encoding")
         };
+        let (t, l) = &**tl;
         Blk {
             i: i.as_u64(),
             j: j.as_u64(),
@@ -480,8 +484,8 @@ fn navigate(h: ThreadHandle) -> Effect {
         h,
         frame(|v, _| match v {
             Value::Handles3(hs) => navigate(hs[2]),
-            Value::Pair(bot, _) => {
-                let bot = bot.as_u32s();
+            Value::Pair(p) => {
+                let bot = p.0.as_u32s();
                 Effect::ret(*bot.last().expect("non-empty boundary") as u64)
             }
             other => panic!("unexpected block value: {other:?}"),

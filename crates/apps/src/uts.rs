@@ -178,10 +178,11 @@ fn digest_value(d: &Digest, depth: u32) -> Value {
 }
 
 fn value_digest(v: &Value) -> (Digest, u32) {
-    let Value::Pair(bytes, depth) = v else {
+    let Value::Pair(p) = v else {
         panic!("expected UTS node value")
     };
-    let Value::Bytes(b) = bytes.as_ref() else {
+    let (bytes, depth) = &**p;
+    let Value::Bytes(b) = bytes else {
         panic!("expected digest bytes")
     };
     let mut d = [0u8; 20];

@@ -42,7 +42,10 @@ impl ThreadHandle {
 pub enum Value {
     Unit,
     U64(u64),
-    Pair(Box<Value>, Box<Value>),
+    /// Two values, shared: cloning a pair (an armed run's lineage record
+    /// keeps a copy of every forked task's argument) bumps a count instead
+    /// of allocating both halves again.
+    Pair(Arc<(Value, Value)>),
     /// A future handle (§V-D: handles are first-class and can be passed to
     /// any task, not just the parent).
     Handle(ThreadHandle),
@@ -64,7 +67,7 @@ impl Value {
         1 + match self {
             Value::Unit => 0,
             Value::U64(_) => 8,
-            Value::Pair(a, b) => a.wire_size() + b.wire_size(),
+            Value::Pair(p) => p.0.wire_size() + p.1.wire_size(),
             Value::Handle(_) => ThreadHandle::WIRE_SIZE,
             Value::Handles3(_) => 3 * ThreadHandle::WIRE_SIZE,
             Value::U32s(v) => 4 + 4 * v.len(),
@@ -77,7 +80,7 @@ impl Value {
     }
 
     pub fn pair(a: Value, b: Value) -> Value {
-        Value::Pair(Box::new(a), Box::new(b))
+        Value::Pair(Arc::new((a, b)))
     }
 
     /// Unwrap a `U64`, panicking with context on type confusion — task
@@ -131,7 +134,7 @@ impl Value {
     #[track_caller]
     pub fn into_pair(self) -> (Value, Value) {
         match self {
-            Value::Pair(a, b) => (*a, *b),
+            Value::Pair(p) => Arc::try_unwrap(p).unwrap_or_else(|p| (*p).clone()),
             other => panic!("expected Pair, got {other:?}"),
         }
     }
