@@ -293,9 +293,9 @@ pub struct BotWorld<N = ()> {
     /// The confirmed-dead set of the last judged token round.
     left_out: BTreeSet<WorkerId>,
     /// Whether a worker whose next steps would only re-poll may park
-    /// instead. The same predicate as `dcs-core`'s `Worker::may_park`: off
-    /// under a fault plan (timeouts, leases and crash windows are evaluated
-    /// per poll) and under a schedule hook.
+    /// instead: off under a fault plan (timeouts, leases and crash windows
+    /// are evaluated per poll, and nothing here turns them into wake
+    /// deadlines, as `dcs-core`'s lock spins do) and under a schedule hook.
     pub(crate) may_park: bool,
     pub net: N,
 }

@@ -133,7 +133,9 @@ pub fn run_hooked<H: ScheduleHook + ?Sized>(
 ) -> RunReport {
     run_inner(cfg, program, |e| {
         // Exploration reorders actor steps, which breaks the parked-spin
-        // wake-instant computation: keep the spin loops stepping.
+        // wake-instant computation: keep the spin loops stepping. The only
+        // runs that poll (a park as a schedulable transition would let
+        // exploration keep them parked too).
         e.world.rt.allow_park = false;
         e.run_with_hook(hook)
     })

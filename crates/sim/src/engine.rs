@@ -26,10 +26,13 @@ pub enum Step {
     /// reports a wake instant for it. The world layer is responsible for
     /// computing a wake time that reproduces the exact step the actor
     /// would have made had it kept polling — parking is a host-side
-    /// fast-path, never a change to simulated behaviour. A wake reported
-    /// for a worker whose wake is already queued moves it to the new,
-    /// earlier instant (a mailbox delivery that overtook the one the first
-    /// wake was computed from).
+    /// fast-path, never a change to simulated behaviour. The wake may be
+    /// reported in the parking step itself (a deadline: the first instant
+    /// the polls could observe something time-driven) or by any later
+    /// step. A wake reported for a worker whose wake is already queued
+    /// moves it to the new, earlier instant (a write or a mailbox delivery
+    /// that calls for an earlier poll than the queued deadline or
+    /// delivery).
     Park,
     /// The actor is finished and must not be scheduled again.
     Halt,
