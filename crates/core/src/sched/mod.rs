@@ -480,13 +480,11 @@ impl Worker {
         } else {
             None
         };
+        world.rt.note_worker_lost(self.me, tids, fail);
         if fail.is_some() {
             // The run ends here, with no progress event to sample the stall
             // clock after the parked idle spins' last skipped polls.
             world.watch_fold_parked();
-        }
-        world.rt.note_worker_lost(self.me, tids, fail);
-        if fail.is_some() {
             world.m.set_done();
         }
         self.set_busy(world, now, false);
