@@ -6,8 +6,8 @@
 //! schedule hook that always picks index 0: the engine's own unit test pins
 //! that choice to [`run`]'s order, and hooked runs never park. The two runs
 //! must agree on everything but `steps`: the outcome and result, `elapsed`,
-//! every `RunStats` field, the fabric counters, the watchdog text, the
-//! lineage counts and the stack peaks.
+//! every `RunStats` field, the fabric counters, the watchdog text and
+//! `max_gap`, the lineage counts and the stack peaks.
 //!
 //! The grid crosses every policy and steal protocol with a kill, a kill
 //! under a lossy message detector, a crash window, a degraded NIC and the
@@ -191,7 +191,6 @@ fn parked_equals_polled_over_the_grid() {
 }
 
 /// A fault plan from the `--fault-plan` grammar, drawn from small parts.
-#[allow(clippy::too_many_arguments)]
 fn drawn_plan(
     workers: usize,
     kill: Option<(usize, u64)>,
