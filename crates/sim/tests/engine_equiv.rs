@@ -21,14 +21,17 @@
 //! second half of the file proves that *parking* a polling actor (instead
 //! of letting it re-poll) changes no virtual result: first a poller of a
 //! flag with the wake rule written out, then a poller of a real
-//! [`Mailbox`] parked through [`Machine::park_on_mailbox`].
+//! [`Mailbox`] parked through [`Machine::park_on_mailbox`], then a poller
+//! of a word of its own segment parked through
+//! [`Machine::park_on_own_word`] with a wake deadline, woken early by
+//! writes, pokes and the done flag.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 
 use dcs_sim::{
-    profiles, Actor, Engine, EventQueue, Machine, MachineConfig, Mailbox, SimRng, Step, VTime,
-    WorkerId,
+    profiles, Actor, Engine, EventQueue, GlobalAddr, Machine, MachineConfig, Mailbox, SimRng, Step,
+    VTime, Verb, WorkerId,
 };
 use proptest::prelude::*;
 
@@ -927,5 +930,223 @@ proptest! {
         let mut senders: Vec<Mail> = scripts.iter().map(|s| sender(s)).collect();
         senders.push(closer(done_at));
         assert_mail_equivalent(&senders, rx % (senders.len() + 1), grid);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Park/wake on a word with a deadline: parking a spinner is unobservable
+// ---------------------------------------------------------------------
+
+/// The watched word's offset in the spinner's segment.
+const WORD: u32 = 64;
+
+/// World of the word runs: a real machine, the step trace, the spinner's
+/// log of every poll that saw something new, and the state its polls read
+/// besides the word: instants its clock-driven state turns at (a kill, a
+/// crash window, a detector change, to the spinner) and a count of
+/// events other actors raise without writing the word (an eviction).
+struct WWorld {
+    m: Machine,
+    trace: Trace,
+    seen: Vec<(VTime, u64, usize, u32)>,
+    rx: WorkerId,
+    grid: u64,
+    turns: Vec<u64>,
+    events: u32,
+}
+
+#[derive(Clone)]
+enum Spin {
+    /// Each step puts the next value into the spinner's word and yields.
+    Writer {
+        script: Vec<(u64, u64)>,
+        next: usize,
+    },
+    /// Each step raises an event the spinner's polls read, pokes the
+    /// spinner and yields.
+    Poker { gaps: Vec<u64>, next: usize },
+    /// Yields `delay`, then raises the done flag and halts.
+    Closer { delay: u64, fired: bool },
+    /// Polls every `grid` ns, one local op a poll, until the done flag is
+    /// up; logs each poll whose `(word, turns passed, events)` differs from
+    /// the last. Parked in between, with its next turn as the deadline.
+    Spinner {
+        parks: bool,
+        last: Option<(u64, usize, u32)>,
+    },
+}
+
+impl Actor<WWorld> for Spin {
+    fn step(&mut self, me: WorkerId, now: VTime, w: &mut WWorld) -> Step {
+        w.trace.push((now, me));
+        w.m.begin_step(me, now);
+        match self {
+            Spin::Writer { script, next } => {
+                let Some(&(gap, v)) = script.get(*next) else {
+                    return Step::Halt;
+                };
+                *next += 1;
+                w.m.call(me, Verb::Put(GlobalAddr::new(w.rx, WORD), v));
+                Step::Yield(VTime::ns(gap))
+            }
+            Spin::Poker { gaps, next } => {
+                let Some(&gap) = gaps.get(*next) else {
+                    return Step::Halt;
+                };
+                *next += 1;
+                w.events += 1;
+                w.m.poke(w.rx);
+                Step::Yield(VTime::ns(gap))
+            }
+            Spin::Closer { delay, fired } => {
+                if !*fired {
+                    *fired = true;
+                    return Step::Yield(VTime::ns(*delay));
+                }
+                w.m.set_done();
+                Step::Halt
+            }
+            Spin::Spinner { parks, last } => {
+                if w.m.is_done() {
+                    return Step::Halt;
+                }
+                w.m.local_op(me);
+                let word = w.m.read_own(me, GlobalAddr::new(me, WORD));
+                let passed = w.turns.iter().filter(|&&t| t <= now.as_ns()).count();
+                let state = (word, passed, w.events);
+                if *last != Some(state) {
+                    *last = Some(state);
+                    w.seen.push((now, word, passed, w.events));
+                }
+                let grid = VTime::ns(w.grid);
+                if *parks {
+                    let next_turn = w.turns.iter().copied().filter(|&t| t > now.as_ns()).min();
+                    let by = next_turn.map_or(VTime::MAX, VTime::ns);
+                    w.m.park_on_own_word(me, WORD, grid, 1, by);
+                    Step::Park
+                } else {
+                    Step::Yield(grid)
+                }
+            }
+        }
+    }
+}
+
+/// Everything a word run can be observed by, host steps aside.
+#[derive(Debug, PartialEq)]
+struct SpinOutcome {
+    seen: Vec<(VTime, u64, usize, u32)>,
+    end: VTime,
+    clocks: Vec<VTime>,
+    /// The spinner's local ops: one per poll, made or skipped.
+    polls: u64,
+}
+
+fn spin_run(
+    others: &[Spin],
+    rx: usize,
+    grid: u64,
+    turns: &[u64],
+    parks: bool,
+) -> (SpinOutcome, Trace) {
+    let mut actors = others.to_vec();
+    actors.insert(rx, Spin::Spinner { parks, last: None });
+    let n = actors.len();
+    let world = WWorld {
+        m: Machine::new(MachineConfig::new(n, profiles::test_profile()).with_seg_bytes(1 << 16)),
+        trace: Trace::new(),
+        seen: Vec::new(),
+        rx,
+        grid,
+        turns: turns.to_vec(),
+        events: 0,
+    };
+    let mut e = Engine::new(world, actors).with_waker(|w, out| w.m.take_wakeups(out));
+    let r = e.run();
+    let clocks = (0..n).map(|w| e.clock(w)).collect();
+    let (w, _) = e.into_parts();
+    let out = SpinOutcome {
+        seen: w.seen,
+        end: r.end_time,
+        clocks,
+        polls: w.m.stats(rx).local_ops,
+    };
+    (out, w.trace)
+}
+
+/// The parked spinner sees every change at the poll the polling one does,
+/// everybody halts when they do and the spinner is charged as many polls;
+/// its trace is the polling trace minus the skipped polls.
+fn assert_spin_equivalent(others: &[Spin], rx: usize, grid: u64, turns: &[u64]) {
+    let (spin, st) = spin_run(others, rx, grid, turns, false);
+    let (park, pt) = spin_run(others, rx, grid, turns, true);
+    assert_eq!(spin, park, "rx={rx} grid={grid} turns={turns:?}");
+    assert!(
+        is_subsequence(&pt, &st),
+        "parked trace is not a subsequence (rx={rx} grid={grid})"
+    );
+}
+
+fn writer(script: &[(u64, u64)]) -> Spin {
+    Spin::Writer {
+        script: script.to_vec(),
+        next: 0,
+    }
+}
+
+fn poker(gaps: &[u64]) -> Spin {
+    Spin::Poker {
+        gaps: gaps.to_vec(),
+        next: 0,
+    }
+}
+
+fn closer_spin(delay: u64) -> Spin {
+    Spin::Closer {
+        delay,
+        fired: false,
+    }
+}
+
+/// A turn one nanosecond before, on and after a poll instant, with a write
+/// and a poke landing before, on and after the deadline's poll, ids either
+/// way: the deadline and the event wakes meet at the right poll.
+#[test]
+fn word_deadline_meets_writes_and_pokes() {
+    for grid in [4u64, 10] {
+        for rx in [0, 1, 2, 3] {
+            for turn in [3 * grid - 1, 3 * grid, 3 * grid + 1] {
+                for at in [grid, 2 * grid, 3 * grid, 4 * grid + 1] {
+                    let others = [
+                        writer(&[(at, 0), (0, 7)]),
+                        poker(&[at + 1, 0]),
+                        closer_spin(9 * grid),
+                    ];
+                    assert_spin_equivalent(&others, rx, grid, &[turn]);
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// Random writers, pokers, turns and closing time, with the spinner
+    /// anywhere in the id order.
+    #[test]
+    fn parking_on_a_word_with_a_deadline_is_unobservable(
+        writes in proptest::collection::vec(
+            proptest::collection::vec((0u64..40, 0u64..4), 0..6), 0..3),
+        pokes in proptest::collection::vec(proptest::collection::vec(0u64..50, 0..5), 0..3),
+        turns in proptest::collection::vec(1u64..300, 0..5),
+        done_at in 1u64..300,
+        rx in 0usize..6,
+        grid in 1u64..12,
+    ) {
+        let mut others: Vec<Spin> = writes.iter().map(|s| writer(s)).collect();
+        others.extend(pokes.iter().map(|g| poker(g)));
+        others.push(closer_spin(done_at));
+        assert_spin_equivalent(&others, rx % (others.len() + 1), grid, &turns);
     }
 }
